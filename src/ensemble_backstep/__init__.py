@@ -8,11 +8,11 @@ closed loop, and verifies decay and transform identities numerically.
 
 import os
 
-# Pin BLAS/OpenMP pools to a single thread before numpy is first imported so
-# that vector reductions have a fixed summation order and all outputs are
-# bit-reproducible regardless of the ambient thread configuration.
-# ENSEMBLE_BACKSTEP_THREADS caps worker parallelism; the numerical kernels are
-# vectorized single-threaded, so any cap >= 1 leaves behavior unchanged.
+# Pin BLAS/OpenMP pools to a single thread so that vector reductions have a
+# fixed summation order and all outputs are bit-reproducible regardless of the
+# ambient thread configuration.  This overwrites the caller's values of these
+# four variables, and it takes effect only when the package is imported
+# before numpy, since the pools are sized when numpy loads.
 for _var in (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",

@@ -29,10 +29,7 @@ from .grid import GridSpec
 from .model import PlantModel, SampledCoefficients, sample_coefficients
 
 __all__ = [
-    "CharCrossing",
     "TracedBundle",
-    "trace_crossing_curve",
-    "trace_edge_curve",
     "trace_crossing_batch",
     "trace_edge_batch",
 ]
@@ -43,24 +40,6 @@ REFINE_TOL = 1e-10
 #: Event differences above this (negative) threshold at s = 0 count as
 #: already-crossed degenerate curves (diagonal points, edge points).
 DEGENERATE_TOL = -1e-14
-
-
-@dataclass(frozen=True)
-class CharCrossing:
-    """One traced characteristic pair in forward parametrization.
-
-    ``path_x``/``path_xi`` sample the pair at the times ``path_s``;
-    ``path_x`` runs from the launch abscissa up to ``x`` and is nondecreasing,
-    ``path_xi`` runs from the meeting value (launch, or 0 for edge curves)
-    down to ``xi``.
-    """
-
-    s_end: float
-    launch: float
-    path_s: np.ndarray
-    path_x: np.ndarray
-    path_xi: np.ndarray
-    n_steps: int
 
 
 @dataclass(frozen=True)
@@ -322,81 +301,3 @@ def trace_edge_batch(coeff, xs, xis, step: float | None = None,
     """Trace edge curves for many triangle points at once."""
     return _trace_batch(_as_sampled(coeff, spec), "edge", xs, xis, None, step)
 
-
-def _validate_point(x: float, xi: float):
-    if not (0.0 <= xi <= x <= 1.0):
-        raise DomainError(f"need 0 <= xi <= x <= 1, got (x={x}, xi={xi})")
-
-
-def _to_crossing(bundle: TracedBundle) -> CharCrossing:
-    """Convert a single-curve bundle to the forward-parametrized path."""
-    s_end = float(bundle.s_end[0])
-    launch = float(bundle.launch[0])
-    back_x = bundle.sample_x[bundle.offsets[0] : bundle.offsets[1]]
-    back_xi = bundle.sample_xi[bundle.offsets[0] : bundle.offsets[1]]
-    n = back_x.shape[0]
-    if n == 1:
-        path_s = np.array([0.0])
-        path_x = back_x.copy()
-        path_xi = back_xi.copy()
-    else:
-        # Backward samples sit at 0, h, .., (n-2)h, s_end; forward time is
-        # s_end minus backward time, then the order is reversed.
-        back_s = np.empty(n)
-        back_s[: n - 1] = np.arange(n - 1) * bundle.step
-        back_s[n - 1] = s_end
-        path_s = (s_end - back_s)[::-1].copy()
-        path_x = back_x[::-1].copy()
-        path_xi = back_xi[::-1].copy()
-    return CharCrossing(
-        s_end=s_end,
-        launch=launch,
-        path_s=path_s,
-        path_x=path_x,
-        path_xi=path_xi,
-        n_steps=int(bundle.n_steps[0]),
-    )
-
-
-def trace_crossing_curve(coeff, x: float, xi: float, y: float,
-                         step: float | None = None,
-                         spec: GridSpec | None = None) -> CharCrossing:
-    """Trace the crossing-curve pair through one triangle point.
-
-    Integrates the upper component backward from ``x`` with the scalar speed
-    and the lower component from ``xi`` with the ensemble speed at parameter
-    ``y`` until they meet, refines the meeting time to the package tolerance,
-    and returns the pair re-parametrized to run forward from the launch
-    abscissa.
-
-    Raises
-    ------
-    DomainError
-        If ``(x, xi)`` is outside the triangle or ``y`` outside [0, 1].
-    NonconvergenceError
-        If no meeting occurs before twice the theoretical bound (signals an
-        invalid model).
-    """
-    _validate_point(x, xi)
-    if not 0.0 <= y <= 1.0:
-        raise DomainError(f"y must be in [0, 1], got {y}")
-    sampled = _as_sampled(coeff, spec)
-    bundle = _trace_batch(sampled, "cross", np.array([x]), np.array([xi]),
-                          np.array([y]), step)
-    return _to_crossing(bundle)
-
-
-def trace_edge_curve(coeff, x: float, xi: float,
-                     step: float | None = None,
-                     spec: GridSpec | None = None) -> CharCrossing:
-    """Trace the edge-curve pair through one triangle point.
-
-    Both components run backward with the scalar speed; the lower one reaches
-    the ``xi = 0`` edge at the returned ``s_end``, and ``launch`` is the upper
-    component's position at that time.  Errors as
-    :func:`trace_crossing_curve`.
-    """
-    _validate_point(x, xi)
-    sampled = _as_sampled(coeff, spec)
-    bundle = _trace_batch(sampled, "edge", np.array([x]), np.array([xi]), None, step)
-    return _to_crossing(bundle)

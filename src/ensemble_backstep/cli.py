@@ -8,8 +8,9 @@ Three subcommands share one configuration model (defaults, optional flat
 * ``simulate`` runs the plant open- or closed-loop, or the transformed
   cascade system, and writes ``timeseries.csv``, optional per-snapshot CSV
   files, and ``summary.json``;
-* ``verify`` runs a self-contained invariant suite (CFL, characteristic
-  identities, Volterra oracle, kernel boundary and equation residuals,
+* ``verify`` solves the kernels and runs a self-contained invariant suite
+  (CFL, characteristic identities, Volterra oracle, closed-form kernel
+  oracle for the toy model, kernel boundary and equation residuals,
   transform round trip, Lyapunov monotonicity) and writes ``verify.json``.
 
 Exit codes: 0 success, 2 invalid configuration, 3 kernel nonconvergence,
@@ -17,10 +18,8 @@ Exit codes: 0 success, 2 invalid configuration, 3 kernel nonconvergence,
 
 All numeric output is deterministic for a fixed configuration and seed: the
 numerical core is vectorized but single-threaded (BLAS thread pools are
-pinned before numpy loads), floats are emitted with 17 significant digits,
-and JSON keys are sorted.  The ``ENSEMBLE_BACKSTEP_THREADS`` environment
-variable caps worker parallelism; since the core is single-threaded it never
-changes results.
+pinned when the package is imported), floats are emitted with 17
+significant digits, and JSON keys are sorted.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ from .kernelsolve import (KernelSolution, kernel_pde_residual,
                           solve_backstepping_kernels)
 from .model import (BUILTIN_MODEL_NAMES, builtin_model, sample_coefficients,
                     toy_analytic_kernels)
-from .simulator import (default_initial_state, inverse_transform,
-                        forward_transform, lyapunov_recipe, simulate,
-                        simulate_target, EnsembleState)
+from .simulator import (cfl_condition, check_cfl, default_initial_state,
+                        inverse_transform, forward_transform, lyapunov_recipe,
+                        simulate, simulate_target, EnsembleState)
 from .volterra import (inverse_transform_kernels, resolvent,
                        solve_target_coupling, tri_to_matrix)
 
@@ -69,7 +68,6 @@ class RunConfig:
     ic_center: float = 0.3
     ic_width: float = 0.1
     seed: int = 0
-    threads: int | None = None
 
 
 def _parse_snapshot_times(text: str) -> tuple[float, ...]:
@@ -95,7 +93,6 @@ _COERCERS = {
     "ic_center": float,
     "ic_width": float,
     "seed": int,
-    "threads": int,
 }
 
 
@@ -138,20 +135,18 @@ def _validate_config(config: RunConfig) -> RunConfig:
         raise ConfigurationError("dt and t_final must be positive")
     if config.kernel_tol <= 0:
         raise ConfigurationError("kernel_tol must be positive")
-    if config.mode not in ("open", "closed", "target", "verify"):
+    if config.mode not in ("open", "closed", "target"):
         raise ConfigurationError(
-            f"unknown mode {config.mode!r} (open, closed, target, verify)")
+            f"unknown mode {config.mode!r} (open, closed, target)")
     if config.initial_condition not in ("default", "zero", "gaussian"):
         raise ConfigurationError(
             f"unknown initial condition {config.initial_condition!r} "
             "(default, zero, gaussian)")
-    if config.threads is not None and config.threads < 1:
-        raise ConfigurationError("thread cap must be at least 1")
     return config
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, CLI overrides, and the thread cap."""
+    """Merge defaults, config file, and CLI overrides."""
     values = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
@@ -162,15 +157,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             values[name] = override
     if getattr(args, "snapshots", None) is not None:
         values["snapshot_times"] = _parse_snapshot_times(args.snapshots)
-    env_threads = os.environ.get("ENSEMBLE_BACKSTEP_THREADS")
-    if env_threads is not None:
-        try:
-            cap = int(env_threads)
-        except ValueError:
-            raise ConfigurationError(
-                f"ENSEMBLE_BACKSTEP_THREADS must be an integer, "
-                f"got {env_threads!r}")
-        values["threads"] = min(cap, values.get("threads", cap))
     unknown = set(values) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
@@ -278,10 +264,6 @@ def cmd_kernels(config: RunConfig) -> int:
     return 0
 
 
-def _solve_kernels_for(config: RunConfig, spec: GridSpec, model):
-    return solve_backstepping_kernels(model, spec, tol=config.kernel_tol)
-
-
 def _write_timeseries(path: str, record, target_mode: bool) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,norm_joint,norm_u,norm_v,U,V_lyapunov\n")
@@ -317,18 +299,10 @@ def _write_snapshots(out_dir: str, spec: GridSpec, record) -> list[str]:
 
 def cmd_simulate(config: RunConfig) -> int:
     """Run a simulation; write timeseries.csv, snapshots, summary.json."""
-    if config.mode not in ("open", "closed", "target"):
-        raise ConfigurationError(
-            f"simulate requires mode open, closed, or target "
-            f"(got {config.mode!r})")
     spec = _grid_from_config(config)
     model = builtin_model(config.model_name)
     coeff = sample_coefficients(model, spec)
-    courant = spec.dt * coeff.max_speed * spec.nx
-    if courant > 1.0 + 1e-12:
-        raise ConfigurationError(
-            f"time step violates the CFL condition: dt*max_speed*nx = "
-            f"{courant:.6g} > 1")
+    check_cfl(coeff, spec.dt)
     os.makedirs(config.output_dir, exist_ok=True)
     summary_path = os.path.join(config.output_dir, "summary.json")
     u0, v0 = _initial_condition(config, spec)
@@ -336,7 +310,8 @@ def cmd_simulate(config: RunConfig) -> int:
     kernels = None
     if config.mode in ("closed", "target"):
         try:
-            kernels = _solve_kernels_for(config, spec, model)
+            kernels = solve_backstepping_kernels(model, spec,
+                                                 tol=config.kernel_tol)
         except NonconvergenceError as exc:
             _write_json(os.path.join(config.output_dir, "kernels.json"), {
                 "converged": False,
@@ -508,19 +483,18 @@ def cmd_verify(config: RunConfig) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
 
     checks = {}
-    courant = spec.dt * coeff.max_speed * spec.nx
+    courant, cfl_holds = cfl_condition(coeff, spec.dt)
     checks["cfl"] = {"measured": courant, "tolerance": 1.0,
-                     "passed": courant <= 1.0 + 1e-12}
+                     "passed": cfl_holds}
 
     checks["characteristics"] = _verify_characteristics(model, coeff, rng)
     checks["volterra_resolvent"] = _verify_volterra(spec)
 
+    kernels = solve_backstepping_kernels(model, spec, tol=config.kernel_tol)
     if config.model_name == "toy":
-        k_fn, kt_fn = toy_analytic_kernels()
-        kernels = kernel_solution_from_evaluators(spec, k_fn, kt_fn)
-    else:
-        kernels = solve_backstepping_kernels(model, spec,
-                                             tol=config.kernel_tol)
+        oracle_err = _toy_kernel_error(kernels)
+        checks["kernel_oracle"] = {"measured": oracle_err, "tolerance": 0.02,
+                                   "passed": oracle_err <= 0.02}
     checks["kernel_boundary"] = _verify_kernel_boundary(spec, coeff, kernels)
 
     res_ensemble, res_scalar = kernel_pde_residual(kernels, coeff)

@@ -19,12 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-
-#: Tolerance for characteristic endpoints that land just outside the domain
-#: through roundoff; queries farther out raise :class:`DomainError`.
-CLAMP_TOL = 1e-9
-
+from .errors import DomainError
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -115,78 +110,6 @@ def gregory_weights(n_nodes: int, spacing: float) -> np.ndarray:
         w[-2] += c
         w[-1] -= c
     return w
-
-
-def integrate_y(spec: GridSpec, samples: np.ndarray) -> float:
-    """Trapezoid value of an integral over the ensemble variable y.
-
-    Realizes the ensemble inner product weight: ``integrate_y(spec, p*q)``
-    is the discrete ``<p, q>``.
-
-    Parameters
-    ----------
-    spec : GridSpec
-    samples : array of shape (ny,)
-        Integrand sampled on the y-nodes.
-
-    Returns
-    -------
-    float
-    """
-    samples = np.asarray(samples)
-    if samples.shape != (spec.ny,):
-        raise DimensionError(
-            f"expected {spec.ny} y-samples, got shape {samples.shape}"
-        )
-    return float(np.dot(spec.y_weights, samples))
-
-
-def integrate_x(spec: GridSpec, samples: np.ndarray, upper_index: int | None = None) -> float:
-    """Trapezoid value of an x-integral, optionally only up to node ``upper_index``.
-
-    With ``upper_index = i`` the value approximates the integral from 0 to
-    ``x_i``; the default integrates over the whole interval [0,1].
-
-    Parameters
-    ----------
-    spec : GridSpec
-    samples : array of shape (nx+1,)
-    upper_index : int, optional
-
-    Returns
-    -------
-    float
-    """
-    samples = np.asarray(samples)
-    if samples.shape != (spec.nx + 1,):
-        raise DimensionError(
-            f"expected {spec.nx + 1} x-samples, got shape {samples.shape}"
-        )
-    if upper_index is None:
-        upper_index = spec.nx
-    if not 0 <= upper_index <= spec.nx:
-        raise DomainError(f"upper_index {upper_index} outside 0..{spec.nx}")
-    if upper_index == 0:
-        return 0.0
-    part = samples[: upper_index + 1]
-    return float((part[:-1] + part[1:]).sum() * (spec.hx / 2.0))
-
-
-def cumulative_integrate_x(spec: GridSpec, samples: np.ndarray) -> np.ndarray:
-    """All partial trapezoid integrals from 0 to each x-node at once.
-
-    Returns an array ``c`` with ``c[i] = integrate_x(spec, samples, i)``.
-    Accepts extra trailing axes (integrates along axis 0).
-    """
-    samples = np.asarray(samples)
-    if samples.shape[0] != spec.nx + 1:
-        raise DimensionError(
-            f"expected {spec.nx + 1} x-samples, got shape {samples.shape}"
-        )
-    increments = (samples[:-1] + samples[1:]) * (spec.hx / 2.0)
-    out = np.zeros_like(samples)
-    np.cumsum(increments, axis=0, out=out[1:])
-    return out
 
 
 @dataclass(frozen=True)
@@ -298,41 +221,3 @@ def corner_weights(nx: int, x: np.ndarray, xi: np.ndarray):
     w = np.stack([w00, w10, w01, w11], axis=-1)
     return idx, w
 
-
-def bilinear_tri(tri: TriangularIndex, field: np.ndarray, x: float, xi: float,
-                 y_index: int | None = None):
-    """Interpolate a tri field at an off-grid point of the triangle.
-
-    Parameters
-    ----------
-    tri : TriangularIndex
-    field : array of shape (n_tri, ...) — tri field or tri scalar field
-    x, xi : floats with ``0 <= xi <= x <= 1`` up to roundoff
-    y_index : int, optional
-        Ensemble column to read; None interpolates every trailing column.
-
-    Returns
-    -------
-    float or array
-
-    Raises
-    ------
-    DomainError
-        If the query lies outside [0,1]^2 (or above the diagonal) by more
-        than roundoff tolerance.
-    """
-    if not (-CLAMP_TOL <= x <= 1.0 + CLAMP_TOL and -CLAMP_TOL <= xi <= 1.0 + CLAMP_TOL):
-        raise DomainError(f"query ({x}, {xi}) outside the unit square")
-    if xi > x + CLAMP_TOL:
-        raise DomainError(f"query ({x}, {xi}) above the diagonal")
-    field = np.asarray(field)
-    if field.shape[0] != tri.n_nodes:
-        raise DimensionError(
-            f"field has {field.shape[0]} rows, triangle has {tri.n_nodes} nodes"
-        )
-    idx, w = corner_weights(tri.nx, x, xi)
-    values = field[idx]
-    if field.ndim > 1 and y_index is not None:
-        values = values[:, y_index]
-    result = np.tensordot(w, values, axes=(0, 0))
-    return float(result) if np.ndim(result) == 0 else result

@@ -14,11 +14,12 @@ scalar unknown ``G(x, xi)`` on the triangle ``0 <= xi <= x <= 1``:
 
 Integrating each equation along its curve family turns the system into
 coupled integral equations, solved here by successive approximation from
-zero.  Curves are traced once per triangle node (shared across the ensemble
-parameter when the ensemble speed does not depend on it — note the per-node
-curve cache grows with ny otherwise), and each sweep evaluates the source
-terms on the grid and pushes them through precomputed sparse operators that
-combine path-trapezoid weights with bilinear interpolation on the triangle.
+zero.  Curves are traced once per triangle node: shared across the ensemble
+parameter when the sampled ensemble speed is constant along y at every
+x-node, and once per y-node otherwise (which holds ny operators in memory
+instead of one).  Each sweep evaluates the source terms on the grid and
+pushes them through precomputed sparse operators that combine
+path-trapezoid weights with bilinear interpolation on the triangle.
 Boundary data is always evaluated exactly at the off-grid launch abscissas,
 so the diagonal condition holds exactly at nodes and the edge condition holds
 to the fixed-point tolerance.
@@ -194,7 +195,9 @@ def solve_goursat(problem: GoursatProblem, spec: GridSpec, tol: float = 1e-10,
     xs = tri.x_coord
     xis = tri.xi_coord
 
-    shared_curves = not coeff.model.speed_u_depends_y
+    # The per-y path traces only at the y-nodes, so a speed that is constant
+    # along y on the grid gives every node the same curves.
+    shared_curves = bool(np.all(coeff.speed_u_grid == coeff.speed_u_grid[:, :1]))
     if shared_curves:
         bundle = trace_crossing_batch(coeff, xs, xis, np.zeros(n_tri), step, spec)
         cross_ops = _quadrature_matrix(spec, bundle)

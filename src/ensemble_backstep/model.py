@@ -23,15 +23,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DomainError
+from .errors import ConfigurationError
 from .grid import GridSpec
 
 __all__ = [
     "PlantModel",
     "SampledCoefficients",
     "sample_coefficients",
-    "apply_exchange",
-    "apply_exchange_transpose",
     "toy_model",
     "pure_transport_model",
     "toy_analytic_kernels",
@@ -64,9 +62,6 @@ class PlantModel:
         when omitted.
     speed_v_dx : callable (x,) -> float, optional
         Analytic x-derivative of ``speed_v``; finite differences otherwise.
-    speed_u_depends_y : bool
-        False when ``speed_u`` is constant in y, which lets characteristic
-        curves be shared across the ensemble.
     """
 
     name: str
@@ -78,7 +73,6 @@ class PlantModel:
     inflow_gain: Callable
     speed_u_dx: Optional[Callable] = None
     speed_v_dx: Optional[Callable] = None
-    speed_u_depends_y: bool = True
 
 
 @dataclass(frozen=True)
@@ -189,38 +183,6 @@ def sample_coefficients(model: PlantModel, spec: GridSpec) -> SampledCoefficient
     )
 
 
-def _check_x_index(coeff: SampledCoefficients, x_index: int):
-    if not 0 <= x_index <= coeff.spec.nx:
-        raise DomainError(f"x_index {x_index} outside 0..{coeff.spec.nx}")
-
-
-def apply_exchange(coeff: SampledCoefficients, x_index: int, a: np.ndarray) -> np.ndarray:
-    """Apply the exchange integral operator at one x-node.
-
-    Returns the vector with entries ``integral exchange(x_i, y, eta) a(eta)
-    deta`` on the y-grid (trapezoid quadrature in eta).
-    """
-    _check_x_index(coeff, x_index)
-    a = np.asarray(a, dtype=float)
-    if a.shape != (coeff.spec.ny,):
-        raise DimensionError(f"expected {coeff.spec.ny} samples, got {a.shape}")
-    return coeff.exchange_grid[x_index] @ (coeff.spec.y_weights * a)
-
-
-def apply_exchange_transpose(coeff: SampledCoefficients, x_index: int, a: np.ndarray) -> np.ndarray:
-    """Apply the transposed exchange operator at one x-node.
-
-    Returns the vector ``integral exchange(x_i, eta, y) a(eta) deta`` on the
-    y-grid; the discrete adjoint of :func:`apply_exchange` under the
-    y-quadrature inner product.
-    """
-    _check_x_index(coeff, x_index)
-    a = np.asarray(a, dtype=float)
-    if a.shape != (coeff.spec.ny,):
-        raise DimensionError(f"expected {coeff.spec.ny} samples, got {a.shape}")
-    return (coeff.spec.y_weights * a) @ coeff.exchange_grid[x_index]
-
-
 def toy_model() -> PlantModel:
     """The separable benchmark plant with closed-form feedback kernels.
 
@@ -266,7 +228,6 @@ def toy_model() -> PlantModel:
         inflow_gain=inflow_gain,
         speed_u_dx=speed_u_dx,
         speed_v_dx=speed_v_dx,
-        speed_u_depends_y=False,
     )
 
 
@@ -298,7 +259,6 @@ def pure_transport_model() -> PlantModel:
         inflow_gain=zero_y,
         speed_u_dx=zero_xy,
         speed_v_dx=lambda x: np.zeros(np.shape(x)),
-        speed_u_depends_y=False,
     )
 
 

@@ -43,6 +43,8 @@ __all__ = [
     "SimulationRecord",
     "LyapunovRecipe",
     "default_initial_state",
+    "cfl_condition",
+    "check_cfl",
     "ensemble_norm",
     "scalar_norm",
     "joint_norm",
@@ -156,9 +158,17 @@ def default_initial_state(spec: GridSpec, amplitude: float = 1.0) -> EnsembleSta
     return EnsembleState(u=u0, v=v0, t=0.0)
 
 
-def _check_cfl(spec: GridSpec, coeff: SampledCoefficients, dt: float) -> None:
-    courant = dt * coeff.max_speed * spec.nx
-    if courant > 1.0 + 1e-12:
+def cfl_condition(coeff: SampledCoefficients, dt: float) -> tuple[float, bool]:
+    """Courant number ``dt * max_speed * nx`` of an explicit step, and whether
+    it meets the CFL condition (at most 1, up to roundoff)."""
+    courant = dt * coeff.max_speed * coeff.spec.nx
+    return courant, courant <= 1.0 + 1e-12
+
+
+def check_cfl(coeff: SampledCoefficients, dt: float) -> None:
+    """Raise :class:`ConfigurationError` if ``dt`` violates the CFL condition."""
+    courant, holds = cfl_condition(coeff, dt)
+    if not holds:
         raise ConfigurationError(
             f"time step violates the CFL condition: dt*max_speed*nx = "
             f"{courant:.6g} > 1")
@@ -184,7 +194,7 @@ def step_plant(state: EnsembleState, coeff: SampledCoefficients,
     ``boundary_v1`` and the ensemble inflow to ``inflow_gain * v(0)``.
     """
     spec = coeff.spec
-    _check_cfl(spec, coeff, dt)
+    check_cfl(coeff, dt)
     u = state.u
     v = state.v
     h = spec.hx
@@ -309,7 +319,7 @@ def step_target(state: EnsembleState, coeff: SampledCoefficients,
     swapping the order of integration.
     """
     spec = coeff.spec
-    _check_cfl(spec, coeff, dt)
+    check_cfl(coeff, dt)
     tri = spec.tri
     alpha = state.u
     beta = state.v
@@ -443,6 +453,47 @@ def _snapshot_steps(spec: GridSpec, snapshot_times, n_steps: int) -> dict:
     return table
 
 
+def _run(spec: GridSpec, state: EnsembleState, snapshot_times, advance,
+         refresh=None, lyapunov=None) -> SimulationRecord:
+    """Step from t = 0 to the grid's final time, recording every step.
+
+    ``refresh(state)`` (optional) returns the state to record and the control
+    value of the step; ``advance(state, control)`` returns the next state;
+    ``lyapunov(state)`` (optional) fills the Lyapunov series.  Norms are
+    recorded at every step, snapshots at the steps nearest the requested
+    times, and ``decay_rate`` is fitted on the late-time window.
+    """
+    n_steps = int(round(spec.t_final / spec.dt))
+    snap_table = _snapshot_steps(spec, snapshot_times, n_steps)
+
+    times = np.arange(n_steps + 1) * spec.dt
+    joint = np.empty(n_steps + 1)
+    u_norms = np.empty(n_steps + 1)
+    v_norms = np.empty(n_steps + 1)
+    control = np.zeros(n_steps + 1)
+    lyap = None if lyapunov is None else np.empty(n_steps + 1)
+    snapshots = []
+    for n in range(n_steps + 1):
+        if refresh is not None:
+            state, control[n] = refresh(state)
+        un = ensemble_norm(spec, state.u)
+        vn = scalar_norm(spec, state.v)
+        u_norms[n] = un
+        v_norms[n] = vn
+        joint[n] = math.sqrt(un * un + vn * vn)
+        if lyap is not None:
+            lyap[n] = lyapunov(state)
+        if n in snap_table:
+            for _ in snap_table[n]:
+                snapshots.append((float(state.t), state))
+        if n < n_steps:
+            state = advance(state, control[n])
+    decay = _fit_decay(times, joint)
+    return SimulationRecord(times=times, joint_norms=joint, u_norms=u_norms,
+                            v_norms=v_norms, control=control, lyapunov=lyap,
+                            snapshots=tuple(snapshots), decay_rate=decay)
+
+
 def simulate(model, spec: GridSpec, kernels: KernelSolution | None = None,
              mode: str = "open", u0=None, v0=None,
              snapshot_times=()) -> SimulationRecord:
@@ -463,33 +514,14 @@ def simulate(model, spec: GridSpec, kernels: KernelSolution | None = None,
     if mode == "closed" and kernels is None:
         raise ConfigurationError("closed-loop simulation requires kernels")
     coeff = _as_coeff(model, spec)
-    state = _initial_state(spec, u0, v0)
-    n_steps = int(round(spec.t_final / spec.dt))
-    snap_table = _snapshot_steps(spec, snapshot_times, n_steps)
+    refresh = ((lambda state: _refresh_outlet(state, kernels))
+               if mode == "closed" else None)
 
-    times = np.arange(n_steps + 1) * spec.dt
-    joint = np.empty(n_steps + 1)
-    u_norms = np.empty(n_steps + 1)
-    v_norms = np.empty(n_steps + 1)
-    control = np.zeros(n_steps + 1)
-    snapshots = []
-    for n in range(n_steps + 1):
-        if mode == "closed":
-            state, control[n] = _refresh_outlet(state, kernels)
-        un = ensemble_norm(spec, state.u)
-        vn = scalar_norm(spec, state.v)
-        u_norms[n] = un
-        v_norms[n] = vn
-        joint[n] = math.sqrt(un * un + vn * vn)
-        if n in snap_table:
-            for _ in snap_table[n]:
-                snapshots.append((float(state.t), state))
-        if n < n_steps:
-            state = step_plant(state, coeff, control[n], spec.dt)
-    decay = _fit_decay(times, joint)
-    return SimulationRecord(times=times, joint_norms=joint, u_norms=u_norms,
-                            v_norms=v_norms, control=control, lyapunov=None,
-                            snapshots=tuple(snapshots), decay_rate=decay)
+    def advance(state, control):
+        return step_plant(state, coeff, control, spec.dt)
+
+    return _run(spec, _initial_state(spec, u0, v0), snapshot_times, advance,
+                refresh=refresh)
 
 
 def simulate_target(model, spec: GridSpec, kernels: KernelSolution,
@@ -505,34 +537,16 @@ def simulate_target(model, spec: GridSpec, kernels: KernelSolution,
     coeff = _as_coeff(model, spec)
     plant0 = _initial_state(spec, u0, v0)
     alpha0, beta0 = forward_transform(plant0, kernels)
-    state = EnsembleState(u=alpha0, v=beta0, t=0.0)
     if kappa is None:
         kappa = solve_target_coupling(spec, coeff.drive_grid, kernels.ktilde)
     if recipe is None:
         recipe = lyapunov_recipe(coeff, kernels, kappa)
-    n_steps = int(round(spec.t_final / spec.dt))
-    snap_table = _snapshot_steps(spec, snapshot_times, n_steps)
 
-    times = np.arange(n_steps + 1) * spec.dt
-    joint = np.empty(n_steps + 1)
-    u_norms = np.empty(n_steps + 1)
-    v_norms = np.empty(n_steps + 1)
-    lyap = np.empty(n_steps + 1)
-    snapshots = []
-    for n in range(n_steps + 1):
-        un = ensemble_norm(spec, state.u)
-        vn = scalar_norm(spec, state.v)
-        u_norms[n] = un
-        v_norms[n] = vn
-        joint[n] = math.sqrt(un * un + vn * vn)
-        lyap[n] = lyapunov_value(state.u, state.v, coeff, recipe.p, recipe.delta)
-        if n in snap_table:
-            for _ in snap_table[n]:
-                snapshots.append((float(state.t), state))
-        if n < n_steps:
-            state = step_target(state, coeff, kernels, kappa, spec.dt)
-    decay = _fit_decay(times, joint)
-    return SimulationRecord(times=times, joint_norms=joint, u_norms=u_norms,
-                            v_norms=v_norms, control=np.zeros(n_steps + 1),
-                            lyapunov=lyap, snapshots=tuple(snapshots),
-                            decay_rate=decay)
+    def advance(state, control):
+        return step_target(state, coeff, kernels, kappa, spec.dt)
+
+    def lyapunov(state):
+        return lyapunov_value(state.u, state.v, coeff, recipe.p, recipe.delta)
+
+    return _run(spec, EnsembleState(u=alpha0, v=beta0, t=0.0), snapshot_times,
+                advance, lyapunov=lyapunov)

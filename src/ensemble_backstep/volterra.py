@@ -6,8 +6,7 @@ This module provides the composition quadrature for kernels on the triangle
 * iterated-kernel resolvents (Neumann series),
 * the coupling kernel of the stabilized target dynamics, solved through the
   resolvent formula, with a direct successive-approximation solver kept as an
-  independent oracle,
-* the residual-coupling operator assembled from the transform kernels, and
+  independent oracle, and
 * the kernels of the inverse state transform.
 
 Path integrals between triangle nodes use the trapezoid rule with the
@@ -39,7 +38,6 @@ __all__ = [
     "solve_target_coupling",
     "solve_target_coupling_picard",
     "target_coupling_residual",
-    "apply_residual_coupling",
     "inverse_transform_kernels",
 ]
 
@@ -238,35 +236,6 @@ def target_coupling_residual(spec: GridSpec, kappa: np.ndarray,
     kap_mat = tri_to_matrix(spec, np.asarray(kappa, dtype=float))
     resid = kap_mat - source - compose(spec.hx, kernel, kap_mat)
     return float(np.max(np.abs(matrix_to_tri(spec, resid))))
-
-
-def apply_residual_coupling(spec: GridSpec, k: np.ndarray, kappa: np.ndarray,
-                            drive_grid: np.ndarray, x_index: int,
-                            xi_index: int, a: np.ndarray) -> np.ndarray:
-    """Apply the residual-coupling operator at one triangle node.
-
-    For the ensemble vector ``a`` this returns, on the y-grid,
-    ``<k(x, xi), a> drive(x, .) + integral_xi^x <k(s, xi), a> kappa(x, s, .) ds``
-    with the inner products taken by y-quadrature and the path integral by
-    the trapezoid rule over the x-nodes between ``xi`` and ``x``.
-    """
-    tri = spec.tri
-    if not 0 <= xi_index <= x_index <= spec.nx:
-        raise DomainError(
-            f"need 0 <= xi_index <= x_index <= nx, got ({x_index}, {xi_index})")
-    a = np.asarray(a, dtype=float)
-    if a.shape != (spec.ny,):
-        raise DimensionError(f"expected a of shape ({spec.ny},), got {a.shape}")
-    s_range = np.arange(xi_index, x_index + 1)
-    rows = s_range * (s_range + 1) // 2 + xi_index
-    inner = np.asarray(k, dtype=float)[rows] @ (spec.y_weights * a)
-    out = inner[-1] * np.asarray(drive_grid, dtype=float)[x_index]
-    if x_index > xi_index:
-        w = np.full(s_range.shape[0], spec.hx)
-        w[0] = w[-1] = spec.hx / 2.0
-        kap_rows = x_index * (x_index + 1) // 2 + s_range
-        out = out + (w * inner) @ np.asarray(kappa, dtype=float)[kap_rows]
-    return out
 
 
 def inverse_transform_kernels(spec: GridSpec, k: np.ndarray, ktilde: np.ndarray,

@@ -19,7 +19,8 @@ prints a single ``criterion N (...): PASS`` line with the measured values
    finite-time flushing of the transformed scalar state;
 8. step-wise monotonicity of the recipe Lyapunov value with the
    norm-equivalence sandwich;
-9. byte-identical CLI outputs across repeated runs and thread caps.
+9. byte-identical CLI outputs across repeated runs and BLAS/OpenMP thread
+   settings.
 """
 
 import os
@@ -33,7 +34,6 @@ import pytest
 from ensemble_backstep.characteristics import (
     trace_crossing_batch,
     trace_edge_batch,
-    trace_edge_curve,
 )
 from ensemble_backstep.grid import GridSpec
 from ensemble_backstep.kernelsolve import (
@@ -101,7 +101,6 @@ def _uncoupled_plant(speed_u, speed_v):
         readout=lambda x, y: np.zeros(
             np.broadcast_shapes(np.shape(x), np.shape(y))),
         inflow_gain=lambda y: np.zeros(np.shape(y)),
-        speed_u_depends_y=False,
     )
 
 
@@ -206,8 +205,8 @@ def test_criterion_4_characteristic_closed_forms(toy, pure_transport, rng):
     affine = _uncoupled_plant(
         lambda x, y: np.ones(np.broadcast_shapes(np.shape(x), np.shape(y))),
         lambda x: 1.0 + np.asarray(x, dtype=float))
-    cc = trace_edge_curve(affine, 1.0, 0.5, step=1e-4, spec=spec)
-    affine_err = abs(cc.s_end - np.log(1.5))
+    edge = trace_edge_batch(affine, [1.0], [0.5], step=1e-4, spec=spec)
+    affine_err = abs(float(edge.s_end[0]) - np.log(1.5))
     assert affine_err <= 1e-8, f"affine-speed edge time off by {affine_err:.2e}"
 
     ys = np.linspace(0.0, 1.0, 50)
@@ -317,9 +316,11 @@ def test_criterion_8_lyapunov_monotonicity(toy, spec_default,
 
 
 def test_criterion_9_byte_determinism(tmp_path):
+    # Importing the package pins these pools to one thread whatever the
+    # caller set, so outputs must not depend on the values given here.
     def run(args, out_dir, threads):
         env = dict(os.environ)
-        env["ENSEMBLE_BACKSTEP_THREADS"] = str(threads)
+        env["OMP_NUM_THREADS"] = env["OPENBLAS_NUM_THREADS"] = str(threads)
         proc = subprocess.run(
             [sys.executable, "-m", "ensemble_backstep.cli", *args,
              "--out", str(out_dir)],
@@ -344,7 +345,7 @@ def test_criterion_9_byte_determinism(tmp_path):
             bytes_first = (first / name).read_bytes()
             assert bytes_first, f"{name} is empty"
             assert bytes_first == (second / name).read_bytes(), \
-                f"{name} differs between thread caps"
+                f"{name} differs between thread settings"
             compared += 1
     print(f"criterion 9 (byte-determinism): PASS — {compared} output files "
-          f"byte-identical across thread caps 1 and 8")
+          f"byte-identical across thread settings 1 and 8")

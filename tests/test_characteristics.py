@@ -1,20 +1,16 @@
 """Characteristic tracing: crossing times, launch points, path integrity."""
 
 import numpy as np
-import pytest
 
 from ensemble_backstep.characteristics import (
     trace_crossing_batch,
-    trace_crossing_curve,
     trace_edge_batch,
-    trace_edge_curve,
 )
-from ensemble_backstep.errors import DomainError
 from ensemble_backstep.grid import GridSpec
 from ensemble_backstep.model import PlantModel, sample_coefficients
 
 
-def _plant(speed_u, speed_v, name="custom", depends_y=False):
+def _plant(speed_u, speed_v, name="custom"):
     """Uncoupled plant with the given transport speeds."""
     return PlantModel(
         name=name,
@@ -27,35 +23,40 @@ def _plant(speed_u, speed_v, name="custom", depends_y=False):
         readout=lambda x, y: np.zeros(
             np.broadcast_shapes(np.shape(x), np.shape(y))),
         inflow_gain=lambda y: np.zeros(np.shape(y)),
-        speed_u_depends_y=depends_y,
     )
 
 
 SPEC = GridSpec(nx=50, ny=11)
 
 
+def _curve(bundle):
+    """(sample_x, sample_xi) of the only curve of a one-point bundle."""
+    sl = slice(bundle.offsets[0], bundle.offsets[1])
+    return bundle.sample_x[sl], bundle.sample_xi[sl]
+
+
 class TestCrossingClosedForms:
     def test_unit_speeds(self, toy):
         # equal constant speeds meet halfway: s = (x - xi)/2, launch midway
         for y in (0.0, 0.37, 1.0):
-            cc = trace_crossing_curve(toy, 1.0, 0.0, y, spec=SPEC)
-            assert abs(cc.s_end - 0.5) <= 1e-9
-            assert abs(cc.launch - 0.5) <= 1e-9
+            cc = trace_crossing_batch(toy, [1.0], [0.0], [y], spec=SPEC)
+            assert abs(cc.s_end[0] - 0.5) <= 1e-9
+            assert abs(cc.launch[0] - 0.5) <= 1e-9
 
     def test_degenerate_diagonal_point(self, toy):
-        cc = trace_crossing_curve(toy, 0.625, 0.625, 0.5, spec=SPEC)
-        assert cc.s_end == 0.0
-        assert cc.launch == 0.625
-        assert cc.n_steps == 0
+        cc = trace_crossing_batch(toy, [0.625], [0.625], [0.5], spec=SPEC)
+        assert cc.s_end[0] == 0.0
+        assert cc.launch[0] == 0.625
+        assert cc.n_steps[0] == 0
 
     def test_unequal_constant_speeds(self):
         plant = _plant(
             lambda x, y: 2.0 * np.ones(np.broadcast_shapes(np.shape(x), np.shape(y))),
             lambda x: np.ones(np.shape(x)),
         )
-        cc = trace_crossing_curve(plant, 0.9, 0.3, 0.5, spec=SPEC)
-        assert abs(cc.s_end - 0.2) <= 1e-9
-        assert abs(cc.launch - 0.7) <= 1e-9
+        cc = trace_crossing_batch(plant, [0.9], [0.3], [0.5], spec=SPEC)
+        assert abs(cc.s_end[0] - 0.2) <= 1e-9
+        assert abs(cc.launch[0] - 0.7) <= 1e-9
 
     def test_random_triples_match_closed_form(self, toy, rng):
         xs = rng.uniform(0.0, 1.0, 200)
@@ -69,14 +70,14 @@ class TestCrossingClosedForms:
 
 class TestEdgeClosedForms:
     def test_unit_speed(self, toy):
-        cc = trace_edge_curve(toy, 0.8, 0.5, spec=SPEC)
-        assert abs(cc.s_end - 0.5) <= 1e-9
-        assert abs(cc.launch - 0.3) <= 1e-9
+        cc = trace_edge_batch(toy, [0.8], [0.5], spec=SPEC)
+        assert abs(cc.s_end[0] - 0.5) <= 1e-9
+        assert abs(cc.launch[0] - 0.3) <= 1e-9
 
     def test_already_on_edge(self, toy):
-        cc = trace_edge_curve(toy, 0.4, 0.0, spec=SPEC)
-        assert cc.s_end == 0.0
-        assert cc.launch == 0.4
+        cc = trace_edge_batch(toy, [0.4], [0.0], spec=SPEC)
+        assert cc.s_end[0] == 0.0
+        assert cc.launch[0] == 0.4
 
     def test_affine_speed(self):
         # speed 1 + x gives crossing time ln(1.5) and launch 1/3
@@ -84,37 +85,41 @@ class TestEdgeClosedForms:
             lambda x, y: np.ones(np.broadcast_shapes(np.shape(x), np.shape(y))),
             lambda x: 1.0 + np.asarray(x, dtype=float),
         )
-        cc = trace_edge_curve(plant, 1.0, 0.5, step=1e-4, spec=SPEC)
-        assert abs(cc.s_end - np.log(1.5)) <= 1e-8
-        assert abs(cc.launch - (2.0 / 1.5 - 1.0)) <= 1e-8
+        cc = trace_edge_batch(plant, [1.0], [0.5], step=1e-4, spec=SPEC)
+        assert abs(cc.s_end[0] - np.log(1.5)) <= 1e-8
+        assert abs(cc.launch[0] - (2.0 / 1.5 - 1.0)) <= 1e-8
 
 
 class TestPathIntegrity:
+    """Samples run backward from the query point to the event point."""
+
     def test_crossing_path_endpoints(self, toy):
-        cc = trace_crossing_curve(toy, 0.9, 0.2, 0.4, spec=SPEC)
-        assert abs(cc.path_x[0] - cc.launch) <= 1e-9
-        assert abs(cc.path_xi[0] - cc.launch) <= 1e-9
-        assert abs(cc.path_x[-1] - 0.9) <= 1e-9
-        assert abs(cc.path_xi[-1] - 0.2) <= 1e-9
-        assert np.all(np.diff(cc.path_x) >= -1e-12)
-        assert cc.path_s[0] == 0.0
-        assert abs(cc.path_s[-1] - cc.s_end) <= 1e-12
-        assert np.all(np.diff(cc.path_s) > 0.0)
+        cc = trace_crossing_batch(toy, [0.9], [0.2], [0.4], spec=SPEC)
+        px, pxi = _curve(cc)
+        assert px[0] == 0.9 and pxi[0] == 0.2
+        assert abs(px[-1] - cc.launch[0]) <= 1e-9
+        assert abs(pxi[-1] - cc.launch[0]) <= 1e-9
+        assert np.all(np.diff(px) <= 1e-12)
+        assert abs(cc.weights[cc.offsets[0]:cc.offsets[1]].sum()
+                   - cc.s_end[0]) <= 1e-12
 
     def test_edge_path_endpoints(self, toy):
-        cc = trace_edge_curve(toy, 0.7, 0.45, spec=SPEC)
-        assert abs(cc.path_xi[0] - 0.0) <= 1e-9
-        assert abs(cc.path_xi[-1] - 0.45) <= 1e-9
-        assert abs(cc.path_x[0] - cc.launch) <= 1e-9
-        assert abs(cc.path_x[-1] - 0.7) <= 1e-9
-        assert np.all(np.diff(cc.path_x) >= -1e-12)
+        cc = trace_edge_batch(toy, [0.7], [0.45], spec=SPEC)
+        px, pxi = _curve(cc)
+        assert px[0] == 0.7 and pxi[0] == 0.45
+        assert abs(pxi[-1] - 0.0) <= 1e-9
+        assert abs(px[-1] - cc.launch[0]) <= 1e-9
+        assert np.all(np.diff(px) <= 1e-12)
 
     def test_path_stays_on_straight_characteristic(self, toy):
-        # with unit speeds the forward crossing pair is x(s) = launch + s
-        # and xi(s) = launch - s, meeting the query pair at s = s_end
-        cc = trace_crossing_curve(toy, 0.8, 0.1, 0.9, spec=SPEC)
-        np.testing.assert_allclose(cc.path_x, cc.launch + cc.path_s, atol=1e-9)
-        np.testing.assert_allclose(cc.path_xi, cc.launch - cc.path_s, atol=1e-9)
+        # with unit speeds the backward pair is x(s) = x - s, xi(s) = xi + s,
+        # sampled at s = 0, h, 2h, ... and finally at s = s_end
+        cc = trace_crossing_batch(toy, [0.8], [0.1], [0.9], spec=SPEC)
+        px, pxi = _curve(cc)
+        s = np.arange(px.size) * cc.step
+        s[-1] = cc.s_end[0]
+        np.testing.assert_allclose(px, 0.8 - s, atol=1e-9)
+        np.testing.assert_allclose(pxi, 0.1 + s, atol=1e-9)
 
 
 class TestBatchInvariants:
@@ -165,7 +170,6 @@ class TestBatchInvariants:
         plant = _plant(
             lambda x, y: 1.0 + 0.5 * np.asarray(y) * np.ones(np.shape(x)),
             lambda x: np.ones(np.shape(x)),
-            depends_y=True,
         )
         coeff = sample_coefficients(plant, SPEC)
         ys = np.linspace(0.0, 1.0, 50)
@@ -180,20 +184,6 @@ class TestBatchInvariants:
                    lambda x: np.ones(np.shape(x))), SPEC)
         b2 = trace_crossing_batch(toy_coeff, np.full(50, 0.9), np.full(50, 0.2), ys)
         assert np.max(np.abs(np.diff(b2.s_end))) <= 1e-12
-
-
-class TestValidation:
-    def test_rejects_inverted_pair(self, toy):
-        with pytest.raises(DomainError):
-            trace_crossing_curve(toy, 0.3, 0.5, 0.5, spec=SPEC)
-
-    def test_rejects_bad_y(self, toy):
-        with pytest.raises(DomainError):
-            trace_crossing_curve(toy, 0.5, 0.3, 1.5, spec=SPEC)
-
-    def test_rejects_outside_unit_interval(self, toy):
-        with pytest.raises(DomainError):
-            trace_edge_curve(toy, 1.2, 0.5, spec=SPEC)
 
 
 def test_bundle_samples_fully_populated(toy, rng):

@@ -3,7 +3,7 @@
 Covers config-file parsing and override precedence, output formats (exact
 headers, row counts, 17-significant-digit float round trips), JSON report
 schemas, every exit code, and byte-level determinism of the emitted files
-across repeated runs under different thread caps.
+across repeated runs under different BLAS/OpenMP thread settings.
 """
 
 import json
@@ -19,11 +19,6 @@ from ensemble_backstep.errors import ConfigurationError, NonconvergenceError
 from ensemble_backstep.grid import GridSpec
 from ensemble_backstep.kernelsolve import solve_backstepping_kernels
 from ensemble_backstep.model import builtin_model
-
-
-@pytest.fixture(autouse=True)
-def _no_thread_cap(monkeypatch):
-    monkeypatch.delenv("ENSEMBLE_BACKSTEP_THREADS", raising=False)
 
 
 def _read_csv(path):
@@ -42,11 +37,10 @@ class TestConfigFile:
             "ny = 8\n"
             "\n"
             "mode = open\n"
-            "snapshot_times = 0.5, 1.0\n"
-            "threads = 2\n")
+            "snapshot_times = 0.5, 1.0\n")
         values = load_config_file(str(path))
         assert values == {"nx": 12, "ny": 8, "mode": "open",
-                          "snapshot_times": (0.5, 1.0), "threads": 2}
+                          "snapshot_times": (0.5, 1.0)}
 
     def test_unknown_key_reports_path_and_line(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
@@ -240,7 +234,7 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "verify.json").read_text())
         assert report["all_passed"] is True
         assert set(report["checks"]) == {
-            "cfl", "characteristics", "volterra_resolvent",
+            "cfl", "characteristics", "volterra_resolvent", "kernel_oracle",
             "kernel_boundary", "kernel_pde", "round_trip", "lyapunov"}
         assert all(entry["passed"] for entry in report["checks"].values())
         assert report["nx"] == 60 and report["seed"] == 3
@@ -263,17 +257,12 @@ class TestEntryPoints:
             main([])
         assert excinfo.value.code == 2
 
-    def test_bad_thread_environment_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ENSEMBLE_BACKSTEP_THREADS", "lots")
-        assert main(["kernels", "--nx", "4", "--ny", "2",
-                     "--out", str(tmp_path)]) == 2
-
 
 class TestDeterminism:
     @staticmethod
     def _run_cli(args, out_dir, threads):
         env = dict(os.environ)
-        env["ENSEMBLE_BACKSTEP_THREADS"] = str(threads)
+        env["OMP_NUM_THREADS"] = env["OPENBLAS_NUM_THREADS"] = str(threads)
         proc = subprocess.run(
             [sys.executable, "-m", "ensemble_backstep.cli", *args,
              "--out", str(out_dir)],

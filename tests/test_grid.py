@@ -5,18 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from ensemble_backstep.errors import DimensionError, DomainError
+from ensemble_backstep.errors import DomainError
 from ensemble_backstep.grid import (
     GridSpec,
     TriangularIndex,
-    bilinear_tri,
     corner_weights,
-    cumulative_integrate_x,
     gregory_weights,
-    integrate_x,
-    integrate_y,
     trapezoid_weights,
 )
+
+
+def _interpolate(tri, field, x, xi):
+    """Value of a tri field at one point through its corner_weights stencil."""
+    idx, w = corner_weights(tri.nx, x, xi)
+    return w @ field[idx]
 
 
 class TestGridSpec:
@@ -41,69 +43,41 @@ class TestQuadrature:
     def test_integrate_y_constant(self):
         for ny in (2, 3, 5, 17, 120):
             spec = GridSpec(nx=2, ny=ny)
-            assert abs(integrate_y(spec, np.ones(ny)) - 1.0) <= 1e-13
+            assert abs(spec.y_weights @ np.ones(ny) - 1.0) <= 1e-13
 
     def test_integrate_y_linear(self):
         spec = GridSpec(nx=2, ny=5)
-        assert abs(integrate_y(spec, spec.y_nodes) - 0.5) <= 1e-13
+        assert abs(spec.y_weights @ spec.y_nodes - 0.5) <= 1e-13
 
     def test_integrate_y_oscillatory(self):
         # integral of y(y-1)cos(2 pi y) over [0,1] is 1/(2 pi^2)
         spec = GridSpec(nx=2, ny=120)
         y = spec.y_nodes
-        val = integrate_y(spec, y * (y - 1.0) * np.cos(2.0 * np.pi * y))
+        val = spec.y_weights @ (y * (y - 1.0) * np.cos(2.0 * np.pi * y))
         assert abs(val - 1.0 / (2.0 * np.pi**2)) <= 1e-4
 
     def test_integrate_x_constant(self):
         spec = GridSpec(nx=7, ny=2)
-        assert abs(integrate_x(spec, np.ones(8)) - 1.0) <= 1e-13
+        assert abs(spec.x_weights @ np.ones(8) - 1.0) <= 1e-13
 
     def test_integrate_x_partial_upper_index(self):
+        # the rule on the first five nodes integrates x over [0, 1/2]
         spec = GridSpec(nx=8, ny=2)
-        val = integrate_x(spec, spec.x_nodes, upper_index=4)
+        val = trapezoid_weights(5, spec.hx) @ spec.x_nodes[:5]
         assert abs(val - 0.125) <= 1e-13
 
     def test_integrate_x_exponential(self):
         spec = GridSpec(nx=200, ny=2)
-        val = integrate_x(spec, np.exp(spec.x_nodes))
+        val = spec.x_weights @ np.exp(spec.x_nodes)
         assert abs(val - (math.e - 1.0)) <= 1e-4
-
-    def test_linearity(self, rng):
-        spec = GridSpec(nx=31, ny=23)
-        for _ in range(20):
-            a, b = rng.uniform(-3, 3, 2)
-            f = rng.standard_normal(spec.ny)
-            g = rng.standard_normal(spec.ny)
-            lhs = integrate_y(spec, a * f + b * g)
-            rhs = a * integrate_y(spec, f) + b * integrate_y(spec, g)
-            assert abs(lhs - rhs) <= 1e-12
-            fx = rng.standard_normal(spec.nx + 1)
-            gx = rng.standard_normal(spec.nx + 1)
-            lhs = integrate_x(spec, a * fx + b * gx)
-            rhs = a * integrate_x(spec, fx) + b * integrate_x(spec, gx)
-            assert abs(lhs - rhs) <= 1e-12
 
     def test_affine_exactness_all_sizes(self):
         for nx in (2, 3, 5, 17, 64):
             spec = GridSpec(nx=nx, ny=nx + 1)
             f = 2.0 - 3.0 * spec.x_nodes
-            assert abs(integrate_x(spec, f) - 0.5) <= 1e-13
+            assert abs(spec.x_weights @ f - 0.5) <= 1e-13
             g = 2.0 - 3.0 * spec.y_nodes
-            assert abs(integrate_y(spec, g) - 0.5) <= 1e-13
-
-    def test_length_mismatch(self):
-        spec = GridSpec(nx=5, ny=4)
-        with pytest.raises(DimensionError):
-            integrate_y(spec, np.ones(5))
-        with pytest.raises(DimensionError):
-            integrate_x(spec, np.ones(5))
-
-    def test_cumulative_matches_partial(self):
-        spec = GridSpec(nx=16, ny=2)
-        f = np.exp(spec.x_nodes)
-        cum = cumulative_integrate_x(spec, f)
-        for i in range(spec.nx + 1):
-            assert abs(cum[i] - integrate_x(spec, f, upper_index=i)) <= 1e-13
+            assert abs(spec.y_weights @ g - 0.5) <= 1e-13
 
     def test_weight_sums(self):
         for n in (2, 3, 4, 9):
@@ -152,21 +126,23 @@ class TestTriangularIndex:
 
 
 class TestBilinearTri:
+    """Interpolation on the triangle through the corner_weights stencils."""
+
     def test_constant_field(self):
         tri = TriangularIndex(6)
         field = np.full(tri.n_nodes, 3.25)
-        assert abs(bilinear_tri(tri, field, 0.41, 0.17) - 3.25) <= 1e-13
+        assert abs(_interpolate(tri, field, 0.41, 0.17) - 3.25) <= 1e-13
 
     def test_reproduces_coordinate(self):
         tri = TriangularIndex(10)
         field = tri.x_coord.copy()
-        assert abs(bilinear_tri(tri, field, 0.35, 0.1) - 0.35) <= 1e-12
+        assert abs(_interpolate(tri, field, 0.35, 0.1) - 0.35) <= 1e-12
 
     def test_product_field_at_cell_center(self):
         # bilinear interpolation is exact for a + bx + c xi + d x xi
         tri = TriangularIndex(10)
         field = tri.x_coord * tri.xi_coord
-        val = bilinear_tri(tri, field, 0.65, 0.25)
+        val = _interpolate(tri, field, 0.65, 0.25)
         assert abs(val - 0.65 * 0.25) <= 1e-13
 
     def test_affine_reproduction_random_queries(self, rng):
@@ -176,21 +152,13 @@ class TestBilinearTri:
         for _ in range(100):
             x = rng.uniform(0.0, 1.0)
             xi = rng.uniform(0.0, x)
-            val = bilinear_tri(tri, field, x, xi)
+            val = _interpolate(tri, field, x, xi)
             assert abs(val - (a + b * x + c * xi)) <= 1e-12
-
-    def test_rejects_outside_unit_square(self):
-        tri = TriangularIndex(5)
-        field = np.zeros(tri.n_nodes)
-        with pytest.raises(DomainError):
-            bilinear_tri(tri, field, 1.2, 0.1)
-        with pytest.raises(DomainError):
-            bilinear_tri(tri, field, 0.5, -0.2)
 
     def test_vector_field_interpolation(self):
         tri = TriangularIndex(8)
         field = np.stack([tri.x_coord, 2.0 * tri.xi_coord], axis=1)
-        val = bilinear_tri(tri, field, 0.5, 0.25)
+        val = _interpolate(tri, field, 0.5, 0.25)
         np.testing.assert_allclose(val, [0.5, 0.5], atol=1e-12)
 
     def test_corner_weights_partition_of_unity(self, rng):

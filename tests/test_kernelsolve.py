@@ -1,8 +1,11 @@
 """Goursat solver: boundary data, convergence, identities, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ensemble_backstep import kernelsolve
 from ensemble_backstep.errors import NonconvergenceError
 from ensemble_backstep.grid import GridSpec
 from ensemble_backstep.kernelsolve import (
@@ -175,3 +178,28 @@ class TestPdeResidual:
         k_eval, kt_eval = toy_analytic_kernels()
         sol = kernel_solution_from_evaluators(spec, k_eval, kt_eval)
         assert kernel_pde_residual(sol, toy) == (0.0, 0.0)
+
+
+def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
+    """A speed that varies in y gets per-y curves; the toy shares one set."""
+    calls = []
+    trace = kernelsolve.trace_crossing_batch
+
+    def counting_trace(*args, **kwargs):
+        calls.append(1)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(kernelsolve, "trace_crossing_batch", counting_trace)
+    solve_backstepping_kernels(toy, GridSpec(nx=25, ny=30))
+    assert len(calls) == 1
+
+    plant = dataclasses.replace(
+        toy, speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x))
+    residual = {}
+    for nx in (25, 50):
+        sol = solve_backstepping_kernels(plant, GridSpec(nx=nx, ny=30))
+        residual[nx] = kernel_pde_residual(sol, plant)[0]
+    assert len(calls) == 1 + 2 * 30
+    # Curves traced at y = 0 only would leave the residual flat under
+    # refinement; the per-y curves make it fall at first order.
+    assert residual[50] < 0.8 * residual[25], residual

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from ensemble_backstep.errors import ConfigurationError, DomainError
-from ensemble_backstep.grid import GridSpec, integrate_y
+from ensemble_backstep.errors import ConfigurationError
+from ensemble_backstep.grid import GridSpec
+from ensemble_backstep.kernelsolve import _transpose_exchange_rows
 from ensemble_backstep.model import (
     PlantModel,
-    apply_exchange,
-    apply_exchange_transpose,
     builtin_model,
     pure_transport_model,
     sample_coefficients,
@@ -18,6 +17,16 @@ from ensemble_backstep.model import (
 
 TWO_C = 35.0 / np.pi**2
 C_SCALAR = 35.0 / (2.0 * np.pi**2)
+
+
+def _exchange(coeff, x_index, a):
+    """The exchange integral at one x-node, as the plant step applies it."""
+    return coeff.exchange_weighted[x_index] @ a
+
+
+def _exchange_transpose(coeff, x_index, a):
+    """The transposed exchange at one x-node, as the kernel solver applies it."""
+    return _transpose_exchange_rows(coeff, np.array([x_index]), a[None, :])[0]
 
 
 class TestToyModel:
@@ -67,8 +76,8 @@ class TestToyModel:
             y = spec.y_nodes
             worst = 0.0
             for x in spec.x_nodes:
-                rhs = integrate_y(spec, toy.inflow_gain(y) * toy.speed_u(0.0, y)
-                                  * k(x, 0.0, y))
+                rhs = spec.y_weights @ (toy.inflow_gain(y) * toy.speed_u(0.0, y)
+                                        * k(x, 0.0, y))
                 lhs = float(toy.speed_v(0.0)) * float(kt(x, 0.0))
                 worst = max(worst, abs(lhs - rhs))
             assert worst <= 20.0 * spec.hy**2
@@ -115,7 +124,6 @@ class TestSampling:
             readout=lambda x, y: np.zeros(
                 np.broadcast_shapes(np.shape(x), np.shape(y))),
             inflow_gain=lambda y: np.zeros(np.shape(y)),
-            speed_u_depends_y=False,
         )
         with pytest.raises(ConfigurationError):
             sample_coefficients(bad, GridSpec(nx=4, ny=3))
@@ -133,7 +141,6 @@ class TestSampling:
             readout=lambda x, y: np.zeros(
                 np.broadcast_shapes(np.shape(x), np.shape(y))),
             inflow_gain=lambda y: np.zeros(np.shape(y)),
-            speed_u_depends_y=False,
         )
         spec = GridSpec(nx=50, ny=3)
         coeff = sample_coefficients(quad, spec)
@@ -146,7 +153,7 @@ class TestExchangeOperator:
     def test_zero_kernel(self, pure_transport):
         spec = GridSpec(nx=4, ny=9)
         coeff = sample_coefficients(pure_transport, spec)
-        out = apply_exchange(coeff, 2, np.ones(9))
+        out = _exchange(coeff, 2, np.ones(9))
         assert np.all(out == 0.0)
 
     def test_unit_kernel_on_unit_field(self):
@@ -162,11 +169,10 @@ class TestExchangeOperator:
             readout=lambda x, y: np.zeros(
                 np.broadcast_shapes(np.shape(x), np.shape(y))),
             inflow_gain=lambda y: np.zeros(np.shape(y)),
-            speed_u_depends_y=False,
         )
         spec = GridSpec(nx=3, ny=17)
         coeff = sample_coefficients(unit, spec)
-        out = apply_exchange(coeff, 1, np.ones(17))
+        out = _exchange(coeff, 1, np.ones(17))
         np.testing.assert_allclose(out, np.ones(17), atol=1e-13)
 
     def test_toy_orthogonality(self, toy):
@@ -174,13 +180,13 @@ class TestExchangeOperator:
         spec = GridSpec(nx=4, ny=120)
         coeff = sample_coefficients(toy, spec)
         eta = spec.y_nodes
-        out = apply_exchange(coeff, 4, eta * (eta - 1.0))
+        out = _exchange(coeff, 4, eta * (eta - 1.0))
         assert np.max(np.abs(out)) <= 1e-6
 
     def test_transpose_on_constant(self, toy):
         spec = GridSpec(nx=4, ny=120)
         coeff = sample_coefficients(toy, spec)
-        out = apply_exchange_transpose(coeff, 4, np.ones(120))
+        out = _exchange_transpose(coeff, 4, np.ones(120))
         assert np.max(np.abs(out)) <= 1e-6
 
     def test_transpose_equals_direct_for_symmetric_kernel(self, toy, rng):
@@ -189,8 +195,8 @@ class TestExchangeOperator:
         # the toy exchange kernel is symmetric in (y, eta)
         for _ in range(20):
             a = rng.standard_normal(31)
-            np.testing.assert_allclose(apply_exchange(coeff, 3, a),
-                                       apply_exchange_transpose(coeff, 3, a),
+            np.testing.assert_allclose(_exchange(coeff, 3, a),
+                                       _exchange_transpose(coeff, 3, a),
                                        atol=1e-13)
 
     def test_adjoint_identity(self, toy, rng):
@@ -199,15 +205,9 @@ class TestExchangeOperator:
         for _ in range(10):
             a = rng.standard_normal(41)
             b = rng.standard_normal(41)
-            lhs = integrate_y(spec, a * apply_exchange(coeff, 5, b))
-            rhs = integrate_y(spec, apply_exchange_transpose(coeff, 5, a) * b)
+            lhs = spec.y_weights @ (a * _exchange(coeff, 5, b))
+            rhs = spec.y_weights @ (_exchange_transpose(coeff, 5, a) * b)
             assert abs(lhs - rhs) <= 1e-10
-
-    def test_index_out_of_range(self, toy):
-        spec = GridSpec(nx=4, ny=5)
-        coeff = sample_coefficients(toy, spec)
-        with pytest.raises(DomainError):
-            apply_exchange(coeff, 5, np.ones(5))
 
 
 def test_module_level_aliases():

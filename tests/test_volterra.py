@@ -12,9 +12,8 @@ from ensemble_backstep.errors import (
     NumericError,
 )
 from ensemble_backstep.grid import GridSpec
-from ensemble_backstep.model import sample_coefficients, toy_analytic_kernels
+from ensemble_backstep.model import sample_coefficients
 from ensemble_backstep.volterra import (
-    apply_residual_coupling,
     compose,
     inverse_transform_kernels,
     matrix_to_tri,
@@ -189,59 +188,6 @@ class TestTargetCoupling:
         with pytest.raises(NonconvergenceError):
             solve_target_coupling_picard(
                 spec, coeff.drive_grid, _const_tri(spec, TOY_CONST), max_iter=1)
-
-
-class TestResidualCoupling:
-    def test_zero_ensemble_kernel(self, toy):
-        spec = GridSpec(nx=30, ny=16)
-        coeff = sample_coefficients(toy, spec)
-        k = np.zeros((spec.tri.n_nodes, spec.ny))
-        kappa = np.zeros((spec.tri.n_nodes, spec.ny))
-        out = apply_residual_coupling(
-            spec, k, kappa, coeff.drive_grid, 20, 5, np.ones(spec.ny))
-        assert out.shape == (spec.ny,)
-        assert np.all(out == 0.0)
-
-    def test_degenerate_node_reduces_to_pointwise_product(self, toy, rng):
-        spec = GridSpec(nx=30, ny=16)
-        coeff = sample_coefficients(toy, spec)
-        k = rng.standard_normal((spec.tri.n_nodes, spec.ny))
-        kappa = rng.standard_normal((spec.tri.n_nodes, spec.ny))
-        a = rng.standard_normal(spec.ny)
-        i = 17
-        out = apply_residual_coupling(spec, k, kappa, coeff.drive_grid, i, i, a)
-        inner = k[spec.tri.flat(i, i)] @ (spec.y_weights * a)
-        np.testing.assert_allclose(out, inner * coeff.drive_grid[i], atol=1e-12)
-
-    def test_toy_kernel_closed_form(self, toy):
-        # with the analytic ensemble kernel and a = y(y-1) the y-inner product
-        # is exp(rate*xi)*35/30 for every intermediate abscissa, so with a zero
-        # coupling kernel the output is that constant times the drive row
-        spec = GridSpec(nx=60, ny=120)
-        coeff = sample_coefficients(toy, spec)
-        k_eval, _ = toy_analytic_kernels()
-        tri = spec.tri
-        k = k_eval(tri.x_coord[:, None], tri.xi_coord[:, None],
-                   spec.y_nodes[None, :])
-        kappa = np.zeros_like(k)
-        a = spec.y_nodes * (spec.y_nodes - 1.0)
-        i, j = 50, 20
-        out = apply_residual_coupling(spec, k, kappa, coeff.drive_grid, i, j, a)
-        rate = 35.0 / np.pi**2
-        expected = (35.0 / 30.0) * np.exp(rate * spec.x_nodes[j]) \
-            * coeff.drive_grid[i]
-        np.testing.assert_allclose(out, expected, rtol=2e-4, atol=1e-9)
-
-    def test_rejects_bad_indices_and_shapes(self, toy):
-        spec = GridSpec(nx=10, ny=6)
-        coeff = sample_coefficients(toy, spec)
-        k = np.zeros((spec.tri.n_nodes, spec.ny))
-        with pytest.raises(DomainError):
-            apply_residual_coupling(spec, k, k, coeff.drive_grid, 3, 5,
-                                    np.ones(spec.ny))
-        with pytest.raises(DimensionError):
-            apply_residual_coupling(spec, k, k, coeff.drive_grid, 5, 3,
-                                    np.ones(spec.ny + 1))
 
 
 class TestInverseKernels:
