@@ -25,7 +25,6 @@ del _var
 __version__ = "0.1.0"
 
 from . import characteristics, errors, grid, kernelsolve, model, simulator, volterra  # noqa: E402
-from . import cli  # noqa: E402  (after the numerics modules it builds on)
 
 __all__ = [
     "characteristics",
@@ -38,3 +37,13 @@ __all__ = [
     "volterra",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # ``cli`` is imported on first use: importing it here would make
+    # ``python -m ensemble_backstep.cli`` find it already loaded and warn.
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,6 +37,9 @@ __all__ = [
 #: Refinement target for the interpolated event difference.
 REFINE_TOL = 1e-10
 
+#: Round-off by which a query point may stray outside its domain.
+DOMAIN_TOL = 1e-12
+
 #: Event differences above this (negative) threshold at s = 0 count as
 #: already-crossed degenerate curves (diagonal points, edge points).
 DEGENERATE_TOL = -1e-14
@@ -248,11 +251,29 @@ def _trace_batch_chunk(coeff: SampledCoefficients, kind: str, xs, xis, ys, h, s_
     return offsets, sample_x, sample_xi, weights, s_end, launch, n_steps
 
 
+def _check_domain(xs, xis, ys) -> None:
+    """Raise :class:`DomainError` unless every point is finite and lies in
+    ``0 <= xi <= x <= 1`` (and ``0 <= y <= 1``) up to :data:`DOMAIN_TOL`."""
+    inside = (np.isfinite(xs) & np.isfinite(xis) & (xis >= -DOMAIN_TOL)
+              & (xis <= xs + DOMAIN_TOL) & (xs <= 1.0 + DOMAIN_TOL))
+    if ys is not None:
+        inside &= (np.isfinite(ys) & (ys >= -DOMAIN_TOL)
+                   & (ys <= 1.0 + DOMAIN_TOL))
+    if not inside.all():
+        c = int(np.argmin(inside))
+        where = f"(x={xs[c]:g}, xi={xis[c]:g}"
+        where += f", y={ys[c]:g})" if ys is not None else ")"
+        raise DomainError(
+            f"{int(inside.size - np.count_nonzero(inside))} point(s) outside "
+            f"0 <= xi <= x <= 1, 0 <= y <= 1 or not finite, first {where}")
+
+
 def _trace_batch(coeff: SampledCoefficients, kind: str, xs, xis, ys, step) -> TracedBundle:
     xs = np.asarray(xs, dtype=float)
     xis = np.asarray(xis, dtype=float)
     if ys is not None:
         ys = np.asarray(ys, dtype=float)
+    _check_domain(xs, xis, ys)
     h = _default_step(coeff, step)
     if kind == "cross":
         s_max = 2.0 / coeff.crossing_speed_min

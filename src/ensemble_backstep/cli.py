@@ -43,7 +43,8 @@ from .model import (BUILTIN_MODEL_NAMES, builtin_model, sample_coefficients,
                     toy_analytic_kernels)
 from .simulator import (cfl_condition, check_cfl, default_initial_state,
                         inverse_transform, forward_transform, lyapunov_recipe,
-                        simulate, simulate_target, EnsembleState)
+                        simulate, simulate_target, transform_operator,
+                        EnsembleState)
 from .volterra import (inverse_transform_kernels, resolvent,
                        solve_target_coupling, tri_to_matrix)
 
@@ -349,6 +350,8 @@ def cmd_simulate(config: RunConfig) -> int:
         "final_norm": float(record.joint_norms[-1]),
         "max_abs_U": float(np.abs(record.control).max()),
     }
+    if record.y_ranks is not None:
+        summary["y_ranks"] = record.y_ranks
     _write_json(summary_path, summary)
     extras = f" and {len(snap_paths)} snapshot file(s)" if snap_paths else ""
     print(f"wrote {ts_path} and {summary_path}{extras} "
@@ -426,6 +429,8 @@ def _verify_kernel_boundary(spec: GridSpec, coeff, kernels) -> dict:
 def _verify_round_trip(spec: GridSpec, kernels, rng) -> dict:
     """Forward-then-inverse transform must reproduce the scalar field."""
     inv = inverse_transform_kernels(spec, kernels.k, kernels.ktilde)
+    forward = transform_operator(spec, kernels.k, kernels.ktilde)
+    inverse = transform_operator(spec, inv.l, inv.ltilde)
     xs = spec.x_nodes[:, None]
     ys = spec.y_nodes[None, :]
     worst = 0.0
@@ -437,8 +442,8 @@ def _verify_round_trip(spec: GridSpec, kernels, rng) -> dict:
              * (b[0] + b[1] * ys + b[2] * np.cos(np.pi * ys)))
         v = c[0] + c[1] * spec.x_nodes + c[2] * np.sin(np.pi * spec.x_nodes)
         state = EnsembleState(u=u, v=v, t=0.0)
-        alpha, beta = forward_transform(state, kernels)
-        _, v_back = inverse_transform(spec, inv, alpha, beta)
+        alpha, beta = forward_transform(state, forward)
+        _, v_back = inverse_transform(inverse, alpha, beta)
         denom = float(np.sqrt(spec.x_weights @ (v * v)))
         err = float(np.sqrt(spec.x_weights @ ((v_back - v) ** 2)))
         worst = max(worst, err / max(denom, 1e-300))

@@ -10,6 +10,8 @@ Conventions used throughout the package:
   ``i*(i+1)/2 + j``.  A "tri field" is an array of shape ``(n_tri, ny)``; a
   "tri scalar field" has shape ``(n_tri,)``.
 * All integrals use the composite trapezoid rule.
+* Kernels that act along y are applied factored in y (:func:`y_factor`),
+  so applying one costs in proportion to its numerical rank, not to ``ny``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
+
+#: Rows per block of the blocked QR in :func:`y_factor`.
+_FACTOR_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -110,6 +116,33 @@ def gregory_weights(n_nodes: int, spacing: float) -> np.ndarray:
         w[-2] += c
         w[-1] -= c
     return w
+
+
+def y_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor an ``(m, ny)`` matrix as ``P @ Q.T`` at its numerical rank r.
+
+    ``Q`` is an orthonormal ``(ny, r)`` basis of the matrix's row space (the
+    y-profiles it spans) and ``P = matrix @ Q`` is ``(m, r)``.  r counts the
+    singular values above ``s_max * max(m, ny) * eps``, the rule of
+    ``numpy.linalg.matrix_rank``; a zero matrix gets r = 0.
+
+    The singular values and ``Q`` come from the SVD of the ``ny x ny`` R
+    factor of a QR decomposition, accumulated over row blocks.  A thin SVD
+    of the matrix itself would also allocate its ``m x ny`` left factor,
+    which nothing here needs, and one QR of the whole matrix makes
+    ``m x ny`` working copies: for the exchange kernel of an open run at
+    the default grid (24120 x 120) either raised the run's peak RSS from
+    96 MB to 143 MB.
+    """
+    m, ny = matrix.shape
+    r_factor = np.empty((0, ny))
+    for start in range(0, m, _FACTOR_BLOCK_ROWS):
+        block = matrix[start:start + _FACTOR_BLOCK_ROWS]
+        r_factor = np.linalg.qr(np.vstack([r_factor, block]), mode="r")
+    _, sv, vt = np.linalg.svd(r_factor, full_matrices=False)
+    cutoff = sv[0] * max(m, ny) * np.finfo(float).eps
+    basis = vt[:int(np.count_nonzero(sv > cutoff))].T.copy()
+    return matrix @ basis, basis
 
 
 @dataclass(frozen=True)

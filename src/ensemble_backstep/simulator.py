@@ -8,7 +8,8 @@ inflow_gain(y) * v(t, 0)`` and ``v(t, 1)`` set by the control input.
 This module provides:
 
 * first-order explicit upwind steps for the plant and for the transformed
-  (cascade) system;
+  (cascade) system, applying kernels factored in y with the quadrature
+  weights folded in, built once per run;
 * the scalar feedback law assembled from the outlet row of the solved
   kernels;
 * the state transform that maps the scalar field ``v`` onto a pure-transport
@@ -26,22 +27,25 @@ direction and time with forward Euler; runs are accepted only when
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigurationError, DimensionError, DivergenceError
-from .grid import GridSpec, gregory_weights
+from .grid import GridSpec, gregory_weights, y_factor
 from .kernelsolve import KernelSolution
 from .model import SampledCoefficients, sample_coefficients
-from .volterra import InverseKernels, solve_target_coupling
+from .volterra import solve_target_coupling, tri_to_matrix
 
 __all__ = [
     "EnsembleState",
     "SimulationRecord",
     "LyapunovRecipe",
+    "FactoredKernel",
+    "TransformOperator",
+    "CascadeOperators",
+    "transform_operator",
+    "cascade_operators",
     "default_initial_state",
     "cfl_condition",
     "check_cfl",
@@ -80,7 +84,9 @@ class SimulationRecord:
     ``control`` holds the boundary input associated with each recorded time
     (zero in open-loop and transformed-system runs).  ``lyapunov`` is filled
     only by transformed-system runs.  ``decay_rate`` is the least-squares
-    slope of ``log(joint_norm)`` over the late-time window.
+    slope of ``log(joint_norm)`` over the late-time window.  ``y_ranks``
+    (transformed-system runs only) holds the y-ranks of the factored
+    kernels the cascade step applied.
     """
 
     times: np.ndarray
@@ -91,6 +97,7 @@ class SimulationRecord:
     lyapunov: np.ndarray | None
     snapshots: tuple[tuple[float, EnsembleState], ...]
     decay_rate: float | None
+    y_ranks: dict[str, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -108,6 +115,116 @@ class LyapunovRecipe:
     m_equiv: float
     M_equiv: float
     bounds: dict[str, float]
+
+
+def _running_weights(spec: GridSpec) -> np.ndarray:
+    """Flat-triangle weights of the running integral over xi from 0 to x_i.
+
+    Row ``i`` carries the end-corrected trapezoid weights of the Volterra
+    composition (:func:`~ensemble_backstep.grid.gregory_weights`), so
+    transforms built here are quadrature-consistent with kernels built
+    there; row 0 spans nothing and weighs 0.
+    """
+    return np.concatenate([np.zeros(1)] + [gregory_weights(i + 1, spec.hx)
+                                           for i in range(1, spec.nx + 1)])
+
+
+@dataclass(frozen=True)
+class FactoredKernel:
+    """A triangle kernel ``K(x, xi, y)`` factored in y, ready to integrate.
+
+    ``K[(i, j), :] ~= basis @ P[(i, j)]`` is the :func:`~ensemble_backstep.
+    grid.y_factor` of the flat kernel, and ``rows[i, s, j]`` is ``P[(i, j),
+    s]`` times the running-integral weight of node ``(i, j)``, zero above
+    the diagonal.  ``weighted_basis`` is ``basis`` times the y-quadrature
+    weights.  Either application costs O(N^2 r + N ny r) for ``N = nx + 1``
+    x-nodes and rank r.
+    """
+
+    rows: np.ndarray
+    basis: np.ndarray
+    weighted_basis: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+    def integrate(self, field: np.ndarray) -> np.ndarray:
+        """``int_0^x int K(x, xi, y) field(xi, y) dy dxi`` at every x-node."""
+        n, r = self.rows.shape[0], self.rank
+        return self.rows.reshape(n, r * n) @ (field @ self.weighted_basis).T.ravel()
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """``int_0^x K(x, xi, y) values(xi) dxi`` at every (x, y) node."""
+        n, r = self.rows.shape[0], self.rank
+        return (self.rows.reshape(n * r, n) @ values).reshape(n, r) @ self.basis.T
+
+
+def _factor_kernel(spec: GridSpec, values: np.ndarray) -> FactoredKernel:
+    loadings, basis = y_factor(np.asarray(values, dtype=float))
+    weighted = tri_to_matrix(spec, _running_weights(spec)[:, None] * loadings)
+    return FactoredKernel(rows=np.ascontiguousarray(weighted.transpose(1, 0, 2)),
+                          basis=basis,
+                          weighted_basis=basis * spec.y_weights[:, None])
+
+
+@dataclass(frozen=True)
+class TransformOperator:
+    """The running integral of a state transform or of its inverse.
+
+    Maps a state ``(u, v)`` to ``int_0^x (int kernel(x, xi, y) u(xi, y) dy
+    + scalar_kernel(x, xi) v(xi)) dxi`` at every x-node; ``scalar`` is the
+    scalar kernel as a lower-triangular matrix with the running-integral
+    weights folded in.
+    """
+
+    spec: GridSpec
+    kernel: FactoredKernel
+    scalar: np.ndarray
+
+    def __call__(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        _check_state_shapes(self.spec, u, v)
+        return self.kernel.integrate(u) + self.scalar @ v
+
+
+def transform_operator(spec: GridSpec, kernel: np.ndarray,
+                       scalar_kernel: np.ndarray) -> TransformOperator:
+    """Build the operator of a transform from its flat triangle kernels:
+    ``(k, ktilde)`` of a :class:`KernelSolution` for the forward transform,
+    ``(l, ltilde)`` of an :class:`InverseKernels` for the inverse."""
+    scalar = tri_to_matrix(spec, _running_weights(spec) * scalar_kernel)
+    return TransformOperator(spec=spec, kernel=_factor_kernel(spec, kernel),
+                             scalar=scalar)
+
+
+@dataclass(frozen=True)
+class CascadeOperators:
+    """Everything a cascade step applies, built once per run.
+
+    ``transform`` is the forward transform (its ensemble kernel gives the
+    running integral J of each step) and ``kappa`` the Volterra coupling
+    kernel; the exchange factor is ``coeff.exchange_factor``.
+    """
+
+    coeff: SampledCoefficients
+    transform: TransformOperator
+    kappa: FactoredKernel
+
+    @property
+    def y_ranks(self) -> dict[str, int]:
+        """y-ranks of the ensemble kernel, the coupling and the exchange."""
+        return {"k": self.transform.kernel.rank, "kappa": self.kappa.rank,
+                "exchange": self.coeff.exchange_factor[1].shape[1]}
+
+
+def cascade_operators(coeff: SampledCoefficients, kernels: KernelSolution,
+                      kappa: np.ndarray) -> CascadeOperators:
+    """Factor the solved kernels and the coupling for :func:`step_target`."""
+    spec = coeff.spec
+    return CascadeOperators(
+        coeff=coeff,
+        transform=transform_operator(spec, kernels.k, kernels.ktilde),
+        kappa=_factor_kernel(spec, kappa))
 
 
 def _as_coeff(model, spec: GridSpec) -> SampledCoefficients:
@@ -184,6 +301,12 @@ def _check_state_shapes(spec: GridSpec, u: np.ndarray, v: np.ndarray) -> None:
             f"scalar field shape {v.shape} does not match grid ({spec.nx + 1},)")
 
 
+def _exchange(coeff: SampledCoefficients, u: np.ndarray) -> np.ndarray:
+    """The exchange integral of an ensemble field at every (x, y) node."""
+    loadings, weighted_basis = coeff.exchange_factor
+    return np.einsum("xys,xs->xy", loadings, u @ weighted_basis)
+
+
 def step_plant(state: EnsembleState, coeff: SampledCoefficients,
                boundary_v1: float, dt: float) -> EnsembleState:
     """One explicit upwind / forward-Euler step of the plant.
@@ -199,8 +322,7 @@ def step_plant(state: EnsembleState, coeff: SampledCoefficients,
     v = state.v
     h = spec.hx
     with np.errstate(over="ignore", invalid="ignore"):
-        source_u = (np.einsum("xyh,xh->xy", coeff.exchange_weighted, u)
-                    + coeff.drive_grid * v[:, None])
+        source_u = _exchange(coeff, u) + coeff.drive_grid * v[:, None]
         source_v = (coeff.readout_grid * u) @ spec.y_weights
         u_new = u.copy()
         u_new[1:] += dt * (-coeff.speed_u_grid[1:] * (u[1:] - u[:-1]) / h
@@ -240,98 +362,52 @@ def _refresh_outlet(state: EnsembleState,
     return EnsembleState(u=state.u, v=v_new, t=state.t), boundary
 
 
-@lru_cache(maxsize=8)
-def _cumulative_matrix(nx: int) -> sparse.csr_matrix:
-    """Sparse map from a flat triangle field to per-row x-integrals.
-
-    Row ``i`` integrates over the triangle nodes of row ``i`` (integration
-    variable from 0 to ``x_i``) with the same end-corrected trapezoid rule as
-    the Volterra composition, so transforms built here are quadrature-
-    consistent with kernels built there; row 0 is empty.
-    """
-    h = 1.0 / nx
-    rows = []
-    cols = []
-    data = []
-    for i in range(1, nx + 1):
-        start = i * (i + 1) // 2
-        rows.append(np.full(i + 1, i, dtype=np.int64))
-        cols.append(start + np.arange(i + 1, dtype=np.int64))
-        data.append(gregory_weights(i + 1, h))
-    n_tri = (nx + 1) * (nx + 2) // 2
-    return sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nx + 1, n_tri)).tocsr()
-
-
-def _row_inner_products(spec: GridSpec, k_flat: np.ndarray,
-                        ktilde_flat: np.ndarray | None, u: np.ndarray,
-                        v: np.ndarray | None) -> np.ndarray:
-    """Per-triangle-node integrand of the transform integral.
-
-    Node (i, j) carries the y-inner product of the ensemble kernel row with
-    ``u`` at position j, plus (optionally) the scalar kernel times ``v`` there.
-    """
-    j = spec.tri.j_index
-    uw = u * spec.y_weights[None, :]
-    ip = np.einsum("ny,ny->n", k_flat, uw[j])
-    if ktilde_flat is not None:
-        ip = ip + ktilde_flat * v[j]
-    return ip
-
-
 def forward_transform(state: EnsembleState,
-                      kernels: KernelSolution) -> tuple[np.ndarray, np.ndarray]:
+                      transform: TransformOperator) -> tuple[np.ndarray, np.ndarray]:
     """Map the plant state onto the cascade variables.
 
-    The ensemble component is returned unchanged; the scalar component is
-    ``v`` minus the running x-integral of the kernels against the state, so
-    its value at x = 0 always equals ``v(0)``.
+    ``transform`` is :func:`transform_operator` of the solved ``(k,
+    ktilde)``.  The ensemble component is returned unchanged; the scalar
+    component is ``v`` minus the running x-integral of the kernels against
+    the state, so its value at x = 0 always equals ``v(0)``.
     """
-    spec = kernels.spec
-    _check_state_shapes(spec, state.u, state.v)
-    ip = _row_inner_products(spec, kernels.k, kernels.ktilde, state.u, state.v)
-    beta = state.v - _cumulative_matrix(spec.nx) @ ip
+    beta = state.v - transform(state.u, state.v)
     return state.u.copy(), beta
 
 
-def inverse_transform(spec: GridSpec, inverse: InverseKernels,
-                      alpha: np.ndarray,
+def inverse_transform(inverse: TransformOperator, alpha: np.ndarray,
                       beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map cascade variables back to the plant state using inverse kernels."""
-    _check_state_shapes(spec, alpha, beta)
-    ip = _row_inner_products(spec, inverse.l, inverse.ltilde, alpha, beta)
-    v = beta + _cumulative_matrix(spec.nx) @ ip
+    """Map cascade variables back to the plant state.
+
+    ``inverse`` is :func:`transform_operator` of the inverse kernels ``(l,
+    ltilde)``.
+    """
+    v = beta + inverse(alpha, beta)
     return alpha.copy(), v
 
 
-def step_target(state: EnsembleState, coeff: SampledCoefficients,
-                kernels: KernelSolution, kappa: np.ndarray,
+def step_target(state: EnsembleState, ops: CascadeOperators,
                 dt: float) -> EnsembleState:
     """One explicit step of the transformed (cascade) system.
 
     The scalar component is pure leftward transport with zero inflow at the
     outlet; the ensemble component keeps the exchange and drive terms and
     gains two Volterra couplings, evaluated through the running integral
-    ``J(x)`` of the ensemble kernel against the ensemble field: the composed
-    coupling contributes ``drive * J(x)`` plus the x-integral of
-    ``kappa * (beta + J)``, which reproduces both Volterra terms after
-    swapping the order of integration.
+    ``J(x)`` of the ensemble kernel against the ensemble field: with the
+    drive term, the composed coupling contributes ``drive * (beta + J)``
+    plus the x-integral of ``kappa * (beta + J)``, which reproduces both
+    Volterra terms after swapping the order of integration.
     """
+    coeff = ops.coeff
     spec = coeff.spec
     check_cfl(coeff, dt)
-    tri = spec.tri
     alpha = state.u
     beta = state.v
     h = spec.hx
-    T = _cumulative_matrix(spec.nx)
     with np.errstate(over="ignore", invalid="ignore"):
-        ip = _row_inner_products(spec, kernels.k, None, alpha, None)
-        J = T @ ip
-        bj = (beta + J)[tri.j_index]
-        coupling = coeff.drive_grid * J[:, None] + T @ (kappa * bj[:, None])
-        source_a = (np.einsum("xyh,xh->xy", coeff.exchange_weighted, alpha)
-                    + coeff.drive_grid * beta[:, None] + coupling)
+        bj = beta + ops.transform.kernel.integrate(alpha)
+        source_a = (_exchange(coeff, alpha) + coeff.drive_grid * bj[:, None]
+                    + ops.kappa.apply(bj))
         alpha_new = alpha.copy()
         alpha_new[1:] += dt * (-coeff.speed_u_grid[1:] * (alpha[1:] - alpha[:-1]) / h
                                + source_a[1:])
@@ -375,8 +451,6 @@ def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
     threshold and halves the feasibility minimum, then evaluates the norm
     sandwich constants for the resulting pair.
     """
-    from .volterra import tri_to_matrix
-
     spec = coeff.spec
     wy = spec.y_weights
     m_linv = 1.0 / coeff.speed_u_min
@@ -396,7 +470,9 @@ def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
     delta_star = 1.0 + m_composed ** 2 + 2.0 * m_linv * m_theta + m_linv
     delta = 2.0 * delta_star
 
-    kap_sq_cum = _cumulative_matrix(spec.nx) @ (kap_norm ** 2)
+    kap_sq_cum = np.bincount(spec.tri.i_index,
+                             weights=_running_weights(spec) * kap_norm ** 2,
+                             minlength=spec.nx + 1)
     m_kappa = float(np.sqrt(kap_sq_cum.max()))
 
     p_bound = 1.0
@@ -530,23 +606,27 @@ def simulate_target(model, spec: GridSpec, kernels: KernelSolution,
                     recipe: LyapunovRecipe | None = None) -> SimulationRecord:
     """Run the transformed (cascade) system from the transformed initial state.
 
-    The plant initial condition is mapped through the forward transform, the
-    Volterra coupling is assembled if not supplied, and the Lyapunov value
-    with recipe parameters is recorded at every step alongside the norms.
+    The Volterra coupling is assembled if not supplied, the kernels are
+    factored once (:func:`cascade_operators`), the plant initial condition
+    is mapped through the forward transform, and the Lyapunov value with
+    recipe parameters is recorded at every step alongside the norms.  The
+    record's ``y_ranks`` holds the ranks of the factored kernels.
     """
     coeff = _as_coeff(model, spec)
     plant0 = _initial_state(spec, u0, v0)
-    alpha0, beta0 = forward_transform(plant0, kernels)
     if kappa is None:
         kappa = solve_target_coupling(spec, coeff.drive_grid, kernels.ktilde)
     if recipe is None:
         recipe = lyapunov_recipe(coeff, kernels, kappa)
+    ops = cascade_operators(coeff, kernels, kappa)
+    alpha0, beta0 = forward_transform(plant0, ops.transform)
 
     def advance(state, control):
-        return step_target(state, coeff, kernels, kappa, spec.dt)
+        return step_target(state, ops, spec.dt)
 
     def lyapunov(state):
         return lyapunov_value(state.u, state.v, coeff, recipe.p, recipe.delta)
 
-    return _run(spec, EnsembleState(u=alpha0, v=beta0, t=0.0), snapshot_times,
-                advance, lyapunov=lyapunov)
+    record = _run(spec, EnsembleState(u=alpha0, v=beta0, t=0.0),
+                  snapshot_times, advance, lyapunov=lyapunov)
+    return replace(record, y_ranks=ops.y_ranks)

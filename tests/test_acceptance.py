@@ -53,6 +53,7 @@ from ensemble_backstep.simulator import (
     lyapunov_recipe,
     scalar_norm,
     simulate_target,
+    transform_operator,
 )
 from ensemble_backstep.volterra import (
     inverse_transform_kernels,
@@ -243,11 +244,14 @@ def test_criterion_5_volterra_routes(toy, spec_default, kernels_default):
 def test_criterion_6_transform_round_trip(spec_default, kernels_default, rng):
     inv = inverse_transform_kernels(spec_default, kernels_default.k,
                                     kernels_default.ktilde)
+    forward = transform_operator(spec_default, kernels_default.k,
+                                 kernels_default.ktilde)
+    inverse = transform_operator(spec_default, inv.l, inv.ltilde)
     worst = 0.0
     for _ in range(20):
         state = _smooth_state(spec_default, rng)
-        alpha, beta = forward_transform(state, kernels_default)
-        _, v_back = inverse_transform(spec_default, inv, alpha, beta)
+        alpha, beta = forward_transform(state, forward)
+        _, v_back = inverse_transform(inverse, alpha, beta)
         rel = scalar_norm(spec_default, v_back - state.v) \
             / scalar_norm(spec_default, state.v)
         worst = max(worst, rel)
@@ -276,8 +280,10 @@ def test_criterion_7_closed_loop_stabilization(spec_default, kernels_default,
     assert slope < 0.0, f"late-time log-norm slope {slope:.3f} not negative"
 
     (_, state0), (_, state3) = closed_rec.snapshots
-    beta0 = forward_transform(state0, kernels_default)[1]
-    beta3 = forward_transform(state3, kernels_default)[1]
+    forward = transform_operator(spec_default, kernels_default.k,
+                                 kernels_default.ktilde)
+    beta0 = forward_transform(state0, forward)[1]
+    beta3 = forward_transform(state3, forward)[1]
     flush = scalar_norm(spec_default, beta3) / scalar_norm(spec_default, beta0)
     assert flush <= 0.05, f"transformed scalar not flushed: {flush:.3e}"
 

@@ -1,11 +1,13 @@
 """Characteristic tracing: crossing times, launch points, path integrity."""
 
 import numpy as np
+import pytest
 
 from ensemble_backstep.characteristics import (
     trace_crossing_batch,
     trace_edge_batch,
 )
+from ensemble_backstep.errors import DomainError
 from ensemble_backstep.grid import GridSpec
 from ensemble_backstep.model import PlantModel, sample_coefficients
 
@@ -88,6 +90,38 @@ class TestEdgeClosedForms:
         cc = trace_edge_batch(plant, [1.0], [0.5], step=1e-4, spec=SPEC)
         assert abs(cc.s_end[0] - np.log(1.5)) <= 1e-8
         assert abs(cc.launch[0] - (2.0 / 1.5 - 1.0)) <= 1e-8
+
+
+class TestDomain:
+    """Points outside 0 <= xi <= x <= 1, 0 <= y <= 1 are refused."""
+
+    @pytest.mark.parametrize("x, xi", [
+        (0.3, 0.5),        # xi above x
+        (1.2, 0.5),        # x beyond the outlet
+        (0.5, -0.1),       # xi below the inlet
+        (np.nan, 0.2),     # not finite
+        (0.7, np.inf),
+    ], ids=["inverted", "x>1", "xi<0", "x-nan", "xi-inf"])
+    def test_outside_triangle(self, toy, x, xi):
+        with pytest.raises(DomainError):
+            trace_crossing_batch(toy, [0.5, x], [0.25, xi], [0.5, 0.5],
+                                 spec=SPEC)
+        with pytest.raises(DomainError):
+            trace_edge_batch(toy, [0.5, x], [0.25, xi], spec=SPEC)
+
+    @pytest.mark.parametrize("y", [1.5, -0.25, np.nan],
+                             ids=["y>1", "y<0", "y-nan"])
+    def test_outside_ensemble_range(self, toy, y):
+        with pytest.raises(DomainError):
+            trace_crossing_batch(toy, [0.6], [0.2], [y], spec=SPEC)
+
+    def test_roundoff_outside_is_accepted(self, toy):
+        eps = 1e-13
+        cc = trace_crossing_batch(toy, [1.0 + eps, 0.4], [0.0, 0.4 + eps],
+                                  [1.0 + eps, -eps], spec=SPEC)
+        assert np.all(np.isfinite(cc.s_end))
+        ce = trace_edge_batch(toy, [1.0 + eps], [-eps], spec=SPEC)
+        assert np.all(np.isfinite(ce.s_end))
 
 
 class TestPathIntegrity:

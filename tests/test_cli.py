@@ -181,6 +181,7 @@ class TestSimulateCommand:
         assert all(v > 0.0 for v in values)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["mode"] == "target"
+        assert summary["y_ranks"] == {"exchange": 1, "k": 1, "kappa": 1}
 
     def test_unknown_mode_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--mode", "sideways",
@@ -256,6 +257,15 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    def test_module_run_does_not_warn(self):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "ensemble_backstep.cli", "--help"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage:" in proc.stdout
+        assert "Warning" not in proc.stderr
 
 
 class TestDeterminism:

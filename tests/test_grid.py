@@ -12,6 +12,7 @@ from ensemble_backstep.grid import (
     corner_weights,
     gregory_weights,
     trapezoid_weights,
+    y_factor,
 )
 
 
@@ -169,3 +170,20 @@ class TestBilinearTri:
         np.testing.assert_allclose(w4.sum(axis=1), 1.0, atol=1e-12)
         assert idx4.min() >= 0
         assert idx4.max() < TriangularIndex(nx).n_nodes
+
+
+class TestYFactor:
+    def test_recovers_rank_and_matrix(self, rng):
+        m = rng.standard_normal((5000, 3)) @ rng.standard_normal((3, 40))
+        p, q = y_factor(m)
+        assert p.shape == (5000, 3) and q.shape == (40, 3)
+        np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-14)
+        assert np.max(np.abs(p @ q.T - m)) <= 1e-13 * np.max(np.abs(m))
+
+    def test_full_rank_and_zero(self, rng):
+        m = rng.standard_normal((9000, 12))
+        p, q = y_factor(m)
+        assert q.shape == (12, 12)
+        assert np.max(np.abs(p @ q.T - m)) <= 1e-13 * np.max(np.abs(m))
+        p0, q0 = y_factor(np.zeros((7, 5)))
+        assert p0.shape == (7, 0) and q0.shape == (5, 0)

@@ -21,7 +21,8 @@ C_SCALAR = 35.0 / (2.0 * np.pi**2)
 
 def _exchange(coeff, x_index, a):
     """The exchange integral at one x-node, as the plant step applies it."""
-    return coeff.exchange_weighted[x_index] @ a
+    loadings, weighted_basis = coeff.exchange_factor
+    return loadings[x_index] @ (a @ weighted_basis)
 
 
 def _exchange_transpose(coeff, x_index, a):

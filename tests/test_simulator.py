@@ -1,5 +1,7 @@
 """Time stepping, feedback law, state transform, Lyapunov diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from ensemble_backstep.errors import (
     DimensionError,
     DivergenceError,
 )
-from ensemble_backstep.grid import GridSpec
+from ensemble_backstep.grid import GridSpec, gregory_weights
 from ensemble_backstep.kernelsolve import (
     kernel_solution_from_evaluators,
     solve_backstepping_kernels,
@@ -16,9 +18,11 @@ from ensemble_backstep.kernelsolve import (
 from ensemble_backstep.model import (
     sample_coefficients,
     toy_analytic_kernels,
+    toy_model,
 )
 from ensemble_backstep.simulator import (
     EnsembleState,
+    cascade_operators,
     control_value,
     default_initial_state,
     ensemble_norm,
@@ -32,6 +36,7 @@ from ensemble_backstep.simulator import (
     simulate_target,
     step_plant,
     step_target,
+    transform_operator,
 )
 from ensemble_backstep.volterra import (
     inverse_transform_kernels,
@@ -51,6 +56,10 @@ def _smooth_state(spec, rng, amplitude=1.0):
     v = amplitude * (c[0] + c[1] * spec.x_nodes
                      + c[2] * np.sin(np.pi * spec.x_nodes))
     return u, v
+
+
+def _forward(kernels):
+    return transform_operator(kernels.spec, kernels.k, kernels.ktilde)
 
 
 class TestNorms:
@@ -164,28 +173,32 @@ class TestTransforms:
         sol = kernel_solution_from_evaluators(
             spec, lambda x, xi, y: 0.0 * (x + xi + y), lambda x, xi: 0.0 * (x + xi))
         u, v = _smooth_state(spec, rng)
-        alpha, beta = forward_transform(EnsembleState(u=u, v=v, t=0.0), sol)
+        alpha, beta = forward_transform(EnsembleState(u=u, v=v, t=0.0),
+                                        _forward(sol))
         assert np.array_equal(alpha, u)
         np.testing.assert_allclose(beta, v, atol=1e-15)
 
     def test_inlet_value_is_preserved(self, kernels_mid, rng):
         spec = kernels_mid.spec
+        forward = _forward(kernels_mid)
         for _ in range(5):
             u, v = _smooth_state(spec, rng)
             _, beta = forward_transform(EnsembleState(u=u, v=v, t=0.0),
-                                        kernels_mid)
+                                        forward)
             assert beta[0] == v[0]
 
     def test_round_trip_recovers_scalar_field(self, kernels_mid, rng):
         spec = kernels_mid.spec
-        inverse = inverse_transform_kernels(spec, kernels_mid.k,
-                                            kernels_mid.ktilde)
+        inv = inverse_transform_kernels(spec, kernels_mid.k,
+                                        kernels_mid.ktilde)
+        forward = _forward(kernels_mid)
+        inverse = transform_operator(spec, inv.l, inv.ltilde)
         worst = 0.0
         for _ in range(5):
             u, v = _smooth_state(spec, rng)
             alpha, beta = forward_transform(EnsembleState(u=u, v=v, t=0.0),
-                                            kernels_mid)
-            _, v_back = inverse_transform(spec, inverse, alpha, beta)
+                                            forward)
+            _, v_back = inverse_transform(inverse, alpha, beta)
             worst = max(worst, float(np.max(np.abs(v_back - v)))
                         / float(np.max(np.abs(v))))
         assert worst <= 1e-3
@@ -195,7 +208,7 @@ class TestTransforms:
         with pytest.raises(DimensionError):
             forward_transform(
                 EnsembleState(u=np.zeros((3, 3)), v=np.zeros(spec.nx + 1),
-                              t=0.0), kernels_mid)
+                              t=0.0), _forward(kernels_mid))
 
 
 class TestTargetStep:
@@ -206,7 +219,8 @@ class TestTargetStep:
                                       kernels_mid.ktilde)
         state = EnsembleState(u=np.zeros((spec.nx + 1, spec.ny)),
                               v=np.zeros(spec.nx + 1), t=0.0)
-        new = step_target(state, coeff, kernels_mid, kappa, spec.dt)
+        new = step_target(state, cascade_operators(coeff, kernels_mid, kappa),
+                          spec.dt)
         assert np.all(new.u == 0.0)
         assert np.all(new.v == 0.0)
 
@@ -216,8 +230,8 @@ class TestTargetStep:
         kappa = solve_target_coupling(spec, coeff.drive_grid,
                                       kernels_mid.ktilde)
         u, v = _smooth_state(spec, rng)
-        new = step_target(EnsembleState(u=u, v=v, t=0.0), coeff, kernels_mid,
-                          kappa, spec.dt)
+        new = step_target(EnsembleState(u=u, v=v, t=0.0),
+                          cascade_operators(coeff, kernels_mid, kappa), spec.dt)
         assert new.v[-1] == 0.0
         np.testing.assert_allclose(
             new.u[0], coeff.inflow_gain_grid * new.v[0], atol=1e-15)
@@ -234,17 +248,138 @@ class TestTargetStep:
             kappa = solve_target_coupling(spec, coeff.drive_grid, sol.ktilde)
             u, v = _smooth_state(spec, rng)
             state = EnsembleState(u=u, v=v, t=0.0)
+            ops = cascade_operators(coeff, sol, kappa)
             after_plant = step_plant(state, coeff,
                                      control_value(state, sol), spec.dt)
-            a_direct, b_direct = forward_transform(after_plant, sol)
-            a0, b0 = forward_transform(state, sol)
+            a_direct, b_direct = forward_transform(after_plant, ops.transform)
+            a0, b0 = forward_transform(state, ops.transform)
             after_target = step_target(EnsembleState(u=a0, v=b0, t=0.0),
-                                       coeff, sol, kappa, spec.dt)
+                                       ops, spec.dt)
             defect = joint_norm(spec, a_direct - after_target.u,
                                 b_direct - after_target.v)
             assert defect <= 8.0 * spec.dt
             defects[nx] = defect
         assert defects[100] <= 0.6 * defects[50]
+
+
+def _full_rank_plant():
+    """The toy with a Gaussian exchange, a y-dependent speed and a drive that
+    is not separable, so every kernel the cascade applies has y-rank > 1."""
+    return dataclasses.replace(
+        toy_model(), name="full-rank",
+        speed_u=lambda x, y: 1.0 + 0.5 * y + 0.0 * x,
+        exchange=lambda x, y, eta: x * np.exp(-(y - eta) ** 2),
+        drive=lambda x, y: (x * (x + 1.0) * (y - 0.5) * np.exp(x)
+                            + 0.5 * np.sin(np.pi * x * y)))
+
+
+@pytest.fixture(scope="module", params=["toy", "full-rank"])
+def operator_case(request):
+    """Solved kernels, coupling and inverse kernels of a small plant."""
+    plant = toy_model() if request.param == "toy" else _full_rank_plant()
+    spec = GridSpec(nx=40, ny=16, dt=0.01)
+    coeff = sample_coefficients(plant, spec)
+    sol = solve_backstepping_kernels(plant, spec, tol=1e-10)
+    kappa = solve_target_coupling(spec, coeff.drive_grid, sol.ktilde)
+    inv = inverse_transform_kernels(spec, sol.k, sol.ktilde)
+    return request.param, coeff, sol, kappa, inv
+
+
+def _running_rows(spec):
+    """Row i: the Gregory weights of the triangle's row i; row 0 is empty."""
+    rows = np.zeros((spec.nx + 1, spec.tri.n_nodes))
+    for i in range(1, spec.nx + 1):
+        rows[i, spec.tri.row_slice(i)] = gregory_weights(i + 1, spec.hx)
+    return rows
+
+
+def _ref_integral(spec, kernel, scalar_kernel, u, v):
+    """Running x-integral by a y-contraction at every triangle node."""
+    j = spec.tri.j_index
+    inner = (np.einsum("ny,ny->n", kernel, (u * spec.y_weights)[j])
+             + scalar_kernel * v[j])
+    return _running_rows(spec) @ inner
+
+
+def _ref_exchange(coeff, u):
+    return np.einsum("xyh,h,xh->xy", coeff.exchange_grid,
+                     coeff.spec.y_weights, u)
+
+
+def _ref_transport(coeff, u, v, source_u, source_v, dt):
+    """Increments of one upwind step before the boundary values are set."""
+    h = coeff.spec.hx
+    du = np.zeros_like(u)
+    du[1:] = dt * (-coeff.speed_u_grid[1:] * (u[1:] - u[:-1]) / h
+                   + source_u[1:])
+    dv = np.zeros_like(v)
+    dv[:-1] = dt * (coeff.speed_v_grid[:-1] * (v[1:] - v[:-1]) / h
+                    + source_v[:-1])
+    return du, dv
+
+
+def _assert_rel_close(got, want, rtol=1e-12):
+    scale = float(np.max(np.abs(want)))
+    assert scale > 0.0
+    err = float(np.max(np.abs(got - want)))
+    assert err <= rtol * scale, f"relative error {err / scale:.3e}"
+
+
+class TestFactoredOperators:
+    """Each factored operator against the dense per-node quadrature."""
+
+    def test_ranks(self, operator_case):
+        name, coeff, sol, kappa, _ = operator_case
+        ranks = cascade_operators(coeff, sol, kappa).y_ranks
+        if name == "toy":
+            assert ranks == {"k": 1, "kappa": 1, "exchange": 1}
+        else:
+            assert min(ranks.values()) > 1
+            assert max(ranks.values()) <= coeff.spec.ny
+
+    def test_step_target(self, operator_case, rng):
+        _, coeff, sol, kappa, _ = operator_case
+        spec = coeff.spec
+        alpha, beta = _smooth_state(spec, rng)
+        new = step_target(EnsembleState(u=alpha, v=beta, t=0.0),
+                          cascade_operators(coeff, sol, kappa), spec.dt)
+        J = _ref_integral(spec, sol.k, 0.0 * sol.ktilde, alpha, beta)
+        bj = beta + J
+        coupling = (coeff.drive_grid * J[:, None]
+                    + _running_rows(spec) @ (kappa * bj[spec.tri.j_index, None]))
+        source = (_ref_exchange(coeff, alpha) + coeff.drive_grid * beta[:, None]
+                  + coupling)
+        du, dv = _ref_transport(coeff, alpha, beta, source, 0.0 * beta, spec.dt)
+        _assert_rel_close((new.u - alpha)[1:], du[1:])
+        _assert_rel_close(new.v[:-1], (beta + dv)[:-1])
+
+    def test_step_plant(self, operator_case, rng):
+        _, coeff, _, _, _ = operator_case
+        spec = coeff.spec
+        u, v = _smooth_state(spec, rng)
+        new = step_plant(EnsembleState(u=u, v=v, t=0.0), coeff, 0.0, spec.dt)
+        source_u = _ref_exchange(coeff, u) + coeff.drive_grid * v[:, None]
+        source_v = (coeff.readout_grid * u) @ spec.y_weights
+        du, dv = _ref_transport(coeff, u, v, source_u, source_v, spec.dt)
+        _assert_rel_close((new.u - u)[1:], du[1:])
+        _assert_rel_close((new.v - v)[:-1], dv[:-1])
+
+    def test_forward_transform(self, operator_case, rng):
+        _, coeff, sol, _, _ = operator_case
+        spec = coeff.spec
+        u, v = _smooth_state(spec, rng)
+        _, beta = forward_transform(EnsembleState(u=u, v=v, t=0.0),
+                                    _forward(sol))
+        _assert_rel_close(v - beta, _ref_integral(spec, sol.k, sol.ktilde, u, v))
+
+    def test_inverse_transform(self, operator_case, rng):
+        _, coeff, _, _, inv = operator_case
+        spec = coeff.spec
+        alpha, beta = _smooth_state(spec, rng)
+        _, v = inverse_transform(transform_operator(spec, inv.l, inv.ltilde),
+                                 alpha, beta)
+        _assert_rel_close(v - beta,
+                          _ref_integral(spec, inv.l, inv.ltilde, alpha, beta))
 
 
 class TestLyapunov:
