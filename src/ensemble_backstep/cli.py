@@ -45,8 +45,7 @@ from .simulator import (cfl_condition, check_cfl, default_initial_state,
                         inverse_transform, forward_transform, lyapunov_recipe,
                         simulate, simulate_target, transform_operator,
                         EnsembleState)
-from .volterra import (inverse_transform_kernels, resolvent,
-                       solve_target_coupling, tri_to_matrix)
+from .volterra import resolvent, solve_target_coupling, tri_to_matrix
 
 __all__ = ["RunConfig", "main", "cmd_kernels", "cmd_simulate", "cmd_verify"]
 
@@ -132,6 +131,11 @@ def _validate_config(config: RunConfig) -> RunConfig:
             f"{', '.join(BUILTIN_MODEL_NAMES)}")
     if config.nx < 2 or config.ny < 2:
         raise ConfigurationError("nx and ny must both be at least 2")
+    for name in ("dt", "t_final", "kernel_tol", "ic_amplitude", "ic_center",
+                 "ic_width", "snapshot_times"):
+        value = getattr(config, name)
+        if not np.all(np.isfinite(value)):
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
     if config.dt <= 0 or config.t_final <= 0:
         raise ConfigurationError("dt and t_final must be positive")
     if config.kernel_tol <= 0:
@@ -298,6 +302,12 @@ def _write_snapshots(out_dir: str, spec: GridSpec, record) -> list[str]:
     return paths
 
 
+def _target_recipe(coeff, kernels):
+    """The Lyapunov recipe of a cascade run, from the coupling per unit drive."""
+    coupling = solve_target_coupling(coeff.spec, kernels.ktilde)
+    return lyapunov_recipe(coeff, kernels, coupling)
+
+
 def cmd_simulate(config: RunConfig) -> int:
     """Run a simulation; write timeseries.csv, snapshots, summary.json."""
     spec = _grid_from_config(config)
@@ -322,10 +332,12 @@ def cmd_simulate(config: RunConfig) -> int:
                   f"{exc.final_delta:.3e})", file=sys.stderr)
             return 3
 
+    recipe = _target_recipe(coeff, kernels) if config.mode == "target" else None
     try:
         if config.mode == "target":
             record = simulate_target(coeff, spec, kernels, u0=u0, v0=v0,
-                                     snapshot_times=config.snapshot_times)
+                                     snapshot_times=config.snapshot_times,
+                                     recipe=recipe)
         else:
             record = simulate(coeff, spec, kernels=kernels, mode=config.mode,
                               u0=u0, v0=v0,
@@ -352,6 +364,10 @@ def cmd_simulate(config: RunConfig) -> int:
     }
     if record.y_ranks is not None:
         summary["y_ranks"] = record.y_ranks
+    if recipe is not None:
+        summary["lyapunov_recipe"] = {"p": recipe.p, "delta": recipe.delta,
+                                      "m_equiv": recipe.m_equiv,
+                                      "M_equiv": recipe.M_equiv}
     _write_json(summary_path, summary)
     extras = f" and {len(snap_paths)} snapshot file(s)" if snap_paths else ""
     print(f"wrote {ts_path} and {summary_path}{extras} "
@@ -428,9 +444,7 @@ def _verify_kernel_boundary(spec: GridSpec, coeff, kernels) -> dict:
 
 def _verify_round_trip(spec: GridSpec, kernels, rng) -> dict:
     """Forward-then-inverse transform must reproduce the scalar field."""
-    inv = inverse_transform_kernels(spec, kernels.k, kernels.ktilde)
-    forward = transform_operator(spec, kernels.k, kernels.ktilde)
-    inverse = transform_operator(spec, inv.l, inv.ltilde)
+    transform = transform_operator(spec, kernels.k, kernels.ktilde)
     xs = spec.x_nodes[:, None]
     ys = spec.y_nodes[None, :]
     worst = 0.0
@@ -442,8 +456,8 @@ def _verify_round_trip(spec: GridSpec, kernels, rng) -> dict:
              * (b[0] + b[1] * ys + b[2] * np.cos(np.pi * ys)))
         v = c[0] + c[1] * spec.x_nodes + c[2] * np.sin(np.pi * spec.x_nodes)
         state = EnsembleState(u=u, v=v, t=0.0)
-        alpha, beta = forward_transform(state, forward)
-        _, v_back = inverse_transform(inverse, alpha, beta)
+        alpha, beta = forward_transform(state, transform)
+        _, v_back = inverse_transform(transform, alpha, beta)
         denom = float(np.sqrt(spec.x_weights @ (v * v)))
         err = float(np.sqrt(spec.x_weights @ ((v_back - v) ** 2)))
         worst = max(worst, err / max(denom, 1e-300))
@@ -455,11 +469,10 @@ def _verify_lyapunov(config: RunConfig, spec: GridSpec, coeff, kernels) -> dict:
     """Monotonicity of the recipe Lyapunov value on a short cascade run."""
     short = GridSpec(nx=spec.nx, ny=spec.ny, dt=spec.dt,
                      t_final=min(spec.t_final, 1.0))
-    kappa = solve_target_coupling(short, coeff.drive_grid, kernels.ktilde)
-    recipe = lyapunov_recipe(coeff, kernels, kappa)
+    recipe = _target_recipe(coeff, kernels)
     u0, v0 = _initial_condition(config, short)
     record = simulate_target(coeff, short, kernels, u0=u0, v0=v0,
-                             kappa=kappa, recipe=recipe)
+                             recipe=recipe)
     lyap = record.lyapunov
     worst_ratio = 0.0
     for i in range(1, lyap.size - 1):

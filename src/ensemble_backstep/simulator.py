@@ -137,7 +137,7 @@ class FactoredKernel:
     grid.y_factor` of the flat kernel, and ``rows[i, s, j]`` is ``P[(i, j),
     s]`` times the running-integral weight of node ``(i, j)``, zero above
     the diagonal.  ``weighted_basis`` is ``basis`` times the y-quadrature
-    weights.  Either application costs O(N^2 r + N ny r) for ``N = nx + 1``
+    weights.  An application costs O(N^2 r + N ny r) for ``N = nx + 1``
     x-nodes and rank r.
     """
 
@@ -154,33 +154,23 @@ class FactoredKernel:
         n, r = self.rows.shape[0], self.rank
         return self.rows.reshape(n, r * n) @ (field @ self.weighted_basis).T.ravel()
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """``int_0^x K(x, xi, y) values(xi) dxi`` at every (x, y) node."""
-        n, r = self.rows.shape[0], self.rank
-        return (self.rows.reshape(n * r, n) @ values).reshape(n, r) @ self.basis.T
-
-
-def _factor_kernel(spec: GridSpec, values: np.ndarray) -> FactoredKernel:
-    loadings, basis = y_factor(np.asarray(values, dtype=float))
-    weighted = tri_to_matrix(spec, _running_weights(spec)[:, None] * loadings)
-    return FactoredKernel(rows=np.ascontiguousarray(weighted.transpose(1, 0, 2)),
-                          basis=basis,
-                          weighted_basis=basis * spec.y_weights[:, None])
-
 
 @dataclass(frozen=True)
 class TransformOperator:
-    """The running integral of a state transform or of its inverse.
+    """The running integrals of a state transform and of its inverse.
 
     Maps a state ``(u, v)`` to ``int_0^x (int kernel(x, xi, y) u(xi, y) dy
-    + scalar_kernel(x, xi) v(xi)) dxi`` at every x-node; ``scalar`` is the
-    scalar kernel as a lower-triangular matrix with the running-integral
-    weights folded in.
+    + scalar_kernel(x, xi) v(xi)) dxi`` at every x-node.  ``scalar`` is the
+    scalar kernel and ``resolvent`` its resolvent ``L``, both as
+    lower-triangular matrices with the running-integral weights folded in;
+    ``L`` undoes the transform as ``v = (I + L)(beta + J)``, with ``J`` the
+    running integral of the ensemble kernel against the ensemble field.
     """
 
     spec: GridSpec
     kernel: FactoredKernel
     scalar: np.ndarray
+    resolvent: np.ndarray
 
     def __call__(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         _check_state_shapes(self.spec, u, v)
@@ -189,42 +179,52 @@ class TransformOperator:
 
 def transform_operator(spec: GridSpec, kernel: np.ndarray,
                        scalar_kernel: np.ndarray) -> TransformOperator:
-    """Build the operator of a transform from its flat triangle kernels:
-    ``(k, ktilde)`` of a :class:`KernelSolution` for the forward transform,
-    ``(l, ltilde)`` of an :class:`InverseKernels` for the inverse."""
-    scalar = tri_to_matrix(spec, _running_weights(spec) * scalar_kernel)
-    return TransformOperator(spec=spec, kernel=_factor_kernel(spec, kernel),
-                             scalar=scalar)
+    """Build the operator of the transform with the flat triangle kernels
+    ``(k, ktilde)`` of a :class:`KernelSolution`, and of its inverse."""
+    weights = _running_weights(spec)
+    loadings, basis = y_factor(np.asarray(kernel, dtype=float))
+    rows = tri_to_matrix(spec, weights[:, None] * loadings)
+    factored = FactoredKernel(rows=np.ascontiguousarray(rows.transpose(1, 0, 2)),
+                              basis=basis,
+                              weighted_basis=basis * spec.y_weights[:, None])
+    resolvent = solve_target_coupling(spec, scalar_kernel)
+    return TransformOperator(spec=spec, kernel=factored,
+                             scalar=tri_to_matrix(spec, weights * scalar_kernel),
+                             resolvent=tri_to_matrix(spec, weights * resolvent))
+
+
+def _scalar_field(transform: TransformOperator, alpha: np.ndarray,
+                  beta: np.ndarray) -> np.ndarray:
+    """The plant's scalar field ``(I + L)(beta + J)`` of cascade variables."""
+    bj = beta + transform.kernel.integrate(alpha)
+    return bj + transform.resolvent @ bj
 
 
 @dataclass(frozen=True)
 class CascadeOperators:
     """Everything a cascade step applies, built once per run.
 
-    ``transform`` is the forward transform (its ensemble kernel gives the
-    running integral J of each step) and ``kappa`` the Volterra coupling
-    kernel; the exchange factor is ``coeff.exchange_factor``.
+    ``transform`` is the forward transform: its ensemble kernel gives the
+    running integral J of each step and its resolvent the Volterra coupling
+    ``kappa = drive * L``; the exchange factor is ``coeff.exchange_factor``.
     """
 
     coeff: SampledCoefficients
     transform: TransformOperator
-    kappa: FactoredKernel
 
     @property
     def y_ranks(self) -> dict[str, int]:
-        """y-ranks of the ensemble kernel, the coupling and the exchange."""
-        return {"k": self.transform.kernel.rank, "kappa": self.kappa.rank,
+        """y-ranks of the ensemble kernel and the exchange."""
+        return {"k": self.transform.kernel.rank,
                 "exchange": self.coeff.exchange_factor[1].shape[1]}
 
 
-def cascade_operators(coeff: SampledCoefficients, kernels: KernelSolution,
-                      kappa: np.ndarray) -> CascadeOperators:
-    """Factor the solved kernels and the coupling for :func:`step_target`."""
-    spec = coeff.spec
+def cascade_operators(coeff: SampledCoefficients,
+                      kernels: KernelSolution) -> CascadeOperators:
+    """Factor the solved kernels for :func:`step_target`."""
     return CascadeOperators(
         coeff=coeff,
-        transform=transform_operator(spec, kernels.k, kernels.ktilde),
-        kappa=_factor_kernel(spec, kappa))
+        transform=transform_operator(coeff.spec, kernels.k, kernels.ktilde))
 
 
 def _as_coeff(model, spec: GridSpec) -> SampledCoefficients:
@@ -379,11 +379,12 @@ def inverse_transform(inverse: TransformOperator, alpha: np.ndarray,
                       beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map cascade variables back to the plant state.
 
-    ``inverse`` is :func:`transform_operator` of the inverse kernels ``(l,
-    ltilde)``.
+    ``inverse`` is :func:`transform_operator` of the solved ``(k, ktilde)``,
+    the same operator :func:`forward_transform` applies; the scalar field
+    is ``(I + L)(beta + J)`` with ``L`` the resolvent of ``ktilde``.
     """
-    v = beta + inverse(alpha, beta)
-    return alpha.copy(), v
+    _check_state_shapes(inverse.spec, alpha, beta)
+    return alpha.copy(), _scalar_field(inverse, alpha, beta)
 
 
 def step_target(state: EnsembleState, ops: CascadeOperators,
@@ -396,7 +397,9 @@ def step_target(state: EnsembleState, ops: CascadeOperators,
     ``J(x)`` of the ensemble kernel against the ensemble field: with the
     drive term, the composed coupling contributes ``drive * (beta + J)``
     plus the x-integral of ``kappa * (beta + J)``, which reproduces both
-    Volterra terms after swapping the order of integration.
+    Volterra terms after swapping the order of integration.  As ``kappa =
+    drive * L``, the whole source is ``drive * (I + L)(beta + J)``, the
+    drive acting on the plant's scalar field.
     """
     coeff = ops.coeff
     spec = coeff.spec
@@ -405,9 +408,8 @@ def step_target(state: EnsembleState, ops: CascadeOperators,
     beta = state.v
     h = spec.hx
     with np.errstate(over="ignore", invalid="ignore"):
-        bj = beta + ops.transform.kernel.integrate(alpha)
-        source_a = (_exchange(coeff, alpha) + coeff.drive_grid * bj[:, None]
-                    + ops.kappa.apply(bj))
+        v = _scalar_field(ops.transform, alpha, beta)
+        source_a = _exchange(coeff, alpha) + coeff.drive_grid * v[:, None]
         alpha_new = alpha.copy()
         alpha_new[1:] += dt * (-coeff.speed_u_grid[1:] * (alpha[1:] - alpha[:-1]) / h
                                + source_a[1:])
@@ -441,7 +443,7 @@ def lyapunov_value(alpha: np.ndarray, beta: np.ndarray,
 
 
 def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
-                    kappa: np.ndarray) -> LyapunovRecipe:
+                    coupling: np.ndarray) -> LyapunovRecipe:
     """Choose Lyapunov parameters from measured coefficient bounds.
 
     The decay weight must exceed a threshold built from the composed-coupling
@@ -449,7 +451,10 @@ def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
     weight ``p`` must stay below a feasibility minimum built from the inflow
     gain, the Volterra coupling, and the drive.  This routine doubles the
     threshold and halves the feasibility minimum, then evaluates the norm
-    sandwich constants for the resulting pair.
+    sandwich constants for the resulting pair.  ``coupling`` is the
+    Volterra coupling per unit drive (:func:`~ensemble_backstep.volterra.
+    solve_target_coupling`), so ``||kappa(x, xi, .)||_y = ||drive(x, .)||_y
+    * |coupling(x, xi)|``.
     """
     spec = coeff.spec
     wy = spec.y_weights
@@ -461,7 +466,7 @@ def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
     q_norm = float(np.sqrt((coeff.inflow_gain_grid ** 2) @ wy))
 
     k_norm = np.sqrt((kernels.k ** 2) @ wy)
-    kap_norm = np.sqrt((kappa ** 2) @ wy)
+    kap_norm = drive_norm[spec.tri.i_index] * np.abs(coupling)
     k_mat = tri_to_matrix(spec, k_norm)
     kap_mat = tri_to_matrix(spec, kap_norm)
     composed = drive_norm[:, None] * k_mat + spec.hx * (kap_mat @ k_mat)
@@ -602,11 +607,10 @@ def simulate(model, spec: GridSpec, kernels: KernelSolution | None = None,
 
 def simulate_target(model, spec: GridSpec, kernels: KernelSolution,
                     u0=None, v0=None, snapshot_times=(),
-                    kappa: np.ndarray | None = None,
                     recipe: LyapunovRecipe | None = None) -> SimulationRecord:
     """Run the transformed (cascade) system from the transformed initial state.
 
-    The Volterra coupling is assembled if not supplied, the kernels are
+    The Lyapunov recipe is assembled if not supplied, the kernels are
     factored once (:func:`cascade_operators`), the plant initial condition
     is mapped through the forward transform, and the Lyapunov value with
     recipe parameters is recorded at every step alongside the norms.  The
@@ -614,11 +618,10 @@ def simulate_target(model, spec: GridSpec, kernels: KernelSolution,
     """
     coeff = _as_coeff(model, spec)
     plant0 = _initial_state(spec, u0, v0)
-    if kappa is None:
-        kappa = solve_target_coupling(spec, coeff.drive_grid, kernels.ktilde)
     if recipe is None:
-        recipe = lyapunov_recipe(coeff, kernels, kappa)
-    ops = cascade_operators(coeff, kernels, kappa)
+        recipe = lyapunov_recipe(coeff, kernels,
+                                 solve_target_coupling(spec, kernels.ktilde))
+    ops = cascade_operators(coeff, kernels)
     alpha0, beta0 = forward_transform(plant0, ops.transform)
 
     def advance(state, control):

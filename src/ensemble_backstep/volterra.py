@@ -3,11 +3,12 @@
 This module provides the composition quadrature for kernels on the triangle
 ``0 <= xi <= x <= 1`` and everything built from it:
 
-* iterated-kernel resolvents (Neumann series),
-* the coupling kernel of the stabilized target dynamics, solved through the
-  resolvent formula, with a direct successive-approximation solver kept as an
-  independent oracle, and
-* the kernels of the inverse state transform.
+* iterated-kernel resolvents (Neumann series), and
+* the coupling kernel of the stabilized target dynamics, which is the drive
+  times the resolvent of the scalar kernel, with a direct
+  successive-approximation solver of the full equation kept as an
+  independent oracle.  The same resolvent is the scalar kernel of the
+  inverse state transform.
 
 Path integrals between triangle nodes use the trapezoid rule with the
 first-order Gregory end correction (weights ``h/12`` moved between the two
@@ -30,7 +31,6 @@ from .grid import GridSpec
 
 __all__ = [
     "ResolventKernel",
-    "InverseKernels",
     "tri_to_matrix",
     "matrix_to_tri",
     "compose",
@@ -38,7 +38,6 @@ __all__ = [
     "solve_target_coupling",
     "solve_target_coupling_picard",
     "target_coupling_residual",
-    "inverse_transform_kernels",
 ]
 
 
@@ -56,16 +55,6 @@ class ResolventKernel:
     n_terms_used: int
     tail_bound: float
     term_sups: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class InverseKernels:
-    """Kernels of the inverse state transform (ensemble part and scalar part)."""
-
-    l: np.ndarray
-    ltilde: np.ndarray
-    n_terms_used: int
-    tail_bound: float
 
 
 def tri_to_matrix(spec: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -181,31 +170,29 @@ def _coupling_source(spec: GridSpec, drive_grid: np.ndarray,
     return drive_grid.T[:, :, None] * kernel[None, :, :]
 
 
-def solve_target_coupling(spec: GridSpec, drive_grid: np.ndarray,
-                          ktilde: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Solve the coupling-kernel Volterra equation via the resolvent.
+def solve_target_coupling(spec: GridSpec, ktilde: np.ndarray,
+                          tol: float = 1e-12) -> np.ndarray:
+    """The coupling kernel of the target system per unit drive.
 
-    The unknown ``kappa(x, xi, y)`` satisfies ``kappa = kappa0 +
-    integral_xi^x ktilde(s, xi) kappa(x, s, y) ds`` with ``kappa0(x, xi, y) =
-    drive(x, y) ktilde(x, xi)``; the solution is assembled explicitly as
-    ``kappa0`` plus the resolvent of ``ktilde`` composed with ``kappa0``.
-    Returns flat triangle storage of shape ``(n_tri, ny)``.
+    The unknown ``kappa(x, xi, y)`` satisfies ``kappa = drive(x, y)
+    ktilde(x, xi) + integral_xi^x kappa(x, s, y) ktilde(s, xi) ds``.  The
+    drive does not depend on the integration variable, so ``kappa(x, xi, y)
+    = drive(x, y) m(x, xi)`` with ``m`` the resolvent of ``ktilde``, which
+    this returns in flat triangle storage, shape ``(n_tri,)``.
     """
-    res = resolvent(spec, ktilde, tol)
-    source = _coupling_source(spec, drive_grid, ktilde)
-    res_mat = tri_to_matrix(spec, res.values)
-    kappa = source + compose(spec.hx, res_mat, source)
-    return matrix_to_tri(spec, kappa)
+    return resolvent(spec, ktilde, tol).values
 
 
 def solve_target_coupling_picard(spec: GridSpec, drive_grid: np.ndarray,
                                  ktilde: np.ndarray, tol: float = 1e-12,
                                  max_iter: int = 200) -> np.ndarray:
-    """Independent oracle: solve the same equation by direct iteration.
+    """Independent oracle: solve the full equation by direct iteration.
 
-    Starts from zero and applies the fixed-point map until the sup-norm
-    increment drops to ``tol``.  Kept deliberately separate from
-    :func:`solve_target_coupling` so the two routes cross-check each other.
+    Starts from zero and applies the fixed-point map, drive included, to an
+    ``(ny, N, N)`` batch until the sup-norm increment drops to ``tol``, and
+    returns ``kappa`` of shape ``(n_tri, ny)``.  Kept deliberately separate
+    from :func:`solve_target_coupling` so the two routes cross-check each
+    other.
     """
     kernel = tri_to_matrix(spec, np.asarray(ktilde, dtype=float))
     source = _coupling_source(spec, drive_grid, ktilde)
@@ -236,24 +223,3 @@ def target_coupling_residual(spec: GridSpec, kappa: np.ndarray,
     kap_mat = tri_to_matrix(spec, np.asarray(kappa, dtype=float))
     resid = kap_mat - source - compose(spec.hx, kernel, kap_mat)
     return float(np.max(np.abs(matrix_to_tri(spec, resid))))
-
-
-def inverse_transform_kernels(spec: GridSpec, k: np.ndarray, ktilde: np.ndarray,
-                              tol: float = 1e-12) -> InverseKernels:
-    """Build the kernels that undo the state transform.
-
-    The scalar inverse kernel is the resolvent of the scalar direct kernel;
-    the ensemble inverse kernel follows explicitly as ``l(x, xi, y) =
-    k(x, xi, y) + integral_xi^x ltilde(x, s) k(s, xi, y) ds``.
-    """
-    res = resolvent(spec, ktilde, tol)
-    k = np.asarray(k, dtype=float)
-    k_mat = tri_to_matrix(spec, k)
-    lt_mat = tri_to_matrix(spec, res.values)
-    l_values = k + matrix_to_tri(spec, compose(spec.hx, k_mat, lt_mat))
-    return InverseKernels(
-        l=l_values,
-        ltilde=res.values,
-        n_terms_used=res.n_terms_used,
-        tail_bound=res.tail_bound,
-    )

@@ -1,12 +1,26 @@
 """Shared fixtures: expensive artifacts built once per session."""
 
+import os
 import time
 
 import numpy as np
 import pytest
 
+import ensemble_backstep
 from ensemble_backstep import kernelsolve, model, simulator
 from ensemble_backstep.grid import GridSpec
+
+
+@pytest.fixture(scope="session", autouse=True)
+def package_on_subprocess_path():
+    """Tests that start ``python -m ensemble_backstep.cli`` must run the
+    package imported here, which pytest's ``pythonpath`` setting puts on the
+    path of this process only."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH",
+                  os.path.dirname(os.path.dirname(ensemble_backstep.__file__)),
+                  prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -56,7 +56,6 @@ from ensemble_backstep.simulator import (
     transform_operator,
 )
 from ensemble_backstep.volterra import (
-    inverse_transform_kernels,
     resolvent,
     solve_target_coupling,
     solve_target_coupling_picard,
@@ -231,8 +230,9 @@ def test_criterion_5_volterra_routes(toy, spec_default, kernels_default):
     assert resolvent_err <= 1e-6, f"resolvent error {resolvent_err:.2e}"
 
     coeff = sample_coefficients(toy, spec_default)
-    kappa_resolvent = solve_target_coupling(
-        spec_default, coeff.drive_grid, kernels_default.ktilde)
+    coupling = solve_target_coupling(spec_default, kernels_default.ktilde)
+    kappa_resolvent = coeff.drive_grid[spec_default.tri.i_index] \
+        * coupling[:, None]
     kappa_picard = solve_target_coupling_picard(
         spec_default, coeff.drive_grid, kernels_default.ktilde)
     route_gap = float(np.abs(kappa_resolvent - kappa_picard).max())
@@ -242,16 +242,13 @@ def test_criterion_5_volterra_routes(toy, spec_default, kernels_default):
 
 
 def test_criterion_6_transform_round_trip(spec_default, kernels_default, rng):
-    inv = inverse_transform_kernels(spec_default, kernels_default.k,
-                                    kernels_default.ktilde)
-    forward = transform_operator(spec_default, kernels_default.k,
-                                 kernels_default.ktilde)
-    inverse = transform_operator(spec_default, inv.l, inv.ltilde)
+    transform = transform_operator(spec_default, kernels_default.k,
+                                   kernels_default.ktilde)
     worst = 0.0
     for _ in range(20):
         state = _smooth_state(spec_default, rng)
-        alpha, beta = forward_transform(state, forward)
-        _, v_back = inverse_transform(inverse, alpha, beta)
+        alpha, beta = forward_transform(state, transform)
+        _, v_back = inverse_transform(transform, alpha, beta)
         rel = scalar_norm(spec_default, v_back - state.v) \
             / scalar_norm(spec_default, state.v)
         worst = max(worst, rel)
@@ -296,13 +293,12 @@ def test_criterion_7_closed_loop_stabilization(spec_default, kernels_default,
 def test_criterion_8_lyapunov_monotonicity(toy, spec_default,
                                            kernels_default):
     coeff = sample_coefficients(toy, spec_default)
-    kappa = solve_target_coupling(spec_default, coeff.drive_grid,
-                                  kernels_default.ktilde)
-    recipe = lyapunov_recipe(coeff, kernels_default, kappa)
+    coupling = solve_target_coupling(spec_default, kernels_default.ktilde)
+    recipe = lyapunov_recipe(coeff, kernels_default, coupling)
     assert recipe.p > 0.0 and recipe.delta > 0.0
 
     record = simulate_target(toy, spec_default, kernels_default,
-                             kappa=kappa, recipe=recipe)
+                             recipe=recipe)
     lyap = record.lyapunov
     # Monotone up to a 1e-3 step tolerance, checked on every step after the
     # first (the outlet value only takes effect once the first step is done).

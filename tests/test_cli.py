@@ -68,6 +68,24 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError, match="bad value"):
             load_config_file(str(path))
 
+    @pytest.mark.parametrize("args, config", [
+        (["simulate", "--snapshots", "nan"], ""),
+        (["simulate", "--dt", "nan"], ""),
+        (["kernels", "--dt", "nan"], ""),
+        (["simulate", "--t-final", "inf", "--mode", "open"], ""),
+        (["kernels"], "kernel_tol = nan\n"),
+        (["simulate"], "initial_condition = gaussian\nic_width = inf\n"),
+        (["simulate"], "ic_amplitude = -inf\n"),
+        (["simulate"], "snapshot_times = 0.5, nan\n"),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, args, config):
+        if config:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            args = args + ["--config", str(path)]
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_cli_overrides_beat_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("model_name = pure-transport\nnx = 4\nny = 3\n")
@@ -181,7 +199,10 @@ class TestSimulateCommand:
         assert all(v > 0.0 for v in values)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["mode"] == "target"
-        assert summary["y_ranks"] == {"exchange": 1, "k": 1, "kappa": 1}
+        assert summary["y_ranks"] == {"exchange": 1, "k": 1}
+        assert set(summary["lyapunov_recipe"]) == {"p", "delta", "m_equiv",
+                                                   "M_equiv"}
+        assert summary["lyapunov_recipe"]["p"] > 0.0
 
     def test_unknown_mode_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--mode", "sideways",

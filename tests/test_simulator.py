@@ -38,10 +38,7 @@ from ensemble_backstep.simulator import (
     step_target,
     transform_operator,
 )
-from ensemble_backstep.volterra import (
-    inverse_transform_kernels,
-    solve_target_coupling,
-)
+from ensemble_backstep.volterra import solve_target_coupling
 
 
 def _smooth_state(spec, rng, amplitude=1.0):
@@ -189,16 +186,13 @@ class TestTransforms:
 
     def test_round_trip_recovers_scalar_field(self, kernels_mid, rng):
         spec = kernels_mid.spec
-        inv = inverse_transform_kernels(spec, kernels_mid.k,
-                                        kernels_mid.ktilde)
-        forward = _forward(kernels_mid)
-        inverse = transform_operator(spec, inv.l, inv.ltilde)
+        transform = _forward(kernels_mid)
         worst = 0.0
         for _ in range(5):
             u, v = _smooth_state(spec, rng)
             alpha, beta = forward_transform(EnsembleState(u=u, v=v, t=0.0),
-                                            forward)
-            _, v_back = inverse_transform(inverse, alpha, beta)
+                                            transform)
+            _, v_back = inverse_transform(transform, alpha, beta)
             worst = max(worst, float(np.max(np.abs(v_back - v)))
                         / float(np.max(np.abs(v))))
         assert worst <= 1e-3
@@ -215,11 +209,9 @@ class TestTargetStep:
     def test_zero_state_stays_zero(self, toy, kernels_mid):
         spec = kernels_mid.spec
         coeff = sample_coefficients(toy, spec)
-        kappa = solve_target_coupling(spec, coeff.drive_grid,
-                                      kernels_mid.ktilde)
         state = EnsembleState(u=np.zeros((spec.nx + 1, spec.ny)),
                               v=np.zeros(spec.nx + 1), t=0.0)
-        new = step_target(state, cascade_operators(coeff, kernels_mid, kappa),
+        new = step_target(state, cascade_operators(coeff, kernels_mid),
                           spec.dt)
         assert np.all(new.u == 0.0)
         assert np.all(new.v == 0.0)
@@ -227,11 +219,9 @@ class TestTargetStep:
     def test_outlet_is_zero_and_inlet_reflected(self, toy, kernels_mid, rng):
         spec = kernels_mid.spec
         coeff = sample_coefficients(toy, spec)
-        kappa = solve_target_coupling(spec, coeff.drive_grid,
-                                      kernels_mid.ktilde)
         u, v = _smooth_state(spec, rng)
         new = step_target(EnsembleState(u=u, v=v, t=0.0),
-                          cascade_operators(coeff, kernels_mid, kappa), spec.dt)
+                          cascade_operators(coeff, kernels_mid), spec.dt)
         assert new.v[-1] == 0.0
         np.testing.assert_allclose(
             new.u[0], coeff.inflow_gain_grid * new.v[0], atol=1e-15)
@@ -245,10 +235,9 @@ class TestTargetStep:
             spec = GridSpec(nx=nx, ny=40, dt=0.2 / nx)
             sol = solve_backstepping_kernels(toy, spec, tol=1e-10)
             coeff = sample_coefficients(toy, spec)
-            kappa = solve_target_coupling(spec, coeff.drive_grid, sol.ktilde)
             u, v = _smooth_state(spec, rng)
             state = EnsembleState(u=u, v=v, t=0.0)
-            ops = cascade_operators(coeff, sol, kappa)
+            ops = cascade_operators(coeff, sol)
             after_plant = step_plant(state, coeff,
                                      control_value(state, sol), spec.dt)
             a_direct, b_direct = forward_transform(after_plant, ops.transform)
@@ -275,14 +264,12 @@ def _full_rank_plant():
 
 @pytest.fixture(scope="module", params=["toy", "full-rank"])
 def operator_case(request):
-    """Solved kernels, coupling and inverse kernels of a small plant."""
+    """Solved kernels of a small plant and the resolvent of its ktilde."""
     plant = toy_model() if request.param == "toy" else _full_rank_plant()
     spec = GridSpec(nx=40, ny=16, dt=0.01)
     coeff = sample_coefficients(plant, spec)
     sol = solve_backstepping_kernels(plant, spec, tol=1e-10)
-    kappa = solve_target_coupling(spec, coeff.drive_grid, sol.ktilde)
-    inv = inverse_transform_kernels(spec, sol.k, sol.ktilde)
-    return request.param, coeff, sol, kappa, inv
+    return request.param, coeff, sol, solve_target_coupling(spec, sol.ktilde)
 
 
 def _running_rows(spec):
@@ -329,20 +316,21 @@ class TestFactoredOperators:
     """Each factored operator against the dense per-node quadrature."""
 
     def test_ranks(self, operator_case):
-        name, coeff, sol, kappa, _ = operator_case
-        ranks = cascade_operators(coeff, sol, kappa).y_ranks
+        name, coeff, sol, _ = operator_case
+        ranks = cascade_operators(coeff, sol).y_ranks
         if name == "toy":
-            assert ranks == {"k": 1, "kappa": 1, "exchange": 1}
+            assert ranks == {"k": 1, "exchange": 1}
         else:
             assert min(ranks.values()) > 1
             assert max(ranks.values()) <= coeff.spec.ny
 
     def test_step_target(self, operator_case, rng):
-        _, coeff, sol, kappa, _ = operator_case
+        _, coeff, sol, resolvent = operator_case
         spec = coeff.spec
         alpha, beta = _smooth_state(spec, rng)
         new = step_target(EnsembleState(u=alpha, v=beta, t=0.0),
-                          cascade_operators(coeff, sol, kappa), spec.dt)
+                          cascade_operators(coeff, sol), spec.dt)
+        kappa = coeff.drive_grid[spec.tri.i_index] * resolvent[:, None]
         J = _ref_integral(spec, sol.k, 0.0 * sol.ktilde, alpha, beta)
         bj = beta + J
         coupling = (coeff.drive_grid * J[:, None]
@@ -354,7 +342,7 @@ class TestFactoredOperators:
         _assert_rel_close(new.v[:-1], (beta + dv)[:-1])
 
     def test_step_plant(self, operator_case, rng):
-        _, coeff, _, _, _ = operator_case
+        _, coeff, _, _ = operator_case
         spec = coeff.spec
         u, v = _smooth_state(spec, rng)
         new = step_plant(EnsembleState(u=u, v=v, t=0.0), coeff, 0.0, spec.dt)
@@ -365,7 +353,7 @@ class TestFactoredOperators:
         _assert_rel_close((new.v - v)[:-1], dv[:-1])
 
     def test_forward_transform(self, operator_case, rng):
-        _, coeff, sol, _, _ = operator_case
+        _, coeff, sol, _ = operator_case
         spec = coeff.spec
         u, v = _smooth_state(spec, rng)
         _, beta = forward_transform(EnsembleState(u=u, v=v, t=0.0),
@@ -373,13 +361,30 @@ class TestFactoredOperators:
         _assert_rel_close(v - beta, _ref_integral(spec, sol.k, sol.ktilde, u, v))
 
     def test_inverse_transform(self, operator_case, rng):
-        _, coeff, _, _, inv = operator_case
+        # v = (I + L)(beta + J) with L the resolvent of ktilde
+        _, coeff, sol, resolvent = operator_case
         spec = coeff.spec
         alpha, beta = _smooth_state(spec, rng)
-        _, v = inverse_transform(transform_operator(spec, inv.l, inv.ltilde),
-                                 alpha, beta)
-        _assert_rel_close(v - beta,
-                          _ref_integral(spec, inv.l, inv.ltilde, alpha, beta))
+        _, v = inverse_transform(_forward(sol), alpha, beta)
+        bj = beta + _ref_integral(spec, sol.k, 0.0 * sol.ktilde, alpha, beta)
+        _assert_rel_close(v, bj + _running_rows(spec)
+                          @ (resolvent * bj[spec.tri.j_index]))
+
+    def test_round_trip_on_full_rank_plant(self, rng):
+        # criterion 6's tolerance on a plant whose kernels all have y-rank > 1
+        plant = _full_rank_plant()
+        spec = GridSpec(nx=100, ny=16)
+        sol = solve_backstepping_kernels(plant, spec, tol=1e-10)
+        transform = _forward(sol)
+        worst = 0.0
+        for _ in range(5):
+            u, v = _smooth_state(spec, rng)
+            alpha, beta = forward_transform(EnsembleState(u=u, v=v, t=0.0),
+                                            transform)
+            _, v_back = inverse_transform(transform, alpha, beta)
+            worst = max(worst, scalar_norm(spec, v_back - v)
+                        / scalar_norm(spec, v))
+        assert worst <= 1e-3
 
 
 class TestLyapunov:
@@ -414,8 +419,8 @@ class TestLyapunov:
         spec = GridSpec(nx=60, ny=16)
         coeff = sample_coefficients(pure_transport, spec)
         sol = solve_backstepping_kernels(pure_transport, spec)
-        kappa = solve_target_coupling(spec, coeff.drive_grid, sol.ktilde)
-        recipe = lyapunov_recipe(coeff, sol, kappa)
+        recipe = lyapunov_recipe(coeff, sol,
+                                 solve_target_coupling(spec, sol.ktilde))
         assert recipe.p > 0.0
         assert recipe.delta > 0.0
         assert recipe.m_equiv > 0.0  # nontrivial for uncoupled transport
