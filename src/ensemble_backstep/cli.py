@@ -140,6 +140,8 @@ def _validate_config(config: RunConfig) -> RunConfig:
         raise ConfigurationError("dt and t_final must be positive")
     if config.kernel_tol <= 0:
         raise ConfigurationError("kernel_tol must be positive")
+    if config.ic_width <= 0:
+        raise ConfigurationError("ic_width must be positive")
     if config.mode not in ("open", "closed", "target"):
         raise ConfigurationError(
             f"unknown mode {config.mode!r} (open, closed, target)")

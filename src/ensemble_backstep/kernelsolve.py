@@ -1,32 +1,32 @@
-"""Goursat-type kernel equations solved along characteristic curves.
+"""The kernel equations of a plant solved along characteristic curves.
 
-The generic problem couples an ensemble-valued unknown ``F(x, xi, y)`` and a
-scalar unknown ``G(x, xi)`` on the triangle ``0 <= xi <= x <= 1``:
+The transform kernels couple an ensemble-valued unknown ``F(x, xi, y)``
+(the kernel ``k``) and a scalar unknown ``G(x, xi)`` (``ktilde``) on the
+triangle ``0 <= xi <= x <= 1``.  Every coefficient is a field of the sampled
+plant:
 
 * the ensemble equation transports ``F`` along crossing curves and is forced
-  by ``scalar_to_ensemble * G`` plus a linear per-point ensemble operator
-  applied to ``F``;
+  by ``readout(xi, y) * G`` plus the ensemble operator (the speed derivative
+  and the transposed exchange) applied to ``F``;
 * the scalar equation transports ``G`` along edge curves and is forced by
-  ``scalar_decay * G`` plus a y-inner product of ``ensemble_to_scalar`` with
-  ``F``;
-* ``F`` carries prescribed data on the diagonal ``xi = x`` and ``G`` on the
-  edge ``xi = 0`` (a weighted y-inner product of ``F`` there).
+  ``-speed_v_dx(xi) * G`` plus the y-integral of ``drive(xi, y) * F``;
+* ``F`` equals ``-readout / (speed_u + speed_v)`` on the diagonal ``xi = x``
+  and ``G`` on the edge ``xi = 0`` the y-integral of ``F`` weighted by
+  ``inflow_gain * speed_u(0, y) / speed_v(0)``.
 
 Integrating each equation along its curve family turns the system into
 coupled integral equations, solved here by successive approximation from
-zero.  Curves are traced once per triangle node: shared across the ensemble
-parameter when the sampled ensemble speed is constant along y at every
-x-node, and once per y-node otherwise (which holds ny operators in memory
-instead of one).  Each sweep evaluates the source terms on the grid and
-pushes them through precomputed sparse operators that combine
-path-trapezoid weights with bilinear interpolation on the triangle.
-Boundary data is always evaluated exactly at the off-grid launch abscissas,
-so the diagonal condition holds exactly at nodes and the edge condition holds
-to the fixed-point tolerance.
-
-The feedback-design specialization identifies the coefficients with the
-plant's fields and returns the solved transform kernels together with the
-outlet gain row used by the controller.
+zero.  Curves are traced once per triangle node and per group of y-nodes
+whose sampled ensemble speeds are equal at every x-node: a plant whose speed
+does not depend on y has one group, one with a different speed at every
+y-node has ny (and holds ny operators in memory instead of one).  Each sweep
+evaluates the source terms on the grid and pushes them through precomputed
+sparse operators that combine path-trapezoid weights with bilinear
+interpolation on the triangle.  Boundary data is always evaluated exactly at
+the off-grid launch abscissas, so the diagonal condition holds exactly at
+nodes and the edge condition holds to the fixed-point tolerance.  The
+solution is returned together with the outlet gain row used by the
+controller.
 """
 
 from __future__ import annotations
@@ -57,30 +57,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GoursatProblem:
-    """Coefficients and boundary data of the generic coupled Goursat system.
+    """The kernel system of one sampled plant.
 
-    Evaluators must accept numpy arrays and broadcast: ``diagonal_data(x, y)``
-    and ``edge_weight(x, y)`` over position/ensemble pairs,
-    ``scalar_to_ensemble(x, xi, y)`` and ``ensemble_to_scalar(x, xi, y)`` over
-    triangle points and the ensemble parameter, ``scalar_decay(x, xi)`` over
-    triangle points.  ``apply_ensemble_operator(tri, field)`` receives the
-    full ensemble iterate as a ``(n_tri, ny)`` array and must return the
-    operator applied per triangle node (linear in the field, acting only
-    within each node's y-profile).  ``None`` entries mean the term is absent.
+    Every coefficient is read from ``coeff``.  ``apply_ensemble_operator(tri,
+    field)`` receives the full ensemble iterate as a ``(n_tri, ny)`` array
+    and returns the ensemble operator applied per triangle node (linear in
+    the field, acting only within each node's y-profile); the solver calls
+    it once at the start of every sweep.
     """
 
     coeff: SampledCoefficients
-    diagonal_data: Callable
-    scalar_to_ensemble: Callable | None = None
-    scalar_decay: Callable | None = None
-    ensemble_to_scalar: Callable | None = None
-    apply_ensemble_operator: Callable | None = None
-    edge_weight: Callable | None = None
+    apply_ensemble_operator: Callable
 
 
 @dataclass(frozen=True)
 class GoursatResult:
-    """Converged iterates of the generic system with iteration diagnostics."""
+    """Converged iterates of the kernel system with iteration diagnostics."""
 
     F: np.ndarray
     G: np.ndarray
@@ -145,19 +137,6 @@ def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
     return out
 
 
-def _sample_tri_y(fn, spec: GridSpec) -> np.ndarray:
-    tri = spec.tri
-    vals = fn(tri.x_coord[:, None], tri.xi_coord[:, None], spec.y_nodes[None, :])
-    return np.broadcast_to(np.asarray(vals, dtype=float),
-                           (tri.n_nodes, spec.ny)).copy()
-
-
-def _sample_tri(fn, spec: GridSpec) -> np.ndarray:
-    tri = spec.tri
-    vals = fn(tri.x_coord, tri.xi_coord)
-    return np.broadcast_to(np.asarray(vals, dtype=float), (tri.n_nodes,)).copy()
-
-
 def _edge_interp_indices(spec: GridSpec, launch: np.ndarray):
     """Linear-in-x interpolation data for edge nodes (xi = 0) at off-grid x."""
     pos = np.clip(launch, 0.0, 1.0) * spec.nx
@@ -168,9 +147,9 @@ def _edge_interp_indices(spec: GridSpec, launch: np.ndarray):
     return flat0, flat1, frac
 
 
-def solve_goursat(problem: GoursatProblem, spec: GridSpec, tol: float = 1e-10,
-                  max_iter: int = 60, step: float | None = None) -> GoursatResult:
-    """Solve the coupled Goursat system by successive approximation.
+def solve_goursat(problem: GoursatProblem, tol: float = 1e-10,
+                  max_iter: int = 60) -> GoursatResult:
+    """Solve the kernel system by successive approximation.
 
     Starts both unknowns from zero and sweeps until the sup-norm increment of
     both falls below ``tol``.  Each sweep computes the ensemble update from
@@ -187,81 +166,55 @@ def solve_goursat(problem: GoursatProblem, spec: GridSpec, tol: float = 1e-10,
         If an iterate stops being finite.
     """
     coeff = problem.coeff
-    if coeff.spec.nx != spec.nx or coeff.spec.ny != spec.ny:
-        coeff = sample_coefficients(coeff.model, spec)
+    model = coeff.model
+    spec = coeff.spec
     tri = spec.tri
     n_tri = tri.n_nodes
-    ny = spec.ny
     xs = tri.x_coord
     xis = tri.xi_coord
+    wy = spec.y_weights
 
-    # The per-y path traces only at the y-nodes, so a speed that is constant
-    # along y on the grid gives every node the same curves.
-    shared_curves = bool(np.all(coeff.speed_u_grid == coeff.speed_u_grid[:, :1]))
-    if shared_curves:
-        bundle = trace_crossing_batch(coeff, xs, xis, np.zeros(n_tri), step, spec)
-        cross_ops = _quadrature_matrix(spec, bundle)
-        f_boundary = np.broadcast_to(
-            np.asarray(problem.diagonal_data(bundle.launch[:, None],
-                                             spec.y_nodes[None, :]), dtype=float),
-            (n_tri, ny)).copy()
-    else:
-        cross_ops = []
-        f_boundary = np.empty((n_tri, ny))
-        for j, y_val in enumerate(spec.y_nodes):
-            bundle = trace_crossing_batch(coeff, xs, xis,
-                                          np.full(n_tri, y_val), step, spec)
-            cross_ops.append(_quadrature_matrix(spec, bundle))
-            f_boundary[:, j] = np.asarray(
-                problem.diagonal_data(bundle.launch, y_val), dtype=float)
+    # y-nodes whose sampled speed columns are equal, which the grid cannot
+    # tell apart, share one family of crossing curves traced at the first.
+    _, group = np.unique(coeff.speed_u_grid.T, axis=0, return_inverse=True)
+    cross_ops = []
+    f_boundary = np.empty((n_tri, spec.ny))
+    for g in range(group.max() + 1):
+        cols = np.flatnonzero(group == g)
+        y = spec.y_nodes[cols]
+        if cols[-1] - cols[0] + 1 == cols.size:
+            # A slice, not an index array: no copy of the columns per sweep.
+            cols = slice(cols[0], cols[-1] + 1)
+        bundle = trace_crossing_batch(coeff, xs, xis, np.full(n_tri, y[0]))
+        cross_ops.append((cols, _quadrature_matrix(spec, bundle)))
+        launch = bundle.launch[:, None]
+        f_boundary[:, cols] = -model.readout(launch, y) / (
+            model.speed_u(launch, y) + model.speed_v(launch))
 
-    edge_bundle = trace_edge_batch(coeff, xs, xis, step, spec)
+    edge_bundle = trace_edge_batch(coeff, xs, xis)
     edge_op = _quadrature_matrix(spec, edge_bundle)
     edge_flat0, edge_flat1, edge_frac = _edge_interp_indices(spec, edge_bundle.launch)
+    edge_gain = (coeff.inflow_gain_grid * coeff.speed_u_grid[0]
+                 / coeff.speed_v_grid[0] * wy)
 
-    if problem.edge_weight is not None:
-        gvec = np.broadcast_to(
-            np.asarray(problem.edge_weight(edge_bundle.launch[:, None],
-                                           spec.y_nodes[None, :]), dtype=float),
-            (n_tri, ny))
-        edge_gain = gvec * spec.y_weights[None, :]
-    else:
-        edge_gain = None
+    scalar_to_ensemble = coeff.readout_grid[tri.j_index]
+    scalar_decay = -coeff.speed_v_dx_grid[tri.j_index]
+    ensemble_to_scalar = coeff.drive_grid[tri.j_index] * wy
 
-    a_grid = (_sample_tri_y(problem.scalar_to_ensemble, spec)
-              if problem.scalar_to_ensemble is not None else None)
-    d_grid = (_sample_tri(problem.scalar_decay, spec)
-              if problem.scalar_decay is not None else None)
-    ew_grid = None
-    if problem.ensemble_to_scalar is not None:
-        ew_grid = _sample_tri_y(problem.ensemble_to_scalar, spec) * spec.y_weights[None, :]
-
-    F = np.zeros((n_tri, ny))
+    F = np.zeros((n_tri, spec.ny))
     G = np.zeros(n_tri)
     deltas: list[float] = []
     for iteration in range(1, max_iter + 1):
-        source_F = np.zeros((n_tri, ny))
-        if a_grid is not None:
-            source_F += a_grid * G[:, None]
-        if problem.apply_ensemble_operator is not None:
-            source_F += problem.apply_ensemble_operator(tri, F)
-        if shared_curves:
-            F_new = f_boundary + cross_ops @ source_F
-        else:
-            F_new = f_boundary.copy()
-            for j in range(ny):
-                F_new[:, j] += cross_ops[j] @ source_F[:, j]
+        source_F = (scalar_to_ensemble * G[:, None]
+                    + problem.apply_ensemble_operator(tri, F))
+        F_new = np.empty_like(F)
+        for cols, op in cross_ops:
+            F_new[:, cols] = f_boundary[:, cols] + op @ source_F[:, cols]
 
-        source_G = np.zeros(n_tri)
-        if d_grid is not None:
-            source_G += d_grid * G
-        if ew_grid is not None:
-            source_G += (ew_grid * F).sum(axis=1)
-        G_new = edge_op @ source_G
-        if edge_gain is not None:
-            edge_rows = ((1.0 - edge_frac)[:, None] * F_new[edge_flat0]
-                         + edge_frac[:, None] * F_new[edge_flat1])
-            G_new = G_new + (edge_gain * edge_rows).sum(axis=1)
+        source_G = scalar_decay * G + (ensemble_to_scalar * F).sum(axis=1)
+        edge_rows = ((1.0 - edge_frac)[:, None] * F_new[edge_flat0]
+                     + edge_frac[:, None] * F_new[edge_flat1])
+        G_new = edge_op @ source_G + (edge_gain * edge_rows).sum(axis=1)
 
         if not (np.all(np.isfinite(F_new)) and np.all(np.isfinite(G_new))):
             raise NumericError("Goursat iterate is no longer finite")
@@ -297,50 +250,16 @@ def _transpose_exchange_rows(coeff: SampledCoefficients, j_values: np.ndarray,
 
 
 def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProblem:
-    """Assemble the Goursat problem whose solution is the transform kernels."""
+    """Sample the plant and pair it with its ensemble operator."""
     coeff = sample_coefficients(model, spec)
-    mu0 = float(np.asarray(model.speed_v(0.0), dtype=float))
-
-    def diagonal_data(x, y):
-        return -model.readout(x, y) / (model.speed_u(x, y) + model.speed_v(x))
-
-    def scalar_to_ensemble(x, xi, y):
-        return model.readout(xi, y) + 0.0 * np.asarray(x, dtype=float)
-
-    if model.speed_v_dx is not None:
-        def scalar_decay(x, xi):
-            return -model.speed_v_dx(xi) + 0.0 * np.asarray(x, dtype=float)
-    else:
-        x_nodes = spec.x_nodes
-        dv_grid = coeff.speed_v_dx_grid
-
-        def scalar_decay(x, xi):
-            return -np.interp(xi, x_nodes, dv_grid) + 0.0 * np.asarray(x, dtype=float)
-
-    def ensemble_to_scalar(x, xi, y):
-        return model.drive(xi, y) + 0.0 * np.asarray(x, dtype=float)
-
-    speed_u_dx_grid = coeff.speed_u_dx_grid
 
     def apply_ensemble_operator(tri: TriangularIndex, field: np.ndarray) -> np.ndarray:
-        out = speed_u_dx_grid[tri.j_index] * field
+        out = coeff.speed_u_dx_grid[tri.j_index] * field
         out += _transpose_exchange_rows(coeff, tri.j_index, field)
         return out
 
-    def edge_weight(x, y):
-        y = np.asarray(y, dtype=float)
-        lam0 = model.speed_u(np.zeros_like(y), y)
-        return (model.inflow_gain(y) * lam0 / mu0) + 0.0 * np.asarray(x, dtype=float)
-
-    return GoursatProblem(
-        coeff=coeff,
-        diagonal_data=diagonal_data,
-        scalar_to_ensemble=scalar_to_ensemble,
-        scalar_decay=scalar_decay,
-        ensemble_to_scalar=ensemble_to_scalar,
-        apply_ensemble_operator=apply_ensemble_operator,
-        edge_weight=edge_weight,
-    )
+    return GoursatProblem(coeff=coeff,
+                          apply_ensemble_operator=apply_ensemble_operator)
 
 
 def _gain_row(spec: GridSpec, k: np.ndarray, ktilde: np.ndarray) -> GainRow:
@@ -349,11 +268,11 @@ def _gain_row(spec: GridSpec, k: np.ndarray, ktilde: np.ndarray) -> GainRow:
 
 
 def solve_backstepping_kernels(model: PlantModel, spec: GridSpec,
-                               tol: float = 1e-10, max_iter: int = 60,
-                               step: float | None = None) -> KernelSolution:
+                               tol: float = 1e-10,
+                               max_iter: int = 60) -> KernelSolution:
     """Solve the transform-kernel equations for a plant on a given grid."""
     problem = build_backstepping_problem(model, spec)
-    result = solve_goursat(problem, spec, tol=tol, max_iter=max_iter, step=step)
+    result = solve_goursat(problem, tol=tol, max_iter=max_iter)
     return KernelSolution(
         k=result.F,
         ktilde=result.G,

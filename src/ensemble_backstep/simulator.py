@@ -41,11 +41,8 @@ __all__ = [
     "EnsembleState",
     "SimulationRecord",
     "LyapunovRecipe",
-    "FactoredKernel",
     "TransformOperator",
-    "CascadeOperators",
     "transform_operator",
-    "cascade_operators",
     "default_initial_state",
     "cfl_condition",
     "check_cfl",
@@ -130,51 +127,38 @@ def _running_weights(spec: GridSpec) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FactoredKernel:
-    """A triangle kernel ``K(x, xi, y)`` factored in y, ready to integrate.
-
-    ``K[(i, j), :] ~= basis @ P[(i, j)]`` is the :func:`~ensemble_backstep.
-    grid.y_factor` of the flat kernel, and ``rows[i, s, j]`` is ``P[(i, j),
-    s]`` times the running-integral weight of node ``(i, j)``, zero above
-    the diagonal.  ``weighted_basis`` is ``basis`` times the y-quadrature
-    weights.  An application costs O(N^2 r + N ny r) for ``N = nx + 1``
-    x-nodes and rank r.
-    """
-
-    rows: np.ndarray
-    basis: np.ndarray
-    weighted_basis: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    def integrate(self, field: np.ndarray) -> np.ndarray:
-        """``int_0^x int K(x, xi, y) field(xi, y) dy dxi`` at every x-node."""
-        n, r = self.rows.shape[0], self.rank
-        return self.rows.reshape(n, r * n) @ (field @ self.weighted_basis).T.ravel()
-
-
-@dataclass(frozen=True)
 class TransformOperator:
     """The running integrals of a state transform and of its inverse.
 
     Maps a state ``(u, v)`` to ``int_0^x (int kernel(x, xi, y) u(xi, y) dy
-    + scalar_kernel(x, xi) v(xi)) dxi`` at every x-node.  ``scalar`` is the
-    scalar kernel and ``resolvent`` its resolvent ``L``, both as
-    lower-triangular matrices with the running-integral weights folded in;
-    ``L`` undoes the transform as ``v = (I + L)(beta + J)``, with ``J`` the
-    running integral of the ensemble kernel against the ensemble field.
+    + scalar_kernel(x, xi) v(xi)) dxi`` at every x-node.  The ensemble
+    kernel is factored in y: ``kernel[(i, j), :] ~= basis @ P[(i, j)]`` is
+    the :func:`~ensemble_backstep.grid.y_factor` of the flat kernel,
+    ``rows[i, s, j]`` is ``P[(i, j), s]`` times the running-integral weight
+    of node ``(i, j)``, zero above the diagonal, and ``weighted_basis`` is
+    ``basis`` times the y-quadrature weights.  ``scalar`` is the scalar
+    kernel and ``resolvent`` its resolvent ``L``, both as lower-triangular
+    matrices with the running-integral weights folded in; ``L`` undoes the
+    transform as ``v = (I + L)(beta + J)``, with ``J`` the running integral
+    of the ensemble kernel against the ensemble field.  An application
+    costs O(N^2 r + N ny r) for ``N = nx + 1`` x-nodes and y-rank r.
     """
 
     spec: GridSpec
-    kernel: FactoredKernel
+    rows: np.ndarray
+    weighted_basis: np.ndarray
     scalar: np.ndarray
     resolvent: np.ndarray
 
+    def integrate(self, field: np.ndarray) -> np.ndarray:
+        """``J``: ``int_0^x int kernel(x, xi, y) field(xi, y) dy dxi`` at
+        every x-node."""
+        n, r = self.rows.shape[0], self.weighted_basis.shape[1]
+        return self.rows.reshape(n, r * n) @ (field @ self.weighted_basis).T.ravel()
+
     def __call__(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         _check_state_shapes(self.spec, u, v)
-        return self.kernel.integrate(u) + self.scalar @ v
+        return self.integrate(u) + self.scalar @ v
 
 
 def transform_operator(spec: GridSpec, kernel: np.ndarray,
@@ -184,47 +168,19 @@ def transform_operator(spec: GridSpec, kernel: np.ndarray,
     weights = _running_weights(spec)
     loadings, basis = y_factor(np.asarray(kernel, dtype=float))
     rows = tri_to_matrix(spec, weights[:, None] * loadings)
-    factored = FactoredKernel(rows=np.ascontiguousarray(rows.transpose(1, 0, 2)),
-                              basis=basis,
-                              weighted_basis=basis * spec.y_weights[:, None])
     resolvent = solve_target_coupling(spec, scalar_kernel)
-    return TransformOperator(spec=spec, kernel=factored,
-                             scalar=tri_to_matrix(spec, weights * scalar_kernel),
-                             resolvent=tri_to_matrix(spec, weights * resolvent))
+    return TransformOperator(
+        spec=spec, rows=np.ascontiguousarray(rows.transpose(1, 0, 2)),
+        weighted_basis=basis * spec.y_weights[:, None],
+        scalar=tri_to_matrix(spec, weights * scalar_kernel),
+        resolvent=tri_to_matrix(spec, weights * resolvent))
 
 
 def _scalar_field(transform: TransformOperator, alpha: np.ndarray,
                   beta: np.ndarray) -> np.ndarray:
     """The plant's scalar field ``(I + L)(beta + J)`` of cascade variables."""
-    bj = beta + transform.kernel.integrate(alpha)
+    bj = beta + transform.integrate(alpha)
     return bj + transform.resolvent @ bj
-
-
-@dataclass(frozen=True)
-class CascadeOperators:
-    """Everything a cascade step applies, built once per run.
-
-    ``transform`` is the forward transform: its ensemble kernel gives the
-    running integral J of each step and its resolvent the Volterra coupling
-    ``kappa = drive * L``; the exchange factor is ``coeff.exchange_factor``.
-    """
-
-    coeff: SampledCoefficients
-    transform: TransformOperator
-
-    @property
-    def y_ranks(self) -> dict[str, int]:
-        """y-ranks of the ensemble kernel and the exchange."""
-        return {"k": self.transform.kernel.rank,
-                "exchange": self.coeff.exchange_factor[1].shape[1]}
-
-
-def cascade_operators(coeff: SampledCoefficients,
-                      kernels: KernelSolution) -> CascadeOperators:
-    """Factor the solved kernels for :func:`step_target`."""
-    return CascadeOperators(
-        coeff=coeff,
-        transform=transform_operator(coeff.spec, kernels.k, kernels.ktilde))
 
 
 def _as_coeff(model, spec: GridSpec) -> SampledCoefficients:
@@ -387,8 +343,8 @@ def inverse_transform(inverse: TransformOperator, alpha: np.ndarray,
     return alpha.copy(), _scalar_field(inverse, alpha, beta)
 
 
-def step_target(state: EnsembleState, ops: CascadeOperators,
-                dt: float) -> EnsembleState:
+def step_target(state: EnsembleState, coeff: SampledCoefficients,
+                transform: TransformOperator, dt: float) -> EnsembleState:
     """One explicit step of the transformed (cascade) system.
 
     The scalar component is pure leftward transport with zero inflow at the
@@ -399,16 +355,17 @@ def step_target(state: EnsembleState, ops: CascadeOperators,
     plus the x-integral of ``kappa * (beta + J)``, which reproduces both
     Volterra terms after swapping the order of integration.  As ``kappa =
     drive * L``, the whole source is ``drive * (I + L)(beta + J)``, the
-    drive acting on the plant's scalar field.
+    drive acting on the plant's scalar field.  ``transform`` is
+    :func:`transform_operator` of the solved kernels; the exchange factor is
+    ``coeff.exchange_factor``.
     """
-    coeff = ops.coeff
     spec = coeff.spec
     check_cfl(coeff, dt)
     alpha = state.u
     beta = state.v
     h = spec.hx
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _scalar_field(ops.transform, alpha, beta)
+        v = _scalar_field(transform, alpha, beta)
         source_a = _exchange(coeff, alpha) + coeff.drive_grid * v[:, None]
         alpha_new = alpha.copy()
         alpha_new[1:] += dt * (-coeff.speed_u_grid[1:] * (alpha[1:] - alpha[:-1]) / h
@@ -611,7 +568,7 @@ def simulate_target(model, spec: GridSpec, kernels: KernelSolution,
     """Run the transformed (cascade) system from the transformed initial state.
 
     The Lyapunov recipe is assembled if not supplied, the kernels are
-    factored once (:func:`cascade_operators`), the plant initial condition
+    factored once (:func:`transform_operator`), the plant initial condition
     is mapped through the forward transform, and the Lyapunov value with
     recipe parameters is recorded at every step alongside the norms.  The
     record's ``y_ranks`` holds the ranks of the factored kernels.
@@ -621,15 +578,17 @@ def simulate_target(model, spec: GridSpec, kernels: KernelSolution,
     if recipe is None:
         recipe = lyapunov_recipe(coeff, kernels,
                                  solve_target_coupling(spec, kernels.ktilde))
-    ops = cascade_operators(coeff, kernels)
-    alpha0, beta0 = forward_transform(plant0, ops.transform)
+    transform = transform_operator(spec, kernels.k, kernels.ktilde)
+    alpha0, beta0 = forward_transform(plant0, transform)
 
     def advance(state, control):
-        return step_target(state, ops, spec.dt)
+        return step_target(state, coeff, transform, spec.dt)
 
     def lyapunov(state):
         return lyapunov_value(state.u, state.v, coeff, recipe.p, recipe.delta)
 
     record = _run(spec, EnsembleState(u=alpha0, v=beta0, t=0.0),
                   snapshot_times, advance, lyapunov=lyapunov)
-    return replace(record, y_ranks=ops.y_ranks)
+    return replace(record, y_ranks={
+        "k": transform.weighted_basis.shape[1],
+        "exchange": coeff.exchange_factor[1].shape[1]})

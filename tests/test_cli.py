@@ -86,6 +86,18 @@ class TestConfigFile:
         assert main(args + ["--out", str(tmp_path)]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width", ["0", "-0.1"])
+    def test_nonpositive_ic_width_exits_2(self, tmp_path, capsys, width):
+        # a zero width would divide by zero in the Gaussian profile and end
+        # as a divergent run (exit 4)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"initial_condition = gaussian\nic_width = {width}\n"
+                        "nx = 20\nmode = open\n")
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "ic_width must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_cli_overrides_beat_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("model_name = pure-transport\nnx = 4\nny = 3\n")

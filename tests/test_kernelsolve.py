@@ -9,32 +9,26 @@ from ensemble_backstep import kernelsolve
 from ensemble_backstep.errors import NonconvergenceError
 from ensemble_backstep.grid import GridSpec
 from ensemble_backstep.kernelsolve import (
-    GoursatProblem,
     build_backstepping_problem,
     kernel_pde_residual,
     kernel_solution_from_evaluators,
     solve_backstepping_kernels,
     solve_goursat,
 )
-from ensemble_backstep.model import (
-    sample_coefficients,
-    toy_analytic_kernels,
-)
+from ensemble_backstep.model import toy_analytic_kernels
 
 SPEC = GridSpec(nx=40, ny=24)
 
 
 class TestGenericSolver:
     def test_decoupled_problem_copies_diagonal_data(self, pure_transport):
-        # with every coupling slot absent the ensemble unknown is exactly the
-        # diagonal data carried back along the crossing curves, and the scalar
-        # unknown stays zero
-        coeff = sample_coefficients(pure_transport, SPEC)
-        problem = GoursatProblem(
-            coeff=coeff,
-            diagonal_data=lambda x, y: x**2 + y,
-        )
-        res = solve_goursat(problem, SPEC)
+        # with no drive and no inflow gain the scalar unknown stays zero, so
+        # the readout only sets the diagonal data -readout/2 = x^2 + y, and
+        # the ensemble unknown is that data carried back along the crossing
+        # curves
+        plant = dataclasses.replace(
+            pure_transport, readout=lambda x, y: -2.0 * (x**2 + y))
+        res = solve_goursat(build_backstepping_problem(plant, SPEC))
         assert res.iterations == 2
         assert res.final_delta == 0.0
         assert np.all(res.G == 0.0)
@@ -44,12 +38,9 @@ class TestGenericSolver:
         np.testing.assert_allclose(res.F, expected, atol=1e-8)
 
     def test_zero_data_converges_immediately(self, pure_transport):
-        coeff = sample_coefficients(pure_transport, SPEC)
-        problem = GoursatProblem(
-            coeff=coeff,
-            diagonal_data=lambda x, y: 0.0 * (x + y),
-        )
-        res = solve_goursat(problem, SPEC)
+        # the pure-transport plant has zero readout, drive and inflow gain,
+        # so every slot of the kernel system is zero
+        res = solve_goursat(build_backstepping_problem(pure_transport, SPEC))
         assert res.iterations == 1
         assert res.final_delta == 0.0
         assert np.all(res.F == 0.0)
@@ -57,7 +48,7 @@ class TestGenericSolver:
     def test_increments_decay_superlinearly(self, toy):
         spec = GridSpec(nx=50, ny=40)
         problem = build_backstepping_problem(toy, spec)
-        res = solve_goursat(problem, spec, tol=1e-10)
+        res = solve_goursat(problem, tol=1e-10)
         deltas = np.array(res.deltas)
         assert deltas[-1] < 1e-10
         # strictly decreasing once the couplings have propagated
@@ -68,7 +59,7 @@ class TestGenericSolver:
     def test_nonconvergence_carries_final_delta(self, toy):
         problem = build_backstepping_problem(toy, SPEC)
         with pytest.raises(NonconvergenceError) as exc:
-            solve_goursat(problem, SPEC, max_iter=1)
+            solve_goursat(problem, max_iter=1)
         assert exc.value.final_delta is not None
         assert exc.value.final_delta > 0.0
 
@@ -159,6 +150,22 @@ class TestPdeResidual:
         # it must at least not grow under refinement
         assert values[50][1] <= values[25][1]
 
+    def test_residual_shrinks_linearly_with_x_dependent_speeds(self, toy):
+        # non-unit speeds that vary in x, with analytic derivatives; no other
+        # solve here has a nonzero scalar decay term -speed_v_dx * ktilde
+        plant = dataclasses.replace(
+            toy,
+            speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(x) + 0.0 * np.asarray(y),
+            speed_v=lambda x: 1.0 + 0.5 * np.asarray(x),
+            speed_u_dx=lambda x, y: 0.5 + 0.0 * (np.asarray(x) + np.asarray(y)),
+            speed_v_dx=lambda x: 0.5 + 0.0 * np.asarray(x))
+        values = {}
+        for nx in (25, 50):
+            sol = solve_backstepping_kernels(plant, GridSpec(nx=nx, ny=30))
+            values[nx] = kernel_pde_residual(sol, plant)
+        assert values[50][0] <= 0.625 * values[25][0], values
+        assert values[50][1] <= 0.625 * values[25][1], values
+
     def test_analytic_kernels_score_like_truncation(self, toy):
         spec = GridSpec(nx=50, ny=60)
         k_eval, kt_eval = toy_analytic_kernels()
@@ -181,7 +188,12 @@ class TestPdeResidual:
 
 
 def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
-    """A speed that varies in y gets per-y curves; the toy shares one set."""
+    """y-nodes share crossing curves exactly where their sampled speeds agree.
+
+    The toy traces one family; a speed that varies in y traces one per
+    y-node; a speed constant in y on [0, 1/2] only traces one family for the
+    15 nodes there and one per node above.
+    """
     calls = []
     trace = kernelsolve.trace_crossing_batch
 
@@ -193,13 +205,18 @@ def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
     solve_backstepping_kernels(toy, GridSpec(nx=25, ny=30))
     assert len(calls) == 1
 
-    plant = dataclasses.replace(
+    sloped = dataclasses.replace(
         toy, speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x))
-    residual = {}
-    for nx in (25, 50):
-        sol = solve_backstepping_kernels(plant, GridSpec(nx=nx, ny=30))
-        residual[nx] = kernel_pde_residual(sol, plant)[0]
-    assert len(calls) == 1 + 2 * 30
-    # Curves traced at y = 0 only would leave the residual flat under
-    # refinement; the per-y curves make it fall at first order.
-    assert residual[50] < 0.8 * residual[25], residual
+    kinked = dataclasses.replace(
+        toy, speed_u=lambda x, y: (1.0 + np.maximum(0.0, np.asarray(y) - 0.5)
+                                   + 0.0 * np.asarray(x)))
+    for plant, families in ((sloped, 30), (kinked, 16)):
+        residual = {}
+        for nx in (25, 50):
+            calls.clear()
+            sol = solve_backstepping_kernels(plant, GridSpec(nx=nx, ny=30))
+            assert len(calls) == families
+            residual[nx] = kernel_pde_residual(sol, plant)[0]
+        # Curves traced at y = 0 only would leave the residual flat under
+        # refinement; the per-group curves make it fall at first order.
+        assert residual[50] < 0.8 * residual[25], residual

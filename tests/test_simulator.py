@@ -22,7 +22,6 @@ from ensemble_backstep.model import (
 )
 from ensemble_backstep.simulator import (
     EnsembleState,
-    cascade_operators,
     control_value,
     default_initial_state,
     ensemble_norm,
@@ -211,8 +210,7 @@ class TestTargetStep:
         coeff = sample_coefficients(toy, spec)
         state = EnsembleState(u=np.zeros((spec.nx + 1, spec.ny)),
                               v=np.zeros(spec.nx + 1), t=0.0)
-        new = step_target(state, cascade_operators(coeff, kernels_mid),
-                          spec.dt)
+        new = step_target(state, coeff, _forward(kernels_mid), spec.dt)
         assert np.all(new.u == 0.0)
         assert np.all(new.v == 0.0)
 
@@ -221,7 +219,7 @@ class TestTargetStep:
         coeff = sample_coefficients(toy, spec)
         u, v = _smooth_state(spec, rng)
         new = step_target(EnsembleState(u=u, v=v, t=0.0),
-                          cascade_operators(coeff, kernels_mid), spec.dt)
+                          coeff, _forward(kernels_mid), spec.dt)
         assert new.v[-1] == 0.0
         np.testing.assert_allclose(
             new.u[0], coeff.inflow_gain_grid * new.v[0], atol=1e-15)
@@ -237,13 +235,13 @@ class TestTargetStep:
             coeff = sample_coefficients(toy, spec)
             u, v = _smooth_state(spec, rng)
             state = EnsembleState(u=u, v=v, t=0.0)
-            ops = cascade_operators(coeff, sol)
+            transform = _forward(sol)
             after_plant = step_plant(state, coeff,
                                      control_value(state, sol), spec.dt)
-            a_direct, b_direct = forward_transform(after_plant, ops.transform)
-            a0, b0 = forward_transform(state, ops.transform)
+            a_direct, b_direct = forward_transform(after_plant, transform)
+            a0, b0 = forward_transform(state, transform)
             after_target = step_target(EnsembleState(u=a0, v=b0, t=0.0),
-                                       ops, spec.dt)
+                                       coeff, transform, spec.dt)
             defect = joint_norm(spec, a_direct - after_target.u,
                                 b_direct - after_target.v)
             assert defect <= 8.0 * spec.dt
@@ -317,7 +315,8 @@ class TestFactoredOperators:
 
     def test_ranks(self, operator_case):
         name, coeff, sol, _ = operator_case
-        ranks = cascade_operators(coeff, sol).y_ranks
+        ranks = {"k": _forward(sol).weighted_basis.shape[1],
+                 "exchange": coeff.exchange_factor[1].shape[1]}
         if name == "toy":
             assert ranks == {"k": 1, "exchange": 1}
         else:
@@ -329,7 +328,7 @@ class TestFactoredOperators:
         spec = coeff.spec
         alpha, beta = _smooth_state(spec, rng)
         new = step_target(EnsembleState(u=alpha, v=beta, t=0.0),
-                          cascade_operators(coeff, sol), spec.dt)
+                          coeff, _forward(sol), spec.dt)
         kappa = coeff.drive_grid[spec.tri.i_index] * resolvent[:, None]
         J = _ref_integral(spec, sol.k, 0.0 * sol.ktilde, alpha, beta)
         bj = beta + J
