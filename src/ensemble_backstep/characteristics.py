@@ -10,12 +10,15 @@ Two families of curves convert the kernel PDEs into integral equations:
   component reaches the ``xi = 0`` edge after time ``s_end``, and the launch
   abscissa carries the edge data.
 
-Both are integrated with a fixed-step classical fourth-order scheme, the
-event step is bracketed by a sign change, and the event time is refined by
-bisection on a cubic-Hermite interpolant of the monitored difference (values
-and slopes at the bracketing step ends are available from the ODE right-hand
-sides).  Speeds are evaluated with positions clamped to [0, 1] so that tiny
-overshoots beyond the domain stay well-defined.
+Each component follows its own ODE from its own start, so a batch integrates
+every distinct start once (classical RK4, fixed step, whole horizon) and each
+curve is a prefix of its two trajectories.  Both speeds are assumed strictly
+positive on [0, 1] (the plant checks them at the grid nodes): the event
+difference then grows strictly along a curve, bisection over the step index
+finds its event step, and bisection on a cubic-Hermite interpolant of the
+difference (values and slopes at the step ends come from the ODE right-hand
+sides) refines the event time.  Speeds are evaluated at positions clamped to
+[0, 1] so that tiny overshoots beyond the domain stay well-defined.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ class TracedBundle:
     weights: np.ndarray
     s_end: np.ndarray
     launch: np.ndarray
-    n_steps: np.ndarray
     step: float
 
 
@@ -121,134 +123,28 @@ def _hermite_bisect(d0, d1, m0, m1, tol=REFINE_TOL, max_iter=120):
     return result
 
 
-def _trace_batch_chunk(coeff: SampledCoefficients, kind: str, xs, xis, ys, h, s_max):
-    """Trace one chunk of curves; returns per-curve arrays (backward order)."""
-    model = coeff.model
-    m = xs.shape[0]
+def _trajectories(rate, starts, y, h, n_steps):
+    """RK4 trajectories of ``w' = rate(w, y)``: row r runs from ``starts[r]``.
 
-    def dz(z):
-        return -model.speed_v(np.clip(z, 0.0, 1.0))
+    Column k holds every trajectory at ``s = k*h``, ``n_steps`` columns in all.
+    """
+    table = np.empty((n_steps, starts.shape[0]))
+    table[0] = starts
+    for k in range(n_steps - 1):
+        w = table[k]
+        k1 = rate(w, y)
+        k2 = rate(w + 0.5 * h * k1, y)
+        k3 = rate(w + 0.5 * h * k2, y)
+        k4 = rate(w + h * k3, y)
+        table[k + 1] = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.ascontiguousarray(table.T)
 
-    if kind == "cross":
-        def dw(w, y):
-            return model.speed_u(np.clip(w, 0.0, 1.0), y)
 
-        def event(z, w):
-            return w - z
-
-        def event_slope(z, w, y):
-            return model.speed_u(np.clip(w, 0.0, 1.0), y) + model.speed_v(np.clip(z, 0.0, 1.0))
-    elif kind == "edge":
-        def dw(w, y):
-            return -model.speed_v(np.clip(w, 0.0, 1.0))
-
-        def event(z, w):
-            return -w
-
-        def event_slope(z, w, y):
-            return model.speed_v(np.clip(w, 0.0, 1.0))
-    else:  # pragma: no cover - internal
-        raise ValueError(kind)
-
-    n_alloc = int(np.ceil(s_max / h)) + 2
-    z_hist = np.empty((m, n_alloc))
-    w_hist = np.empty((m, n_alloc))
-    z_hist[:, 0] = xs
-    w_hist[:, 0] = xis
-
-    d_start = event(xs, xis)
-    degenerate = d_start >= DEGENERATE_TOL
-    active = ~degenerate
-    bracket = np.zeros(m, dtype=np.int64)
-
-    k = 0
-    while active.any():
-        if k + 1 >= n_alloc:
-            raise NonconvergenceError(
-                f"{int(active.sum())} characteristic curve(s) found no "
-                f"{kind} event before s = {s_max:.3g}; the model's speeds "
-                "are too close to zero"
-            )
-        idx = np.nonzero(active)[0]
-        z = z_hist[idx, k]
-        w = w_hist[idx, k]
-        y = ys[idx] if ys is not None else None
-
-        k1z = dz(z)
-        k1w = dw(w, y)
-        k2z = dz(z + 0.5 * h * k1z)
-        k2w = dw(w + 0.5 * h * k1w, y)
-        k3z = dz(z + 0.5 * h * k2z)
-        k3w = dw(w + 0.5 * h * k2w, y)
-        k4z = dz(z + h * k3z)
-        k4w = dw(w + h * k3w, y)
-        z_new = z + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        w_new = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-
-        z_hist[idx, k + 1] = z_new
-        w_hist[idx, k + 1] = w_new
-        crossed = event(z_new, w_new) >= 0.0
-        bracket[idx[crossed]] = k
-        active[idx[crossed]] = False
-        k += 1
-
-    rows = np.arange(m)
-    s_end = np.zeros(m)
-    launch = xs.astype(float).copy()
-    w_star = xis.astype(float).copy()
-
-    ref = np.nonzero(~degenerate)[0]
-    if ref.size:
-        K = bracket[ref]
-        zk = z_hist[ref, K]
-        zk1 = z_hist[ref, K + 1]
-        wk = w_hist[ref, K]
-        wk1 = w_hist[ref, K + 1]
-        yk = ys[ref] if ys is not None else None
-        d0 = event(zk, wk)
-        d1 = event(zk1, wk1)
-        m0 = h * event_slope(zk, wk, yk)
-        m1 = h * event_slope(zk1, wk1, yk)
-        tau = _hermite_bisect(d0, d1, m0, m1)
-        s_end[ref] = (K + tau) * h
-        launch[ref] = _hermite(zk, zk1, h * dz(zk), h * dz(zk1), tau)
-        w_star[ref] = _hermite(wk, wk1, h * dw(wk, yk), h * dw(wk1, yk), tau)
-
-    # Per non-degenerate curve: history samples 0..K (K+1 points) plus the
-    # refined endpoint, K+2 slots total.  Reserving more would leave trailing
-    # uninitialized slots whose bytes vary run to run.
-    lengths = np.where(degenerate, 1, bracket + 2)
-    offsets = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    total = int(offsets[-1])
-    sample_x = np.empty(total)
-    sample_xi = np.empty(total)
-    weights = np.zeros(total)
-
-    for c in rows:
-        o = int(offsets[c])
-        if degenerate[c]:
-            sample_x[o] = xs[c]
-            sample_xi[o] = xis[c]
-            continue
-        K = int(bracket[c])
-        npre = K + 1
-        sample_x[o : o + npre] = z_hist[c, :npre]
-        sample_xi[o : o + npre] = w_hist[c, :npre]
-        sample_x[o + npre] = launch[c]
-        sample_xi[o + npre] = w_star[c]
-        rem = s_end[c] - K * h
-        if npre == 1:
-            weights[o] = rem / 2.0
-            weights[o + 1] = rem / 2.0
-        else:
-            weights[o] = h / 2.0
-            weights[o + 1 : o + npre - 1] = h
-            weights[o + npre - 1] = h / 2.0 + rem / 2.0
-            weights[o + npre] = rem / 2.0
-
-    n_steps = np.where(degenerate, 0, bracket + 1).astype(np.int64)
-    return offsets, sample_x, sample_xi, weights, s_end, launch, n_steps
+def _gather(table, row, first, lengths):
+    """Sample p of curve c is step ``p - first[c]`` of trajectory ``row[c]``."""
+    index = np.repeat(row * table.shape[1] - first, lengths)
+    index += np.arange(index.size)
+    return table.ravel()[index]
 
 
 def _check_domain(xs, xis, ys) -> None:
@@ -275,40 +171,94 @@ def _trace_batch(coeff: SampledCoefficients, kind: str, xs, xis, ys, step) -> Tr
         ys = np.asarray(ys, dtype=float)
     _check_domain(xs, xis, ys)
     h = _default_step(coeff, step)
-    if kind == "cross":
-        s_max = 2.0 / coeff.crossing_speed_min
-    else:
-        s_max = 2.0 / coeff.speed_v_min
+    model = coeff.model
+    m = xs.shape[0]
 
+    s_max = 2.0 / (coeff.crossing_speed_min if kind == "cross" else coeff.speed_v_min)
     n_alloc = int(np.ceil(s_max / h)) + 2
-    chunk = int(np.clip(2_500_000 // max(n_alloc, 1), 64, 8192))
 
-    parts = []
-    for start in range(0, xs.shape[0], chunk):
-        sl = slice(start, start + chunk)
-        parts.append(
-            _trace_batch_chunk(
-                coeff, kind, xs[sl], xis[sl],
-                ys[sl] if ys is not None else None, h, s_max,
-            )
-        )
-    if len(parts) == 1:
-        offsets, sample_x, sample_xi, weights, s_end, launch, n_steps = parts[0]
+    def dz(z, y=None):
+        return -model.speed_v(np.clip(z, 0.0, 1.0))
+
+    # One trajectory per distinct start: row z_row[c] of z_table is curve
+    # c's x-component, row w_row[c] of w_table its xi-component.
+    if kind == "cross":
+        def dw(w, y):
+            return model.speed_u(np.clip(w, 0.0, 1.0), y)
+
+        def event(z, w):
+            return w - z
+
+        starts_z, z_row = np.unique(xs, return_inverse=True)
+        starts_w, w_row = np.unique(np.stack([xis, ys], axis=1), axis=0,
+                                    return_inverse=True)
+        z_table = _trajectories(dz, starts_z, None, h, n_alloc)
+        w_table = _trajectories(dw, starts_w[:, 0], starts_w[:, 1], h, n_alloc)
     else:
-        offsets_list = [parts[0][0]]
-        base = parts[0][0][-1]
-        for p in parts[1:]:
-            offsets_list.append(p[0][1:] + base)
-            base = base + p[0][-1]
-        offsets = np.concatenate(offsets_list)
-        sample_x = np.concatenate([p[1] for p in parts])
-        sample_xi = np.concatenate([p[2] for p in parts])
-        weights = np.concatenate([p[3] for p in parts])
-        s_end = np.concatenate([p[4] for p in parts])
-        launch = np.concatenate([p[5] for p in parts])
-        n_steps = np.concatenate([p[6] for p in parts])
-    return TracedBundle(offsets, sample_x, sample_xi, weights, s_end, launch,
-                        n_steps, h)
+        # Both components of an edge curve follow the scalar speed, so one
+        # table serves both.
+        dw = dz
+
+        def event(z, w):
+            return -w
+
+        starts, row = np.unique(np.concatenate([xs, xis]), return_inverse=True)
+        z_row, w_row = row[:m], row[m:]
+        z_table = w_table = _trajectories(dz, starts, None, h, n_alloc)
+
+    ref = np.flatnonzero(event(xs, xis) < DEGENERATE_TOL)
+    zr, wr = z_row[ref], w_row[ref]
+    yr = ys[ref] if ys is not None else None
+    missed = np.count_nonzero(event(z_table[zr, -1], w_table[wr, -1]) < 0.0)
+    if missed:
+        raise NonconvergenceError(
+            f"{missed} characteristic curve(s) found no {kind} event before "
+            f"s = {s_max:.3g}; the model's speeds are too close to zero")
+    # Bisect for the first step with event >= 0, the difference being monotone.
+    lo = np.zeros(ref.size, dtype=np.int64)
+    hi = np.full(ref.size, n_alloc - 1)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        crossed = event(z_table[zr, mid], w_table[wr, mid]) >= 0.0
+        hi = np.where(crossed, mid, hi)
+        lo = np.where(crossed, lo, mid)
+
+    K = lo
+    zk, zk1 = z_table[zr, K], z_table[zr, K + 1]
+    wk, wk1 = w_table[wr, K], w_table[wr, K + 1]
+    dz0, dz1 = dz(zk), dz(zk1)
+    dw0, dw1 = dw(wk, yr), dw(wk1, yr)
+    # event is linear, so its slope is event applied to the velocities
+    tau = _hermite_bisect(event(zk, wk), event(zk1, wk1),
+                          h * event(dz0, dw0), h * event(dz1, dw1))
+    s_end = np.zeros(m)
+    s_end[ref] = (K + tau) * h
+    launch = xs.copy()
+    launch[ref] = _hermite(zk, zk1, h * dz0, h * dz1, tau)
+    w_star = _hermite(wk, wk1, h * dw0, h * dw1, tau)
+
+    # A curve with bracket step K holds steps 0..K of its trajectories and
+    # the refined event point; a degenerate curve holds its query point.
+    lengths = np.ones(m, dtype=np.int64)
+    lengths[ref] = K + 2
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    first = offsets[:-1]
+    sample_x = _gather(z_table, z_row, first, lengths)
+    sample_xi = _gather(w_table, w_row, first, lengths)
+    end = first[ref] + K + 1
+    sample_x[end] = launch[ref]
+    sample_xi[end] = w_star
+
+    # Trapezoid weights: h/2 at the first sample, h inside, and the partial
+    # step rem = s_end - K*h split over the last two.
+    rem = s_end[ref] - K * h
+    weights = np.full(offsets[-1], h)
+    weights[first] = 0.0
+    weights[first[ref]] = h / 2.0
+    weights[end - 1] = np.where(K > 0, h / 2.0, 0.0) + rem / 2.0
+    weights[end] = rem / 2.0
+    return TracedBundle(offsets, sample_x, sample_xi, weights, s_end, launch, h)
 
 
 def trace_crossing_batch(coeff, xs, xis, ys, step: float | None = None,

@@ -142,6 +142,8 @@ def _validate_config(config: RunConfig) -> RunConfig:
         raise ConfigurationError("kernel_tol must be positive")
     if config.ic_width <= 0:
         raise ConfigurationError("ic_width must be positive")
+    if config.seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {config.seed}")
     if config.mode not in ("open", "closed", "target"):
         raise ConfigurationError(
             f"unknown mode {config.mode!r} (open, closed, target)")

@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
 
 #: Rows per block of the blocked QR in :func:`y_factor`.
 _FACTOR_BLOCK_ROWS = 4096
@@ -158,12 +157,6 @@ class TriangularIndex:
     @property
     def n_nodes(self) -> int:
         return (self.nx + 1) * (self.nx + 2) // 2
-
-    def flat(self, i: int, j: int) -> int:
-        """Flat index of node (i, j)."""
-        if not 0 <= j <= i <= self.nx:
-            raise DomainError(f"(i={i}, j={j}) outside the triangle, nx={self.nx}")
-        return i * (i + 1) // 2 + j
 
     @cached_property
     def row_start(self) -> np.ndarray:

@@ -16,10 +16,12 @@ plant:
 
 Integrating each equation along its curve family turns the system into
 coupled integral equations, solved here by successive approximation from
-zero.  Curves are traced once per triangle node and per group of y-nodes
-whose sampled ensemble speeds are equal at every x-node: a plant whose speed
-does not depend on y has one group, one with a different speed at every
-y-node has ny (and holds ny operators in memory instead of one).  Each sweep
+zero.  One family of crossing curves, a curve from every triangle node, is
+traced per group of y-nodes whose sampled ensemble speeds are equal at every
+x-node: a plant whose speed does not depend on y has one group, one with a
+different speed at every y-node has ny (and holds ny operators in memory
+instead of one).  Each family reads its curves off one trajectory per
+distinct start (see :mod:`.characteristics`).  Each sweep
 evaluates the source terms on the grid and pushes them through precomputed
 sparse operators that combine path-trapezoid weights with bilinear
 interpolation on the triangle.  Boundary data is always evaluated exactly at

@@ -7,7 +7,7 @@ from ensemble_backstep.characteristics import (
     trace_crossing_batch,
     trace_edge_batch,
 )
-from ensemble_backstep.errors import DomainError
+from ensemble_backstep.errors import DomainError, NonconvergenceError
 from ensemble_backstep.grid import GridSpec
 from ensemble_backstep.model import PlantModel, sample_coefficients
 
@@ -49,7 +49,7 @@ class TestCrossingClosedForms:
         cc = trace_crossing_batch(toy, [0.625], [0.625], [0.5], spec=SPEC)
         assert cc.s_end[0] == 0.0
         assert cc.launch[0] == 0.625
-        assert cc.n_steps[0] == 0
+        assert cc.offsets[1] - cc.offsets[0] == 1
 
     def test_unequal_constant_speeds(self):
         plant = _plant(
@@ -218,6 +218,66 @@ class TestBatchInvariants:
                    lambda x: np.ones(np.shape(x))), SPEC)
         b2 = trace_crossing_batch(toy_coeff, np.full(50, 0.9), np.full(50, 0.2), ys)
         assert np.max(np.abs(np.diff(b2.s_end))) <= 1e-12
+
+
+def _half_x_speeds():
+    return _plant(
+        lambda x, y: 1.0 + 0.5 * np.asarray(x) + 0.0 * np.asarray(y),
+        lambda x: 1.0 + 0.5 * np.asarray(x, dtype=float),
+    )
+
+
+def _half_y_speed():
+    return _plant(
+        lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x),
+        lambda x: np.ones(np.shape(x)),
+    )
+
+
+@pytest.mark.parametrize("make_plant", [_half_x_speeds, _half_y_speed],
+                         ids=["speeds-1+x/2", "speed_u-1+y/2"])
+@pytest.mark.parametrize("family", ["cross", "edge"])
+def test_batch_equals_one_point_traces(make_plant, family):
+    """Curves that share starts read the same trajectories as lone curves."""
+    coeff = sample_coefficients(make_plant(), SPEC)
+    # a repeated point, a diagonal point, two xi = 0 points, and points
+    # sharing x or (xi, y) with another
+    xs = np.array([0.9, 0.9, 0.6, 0.6, 0.7, 0.9, 0.3, 0.55])
+    xis = np.array([0.2, 0.2, 0.6, 0.0, 0.2, 0.4, 0.0, 0.1])
+    ys = np.array([0.5, 0.5, 0.3, 0.8, 0.5, 0.5, 0.0, 1.0])
+
+    def trace(sl):
+        if family == "cross":
+            return trace_crossing_batch(coeff, xs[sl], xis[sl], ys[sl])
+        return trace_edge_batch(coeff, xs[sl], xis[sl])
+
+    batch = trace(slice(None))
+    singles = [trace(slice(c, c + 1)) for c in range(xs.size)]
+    for name in ("sample_x", "sample_xi", "weights", "s_end", "launch"):
+        joined = np.concatenate([getattr(b, name) for b in singles])
+        assert np.array_equal(getattr(batch, name), joined), name
+    lengths = [b.offsets[1] for b in singles]
+    assert np.array_equal(batch.offsets, np.concatenate([[0], np.cumsum(lengths)]))
+
+
+def test_stalling_speed_raises_nonconvergence():
+    """A scalar speed of 1.999 at every node and 0.001 between nodes stalls
+    the curves: the trace reports how many found no event."""
+    nx = 50
+    plant = _plant(
+        lambda x, y: np.ones(np.broadcast_shapes(np.shape(x), np.shape(y))),
+        lambda x: 1.0 + 0.999 * np.cos(2.0 * np.pi * nx * np.asarray(x)),
+    )
+    coeff = sample_coefficients(plant, GridSpec(nx=nx, ny=5))
+    assert np.all(coeff.speed_v_grid == 1.999)
+    xs = [0.9, 0.8, 0.5, 0.3]
+    xis = [0.1, 0.0, 0.5, 0.2]
+    # crossing: the two widest gaps stall; the diagonal point is degenerate
+    with pytest.raises(NonconvergenceError, match=r"^2 characteristic curve"):
+        trace_crossing_batch(coeff, xs, xis, [0.5] * 4)
+    # edge: all but the point already on the xi = 0 edge stall
+    with pytest.raises(NonconvergenceError, match=r"^3 characteristic curve"):
+        trace_edge_batch(coeff, xs, xis)
 
 
 def test_bundle_samples_fully_populated(toy, rng):

@@ -98,6 +98,21 @@ class TestConfigFile:
         assert "ic_width must be positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("args, config", [
+        (["--seed", "-1"], ""),
+        ([], "seed = -3\n"),
+    ], ids=["option", "config-file"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, args, config):
+        # numpy's generator refuses a negative seed with a ValueError
+        if config:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            args = args + ["--config", str(path)]
+        assert main(["verify", "--nx", "20", "--ny", "10"] + args
+                    + ["--out", str(tmp_path / "out")]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_cli_overrides_beat_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("model_name = pure-transport\nnx = 4\nny = 3\n")

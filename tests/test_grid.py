@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from ensemble_backstep.errors import DomainError
 from ensemble_backstep.grid import (
     GridSpec,
     TriangularIndex,
@@ -101,8 +100,8 @@ class TestTriangularIndex:
     def test_counts_and_order(self):
         tri = TriangularIndex(4)
         assert tri.n_nodes == 15
-        assert tri.flat(0, 0) == 0
-        assert tri.flat(4, 4) == 14
+        assert tri.row_start[0] == 0
+        assert tri.row_start[4] + 4 == 14
         # row-major: i index nondecreasing, j resets per row
         assert np.all(np.diff(tri.i_index) >= 0)
         for i in range(5):
@@ -113,11 +112,6 @@ class TestTriangularIndex:
     def test_no_node_above_diagonal(self):
         tri = TriangularIndex(9)
         assert np.all(tri.j_index <= tri.i_index)
-
-    def test_flat_rejects_outside(self):
-        tri = TriangularIndex(4)
-        with pytest.raises(DomainError):
-            tri.flat(2, 3)
 
     def test_diagonal_flat(self):
         tri = TriangularIndex(5)

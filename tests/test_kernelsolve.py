@@ -90,7 +90,7 @@ class TestBacksteppingKernels:
         sol = kernels_mid
         spec = sol.spec
         tri = spec.tri
-        edge = np.array([tri.flat(i, 0) for i in range(spec.nx + 1)])
+        edge = tri.row_start
         y = spec.y_nodes
         weight = toy.inflow_gain(y) * toy.speed_u(np.zeros_like(y), y)
         mu0 = float(toy.speed_v(0.0))
