@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonconvergenceError
-from .grid import GridSpec
-from .model import PlantModel, SampledCoefficients, sample_coefficients
+# ``sample_coefficients`` is unused here but must stay bound: bench/tracing.py
+# wraps it in this module.
+from .model import SampledCoefficients, sample_coefficients  # noqa: F401
 
 __all__ = [
     "TracedBundle",
@@ -67,14 +68,6 @@ class TracedBundle:
     s_end: np.ndarray
     launch: np.ndarray
     step: float
-
-
-def _as_sampled(coeff, spec: GridSpec | None = None) -> SampledCoefficients:
-    if isinstance(coeff, SampledCoefficients):
-        return coeff
-    if isinstance(coeff, PlantModel):
-        return sample_coefficients(coeff, spec or GridSpec(nx=100, ny=60))
-    raise TypeError(f"expected SampledCoefficients or PlantModel, got {type(coeff)!r}")
 
 
 def _default_step(coeff: SampledCoefficients, step: float | None) -> float:
@@ -261,14 +254,14 @@ def _trace_batch(coeff: SampledCoefficients, kind: str, xs, xis, ys, step) -> Tr
     return TracedBundle(offsets, sample_x, sample_xi, weights, s_end, launch, h)
 
 
-def trace_crossing_batch(coeff, xs, xis, ys, step: float | None = None,
-                         spec: GridSpec | None = None) -> TracedBundle:
+def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys,
+                         step: float | None = None) -> TracedBundle:
     """Trace crossing curves for many triangle points at once."""
-    return _trace_batch(_as_sampled(coeff, spec), "cross", xs, xis, ys, step)
+    return _trace_batch(coeff, "cross", xs, xis, ys, step)
 
 
-def trace_edge_batch(coeff, xs, xis, step: float | None = None,
-                     spec: GridSpec | None = None) -> TracedBundle:
+def trace_edge_batch(coeff: SampledCoefficients, xs, xis,
+                     step: float | None = None) -> TracedBundle:
     """Trace edge curves for many triangle points at once."""
-    return _trace_batch(_as_sampled(coeff, spec), "edge", xs, xis, None, step)
+    return _trace_batch(coeff, "edge", xs, xis, None, step)
 

@@ -519,7 +519,7 @@ def cmd_verify(config: RunConfig) -> int:
                                    "passed": oracle_err <= 0.02}
     checks["kernel_boundary"] = _verify_kernel_boundary(spec, coeff, kernels)
 
-    res_ensemble, res_scalar = kernel_pde_residual(kernels, coeff)
+    res_ensemble, res_scalar = kernel_pde_residual(kernels, model)
     pde_tol = 10.0 / spec.nx
     pde_worst = max(res_ensemble, res_scalar)
     checks["kernel_pde"] = {"measured": {"ensemble_equation": res_ensemble,

@@ -21,14 +21,15 @@ traced per group of y-nodes whose sampled ensemble speeds are equal at every
 x-node: a plant whose speed does not depend on y has one group, one with a
 different speed at every y-node has ny (and holds ny operators in memory
 instead of one).  Each family reads its curves off one trajectory per
-distinct start (see :mod:`.characteristics`).  Each sweep
-evaluates the source terms on the grid and pushes them through precomputed
-sparse operators that combine path-trapezoid weights with bilinear
-interpolation on the triangle.  Boundary data is always evaluated exactly at
-the off-grid launch abscissas, so the diagonal condition holds exactly at
-nodes and the edge condition holds to the fixed-point tolerance.  The
-solution is returned together with the outlet gain row used by the
-controller.
+distinct start (see :mod:`.characteristics`) and becomes one sparse
+operator that combines path-trapezoid weights with bilinear interpolation
+on the triangle, written in CSR one triangle row at a time; the family's
+samples are freed once its operator and launch abscissas exist.  Each sweep
+evaluates the source terms on the grid and pushes them through these
+operators.  Boundary data is always evaluated exactly at the off-grid launch
+abscissas, so the diagonal condition holds exactly at nodes and the edge
+condition holds to the fixed-point tolerance.  The solution is returned
+together with the outlet gain row used by the controller.
 """
 
 from __future__ import annotations
@@ -108,35 +109,25 @@ def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
 
     Row ``t`` of the result, applied to a flat triangle field, yields the
     trapezoid integral of the bilinear interpolant of that field along the
-    traced curve of triangle node ``t``.
+    traced curve of triangle node ``t``.  Each triangle row's curves are
+    written as one CSR block straight from the bundle: every sample adds
+    its four interpolation corners, so ``4 * offsets`` is the row pointer,
+    and the corners a curve's samples share are summed.
     """
     tri = spec.tri
-    lengths = np.diff(bundle.offsets)
-    chunk = 3_000_000
-    mats = []
-    start_curve = 0
-    while start_curve < tri.n_nodes:
-        end_curve = start_curve
-        while (end_curve < tri.n_nodes
-               and bundle.offsets[end_curve + 1] - bundle.offsets[start_curve] <= chunk):
-            end_curve += 1
-        end_curve = max(end_curve, start_curve + 1)
-        lo = int(bundle.offsets[start_curve])
-        hi = int(bundle.offsets[end_curve])
-        rows = np.repeat(np.arange(start_curve, end_curve),
-                         lengths[start_curve:end_curve])
+    offsets = bundle.offsets
+    bounds = np.append(tri.row_start, tri.n_nodes)
+    blocks = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lo, hi = offsets[a], offsets[b]
         idx4, w4 = corner_weights(spec.nx, bundle.sample_x[lo:hi],
                                   bundle.sample_xi[lo:hi])
-        data = (bundle.weights[lo:hi, None] * w4).ravel()
-        cols = idx4.ravel()
-        rows4 = np.repeat(rows, 4)
-        mats.append(sparse.coo_matrix((data, (rows4, cols)),
-                                      shape=(tri.n_nodes, tri.n_nodes)).tocsr())
-        start_curve = end_curve
-    out = mats[0]
-    for m in mats[1:]:
-        out = out + m
-    return out
+        block = sparse.csr_matrix(
+            ((bundle.weights[lo:hi, None] * w4).ravel(), idx4.ravel(),
+             4 * (offsets[a:b + 1] - lo)), shape=(b - a, tri.n_nodes))
+        block.sum_duplicates()
+        blocks.append(block)
+    return sparse.vstack(blocks, format="csr")
 
 
 def _edge_interp_indices(spec: GridSpec, launch: np.ndarray):
@@ -190,12 +181,16 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10,
         bundle = trace_crossing_batch(coeff, xs, xis, np.full(n_tri, y[0]))
         cross_ops.append((cols, _quadrature_matrix(spec, bundle)))
         launch = bundle.launch[:, None]
+        # A family's samples are the bulk of the solve's memory: each bundle
+        # goes as soon as its operator and launch data exist.
+        del bundle
         f_boundary[:, cols] = -model.readout(launch, y) / (
             model.speed_u(launch, y) + model.speed_v(launch))
 
-    edge_bundle = trace_edge_batch(coeff, xs, xis)
-    edge_op = _quadrature_matrix(spec, edge_bundle)
-    edge_flat0, edge_flat1, edge_frac = _edge_interp_indices(spec, edge_bundle.launch)
+    bundle = trace_edge_batch(coeff, xs, xis)
+    edge_op = _quadrature_matrix(spec, bundle)
+    edge_flat0, edge_flat1, edge_frac = _edge_interp_indices(spec, bundle.launch)
+    del bundle
     edge_gain = (coeff.inflow_gain_grid * coeff.speed_u_grid[0]
                  / coeff.speed_v_grid[0] * wy)
 
@@ -310,30 +305,27 @@ def kernel_solution_from_evaluators(spec: GridSpec, ensemble_kernel,
     )
 
 
-def kernel_pde_residual(sol: KernelSolution, model) -> tuple[float, float]:
+def kernel_pde_residual(sol: KernelSolution,
+                        model: PlantModel) -> tuple[float, float]:
     """One-sided finite-difference residuals of both kernel equations.
 
-    Evaluates the ensemble and scalar kernel equations at interior triangle
-    nodes, excluding a one-cell band along the diagonal and along the
-    ``xi = 0`` edge where the one-sided stencils would cross the data lines.
+    Samples ``model`` on ``sol.spec`` and evaluates the ensemble and scalar
+    kernel equations at interior triangle nodes, excluding a one-cell band
+    along the diagonal and along the ``xi = 0`` edge where the one-sided
+    stencils would cross the data lines.
     Each equation's max absolute residual is normalized by the sup of the
     kernel it differentiates (floored at 1), since the finite-difference
     truncation error scales with the field; both normalized residuals shrink
     linearly with the grid spacing for a converged (or exact) kernel pair.
     """
     spec = sol.spec
-    coeff = model if isinstance(model, SampledCoefficients) else \
-        sample_coefficients(model, spec)
-    if coeff.spec.nx != spec.nx or coeff.spec.ny != spec.ny:
-        coeff = sample_coefficients(coeff.model, spec)
     nx = spec.nx
     h = spec.hx
     if nx < 4:
         return 0.0, 0.0
+    coeff = sample_coefficients(model, spec)
     iv = np.repeat(np.arange(4, nx + 1), np.arange(1, nx - 2))
     jv = np.concatenate([np.arange(2, i - 1) for i in range(4, nx + 1)])
-    if iv.size == 0:
-        return 0.0, 0.0
     f_ij = iv * (iv + 1) // 2 + jv
     f_im1j = (iv - 1) * iv // 2 + jv
     f_ijp1 = f_ij + 1

@@ -34,7 +34,9 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, DivergenceError
 from .grid import GridSpec, gregory_weights, y_factor
 from .kernelsolve import KernelSolution
-from .model import SampledCoefficients, sample_coefficients
+# ``sample_coefficients`` is unused here but must stay bound: bench/tracing.py
+# wraps it in this module.
+from .model import SampledCoefficients, sample_coefficients  # noqa: F401
 from .volterra import solve_target_coupling, tri_to_matrix
 
 __all__ = [
@@ -48,7 +50,6 @@ __all__ = [
     "check_cfl",
     "ensemble_norm",
     "scalar_norm",
-    "joint_norm",
     "step_plant",
     "control_value",
     "simulate",
@@ -183,14 +184,6 @@ def _scalar_field(transform: TransformOperator, alpha: np.ndarray,
     return bj + transform.resolvent @ bj
 
 
-def _as_coeff(model, spec: GridSpec) -> SampledCoefficients:
-    if isinstance(model, SampledCoefficients):
-        if model.spec.nx == spec.nx and model.spec.ny == spec.ny:
-            return model
-        return sample_coefficients(model.model, spec)
-    return sample_coefficients(model, spec)
-
-
 def ensemble_norm(spec: GridSpec, u: np.ndarray) -> float:
     """L2 norm of an ensemble field over (x, y).
 
@@ -209,13 +202,6 @@ def scalar_norm(spec: GridSpec, v: np.ndarray) -> float:
     """
     with np.errstate(over="ignore"):
         return float(np.sqrt(spec.x_weights @ (v * v)))
-
-
-def joint_norm(spec: GridSpec, u: np.ndarray, v: np.ndarray) -> float:
-    """Joint L2 norm: square root of the two squared norms added."""
-    un = ensemble_norm(spec, u)
-    vn = scalar_norm(spec, v)
-    return math.sqrt(un * un + vn * vn)
 
 
 def default_initial_state(spec: GridSpec, amplitude: float = 1.0) -> EnsembleState:
@@ -245,6 +231,13 @@ def check_cfl(coeff: SampledCoefficients, dt: float) -> None:
         raise ConfigurationError(
             f"time step violates the CFL condition: dt*max_speed*nx = "
             f"{courant:.6g} > 1")
+
+
+def _check_coeff_grid(coeff: SampledCoefficients, spec: GridSpec) -> None:
+    if (coeff.spec.nx, coeff.spec.ny) != (spec.nx, spec.ny):
+        raise DimensionError(
+            f"coefficients sampled at nx={coeff.spec.nx}, ny={coeff.spec.ny} "
+            f"do not match the run's grid nx={spec.nx}, ny={spec.ny}")
 
 
 def _check_state_shapes(spec: GridSpec, u: np.ndarray, v: np.ndarray) -> None:
@@ -532,7 +525,8 @@ def _run(spec: GridSpec, state: EnsembleState, snapshot_times, advance,
                             snapshots=tuple(snapshots), decay_rate=decay)
 
 
-def simulate(model, spec: GridSpec, kernels: KernelSolution | None = None,
+def simulate(coeff: SampledCoefficients, spec: GridSpec,
+             kernels: KernelSolution | None = None,
              mode: str = "open", u0=None, v0=None,
              snapshot_times=()) -> SimulationRecord:
     """Run the plant from t = 0 to the grid's final time.
@@ -545,13 +539,15 @@ def simulate(model, spec: GridSpec, kernels: KernelSolution | None = None,
     lagging the outlet one step behind the law.  In ``open`` mode the outlet
     input is zero.  Norms and the control value are recorded at every step,
     snapshots at the steps nearest the requested times, and ``decay_rate`` is
-    fitted on the late-time window.
+    fitted on the late-time window.  ``coeff`` must be sampled at ``spec``'s
+    nx and ny (:class:`DimensionError` otherwise); ``spec`` also sets the
+    time step and the horizon.
     """
     if mode not in ("open", "closed"):
         raise ConfigurationError(f"unknown simulation mode: {mode!r}")
     if mode == "closed" and kernels is None:
         raise ConfigurationError("closed-loop simulation requires kernels")
-    coeff = _as_coeff(model, spec)
+    _check_coeff_grid(coeff, spec)
     refresh = ((lambda state: _refresh_outlet(state, kernels))
                if mode == "closed" else None)
 
@@ -562,7 +558,8 @@ def simulate(model, spec: GridSpec, kernels: KernelSolution | None = None,
                 refresh=refresh)
 
 
-def simulate_target(model, spec: GridSpec, kernels: KernelSolution,
+def simulate_target(coeff: SampledCoefficients, spec: GridSpec,
+                    kernels: KernelSolution,
                     u0=None, v0=None, snapshot_times=(),
                     recipe: LyapunovRecipe | None = None) -> SimulationRecord:
     """Run the transformed (cascade) system from the transformed initial state.
@@ -571,9 +568,10 @@ def simulate_target(model, spec: GridSpec, kernels: KernelSolution,
     factored once (:func:`transform_operator`), the plant initial condition
     is mapped through the forward transform, and the Lyapunov value with
     recipe parameters is recorded at every step alongside the norms.  The
-    record's ``y_ranks`` holds the ranks of the factored kernels.
+    record's ``y_ranks`` holds the ranks of the factored kernels.  ``coeff``
+    must be sampled at ``spec``'s nx and ny, as in :func:`simulate`.
     """
-    coeff = _as_coeff(model, spec)
+    _check_coeff_grid(coeff, spec)
     plant0 = _initial_state(spec, u0, v0)
     if recipe is None:
         recipe = lyapunov_recipe(coeff, kernels,

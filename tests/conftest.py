@@ -67,7 +67,8 @@ def kernels_default(kernels_default_timed):
 def closed_run_default(toy, spec_default, kernels_default):
     """Closed-loop trajectory at defaults, with snapshots at t = 0 and 3."""
     t0 = time.perf_counter()
-    rec = simulator.simulate(toy, spec_default, kernels=kernels_default,
+    rec = simulator.simulate(model.sample_coefficients(toy, spec_default),
+                             spec_default, kernels=kernels_default,
                              mode="closed", snapshot_times=(0.0, 3.0))
     return rec, time.perf_counter() - t0
 
@@ -75,7 +76,8 @@ def closed_run_default(toy, spec_default, kernels_default):
 @pytest.fixture(scope="session")
 def open_run_default(toy, spec_default):
     t0 = time.perf_counter()
-    rec = simulator.simulate(toy, spec_default, mode="open")
+    rec = simulator.simulate(model.sample_coefficients(toy, spec_default),
+                             spec_default, mode="open")
     return rec, time.perf_counter() - t0
 
 

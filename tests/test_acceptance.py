@@ -193,10 +193,11 @@ def test_criterion_4_characteristic_closed_forms(toy, pure_transport, rng):
         x = rng.uniform(0.0, 1.0, 1000)
         xi = x * rng.uniform(0.0, 1.0, 1000)
         y = rng.uniform(0.0, 1.0, 1000)
-        cross = trace_crossing_batch(plant, x, xi, y, spec=spec)
+        cross = trace_crossing_batch(sample_coefficients(plant, spec),
+                                     x, xi, y)
         worst_cross = max(worst_cross, float(
             np.abs(cross.s_end - (x - xi) / (lam + mu)).max()))
-        edge = trace_edge_batch(plant, x, xi, spec=spec)
+        edge = trace_edge_batch(sample_coefficients(plant, spec), x, xi)
         worst_edge = max(worst_edge, float(
             np.abs(edge.s_end - xi / mu).max()))
     assert worst_cross <= 1e-8, f"crossing-time error {worst_cross:.2e}"
@@ -205,13 +206,14 @@ def test_criterion_4_characteristic_closed_forms(toy, pure_transport, rng):
     affine = _uncoupled_plant(
         lambda x, y: np.ones(np.broadcast_shapes(np.shape(x), np.shape(y))),
         lambda x: 1.0 + np.asarray(x, dtype=float))
-    edge = trace_edge_batch(affine, [1.0], [0.5], step=1e-4, spec=spec)
+    edge = trace_edge_batch(sample_coefficients(affine, spec),
+                            [1.0], [0.5], step=1e-4)
     affine_err = abs(float(edge.s_end[0]) - np.log(1.5))
     assert affine_err <= 1e-8, f"affine-speed edge time off by {affine_err:.2e}"
 
     ys = np.linspace(0.0, 1.0, 50)
-    sweep = trace_crossing_batch(toy, np.full(50, 0.82), np.full(50, 0.31),
-                                 ys, spec=spec)
+    sweep = trace_crossing_batch(sample_coefficients(toy, spec),
+                                 np.full(50, 0.82), np.full(50, 0.31), ys)
     quotient = float(np.abs(np.diff(sweep.s_end) / np.diff(ys)).max())
     assert np.isfinite(quotient) and quotient <= 1e-6, \
         f"crossing time not Lipschitz in y: quotient {quotient:.2e}"
@@ -297,7 +299,7 @@ def test_criterion_8_lyapunov_monotonicity(toy, spec_default,
     recipe = lyapunov_recipe(coeff, kernels_default, coupling)
     assert recipe.p > 0.0 and recipe.delta > 0.0
 
-    record = simulate_target(toy, spec_default, kernels_default,
+    record = simulate_target(coeff, spec_default, kernels_default,
                              recipe=recipe)
     lyap = record.lyapunov
     # Monotone up to a 1e-3 step tolerance, checked on every step after the

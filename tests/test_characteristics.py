@@ -41,12 +41,14 @@ class TestCrossingClosedForms:
     def test_unit_speeds(self, toy):
         # equal constant speeds meet halfway: s = (x - xi)/2, launch midway
         for y in (0.0, 0.37, 1.0):
-            cc = trace_crossing_batch(toy, [1.0], [0.0], [y], spec=SPEC)
+            cc = trace_crossing_batch(sample_coefficients(toy, SPEC),
+                                      [1.0], [0.0], [y])
             assert abs(cc.s_end[0] - 0.5) <= 1e-9
             assert abs(cc.launch[0] - 0.5) <= 1e-9
 
     def test_degenerate_diagonal_point(self, toy):
-        cc = trace_crossing_batch(toy, [0.625], [0.625], [0.5], spec=SPEC)
+        cc = trace_crossing_batch(sample_coefficients(toy, SPEC),
+                                  [0.625], [0.625], [0.5])
         assert cc.s_end[0] == 0.0
         assert cc.launch[0] == 0.625
         assert cc.offsets[1] - cc.offsets[0] == 1
@@ -56,7 +58,8 @@ class TestCrossingClosedForms:
             lambda x, y: 2.0 * np.ones(np.broadcast_shapes(np.shape(x), np.shape(y))),
             lambda x: np.ones(np.shape(x)),
         )
-        cc = trace_crossing_batch(plant, [0.9], [0.3], [0.5], spec=SPEC)
+        cc = trace_crossing_batch(sample_coefficients(plant, SPEC),
+                                  [0.9], [0.3], [0.5])
         assert abs(cc.s_end[0] - 0.2) <= 1e-9
         assert abs(cc.launch[0] - 0.7) <= 1e-9
 
@@ -72,12 +75,12 @@ class TestCrossingClosedForms:
 
 class TestEdgeClosedForms:
     def test_unit_speed(self, toy):
-        cc = trace_edge_batch(toy, [0.8], [0.5], spec=SPEC)
+        cc = trace_edge_batch(sample_coefficients(toy, SPEC), [0.8], [0.5])
         assert abs(cc.s_end[0] - 0.5) <= 1e-9
         assert abs(cc.launch[0] - 0.3) <= 1e-9
 
     def test_already_on_edge(self, toy):
-        cc = trace_edge_batch(toy, [0.4], [0.0], spec=SPEC)
+        cc = trace_edge_batch(sample_coefficients(toy, SPEC), [0.4], [0.0])
         assert cc.s_end[0] == 0.0
         assert cc.launch[0] == 0.4
 
@@ -87,7 +90,8 @@ class TestEdgeClosedForms:
             lambda x, y: np.ones(np.broadcast_shapes(np.shape(x), np.shape(y))),
             lambda x: 1.0 + np.asarray(x, dtype=float),
         )
-        cc = trace_edge_batch(plant, [1.0], [0.5], step=1e-4, spec=SPEC)
+        cc = trace_edge_batch(sample_coefficients(plant, SPEC),
+                              [1.0], [0.5], step=1e-4)
         assert abs(cc.s_end[0] - np.log(1.5)) <= 1e-8
         assert abs(cc.launch[0] - (2.0 / 1.5 - 1.0)) <= 1e-8
 
@@ -104,23 +108,27 @@ class TestDomain:
     ], ids=["inverted", "x>1", "xi<0", "x-nan", "xi-inf"])
     def test_outside_triangle(self, toy, x, xi):
         with pytest.raises(DomainError):
-            trace_crossing_batch(toy, [0.5, x], [0.25, xi], [0.5, 0.5],
-                                 spec=SPEC)
+            trace_crossing_batch(sample_coefficients(toy, SPEC),
+                                 [0.5, x], [0.25, xi], [0.5, 0.5])
         with pytest.raises(DomainError):
-            trace_edge_batch(toy, [0.5, x], [0.25, xi], spec=SPEC)
+            trace_edge_batch(sample_coefficients(toy, SPEC),
+                             [0.5, x], [0.25, xi])
 
     @pytest.mark.parametrize("y", [1.5, -0.25, np.nan],
                              ids=["y>1", "y<0", "y-nan"])
     def test_outside_ensemble_range(self, toy, y):
         with pytest.raises(DomainError):
-            trace_crossing_batch(toy, [0.6], [0.2], [y], spec=SPEC)
+            trace_crossing_batch(sample_coefficients(toy, SPEC),
+                                 [0.6], [0.2], [y])
 
     def test_roundoff_outside_is_accepted(self, toy):
         eps = 1e-13
-        cc = trace_crossing_batch(toy, [1.0 + eps, 0.4], [0.0, 0.4 + eps],
-                                  [1.0 + eps, -eps], spec=SPEC)
+        cc = trace_crossing_batch(sample_coefficients(toy, SPEC),
+                                  [1.0 + eps, 0.4], [0.0, 0.4 + eps],
+                                  [1.0 + eps, -eps])
         assert np.all(np.isfinite(cc.s_end))
-        ce = trace_edge_batch(toy, [1.0 + eps], [-eps], spec=SPEC)
+        ce = trace_edge_batch(sample_coefficients(toy, SPEC),
+                              [1.0 + eps], [-eps])
         assert np.all(np.isfinite(ce.s_end))
 
 
@@ -128,7 +136,8 @@ class TestPathIntegrity:
     """Samples run backward from the query point to the event point."""
 
     def test_crossing_path_endpoints(self, toy):
-        cc = trace_crossing_batch(toy, [0.9], [0.2], [0.4], spec=SPEC)
+        cc = trace_crossing_batch(sample_coefficients(toy, SPEC),
+                                  [0.9], [0.2], [0.4])
         px, pxi = _curve(cc)
         assert px[0] == 0.9 and pxi[0] == 0.2
         assert abs(px[-1] - cc.launch[0]) <= 1e-9
@@ -138,7 +147,7 @@ class TestPathIntegrity:
                    - cc.s_end[0]) <= 1e-12
 
     def test_edge_path_endpoints(self, toy):
-        cc = trace_edge_batch(toy, [0.7], [0.45], spec=SPEC)
+        cc = trace_edge_batch(sample_coefficients(toy, SPEC), [0.7], [0.45])
         px, pxi = _curve(cc)
         assert px[0] == 0.7 and pxi[0] == 0.45
         assert abs(pxi[-1] - 0.0) <= 1e-9
@@ -148,7 +157,8 @@ class TestPathIntegrity:
     def test_path_stays_on_straight_characteristic(self, toy):
         # with unit speeds the backward pair is x(s) = x - s, xi(s) = xi + s,
         # sampled at s = 0, h, 2h, ... and finally at s = s_end
-        cc = trace_crossing_batch(toy, [0.8], [0.1], [0.9], spec=SPEC)
+        cc = trace_crossing_batch(sample_coefficients(toy, SPEC),
+                                  [0.8], [0.1], [0.9])
         px, pxi = _curve(cc)
         s = np.arange(px.size) * cc.step
         s[-1] = cc.s_end[0]

@@ -4,10 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ensemble_backstep import kernelsolve
+from ensemble_backstep.characteristics import (
+    trace_crossing_batch,
+    trace_edge_batch,
+)
 from ensemble_backstep.errors import NonconvergenceError
-from ensemble_backstep.grid import GridSpec
+from ensemble_backstep.grid import GridSpec, corner_weights
 from ensemble_backstep.kernelsolve import (
     build_backstepping_problem,
     kernel_pde_residual,
@@ -15,7 +20,7 @@ from ensemble_backstep.kernelsolve import (
     solve_backstepping_kernels,
     solve_goursat,
 )
-from ensemble_backstep.model import toy_analytic_kernels
+from ensemble_backstep.model import sample_coefficients, toy_analytic_kernels
 
 SPEC = GridSpec(nx=40, ny=24)
 
@@ -220,3 +225,35 @@ def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
         # Curves traced at y = 0 only would leave the residual flat under
         # refinement; the per-group curves make it fall at first order.
         assert residual[50] < 0.8 * residual[25], residual
+
+
+def _one_shot_operator(spec, bundle):
+    """The quadrature operator as one COO matrix over the whole bundle."""
+    n_tri = spec.tri.n_nodes
+    rows = np.repeat(np.arange(n_tri), np.diff(bundle.offsets))
+    idx4, w4 = corner_weights(spec.nx, bundle.sample_x, bundle.sample_xi)
+    data = (bundle.weights[:, None] * w4).ravel()
+    return sparse.coo_matrix((data, (np.repeat(rows, 4), idx4.ravel())),
+                             shape=(n_tri, n_tri)).tocsr()
+
+
+@pytest.mark.parametrize("plant_name, family", [
+    ("toy", "cross"), ("toy", "edge"), ("sloped", "cross")])
+def test_row_blocks_equal_one_shot_assembly(toy, plant_name, family):
+    """The operator built per triangle row is the one a single COO pass over
+    the whole bundle gives, entry for entry, in canonical CSR form."""
+    spec = GridSpec(nx=30, ny=8)
+    plant = toy if plant_name == "toy" else dataclasses.replace(
+        toy, speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x))
+    coeff = sample_coefficients(plant, spec)
+    tri = spec.tri
+    if family == "cross":
+        bundle = trace_crossing_batch(coeff, tri.x_coord, tri.xi_coord,
+                                      np.full(tri.n_nodes, 0.75))
+    else:
+        bundle = trace_edge_batch(coeff, tri.x_coord, tri.xi_coord)
+    op = kernelsolve._quadrature_matrix(spec, bundle)
+    assert op.shape == (tri.n_nodes, tri.n_nodes)
+    assert op.has_canonical_format
+    assert np.array_equal(op.toarray(),
+                          _one_shot_operator(spec, bundle).toarray())

@@ -35,12 +35,17 @@ tracer = tracing.Tracer()
 tracing.install(tracer)
 sol = kernelsolve.solve_backstepping_kernels(plant, GridSpec(nx=12, ny=6))
 counts = collections.Counter(span["name"] for span in tracer.spans)
-print(json.dumps({"iterations": sol.iterations, "spans": counts}))
+def total(name, key):
+    return sum(span[key] for span in tracer.spans if span["name"] == name)
+print(json.dumps({"iterations": sol.iterations, "spans": counts,
+                  "points": total("grid.corner_weights", "points"),
+                  "samples": total("characteristics.trace", "samples")}))
 """
 
 
 def _traced_solve(plant):
-    """Iterations and span counts of a traced solve at nx=12, ny=6."""
+    """Span counts of a traced solve at nx=12, ny=6, after the checks that
+    hold for every plant."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(REPO, "bench"),
@@ -52,6 +57,8 @@ def _traced_solve(plant):
     assert report["iterations"] > 1
     assert report["spans"]["kernelsolve.sweep"] == report["iterations"]
     assert report["spans"]["kernelsolve.solve"] == 1
+    # the bench's grid.stencil_points counts every traced sample once
+    assert report["points"] == report["samples"] > 0
     return report["spans"]
 
 

@@ -1,6 +1,7 @@
 """Time stepping, feedback law, state transform, Lyapunov diagnostics."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from ensemble_backstep.simulator import (
     ensemble_norm,
     forward_transform,
     inverse_transform,
-    joint_norm,
     lyapunov_recipe,
     lyapunov_value,
     scalar_norm,
@@ -65,7 +65,8 @@ class TestNorms:
         v = np.ones(31)
         assert abs(ensemble_norm(spec, u) - 1.0) <= 1e-12
         assert abs(scalar_norm(spec, v) - 1.0) <= 1e-12
-        assert abs(joint_norm(spec, u, v) - np.sqrt(2.0)) <= 1e-12
+        assert abs(math.hypot(ensemble_norm(spec, u), scalar_norm(spec, v))
+                   - np.sqrt(2.0)) <= 1e-12
 
     def test_linear_scalar_field(self):
         spec = GridSpec(nx=200, ny=5)
@@ -121,7 +122,8 @@ class TestPlantStep:
         spec = GridSpec(nx=200, ny=8, dt=0.004, t_final=0.4)
         pulse = np.exp(-100.0 * (spec.x_nodes - 0.3) ** 2)
         u0 = np.repeat(pulse[:, None], spec.ny, axis=1)
-        record = simulate(pure_transport, spec, mode="open", u0=u0,
+        record = simulate(sample_coefficients(pure_transport, spec), spec,
+                          mode="open", u0=u0,
                           v0=np.zeros(spec.nx + 1),
                           snapshot_times=(spec.t_final,))
         t_snap, final = record.snapshots[0]
@@ -242,8 +244,8 @@ class TestTargetStep:
             a0, b0 = forward_transform(state, transform)
             after_target = step_target(EnsembleState(u=a0, v=b0, t=0.0),
                                        coeff, transform, spec.dt)
-            defect = joint_norm(spec, a_direct - after_target.u,
-                                b_direct - after_target.v)
+            defect = math.hypot(ensemble_norm(spec, a_direct - after_target.u),
+                                scalar_norm(spec, b_direct - after_target.v))
             assert defect <= 8.0 * spec.dt
             defects[nx] = defect
         assert defects[100] <= 0.6 * defects[50]
@@ -427,7 +429,7 @@ class TestLyapunov:
         for _ in range(20):
             u, v = _smooth_state(spec, rng)
             val = lyapunov_value(u, v, coeff, recipe.p, recipe.delta)
-            sq = joint_norm(spec, u, v) ** 2
+            sq = math.hypot(ensemble_norm(spec, u), scalar_norm(spec, v)) ** 2
             assert recipe.m_equiv * sq <= val * (1.0 + 1e-9)
             assert val <= recipe.M_equiv * sq * (1.0 + 1e-9)
 
@@ -435,7 +437,7 @@ class TestLyapunov:
 class TestSimulate:
     def test_zero_initial_state_stays_quiet(self, toy):
         spec = GridSpec(nx=30, ny=10, dt=0.01, t_final=0.3)
-        record = simulate(toy, spec, mode="open",
+        record = simulate(sample_coefficients(toy, spec), spec, mode="open",
                           u0=np.zeros((31, 10)), v0=np.zeros(31))
         assert np.all(record.joint_norms == 0.0)
         assert np.all(record.control == 0.0)
@@ -443,7 +445,7 @@ class TestSimulate:
 
     def test_record_layout(self, toy):
         spec = GridSpec(nx=30, ny=10, dt=0.01, t_final=0.2)
-        record = simulate(toy, spec, mode="open")
+        record = simulate(sample_coefficients(toy, spec), spec, mode="open")
         assert record.times.shape == (21,)
         assert record.times[0] == 0.0
         assert abs(record.times[-1] - 0.2) <= 1e-12
@@ -455,7 +457,7 @@ class TestSimulate:
 
     def test_snapshots_land_on_nearest_step(self, toy):
         spec = GridSpec(nx=30, ny=10, dt=0.01, t_final=0.2)
-        record = simulate(toy, spec, mode="open",
+        record = simulate(sample_coefficients(toy, spec), spec, mode="open",
                           snapshot_times=(0.052, 0.123, 5.0))
         assert len(record.snapshots) == 3
         taken = [t for t, _ in record.snapshots]
@@ -469,13 +471,29 @@ class TestSimulate:
     def test_rejects_bad_mode_and_missing_kernels(self, toy):
         spec = GridSpec(nx=10, ny=5)
         with pytest.raises(ConfigurationError):
-            simulate(toy, spec, mode="sideways")
+            simulate(sample_coefficients(toy, spec), spec, mode="sideways")
         with pytest.raises(ConfigurationError):
-            simulate(toy, spec, mode="closed")
+            simulate(sample_coefficients(toy, spec), spec, mode="closed")
+
+    def test_coefficients_from_another_grid_are_refused(self, toy):
+        # no silent re-sampling: coefficients must match the run's nx and ny
+        spec = GridSpec(nx=20, ny=6, dt=0.01, t_final=0.1)
+        kernels = solve_backstepping_kernels(toy, spec)
+        for other in (GridSpec(nx=40, ny=6), GridSpec(nx=20, ny=8)):
+            coeff = sample_coefficients(toy, other)
+            with pytest.raises(DimensionError, match="do not match"):
+                simulate(coeff, spec, mode="open")
+            with pytest.raises(DimensionError, match="do not match"):
+                simulate_target(coeff, spec, kernels)
+        # another time step or horizon on the same nx and ny is accepted
+        record = simulate(sample_coefficients(toy, GridSpec(nx=20, ny=6)),
+                          spec, mode="open")
+        assert record.times.shape == (11,)
 
     def test_closed_loop_records_feedback_and_outlet(self, toy, kernels_mid):
         spec_run = GridSpec(nx=100, ny=60, dt=0.008, t_final=0.1)
-        record = simulate(toy, spec_run, kernels=kernels_mid, mode="closed",
+        record = simulate(sample_coefficients(toy, spec_run), spec_run,
+                          kernels=kernels_mid, mode="closed",
                           snapshot_times=(0.0,))
         assert record.control[0] != 0.0
         _, snap0 = record.snapshots[0]
@@ -491,7 +509,8 @@ class TestSimulate:
 class TestSimulateTarget:
     def test_lyapunov_decreases_stepwise(self, toy, kernels_mid):
         spec_run = GridSpec(nx=100, ny=60, dt=0.008, t_final=1.5)
-        record = simulate_target(toy, spec_run, kernels_mid)
+        record = simulate_target(sample_coefficients(toy, spec_run), spec_run,
+                                 kernels_mid)
         lyap = record.lyapunov
         assert lyap is not None
         assert np.all(lyap > 0.0)
@@ -503,7 +522,8 @@ class TestSimulateTarget:
         spec = GridSpec(nx=80, ny=20, dt=0.01, t_final=2.0)
         sol = solve_backstepping_kernels(pure_transport, spec)
         u0, v0 = _smooth_state(spec, rng)
-        record = simulate_target(pure_transport, spec, sol, u0=u0, v0=v0)
+        record = simulate_target(sample_coefficients(pure_transport, spec),
+                                 spec, sol, u0=u0, v0=v0)
         # after the first step the quadrature end-weight transient is gone
         # and the flush is strictly monotone
         growth = record.lyapunov[2:] / np.maximum(record.lyapunov[1:-1], 1e-300)
