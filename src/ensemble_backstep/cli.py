@@ -177,8 +177,45 @@ def _grid_from_config(config: RunConfig) -> GridSpec:
                     t_final=config.t_final)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+#: A float as the outputs write it: 17 significant digits, as ``"%.17g"``.
+_fmt = "%.17g".__mod__
+
+
+def _write_y_table(path: str, header: str, heads, values: np.ndarray,
+                   tails, y_nodes: np.ndarray) -> None:
+    """Write one CSV line per group g and y-node a: ``heads[g]`` (the
+    group's leading columns, comma included), ``y_a``, ``values[g, a]`` and
+    ``tails[g]``.
+
+    The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")`` on the
+    full numeric table.  Each y-node is formatted once and the values one
+    group at a time, so neither the numeric table nor all of its strings are
+    ever held.
+    """
+    ys = [_fmt(y) + "," for y in y_nodes.tolist()]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header)
+        for head, row, tail in zip(heads, values, tails):
+            end = "," + tail + "\n"
+            fh.write("".join([head + y + v + end for y, v in
+                              zip(ys, map(_fmt, row.tolist()))]))
+
+
+def _x_strings(spec: GridSpec) -> list[str]:
+    """The x-nodes formatted once, for the leading columns of a table."""
+    return list(map(_fmt, spec.x_nodes.tolist()))
+
+
+def _write_kernels_csv(path: str, sol: KernelSolution) -> None:
+    """``kernels.csv``: one line per triangle node (x, xi) and y-node."""
+    spec = sol.spec
+    tri = spec.tri
+    xs = _x_strings(spec)
+    heads = [xs[i] + "," + xs[j] + "," for i, j in
+             zip(tri.i_index.tolist(), tri.j_index.tolist())]
+    tails = map(_fmt, sol.ktilde.tolist())
+    _write_y_table(path, "x,xi,y,k,ktilde\n", heads, sol.k, tails,
+                   spec.y_nodes)
 
 
 def _jsonable(obj):
@@ -248,6 +285,7 @@ def cmd_kernels(config: RunConfig) -> int:
     payload = {
         "iterations": sol.iterations,
         "final_delta": sol.final_delta,
+        "y_rank": sol.y_rank,
         "residuals": {"ensemble_equation": res_ensemble,
                       "scalar_equation": res_scalar},
     }
@@ -256,18 +294,7 @@ def cmd_kernels(config: RunConfig) -> int:
     _write_json(json_path, payload)
 
     csv_path = os.path.join(config.output_dir, "kernels.csv")
-    tri = spec.tri
-    n = tri.n_nodes
-    ny = spec.ny
-    cols = np.empty((n * ny, 5))
-    cols[:, 0] = np.repeat(tri.x_coord, ny)
-    cols[:, 1] = np.repeat(tri.xi_coord, ny)
-    cols[:, 2] = np.tile(spec.y_nodes, n)
-    cols[:, 3] = sol.k.ravel()
-    cols[:, 4] = np.repeat(sol.ktilde, ny)
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,xi,y,k,ktilde\n")
-        np.savetxt(fh, cols, fmt="%.17g", delimiter=",", newline="\n")
+    _write_kernels_csv(csv_path, sol)
     print(f"wrote {csv_path} and {json_path} "
           f"(iterations={sol.iterations}, final_delta={sol.final_delta:.3e})")
     return 0
@@ -287,21 +314,15 @@ def _write_timeseries(path: str, record, target_mode: bool) -> None:
 def _write_snapshots(out_dir: str, spec: GridSpec, record) -> list[str]:
     paths = []
     seen = set()
+    heads = [x + "," for x in _x_strings(spec)]
     for t_snap, state in record.snapshots:
         label = f"{t_snap:g}"
         if label in seen:
             continue
         seen.add(label)
         path = os.path.join(out_dir, f"snap_{label}.csv")
-        n = (spec.nx + 1) * spec.ny
-        cols = np.empty((n, 4))
-        cols[:, 0] = np.repeat(spec.x_nodes, spec.ny)
-        cols[:, 1] = np.tile(spec.y_nodes, spec.nx + 1)
-        cols[:, 2] = state.u.ravel()
-        cols[:, 3] = np.repeat(state.v, spec.ny)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("x,y,u,v\n")
-            np.savetxt(fh, cols, fmt="%.17g", delimiter=",", newline="\n")
+        _write_y_table(path, "x,y,u,v\n", heads, state.u,
+                       map(_fmt, state.v.tolist()), spec.y_nodes)
         paths.append(path)
     return paths
 

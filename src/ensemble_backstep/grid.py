@@ -217,33 +217,27 @@ def corner_weights(nx: int, x: np.ndarray, xi: np.ndarray):
     """
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     xi = np.minimum(np.clip(np.asarray(xi, dtype=float), 0.0, 1.0), x)
-    h = 1.0 / nx
     i = np.minimum((x * nx).astype(np.int64), nx - 1)
     j = np.minimum((xi * nx).astype(np.int64), i)
     a = x * nx - i
     b = xi * nx - j
     diag = j == i
 
-    f00 = i * (i + 1) // 2 + j
-    f10 = (i + 1) * (i + 2) // 2 + j
-    f01 = f00 + 1
-    f11 = f10 + 1
-
-    w00 = (1.0 - a) * (1.0 - b)
-    w10 = a * (1.0 - b)
-    w01 = (1.0 - a) * b
-    w11 = a * b
-
-    # Diagonal cells: barycentric weights on {(i,i), (i+1,i), (i+1,i+1)}.
+    # Each index and weight is written straight into its slot of the
+    # (..., 4) outputs: corners (i, j), (i+1, j), (i, j+1), (i+1, j+1).
+    idx = np.empty(x.shape + (4,), dtype=np.int64)
+    w = np.empty(x.shape + (4,))
+    idx[..., 0] = i * (i + 1) // 2 + j
+    idx[..., 1] = (i + 1) * (i + 2) // 2 + j
+    idx[..., 3] = idx[..., 1] + 1
+    # Diagonal cells: barycentric weights on {(i,i), (i+1,i), (i+1,i+1)},
+    # with the unused corner (i, i+1) pointed at (i, i) with weight 0.
+    idx[..., 2] = np.where(diag, idx[..., 0], idx[..., 0] + 1)
     ad = (x - xi) * nx
     bd = xi * nx - i
-    w00 = np.where(diag, 1.0 - ad - bd, w00)
-    w10 = np.where(diag, ad, w10)
-    w01 = np.where(diag, 0.0, w01)
-    w11 = np.where(diag, bd, w11)
-    f01 = np.where(diag, f00, f01)
-
-    idx = np.stack([f00, f10, f01, f11], axis=-1)
-    w = np.stack([w00, w10, w01, w11], axis=-1)
+    w[..., 0] = np.where(diag, 1.0 - ad - bd, (1.0 - a) * (1.0 - b))
+    w[..., 1] = np.where(diag, ad, a * (1.0 - b))
+    w[..., 2] = np.where(diag, 0.0, (1.0 - a) * b)
+    w[..., 3] = np.where(diag, bd, a * b)
     return idx, w
 

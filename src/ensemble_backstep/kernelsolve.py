@@ -24,11 +24,18 @@ instead of one).  Each family reads its curves off one trajectory per
 distinct start (see :mod:`.characteristics`) and becomes one sparse
 operator that combines path-trapezoid weights with bilinear interpolation
 on the triangle, written in CSR one triangle row at a time; the family's
-samples are freed once its operator and launch abscissas exist.  Each sweep
-evaluates the source terms on the grid and pushes them through these
-operators.  Boundary data is always evaluated exactly at the off-grid launch
-abscissas, so the diagonal condition holds exactly at nodes and the edge
-condition holds to the fixed-point tolerance.  The solution is returned
+samples are freed once its operator and launch abscissas exist.  Boundary
+data is always evaluated exactly at the off-grid launch abscissas, so the
+diagonal condition holds exactly at nodes and the edge condition holds to
+the fixed-point tolerance.
+
+With one family the crossing operators act on x and xi only, so y moves
+only through the exchange and the speed derivative, and the sweeps run in
+the smallest y-subspace that holds every iterate: ``F = C @ B.T`` with
+``B`` an orthonormal ``(ny, r)`` basis (r = 1 for the toy), each operator
+applied to r columns and the exchange to one ``r x r`` block per x-node.
+With more than one family, or when that subspace is all of y, ``B`` is the
+identity and the sweeps act on every y-node.  The solution is returned
 together with the outlet gain row used by the controller.
 """
 
@@ -42,7 +49,7 @@ from scipy import sparse
 
 from .characteristics import trace_crossing_batch, trace_edge_batch
 from .errors import NonconvergenceError, NumericError
-from .grid import GridSpec, TriangularIndex, corner_weights
+from .grid import GridSpec, TriangularIndex, corner_weights, y_factor
 from .model import PlantModel, SampledCoefficients, sample_coefficients
 
 __all__ = [
@@ -60,17 +67,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GoursatProblem:
-    """The kernel system of one sampled plant.
+    """The kernel system of one sampled plant, assembled and projected.
 
-    Every coefficient is read from ``coeff``.  ``apply_ensemble_operator(tri,
-    field)`` receives the full ensemble iterate as a ``(n_tri, ny)`` array
-    and returns the ensemble operator applied per triangle node (linear in
-    the field, acting only within each node's y-profile); the solver calls
-    it once at the start of every sweep.
+    The ensemble unknown is held as ``F = C @ basis.T``, with ``basis`` an
+    orthonormal ``(ny, r)`` basis of the y-subspace that holds every iterate,
+    and every ``(n_tri, r)`` field here is a plant field in those
+    coordinates, except ``diagonal_data``: the ``(n_tri, ny)`` data each
+    crossing curve carries from the diagonal.  ``cross_ops`` pairs each
+    crossing operator with the columns it acts on, and ``edge_interp`` holds
+    the linear-in-x interpolation of the edge launch points.
+    ``apply_ensemble_operator(tri, field)`` receives the ``(n_tri, r)``
+    coordinates of the ensemble iterate and returns those of the ensemble
+    operator (the speed derivative and the transposed exchange) applied per
+    triangle node; the solver calls it once at the start of every sweep.
     """
 
-    coeff: SampledCoefficients
+    spec: GridSpec
+    basis: np.ndarray
+    cross_ops: tuple
+    diagonal_data: np.ndarray
+    scalar_to_ensemble: np.ndarray
+    ensemble_to_scalar: np.ndarray
+    scalar_decay: np.ndarray
+    edge_op: sparse.csr_matrix
+    edge_interp: tuple
+    edge_gain: np.ndarray
     apply_ensemble_operator: Callable
+
+    @property
+    def y_rank(self) -> int:
+        """Number of columns each sweep acts on."""
+        return self.basis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -82,6 +109,7 @@ class GoursatResult:
     iterations: int
     final_delta: float
     deltas: tuple[float, ...]
+    y_rank: int
 
 
 @dataclass(frozen=True)
@@ -94,7 +122,12 @@ class GainRow:
 
 @dataclass(frozen=True)
 class KernelSolution:
-    """Solved transform kernels on the triangle plus controller gain data."""
+    """Solved transform kernels on the triangle plus controller gain data.
+
+    ``y_rank`` is the number of y-columns the solver swept: the dimension of
+    the y-subspace that holds ``k``, or ``ny`` when ``k`` was held per
+    y-node.
+    """
 
     k: np.ndarray
     ktilde: np.ndarray
@@ -102,6 +135,7 @@ class KernelSolution:
     final_delta: float
     gain_row: GainRow
     spec: GridSpec
+    y_rank: int
 
 
 def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
@@ -140,13 +174,44 @@ def _edge_interp_indices(spec: GridSpec, launch: np.ndarray):
     return flat0, flat1, frac
 
 
+def _y_subspace(maps: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the smallest y-subspace holding every iterate.
+
+    With one family of crossing curves the sweeps make y-profiles only from
+    the ``seeds`` (the diagonal data and the readout rows) and move a
+    profile ``f`` only by ``f @ maps[j]`` at every x-node j.  The basis
+    starts as the :func:`~ensemble_backstep.grid.y_factor` of the seeds;
+    each pass adds the images under every map of the directions the
+    previous pass added, until the rank stops growing.  The basis enters
+    each pass scaled to the largest map, so a direction counts as new only
+    if its images stand out of their rounding.  A closure of rank ny
+    returns the identity.
+    """
+    ny = seeds.shape[1]
+    scale = float(np.max(np.linalg.norm(maps, axis=(1, 2))))
+    _, basis = y_factor(seeds)
+    new = basis
+    while new.shape[1] and 0.0 < scale and basis.shape[1] < ny:
+        images = (new.T @ maps).reshape(-1, ny)
+        _, grown = y_factor(np.vstack([scale * basis.T, images]))
+        added = grown.shape[1] - basis.shape[1]
+        if added <= 0:
+            break
+        u, _, _ = np.linalg.svd(grown - basis @ (basis.T @ grown),
+                                full_matrices=False)
+        new = u[:, :added]
+        basis = grown
+    return basis if basis.shape[1] < ny else np.eye(ny)
+
+
 def solve_goursat(problem: GoursatProblem, tol: float = 1e-10,
                   max_iter: int = 60) -> GoursatResult:
     """Solve the kernel system by successive approximation.
 
     Starts both unknowns from zero and sweeps until the sup-norm increment of
-    both falls below ``tol``.  Each sweep computes the ensemble update from
-    the previous iterates, then the scalar update using the fresh ensemble
+    both (of the ensemble unknown on every y-node, not of its coordinates)
+    falls below ``tol``.  Each sweep computes the ensemble update from the
+    previous iterates, then the scalar update using the fresh ensemble
     values in the edge condition and the previous iterates in the path
     integral.
 
@@ -158,71 +223,42 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10,
     NumericError
         If an iterate stops being finite.
     """
-    coeff = problem.coeff
-    model = coeff.model
-    spec = coeff.spec
-    tri = spec.tri
-    n_tri = tri.n_nodes
-    xs = tri.x_coord
-    xis = tri.xi_coord
-    wy = spec.y_weights
+    tri = problem.spec.tri
+    basis = problem.basis
+    diagonal = problem.diagonal_data @ basis
+    edge_flat0, edge_flat1, edge_frac = problem.edge_interp
 
-    # y-nodes whose sampled speed columns are equal, which the grid cannot
-    # tell apart, share one family of crossing curves traced at the first.
-    _, group = np.unique(coeff.speed_u_grid.T, axis=0, return_inverse=True)
-    cross_ops = []
-    f_boundary = np.empty((n_tri, spec.ny))
-    for g in range(group.max() + 1):
-        cols = np.flatnonzero(group == g)
-        y = spec.y_nodes[cols]
-        if cols[-1] - cols[0] + 1 == cols.size:
-            # A slice, not an index array: no copy of the columns per sweep.
-            cols = slice(cols[0], cols[-1] + 1)
-        bundle = trace_crossing_batch(coeff, xs, xis, np.full(n_tri, y[0]))
-        cross_ops.append((cols, _quadrature_matrix(spec, bundle)))
-        launch = bundle.launch[:, None]
-        # A family's samples are the bulk of the solve's memory: each bundle
-        # goes as soon as its operator and launch data exist.
-        del bundle
-        f_boundary[:, cols] = -model.readout(launch, y) / (
-            model.speed_u(launch, y) + model.speed_v(launch))
-
-    bundle = trace_edge_batch(coeff, xs, xis)
-    edge_op = _quadrature_matrix(spec, bundle)
-    edge_flat0, edge_flat1, edge_frac = _edge_interp_indices(spec, bundle.launch)
-    del bundle
-    edge_gain = (coeff.inflow_gain_grid * coeff.speed_u_grid[0]
-                 / coeff.speed_v_grid[0] * wy)
-
-    scalar_to_ensemble = coeff.readout_grid[tri.j_index]
-    scalar_decay = -coeff.speed_v_dx_grid[tri.j_index]
-    ensemble_to_scalar = coeff.drive_grid[tri.j_index] * wy
-
-    F = np.zeros((n_tri, spec.ny))
-    G = np.zeros(n_tri)
+    C = np.zeros((tri.n_nodes, problem.y_rank))
+    G = np.zeros(tri.n_nodes)
     deltas: list[float] = []
     for iteration in range(1, max_iter + 1):
-        source_F = (scalar_to_ensemble * G[:, None]
-                    + problem.apply_ensemble_operator(tri, F))
-        F_new = np.empty_like(F)
-        for cols, op in cross_ops:
-            F_new[:, cols] = f_boundary[:, cols] + op @ source_F[:, cols]
+        source_C = (problem.scalar_to_ensemble * G[:, None]
+                    + problem.apply_ensemble_operator(tri, C))
+        C_new = np.empty_like(C)
+        for cols, op in problem.cross_ops:
+            C_new[:, cols] = diagonal[:, cols] + op @ source_C[:, cols]
 
-        source_G = scalar_decay * G + (ensemble_to_scalar * F).sum(axis=1)
-        edge_rows = ((1.0 - edge_frac)[:, None] * F_new[edge_flat0]
-                     + edge_frac[:, None] * F_new[edge_flat1])
-        G_new = edge_op @ source_G + (edge_gain * edge_rows).sum(axis=1)
+        source_G = (problem.scalar_decay * G
+                    + (problem.ensemble_to_scalar * C).sum(axis=1))
+        edge_rows = ((1.0 - edge_frac)[:, None] * C_new[edge_flat0]
+                     + edge_frac[:, None] * C_new[edge_flat1])
+        G_new = (problem.edge_op @ source_G
+                 + (problem.edge_gain * edge_rows).sum(axis=1))
 
-        if not (np.all(np.isfinite(F_new)) and np.all(np.isfinite(G_new))):
+        if not (np.all(np.isfinite(C_new)) and np.all(np.isfinite(G_new))):
             raise NumericError("Goursat iterate is no longer finite")
-        delta = max(float(np.max(np.abs(F_new - F))),
+        delta = max(float(np.max(np.abs((C_new - C) @ basis.T))),
                     float(np.max(np.abs(G_new - G))))
         deltas.append(delta)
-        F = F_new
+        C = C_new
         G = G_new
         if delta < tol:
+            # The diagonal data enters at full y-resolution, so a node whose
+            # curve has no length carries it exactly.
+            F = problem.diagonal_data + (C - diagonal) @ basis.T
             return GoursatResult(F=F, G=G, iterations=iteration,
-                                 final_delta=delta, deltas=tuple(deltas))
+                                 final_delta=delta, deltas=tuple(deltas),
+                                 y_rank=problem.y_rank)
     raise NonconvergenceError(
         f"Goursat iteration did not reach tol={tol} in {max_iter} sweeps",
         final_delta=deltas[-1],
@@ -247,16 +283,76 @@ def _transpose_exchange_rows(coeff: SampledCoefficients, j_values: np.ndarray,
 
 
 def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProblem:
-    """Sample the plant and pair it with its ensemble operator."""
+    """Sample the plant, trace and assemble its curve families, and project
+    the kernel system onto its y-subspace."""
     coeff = sample_coefficients(model, spec)
+    tri = spec.tri
+    n_tri = tri.n_nodes
+    xs = tri.x_coord
+    xis = tri.xi_coord
+    wy = spec.y_weights
+
+    # y-nodes whose sampled speed columns are equal, which the grid cannot
+    # tell apart, share one family of crossing curves traced at the first.
+    _, group = np.unique(coeff.speed_u_grid.T, axis=0, return_inverse=True)
+    cross_ops = []
+    diagonal_data = np.empty((n_tri, spec.ny))
+    for g in range(group.max() + 1):
+        cols = np.flatnonzero(group == g)
+        y = spec.y_nodes[cols]
+        if cols[-1] - cols[0] + 1 == cols.size:
+            # A slice, not an index array: no copy of the columns per sweep.
+            cols = slice(cols[0], cols[-1] + 1)
+        bundle = trace_crossing_batch(coeff, xs, xis, np.full(n_tri, y[0]))
+        cross_ops.append((cols, _quadrature_matrix(spec, bundle)))
+        launch = bundle.launch[:, None]
+        # A family's samples are the bulk of the solve's memory: each bundle
+        # goes as soon as its operator and launch data exist.
+        del bundle
+        diagonal_data[:, cols] = -model.readout(launch, y) / (
+            model.speed_u(launch, y) + model.speed_v(launch))
+
+    bundle = trace_edge_batch(coeff, xs, xis)
+    edge_op = _quadrature_matrix(spec, bundle)
+    edge_interp = _edge_interp_indices(spec, bundle.launch)
+    del bundle
+
+    # The ensemble operator at x-node j maps a y-profile f to f @ maps[j]:
+    # maps[j] = diag(speed_u_dx[j]) + diag(w_y) @ exchange[j].
+    maps = wy[:, None] * coeff.exchange_grid
+    diag = np.arange(spec.ny)
+    maps[:, diag, diag] += coeff.speed_u_dx_grid
+    if len(cross_ops) == 1:
+        basis = _y_subspace(maps, np.vstack([diagonal_data,
+                                             coeff.readout_grid]))
+        # The one family acts on every column of the subspace.
+        cross_ops = [(slice(None), cross_ops[0][1])]
+    else:
+        basis = np.eye(spec.ny)
+    blocks = basis.T @ maps @ basis
+    columns = [tri.row_start[j:] + j for j in range(spec.nx + 1)]
 
     def apply_ensemble_operator(tri: TriangularIndex, field: np.ndarray) -> np.ndarray:
-        out = coeff.speed_u_dx_grid[tri.j_index] * field
-        out += _transpose_exchange_rows(coeff, tri.j_index, field)
+        # ``columns[j]`` holds the flat nodes (i, j), i >= j, of ``tri``.
+        out = np.empty_like(field)
+        for nodes, block in zip(columns, blocks):
+            out[nodes] = field[nodes] @ block
         return out
 
-    return GoursatProblem(coeff=coeff,
-                          apply_ensemble_operator=apply_ensemble_operator)
+    return GoursatProblem(
+        spec=spec,
+        basis=basis,
+        cross_ops=tuple(cross_ops),
+        diagonal_data=diagonal_data,
+        scalar_to_ensemble=(coeff.readout_grid @ basis)[tri.j_index],
+        ensemble_to_scalar=((coeff.drive_grid * wy) @ basis)[tri.j_index],
+        scalar_decay=-coeff.speed_v_dx_grid[tri.j_index],
+        edge_op=edge_op,
+        edge_interp=edge_interp,
+        edge_gain=(coeff.inflow_gain_grid * coeff.speed_u_grid[0]
+                   / coeff.speed_v_grid[0] * wy) @ basis,
+        apply_ensemble_operator=apply_ensemble_operator,
+    )
 
 
 def _gain_row(spec: GridSpec, k: np.ndarray, ktilde: np.ndarray) -> GainRow:
@@ -277,6 +373,7 @@ def solve_backstepping_kernels(model: PlantModel, spec: GridSpec,
         final_delta=result.final_delta,
         gain_row=_gain_row(spec, result.F, result.G),
         spec=spec,
+        y_rank=result.y_rank,
     )
 
 
@@ -302,6 +399,7 @@ def kernel_solution_from_evaluators(spec: GridSpec, ensemble_kernel,
         final_delta=0.0,
         gain_row=_gain_row(spec, k, ktilde),
         spec=spec,
+        y_rank=spec.ny,
     )
 
 

@@ -6,18 +6,22 @@ schemas, every exit code, and byte-level determinism of the emitted files
 across repeated runs under different BLAS/OpenMP thread settings.
 """
 
+import io
 import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ensemble_backstep import cli
 from ensemble_backstep.cli import load_config_file, main
 from ensemble_backstep.errors import ConfigurationError, NonconvergenceError
 from ensemble_backstep.grid import GridSpec
-from ensemble_backstep.kernelsolve import solve_backstepping_kernels
+from ensemble_backstep.kernelsolve import (kernel_solution_from_evaluators,
+                                          solve_backstepping_kernels)
 from ensemble_backstep.model import builtin_model
 
 
@@ -145,8 +149,10 @@ class TestKernelsCommand:
         assert code == 0
         payload = json.loads((tmp_path / "kernels.json").read_text())
         assert set(payload) == {"iterations", "final_delta", "residuals",
-                                "analytic_max_rel_error"}
+                                "analytic_max_rel_error", "y_rank"}
         assert isinstance(payload["iterations"], int)
+        # the toy's kernels are swept in a one-dimensional y-subspace
+        assert payload["y_rank"] == 1
         assert payload["iterations"] >= 1
         assert payload["final_delta"] <= 1e-10
         assert set(payload["residuals"]) == {"ensemble_equation",
@@ -165,6 +171,54 @@ class TestKernelsCommand:
         # must round-trip bit for bit against an in-process solve.
         np.testing.assert_array_equal(data[:, 3], sol.k.ravel())
         np.testing.assert_array_equal(data[:, 4], np.repeat(sol.ktilde, 12))
+
+
+def _savetxt_bytes(header, columns):
+    """The table as ``np.savetxt(fmt="%.17g")`` writes it."""
+    buffer = io.StringIO()
+    buffer.write(header)
+    np.savetxt(buffer, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               newline="\n")
+    return buffer.getvalue().encode("utf-8")
+
+
+def _awkward_values(rng, shape):
+    """Doubles across the whole exponent range, with signed zeros and
+    subnormals."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-310, 300, shape)
+    flat = values.reshape(-1)
+    flat[::7] = -0.0
+    flat[1::11] = 0.0
+    flat[2::13] = 5e-324
+    return values
+
+
+def test_writers_write_savetxt_bytes(tmp_path, rng):
+    """kernels.csv and the snapshot CSVs are byte for byte the tables that
+    ``np.savetxt(fmt="%.17g")`` writes."""
+    spec = GridSpec(nx=6, ny=5)
+    tri = spec.tri
+    k = _awkward_values(rng, (tri.n_nodes, spec.ny))
+    ktilde = _awkward_values(rng, tri.n_nodes)
+    sol = kernel_solution_from_evaluators(
+        spec, lambda x, xi, y: k, lambda x, xi: ktilde)
+    cli._write_kernels_csv(str(tmp_path / "kernels.csv"), sol)
+    ny = spec.ny
+    expected = _savetxt_bytes("x,xi,y,k,ktilde\n", [
+        np.repeat(tri.x_coord, ny), np.repeat(tri.xi_coord, ny),
+        np.tile(spec.y_nodes, tri.n_nodes), k.ravel(),
+        np.repeat(ktilde, ny)])
+    assert (tmp_path / "kernels.csv").read_bytes() == expected
+
+    state = SimpleNamespace(u=_awkward_values(rng, (spec.nx + 1, ny)),
+                            v=_awkward_values(rng, spec.nx + 1))
+    record = SimpleNamespace(snapshots=[(0.5, state)])
+    paths = cli._write_snapshots(str(tmp_path), spec, record)
+    assert paths == [str(tmp_path / "snap_0.5.csv")]
+    expected = _savetxt_bytes("x,y,u,v\n", [
+        np.repeat(spec.x_nodes, ny), np.tile(spec.y_nodes, spec.nx + 1),
+        state.u.ravel(), np.repeat(state.v, ny)])
+    assert (tmp_path / "snap_0.5.csv").read_bytes() == expected
 
 
 class TestSimulateCommand:

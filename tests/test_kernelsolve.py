@@ -1,9 +1,11 @@
 """Goursat solver: boundary data, convergence, identities, determinism."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from ensemble_backstep import kernelsolve
@@ -20,7 +22,11 @@ from ensemble_backstep.kernelsolve import (
     solve_backstepping_kernels,
     solve_goursat,
 )
-from ensemble_backstep.model import sample_coefficients, toy_analytic_kernels
+from ensemble_backstep.model import (
+    sample_coefficients,
+    toy_analytic_kernels,
+    toy_model,
+)
 
 SPEC = GridSpec(nx=40, ny=24)
 
@@ -72,8 +78,8 @@ class TestGenericSolver:
         problem = build_backstepping_problem(toy, SPEC)
         op = problem.apply_ensemble_operator
         tri = SPEC.tri
-        f = rng.standard_normal((tri.n_nodes, SPEC.ny))
-        g = rng.standard_normal((tri.n_nodes, SPEC.ny))
+        f = rng.standard_normal((tri.n_nodes, problem.y_rank))
+        g = rng.standard_normal((tri.n_nodes, problem.y_rank))
         combined = op(tri, 2.0 * f + 3.0 * g)
         split = 2.0 * op(tri, f) + 3.0 * op(tri, g)
         scale = max(1.0, float(np.max(np.abs(split))))
@@ -257,3 +263,89 @@ def test_row_blocks_equal_one_shot_assembly(toy, plant_name, family):
     assert op.has_canonical_format
     assert np.array_equal(op.toarray(),
                           _one_shot_operator(spec, bundle).toarray())
+
+
+def _reference_plants():
+    """Plants whose kernels ``tests/data`` holds as solved before the sweeps
+    ran in the y-subspace: the toy (y-rank 1), the toy with a Gaussian
+    exchange (rank 11 at ny = 16) and with a degree-2 polynomial exchange
+    (rank 3), and a plant with a y-dependent speed (per-y sweeps)."""
+    toy = toy_model()
+    return {
+        "toy": toy,
+        "gauss": dataclasses.replace(
+            toy, name="toy-gauss",
+            exchange=lambda x, y, eta: x * np.exp(-(y - eta) ** 2)),
+        "poly": dataclasses.replace(
+            toy, name="toy-poly",
+            exchange=lambda x, y, eta: x * (1.0 + y * eta + (y * eta) ** 2)),
+        "full_rank": dataclasses.replace(
+            toy, name="full-rank",
+            speed_u=lambda x, y: 1.0 + 0.5 * y + 0.0 * x,
+            exchange=lambda x, y, eta: x * np.exp(-(y - eta) ** 2),
+            drive=lambda x, y: (x * (x + 1.0) * (y - 0.5) * np.exp(x)
+                                + 0.5 * np.sin(np.pi * x * y))),
+    }
+
+
+REFERENCE_KERNELS = os.path.join(os.path.dirname(__file__), "data",
+                           "kernels_before_subspace_nx20_ny16.npz")
+
+
+@pytest.mark.parametrize("name, y_rank", [
+    ("toy", 1), ("gauss", 11), ("poly", 3), ("full_rank", 16)])
+def test_subspace_solve_matches_per_y_solve(name, y_rank):
+    """The subspace sweeps reproduce the kernels the per-y sweeps solved
+    (``tests/data``, nx = 20, ny = 16) to rounding."""
+    spec = GridSpec(nx=20, ny=16)
+    sol = solve_backstepping_kernels(_reference_plants()[name], spec, tol=1e-10)
+    assert sol.y_rank == y_rank
+    with np.load(REFERENCE_KERNELS) as ref:
+        k, ktilde = ref[f"{name}_k"], ref[f"{name}_ktilde"]
+    assert np.max(np.abs(sol.k - k)) <= 1e-12 * np.max(np.abs(k))
+    assert np.max(np.abs(sol.ktilde - ktilde)) <= 1e-12 * np.max(np.abs(ktilde))
+
+
+_coefficient = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.lists(_coefficient, min_size=10, max_size=10),
+       st.floats(0.1, 8.0))
+def test_y_subspace_holds_seeds_and_is_closed(c, width):
+    """For a random smooth plant whose speed does not depend on y, the
+    sweep basis B holds the diagonal data and the readout rows, and is
+    closed under every x-node's map f -> f @ A_j."""
+    plant = dataclasses.replace(
+        toy_model(), name="random",
+        speed_u=lambda x, y: 1.5 + c[0] * np.sin(3.0 * x) / 2.0 + 0.0 * y,
+        speed_u_dx=None,
+        speed_v=lambda x: 1.0 + 0.25 * c[1] * x ** 2,
+        speed_v_dx=None,
+        exchange=lambda x, y, eta: (c[2] * x * np.exp(-width * (y - eta) ** 2)
+                                    + c[3] * np.cos(np.pi * x * y) * eta
+                                    + c[4] * (1.0 + x) * y * eta ** 2),
+        drive=lambda x, y: c[5] * np.exp(x * y) + c[6] * y,
+        readout=lambda x, y: c[7] * np.sin(2.0 * x + y) + c[8] * x * y ** 3,
+        inflow_gain=lambda y: c[9] * np.cos(np.pi * np.asarray(y)))
+    spec = GridSpec(nx=8, ny=12)
+    coeff = sample_coefficients(plant, spec)
+    problem = build_backstepping_problem(plant, spec)
+    basis = problem.basis
+    # the subspace of a full-rank closure is all of y, held as the identity
+    assert basis.shape[1] < spec.ny or np.array_equal(basis, np.eye(spec.ny))
+    assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+
+    def outside(rows):
+        return rows - (rows @ basis) @ basis.T
+
+    seeds = np.vstack([problem.diagonal_data,
+                       coeff.readout_grid])
+    assert np.max(np.abs(outside(seeds))) <= 1e-12 * max(np.max(np.abs(seeds)),
+                                                          1e-300)
+    for j in range(spec.nx + 1):
+        a_j = (np.diag(coeff.speed_u_dx_grid[j])
+               + spec.y_weights[:, None] * coeff.exchange_grid[j])
+        images = basis.T @ a_j
+        assert (np.linalg.norm(outside(images), 2)
+                <= 1e-12 * np.linalg.norm(a_j, 2))

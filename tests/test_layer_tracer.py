@@ -5,7 +5,8 @@ times each solver sweep through the ensemble-operator callback of
 ``build_backstepping_problem``.  A refactor that unbinds one of those names,
 or stops calling the callback once per sweep, breaks the traced benchmark
 run; these tests catch it without running the benchmark, on the shared-curve
-path (the toy) and on the per-y path (a y-dependent ensemble speed).
+path (the toy, swept in its one-dimensional y-subspace) and on the per-y
+path (a y-dependent ensemble speed, swept on every y-node).
 """
 
 import json
@@ -18,7 +19,7 @@ import ensemble_backstep
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = """
-import collections, json, sys
+import collections, dataclasses, json, sys
 import numpy as np
 import tracing
 from ensemble_backstep import kernelsolve
@@ -33,19 +34,32 @@ if sys.argv[1] == "ydep":
         speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x))
 tracer = tracing.Tracer()
 tracing.install(tracer)
+# Record the width of every field the traced sweep callback receives.
+widths = []
+traced_build = kernelsolve.build_backstepping_problem
+def recording_build(*args, **kwargs):
+    problem = traced_build(*args, **kwargs)
+    callback = problem.apply_ensemble_operator
+    def recording_callback(tri, field):
+        widths.append(field.shape[1])
+        return callback(tri, field)
+    return dataclasses.replace(problem,
+                               apply_ensemble_operator=recording_callback)
+kernelsolve.build_backstepping_problem = recording_build
 sol = kernelsolve.solve_backstepping_kernels(plant, GridSpec(nx=12, ny=6))
 counts = collections.Counter(span["name"] for span in tracer.spans)
 def total(name, key):
     return sum(span[key] for span in tracer.spans if span["name"] == name)
 print(json.dumps({"iterations": sol.iterations, "spans": counts,
+                  "widths": sorted(set(widths)),
                   "points": total("grid.corner_weights", "points"),
                   "samples": total("characteristics.trace", "samples")}))
 """
 
 
 def _traced_solve(plant):
-    """Span counts of a traced solve at nx=12, ny=6, after the checks that
-    hold for every plant."""
+    """Span counts and sweep field widths of a traced solve at nx=12, ny=6,
+    after the checks that hold for every plant."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(REPO, "bench"),
@@ -59,19 +73,23 @@ def _traced_solve(plant):
     assert report["spans"]["kernelsolve.solve"] == 1
     # the bench's grid.stencil_points counts every traced sample once
     assert report["points"] == report["samples"] > 0
-    return report["spans"]
+    return report["spans"], report["widths"]
 
 
 def test_tracer_counts_one_span_per_sweep():
-    spans = _traced_solve("toy")
+    spans, widths = _traced_solve("toy")
     # the toy traces one crossing family and one edge family
     assert spans["characteristics.trace"] == 2
     assert spans["kernelsolve.quadrature"] == 2
+    # and sweeps its one-dimensional y-subspace
+    assert widths == [1]
 
 
 def test_tracer_counts_per_y_families():
-    spans = _traced_solve("ydep")
+    spans, widths = _traced_solve("ydep")
     # a speed 1 + y/2 traces one crossing family per y-node (ny = 6) and
     # one edge family
     assert spans["characteristics.trace"] == 6 + 1
     assert spans["kernelsolve.quadrature"] == 6 + 1
+    # and sweeps every y-node
+    assert widths == [6]
