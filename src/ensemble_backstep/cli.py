@@ -78,22 +78,9 @@ def _parse_snapshot_times(text: str) -> tuple[float, ...]:
         raise ConfigurationError(f"bad snapshot time list {text!r}") from exc
 
 
-_COERCERS = {
-    "model_name": str,
-    "nx": int,
-    "ny": int,
-    "dt": float,
-    "t_final": float,
-    "mode": str,
-    "kernel_tol": float,
-    "snapshot_times": _parse_snapshot_times,
-    "output_dir": str,
-    "initial_condition": str,
-    "ic_amplitude": float,
-    "ic_center": float,
-    "ic_width": float,
-    "seed": int,
-}
+#: Every config key, with the function that reads its value from text.
+_COERCERS = {f.name: (_parse_snapshot_times if f.name == "snapshot_times"
+                      else type(f.default)) for f in fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict:
@@ -159,16 +146,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    for name in ("model_name", "nx", "ny", "dt", "t_final", "mode",
-                 "output_dir", "seed"):
+    for name, coerce in _COERCERS.items():
         override = getattr(args, name, None)
         if override is not None:
-            values[name] = override
-    if getattr(args, "snapshots", None) is not None:
-        values["snapshot_times"] = _parse_snapshot_times(args.snapshots)
-    unknown = set(values) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+            values[name] = coerce(override)
     return _validate_config(RunConfig(**values))
 
 
@@ -265,32 +246,41 @@ def _toy_kernel_error(sol: KernelSolution) -> float:
     return worst
 
 
+def _solve_kernels(config: RunConfig, model,
+                   spec: GridSpec) -> KernelSolution | None:
+    """Solve the kernels of a run, or return None after writing
+    ``{"converged": false, "final_delta": ...}`` to ``kernels.json``."""
+    try:
+        return solve_backstepping_kernels(model, spec, tol=config.kernel_tol)
+    except NonconvergenceError as exc:
+        path = os.path.join(config.output_dir, "kernels.json")
+        _write_json(path, {"converged": False,
+                           "final_delta": exc.final_delta})
+        print(f"kernel solve did not converge (final_delta = "
+              f"{exc.final_delta:.3e}); wrote {path}", file=sys.stderr)
+        return None
+
+
 def cmd_kernels(config: RunConfig) -> int:
     """Solve the transform kernels; write kernels.csv and kernels.json."""
     spec = _grid_from_config(config)
     model = builtin_model(config.model_name)
     os.makedirs(config.output_dir, exist_ok=True)
-    json_path = os.path.join(config.output_dir, "kernels.json")
-    try:
-        sol = solve_backstepping_kernels(model, spec, tol=config.kernel_tol)
-    except NonconvergenceError as exc:
-        _write_json(json_path, {
-            "converged": False,
-            "final_delta": exc.final_delta,
-        })
-        print(f"kernel solve did not converge (final_delta = "
-              f"{exc.final_delta:.3e}); wrote {json_path}", file=sys.stderr)
+    sol = _solve_kernels(config, model, spec)
+    if sol is None:
         return 3
     res_ensemble, res_scalar = kernel_pde_residual(sol, model)
     payload = {
         "iterations": sol.iterations,
         "final_delta": sol.final_delta,
+        "deltas": sol.deltas,
         "y_rank": sol.y_rank,
         "residuals": {"ensemble_equation": res_ensemble,
                       "scalar_equation": res_scalar},
     }
     if config.model_name == "toy":
         payload["analytic_max_rel_error"] = _toy_kernel_error(sol)
+    json_path = os.path.join(config.output_dir, "kernels.json")
     _write_json(json_path, payload)
 
     csv_path = os.path.join(config.output_dir, "kernels.csv")
@@ -345,16 +335,8 @@ def cmd_simulate(config: RunConfig) -> int:
 
     kernels = None
     if config.mode in ("closed", "target"):
-        try:
-            kernels = solve_backstepping_kernels(model, spec,
-                                                 tol=config.kernel_tol)
-        except NonconvergenceError as exc:
-            _write_json(os.path.join(config.output_dir, "kernels.json"), {
-                "converged": False,
-                "final_delta": exc.final_delta,
-            })
-            print(f"kernel solve did not converge (final_delta = "
-                  f"{exc.final_delta:.3e})", file=sys.stderr)
+        kernels = _solve_kernels(config, model, spec)
+        if kernels is None:
             return 3
 
     recipe = _target_recipe(coeff, kernels) if config.mode == "target" else None
@@ -591,7 +573,7 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="final time")
         p.add_argument("--mode", help="open | closed | target")
         p.add_argument("--out", dest="output_dir", help="output directory")
-        p.add_argument("--snapshots",
+        p.add_argument("--snapshots", dest="snapshot_times",
                        help="comma-separated snapshot times, e.g. 1.0,2.5")
         p.add_argument("--seed", type=int,
                        help="seed for randomized verification checks")

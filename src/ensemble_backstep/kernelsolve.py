@@ -35,8 +35,9 @@ the smallest y-subspace that holds every iterate: ``F = C @ B.T`` with
 ``B`` an orthonormal ``(ny, r)`` basis (r = 1 for the toy), each operator
 applied to r columns and the exchange to one ``r x r`` block per x-node.
 With more than one family, or when that subspace is all of y, ``B`` is the
-identity and the sweeps act on every y-node.  The solution is returned
-together with the outlet gain row used by the controller.
+identity and the sweeps act on every y-node.  The solver returns the
+kernel pair with its iteration history; the controller reads the outlet
+row ``x = 1`` of both kernels.
 """
 
 from __future__ import annotations
@@ -48,14 +49,12 @@ import numpy as np
 from scipy import sparse
 
 from .characteristics import trace_crossing_batch, trace_edge_batch
-from .errors import NonconvergenceError, NumericError
+from .errors import DomainError, NonconvergenceError, NumericError
 from .grid import GridSpec, TriangularIndex, corner_weights, y_factor
 from .model import PlantModel, SampledCoefficients, sample_coefficients
 
 __all__ = [
     "GoursatProblem",
-    "GoursatResult",
-    "GainRow",
     "KernelSolution",
     "solve_goursat",
     "build_backstepping_problem",
@@ -101,39 +100,22 @@ class GoursatProblem:
 
 
 @dataclass(frozen=True)
-class GoursatResult:
-    """Converged iterates of the kernel system with iteration diagnostics."""
-
-    F: np.ndarray
-    G: np.ndarray
-    iterations: int
-    final_delta: float
-    deltas: tuple[float, ...]
-    y_rank: int
-
-
-@dataclass(frozen=True)
-class GainRow:
-    """Kernel slices at the actuated end, ready for the feedback law."""
-
-    k_row: np.ndarray
-    ktilde_row: np.ndarray
-
-
-@dataclass(frozen=True)
 class KernelSolution:
-    """Solved transform kernels on the triangle plus controller gain data.
+    """Transform kernels on the triangle with their iteration history.
 
-    ``y_rank`` is the number of y-columns the solver swept: the dimension of
-    the y-subspace that holds ``k``, or ``ny`` when ``k`` was held per
-    y-node.
+    ``k`` is the ``(n_tri, ny)`` ensemble kernel and ``ktilde`` the
+    ``(n_tri,)`` scalar kernel, both flat over the triangle.  ``deltas``
+    holds the sup-norm increment of every sweep, the last of which is
+    ``final_delta``.  ``y_rank`` is the number of y-columns the solver
+    swept: the dimension of the y-subspace that holds ``k``, or ``ny`` when
+    ``k`` was held per y-node.
     """
 
     k: np.ndarray
     ktilde: np.ndarray
     iterations: int
     final_delta: float
-    gain_row: GainRow
+    deltas: tuple[float, ...]
     spec: GridSpec
     y_rank: int
 
@@ -205,7 +187,7 @@ def _y_subspace(maps: np.ndarray, seeds: np.ndarray) -> np.ndarray:
 
 
 def solve_goursat(problem: GoursatProblem, tol: float = 1e-10,
-                  max_iter: int = 60) -> GoursatResult:
+                  max_iter: int = 60) -> KernelSolution:
     """Solve the kernel system by successive approximation.
 
     Starts both unknowns from zero and sweeps until the sup-norm increment of
@@ -217,12 +199,18 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10,
 
     Raises
     ------
+    DomainError
+        If ``tol`` is not a positive finite number or ``max_iter < 1``.
     NonconvergenceError
         If ``max_iter`` sweeps do not reach ``tol`` (carries the last
         increment as ``final_delta``).
     NumericError
         If an iterate stops being finite.
     """
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     tri = problem.spec.tri
     basis = problem.basis
     diagonal = problem.diagonal_data @ basis
@@ -256,9 +244,9 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10,
             # The diagonal data enters at full y-resolution, so a node whose
             # curve has no length carries it exactly.
             F = problem.diagonal_data + (C - diagonal) @ basis.T
-            return GoursatResult(F=F, G=G, iterations=iteration,
-                                 final_delta=delta, deltas=tuple(deltas),
-                                 y_rank=problem.y_rank)
+            return KernelSolution(k=F, ktilde=G, iterations=iteration,
+                                  final_delta=delta, deltas=tuple(deltas),
+                                  spec=problem.spec, y_rank=problem.y_rank)
     raise NonconvergenceError(
         f"Goursat iteration did not reach tol={tol} in {max_iter} sweeps",
         final_delta=deltas[-1],
@@ -355,26 +343,12 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProb
     )
 
 
-def _gain_row(spec: GridSpec, k: np.ndarray, ktilde: np.ndarray) -> GainRow:
-    outlet = spec.tri.row_slice(spec.nx)
-    return GainRow(k_row=k[outlet].copy(), ktilde_row=ktilde[outlet].copy())
-
-
 def solve_backstepping_kernels(model: PlantModel, spec: GridSpec,
                                tol: float = 1e-10,
                                max_iter: int = 60) -> KernelSolution:
     """Solve the transform-kernel equations for a plant on a given grid."""
-    problem = build_backstepping_problem(model, spec)
-    result = solve_goursat(problem, tol=tol, max_iter=max_iter)
-    return KernelSolution(
-        k=result.F,
-        ktilde=result.G,
-        iterations=result.iterations,
-        final_delta=result.final_delta,
-        gain_row=_gain_row(spec, result.F, result.G),
-        spec=spec,
-        y_rank=result.y_rank,
-    )
+    return solve_goursat(build_backstepping_problem(model, spec), tol=tol,
+                         max_iter=max_iter)
 
 
 def kernel_solution_from_evaluators(spec: GridSpec, ensemble_kernel,
@@ -392,15 +366,8 @@ def kernel_solution_from_evaluators(spec: GridSpec, ensemble_kernel,
     ktilde = np.broadcast_to(
         np.asarray(scalar_kernel(tri.x_coord, tri.xi_coord), dtype=float),
         (tri.n_nodes,)).copy()
-    return KernelSolution(
-        k=k,
-        ktilde=ktilde,
-        iterations=0,
-        final_delta=0.0,
-        gain_row=_gain_row(spec, k, ktilde),
-        spec=spec,
-        y_rank=spec.ny,
-    )
+    return KernelSolution(k=k, ktilde=ktilde, iterations=0, final_delta=0.0,
+                          deltas=(), spec=spec, y_rank=spec.ny)
 
 
 def kernel_pde_residual(sol: KernelSolution,

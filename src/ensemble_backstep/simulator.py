@@ -7,9 +7,9 @@ inflow_gain(y) * v(t, 0)`` and ``v(t, 1)`` set by the control input.
 
 This module provides:
 
-* first-order explicit upwind steps for the plant and for the transformed
-  (cascade) system, applying kernels factored in y with the quadrature
-  weights folded in, built once per run;
+* one first-order explicit upwind step that serves the plant and the
+  transformed (cascade) system, applying kernels factored in y with the
+  quadrature weights folded in, built once per run;
 * the scalar feedback law assembled from the outlet row of the solved
   kernels;
 * the state transform that maps the scalar field ``v`` onto a pure-transport
@@ -256,14 +256,20 @@ def _exchange(coeff: SampledCoefficients, u: np.ndarray) -> np.ndarray:
     return np.einsum("xys,xs->xy", loadings, u @ weighted_basis)
 
 
-def step_plant(state: EnsembleState, coeff: SampledCoefficients,
-               boundary_v1: float, dt: float) -> EnsembleState:
-    """One explicit upwind / forward-Euler step of the plant.
+def _upwind_step(state: EnsembleState, coeff: SampledCoefficients,
+                 dt: float, boundary_v1: float,
+                 transform: TransformOperator | None = None) -> EnsembleState:
+    """One explicit upwind / forward-Euler step of the plant or the cascade.
 
     The ensemble field moves rightward (backward difference), the scalar
     field leftward (forward difference).  Interior sources use the current
     state; afterwards the outlet value of the scalar field is set to
     ``boundary_v1`` and the ensemble inflow to ``inflow_gain * v(0)``.
+    Without ``transform`` this is the plant: the drive acts on the scalar
+    field and the readout forces it.  With the :func:`transform_operator` of
+    the solved kernels it is the cascade: the drive acts on the plant's
+    scalar field ``(I + L)(beta + J)`` and the scalar component is pure
+    transport.
     """
     spec = coeff.spec
     check_cfl(coeff, dt)
@@ -271,14 +277,16 @@ def step_plant(state: EnsembleState, coeff: SampledCoefficients,
     v = state.v
     h = spec.hx
     with np.errstate(over="ignore", invalid="ignore"):
-        source_u = _exchange(coeff, u) + coeff.drive_grid * v[:, None]
-        source_v = (coeff.readout_grid * u) @ spec.y_weights
+        driven = v if transform is None else _scalar_field(transform, u, v)
+        source_u = _exchange(coeff, u) + coeff.drive_grid * driven[:, None]
         u_new = u.copy()
         u_new[1:] += dt * (-coeff.speed_u_grid[1:] * (u[1:] - u[:-1]) / h
                            + source_u[1:])
+        rate_v = coeff.speed_v_grid[:-1] * (v[1:] - v[:-1]) / h
+        if transform is None:
+            rate_v += ((coeff.readout_grid * u) @ spec.y_weights)[:-1]
         v_new = v.copy()
-        v_new[:-1] += dt * (coeff.speed_v_grid[:-1] * (v[1:] - v[:-1]) / h
-                            + source_v[:-1])
+        v_new[:-1] += dt * rate_v
     v_new[-1] = boundary_v1
     u_new[0] = coeff.inflow_gain_grid * v_new[0]
     new_t = state.t + dt
@@ -288,11 +296,19 @@ def step_plant(state: EnsembleState, coeff: SampledCoefficients,
     return EnsembleState(u=u_new, v=v_new, t=new_t)
 
 
+def step_plant(state: EnsembleState, coeff: SampledCoefficients,
+               boundary_v1: float, dt: float) -> EnsembleState:
+    """One explicit upwind / forward-Euler step of the plant, with the
+    scalar outlet set to ``boundary_v1``."""
+    return _upwind_step(state, coeff, dt, boundary_v1)
+
+
 def control_value(state: EnsembleState, kernels: KernelSolution) -> float:
     """Scalar feedback: the kernel outlet row integrated against the state."""
     spec = kernels.spec
-    gain = kernels.gain_row
-    inner = (gain.k_row * state.u) @ spec.y_weights + gain.ktilde_row * state.v
+    outlet = spec.tri.row_slice(spec.nx)
+    inner = ((kernels.k[outlet] * state.u) @ spec.y_weights
+             + kernels.ktilde[outlet] * state.v)
     return float(spec.x_weights @ inner)
 
 
@@ -352,26 +368,7 @@ def step_target(state: EnsembleState, coeff: SampledCoefficients,
     :func:`transform_operator` of the solved kernels; the exchange factor is
     ``coeff.exchange_factor``.
     """
-    spec = coeff.spec
-    check_cfl(coeff, dt)
-    alpha = state.u
-    beta = state.v
-    h = spec.hx
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = _scalar_field(transform, alpha, beta)
-        source_a = _exchange(coeff, alpha) + coeff.drive_grid * v[:, None]
-        alpha_new = alpha.copy()
-        alpha_new[1:] += dt * (-coeff.speed_u_grid[1:] * (alpha[1:] - alpha[:-1]) / h
-                               + source_a[1:])
-        beta_new = beta.copy()
-        beta_new[:-1] += dt * (coeff.speed_v_grid[:-1] * (beta[1:] - beta[:-1]) / h)
-    beta_new[-1] = 0.0
-    alpha_new[0] = coeff.inflow_gain_grid * beta_new[0]
-    new_t = state.t + dt
-    if not (np.all(np.isfinite(alpha_new)) and np.all(np.isfinite(beta_new))):
-        raise DivergenceError(f"state stopped being finite at t = {new_t:.6g}",
-                              t=state.t)
-    return EnsembleState(u=alpha_new, v=beta_new, t=new_t)
+    return _upwind_step(state, coeff, dt, 0.0, transform)
 
 
 def lyapunov_value(alpha: np.ndarray, beta: np.ndarray,

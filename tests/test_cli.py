@@ -148,9 +148,13 @@ class TestKernelsCommand:
                      "--out", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "kernels.json").read_text())
-        assert set(payload) == {"iterations", "final_delta", "residuals",
-                                "analytic_max_rel_error", "y_rank"}
+        assert set(payload) == {"iterations", "final_delta", "deltas",
+                                "residuals", "analytic_max_rel_error",
+                                "y_rank"}
         assert isinstance(payload["iterations"], int)
+        # one sup-norm increment per sweep, the last being final_delta
+        assert len(payload["deltas"]) == payload["iterations"]
+        assert payload["deltas"][-1] == payload["final_delta"]
         # the toy's kernels are swept in a one-dimensional y-subspace
         assert payload["y_rank"] == 1
         assert payload["iterations"] >= 1
@@ -320,12 +324,15 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(
             "ensemble_backstep.cli.solve_backstepping_kernels", _give_up)
-        code = main(["kernels", "--nx", "10", "--ny", "4",
-                     "--out", str(tmp_path)])
-        assert code == 3
-        assert "did not converge" in capsys.readouterr().err
-        payload = json.loads((tmp_path / "kernels.json").read_text())
-        assert payload == {"converged": False, "final_delta": 0.125}
+        for command in (["kernels"], ["simulate", "--mode", "closed"]):
+            out = tmp_path / command[0]
+            code = main(command + ["--nx", "10", "--ny", "4",
+                                   "--out", str(out)])
+            assert code == 3
+            assert "did not converge" in capsys.readouterr().err
+            payload = json.loads((out / "kernels.json").read_text())
+            assert payload == {"converged": False, "final_delta": 0.125}
+            assert sorted(os.listdir(out)) == ["kernels.json"]
 
 
 class TestVerifyCommand:

@@ -13,7 +13,7 @@ from ensemble_backstep.characteristics import (
     trace_crossing_batch,
     trace_edge_batch,
 )
-from ensemble_backstep.errors import NonconvergenceError
+from ensemble_backstep.errors import DomainError, NonconvergenceError
 from ensemble_backstep.grid import GridSpec, corner_weights
 from ensemble_backstep.kernelsolve import (
     build_backstepping_problem,
@@ -42,11 +42,11 @@ class TestGenericSolver:
         res = solve_goursat(build_backstepping_problem(plant, SPEC))
         assert res.iterations == 2
         assert res.final_delta == 0.0
-        assert np.all(res.G == 0.0)
+        assert np.all(res.ktilde == 0.0)
         tri = SPEC.tri
         launch = 0.5 * (tri.x_coord + tri.xi_coord)  # unit speeds meet midway
         expected = launch[:, None] ** 2 + SPEC.y_nodes[None, :]
-        np.testing.assert_allclose(res.F, expected, atol=1e-8)
+        np.testing.assert_allclose(res.k, expected, atol=1e-8)
 
     def test_zero_data_converges_immediately(self, pure_transport):
         # the pure-transport plant has zero readout, drive and inflow gain,
@@ -54,14 +54,15 @@ class TestGenericSolver:
         res = solve_goursat(build_backstepping_problem(pure_transport, SPEC))
         assert res.iterations == 1
         assert res.final_delta == 0.0
-        assert np.all(res.F == 0.0)
+        assert np.all(res.k == 0.0)
 
     def test_increments_decay_superlinearly(self, toy):
         spec = GridSpec(nx=50, ny=40)
         problem = build_backstepping_problem(toy, spec)
         res = solve_goursat(problem, tol=1e-10)
         deltas = np.array(res.deltas)
-        assert deltas[-1] < 1e-10
+        assert deltas.size == res.iterations
+        assert deltas[-1] == res.final_delta < 1e-10
         # strictly decreasing once the couplings have propagated
         assert np.all(np.diff(deltas[2:]) < 0.0)
         # far better than geometric with ratio 1/2 over the tail
@@ -73,6 +74,18 @@ class TestGenericSolver:
             solve_goursat(problem, max_iter=1)
         assert exc.value.final_delta is not None
         assert exc.value.final_delta > 0.0
+
+    @pytest.mark.parametrize("tol, max_iter", [
+        (0.0, 60), (-1e-10, 60), (float("nan"), 60), (float("inf"), 60),
+        (1e-10, 0), (1e-10, -1)])
+    def test_bad_budget_raises_domain_error(self, pure_transport, tol,
+                                            max_iter):
+        # a tolerance no increment can fall below, or no sweep at all, is
+        # rejected before the first sweep
+        problem = build_backstepping_problem(pure_transport,
+                                             GridSpec(nx=8, ny=4))
+        with pytest.raises(DomainError):
+            solve_goursat(problem, tol=tol, max_iter=max_iter)
 
     def test_ensemble_operator_is_linear(self, toy, rng):
         problem = build_backstepping_problem(toy, SPEC)
@@ -122,13 +135,6 @@ class TestBacksteppingKernels:
         # the y in {0, 1} rows of the ensemble kernel must vanish
         boundary = ~interior
         assert np.max(np.abs(sol.k[:, boundary])) <= 1e-3
-
-    def test_gain_row_slices_actuated_end(self, kernels_mid):
-        sol = kernels_mid
-        spec = sol.spec
-        outlet = spec.tri.row_slice(spec.nx)
-        assert np.array_equal(sol.gain_row.k_row, sol.k[outlet])
-        assert np.array_equal(sol.gain_row.ktilde_row, sol.ktilde[outlet])
 
     def test_resolve_is_bitwise_reproducible(self, toy):
         spec = GridSpec(nx=50, ny=40)

@@ -6,7 +6,9 @@ times each solver sweep through the ensemble-operator callback of
 or stops calling the callback once per sweep, breaks the traced benchmark
 run; these tests catch it without running the benchmark, on the shared-curve
 path (the toy, swept in its one-dimensional y-subspace) and on the per-y
-path (a y-dependent ensemble speed, swept on every y-node).
+path (a y-dependent ensemble speed, swept on every y-node).  Traced CLI
+simulations check the same for the plant and cascade steppers and the
+simulation driver.
 """
 
 import json
@@ -57,17 +59,36 @@ print(json.dumps({"iterations": sol.iterations, "spans": counts,
 """
 
 
-def _traced_solve(plant):
-    """Span counts and sweep field widths of a traced solve at nx=12, ny=6,
-    after the checks that hold for every plant."""
+CLI_SCRIPT = """
+import collections, json, sys
+import tracing
+from ensemble_backstep import cli
+tracer = tracing.Tracer()
+tracing.install(tracer)
+code = cli.main(["simulate", "--mode", sys.argv[1], "--nx", "12", "--ny", "6",
+                 "--dt", "0.02", "--t-final", "0.2", "--out", sys.argv[2]])
+print(json.dumps({"code": code, "spans": collections.Counter(
+    span["name"] for span in tracer.spans)}))
+"""
+
+
+def _run_traced(script, *args):
+    """The JSON report a traced script prints last, run in a fresh
+    interpreter with the bench's tracer on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(REPO, "bench"),
          os.path.dirname(os.path.dirname(ensemble_backstep.__file__))])
-    done = subprocess.run([sys.executable, "-c", SCRIPT, plant], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _traced_solve(plant):
+    """Span counts and sweep field widths of a traced solve at nx=12, ny=6,
+    after the checks that hold for every plant."""
+    report = _run_traced(SCRIPT, plant)
     assert report["iterations"] > 1
     assert report["spans"]["kernelsolve.sweep"] == report["iterations"]
     assert report["spans"]["kernelsolve.solve"] == 1
@@ -93,3 +114,28 @@ def test_tracer_counts_per_y_families():
     assert spans["kernelsolve.quadrature"] == 6 + 1
     # and sweeps every y-node
     assert widths == [6]
+
+
+def _traced_simulation(mode, out_dir):
+    """Span counts of a traced ``simulate`` run of 10 steps at nx=12, ny=6."""
+    report = _run_traced(CLI_SCRIPT, mode, str(out_dir))
+    assert report["code"] == 0
+    spans = report["spans"]
+    assert spans["simulator.driver"] == 1
+    return spans
+
+
+def test_tracer_counts_one_plant_step_span_per_step(tmp_path):
+    spans = _traced_simulation("open", tmp_path)
+    assert spans["simulator.step_plant"] == 10
+    assert "simulator.step_target" not in spans
+    assert "kernelsolve.solve" not in spans
+
+
+def test_tracer_counts_one_cascade_step_span_per_step(tmp_path):
+    spans = _traced_simulation("target", tmp_path)
+    assert spans["simulator.step_target"] == 10
+    # every cascade step is checked for subnormal values first
+    assert spans["trace.subnormal_check"] == 10
+    assert "simulator.step_plant" not in spans
+    assert spans["kernelsolve.solve"] == 1
