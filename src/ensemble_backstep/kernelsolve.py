@@ -151,9 +151,7 @@ def _edge_interp_indices(spec: GridSpec, launch: np.ndarray):
     pos = np.clip(launch, 0.0, 1.0) * spec.nx
     i0 = np.clip(np.floor(pos).astype(np.int64), 0, spec.nx - 1)
     frac = pos - i0
-    flat0 = i0 * (i0 + 1) // 2
-    flat1 = (i0 + 1) * (i0 + 2) // 2
-    return flat0, flat1, frac
+    return spec.tri.row_start[i0], spec.tri.row_start[i0 + 1], frac
 
 
 def _y_subspace(maps: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -384,15 +382,16 @@ def kernel_pde_residual(sol: KernelSolution,
     linearly with the grid spacing for a converged (or exact) kernel pair.
     """
     spec = sol.spec
-    nx = spec.nx
+    tri = spec.tri
     h = spec.hx
-    if nx < 4:
+    if spec.nx < 4:
         return 0.0, 0.0
     coeff = sample_coefficients(model, spec)
-    iv = np.repeat(np.arange(4, nx + 1), np.arange(1, nx - 2))
-    jv = np.concatenate([np.arange(2, i - 1) for i in range(4, nx + 1)])
-    f_ij = iv * (iv + 1) // 2 + jv
-    f_im1j = (iv - 1) * iv // 2 + jv
+    f_ij = np.flatnonzero((tri.j_index >= 2) & (tri.j_index <= tri.i_index - 2)
+                          & (tri.i_index >= 4))
+    iv = tri.i_index[f_ij]
+    jv = tri.j_index[f_ij]
+    f_im1j = tri.row_start[iv - 1] + jv
     f_ijp1 = f_ij + 1
     f_ijm1 = f_ij - 1
 

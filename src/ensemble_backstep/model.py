@@ -126,45 +126,35 @@ class SampledCoefficients:
                 basis * self.spec.y_weights[:, None])
 
 
+def _on_grid(values, shape: tuple[int, ...]) -> np.ndarray:
+    """A coefficient's sampled values as an owned float array of ``shape``
+    (a model may return a scalar or a lower-dimensional broadcastable)."""
+    return np.broadcast_to(np.asarray(values, dtype=float), shape).copy()
+
+
 def sample_coefficients(model: PlantModel, spec: GridSpec) -> SampledCoefficients:
     """Sample a plant's coefficients on a grid, checking speed positivity."""
     x = spec.x_nodes
     y = spec.y_nodes
+    xc, yr = x[:, None], y[None, :]
+    shape_x = (spec.nx + 1,)
     shape_xy = (spec.nx + 1, spec.ny)
 
-    speed_u_grid = np.broadcast_to(
-        np.asarray(model.speed_u(x[:, None], y[None, :]), dtype=float), shape_xy
-    ).copy()
-    speed_v_grid = np.broadcast_to(
-        np.asarray(model.speed_v(x), dtype=float), (spec.nx + 1,)
-    ).copy()
-    exchange_grid = np.broadcast_to(
-        np.asarray(
-            model.exchange(x[:, None, None], y[None, :, None], y[None, None, :]),
-            dtype=float,
-        ),
-        (spec.nx + 1, spec.ny, spec.ny),
-    ).copy()
-    drive_grid = np.broadcast_to(
-        np.asarray(model.drive(x[:, None], y[None, :]), dtype=float), shape_xy
-    ).copy()
-    readout_grid = np.broadcast_to(
-        np.asarray(model.readout(x[:, None], y[None, :]), dtype=float), shape_xy
-    ).copy()
-    inflow_gain_grid = np.broadcast_to(
-        np.asarray(model.inflow_gain(y), dtype=float), (spec.ny,)
-    ).copy()
+    speed_u_grid = _on_grid(model.speed_u(xc, yr), shape_xy)
+    speed_v_grid = _on_grid(model.speed_v(x), shape_x)
+    exchange_grid = _on_grid(
+        model.exchange(x[:, None, None], y[None, :, None], y[None, None, :]),
+        (spec.nx + 1, spec.ny, spec.ny))
+    drive_grid = _on_grid(model.drive(xc, yr), shape_xy)
+    readout_grid = _on_grid(model.readout(xc, yr), shape_xy)
+    inflow_gain_grid = _on_grid(model.inflow_gain(y), (spec.ny,))
 
     if model.speed_u_dx is not None:
-        speed_u_dx_grid = np.broadcast_to(
-            np.asarray(model.speed_u_dx(x[:, None], y[None, :]), dtype=float), shape_xy
-        ).copy()
+        speed_u_dx_grid = _on_grid(model.speed_u_dx(xc, yr), shape_xy)
     else:
         speed_u_dx_grid = np.gradient(speed_u_grid, spec.hx, axis=0)
     if model.speed_v_dx is not None:
-        speed_v_dx_grid = np.broadcast_to(
-            np.asarray(model.speed_v_dx(x), dtype=float), (spec.nx + 1,)
-        ).copy()
+        speed_v_dx_grid = _on_grid(model.speed_v_dx(x), shape_x)
     else:
         speed_v_dx_grid = np.gradient(speed_v_grid, spec.hx)
 

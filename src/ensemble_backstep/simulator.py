@@ -83,8 +83,9 @@ class SimulationRecord:
     (zero in open-loop and transformed-system runs).  ``lyapunov`` is filled
     only by transformed-system runs.  ``decay_rate`` is the least-squares
     slope of ``log(joint_norm)`` over the late-time window.  ``y_ranks``
-    (transformed-system runs only) holds the y-ranks of the factored
-    kernels the cascade step applied.
+    and ``recipe`` (transformed-system runs only) hold the y-ranks of the
+    factored kernels the cascade step applied and the
+    :class:`LyapunovRecipe` the Lyapunov series was evaluated with.
     """
 
     times: np.ndarray
@@ -96,6 +97,7 @@ class SimulationRecord:
     snapshots: tuple[tuple[float, EnsembleState], ...]
     decay_rate: float | None
     y_ranks: dict[str, int] | None = None
+    recipe: LyapunovRecipe | None = None
 
 
 @dataclass(frozen=True)
@@ -233,11 +235,17 @@ def check_cfl(coeff: SampledCoefficients, dt: float) -> None:
             f"{courant:.6g} > 1")
 
 
-def _check_coeff_grid(coeff: SampledCoefficients, spec: GridSpec) -> None:
-    if (coeff.spec.nx, coeff.spec.ny) != (spec.nx, spec.ny):
-        raise DimensionError(
-            f"coefficients sampled at nx={coeff.spec.nx}, ny={coeff.spec.ny} "
-            f"do not match the run's grid nx={spec.nx}, ny={spec.ny}")
+def _check_grid(spec: GridSpec, coeff: SampledCoefficients,
+                kernels: KernelSolution | None = None) -> None:
+    """Raise :class:`DimensionError` unless the coefficients (and kernels, if
+    given) were sampled (solved) at ``spec``'s nx and ny."""
+    grid = (spec.nx, spec.ny)
+    for what, part in (("coefficients sampled", coeff),
+                       ("kernels solved", kernels)):
+        if part is not None and (part.spec.nx, part.spec.ny) != grid:
+            raise DimensionError(
+                f"{what} at nx={part.spec.nx}, ny={part.spec.ny} do not "
+                f"match the run's grid nx={spec.nx}, ny={spec.ny}")
 
 
 def _check_state_shapes(spec: GridSpec, u: np.ndarray, v: np.ndarray) -> None:
@@ -389,8 +397,8 @@ def lyapunov_value(alpha: np.ndarray, beta: np.ndarray,
     return float(val)
 
 
-def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
-                    coupling: np.ndarray) -> LyapunovRecipe:
+def lyapunov_recipe(coeff: SampledCoefficients,
+                    kernels: KernelSolution) -> LyapunovRecipe:
     """Choose Lyapunov parameters from measured coefficient bounds.
 
     The decay weight must exceed a threshold built from the composed-coupling
@@ -398,12 +406,13 @@ def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
     weight ``p`` must stay below a feasibility minimum built from the inflow
     gain, the Volterra coupling, and the drive.  This routine doubles the
     threshold and halves the feasibility minimum, then evaluates the norm
-    sandwich constants for the resulting pair.  ``coupling`` is the
-    Volterra coupling per unit drive (:func:`~ensemble_backstep.volterra.
-    solve_target_coupling`), so ``||kappa(x, xi, .)||_y = ||drive(x, .)||_y
-    * |coupling(x, xi)|``.
+    sandwich constants for the resulting pair.  The Volterra coupling per
+    unit drive is solved from ``kernels.ktilde``
+    (:func:`~ensemble_backstep.volterra.solve_target_coupling`), so
+    ``||kappa(x, xi, .)||_y = ||drive(x, .)||_y * |coupling(x, xi)|``.
     """
     spec = coeff.spec
+    coupling = solve_target_coupling(kernels.spec, kernels.ktilde)
     wy = spec.y_weights
     m_linv = 1.0 / coeff.speed_u_min
     m_theta = float(np.sqrt(
@@ -536,15 +545,15 @@ def simulate(coeff: SampledCoefficients, spec: GridSpec,
     lagging the outlet one step behind the law.  In ``open`` mode the outlet
     input is zero.  Norms and the control value are recorded at every step,
     snapshots at the steps nearest the requested times, and ``decay_rate`` is
-    fitted on the late-time window.  ``coeff`` must be sampled at ``spec``'s
-    nx and ny (:class:`DimensionError` otherwise); ``spec`` also sets the
-    time step and the horizon.
+    fitted on the late-time window.  ``coeff`` and ``kernels`` must be
+    sampled and solved at ``spec``'s nx and ny (:class:`DimensionError`
+    otherwise); ``spec`` also sets the time step and the horizon.
     """
     if mode not in ("open", "closed"):
         raise ConfigurationError(f"unknown simulation mode: {mode!r}")
     if mode == "closed" and kernels is None:
         raise ConfigurationError("closed-loop simulation requires kernels")
-    _check_coeff_grid(coeff, spec)
+    _check_grid(spec, coeff, kernels)
     refresh = ((lambda state: _refresh_outlet(state, kernels))
                if mode == "closed" else None)
 
@@ -557,22 +566,21 @@ def simulate(coeff: SampledCoefficients, spec: GridSpec,
 
 def simulate_target(coeff: SampledCoefficients, spec: GridSpec,
                     kernels: KernelSolution,
-                    u0=None, v0=None, snapshot_times=(),
-                    recipe: LyapunovRecipe | None = None) -> SimulationRecord:
+                    u0=None, v0=None, snapshot_times=()) -> SimulationRecord:
     """Run the transformed (cascade) system from the transformed initial state.
 
-    The Lyapunov recipe is assembled if not supplied, the kernels are
-    factored once (:func:`transform_operator`), the plant initial condition
-    is mapped through the forward transform, and the Lyapunov value with
-    recipe parameters is recorded at every step alongside the norms.  The
-    record's ``y_ranks`` holds the ranks of the factored kernels.  ``coeff``
-    must be sampled at ``spec``'s nx and ny, as in :func:`simulate`.
+    The Lyapunov recipe of the kernels is assembled
+    (:func:`lyapunov_recipe`), the kernels are factored once
+    (:func:`transform_operator`), the plant initial condition is mapped
+    through the forward transform, and the Lyapunov value with recipe
+    parameters is recorded at every step alongside the norms.  The record's
+    ``recipe`` holds the recipe and ``y_ranks`` the ranks of the factored
+    kernels.  ``coeff`` and ``kernels`` must be sampled and solved at
+    ``spec``'s nx and ny, as in :func:`simulate`.
     """
-    _check_coeff_grid(coeff, spec)
+    _check_grid(spec, coeff, kernels)
     plant0 = _initial_state(spec, u0, v0)
-    if recipe is None:
-        recipe = lyapunov_recipe(coeff, kernels,
-                                 solve_target_coupling(spec, kernels.ktilde))
+    recipe = lyapunov_recipe(coeff, kernels)
     transform = transform_operator(spec, kernels.k, kernels.ktilde)
     alpha0, beta0 = forward_transform(plant0, transform)
 
@@ -584,6 +592,6 @@ def simulate_target(coeff: SampledCoefficients, spec: GridSpec,
 
     record = _run(spec, EnsembleState(u=alpha0, v=beta0, t=0.0),
                   snapshot_times, advance, lyapunov=lyapunov)
-    return replace(record, y_ranks={
+    return replace(record, recipe=recipe, y_ranks={
         "k": transform.weighted_basis.shape[1],
         "exchange": coeff.exchange_factor[1].shape[1]})

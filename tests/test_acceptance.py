@@ -50,7 +50,6 @@ from ensemble_backstep.simulator import (
     EnsembleState,
     forward_transform,
     inverse_transform,
-    lyapunov_recipe,
     scalar_norm,
     simulate_target,
     transform_operator,
@@ -295,12 +294,10 @@ def test_criterion_7_closed_loop_stabilization(spec_default, kernels_default,
 def test_criterion_8_lyapunov_monotonicity(toy, spec_default,
                                            kernels_default):
     coeff = sample_coefficients(toy, spec_default)
-    coupling = solve_target_coupling(spec_default, kernels_default.ktilde)
-    recipe = lyapunov_recipe(coeff, kernels_default, coupling)
+    record = simulate_target(coeff, spec_default, kernels_default)
+    recipe = record.recipe
     assert recipe.p > 0.0 and recipe.delta > 0.0
 
-    record = simulate_target(coeff, spec_default, kernels_default,
-                             recipe=recipe)
     lyap = record.lyapunov
     # Monotone up to a 1e-3 step tolerance, checked on every step after the
     # first (the outlet value only takes effect once the first step is done).

@@ -7,8 +7,8 @@ or stops calling the callback once per sweep, breaks the traced benchmark
 run; these tests catch it without running the benchmark, on the shared-curve
 path (the toy, swept in its one-dimensional y-subspace) and on the per-y
 path (a y-dependent ensemble speed, swept on every y-node).  Traced CLI
-simulations check the same for the plant and cascade steppers and the
-simulation driver.
+simulations check the same for the plant and cascade steppers, the
+simulation driver, the Lyapunov recipe and the coupling solve.
 """
 
 import json
@@ -130,6 +130,7 @@ def test_tracer_counts_one_plant_step_span_per_step(tmp_path):
     assert spans["simulator.step_plant"] == 10
     assert "simulator.step_target" not in spans
     assert "kernelsolve.solve" not in spans
+    assert "simulator.recipe" not in spans
 
 
 def test_tracer_counts_one_cascade_step_span_per_step(tmp_path):
@@ -139,3 +140,7 @@ def test_tracer_counts_one_cascade_step_span_per_step(tmp_path):
     assert spans["trace.subnormal_check"] == 10
     assert "simulator.step_plant" not in spans
     assert spans["kernelsolve.solve"] == 1
+    # the cascade run builds its one Lyapunov recipe, solving the coupling
+    # through a traced name
+    assert spans["simulator.recipe"] == 1
+    assert spans["volterra.kappa"] >= 1

@@ -420,8 +420,7 @@ class TestLyapunov:
         spec = GridSpec(nx=60, ny=16)
         coeff = sample_coefficients(pure_transport, spec)
         sol = solve_backstepping_kernels(pure_transport, spec)
-        recipe = lyapunov_recipe(coeff, sol,
-                                 solve_target_coupling(spec, sol.ktilde))
+        recipe = lyapunov_recipe(coeff, sol)
         assert recipe.p > 0.0
         assert recipe.delta > 0.0
         assert recipe.m_equiv > 0.0  # nontrivial for uncoupled transport
@@ -478,6 +477,7 @@ class TestSimulate:
     def test_coefficients_from_another_grid_are_refused(self, toy):
         # no silent re-sampling: coefficients must match the run's nx and ny
         spec = GridSpec(nx=20, ny=6, dt=0.01, t_final=0.1)
+        coeff_run = sample_coefficients(toy, spec)
         kernels = solve_backstepping_kernels(toy, spec)
         for other in (GridSpec(nx=40, ny=6), GridSpec(nx=20, ny=8)):
             coeff = sample_coefficients(toy, other)
@@ -485,6 +485,12 @@ class TestSimulate:
                 simulate(coeff, spec, mode="open")
             with pytest.raises(DimensionError, match="do not match"):
                 simulate_target(coeff, spec, kernels)
+            # and kernels must have been solved on them too
+            kernels_other = solve_backstepping_kernels(toy, other)
+            with pytest.raises(DimensionError, match="kernels solved"):
+                simulate(coeff_run, spec, kernels=kernels_other, mode="closed")
+            with pytest.raises(DimensionError, match="kernels solved"):
+                simulate_target(coeff_run, spec, kernels_other)
         # another time step or horizon on the same nx and ny is accepted
         record = simulate(sample_coefficients(toy, GridSpec(nx=20, ny=6)),
                           spec, mode="open")
@@ -507,6 +513,25 @@ class TestSimulate:
 
 
 class TestSimulateTarget:
+    def test_record_carries_the_recipe_of_its_kernels(self, toy):
+        spec = GridSpec(nx=20, ny=6, dt=0.01, t_final=0.1)
+        coeff = sample_coefficients(toy, spec)
+        kernels = solve_backstepping_kernels(toy, spec)
+        record = simulate_target(coeff, spec, kernels)
+        expected = lyapunov_recipe(coeff, kernels)
+        for field in dataclasses.fields(expected):
+            assert getattr(record.recipe, field.name) == \
+                getattr(expected, field.name), field.name
+        # the recorded Lyapunov series is evaluated with that recipe
+        alpha0, beta0 = forward_transform(default_initial_state(spec),
+                                          _forward(kernels))
+        assert record.lyapunov[0] == lyapunov_value(
+            alpha0, beta0, coeff, expected.p, expected.delta)
+        # plant runs carry no recipe
+        for mode in ("open", "closed"):
+            assert simulate(coeff, spec, kernels=kernels,
+                            mode=mode).recipe is None
+
     def test_lyapunov_decreases_stepwise(self, toy, kernels_mid):
         spec_run = GridSpec(nx=100, ny=60, dt=0.008, t_final=1.5)
         record = simulate_target(sample_coefficients(toy, spec_run), spec_run,
