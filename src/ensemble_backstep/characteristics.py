@@ -38,8 +38,10 @@ __all__ = [
     "trace_edge_batch",
 ]
 
-#: Refinement target for the interpolated event difference.
+#: Refinement target for the interpolated event difference, and the
+#: bisection steps allowed to reach it.
 REFINE_TOL = 1e-10
+REFINE_STEPS = 120
 
 #: Round-off by which a query point may stray outside its domain.
 DOMAIN_TOL = 1e-12
@@ -91,8 +93,9 @@ def _hermite(p0, p1, m0, m1, t):
     )
 
 
-def _hermite_bisect(d0, d1, m0, m1, tol=REFINE_TOL, max_iter=120):
-    """Vectorized bisection of the Hermite interpolant to |value| <= tol.
+def _hermite_bisect(d0, d1, m0, m1):
+    """Vectorized bisection of the Hermite interpolant to |value| <=
+    :data:`REFINE_TOL`, in at most :data:`REFINE_STEPS` steps.
 
     The data satisfies d0 < 0 <= d1, so a sign change exists in (0, 1].
     """
@@ -100,10 +103,10 @@ def _hermite_bisect(d0, d1, m0, m1, tol=REFINE_TOL, max_iter=120):
     hi = np.ones_like(d0)
     result = np.full_like(d0, 0.5)
     done = np.zeros(d0.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(REFINE_STEPS):
         mid = 0.5 * (lo + hi)
         val = _hermite(d0, d1, m0, m1, mid)
-        hit = np.abs(val) <= tol
+        hit = np.abs(val) <= REFINE_TOL
         newly = hit & ~done
         result[newly] = mid[newly]
         done |= hit

@@ -127,6 +127,9 @@ def _validate_config(config: RunConfig) -> RunConfig:
             raise ConfigurationError(f"{name} must be finite, got {value!r}")
     if config.dt <= 0 or config.t_final <= 0:
         raise ConfigurationError("dt and t_final must be positive")
+    if any(t < 0 for t in config.snapshot_times):
+        raise ConfigurationError(
+            f"snapshot times must be non-negative, got {config.snapshot_times}")
     if config.kernel_tol <= 0:
         raise ConfigurationError("kernel_tol must be positive")
     if config.ic_width <= 0:
@@ -201,23 +204,12 @@ def _write_kernels_csv(path: str, sol: KernelSolution) -> None:
                    spec.y_nodes)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` with sorted keys; numpy scalars that ``json`` cannot
+    encode (``np.bool_``, ``np.int64``) are written as their Python value."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True,
+                  default=lambda obj: obj.item())
         fh.write("\n")
 
 
@@ -292,12 +284,14 @@ def cmd_kernels(config: RunConfig) -> int:
     return 0
 
 
-def _write_timeseries(path: str, record, target_mode: bool) -> None:
+def _write_timeseries(path: str, record) -> None:
+    """``timeseries.csv``; the Lyapunov column is empty unless the run
+    recorded a Lyapunov series (cascade runs)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,norm_joint,norm_u,norm_v,U,V_lyapunov\n")
         for i in range(record.times.size):
-            lyap = (_fmt(record.lyapunov[i])
-                    if target_mode and record.lyapunov is not None else "")
+            lyap = ("" if record.lyapunov is None
+                    else _fmt(record.lyapunov[i]))
             fh.write(f"{_fmt(record.times[i])},{_fmt(record.joint_norms[i])},"
                      f"{_fmt(record.u_norms[i])},{_fmt(record.v_norms[i])},"
                      f"{_fmt(record.control[i])},{lyap}\n")
@@ -309,6 +303,7 @@ def _write_snapshots(out_dir: str, spec: GridSpec, record) -> list[str]:
     heads = [x + "," for x in _x_strings(spec)]
     for t_snap, state in record.snapshots:
         label = f"{t_snap:g}"
+        # distinct steps can share a label when dt is tiny
         if label in seen:
             continue
         seen.add(label)
@@ -340,8 +335,7 @@ def cmd_simulate(config: RunConfig) -> int:
             record = simulate_target(coeff, spec, kernels, u0=u0, v0=v0,
                                      snapshot_times=config.snapshot_times)
         else:
-            record = simulate(coeff, spec, kernels=kernels, mode=config.mode,
-                              u0=u0, v0=v0,
+            record = simulate(coeff, spec, kernels=kernels, u0=u0, v0=v0,
                               snapshot_times=config.snapshot_times)
     except DivergenceError as exc:
         _write_json(summary_path, {
@@ -354,7 +348,7 @@ def cmd_simulate(config: RunConfig) -> int:
         return 4
 
     ts_path = os.path.join(config.output_dir, "timeseries.csv")
-    _write_timeseries(ts_path, record, target_mode=(config.mode == "target"))
+    _write_timeseries(ts_path, record)
     snap_paths = _write_snapshots(config.output_dir, spec, record)
     summary = {
         "mode": config.mode,
@@ -377,7 +371,7 @@ def cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
-def _verify_characteristics(model, coeff, rng) -> dict:
+def _verify_characteristics(coeff, rng) -> dict:
     """Path-integral consistency of both traced curve families.
 
     Along a crossing curve the two position components close the gap x - xi
@@ -500,7 +494,7 @@ def cmd_verify(config: RunConfig) -> int:
     checks["cfl"] = {"measured": courant, "tolerance": 1.0,
                      "passed": cfl_holds}
 
-    checks["characteristics"] = _verify_characteristics(model, coeff, rng)
+    checks["characteristics"] = _verify_characteristics(coeff, rng)
     checks["volterra_resolvent"] = _verify_volterra(spec)
 
     kernels = solve_backstepping_kernels(model, spec, tol=config.kernel_tol)

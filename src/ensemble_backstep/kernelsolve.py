@@ -63,6 +63,10 @@ __all__ = [
     "kernel_solution_from_evaluators",
 ]
 
+#: Sweep budget of :func:`solve_goursat`; a solve that needs more raises
+#: :class:`~ensemble_backstep.errors.NonconvergenceError`.
+MAX_SWEEPS = 60
+
 
 @dataclass(frozen=True)
 class GoursatProblem:
@@ -184,8 +188,7 @@ def _y_subspace(maps: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return basis if basis.shape[1] < ny else np.eye(ny)
 
 
-def solve_goursat(problem: GoursatProblem, tol: float = 1e-10,
-                  max_iter: int = 60) -> KernelSolution:
+def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution:
     """Solve the kernel system by successive approximation.
 
     Starts both unknowns from zero and sweeps until the sup-norm increment of
@@ -198,17 +201,15 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10,
     Raises
     ------
     DomainError
-        If ``tol`` is not a positive finite number or ``max_iter < 1``.
+        If ``tol`` is not a positive finite number.
     NonconvergenceError
-        If ``max_iter`` sweeps do not reach ``tol`` (carries the last
+        If :data:`MAX_SWEEPS` sweeps do not reach ``tol`` (carries the last
         increment as ``final_delta``).
     NumericError
         If an iterate stops being finite.
     """
     if not 0.0 < tol < np.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     tri = problem.spec.tri
     basis = problem.basis
     diagonal = problem.diagonal_data @ basis
@@ -217,7 +218,7 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10,
     C = np.zeros((tri.n_nodes, problem.y_rank))
     G = np.zeros(tri.n_nodes)
     deltas: list[float] = []
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_SWEEPS + 1):
         source_C = (problem.scalar_to_ensemble * G[:, None]
                     + problem.apply_ensemble_operator(tri, C))
         C_new = np.empty_like(C)
@@ -246,7 +247,7 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10,
                                   final_delta=delta, deltas=tuple(deltas),
                                   spec=problem.spec, y_rank=problem.y_rank)
     raise NonconvergenceError(
-        f"Goursat iteration did not reach tol={tol} in {max_iter} sweeps",
+        f"Goursat iteration did not reach tol={tol} in {MAX_SWEEPS} sweeps",
         final_delta=deltas[-1],
     )
 
@@ -342,11 +343,9 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProb
 
 
 def solve_backstepping_kernels(model: PlantModel, spec: GridSpec,
-                               tol: float = 1e-10,
-                               max_iter: int = 60) -> KernelSolution:
+                               tol: float = 1e-10) -> KernelSolution:
     """Solve the transform-kernel equations for a plant on a given grid."""
-    return solve_goursat(build_backstepping_problem(model, spec), tol=tol,
-                         max_iter=max_iter)
+    return solve_goursat(build_backstepping_problem(model, spec), tol=tol)
 
 
 def kernel_solution_from_evaluators(spec: GridSpec, ensemble_kernel,

@@ -143,8 +143,10 @@ class TransformOperator:
     kernel and ``resolvent`` its resolvent ``L``, both as lower-triangular
     matrices with the running-integral weights folded in; ``L`` undoes the
     transform as ``v = (I + L)(beta + J)``, with ``J`` the running integral
-    of the ensemble kernel against the ensemble field.  An application
-    costs O(N^2 r + N ny r) for ``N = nx + 1`` x-nodes and y-rank r.
+    of the ensemble kernel against the ensemble field.  ``coupling`` is the
+    same resolvent in flat triangle storage, without weights: the cascade's
+    coupling per unit drive.  An application costs O(N^2 r + N ny r) for
+    ``N = nx + 1`` x-nodes and y-rank r.
     """
 
     spec: GridSpec
@@ -152,6 +154,7 @@ class TransformOperator:
     weighted_basis: np.ndarray
     scalar: np.ndarray
     resolvent: np.ndarray
+    coupling: np.ndarray
 
     def integrate(self, field: np.ndarray) -> np.ndarray:
         """``J``: ``int_0^x int kernel(x, xi, y) field(xi, y) dy dxi`` at
@@ -171,12 +174,12 @@ def transform_operator(spec: GridSpec, kernel: np.ndarray,
     weights = _running_weights(spec)
     loadings, basis = y_factor(np.asarray(kernel, dtype=float))
     rows = tri_to_matrix(spec, weights[:, None] * loadings)
-    resolvent = solve_target_coupling(spec, scalar_kernel)
+    coupling = solve_target_coupling(spec, scalar_kernel)
     return TransformOperator(
         spec=spec, rows=np.ascontiguousarray(rows.transpose(1, 0, 2)),
         weighted_basis=basis * spec.y_weights[:, None],
         scalar=tri_to_matrix(spec, weights * scalar_kernel),
-        resolvent=tri_to_matrix(spec, weights * resolvent))
+        resolvent=tri_to_matrix(spec, weights * coupling), coupling=coupling)
 
 
 def _scalar_field(transform: TransformOperator, alpha: np.ndarray,
@@ -397,8 +400,8 @@ def lyapunov_value(alpha: np.ndarray, beta: np.ndarray,
     return float(val)
 
 
-def lyapunov_recipe(coeff: SampledCoefficients,
-                    kernels: KernelSolution) -> LyapunovRecipe:
+def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
+                    transform: TransformOperator) -> LyapunovRecipe:
     """Choose Lyapunov parameters from measured coefficient bounds.
 
     The decay weight must exceed a threshold built from the composed-coupling
@@ -407,12 +410,11 @@ def lyapunov_recipe(coeff: SampledCoefficients,
     gain, the Volterra coupling, and the drive.  This routine doubles the
     threshold and halves the feasibility minimum, then evaluates the norm
     sandwich constants for the resulting pair.  The Volterra coupling per
-    unit drive is solved from ``kernels.ktilde``
-    (:func:`~ensemble_backstep.volterra.solve_target_coupling`), so
-    ``||kappa(x, xi, .)||_y = ||drive(x, .)||_y * |coupling(x, xi)|``.
+    unit drive is ``transform.coupling``, the resolvent of ``kernels.ktilde``
+    that :func:`transform_operator` solved, so ``||kappa(x, xi, .)||_y =
+    ||drive(x, .)||_y * |coupling(x, xi)|``.
     """
     spec = coeff.spec
-    coupling = solve_target_coupling(kernels.spec, kernels.ktilde)
     wy = spec.y_weights
     m_linv = 1.0 / coeff.speed_u_min
     m_theta = float(np.sqrt(
@@ -422,7 +424,7 @@ def lyapunov_recipe(coeff: SampledCoefficients,
     q_norm = float(np.sqrt((coeff.inflow_gain_grid ** 2) @ wy))
 
     k_norm = np.sqrt((kernels.k ** 2) @ wy)
-    kap_norm = drive_norm[spec.tri.i_index] * np.abs(coupling)
+    kap_norm = drive_norm[spec.tri.i_index] * np.abs(transform.coupling)
     k_mat = tri_to_matrix(spec, k_norm)
     kap_mat = tri_to_matrix(spec, kap_norm)
     composed = drive_norm[:, None] * k_mat + spec.hx * (kap_mat @ k_mat)
@@ -482,12 +484,10 @@ def _initial_state(spec: GridSpec, u0, v0) -> EnsembleState:
     return EnsembleState(u=u, v=v, t=0.0)
 
 
-def _snapshot_steps(spec: GridSpec, snapshot_times, n_steps: int) -> dict:
-    table: dict[int, list[float]] = {}
-    for t_req in snapshot_times:
-        idx = int(np.clip(round(float(t_req) / spec.dt), 0, n_steps))
-        table.setdefault(idx, []).append(float(t_req))
-    return table
+def _snapshot_steps(spec: GridSpec, snapshot_times, n_steps: int) -> set[int]:
+    """The step indices nearest the requested times, clamped to the run."""
+    return {int(np.clip(round(float(t) / spec.dt), 0, n_steps))
+            for t in snapshot_times}
 
 
 def _run(spec: GridSpec, state: EnsembleState, snapshot_times, advance,
@@ -498,10 +498,11 @@ def _run(spec: GridSpec, state: EnsembleState, snapshot_times, advance,
     value of the step; ``advance(state, control)`` returns the next state;
     ``lyapunov(state)`` (optional) fills the Lyapunov series.  Norms are
     recorded at every step, snapshots at the steps nearest the requested
-    times, and ``decay_rate`` is fitted on the late-time window.
+    times (once per step, however many times round to it), and
+    ``decay_rate`` is fitted on the late-time window.
     """
     n_steps = int(round(spec.t_final / spec.dt))
-    snap_table = _snapshot_steps(spec, snapshot_times, n_steps)
+    snap_steps = _snapshot_steps(spec, snapshot_times, n_steps)
 
     times = np.arange(n_steps + 1) * spec.dt
     joint = np.empty(n_steps + 1)
@@ -520,9 +521,8 @@ def _run(spec: GridSpec, state: EnsembleState, snapshot_times, advance,
         joint[n] = math.sqrt(un * un + vn * vn)
         if lyap is not None:
             lyap[n] = lyapunov(state)
-        if n in snap_table:
-            for _ in snap_table[n]:
-                snapshots.append((float(state.t), state))
+        if n in snap_steps:
+            snapshots.append((float(state.t), state))
         if n < n_steps:
             state = advance(state, control[n])
     decay = _fit_decay(times, joint)
@@ -532,30 +532,26 @@ def _run(spec: GridSpec, state: EnsembleState, snapshot_times, advance,
 
 
 def simulate(coeff: SampledCoefficients, spec: GridSpec,
-             kernels: KernelSolution | None = None,
-             mode: str = "open", u0=None, v0=None,
+             kernels: KernelSolution | None = None, u0=None, v0=None,
              snapshot_times=()) -> SimulationRecord:
     """Run the plant from t = 0 to the grid's final time.
 
-    In ``closed`` mode (``kernels`` must be supplied) the feedback value is
-    computed from the state at the beginning of each step and applied as the
-    outlet boundary value for that step; the closed-loop state carries the
-    freshly computed value at its outlet node while the step runs, so the
-    trajectory obeys ``v(t, 1) = U(t)`` at the step's own time instead of
-    lagging the outlet one step behind the law.  In ``open`` mode the outlet
-    input is zero.  Norms and the control value are recorded at every step,
-    snapshots at the steps nearest the requested times, and ``decay_rate`` is
-    fitted on the late-time window.  ``coeff`` and ``kernels`` must be
-    sampled and solved at ``spec``'s nx and ny (:class:`DimensionError`
-    otherwise); ``spec`` also sets the time step and the horizon.
+    Given ``kernels``, the loop is closed: the feedback value is computed
+    from the state at the beginning of each step and applied as the outlet
+    boundary value for that step; the closed-loop state carries the freshly
+    computed value at its outlet node while the step runs, so the trajectory
+    obeys ``v(t, 1) = U(t)`` at the step's own time instead of lagging the
+    outlet one step behind the law.  Without kernels the loop is open and
+    the outlet input is zero.  Norms and the control value are recorded at
+    every step, snapshots at the steps nearest the requested times, and
+    ``decay_rate`` is fitted on the late-time window.  ``coeff`` and
+    ``kernels`` must be sampled and solved at ``spec``'s nx and ny
+    (:class:`DimensionError` otherwise); ``spec`` also sets the time step
+    and the horizon.
     """
-    if mode not in ("open", "closed"):
-        raise ConfigurationError(f"unknown simulation mode: {mode!r}")
-    if mode == "closed" and kernels is None:
-        raise ConfigurationError("closed-loop simulation requires kernels")
     _check_grid(spec, coeff, kernels)
-    refresh = ((lambda state: _refresh_outlet(state, kernels))
-               if mode == "closed" else None)
+    refresh = (None if kernels is None
+               else lambda state: _refresh_outlet(state, kernels))
 
     def advance(state, control):
         return step_plant(state, coeff, control, spec.dt)
@@ -569,9 +565,9 @@ def simulate_target(coeff: SampledCoefficients, spec: GridSpec,
                     u0=None, v0=None, snapshot_times=()) -> SimulationRecord:
     """Run the transformed (cascade) system from the transformed initial state.
 
-    The Lyapunov recipe of the kernels is assembled
-    (:func:`lyapunov_recipe`), the kernels are factored once
-    (:func:`transform_operator`), the plant initial condition is mapped
+    The kernels are factored once (:func:`transform_operator`), the
+    Lyapunov recipe is assembled from them and that operator's coupling
+    (:func:`lyapunov_recipe`), the plant initial condition is mapped
     through the forward transform, and the Lyapunov value with recipe
     parameters is recorded at every step alongside the norms.  The record's
     ``recipe`` holds the recipe and ``y_ranks`` the ranks of the factored
@@ -580,8 +576,8 @@ def simulate_target(coeff: SampledCoefficients, spec: GridSpec,
     """
     _check_grid(spec, coeff, kernels)
     plant0 = _initial_state(spec, u0, v0)
-    recipe = lyapunov_recipe(coeff, kernels)
     transform = transform_operator(spec, kernels.k, kernels.ktilde)
+    recipe = lyapunov_recipe(coeff, kernels, transform)
     alpha0, beta0 = forward_transform(plant0, transform)
 
     def advance(state, control):

@@ -26,8 +26,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NonconvergenceError, NumericError
+from .errors import DimensionError, NonconvergenceError, NumericError
 from .grid import GridSpec
+
+#: The resolvent series stops once its last term's sup-norm is at most
+#: ``RESOLVENT_TOL``, and gives up after ``RESOLVENT_MAX_TERMS`` terms.
+RESOLVENT_TOL = 1e-12
+RESOLVENT_MAX_TERMS = 60
 
 __all__ = [
     "ResolventKernel",
@@ -122,29 +127,29 @@ def compose(spacing: float, first: np.ndarray, second: np.ndarray) -> np.ndarray
     return out
 
 
-def resolvent(spec: GridSpec, ktilde: np.ndarray, tol: float = 1e-12,
-              max_terms: int = 60) -> ResolventKernel:
+def resolvent(spec: GridSpec, ktilde: np.ndarray) -> ResolventKernel:
     """Sum the iterated kernels of a scalar triangle kernel.
 
     Terms ``T_1 = kernel`` and ``T_{n+1}(x, xi) = integral_xi^x
     T_n(x, s) kernel(s, xi) ds`` are accumulated until the last term's
-    sup-norm drops to ``tol``; the factorial decay of Volterra iterates makes
-    this terminate in a few dozen terms for any bounded kernel.
+    sup-norm drops to :data:`RESOLVENT_TOL`; the factorial decay of Volterra
+    iterates makes this terminate in a few dozen terms for any bounded
+    kernel, and :class:`NonconvergenceError` is raised if it takes more
+    than :data:`RESOLVENT_MAX_TERMS`.
     """
     values = np.asarray(ktilde, dtype=float)
     if not np.all(np.isfinite(values)):
         raise NumericError("resolvent input contains non-finite values")
-    if not tol > 0:
-        raise DomainError(f"tol must be > 0, got {tol}")
     kernel = tri_to_matrix(spec, values)
     term = kernel.copy()
     acc = kernel.copy()
     sups = [float(np.max(np.abs(term)))]
     n_terms = 1
-    while sups[-1] > tol:
-        if n_terms >= max_terms:
+    while sups[-1] > RESOLVENT_TOL:
+        if n_terms >= RESOLVENT_MAX_TERMS:
             raise NonconvergenceError(
-                f"resolvent series not below tol={tol} after {max_terms} terms",
+                f"resolvent series not below tol={RESOLVENT_TOL} after "
+                f"{RESOLVENT_MAX_TERMS} terms",
                 final_delta=sups[-1],
             )
         term = compose(spec.hx, kernel, term)
@@ -170,8 +175,7 @@ def _coupling_source(spec: GridSpec, drive_grid: np.ndarray,
     return drive_grid.T[:, :, None] * kernel[None, :, :]
 
 
-def solve_target_coupling(spec: GridSpec, ktilde: np.ndarray,
-                          tol: float = 1e-12) -> np.ndarray:
+def solve_target_coupling(spec: GridSpec, ktilde: np.ndarray) -> np.ndarray:
     """The coupling kernel of the target system per unit drive.
 
     The unknown ``kappa(x, xi, y)`` satisfies ``kappa = drive(x, y)
@@ -180,7 +184,7 @@ def solve_target_coupling(spec: GridSpec, ktilde: np.ndarray,
     = drive(x, y) m(x, xi)`` with ``m`` the resolvent of ``ktilde``, which
     this returns in flat triangle storage, shape ``(n_tri,)``.
     """
-    return resolvent(spec, ktilde, tol).values
+    return resolvent(spec, ktilde).values
 
 
 def solve_target_coupling_picard(spec: GridSpec, drive_grid: np.ndarray,

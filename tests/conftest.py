@@ -69,7 +69,7 @@ def closed_run_default(toy, spec_default, kernels_default):
     t0 = time.perf_counter()
     rec = simulator.simulate(model.sample_coefficients(toy, spec_default),
                              spec_default, kernels=kernels_default,
-                             mode="closed", snapshot_times=(0.0, 3.0))
+                             snapshot_times=(0.0, 3.0))
     return rec, time.perf_counter() - t0
 
 
@@ -77,7 +77,7 @@ def closed_run_default(toy, spec_default, kernels_default):
 def open_run_default(toy, spec_default):
     t0 = time.perf_counter()
     rec = simulator.simulate(model.sample_coefficients(toy, spec_default),
-                             spec_default, mode="open")
+                             spec_default)
     return rec, time.perf_counter() - t0
 
 

@@ -117,6 +117,14 @@ class TestConfigFile:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_snapshot_time_exits_2(self, tmp_path, capsys):
+        # it would round to the first step and write the t = 0 state
+        assert main(["simulate", "--nx", "10", "--ny", "4", "--snapshots=-1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "snapshot times must be non-negative" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_cli_overrides_beat_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("model_name = pure-transport\nnx = 4\nny = 3\n")

@@ -140,7 +140,8 @@ def test_tracer_counts_one_cascade_step_span_per_step(tmp_path):
     assert spans["trace.subnormal_check"] == 10
     assert "simulator.step_plant" not in spans
     assert spans["kernelsolve.solve"] == 1
-    # the cascade run builds its one Lyapunov recipe, solving the coupling
-    # through a traced name
+    # the cascade run builds its one Lyapunov recipe from the coupling its
+    # transform solved, once, through a traced name
     assert spans["simulator.recipe"] == 1
-    assert spans["volterra.kappa"] >= 1
+    assert spans["volterra.kappa"] == 1
+    assert spans["volterra.resolvent"] == 1

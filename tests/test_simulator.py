@@ -123,8 +123,7 @@ class TestPlantStep:
         pulse = np.exp(-100.0 * (spec.x_nodes - 0.3) ** 2)
         u0 = np.repeat(pulse[:, None], spec.ny, axis=1)
         record = simulate(sample_coefficients(pure_transport, spec), spec,
-                          mode="open", u0=u0,
-                          v0=np.zeros(spec.nx + 1),
+                          u0=u0, v0=np.zeros(spec.nx + 1),
                           snapshot_times=(spec.t_final,))
         t_snap, final = record.snapshots[0]
         assert abs(t_snap - 0.4) <= 1e-9
@@ -420,7 +419,7 @@ class TestLyapunov:
         spec = GridSpec(nx=60, ny=16)
         coeff = sample_coefficients(pure_transport, spec)
         sol = solve_backstepping_kernels(pure_transport, spec)
-        recipe = lyapunov_recipe(coeff, sol)
+        recipe = lyapunov_recipe(coeff, sol, _forward(sol))
         assert recipe.p > 0.0
         assert recipe.delta > 0.0
         assert recipe.m_equiv > 0.0  # nontrivial for uncoupled transport
@@ -436,7 +435,7 @@ class TestLyapunov:
 class TestSimulate:
     def test_zero_initial_state_stays_quiet(self, toy):
         spec = GridSpec(nx=30, ny=10, dt=0.01, t_final=0.3)
-        record = simulate(sample_coefficients(toy, spec), spec, mode="open",
+        record = simulate(sample_coefficients(toy, spec), spec,
                           u0=np.zeros((31, 10)), v0=np.zeros(31))
         assert np.all(record.joint_norms == 0.0)
         assert np.all(record.control == 0.0)
@@ -444,7 +443,7 @@ class TestSimulate:
 
     def test_record_layout(self, toy):
         spec = GridSpec(nx=30, ny=10, dt=0.01, t_final=0.2)
-        record = simulate(sample_coefficients(toy, spec), spec, mode="open")
+        record = simulate(sample_coefficients(toy, spec), spec)
         assert record.times.shape == (21,)
         assert record.times[0] == 0.0
         assert abs(record.times[-1] - 0.2) <= 1e-12
@@ -456,8 +455,9 @@ class TestSimulate:
 
     def test_snapshots_land_on_nearest_step(self, toy):
         spec = GridSpec(nx=30, ny=10, dt=0.01, t_final=0.2)
-        record = simulate(sample_coefficients(toy, spec), spec, mode="open",
-                          snapshot_times=(0.052, 0.123, 5.0))
+        # 0.05 and 0.052 round to one step, which is recorded once
+        record = simulate(sample_coefficients(toy, spec), spec,
+                          snapshot_times=(0.05, 0.052, 0.123, 5.0))
         assert len(record.snapshots) == 3
         taken = [t for t, _ in record.snapshots]
         assert abs(taken[0] - 0.05) <= 1e-9
@@ -467,12 +467,6 @@ class TestSimulate:
             assert snap.u.shape == (31, 10)
             assert snap.v.shape == (31,)
 
-    def test_rejects_bad_mode_and_missing_kernels(self, toy):
-        spec = GridSpec(nx=10, ny=5)
-        with pytest.raises(ConfigurationError):
-            simulate(sample_coefficients(toy, spec), spec, mode="sideways")
-        with pytest.raises(ConfigurationError):
-            simulate(sample_coefficients(toy, spec), spec, mode="closed")
 
     def test_coefficients_from_another_grid_are_refused(self, toy):
         # no silent re-sampling: coefficients must match the run's nx and ny
@@ -482,25 +476,24 @@ class TestSimulate:
         for other in (GridSpec(nx=40, ny=6), GridSpec(nx=20, ny=8)):
             coeff = sample_coefficients(toy, other)
             with pytest.raises(DimensionError, match="do not match"):
-                simulate(coeff, spec, mode="open")
+                simulate(coeff, spec)
             with pytest.raises(DimensionError, match="do not match"):
                 simulate_target(coeff, spec, kernels)
             # and kernels must have been solved on them too
             kernels_other = solve_backstepping_kernels(toy, other)
             with pytest.raises(DimensionError, match="kernels solved"):
-                simulate(coeff_run, spec, kernels=kernels_other, mode="closed")
+                simulate(coeff_run, spec, kernels=kernels_other)
             with pytest.raises(DimensionError, match="kernels solved"):
                 simulate_target(coeff_run, spec, kernels_other)
         # another time step or horizon on the same nx and ny is accepted
         record = simulate(sample_coefficients(toy, GridSpec(nx=20, ny=6)),
-                          spec, mode="open")
+                          spec)
         assert record.times.shape == (11,)
 
     def test_closed_loop_records_feedback_and_outlet(self, toy, kernels_mid):
         spec_run = GridSpec(nx=100, ny=60, dt=0.008, t_final=0.1)
         record = simulate(sample_coefficients(toy, spec_run), spec_run,
-                          kernels=kernels_mid, mode="closed",
-                          snapshot_times=(0.0,))
+                          kernels=kernels_mid, snapshot_times=(0.0,))
         assert record.control[0] != 0.0
         _, snap0 = record.snapshots[0]
         assert snap0.v[-1] == record.control[0]
@@ -518,7 +511,7 @@ class TestSimulateTarget:
         coeff = sample_coefficients(toy, spec)
         kernels = solve_backstepping_kernels(toy, spec)
         record = simulate_target(coeff, spec, kernels)
-        expected = lyapunov_recipe(coeff, kernels)
+        expected = lyapunov_recipe(coeff, kernels, _forward(kernels))
         for field in dataclasses.fields(expected):
             assert getattr(record.recipe, field.name) == \
                 getattr(expected, field.name), field.name
@@ -527,10 +520,9 @@ class TestSimulateTarget:
                                           _forward(kernels))
         assert record.lyapunov[0] == lyapunov_value(
             alpha0, beta0, coeff, expected.p, expected.delta)
-        # plant runs carry no recipe
-        for mode in ("open", "closed"):
-            assert simulate(coeff, spec, kernels=kernels,
-                            mode=mode).recipe is None
+        # plant runs, open and closed, carry no recipe
+        for plant_kernels in (None, kernels):
+            assert simulate(coeff, spec, kernels=plant_kernels).recipe is None
 
     def test_lyapunov_decreases_stepwise(self, toy, kernels_mid):
         spec_run = GridSpec(nx=100, ny=60, dt=0.008, t_final=1.5)

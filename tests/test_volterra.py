@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from ensemble_backstep.errors import (
     DimensionError,
-    DomainError,
     NonconvergenceError,
     NumericError,
 )
@@ -127,7 +126,7 @@ class TestResolvent:
     def test_series_satisfies_its_fixed_point_equation(self, rng):
         spec = GridSpec(nx=60, ny=3)
         flat = 0.8 * rng.standard_normal(spec.tri.n_nodes)
-        res = resolvent(spec, flat, tol=1e-12)
+        res = resolvent(spec, flat)
         kmat = tri_to_matrix(spec, flat)
         rmat = tri_to_matrix(spec, res.values)
         residual = rmat - kmat - compose(spec.hx, kmat, rmat)
@@ -140,15 +139,12 @@ class TestResolvent:
         with pytest.raises(NumericError):
             resolvent(spec, bad)
 
-    def test_rejects_bad_tol(self):
-        spec = GridSpec(nx=5, ny=3)
-        with pytest.raises(DomainError):
-            resolvent(spec, _const_tri(spec, 1.0), tol=0.0)
-
     def test_nonconvergence_carries_final_delta(self):
         spec = GridSpec(nx=20, ny=3)
         with pytest.raises(NonconvergenceError) as exc:
-            resolvent(spec, _const_tri(spec, 3.0), max_terms=2)
+            # the terms of a constant 30 shrink like 30**n / n!, and are
+            # still far above the tolerance after the 60-term budget
+            resolvent(spec, _const_tri(spec, 30.0))
         assert exc.value.final_delta is not None
         assert exc.value.final_delta > 0.0
 
