@@ -10,20 +10,26 @@ Two families of curves convert the kernel PDEs into integral equations:
   component reaches the ``xi = 0`` edge after time ``s_end``, and the launch
   abscissa carries the edge data.
 
-Each component follows its own ODE from its own start, so a batch integrates
-every distinct start once (classical RK4, fixed step, whole horizon) and each
-curve is a prefix of its two trajectories.  Both speeds are assumed strictly
-positive on [0, 1] (the plant checks them at the grid nodes): the event
-difference then grows strictly along a curve, bisection over the step index
-finds its event step, and bisection on a cubic-Hermite interpolant of the
-difference (values and slopes at the step ends come from the ODE right-hand
-sides) refines the event time.  Speeds are evaluated at positions clamped to
-[0, 1] so that tiny overshoots beyond the domain stay well-defined.
+Each component follows its own ODE from its own start, so curves are read
+from :class:`TrajectoryTables`: one trajectory per distinct start (classical
+RK4, fixed step, whole horizon) in an x-table for the scalar speed and a
+xi-table for the ensemble speed, and each curve is a prefix of its two
+trajectories.  The scalar ODE does not depend on y, so every family of a
+solve can read one pair of tables; RK4 acts element-wise, so a table row is
+the same whichever other starts share the table.  Both speeds are assumed
+strictly positive on [0, 1] (the plant checks them at the grid nodes): the
+event difference then grows strictly along a curve, bisection over the step
+index finds its event step, and bisection on a cubic-Hermite interpolant of
+the difference (values and slopes at the step ends come from the ODE
+right-hand sides) refines the event time.  Speeds are evaluated at positions
+clamped to [0, 1] so that tiny overshoots beyond the domain stay
+well-defined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from .model import SampledCoefficients, sample_coefficients  # noqa: F401
 
 __all__ = [
     "TracedBundle",
+    "TrajectoryTables",
     "trace_crossing_batch",
     "trace_edge_batch",
 ]
@@ -143,12 +150,18 @@ def _gather(table, row, first, lengths):
     return table.ravel()[index]
 
 
-def _check_domain(xs, xis, ys) -> None:
-    """Raise :class:`DomainError` unless every point is finite and lies in
-    ``0 <= xi <= x <= 1`` (and ``0 <= y <= 1``) up to :data:`DOMAIN_TOL`."""
+def _points(xs, xis, ys=None):
+    """The query points as float arrays.
+
+    Raises :class:`DomainError` unless every point is finite and lies in
+    ``0 <= xi <= x <= 1`` (and ``0 <= y <= 1``) up to :data:`DOMAIN_TOL`.
+    """
+    xs = np.asarray(xs, dtype=float)
+    xis = np.asarray(xis, dtype=float)
     inside = (np.isfinite(xs) & np.isfinite(xis) & (xis >= -DOMAIN_TOL)
               & (xis <= xs + DOMAIN_TOL) & (xs <= 1.0 + DOMAIN_TOL))
     if ys is not None:
+        ys = np.asarray(ys, dtype=float)
         inside &= (np.isfinite(ys) & (ys >= -DOMAIN_TOL)
                    & (ys <= 1.0 + DOMAIN_TOL))
     if not inside.all():
@@ -158,54 +171,114 @@ def _check_domain(xs, xis, ys) -> None:
         raise DomainError(
             f"{int(inside.size - np.count_nonzero(inside))} point(s) outside "
             f"0 <= xi <= x <= 1, 0 <= y <= 1 or not finite, first {where}")
+    return xs, xis, ys
 
 
-def _trace_batch(coeff: SampledCoefficients, kind: str, xs, xis, ys, step) -> TracedBundle:
-    xs = np.asarray(xs, dtype=float)
-    xis = np.asarray(xis, dtype=float)
-    if ys is not None:
-        ys = np.asarray(ys, dtype=float)
-    _check_domain(xs, xis, ys)
-    h = _default_step(coeff, step)
-    model = coeff.model
+def _pairs(xis, ys):
+    """(xi, y) pairs as complex numbers, which sort and search
+    lexicographically."""
+    pairs = np.empty(np.shape(xis), dtype=complex)
+    pairs.real = xis
+    pairs.imag = ys
+    return pairs
+
+
+def _rows(starts, points):
+    """Row of each point in the sorted distinct ``starts``."""
+    row = np.searchsorted(starts, points)
+    found = row < starts.size
+    found[found] = starts[row[found]] == points[found]
+    if not found.all():
+        raise DomainError(
+            f"{int(found.size - np.count_nonzero(found))} curve start(s) "
+            f"have no trajectory in the tables")
+    return row
+
+
+class TrajectoryTables:
+    """RK4 trajectories that one or more curve families read their curves
+    from.
+
+    The x-table holds one trajectory of ``z' = -speed_v(z)`` per distinct
+    start in ``x_starts``: the x-component of every curve and the
+    xi-component of every edge curve follow it.  The xi-table holds one
+    trajectory of ``w' = speed_u(w, y)`` per distinct pair of
+    ``xi_starts`` and ``y_starts``: the xi-component of every crossing
+    curve.  Each table is integrated on its first read, over the longest
+    horizon of the families that read it (the edge horizon for the
+    x-table); a family reads only its own horizon's columns.
+    ``del tables.xi_table`` frees the xi-table.
+    """
+
+    def __init__(self, coeff: SampledCoefficients, x_starts, xi_starts=(),
+                 y_starts=(), step: float | None = None):
+        self.coeff = coeff
+        self.h = _default_step(coeff, step)
+        self.x_starts = np.unique(np.asarray(x_starts, dtype=float))
+        self.xi_starts = np.unique(_pairs(xi_starts, y_starts))
+
+    def horizon(self, kind: str) -> tuple[float, int]:
+        """Longest event time a family of ``kind`` allows for, and the
+        number of steps that covers it."""
+        coeff = self.coeff
+        s_max = 2.0 / (coeff.crossing_speed_min if kind == "cross"
+                       else coeff.speed_v_min)
+        return s_max, int(np.ceil(s_max / self.h)) + 2
+
+    def dz(self, z, y=None):
+        """Right-hand side of the x-table's ODE; ``y`` is unused."""
+        return -self.coeff.model.speed_v(np.clip(z, 0.0, 1.0))
+
+    def dw(self, w, y):
+        """Right-hand side of the xi-table's ODE."""
+        return self.coeff.model.speed_u(np.clip(w, 0.0, 1.0), y)
+
+    @cached_property
+    def x_table(self) -> np.ndarray:
+        # speed_v_min <= crossing_speed_min: the edge horizon is the longer
+        _, n_steps = self.horizon("edge")
+        return _trajectories(self.dz, self.x_starts, None, self.h, n_steps)
+
+    @cached_property
+    def xi_table(self) -> np.ndarray:
+        _, n_steps = self.horizon("cross")
+        return _trajectories(self.dw, self.xi_starts.real,
+                             self.xi_starts.imag, self.h, n_steps)
+
+
+def _read_curves(tables: TrajectoryTables, kind: str, xs, xis,
+                 ys) -> TracedBundle:
+    """One family's curves, each a prefix of its two trajectories in
+    ``tables``, with refined event points and trapezoid weights."""
+    h = tables.h
     m = xs.shape[0]
-
-    s_max = 2.0 / (coeff.crossing_speed_min if kind == "cross" else coeff.speed_v_min)
-    n_alloc = int(np.ceil(s_max / h)) + 2
-
-    def dz(z, y=None):
-        return -model.speed_v(np.clip(z, 0.0, 1.0))
-
-    # One trajectory per distinct start: row z_row[c] of z_table is curve
-    # c's x-component, row w_row[c] of w_table its xi-component.
+    s_max, n_alloc = tables.horizon(kind)
+    dz = tables.dz
+    z_table = tables.x_table
+    z_row = _rows(tables.x_starts, xs)
     if kind == "cross":
-        def dw(w, y):
-            return model.speed_u(np.clip(w, 0.0, 1.0), y)
+        dw = tables.dw
 
         def event(z, w):
             return w - z
 
-        starts_z, z_row = np.unique(xs, return_inverse=True)
-        starts_w, w_row = np.unique(np.stack([xis, ys], axis=1), axis=0,
-                                    return_inverse=True)
-        z_table = _trajectories(dz, starts_z, None, h, n_alloc)
-        w_table = _trajectories(dw, starts_w[:, 0], starts_w[:, 1], h, n_alloc)
+        w_table = tables.xi_table
+        w_row = _rows(tables.xi_starts, _pairs(xis, ys))
     else:
-        # Both components of an edge curve follow the scalar speed, so one
-        # table serves both.
+        # Both components of an edge curve follow the scalar speed.
         dw = dz
 
         def event(z, w):
             return -w
 
-        starts, row = np.unique(np.concatenate([xs, xis]), return_inverse=True)
-        z_row, w_row = row[:m], row[m:]
-        z_table = w_table = _trajectories(dz, starts, None, h, n_alloc)
+        w_table = z_table
+        w_row = _rows(tables.x_starts, xis)
 
     ref = np.flatnonzero(event(xs, xis) < DEGENERATE_TOL)
     zr, wr = z_row[ref], w_row[ref]
     yr = ys[ref] if ys is not None else None
-    missed = np.count_nonzero(event(z_table[zr, -1], w_table[wr, -1]) < 0.0)
+    missed = np.count_nonzero(event(z_table[zr, n_alloc - 1],
+                                    w_table[wr, n_alloc - 1]) < 0.0)
     if missed:
         raise NonconvergenceError(
             f"{missed} characteristic curve(s) found no {kind} event before "
@@ -258,13 +331,29 @@ def _trace_batch(coeff: SampledCoefficients, kind: str, xs, xis, ys, step) -> Tr
 
 
 def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys,
-                         step: float | None = None) -> TracedBundle:
-    """Trace crossing curves for many triangle points at once."""
-    return _trace_batch(coeff, "cross", xs, xis, ys, step)
+                         step: float | None = None,
+                         tables: TrajectoryTables | None = None) -> TracedBundle:
+    """Trace crossing curves for many triangle points at once.
+
+    The curves are read from ``tables`` (built from ``coeff``, with every
+    point's x and (xi, y) among its starts, and its own step) when given,
+    else from tables of these points alone with the given ``step``.
+    """
+    xs, xis, ys = _points(xs, xis, ys)
+    if tables is None:
+        tables = TrajectoryTables(coeff, xs, xis, ys, step=step)
+    return _read_curves(tables, "cross", xs, xis, ys)
 
 
 def trace_edge_batch(coeff: SampledCoefficients, xs, xis,
-                     step: float | None = None) -> TracedBundle:
-    """Trace edge curves for many triangle points at once."""
-    return _trace_batch(coeff, "edge", xs, xis, None, step)
+                     step: float | None = None,
+                     tables: TrajectoryTables | None = None) -> TracedBundle:
+    """Trace edge curves for many triangle points at once.
 
+    ``tables`` is as for :func:`trace_crossing_batch`, with every point's x
+    and xi among its x-starts.
+    """
+    xs, xis, _ = _points(xs, xis)
+    if tables is None:
+        tables = TrajectoryTables(coeff, np.concatenate([xs, xis]), step=step)
+    return _read_curves(tables, "edge", xs, xis, None)

@@ -20,14 +20,15 @@ zero.  One family of crossing curves, a curve from every triangle node, is
 traced per group of y-nodes whose sampled ensemble speeds are equal at every
 x-node: a plant whose speed does not depend on y has one group, one with a
 different speed at every y-node has ny (and holds ny operators in memory
-instead of one).  Each family reads its curves off one trajectory per
-distinct start (see :mod:`.characteristics`) and becomes one sparse
-operator that combines path-trapezoid weights with bilinear interpolation
-on the triangle, written in CSR one triangle row at a time; the family's
-samples are freed once its operator and launch abscissas exist.  Boundary
-data is always evaluated exactly at the off-grid launch abscissas, so the
-diagonal condition holds exactly at nodes and the edge condition holds to
-the fixed-point tolerance.
+instead of one).  Every family reads its curves from one pair of
+trajectory tables integrated once per solve (see :mod:`.characteristics`)
+and becomes one sparse operator that combines path-trapezoid weights with
+bilinear interpolation on the triangle, written in CSR a block of curves at
+a time, its shared corners summed by two transposes instead of a sort; the
+family's samples are freed once its operator and launch abscissas exist.
+Boundary data is always evaluated exactly at the off-grid launch abscissas,
+so the diagonal condition holds exactly at nodes and the edge condition
+holds to the fixed-point tolerance.
 
 With one family the crossing operators act on x and xi only, so y moves
 only through the exchange and the speed derivative, and the sweeps run in
@@ -48,7 +49,8 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from .characteristics import trace_crossing_batch, trace_edge_batch
+from .characteristics import (TrajectoryTables, trace_crossing_batch,
+                              trace_edge_batch)
 from .errors import DomainError, NonconvergenceError, NumericError
 from .grid import GridSpec, TriangularIndex, corner_weights, y_factor
 from .model import PlantModel, SampledCoefficients, sample_coefficients
@@ -66,6 +68,10 @@ __all__ = [
 #: Sweep budget of :func:`solve_goursat`; a solve that needs more raises
 #: :class:`~ensemble_backstep.errors.NonconvergenceError`.
 MAX_SWEEPS = 60
+
+#: Samples per CSR block of an operator: enough to spread the cost of
+#: building a block, few enough that a block's arrays stay small.
+_BLOCK_SAMPLES = 16384
 
 
 @dataclass(frozen=True)
@@ -129,14 +135,17 @@ def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
 
     Row ``t`` of the result, applied to a flat triangle field, yields the
     trapezoid integral of the bilinear interpolant of that field along the
-    traced curve of triangle node ``t``.  Each triangle row's curves are
-    written as one CSR block straight from the bundle: every sample adds
-    its four interpolation corners, so ``4 * offsets`` is the row pointer,
-    and the corners a curve's samples share are summed.
+    traced curve of triangle node ``t``.  Consecutive curves holding about
+    :data:`_BLOCK_SAMPLES` samples are written as one CSR block straight
+    from the bundle: every sample adds its four interpolation corners, so
+    ``4 * offsets`` is the row pointer, and the corners a curve's samples
+    share are summed.
     """
     tri = spec.tri
     offsets = bundle.offsets
-    bounds = np.append(tri.row_start, tri.n_nodes)
+    bounds = np.unique(np.append(
+        np.searchsorted(offsets, np.arange(0, offsets[-1], _BLOCK_SAMPLES)),
+        tri.n_nodes))
     blocks = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         lo, hi = offsets[a], offsets[b]
@@ -145,8 +154,12 @@ def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
         block = sparse.csr_matrix(
             ((bundle.weights[lo:hi, None] * w4).ravel(), idx4.ravel(),
              4 * (offsets[a:b + 1] - lo)), shape=(b - a, tri.n_nodes))
+        # After the transpose each column lists its rows in order, so the
+        # corners a curve's samples share are adjacent and summed in sample
+        # order; both conversions are linear passes with no sort.
+        block = block.tocsc()
         block.sum_duplicates()
-        blocks.append(block)
+        blocks.append(block.tocsr())
     return sparse.vstack(blocks, format="csr")
 
 
@@ -186,6 +199,19 @@ def _y_subspace(maps: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         new = u[:, :added]
         basis = grown
     return basis if basis.shape[1] < ny else np.eye(ny)
+
+
+def _sup_increment(step: np.ndarray, basis: np.ndarray) -> float:
+    """``max|step @ basis.T|``, the sup-norm on every y-node of an increment
+    held in subspace coordinates.
+
+    With one column every entry is one product, and rounding is monotone,
+    so the sup is the product of the two sups, bit for bit, without forming
+    the ``(n_tri, ny)`` field.
+    """
+    if basis.shape[1] == 1:
+        return float(np.max(np.abs(step))) * float(np.max(np.abs(basis)))
+    return float(np.max(np.abs(step @ basis.T)))
 
 
 def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution:
@@ -234,7 +260,7 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
 
         if not (np.all(np.isfinite(C_new)) and np.all(np.isfinite(G_new))):
             raise NumericError("Goursat iterate is no longer finite")
-        delta = max(float(np.max(np.abs((C_new - C) @ basis.T))),
+        delta = max(_sup_increment(C_new - C, basis),
                     float(np.max(np.abs(G_new - G))))
         deltas.append(delta)
         C = C_new
@@ -281,16 +307,24 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProb
 
     # y-nodes whose sampled speed columns are equal, which the grid cannot
     # tell apart, share one family of crossing curves traced at the first.
-    _, group = np.unique(coeff.speed_u_grid.T, axis=0, return_inverse=True)
+    _, first, group = np.unique(coeff.speed_u_grid.T, axis=0,
+                                return_index=True, return_inverse=True)
+    # Every family reads its curves from one x-table and one xi-table.
+    xi_nodes = np.unique(xis)
+    family_y = spec.y_nodes[first]
+    tables = TrajectoryTables(coeff, np.concatenate([xs, xis]),
+                              np.repeat(xi_nodes, family_y.size),
+                              np.tile(family_y, xi_nodes.size))
     cross_ops = []
     diagonal_data = np.empty((n_tri, spec.ny))
-    for g in range(group.max() + 1):
+    for g, y0 in enumerate(family_y):
         cols = np.flatnonzero(group == g)
         y = spec.y_nodes[cols]
         if cols[-1] - cols[0] + 1 == cols.size:
             # A slice, not an index array: no copy of the columns per sweep.
             cols = slice(cols[0], cols[-1] + 1)
-        bundle = trace_crossing_batch(coeff, xs, xis, np.full(n_tri, y[0]))
+        bundle = trace_crossing_batch(coeff, xs, xis, np.full(n_tri, y0),
+                                      tables=tables)
         cross_ops.append((cols, _quadrature_matrix(spec, bundle)))
         launch = bundle.launch[:, None]
         # A family's samples are the bulk of the solve's memory: each bundle
@@ -299,7 +333,10 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProb
         diagonal_data[:, cols] = -model.readout(launch, y) / (
             model.speed_u(launch, y) + model.speed_v(launch))
 
-    bundle = trace_edge_batch(coeff, xs, xis)
+    # The edge curves read the x-table only; the xi-table would stay alive
+    # through the edge family's assembly, where the solve peaks.
+    del tables.xi_table
+    bundle = trace_edge_batch(coeff, xs, xis, tables=tables)
     edge_op = _quadrature_matrix(spec, bundle)
     edge_interp = _edge_interp_indices(spec, bundle.launch)
     del bundle

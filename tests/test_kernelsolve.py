@@ -6,9 +6,8 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 
-from ensemble_backstep import kernelsolve
+from ensemble_backstep import characteristics, kernelsolve
 from ensemble_backstep.characteristics import (
     trace_crossing_batch,
     trace_edge_batch,
@@ -238,20 +237,23 @@ def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
 
 
 def _one_shot_operator(spec, bundle):
-    """The quadrature operator as one COO matrix over the whole bundle."""
+    """The quadrature operator as one dense array over the whole bundle,
+    every sample's corner weights added in sample order."""
     n_tri = spec.tri.n_nodes
     rows = np.repeat(np.arange(n_tri), np.diff(bundle.offsets))
     idx4, w4 = corner_weights(spec.nx, bundle.sample_x, bundle.sample_xi)
-    data = (bundle.weights[:, None] * w4).ravel()
-    return sparse.coo_matrix((data, (np.repeat(rows, 4), idx4.ravel())),
-                             shape=(n_tri, n_tri)).tocsr()
+    dense = np.zeros((n_tri, n_tri))
+    np.add.at(dense, (np.repeat(rows, 4), idx4.ravel()),
+              (bundle.weights[:, None] * w4).ravel())
+    return dense
 
 
 @pytest.mark.parametrize("plant_name, family", [
     ("toy", "cross"), ("toy", "edge"), ("sloped", "cross")])
 def test_row_blocks_equal_one_shot_assembly(toy, plant_name, family):
-    """The operator built per triangle row is the one a single COO pass over
-    the whole bundle gives, entry for entry, in canonical CSR form."""
+    """The operator built block by block is the one a single pass over the
+    whole bundle gives, entry for entry, each entry summed in sample order,
+    in canonical CSR form."""
     spec = GridSpec(nx=30, ny=8)
     plant = toy if plant_name == "toy" else dataclasses.replace(
         toy, speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x))
@@ -265,8 +267,42 @@ def test_row_blocks_equal_one_shot_assembly(toy, plant_name, family):
     op = kernelsolve._quadrature_matrix(spec, bundle)
     assert op.shape == (tri.n_nodes, tri.n_nodes)
     assert op.has_canonical_format
-    assert np.array_equal(op.toarray(),
-                          _one_shot_operator(spec, bundle).toarray())
+    assert np.array_equal(op.toarray(), _one_shot_operator(spec, bundle))
+
+
+def test_families_read_the_curves_of_lone_traces(monkeypatch):
+    """Every family read from the build's shared trajectory tables is the
+    bundle a trace of that family alone gives, bit for bit, and the build
+    integrates two tables in all: one x-table and one xi-table."""
+    spec = GridSpec(nx=12, ny=6)
+    plant = dataclasses.replace(
+        toy_model(),
+        speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x))
+    traced = []
+    for name in ("trace_crossing_batch", "trace_edge_batch"):
+        def recording(*args, _trace=getattr(kernelsolve, name), **kwargs):
+            bundle = _trace(*args, **kwargs)
+            traced.append((_trace, args, bundle))
+            return bundle
+        monkeypatch.setattr(kernelsolve, name, recording)
+    integrations = []
+    trajectories = characteristics._trajectories
+
+    def counting(*args):
+        integrations.append(args[1].size)
+        return trajectories(*args)
+
+    monkeypatch.setattr(characteristics, "_trajectories", counting)
+    build_backstepping_problem(plant, spec)
+    # x-starts: the x-nodes; xi-starts: every (xi-node, y-node) pair
+    assert integrations == [spec.nx + 1, (spec.nx + 1) * spec.ny]
+    assert len(traced) == spec.ny + 1
+    monkeypatch.undo()
+    for trace, args, bundle in traced:
+        alone = trace(*args)
+        for field in dataclasses.fields(bundle):
+            assert np.array_equal(getattr(bundle, field.name),
+                                  getattr(alone, field.name)), field.name
 
 
 def _reference_plants():
@@ -353,3 +389,44 @@ def test_y_subspace_holds_seeds_and_is_closed(c, width):
         images = basis.T @ a_j
         assert (np.linalg.norm(outside(images), 2)
                 <= 1e-12 * np.linalg.norm(a_j, 2))
+
+
+class _RecordingArray:
+    """Stands in for ``scalar_to_ensemble`` and keeps the scalar iterate
+    each sweep multiplies it by."""
+
+    def __init__(self, array):
+        self.array = array
+        self.iterates = []
+
+    def __mul__(self, other):
+        self.iterates.append(other[:, 0].copy())
+        return self.array * other
+
+
+@pytest.mark.parametrize("name, y_rank", [("toy", 1), ("gauss", 11)])
+def test_increment_is_the_sup_on_every_y_node(name, y_rank):
+    """Every sweep's increment is ``max|dC @ B.T|`` over every y-node, or the
+    scalar's if larger, bit for bit, with one column as with many."""
+    spec = GridSpec(nx=20, ny=16)
+    problem = build_backstepping_problem(_reference_plants()[name], spec)
+    assert problem.y_rank == y_rank
+    fields = []
+    scalars = _RecordingArray(problem.scalar_to_ensemble)
+    operator = problem.apply_ensemble_operator
+
+    def recording(tri, field):
+        fields.append(field.copy())
+        return operator(tri, field)
+
+    sol = solve_goursat(dataclasses.replace(
+        problem, apply_ensemble_operator=recording,
+        scalar_to_ensemble=scalars))
+    assert sol.iterations > 10
+    # sweep k + 1 starts from the iterates of sweep k; the last sweep's
+    # iterates are never passed on
+    for k in range(1, sol.iterations):
+        step_f = (fields[k] - fields[k - 1]) @ problem.basis.T
+        step_g = scalars.iterates[k] - scalars.iterates[k - 1]
+        assert sol.deltas[k - 1] == max(float(np.max(np.abs(step_f))),
+                                        float(np.max(np.abs(step_g))))

@@ -11,12 +11,14 @@ simulations check the same for the plant and cascade steppers, the
 simulation driver, the Lyapunov recipe and the coupling solve.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 
 import ensemble_backstep
+from ensemble_backstep import kernelsolve
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -145,3 +147,11 @@ def test_tracer_counts_one_cascade_step_span_per_step(tmp_path):
     assert spans["simulator.recipe"] == 1
     assert spans["volterra.kappa"] == 1
     assert spans["volterra.resolvent"] == 1
+
+
+def test_bench_sweep_budget_is_the_solver_budget(monkeypatch):
+    """The bench gates ``ydep-kernels`` and ``kernels-default`` on the
+    solver's sweep budget through its own copy of it."""
+    monkeypatch.syspath_prepend(os.path.join(REPO, "bench"))
+    workloads = importlib.import_module("workloads")
+    assert workloads.MAX_SWEEPS == kernelsolve.MAX_SWEEPS
