@@ -9,7 +9,9 @@ Conventions used throughout the package:
   ``(x_i, xi_0..xi_i)``, flattened so that node ``(i, j)`` sits at flat index
   ``i*(i+1)/2 + j``.  A "tri field" is an array of shape ``(n_tri, ny)``; a
   "tri scalar field" has shape ``(n_tri,)``.
-* All integrals use the composite trapezoid rule.
+* Integrals over the x- and y-nodes use the composite trapezoid rule;
+  :func:`corner_weights` also applies a quadrature rule to the interpolant
+  along a segment inside one cell.
 * Kernels that act along y are applied factored in y (:func:`y_factor`),
   so applying one costs in proportion to its numerical rank, not to ``ny``.
 """
@@ -195,49 +197,86 @@ class TriangularIndex:
         return slice(start, start + i + 1)
 
 
-def corner_weights(nx: int, x: np.ndarray, xi: np.ndarray):
+def corner_weights(nx: int, x: np.ndarray, xi: np.ndarray,
+                   weights: np.ndarray | None = None):
     """Bilinear interpolation stencils on the triangle, vectorized.
 
     For each query point returns four flat node indices and four weights whose
     weighted sum interpolates a tri field at that point.  Full cells use the
     bilinear formula; cells touching the diagonal use barycentric weights on
     the corner triangle (which degenerate to linear interpolation along the
-    diagonal itself).  Queries are clamped to the triangle; callers are
-    responsible for rejecting points farther than roundoff outside it.
+    diagonal itself).  A query's cell is that of the query clamped to the
+    triangle; callers are responsible for rejecting points farther than
+    roundoff outside it.
+
+    With ``weights`` the points come in groups along the first axis: column
+    ``g`` of ``x``, ``xi`` and ``weights`` (all of shape ``(p, n)``) is one
+    group, interpolated in the cell of its middle point ``p // 2``, and the
+    stencil returned for it is the ``weights``-weighted sum of its points'
+    stencils in that cell.  The interpolant is one polynomial per cell and
+    continuous across cells, so a point on the cell's boundary gets its
+    value there.  A group that lies in its cell thus gets the quadrature
+    rule ``weights`` applied to the interpolant.
 
     Parameters
     ----------
     nx : int
     x, xi : arrays of equal shape
+    weights : array of the shape of ``x``, optional
 
     Returns
     -------
-    idx : int64 array of shape ``x.shape + (4,)``
-    w : float array of shape ``x.shape + (4,)``
+    idx : int64 array of shape ``s + (4,)``
+    w : float array of shape ``s + (4,)``
+
+    ``s`` is ``x.shape``, or ``x.shape[1:]`` with ``weights``.
     """
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    xi = np.minimum(np.clip(np.asarray(xi, dtype=float), 0.0, 1.0), x)
-    i = np.minimum((x * nx).astype(np.int64), nx - 1)
-    j = np.minimum((xi * nx).astype(np.int64), i)
-    a = x * nx - i
-    b = xi * nx - j
-    diag = j == i
+    x = np.asarray(x, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    if weights is None:
+        x, xi, weights = x[None], xi[None], np.ones((1,) + x.shape)
+    shape = x.shape[1:] + (4,)
+    x, xi, weights = (v.reshape(len(v), -1) for v in (x, xi, weights))
+    # The cell of the middle point, clamped to the triangle.
+    mid_x = np.clip(x[len(x) // 2], 0.0, 1.0)
+    mid_xi = np.minimum(np.clip(xi[len(x) // 2], 0.0, 1.0), mid_x)
+    i = np.minimum((mid_x * nx).astype(np.int64), nx - 1)
+    j = np.minimum((mid_xi * nx).astype(np.int64), i)
+    # Local coordinates of every point in its group's cell, and the moments
+    # of the weights against them: the stencils are linear in those.
+    a = x * nx
+    a -= i
+    b = xi * nx
+    b -= j
+    s = weights.sum(axis=0)
+    a *= weights
+    sa = a.sum(axis=0)
+    a *= b
+    sab = a.sum(axis=0)
+    b *= weights
+    sb = b.sum(axis=0)
 
     # Each index and weight is written straight into its slot of the
-    # (..., 4) outputs: corners (i, j), (i+1, j), (i, j+1), (i+1, j+1).
-    idx = np.empty(x.shape + (4,), dtype=np.int64)
-    w = np.empty(x.shape + (4,))
-    idx[..., 0] = i * (i + 1) // 2 + j
-    idx[..., 1] = (i + 1) * (i + 2) // 2 + j
-    idx[..., 3] = idx[..., 1] + 1
+    # (n, 4) outputs: corners (i, j), (i+1, j), (i, j+1), (i+1, j+1).
+    idx = np.empty(i.shape + (4,), dtype=np.int64)
+    w = np.empty(i.shape + (4,))
+    corner = i * (i + 1) // 2 + j
+    idx[:, 0] = corner
+    idx[:, 2] = corner + 1
+    corner += i + 1
+    idx[:, 1] = corner
+    idx[:, 3] = corner + 1
+    w[:, 1] = sa - sab
+    w[:, 2] = sb - sab
+    w[:, 3] = sab
+    w[:, 0] = s - sa - w[:, 2]
     # Diagonal cells: barycentric weights on {(i,i), (i+1,i), (i+1,i+1)},
-    # with the unused corner (i, i+1) pointed at (i, i) with weight 0.
-    idx[..., 2] = np.where(diag, idx[..., 0], idx[..., 0] + 1)
-    ad = (x - xi) * nx
-    bd = xi * nx - i
-    w[..., 0] = np.where(diag, 1.0 - ad - bd, (1.0 - a) * (1.0 - b))
-    w[..., 1] = np.where(diag, ad, a * (1.0 - b))
-    w[..., 2] = np.where(diag, 0.0, (1.0 - a) * b)
-    w[..., 3] = np.where(diag, bd, a * b)
-    return idx, w
-
+    # (x - xi)*nx = a - b and xi*nx - i = b there, with the unused corner
+    # (i, i+1) pointed at (i, i) with weight 0.
+    diag = np.flatnonzero(j == i)
+    idx[diag, 2] = idx[diag, 0]
+    w[diag, 0] = (s - sa)[diag]
+    w[diag, 1] = (sa - sb)[diag]
+    w[diag, 2] = 0.0
+    w[diag, 3] = sb[diag]
+    return idx.reshape(shape), w.reshape(shape)

@@ -22,10 +22,12 @@ x-node: a plant whose speed does not depend on y has one group, one with a
 different speed at every y-node has ny (and holds ny operators in memory
 instead of one).  Every family reads its curves from one pair of
 trajectory tables integrated once per solve (see :mod:`.characteristics`)
-and becomes one sparse operator that combines path-trapezoid weights with
-bilinear interpolation on the triangle, written in CSR a block of curves at
-a time, its shared corners summed by two transposes instead of a sort; the
-family's samples are freed once its operator and launch abscissas exist.
+and becomes one sparse operator: Simpson's rule on every cell segment of a
+curve applied to the bilinear interpolant on the triangle, which is exact
+along straight curves.  It is written in CSR a block of curves at a time,
+four corner entries per segment, its shared corners summed by two
+transposes instead of a sort; the family's samples are freed once its
+operator and launch abscissas exist.
 Boundary data is always evaluated exactly at the off-grid launch abscissas,
 so the diagonal condition holds exactly at nodes and the edge condition
 holds to the fixed-point tolerance.
@@ -69,9 +71,9 @@ __all__ = [
 #: :class:`~ensemble_backstep.errors.NonconvergenceError`.
 MAX_SWEEPS = 60
 
-#: Samples per CSR block of an operator: enough to spread the cost of
-#: building a block, few enough that a block's arrays stay small.
-_BLOCK_SAMPLES = 16384
+#: Cell segments per CSR block of an operator: enough to spread the cost
+#: of building a block, few enough that a block's arrays stay small.
+_BLOCK_SEGMENTS = 16384
 
 
 @dataclass(frozen=True)
@@ -134,29 +136,39 @@ def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
     """Sparse operator turning a grid field into per-node path integrals.
 
     Row ``t`` of the result, applied to a flat triangle field, yields the
-    trapezoid integral of the bilinear interpolant of that field along the
-    traced curve of triangle node ``t``.  Consecutive curves holding about
-    :data:`_BLOCK_SAMPLES` samples are written as one CSR block straight
-    from the bundle: every sample adds its four interpolation corners, so
-    ``4 * offsets`` is the row pointer, and the corners a curve's samples
-    share are summed.
+    integral of the bilinear interpolant of that field along the traced
+    curve of triangle node ``t``: Simpson's rule on every cell segment, its
+    three points interpolated in the segment's cell (its midpoint's), which
+    is exact wherever the segment is straight.  Each segment adds the four
+    corners of its cell, so ``4 * seg_off`` is the row pointer, and
+    consecutive curves holding about :data:`_BLOCK_SEGMENTS` segments are
+    written as one CSR block, the corners a curve's segments share summed.
     """
     tri = spec.tri
     offsets = bundle.offsets
-    bounds = np.unique(np.append(
-        np.searchsorted(offsets, np.arange(0, offsets[-1], _BLOCK_SAMPLES)),
-        tri.n_nodes))
+    curves = np.arange(offsets.size)
+    # A curve of n segments holds 2n + 1 samples: its start, then each
+    # segment's midpoint and end.
+    seg_off = (offsets - curves) // 2
+    bounds = np.unique(np.append(np.searchsorted(
+        seg_off, np.arange(0, seg_off[-1] + 1, _BLOCK_SEGMENTS)), tri.n_nodes))
+    simpson = np.array([[0.25], [1.0], [0.25]])
     blocks = []
     for a, b in zip(bounds[:-1], bounds[1:]):
-        lo, hi = offsets[a], offsets[b]
-        idx4, w4 = corner_weights(spec.nx, bundle.sample_x[lo:hi],
-                                  bundle.sample_xi[lo:hi])
+        lo, hi = seg_off[a], seg_off[b]
+        # Segment q of curve c starts at sample 2q + c.
+        start = 2 * np.arange(lo, hi) + np.repeat(curves[a:b],
+                                                  np.diff(seg_off[a:b + 1]))
+        points = start + np.arange(3)[:, None]
+        idx4, w4 = corner_weights(spec.nx, bundle.sample_x[points],
+                                  bundle.sample_xi[points],
+                                  simpson * bundle.weights[start + 1])
         block = sparse.csr_matrix(
-            ((bundle.weights[lo:hi, None] * w4).ravel(), idx4.ravel(),
-             4 * (offsets[a:b + 1] - lo)), shape=(b - a, tri.n_nodes))
+            (w4.ravel(), idx4.ravel(), 4 * (seg_off[a:b + 1] - lo)),
+            shape=(b - a, tri.n_nodes))
         # After the transpose each column lists its rows in order, so the
-        # corners a curve's samples share are adjacent and summed in sample
-        # order; both conversions are linear passes with no sort.
+        # corners a curve's segments share are adjacent and summed in
+        # segment order; both conversions are linear passes with no sort.
         block = block.tocsc()
         block.sum_duplicates()
         blocks.append(block.tocsr())
@@ -278,21 +290,15 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     )
 
 
-def _transpose_exchange_rows(coeff: SampledCoefficients, j_values: np.ndarray,
+def _transpose_exchange_rows(coeff: SampledCoefficients, j: int,
                              rows: np.ndarray) -> np.ndarray:
-    """Apply the transposed y-exchange at per-row positions ``j_values``.
+    """Apply the transposed y-exchange at x-index ``j`` to every row.
 
     Row ``r`` of the result is the y-profile ``rows[r]`` integrated against
-    the exchange field sampled at x-index ``j_values[r]``, with the
-    integration hitting the first (not the second) ensemble slot.
+    the exchange field sampled at x-index ``j``, with the integration
+    hitting the first (not the second) ensemble slot.
     """
-    out = np.empty_like(rows)
-    wy = coeff.spec.y_weights
-    weighted = rows * wy
-    for j in np.unique(j_values):
-        sel = np.nonzero(j_values == j)[0]
-        out[sel] = weighted[sel] @ coeff.exchange_grid[j]
-    return out
+    return (rows * coeff.spec.y_weights) @ coeff.exchange_grid[j]
 
 
 def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProblem:
@@ -416,6 +422,8 @@ def kernel_pde_residual(sol: KernelSolution,
     kernel it differentiates (floored at 1), since the finite-difference
     truncation error scales with the field; both normalized residuals shrink
     linearly with the grid spacing for a converged (or exact) kernel pair.
+    The nodes are visited one xi-column at a time, so the work arrays hold
+    one column's ``(rows, ny)`` values, not the whole triangle's.
     """
     spec = sol.spec
     tri = spec.tri
@@ -423,36 +431,32 @@ def kernel_pde_residual(sol: KernelSolution,
     if spec.nx < 4:
         return 0.0, 0.0
     coeff = sample_coefficients(model, spec)
-    f_ij = np.flatnonzero((tri.j_index >= 2) & (tri.j_index <= tri.i_index - 2)
-                          & (tri.i_index >= 4))
-    iv = tri.i_index[f_ij]
-    jv = tri.j_index[f_ij]
-    f_im1j = tri.row_start[iv - 1] + jv
-    f_ijp1 = f_ij + 1
-    f_ijm1 = f_ij - 1
-
     k = sol.k
     kt = sol.ktilde
-    k_rows = k[f_ij]
-    kx = (k_rows - k[f_im1j]) / h
-    kxi = (k[f_ijp1] - k_rows) / h
-    mu_x = coeff.speed_v_grid[iv][:, None]
-    lam_xi = coeff.speed_u_grid[jv]
-    lam_dxi = coeff.speed_u_dx_grid[jv]
-    theta_term = _transpose_exchange_rows(coeff, jv, k_rows)
-    readout_term = coeff.readout_grid[jv] * kt[f_ij][:, None]
-    res_ensemble = mu_x * kx - lam_xi * kxi - (lam_dxi * k_rows + theta_term
-                                               + readout_term)
+    # One xi-column j at a time, rows i >= max(j + 2, 4), with a running max.
+    worst_k = worst_kt = 0.0
+    for j in range(2, spec.nx - 1):
+        iv = np.arange(max(j + 2, 4), spec.nx + 1)
+        f_ij = tri.row_start[iv] + j
+        f_im1j = tri.row_start[iv - 1] + j
+        k_rows = k[f_ij]
+        kx = (k_rows - k[f_im1j]) / h
+        kxi = (k[f_ij + 1] - k_rows) / h
+        theta_term = _transpose_exchange_rows(coeff, j, k_rows)
+        readout_term = coeff.readout_grid[j] * kt[f_ij][:, None]
+        res_ensemble = (coeff.speed_v_grid[iv][:, None] * kx
+                        - coeff.speed_u_grid[j] * kxi
+                        - (coeff.speed_u_dx_grid[j] * k_rows + theta_term
+                           + readout_term))
 
-    ktx = (kt[f_ij] - kt[f_im1j]) / h
-    ktxi = (kt[f_ij] - kt[f_ijm1]) / h
-    mu_xi = coeff.speed_v_grid[jv]
-    mu_dxi = coeff.speed_v_dx_grid[jv]
-    drive_term = (coeff.drive_grid[jv] * k_rows) @ spec.y_weights
-    res_scalar = (coeff.speed_v_grid[iv] * ktx + mu_xi * ktxi
-                  + mu_dxi * kt[f_ij] - drive_term)
+        ktx = (kt[f_ij] - kt[f_im1j]) / h
+        ktxi = (kt[f_ij] - kt[f_ij - 1]) / h
+        drive_term = (coeff.drive_grid[j] * k_rows * spec.y_weights).sum(axis=1)
+        res_scalar = (coeff.speed_v_grid[iv] * ktx + coeff.speed_v_grid[j] * ktxi
+                      + coeff.speed_v_dx_grid[j] * kt[f_ij] - drive_term)
+        worst_k = max(worst_k, float(np.max(np.abs(res_ensemble))))
+        worst_kt = max(worst_kt, float(np.max(np.abs(res_scalar))))
 
     k_scale = max(1.0, float(np.max(np.abs(k))))
     kt_scale = max(1.0, float(np.max(np.abs(kt))))
-    return (float(np.max(np.abs(res_ensemble))) / k_scale,
-            float(np.max(np.abs(res_scalar))) / kt_scale)
+    return worst_k / k_scale, worst_kt / kt_scale

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ensemble_backstep import characteristics
 from ensemble_backstep.characteristics import (
     trace_crossing_batch,
     trace_edge_batch,
@@ -155,15 +156,27 @@ class TestPathIntegrity:
         assert np.all(np.diff(px) <= 1e-12)
 
     def test_path_stays_on_straight_characteristic(self, toy):
-        # with unit speeds the backward pair is x(s) = x - s, xi(s) = xi + s,
-        # sampled at s = 0, h, 2h, ... and finally at s = s_end
+        # with unit speeds the backward pair is x(s) = x - s, xi(s) = xi + s;
+        # from (0.8, 0.1) it passes a grid node every 1/nx and ends at the
+        # diagonal half a cell later, so it holds 18 cell segments, sampled
+        # at s = 0 and at each segment's midpoint and end
         cc = trace_crossing_batch(sample_coefficients(toy, SPEC),
                                   [0.8], [0.1], [0.9])
         px, pxi = _curve(cc)
-        s = np.arange(px.size) * cc.step
-        s[-1] = cc.s_end[0]
+        assert px.size == 2 * 18 + 1
+        ends = np.arange(19) / SPEC.nx
+        ends[-1] = 0.35
+        s = np.empty(px.size)
+        s[0::2] = ends
+        s[1::2] = 0.5 * (ends[:-1] + ends[1:])
         np.testing.assert_allclose(px, 0.8 - s, atol=1e-9)
         np.testing.assert_allclose(pxi, 0.1 + s, atol=1e-9)
+        length = np.diff(ends)
+        weights = np.zeros(px.size)
+        weights[1::2] = 2.0 * length / 3.0
+        weights[0:-1:2] += length / 6.0
+        weights[2::2] += length / 6.0
+        np.testing.assert_allclose(cc.weights, weights, atol=1e-9)
 
 
 class TestBatchInvariants:
@@ -180,6 +193,23 @@ class TestBatchInvariants:
             mu = coeff.model.speed_v(np.clip(bundle.sample_x[sl], 0, 1))
             val = float(bundle.weights[sl] @ (lam + mu))
             assert abs(val - (xs[c] - xis[c])) <= 1e-6
+
+    def test_consistency_identity_crossing_curved(self, rng):
+        # the same identity along the curved characteristics of speeds
+        # 1 + x/2: Simpson's rule on every cell segment, with each midpoint
+        # read to fourth order, holds it to 1e-8 (sampling every trace step
+        # with trapezoid weights left 2.2e-7)
+        coeff = sample_coefficients(_half_x_speeds(), SPEC)
+        xs = rng.uniform(0.0, 1.0, 120)
+        xis = xs * rng.uniform(0.0, 1.0, 120)
+        ys = rng.uniform(0.0, 1.0, 120)
+        bundle = trace_crossing_batch(coeff, xs, xis, ys)
+        for c in range(xs.shape[0]):
+            sl = slice(bundle.offsets[c], bundle.offsets[c + 1])
+            lam = coeff.model.speed_u(bundle.sample_xi[sl], ys[c])
+            mu = coeff.model.speed_v(bundle.sample_x[sl])
+            val = float(bundle.weights[sl] @ (lam + mu))
+            assert abs(val - (xs[c] - xis[c])) <= 1e-8
 
     def test_consistency_identity_edge(self, toy, rng):
         # integral of speed_v along the curve from the edge equals xi
@@ -304,3 +334,45 @@ def test_bundle_samples_fully_populated(toy, rng):
     # last sample of each curve is the refined meeting point
     last = bundle.offsets[1:] - 1
     np.testing.assert_allclose(bundle.sample_x[last], bundle.launch, atol=1e-12)
+
+
+def _hermite_bisect_all_entries(d0, d1, m0, m1):
+    """The event refinement stepping every entry until the last converges:
+    the reference the working-set version must match bit for bit."""
+    lo = np.zeros_like(d0)
+    hi = np.ones_like(d0)
+    result = np.full_like(d0, 0.5)
+    done = np.zeros(d0.shape, dtype=bool)
+    for _ in range(characteristics.REFINE_STEPS):
+        mid = 0.5 * (lo + hi)
+        val = characteristics._hermite(d0, d1, m0, m1, mid)
+        hit = np.abs(val) <= characteristics.REFINE_TOL
+        newly = hit & ~done
+        result[newly] = mid[newly]
+        done |= hit
+        if done.all():
+            break
+        neg = val < 0.0
+        lo = np.where(neg & ~done, mid, lo)
+        hi = np.where(~neg & ~done, mid, hi)
+    result[~done] = (0.5 * (lo + hi))[~done]
+    return result
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 5000])
+def test_hermite_bisect_matches_full_array_reference(rng, n):
+    """Random brackets d0 < 0 <= d1 with slopes near the secant, one with
+    its root at 0.5 exactly and one too steep to converge in REFINE_STEPS
+    steps: the refined times are the full-array reference's, bit for bit."""
+    step = rng.uniform(1e-4, 1e-1, n)
+    d0 = -rng.uniform(0.0, 1.0, n) * step
+    d1 = d0 + step
+    m0 = step * rng.uniform(0.5, 1.5, n)
+    m1 = step * rng.uniform(0.5, 1.5, n)
+    # a root at tau = 0.5 exactly, and a cubic so steep that its rounded
+    # value stays above the tolerance for the whole budget
+    if n > 2:
+        d0[0], d1[0], m0[0], m1[0] = -1.0, 1.0, 2.0, 2.0
+        d0[1], d1[1], m0[1], m1[1] = -1e20, 3e20, 2e20, 7e20
+    got = characteristics._hermite_bisect(d0, d1, m0, m1)
+    assert np.array_equal(got, _hermite_bisect_all_entries(d0, d1, m0, m1))

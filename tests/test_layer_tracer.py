@@ -57,7 +57,8 @@ def total(name, key):
 print(json.dumps({"iterations": sol.iterations, "spans": counts,
                   "widths": sorted(set(widths)),
                   "points": total("grid.corner_weights", "points"),
-                  "samples": total("characteristics.trace", "samples")}))
+                  "samples": total("characteristics.trace", "samples"),
+                  "curves": total("characteristics.trace", "curves")}))
 """
 
 
@@ -94,8 +95,10 @@ def _traced_solve(plant):
     assert report["iterations"] > 1
     assert report["spans"]["kernelsolve.sweep"] == report["iterations"]
     assert report["spans"]["kernelsolve.solve"] == 1
-    # the bench's grid.stencil_points counts every traced sample once
-    assert report["points"] == report["samples"] > 0
+    # the bench's grid.stencil_points counts the three Simpson points of
+    # every traced cell segment; a curve of n segments holds 2n + 1 samples
+    segments = (report["samples"] - report["curves"]) // 2
+    assert report["points"] == 3 * segments > 0
     return report["spans"], report["widths"]
 
 

@@ -27,7 +27,7 @@ def _exchange(coeff, x_index, a):
 
 def _exchange_transpose(coeff, x_index, a):
     """The transposed exchange at one x-node, as the kernel solver applies it."""
-    return _transpose_exchange_rows(coeff, np.array([x_index]), a[None, :])[0]
+    return _transpose_exchange_rows(coeff, x_index, a[None, :])[0]
 
 
 class TestToyModel:
