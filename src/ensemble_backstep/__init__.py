@@ -24,11 +24,12 @@ del _var
 
 __version__ = "0.1.0"
 
-from . import characteristics, errors, grid, kernelsolve, model, simulator, volterra  # noqa: E402
+from . import characteristics, csvtable, errors, grid, kernelsolve, model, simulator, volterra  # noqa: E402
 
 __all__ = [
     "characteristics",
     "cli",
+    "csvtable",
     "errors",
     "grid",
     "kernelsolve",

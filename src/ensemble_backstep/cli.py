@@ -33,6 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .characteristics import trace_crossing_batch, trace_edge_batch
+from .csvtable import write_table
 from .errors import (ConfigurationError, DivergenceError, EnsembleBackstepError,
                      NonconvergenceError)
 from .grid import GridSpec
@@ -163,45 +164,12 @@ def _grid_from_config(config: RunConfig) -> GridSpec:
                     t_final=config.t_final)
 
 
-#: A float as the outputs write it: 17 significant digits, as ``"%.17g"``.
-_fmt = "%.17g".__mod__
-
-
-def _write_y_table(path: str, header: str, heads, values: np.ndarray,
-                   tails, y_nodes: np.ndarray) -> None:
-    """Write one CSV line per group g and y-node a: ``heads[g]`` (the
-    group's leading columns, comma included), ``y_a``, ``values[g, a]`` and
-    ``tails[g]``.
-
-    The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")`` on the
-    full numeric table.  Each y-node is formatted once and the values one
-    group at a time, so neither the numeric table nor all of its strings are
-    ever held.
-    """
-    ys = [_fmt(y) + "," for y in y_nodes.tolist()]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header)
-        for head, row, tail in zip(heads, values, tails):
-            end = "," + tail + "\n"
-            fh.write("".join([head + y + v + end for y, v in
-                              zip(ys, map(_fmt, row.tolist()))]))
-
-
-def _x_strings(spec: GridSpec) -> list[str]:
-    """The x-nodes formatted once, for the leading columns of a table."""
-    return list(map(_fmt, spec.x_nodes.tolist()))
-
-
 def _write_kernels_csv(path: str, sol: KernelSolution) -> None:
     """``kernels.csv``: one line per triangle node (x, xi) and y-node."""
-    spec = sol.spec
-    tri = spec.tri
-    xs = _x_strings(spec)
-    heads = [xs[i] + "," + xs[j] + "," for i, j in
-             zip(tri.i_index.tolist(), tri.j_index.tolist())]
-    tails = map(_fmt, sol.ktilde.tolist())
-    _write_y_table(path, "x,xi,y,k,ktilde\n", heads, sol.k, tails,
-                   spec.y_nodes)
+    tri = sol.spec.tri
+    write_table(path, "x,xi,y,k,ktilde\n",
+                [tri.x_coord[:, None], tri.xi_coord[:, None],
+                 sol.spec.y_nodes[None, :], sol.k, sol.ktilde[:, None]])
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -287,20 +255,15 @@ def cmd_kernels(config: RunConfig) -> int:
 def _write_timeseries(path: str, record) -> None:
     """``timeseries.csv``; the Lyapunov column is empty unless the run
     recorded a Lyapunov series (cascade runs)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,norm_joint,norm_u,norm_v,U,V_lyapunov\n")
-        for i in range(record.times.size):
-            lyap = ("" if record.lyapunov is None
-                    else _fmt(record.lyapunov[i]))
-            fh.write(f"{_fmt(record.times[i])},{_fmt(record.joint_norms[i])},"
-                     f"{_fmt(record.u_norms[i])},{_fmt(record.v_norms[i])},"
-                     f"{_fmt(record.control[i])},{lyap}\n")
+    columns = [record.times, record.joint_norms, record.u_norms,
+               record.v_norms, record.control, record.lyapunov]
+    write_table(path, "t,norm_joint,norm_u,norm_v,U,V_lyapunov\n",
+                [None if c is None else c[:, None] for c in columns])
 
 
 def _write_snapshots(out_dir: str, spec: GridSpec, record) -> list[str]:
     paths = []
     seen = set()
-    heads = [x + "," for x in _x_strings(spec)]
     for t_snap, state in record.snapshots:
         label = f"{t_snap:g}"
         # distinct steps can share a label when dt is tiny
@@ -308,8 +271,9 @@ def _write_snapshots(out_dir: str, spec: GridSpec, record) -> list[str]:
             continue
         seen.add(label)
         path = os.path.join(out_dir, f"snap_{label}.csv")
-        _write_y_table(path, "x,y,u,v\n", heads, state.u,
-                       map(_fmt, state.v.tolist()), spec.y_nodes)
+        write_table(path, "x,y,u,v\n", [spec.x_nodes[:, None],
+                                         spec.y_nodes[None, :], state.u,
+                                         state.v[:, None]])
         paths.append(path)
     return paths
 

@@ -46,16 +46,18 @@ row ``x = 1`` of both kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy import sparse
 
 from .characteristics import (TrajectoryTables, trace_crossing_batch,
                               trace_edge_batch)
 from .errors import DomainError, NonconvergenceError, NumericError
 from .grid import GridSpec, TriangularIndex, corner_weights, y_factor
 from .model import PlantModel, SampledCoefficients, sample_coefficients
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "GoursatProblem",
@@ -144,6 +146,10 @@ def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
     consecutive curves holding about :data:`_BLOCK_SEGMENTS` segments are
     written as one CSR block, the corners a curve's segments share summed.
     """
+    # scipy is imported here, where the operators are built, so that the
+    # CLI's other commands and the simulators start without it.
+    from scipy import sparse
+
     tri = spec.tri
     offsets = bundle.offsets
     curves = np.arange(offsets.size)

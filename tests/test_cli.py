@@ -185,12 +185,12 @@ class TestKernelsCommand:
         np.testing.assert_array_equal(data[:, 4], np.repeat(sol.ktilde, 12))
 
 
-def _savetxt_bytes(header, columns):
+def _savetxt_bytes(header, columns, newline="\n"):
     """The table as ``np.savetxt(fmt="%.17g")`` writes it."""
     buffer = io.StringIO()
     buffer.write(header)
     np.savetxt(buffer, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               newline="\n")
+               newline=newline)
     return buffer.getvalue().encode("utf-8")
 
 
@@ -206,8 +206,9 @@ def _awkward_values(rng, shape):
 
 
 def test_writers_write_savetxt_bytes(tmp_path, rng):
-    """kernels.csv and the snapshot CSVs are byte for byte the tables that
-    ``np.savetxt(fmt="%.17g")`` writes."""
+    """kernels.csv, the snapshot CSVs and timeseries.csv are byte for byte
+    the tables that ``np.savetxt(fmt="%.17g")`` writes; an open or closed
+    run's timeseries ends every line with the empty Lyapunov field."""
     spec = GridSpec(nx=6, ny=5)
     tri = spec.tri
     k = _awkward_values(rng, (tri.n_nodes, spec.ny))
@@ -231,6 +232,17 @@ def test_writers_write_savetxt_bytes(tmp_path, rng):
         np.repeat(spec.x_nodes, ny), np.tile(spec.y_nodes, spec.nx + 1),
         state.u.ravel(), np.repeat(state.v, ny)])
     assert (tmp_path / "snap_0.5.csv").read_bytes() == expected
+
+    header = "t,norm_joint,norm_u,norm_v,U,V_lyapunov\n"
+    series = _awkward_values(rng, (6, 40))
+    for lyapunov, newline in ((series[5], "\n"), (None, ",\n")):
+        record = SimpleNamespace(
+            times=series[0], joint_norms=series[1], u_norms=series[2],
+            v_norms=series[3], control=series[4], lyapunov=lyapunov)
+        cli._write_timeseries(str(tmp_path / "timeseries.csv"), record)
+        columns = list(series[:5]) + ([] if lyapunov is None else [lyapunov])
+        expected = _savetxt_bytes(header, columns, newline)
+        assert (tmp_path / "timeseries.csv").read_bytes() == expected
 
 
 class TestSimulateCommand:
@@ -383,6 +395,19 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert "usage:" in proc.stdout
         assert "Warning" not in proc.stderr
+
+    def test_import_leaves_scipy_unloaded(self):
+        """scipy loads only where the kernel operators are built, so the
+        CLI and the simulators start without it."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ensemble_backstep.cli; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestDeterminism:
