@@ -430,8 +430,15 @@ class TrajectoryTables:
         return s_max, int(np.ceil(s_max / self.h)) + 2
 
     def dz(self, z, y=None):
-        """Right-hand side of the x-table's ODE; ``y`` is unused."""
-        return -self.coeff.model.speed_v(np.clip(z, 0.0, 1.0))
+        """Right-hand side of the x-table's ODE; ``y`` is unused.
+
+        Below z = 0 the speed continues along its tangent at 0 (the sampled
+        ``speed_v_dx`` there), not as a constant, so the RK4 step in which
+        an edge curve reaches the edge crosses no kink and its event time
+        keeps the step's order.
+        """
+        speed = self.coeff.model.speed_v(np.clip(z, 0.0, 1.0))
+        return -(speed + self.coeff.speed_v_dx_grid[0] * np.minimum(z, 0.0))
 
     def dw(self, w, y):
         """Right-hand side of the xi-table's ODE."""

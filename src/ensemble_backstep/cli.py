@@ -320,9 +320,8 @@ def cmd_simulate(config: RunConfig) -> int:
         "max_norm": float(record.joint_norms.max()),
         "final_norm": float(record.joint_norms[-1]),
         "max_abs_U": float(np.abs(record.control).max()),
+        "y_ranks": record.y_ranks,
     }
-    if record.y_ranks is not None:
-        summary["y_ranks"] = record.y_ranks
     recipe = record.recipe
     if recipe is not None:
         summary["lyapunov_recipe"] = {"p": recipe.p, "delta": recipe.delta,

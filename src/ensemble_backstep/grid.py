@@ -13,19 +13,25 @@ Conventions used throughout the package:
   :func:`corner_weights` also applies a quadrature rule to the interpolant
   along a segment inside one cell.
 * Kernels that act along y are applied factored in y (:func:`y_factor`),
-  so applying one costs in proportion to its numerical rank, not to ``ny``.
+  so applying one costs in proportion to its numerical rank, not to ``ny``;
+  fields that stay in a few y-directions are held in the coordinates of the
+  smallest closed subspace that holds them (:func:`y_subspace`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 
-#: Rows per block of the blocked QR in :func:`y_factor`.
-_FACTOR_BLOCK_ROWS = 4096
+#: Rows per block of the blocked QR in :func:`y_factor`.  Each block's QR
+#: stacks it under the ``ny x ny`` R factor so far; at ny = 120, blocks of
+#: 1024 rows factored the 24120 x 120 exchange matrix and the 20301 x 120
+#: kernel 1.3-1.4x faster than blocks of 4096 (single-threaded OpenBLAS).
+_FACTOR_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -141,9 +147,39 @@ def y_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         block = matrix[start:start + _FACTOR_BLOCK_ROWS]
         r_factor = np.linalg.qr(np.vstack([r_factor, block]), mode="r")
     _, sv, vt = np.linalg.svd(r_factor, full_matrices=False)
-    cutoff = sv[0] * max(m, ny) * np.finfo(float).eps
+    cutoff = sv.max(initial=0.0) * max(m, ny) * np.finfo(float).eps
     basis = vt[:int(np.count_nonzero(sv > cutoff))].T.copy()
     return matrix @ basis, basis
+
+
+def y_subspace(seeds: np.ndarray, images: Callable[[np.ndarray], np.ndarray],
+               scale: float) -> np.ndarray:
+    """Orthonormal basis of the smallest y-subspace that holds the seeds and
+    is closed under a family of linear maps.
+
+    ``seeds`` is an ``(m, ny)`` stack of y-profiles.  ``images(columns)``
+    returns, for an ``(ny, a)`` block of orthonormal columns, the y-profiles
+    of their images under every map of the family, stacked as rows, and
+    ``scale`` is the largest norm of a map.  The basis starts as the
+    :func:`y_factor` of the seeds; each pass adds the images of the
+    directions the previous pass added, until the rank stops growing.  The
+    basis enters each pass scaled by ``scale``, so a direction counts as new
+    only if its images stand out of their rounding.  A closure of rank ny
+    returns the identity.
+    """
+    ny = seeds.shape[1]
+    _, basis = y_factor(seeds)
+    new = basis
+    while new.shape[1] and 0.0 < scale and basis.shape[1] < ny:
+        _, grown = y_factor(np.vstack([scale * basis.T, images(new)]))
+        added = grown.shape[1] - basis.shape[1]
+        if added <= 0:
+            break
+        u, _, _ = np.linalg.svd(grown - basis @ (basis.T @ grown),
+                                full_matrices=False)
+        new = u[:, :added]
+        basis = grown
+    return basis if basis.shape[1] < ny else np.eye(ny)
 
 
 @dataclass(frozen=True)

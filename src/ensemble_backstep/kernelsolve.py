@@ -53,7 +53,7 @@ import numpy as np
 from .characteristics import (TrajectoryTables, trace_crossing_batch,
                               trace_edge_batch)
 from .errors import DomainError, NonconvergenceError, NumericError
-from .grid import GridSpec, TriangularIndex, corner_weights, y_factor
+from .grid import GridSpec, TriangularIndex, corner_weights, y_subspace
 from .model import PlantModel, SampledCoefficients, sample_coefficients
 
 if TYPE_CHECKING:
@@ -187,36 +187,6 @@ def _edge_interp_indices(spec: GridSpec, launch: np.ndarray):
     i0 = np.clip(np.floor(pos).astype(np.int64), 0, spec.nx - 1)
     frac = pos - i0
     return spec.tri.row_start[i0], spec.tri.row_start[i0 + 1], frac
-
-
-def _y_subspace(maps: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the smallest y-subspace holding every iterate.
-
-    With one family of crossing curves the sweeps make y-profiles only from
-    the ``seeds`` (the diagonal data and the readout rows) and move a
-    profile ``f`` only by ``f @ maps[j]`` at every x-node j.  The basis
-    starts as the :func:`~ensemble_backstep.grid.y_factor` of the seeds;
-    each pass adds the images under every map of the directions the
-    previous pass added, until the rank stops growing.  The basis enters
-    each pass scaled to the largest map, so a direction counts as new only
-    if its images stand out of their rounding.  A closure of rank ny
-    returns the identity.
-    """
-    ny = seeds.shape[1]
-    scale = float(np.max(np.linalg.norm(maps, axis=(1, 2))))
-    _, basis = y_factor(seeds)
-    new = basis
-    while new.shape[1] and 0.0 < scale and basis.shape[1] < ny:
-        images = (new.T @ maps).reshape(-1, ny)
-        _, grown = y_factor(np.vstack([scale * basis.T, images]))
-        added = grown.shape[1] - basis.shape[1]
-        if added <= 0:
-            break
-        u, _, _ = np.linalg.svd(grown - basis @ (basis.T @ grown),
-                                full_matrices=False)
-        new = u[:, :added]
-        basis = grown
-    return basis if basis.shape[1] < ny else np.eye(ny)
 
 
 def _sup_increment(step: np.ndarray, basis: np.ndarray) -> float:
@@ -359,8 +329,12 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProb
     diag = np.arange(spec.ny)
     maps[:, diag, diag] += coeff.speed_u_dx_grid
     if len(cross_ops) == 1:
-        basis = _y_subspace(maps, np.vstack([diagonal_data,
-                                             coeff.readout_grid]))
+        # The sweeps make y-profiles only from the diagonal data and the
+        # readout rows, and move a profile f only by f @ maps[j].
+        basis = y_subspace(
+            np.vstack([diagonal_data, coeff.readout_grid]),
+            lambda new: (new.T @ maps).reshape(-1, spec.ny),
+            float(np.max(np.linalg.norm(maps, axis=(1, 2)))))
         # The one family acts on every column of the subspace.
         cross_ops = [(slice(None), cross_ops[0][1])]
     else:

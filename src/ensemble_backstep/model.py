@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import GridSpec, y_factor
+from .grid import GridSpec
 
 __all__ = [
     "PlantModel",
@@ -107,23 +107,6 @@ class SampledCoefficients:
     def max_speed(self) -> float:
         """Largest transport speed on the grid (CFL constant)."""
         return float(max(self.speed_u_grid.max(), self.speed_v_grid.max()))
-
-    @cached_property
-    def exchange_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """The exchange kernel factored in eta, built on first use.
-
-        Returns ``(loadings, weighted_basis)`` with ``exchange_grid[i, a] ~=
-        basis @ loadings[i, a]`` (:func:`~ensemble_backstep.grid.y_factor`
-        of the ``((nx+1) ny, ny)`` matrix) and ``weighted_basis`` the
-        ``(ny, r)`` basis times the y-quadrature weights, so the exchange
-        integral of a field ``u`` at node ``(x_i, y_a)`` is ``loadings[i, a]
-        @ (u @ weighted_basis)[i]``.
-        """
-        n, ny = self.spec.nx + 1, self.spec.ny
-        loadings, basis = y_factor(self.exchange_grid.reshape(n * ny, ny))
-        rank = basis.shape[1]
-        return (loadings.reshape(n, ny, rank),
-                basis * self.spec.y_weights[:, None])
 
 
 def _on_grid(values, shape: tuple[int, ...]) -> np.ndarray:

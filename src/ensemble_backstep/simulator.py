@@ -8,8 +8,19 @@ inflow_gain(y) * v(t, 0)`` and ``v(t, 1)`` set by the control input.
 This module provides:
 
 * one first-order explicit upwind step that serves the plant and the
-  transformed (cascade) system, applying kernels factored in y with the
-  quadrature weights folded in, built once per run;
+  transformed (cascade) system, applied to the coordinates ``A`` of the
+  ensemble field in a y-basis ``B`` built once per run (``u = A @ B.T``,
+  :func:`coordinate_step`).  ``B`` spans the smallest y-subspace that holds
+  the initial field's rows, the inflow gain and the drive rows and is
+  closed under the exchange at every x-node
+  (:func:`~ensemble_backstep.grid.y_subspace`, the closure the kernel
+  solver uses too); the toy's state stays in the span of ``y - 1/2`` and
+  ``cos 2 pi y``, so its steps move 2 columns instead of ny.  ``B`` is
+  orthonormal in the y-quadrature, so norms and the Lyapunov value are sums
+  of squares of coordinates.  When the sampled ensemble speed varies in y,
+  the field is transported per y-node and ``B`` is the identity scaled by
+  the inverse square roots of the y-weights: the same step, on every
+  y-node.  Full fields are rebuilt only for snapshots;
 * the scalar feedback law assembled from the outlet row of the solved
   kernels;
 * the state transform that maps the scalar field ``v`` onto a pure-transport
@@ -32,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError
-from .grid import GridSpec, gregory_weights, y_factor
+from .grid import GridSpec, gregory_weights, y_factor, y_subspace
 from .kernelsolve import KernelSolution
 # ``sample_coefficients`` is unused here but must stay bound: bench/tracing.py
 # wraps it in this module.
@@ -45,6 +56,8 @@ __all__ = [
     "LyapunovRecipe",
     "TransformOperator",
     "transform_operator",
+    "CoordinateStep",
+    "coordinate_step",
     "default_initial_state",
     "cfl_condition",
     "check_cfl",
@@ -68,6 +81,8 @@ class EnsembleState:
 
     In transformed-system simulations the same container carries the
     transformed pair (ensemble component in ``u``, scalar component in ``v``).
+    The states a :class:`CoordinateStep` advances carry the coordinates of
+    the ensemble component in its basis in ``u`` instead of the field.
     """
 
     u: np.ndarray
@@ -83,9 +98,11 @@ class SimulationRecord:
     (zero in open-loop and transformed-system runs).  ``lyapunov`` is filled
     only by transformed-system runs.  ``decay_rate`` is the least-squares
     slope of ``log(joint_norm)`` over the late-time window.  ``y_ranks``
-    and ``recipe`` (transformed-system runs only) hold the y-ranks of the
-    factored kernels the cascade step applied and the
-    :class:`LyapunovRecipe` the Lyapunov series was evaluated with.
+    holds the y-ranks the step applied: ``state``, the dimension of the
+    subspace it stepped in, ``exchange``, the rank of the factored
+    exchange, and in transformed-system runs ``k``, the rank of the
+    factored ensemble kernel.  ``recipe`` (transformed-system runs only) is
+    the :class:`LyapunovRecipe` the Lyapunov series was evaluated with.
     """
 
     times: np.ndarray
@@ -96,7 +113,7 @@ class SimulationRecord:
     lyapunov: np.ndarray | None
     snapshots: tuple[tuple[float, EnsembleState], ...]
     decay_rate: float | None
-    y_ranks: dict[str, int] | None = None
+    y_ranks: dict[str, int]
     recipe: LyapunovRecipe | None = None
 
 
@@ -159,8 +176,13 @@ class TransformOperator:
     def integrate(self, field: np.ndarray) -> np.ndarray:
         """``J``: ``int_0^x int kernel(x, xi, y) field(xi, y) dy dxi`` at
         every x-node."""
-        n, r = self.rows.shape[0], self.weighted_basis.shape[1]
-        return self.rows.reshape(n, r * n) @ (field @ self.weighted_basis).T.ravel()
+        return self.running_integral(field @ self.weighted_basis)
+
+    def running_integral(self, contracted: np.ndarray) -> np.ndarray:
+        """``J`` from the ``(nx + 1, r)`` contractions ``field @
+        weighted_basis`` of the field at every x-node."""
+        n, r = contracted.shape
+        return self.rows.reshape(n, r * n) @ contracted.T.ravel()
 
     def __call__(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         _check_state_shapes(self.spec, u, v)
@@ -182,11 +204,25 @@ def transform_operator(spec: GridSpec, kernel: np.ndarray,
         resolvent=tri_to_matrix(spec, weights * coupling), coupling=coupling)
 
 
-def _scalar_field(transform: TransformOperator, alpha: np.ndarray,
-                  beta: np.ndarray) -> np.ndarray:
-    """The plant's scalar field ``(I + L)(beta + J)`` of cascade variables."""
-    bj = beta + transform.integrate(alpha)
+def _scalar_field(transform: TransformOperator, beta: np.ndarray,
+                  running: np.ndarray) -> np.ndarray:
+    """The plant's scalar field ``(I + L)(beta + J)`` of cascade variables,
+    ``running`` being ``J``."""
+    bj = beta + running
     return bj + transform.resolvent @ bj
+
+
+def _field_coordinates(spec: GridSpec, u: np.ndarray) -> np.ndarray:
+    """An ensemble field's coordinates in the basis of every y-node, scaled
+    to be orthonormal in the y-quadrature: ``u * sqrt(w_y)``."""
+    return u * np.sqrt(spec.y_weights)
+
+
+def _ensemble_norm(spec: GridSpec, coords: np.ndarray) -> float:
+    """L2 norm over (x, y) of an ensemble field given by its coordinates in
+    a basis orthonormal in the y-quadrature."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(spec.x_weights @ (coords * coords).sum(axis=1)))
 
 
 def ensemble_norm(spec: GridSpec, u: np.ndarray) -> float:
@@ -195,8 +231,7 @@ def ensemble_norm(spec: GridSpec, u: np.ndarray) -> float:
     Returns ``inf`` without warning when the field has overflowed; divergence
     detection is the caller's job.
     """
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(spec.x_weights @ ((u * u) @ spec.y_weights)))
+    return _ensemble_norm(spec, _field_coordinates(spec, u))
 
 
 def scalar_norm(spec: GridSpec, v: np.ndarray) -> float:
@@ -261,70 +296,199 @@ def _check_state_shapes(spec: GridSpec, u: np.ndarray, v: np.ndarray) -> None:
             f"scalar field shape {v.shape} does not match grid ({spec.nx + 1},)")
 
 
-def _exchange(coeff: SampledCoefficients, u: np.ndarray) -> np.ndarray:
-    """The exchange integral of an ensemble field at every (x, y) node."""
-    loadings, weighted_basis = coeff.exchange_factor
-    return np.einsum("xys,xs->xy", loadings, u @ weighted_basis)
+@dataclass(frozen=True)
+class CoordinateStep:
+    """One run's upwind step, on the coordinates of the ensemble field.
+
+    ``basis`` is the run's ``(ny, r)`` y-basis, orthonormal in the
+    y-quadrature (``basis.T @ diag(w_y) @ basis = I``), and the states the
+    step advances carry coordinates ``A`` with ``field = A @ basis.T`` in
+    place of the ensemble field.  The plant's coefficients are projected
+    once: ``speed_u`` is the ensemble speed of each coordinate column (one
+    column when the speed does not depend on y); ``drive`` and ``readout``
+    are the ``(nx + 1, r)`` rows and ``inflow`` the inflow gain, each times
+    ``diag(w_y) @ basis``; ``exchange = (loadings, directions)`` factors the
+    exchange's ``r x r`` block at every x-node, so the coordinates of the
+    exchange integral at x-node i are ``loadings[i] @ (A[i] @
+    directions)``.  A step built with a ``transform`` can also take cascade
+    steps: ``contraction = basis.T @ transform.weighted_basis`` maps
+    coordinates to the y-contractions of the transform's running integral.
+    """
+
+    spec: GridSpec
+    dt: float
+    basis: np.ndarray
+    speed_u: np.ndarray
+    speed_v: np.ndarray
+    exchange: tuple[np.ndarray, np.ndarray]
+    drive: np.ndarray
+    readout: np.ndarray
+    inflow: np.ndarray
+    transform: TransformOperator | None = None
+    contraction: np.ndarray | None = None
+
+    @property
+    def weighted_basis(self) -> np.ndarray:
+        """``diag(w_y) @ basis``: a field times it gives its coordinates."""
+        return self.spec.y_weights[:, None] * self.basis
+
+    @property
+    def y_ranks(self) -> dict[str, int]:
+        """The dimension of the basis and the rank of the factored exchange."""
+        return {"state": self.basis.shape[1],
+                "exchange": self.exchange[1].shape[1]}
+
+    def coordinates(self, state: EnsembleState) -> EnsembleState:
+        """``state`` with its ensemble field replaced by its coordinates."""
+        return replace(state, u=state.u @ self.weighted_basis)
+
+    def field(self, state: EnsembleState) -> EnsembleState:
+        """``state`` with its coordinates replaced by the ensemble field."""
+        return replace(state, u=state.u @ self.basis.T)
 
 
-def _upwind_step(state: EnsembleState, coeff: SampledCoefficients,
-                 dt: float, boundary_v1: float,
-                 transform: TransformOperator | None = None) -> EnsembleState:
+def _unit_scale(rows: np.ndarray) -> np.ndarray:
+    """``rows`` divided by their largest magnitude, if that is not 0."""
+    peak = float(np.max(np.abs(rows)))
+    return rows / peak if peak > 0.0 else rows
+
+
+def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
+                    transform: TransformOperator | None = None) -> CoordinateStep:
+    """Build the upwind step of a run that starts from the ensemble field
+    ``u0``.
+
+    With one ensemble speed per x-node, the y-profiles of a run come from
+    the rows of ``u0``, the inflow gain and the drive rows, and the exchange
+    at each x-node maps a profile ``f`` to ``exchange[i] @ (w_y * f)``; the
+    basis spans the smallest subspace that holds those seeds and is closed
+    under those maps (:func:`~ensemble_backstep.grid.y_subspace`, given the
+    images without a copy of the exchange grid).  When the sampled speed
+    varies in y, or that subspace is all of y, the basis is the identity
+    scaled by ``1 / sqrt(w_y)``.  ``transform`` is the
+    :func:`transform_operator` of the solved kernels, for cascade steps.
+
+    Raises :class:`ConfigurationError` if ``dt`` violates the CFL condition.
+    """
+    check_cfl(coeff, dt)
+    spec = coeff.spec
+    n, ny = spec.nx + 1, spec.ny
+    wy = spec.y_weights
+    exchange = coeff.exchange_grid.reshape(n * ny, ny)
+    speed_u = coeff.speed_u_grid
+    if np.all(speed_u == speed_u[:, :1]):
+        def images(columns):
+            out = (exchange @ (wy[:, None] * columns)).reshape(n, ny, -1)
+            return out.transpose(0, 2, 1).reshape(-1, ny)
+
+        kernel = coeff.exchange_grid
+        largest = float(np.einsum("xab,xab,b->x", kernel, kernel,
+                                  wy * wy).max())
+        # Each seed enters at unit scale: the rank rule drops a direction
+        # only below rounding of the largest, whatever the field's amplitude.
+        seeds = [u0, coeff.inflow_gain_grid[None], coeff.drive_grid]
+        basis = y_subspace(np.vstack([_unit_scale(part) for part in seeds]),
+                           images, math.sqrt(largest))
+        speed_u = speed_u[:, :1]
+    else:
+        basis = np.eye(ny)
+    # Orthonormal in the y-quadrature; the identity becomes diag(1/sqrt(w)).
+    root = np.sqrt(wy)[:, None]
+    basis = np.linalg.qr(root * basis)[0] / root
+    weighted = wy[:, None] * basis
+    r = basis.shape[1]
+    blocks = weighted.T @ (exchange @ weighted).reshape(n, ny, r)
+    loadings, directions = y_factor(blocks.reshape(n * r, r))
+    return CoordinateStep(
+        spec=spec, dt=dt, basis=basis, speed_u=speed_u,
+        speed_v=coeff.speed_v_grid,
+        exchange=(loadings.reshape(n, r, directions.shape[1]), directions),
+        drive=coeff.drive_grid @ weighted,
+        readout=coeff.readout_grid @ weighted,
+        inflow=coeff.inflow_gain_grid @ weighted,
+        transform=transform,
+        contraction=(None if transform is None
+                     else basis.T @ transform.weighted_basis))
+
+
+def _upwind_step(state: EnsembleState, step: CoordinateStep,
+                 boundary_v1: float, cascade: bool) -> EnsembleState:
     """One explicit upwind / forward-Euler step of the plant or the cascade.
 
-    The ensemble field moves rightward (backward difference), the scalar
-    field leftward (forward difference).  Interior sources use the current
-    state; afterwards the outlet value of the scalar field is set to
-    ``boundary_v1`` and the ensemble inflow to ``inflow_gain * v(0)``.
-    Without ``transform`` this is the plant: the drive acts on the scalar
-    field and the readout forces it.  With the :func:`transform_operator` of
-    the solved kernels it is the cascade: the drive acts on the plant's
-    scalar field ``(I + L)(beta + J)`` and the scalar component is pure
+    The ensemble coordinates move rightward (backward difference), the
+    scalar field leftward (forward difference).  Interior sources use the
+    current state; afterwards the outlet value of the scalar field is set
+    to ``boundary_v1`` and the ensemble inflow to ``inflow_gain * v(0)``.
+    In the plant the drive acts on the scalar field and the readout forces
+    it.  In the cascade the drive acts on the plant's scalar field ``(I +
+    L)(beta + J)`` of the step's transform and the scalar component is pure
     transport.
     """
-    spec = coeff.spec
-    check_cfl(coeff, dt)
-    u = state.u
+    a = state.u
     v = state.v
-    h = spec.hx
+    h = step.spec.hx
+    dt = step.dt
+    loadings, directions = step.exchange
     with np.errstate(over="ignore", invalid="ignore"):
-        driven = v if transform is None else _scalar_field(transform, u, v)
-        source_u = _exchange(coeff, u) + coeff.drive_grid * driven[:, None]
-        u_new = u.copy()
-        u_new[1:] += dt * (-coeff.speed_u_grid[1:] * (u[1:] - u[:-1]) / h
-                           + source_u[1:])
-        rate_v = coeff.speed_v_grid[:-1] * (v[1:] - v[:-1]) / h
-        if transform is None:
-            rate_v += ((coeff.readout_grid * u) @ spec.y_weights)[:-1]
+        driven = v
+        if cascade:
+            transform = step.transform
+            driven = _scalar_field(transform, v, transform.running_integral(
+                a @ step.contraction))
+        exchanged = loadings @ (a @ directions)[:, :, None]
+        source = exchanged[:, :, 0] + step.drive * driven[:, None]
+        a_new = a.copy()
+        a_new[1:] += dt * (-step.speed_u[1:] * (a[1:] - a[:-1]) / h
+                           + source[1:])
+        rate_v = step.speed_v[:-1] * (v[1:] - v[:-1]) / h
+        if not cascade:
+            rate_v += (step.readout * a).sum(axis=1)[:-1]
         v_new = v.copy()
         v_new[:-1] += dt * rate_v
     v_new[-1] = boundary_v1
-    u_new[0] = coeff.inflow_gain_grid * v_new[0]
+    a_new[0] = step.inflow * v_new[0]
     new_t = state.t + dt
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
+    if not (np.isfinite(a_new).all() and np.isfinite(v_new).all()):
         raise DivergenceError(f"state stopped being finite at t = {new_t:.6g}",
                               t=state.t)
-    return EnsembleState(u=u_new, v=v_new, t=new_t)
+    return EnsembleState(u=a_new, v=v_new, t=new_t)
 
 
-def step_plant(state: EnsembleState, coeff: SampledCoefficients,
-               boundary_v1: float, dt: float) -> EnsembleState:
-    """One explicit upwind / forward-Euler step of the plant, with the
-    scalar outlet set to ``boundary_v1``."""
-    return _upwind_step(state, coeff, dt, boundary_v1)
+def step_plant(state: EnsembleState, step: CoordinateStep,
+               boundary_v1: float) -> EnsembleState:
+    """One explicit upwind / forward-Euler step of the plant on the
+    coordinates of ``step``, with the scalar outlet set to
+    ``boundary_v1``."""
+    return _upwind_step(state, step, boundary_v1, cascade=False)
+
+
+def _feedback_gain(kernels: KernelSolution,
+                   weighted_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The feedback law's weights: the kernels' outlet rows, the ensemble
+    one as weights on the coordinates of ``weighted_basis``."""
+    spec = kernels.spec
+    outlet = spec.tri.row_slice(spec.nx)
+    return kernels.k[outlet] @ weighted_basis, kernels.ktilde[outlet]
+
+
+def _feedback(spec: GridSpec, gain: tuple[np.ndarray, np.ndarray],
+              coords: np.ndarray, v: np.ndarray) -> float:
+    """The feedback value of the state with ensemble coordinates
+    ``coords`` and scalar field ``v``."""
+    k, ktilde = gain
+    return float(spec.x_weights @ ((k * coords).sum(axis=1) + ktilde * v))
 
 
 def control_value(state: EnsembleState, kernels: KernelSolution) -> float:
     """Scalar feedback: the kernel outlet row integrated against the state."""
     spec = kernels.spec
-    outlet = spec.tri.row_slice(spec.nx)
-    inner = ((kernels.k[outlet] * state.u) @ spec.y_weights
-             + kernels.ktilde[outlet] * state.v)
-    return float(spec.x_weights @ inner)
+    gain = _feedback_gain(kernels, np.diag(np.sqrt(spec.y_weights)))
+    return _feedback(spec, gain, _field_coordinates(spec, state.u), state.v)
 
 
-def _refresh_outlet(state: EnsembleState,
-                    kernels: KernelSolution) -> tuple[EnsembleState, float]:
+def _refresh_outlet(state: EnsembleState, spec: GridSpec,
+                    gain: tuple[np.ndarray, np.ndarray]
+                    ) -> tuple[EnsembleState, float]:
     """Impose the feedback law at the state's own time.
 
     Computes the feedback value from the state and writes it into the scalar
@@ -332,7 +496,7 @@ def _refresh_outlet(state: EnsembleState,
     time ``t`` (as the feedback law prescribes) rather than the value applied
     one step earlier.  Returns the updated state and the feedback value.
     """
-    boundary = control_value(state, kernels)
+    boundary = _feedback(spec, gain, state.u, state.v)
     v_new = state.v.copy()
     v_new[-1] = boundary
     return EnsembleState(u=state.u, v=v_new, t=state.t), boundary
@@ -360,12 +524,12 @@ def inverse_transform(inverse: TransformOperator, alpha: np.ndarray,
     is ``(I + L)(beta + J)`` with ``L`` the resolvent of ``ktilde``.
     """
     _check_state_shapes(inverse.spec, alpha, beta)
-    return alpha.copy(), _scalar_field(inverse, alpha, beta)
+    return alpha.copy(), _scalar_field(inverse, beta, inverse.integrate(alpha))
 
 
-def step_target(state: EnsembleState, coeff: SampledCoefficients,
-                transform: TransformOperator, dt: float) -> EnsembleState:
-    """One explicit step of the transformed (cascade) system.
+def step_target(state: EnsembleState, step: CoordinateStep) -> EnsembleState:
+    """One explicit step of the transformed (cascade) system on the
+    coordinates of ``step``.
 
     The scalar component is pure leftward transport with zero inflow at the
     outlet; the ensemble component keeps the exchange and drive terms and
@@ -375,11 +539,30 @@ def step_target(state: EnsembleState, coeff: SampledCoefficients,
     plus the x-integral of ``kappa * (beta + J)``, which reproduces both
     Volterra terms after swapping the order of integration.  As ``kappa =
     drive * L``, the whole source is ``drive * (I + L)(beta + J)``, the
-    drive acting on the plant's scalar field.  ``transform`` is
-    :func:`transform_operator` of the solved kernels; the exchange factor is
-    ``coeff.exchange_factor``.
+    drive acting on the plant's scalar field.  ``step`` must have been built
+    with the :func:`transform_operator` of the solved kernels.
     """
-    return _upwind_step(state, coeff, dt, 0.0, transform)
+    return _upwind_step(state, step, 0.0, cascade=True)
+
+
+def _lyapunov_weights(coeff: SampledCoefficients, p: float,
+                      delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """x-weights of the Lyapunov value's ensemble and scalar parts."""
+    if p <= 0 or delta <= 0:
+        raise ConfigurationError("lyapunov_value requires p > 0 and delta > 0")
+    spec = coeff.spec
+    return (p * spec.x_weights * np.exp(-delta * spec.x_nodes),
+            spec.x_weights * (1.0 + spec.x_nodes) / coeff.speed_v_grid)
+
+
+def _lyapunov(weights: tuple[np.ndarray, np.ndarray], coords: np.ndarray,
+              speed_u: np.ndarray, beta: np.ndarray) -> float:
+    """The Lyapunov value of cascade variables with ensemble coordinates
+    ``coords`` in a basis orthonormal in the y-quadrature, ``speed_u``
+    being the ensemble speed of each coordinate column."""
+    ensemble, scalar = weights
+    return float(ensemble @ ((coords * coords) / speed_u).sum(axis=1)
+                 + scalar @ (beta * beta))
 
 
 def lyapunov_value(alpha: np.ndarray, beta: np.ndarray,
@@ -389,15 +572,9 @@ def lyapunov_value(alpha: np.ndarray, beta: np.ndarray,
     ``p * integral of exp(-delta x) <alpha, alpha/speed_u>`` plus the
     integral of ``(1 + x)/speed_v * beta**2``.
     """
-    if p <= 0 or delta <= 0:
-        raise ConfigurationError("lyapunov_value requires p > 0 and delta > 0")
-    spec = coeff.spec
-    decay = np.exp(-delta * spec.x_nodes)
-    ens = ((alpha * alpha) / coeff.speed_u_grid) @ spec.y_weights
-    val = p * (spec.x_weights @ (decay * ens))
-    val += spec.x_weights @ ((1.0 + spec.x_nodes) / coeff.speed_v_grid
-                             * beta * beta)
-    return float(val)
+    weights = _lyapunov_weights(coeff, p, delta)
+    return _lyapunov(weights, _field_coordinates(coeff.spec, alpha),
+                     coeff.speed_u_grid, beta)
 
 
 def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
@@ -481,6 +658,9 @@ def _initial_state(spec: GridSpec, u0, v0) -> EnsembleState:
          else np.array(u0, dtype=float))
     v = np.zeros(spec.nx + 1) if v0 is None else np.array(v0, dtype=float)
     _check_state_shapes(spec, u, v)
+    # A field that is not finite spans no y-basis: the run diverges at once.
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise DivergenceError("initial state is not finite", t=0.0)
     return EnsembleState(u=u, v=v, t=0.0)
 
 
@@ -490,15 +670,17 @@ def _snapshot_steps(spec: GridSpec, snapshot_times, n_steps: int) -> set[int]:
             for t in snapshot_times}
 
 
-def _run(spec: GridSpec, state: EnsembleState, snapshot_times, advance,
-         refresh=None, lyapunov=None) -> SimulationRecord:
+def _run(spec: GridSpec, step: CoordinateStep, state: EnsembleState,
+         snapshot_times, advance, refresh=None,
+         lyapunov=None) -> SimulationRecord:
     """Step from t = 0 to the grid's final time, recording every step.
 
+    ``state`` carries the ensemble coordinates of ``step``.
     ``refresh(state)`` (optional) returns the state to record and the control
     value of the step; ``advance(state, control)`` returns the next state;
     ``lyapunov(state)`` (optional) fills the Lyapunov series.  Norms are
-    recorded at every step, snapshots at the steps nearest the requested
-    times (once per step, however many times round to it), and
+    recorded at every step, snapshots (full fields) at the steps nearest the
+    requested times (once per step, however many times round to it), and
     ``decay_rate`` is fitted on the late-time window.
     """
     n_steps = int(round(spec.t_final / spec.dt))
@@ -514,7 +696,7 @@ def _run(spec: GridSpec, state: EnsembleState, snapshot_times, advance,
     for n in range(n_steps + 1):
         if refresh is not None:
             state, control[n] = refresh(state)
-        un = ensemble_norm(spec, state.u)
+        un = _ensemble_norm(spec, state.u)
         vn = scalar_norm(spec, state.v)
         u_norms[n] = un
         v_norms[n] = vn
@@ -522,13 +704,14 @@ def _run(spec: GridSpec, state: EnsembleState, snapshot_times, advance,
         if lyap is not None:
             lyap[n] = lyapunov(state)
         if n in snap_steps:
-            snapshots.append((float(state.t), state))
+            snapshots.append((float(state.t), step.field(state)))
         if n < n_steps:
             state = advance(state, control[n])
     decay = _fit_decay(times, joint)
     return SimulationRecord(times=times, joint_norms=joint, u_norms=u_norms,
                             v_norms=v_norms, control=control, lyapunov=lyap,
-                            snapshots=tuple(snapshots), decay_rate=decay)
+                            snapshots=tuple(snapshots), decay_rate=decay,
+                            y_ranks=step.y_ranks)
 
 
 def simulate(coeff: SampledCoefficients, spec: GridSpec,
@@ -542,21 +725,28 @@ def simulate(coeff: SampledCoefficients, spec: GridSpec,
     computed value at its outlet node while the step runs, so the trajectory
     obeys ``v(t, 1) = U(t)`` at the step's own time instead of lagging the
     outlet one step behind the law.  Without kernels the loop is open and
-    the outlet input is zero.  Norms and the control value are recorded at
-    every step, snapshots at the steps nearest the requested times, and
-    ``decay_rate`` is fitted on the late-time window.  ``coeff`` and
-    ``kernels`` must be sampled and solved at ``spec``'s nx and ny
-    (:class:`DimensionError` otherwise); ``spec`` also sets the time step
-    and the horizon.
+    the outlet input is zero.  The run steps the coordinates of the
+    :func:`coordinate_step` built from its initial field.  Norms and the
+    control value are recorded at every step, snapshots at the steps
+    nearest the requested times, and ``decay_rate`` is fitted on the
+    late-time window.  ``coeff`` and ``kernels`` must be sampled and solved
+    at ``spec``'s nx and ny (:class:`DimensionError` otherwise); ``spec``
+    also sets the time step and the horizon.
     """
     _check_grid(spec, coeff, kernels)
-    refresh = (None if kernels is None
-               else lambda state: _refresh_outlet(state, kernels))
+    plant0 = _initial_state(spec, u0, v0)
+    step = coordinate_step(coeff, spec.dt, plant0.u)
+    refresh = None
+    if kernels is not None:
+        gain = _feedback_gain(kernels, step.weighted_basis)
+
+        def refresh(state):
+            return _refresh_outlet(state, spec, gain)
 
     def advance(state, control):
-        return step_plant(state, coeff, control, spec.dt)
+        return step_plant(state, step, control)
 
-    return _run(spec, _initial_state(spec, u0, v0), snapshot_times, advance,
+    return _run(spec, step, step.coordinates(plant0), snapshot_times, advance,
                 refresh=refresh)
 
 
@@ -568,26 +758,30 @@ def simulate_target(coeff: SampledCoefficients, spec: GridSpec,
     The kernels are factored once (:func:`transform_operator`), the
     Lyapunov recipe is assembled from them and that operator's coupling
     (:func:`lyapunov_recipe`), the plant initial condition is mapped
-    through the forward transform, and the Lyapunov value with recipe
-    parameters is recorded at every step alongside the norms.  The record's
-    ``recipe`` holds the recipe and ``y_ranks`` the ranks of the factored
-    kernels.  ``coeff`` and ``kernels`` must be sampled and solved at
-    ``spec``'s nx and ny, as in :func:`simulate`.
+    through the forward transform, and the run steps the coordinates of the
+    :func:`coordinate_step` built from the transformed ensemble field.  The
+    Lyapunov value with recipe parameters is recorded at every step
+    alongside the norms.  The record's ``recipe`` holds the recipe, and its
+    ``y_ranks`` also the rank of the factored ensemble kernel.  ``coeff``
+    and ``kernels`` must be sampled and solved at ``spec``'s nx and ny, as
+    in :func:`simulate`.
     """
     _check_grid(spec, coeff, kernels)
     plant0 = _initial_state(spec, u0, v0)
     transform = transform_operator(spec, kernels.k, kernels.ktilde)
     recipe = lyapunov_recipe(coeff, kernels, transform)
     alpha0, beta0 = forward_transform(plant0, transform)
+    step = coordinate_step(coeff, spec.dt, alpha0, transform)
+    weights = _lyapunov_weights(coeff, recipe.p, recipe.delta)
 
     def advance(state, control):
-        return step_target(state, coeff, transform, spec.dt)
+        return step_target(state, step)
 
     def lyapunov(state):
-        return lyapunov_value(state.u, state.v, coeff, recipe.p, recipe.delta)
+        return _lyapunov(weights, state.u, step.speed_u, state.v)
 
-    record = _run(spec, EnsembleState(u=alpha0, v=beta0, t=0.0),
+    record = _run(spec, step, step.coordinates(EnsembleState(u=alpha0, v=beta0,
+                                                             t=0.0)),
                   snapshot_times, advance, lyapunov=lyapunov)
     return replace(record, recipe=recipe, y_ranks={
-        "k": transform.weighted_basis.shape[1],
-        "exchange": coeff.exchange_factor[1].shape[1]})
+        "k": transform.weighted_basis.shape[1], **record.y_ranks})

@@ -96,6 +96,19 @@ class TestEdgeClosedForms:
         assert abs(cc.s_end[0] - np.log(1.5)) <= 1e-8
         assert abs(cc.launch[0] - (2.0 / 1.5 - 1.0)) <= 1e-8
 
+    @pytest.mark.parametrize("nx", [25, 50, 100])
+    def test_event_time_on_curved_edge_curves(self, nx, rng):
+        # speed_v = 1 + x/2 reaches the edge at s = 2 ln(1 + xi/2); the last
+        # step continues the speed past x = 0 along its tangent, so the event
+        # time holds to the integrator's order (a speed clamped at its value
+        # at 0 missed by up to 4.6e-7 at nx = 25)
+        coeff = sample_coefficients(_half_x_speeds(), GridSpec(nx=nx, ny=5))
+        xs = rng.uniform(0.0, 1.0, 400)
+        xis = xs * rng.uniform(0.0, 1.0, 400)
+        bundle = trace_edge_batch(coeff, xs, xis)
+        np.testing.assert_allclose(bundle.s_end, 2.0 * np.log1p(xis / 2.0),
+                                   rtol=0.0, atol=1e-9)
+
 
 class TestDomain:
     """Points outside 0 <= xi <= x <= 1, 0 <= y <= 1 are refused."""

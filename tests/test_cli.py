@@ -266,7 +266,9 @@ class TestSimulateCommand:
             assert all(float(f) == 0.0 for f in fields[1:5])
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == {"mode", "decay_rate", "max_norm",
-                                "final_norm", "max_abs_U"}
+                                "final_norm", "max_abs_U", "y_ranks"}
+        # a zero field with no inflow or drive is stepped in no y-direction
+        assert summary["y_ranks"] == {"exchange": 0, "state": 0}
         assert summary["mode"] == "open"
         assert summary["decay_rate"] is None
         assert summary["max_norm"] == 0.0
@@ -304,7 +306,7 @@ class TestSimulateCommand:
         assert all(v > 0.0 for v in values)
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["mode"] == "target"
-        assert summary["y_ranks"] == {"exchange": 1, "k": 1}
+        assert summary["y_ranks"] == {"exchange": 1, "k": 1, "state": 2}
         assert set(summary["lyapunov_recipe"]) == {"p", "delta", "m_equiv",
                                                    "M_equiv"}
         assert summary["lyapunov_recipe"]["p"] > 0.0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ensemble_backstep import grid
 from ensemble_backstep.grid import (
     GridSpec,
     TriangularIndex,
@@ -181,3 +182,19 @@ class TestYFactor:
         assert np.max(np.abs(p @ q.T - m)) <= 1e-13 * np.max(np.abs(m))
         p0, q0 = y_factor(np.zeros((7, 5)))
         assert p0.shape == (7, 0) and q0.shape == (5, 0)
+
+    def test_blocking_does_not_move_the_factor(self, rng, monkeypatch):
+        # a rank-5 matrix over several row blocks factors as in one block
+        m = rng.standard_normal((5000, 5)) @ rng.standard_normal((5, 60))
+        assert 2 * grid._FACTOR_BLOCK_ROWS < m.shape[0]
+        p, q = y_factor(m)
+        monkeypatch.setattr(grid, "_FACTOR_BLOCK_ROWS", m.shape[0])
+        p1, q1 = y_factor(m)
+        assert q.shape == q1.shape == (60, 5)
+        np.testing.assert_allclose(q @ q.T, q1 @ q1.T, rtol=0.0, atol=1e-13)
+        assert np.max(np.abs(p @ q.T - p1 @ q1.T)) \
+            <= 1e-13 * np.max(np.abs(m))
+
+    def test_empty_matrix(self):
+        p, q = y_factor(np.zeros((0, 0)))
+        assert p.shape == (0, 0) and q.shape == (0, 0)

@@ -20,9 +20,9 @@ C_SCALAR = 35.0 / (2.0 * np.pi**2)
 
 
 def _exchange(coeff, x_index, a):
-    """The exchange integral at one x-node, as the plant step applies it."""
-    loadings, weighted_basis = coeff.exchange_factor
-    return loadings[x_index] @ (a @ weighted_basis)
+    """The exchange integral at one x-node, by the y-quadrature of the
+    sampled kernel."""
+    return coeff.exchange_grid[x_index] @ (coeff.spec.y_weights * a)
 
 
 def _exchange_transpose(coeff, x_index, a):

@@ -24,6 +24,7 @@ from ensemble_backstep.model import (
 from ensemble_backstep.simulator import (
     EnsembleState,
     control_value,
+    coordinate_step,
     default_initial_state,
     ensemble_norm,
     forward_transform,
@@ -58,6 +59,20 @@ def _forward(kernels):
     return transform_operator(kernels.spec, kernels.k, kernels.ktilde)
 
 
+def _plant_step(coeff, state, boundary_v1, dt):
+    """One plant step of a full-field state, taken on the coordinates of a
+    run that starts from it."""
+    step = coordinate_step(coeff, dt, state.u)
+    return step.field(step_plant(step.coordinates(state), step, boundary_v1))
+
+
+def _target_step(coeff, transform, state, dt):
+    """One cascade step of a full-field state, taken on the coordinates of a
+    run that starts from it."""
+    step = coordinate_step(coeff, dt, state.u, transform)
+    return step.field(step_target(step.coordinates(state), step))
+
+
 class TestNorms:
     def test_constant_fields(self):
         spec = GridSpec(nx=30, ny=17)
@@ -88,7 +103,7 @@ class TestPlantStep:
         spec = GridSpec(nx=40, ny=12)
         coeff = sample_coefficients(toy, spec)
         state = EnsembleState(u=np.zeros((41, 12)), v=np.zeros(41), t=0.0)
-        new = step_plant(state, coeff, 0.0, spec.dt)
+        new = _plant_step(coeff, state, 0.0, spec.dt)
         assert np.all(new.u == 0.0)
         assert np.all(new.v == 0.0)
         assert new.t == spec.dt
@@ -97,7 +112,7 @@ class TestPlantStep:
         spec = GridSpec(nx=40, ny=12)
         coeff = sample_coefficients(toy, spec)
         u, v = _smooth_state(spec, rng)
-        new = step_plant(EnsembleState(u=u, v=v, t=0.0), coeff, 0.75, spec.dt)
+        new = _plant_step(coeff, EnsembleState(u=u, v=v, t=0.0), 0.75, spec.dt)
         assert new.v[-1] == 0.75
         np.testing.assert_allclose(
             new.u[0], coeff.inflow_gain_grid * new.v[0], atol=1e-15)
@@ -105,9 +120,9 @@ class TestPlantStep:
     def test_cfl_violation_rejected(self, toy):
         spec = GridSpec(nx=100, ny=8, dt=0.05)
         coeff = sample_coefficients(toy, spec)
-        state = EnsembleState(u=np.zeros((101, 8)), v=np.zeros(101), t=0.0)
+        # checked once per run, when its step is built
         with pytest.raises(ConfigurationError, match="CFL"):
-            step_plant(state, coeff, 0.0, spec.dt)
+            coordinate_step(coeff, spec.dt, np.zeros((101, 8)))
 
     def test_divergence_error_carries_time(self, toy):
         spec = GridSpec(nx=20, ny=8)
@@ -115,7 +130,7 @@ class TestPlantStep:
         state = EnsembleState(u=np.full((21, 8), 1e308), v=np.full(21, 1e308),
                               t=0.125)
         with pytest.raises(DivergenceError) as exc:
-            step_plant(state, coeff, 0.0, spec.dt)
+            _plant_step(coeff, state, 0.0, spec.dt)
         assert exc.value.t == 0.125
 
     def test_pure_transport_moves_pulse_rightward(self, pure_transport):
@@ -211,7 +226,7 @@ class TestTargetStep:
         coeff = sample_coefficients(toy, spec)
         state = EnsembleState(u=np.zeros((spec.nx + 1, spec.ny)),
                               v=np.zeros(spec.nx + 1), t=0.0)
-        new = step_target(state, coeff, _forward(kernels_mid), spec.dt)
+        new = _target_step(coeff, _forward(kernels_mid), state, spec.dt)
         assert np.all(new.u == 0.0)
         assert np.all(new.v == 0.0)
 
@@ -219,8 +234,8 @@ class TestTargetStep:
         spec = kernels_mid.spec
         coeff = sample_coefficients(toy, spec)
         u, v = _smooth_state(spec, rng)
-        new = step_target(EnsembleState(u=u, v=v, t=0.0),
-                          coeff, _forward(kernels_mid), spec.dt)
+        new = _target_step(coeff, _forward(kernels_mid),
+                           EnsembleState(u=u, v=v, t=0.0), spec.dt)
         assert new.v[-1] == 0.0
         np.testing.assert_allclose(
             new.u[0], coeff.inflow_gain_grid * new.v[0], atol=1e-15)
@@ -237,12 +252,13 @@ class TestTargetStep:
             u, v = _smooth_state(spec, rng)
             state = EnsembleState(u=u, v=v, t=0.0)
             transform = _forward(sol)
-            after_plant = step_plant(state, coeff,
-                                     control_value(state, sol), spec.dt)
+            after_plant = _plant_step(coeff, state, control_value(state, sol),
+                                      spec.dt)
             a_direct, b_direct = forward_transform(after_plant, transform)
             a0, b0 = forward_transform(state, transform)
-            after_target = step_target(EnsembleState(u=a0, v=b0, t=0.0),
-                                       coeff, transform, spec.dt)
+            after_target = _target_step(coeff, transform,
+                                        EnsembleState(u=a0, v=b0, t=0.0),
+                                        spec.dt)
             defect = math.hypot(ensemble_norm(spec, a_direct - after_target.u),
                                 scalar_norm(spec, b_direct - after_target.v))
             assert defect <= 8.0 * spec.dt
@@ -316,20 +332,22 @@ class TestFactoredOperators:
 
     def test_ranks(self, operator_case):
         name, coeff, sol, _ = operator_case
-        ranks = {"k": _forward(sol).weighted_basis.shape[1],
-                 "exchange": coeff.exchange_factor[1].shape[1]}
+        spec = dataclasses.replace(coeff.spec, t_final=coeff.spec.dt)
+        ranks = simulate_target(coeff, spec, sol).y_ranks
         if name == "toy":
-            assert ranks == {"k": 1, "exchange": 1}
+            assert ranks == {"k": 1, "exchange": 1, "state": 2}
         else:
             assert min(ranks.values()) > 1
             assert max(ranks.values()) <= coeff.spec.ny
+            # a y-dependent speed steps every y-node
+            assert ranks["state"] == coeff.spec.ny
 
     def test_step_target(self, operator_case, rng):
         _, coeff, sol, resolvent = operator_case
         spec = coeff.spec
         alpha, beta = _smooth_state(spec, rng)
-        new = step_target(EnsembleState(u=alpha, v=beta, t=0.0),
-                          coeff, _forward(sol), spec.dt)
+        new = _target_step(coeff, _forward(sol),
+                           EnsembleState(u=alpha, v=beta, t=0.0), spec.dt)
         kappa = coeff.drive_grid[spec.tri.i_index] * resolvent[:, None]
         J = _ref_integral(spec, sol.k, 0.0 * sol.ktilde, alpha, beta)
         bj = beta + J
@@ -345,7 +363,7 @@ class TestFactoredOperators:
         _, coeff, _, _ = operator_case
         spec = coeff.spec
         u, v = _smooth_state(spec, rng)
-        new = step_plant(EnsembleState(u=u, v=v, t=0.0), coeff, 0.0, spec.dt)
+        new = _plant_step(coeff, EnsembleState(u=u, v=v, t=0.0), 0.0, spec.dt)
         source_u = _ref_exchange(coeff, u) + coeff.drive_grid * v[:, None]
         source_v = (coeff.readout_grid * u) @ spec.y_weights
         du, dv = _ref_transport(coeff, u, v, source_u, source_v, spec.dt)
@@ -385,6 +403,135 @@ class TestFactoredOperators:
             worst = max(worst, scalar_norm(spec, v_back - v)
                         / scalar_norm(spec, v))
         assert worst <= 1e-3
+
+
+def _ref_step(coeff, state, boundary_v1, dt, transform=None):
+    """The full-field upwind step on every (x, y) node, the oracle of the
+    coordinate step: the plant, or the cascade of ``transform``, whose drive
+    acts on the plant's scalar field."""
+    spec = coeff.spec
+    u, v = state.u, state.v
+    driven = v if transform is None else inverse_transform(transform, u, v)[1]
+    source_u = _ref_exchange(coeff, u) + coeff.drive_grid * driven[:, None]
+    source_v = (0.0 * v if transform is not None
+                else (coeff.readout_grid * u) @ spec.y_weights)
+    du, dv = _ref_transport(coeff, u, v, source_u, source_v, dt)
+    u_new, v_new = u + du, v + dv
+    v_new[-1] = boundary_v1
+    u_new[0] = coeff.inflow_gain_grid * v_new[0]
+    return EnsembleState(u=u_new, v=v_new, t=state.t + dt)
+
+
+def _ref_run(coeff, state, n_steps, dt, kernels=None, transform=None):
+    """The states and control values of ``n_steps`` reference steps; with
+    ``kernels`` the loop is closed, the outlet set to the feedback value at
+    the start of each step."""
+    out = []
+    for n in range(n_steps + 1):
+        control = 0.0
+        if kernels is not None:
+            control = control_value(state, kernels)
+            v = state.v.copy()
+            v[-1] = control
+            state = EnsembleState(u=state.u, v=v, t=state.t)
+        out.append((state, control))
+        if n < n_steps:
+            state = _ref_step(coeff, state, control, dt, transform)
+    return out
+
+
+def _within(got, want, rtol):
+    """``got`` agrees with ``want`` to ``rtol`` times the largest ``|want|``
+    (exactly where ``want`` is zero throughout)."""
+    err = float(np.max(np.abs(got - want)))
+    assert err <= rtol * float(np.max(np.abs(want))), f"error {err:.3e}"
+
+
+class TestCoordinateStep:
+    """Runs stepped on coordinates against the full-field step."""
+
+    @pytest.mark.parametrize("mode", ["open", "closed", "target"])
+    @pytest.mark.parametrize("initial", ["default", "gaussian"])
+    def test_twenty_steps_match_full_field_steps(self, operator_case, mode,
+                                                 initial):
+        name, coeff, sol, _ = operator_case
+        spec = dataclasses.replace(coeff.spec, t_final=20 * coeff.spec.dt)
+        plant0 = default_initial_state(spec)
+        if initial == "gaussian":
+            # a profile constant in y adds a direction to the toy's two
+            pulse = np.exp(-((spec.x_nodes - 0.3) / 0.1) ** 2)
+            plant0 = EnsembleState(u=np.repeat(pulse[:, None], spec.ny, axis=1),
+                                   v=np.zeros(spec.nx + 1), t=0.0)
+        times = spec.dt * np.arange(21)
+        if mode == "target":
+            transform = _forward(sol)
+            record = simulate_target(coeff, spec, sol, u0=plant0.u, v0=plant0.v,
+                                     snapshot_times=times)
+            alpha0, beta0 = forward_transform(plant0, transform)
+            ref = _ref_run(coeff, EnsembleState(u=alpha0, v=beta0, t=0.0), 20,
+                           spec.dt, transform=transform)
+        else:
+            kernels = sol if mode == "closed" else None
+            record = simulate(coeff, spec, kernels=kernels, u0=plant0.u,
+                              v0=plant0.v, snapshot_times=times)
+            ref = _ref_run(coeff, plant0, 20, spec.dt, kernels=kernels)
+        if name == "toy":
+            assert record.y_ranks["state"] == (2 if initial == "default" else 3)
+        else:
+            assert record.y_ranks["state"] == spec.ny
+        assert len(record.snapshots) == 21
+        for n, ((_, got), (want, _)) in enumerate(zip(record.snapshots, ref)):
+            _within(got.u, want.u, 1e-13)
+            _within(got.v, want.v, 1e-13)
+            norm = math.hypot(ensemble_norm(spec, want.u),
+                              scalar_norm(spec, want.v))
+            assert abs(record.joint_norms[n] - norm) <= 1e-13 * norm
+            if record.lyapunov is not None:
+                value = lyapunov_value(want.u, want.v, coeff, record.recipe.p,
+                                       record.recipe.delta)
+                assert abs(record.lyapunov[n] - value) <= 1e-13 * value
+        _within(record.control, np.array([c for _, c in ref]), 1e-13)
+
+    def test_exchange_adds_directions_to_the_basis(self, toy):
+        # a Gaussian exchange maps y - 1/2 out of the toy's span: the closure
+        # adds its images until the subspace holds them, short of all of y
+        plant = dataclasses.replace(
+            toy, exchange=lambda x, y, eta: x * np.exp(-4.0 * (y - eta) ** 2))
+        spec = GridSpec(nx=40, ny=16, dt=0.01, t_final=0.2)
+        coeff = sample_coefficients(plant, spec)
+        plant0 = default_initial_state(spec)
+        record = simulate(coeff, spec, snapshot_times=spec.dt * np.arange(21))
+        assert 2 < record.y_ranks["state"] < spec.ny
+        ref = _ref_run(coeff, plant0, 20, spec.dt)
+        for (_, got), (want, _) in zip(record.snapshots, ref):
+            _within(got.u, want.u, 1e-13)
+            _within(got.v, want.v, 1e-13)
+
+    def test_toy_basis_is_the_smallest_closed_subspace(self, toy):
+        spec = GridSpec(nx=40, ny=16)
+        coeff = sample_coefficients(toy, spec)
+        step = coordinate_step(coeff, spec.dt, default_initial_state(spec).u)
+        basis, wy = step.basis, spec.y_weights
+        # two columns, orthonormal in the y-quadrature ...
+        assert basis.shape == (spec.ny, 2)
+        np.testing.assert_allclose(basis.T @ (wy[:, None] * basis), np.eye(2),
+                                   rtol=0.0, atol=1e-14)
+        # ... spanning y - 1/2 (field, drive, exchange) and cos 2 pi y (inflow)
+        y = spec.y_nodes
+        for profile in (y - 0.5, np.cos(2.0 * np.pi * y)):
+            outside = profile - basis @ (basis.T @ (wy * profile))
+            assert np.max(np.abs(outside)) <= 1e-14
+        assert step.y_ranks == {"state": 2, "exchange": 1}
+
+    def test_speed_varying_in_y_steps_every_node(self, rng):
+        spec = GridSpec(nx=20, ny=9)
+        coeff = sample_coefficients(_full_rank_plant(), spec)
+        u, _ = _smooth_state(spec, rng)
+        step = coordinate_step(coeff, spec.dt, u)
+        # the identity, scaled to be orthonormal in the y-quadrature
+        assert np.array_equal(step.basis,
+                              np.diag(1.0 / np.sqrt(spec.y_weights)))
+        assert step.speed_u.shape == (spec.nx + 1, spec.ny)
 
 
 class TestLyapunov:
@@ -490,6 +637,18 @@ class TestSimulate:
                           spec)
         assert record.times.shape == (11,)
 
+    def test_initial_state_that_is_not_finite_diverges_at_once(self, toy):
+        spec = GridSpec(nx=20, ny=6, dt=0.01, t_final=0.05)
+        coeff = sample_coefficients(toy, spec)
+        kernels = solve_backstepping_kernels(toy, spec)
+        u0 = np.zeros((21, 6))
+        u0[3, 2] = np.nan
+        for run in (lambda: simulate(coeff, spec, u0=u0),
+                    lambda: simulate_target(coeff, spec, kernels, u0=u0)):
+            with pytest.raises(DivergenceError) as exc:
+                run()
+            assert exc.value.t == 0.0
+
     def test_closed_loop_records_feedback_and_outlet(self, toy, kernels_mid):
         spec_run = GridSpec(nx=100, ny=60, dt=0.008, t_final=0.1)
         record = simulate(sample_coefficients(toy, spec_run), spec_run,
@@ -518,8 +677,8 @@ class TestSimulateTarget:
         # the recorded Lyapunov series is evaluated with that recipe
         alpha0, beta0 = forward_transform(default_initial_state(spec),
                                           _forward(kernels))
-        assert record.lyapunov[0] == lyapunov_value(
-            alpha0, beta0, coeff, expected.p, expected.delta)
+        want = lyapunov_value(alpha0, beta0, coeff, expected.p, expected.delta)
+        assert abs(record.lyapunov[0] - want) <= 1e-13 * want
         # plant runs, open and closed, carry no recipe
         for plant_kernels in (None, kernels):
             assert simulate(coeff, spec, kernels=plant_kernels).recipe is None
