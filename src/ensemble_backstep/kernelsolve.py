@@ -20,11 +20,11 @@ zero.  One family of crossing curves, a curve from every triangle node, is
 traced per group of y-nodes whose sampled ensemble speeds are equal at every
 x-node: a plant whose speed does not depend on y has one group, one with a
 different speed at every y-node has ny (and holds ny operators in memory
-instead of one).  Every family reads its curves from one pair of
-trajectory tables integrated once per solve (see :mod:`.characteristics`)
-and becomes one sparse operator: Simpson's rule on every cell segment of a
-curve applied to the bilinear interpolant on the triangle, which is exact
-along straight curves.  It is written in CSR a block of curves at a time,
+instead of one).  Each family is traced through the travel times of the
+two speeds (see :mod:`.characteristics`), whose tables cost about
+``nx + 1`` cells per trace, and becomes one sparse operator: Simpson's
+rule on every cell segment of a curve applied to the bilinear interpolant
+on the triangle, which is exact along straight curves.  It is written in CSR a block of curves at a time,
 four corner entries per segment, its shared corners summed by two
 transposes instead of a sort; the family's samples are freed once its
 operator and launch abscissas exist.
@@ -50,8 +50,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .characteristics import (TrajectoryTables, trace_crossing_batch,
-                              trace_edge_batch)
+from .characteristics import trace_crossing_batch, trace_edge_batch
 from .errors import DomainError, NonconvergenceError, NumericError
 from .grid import GridSpec, TriangularIndex, corner_weights, y_subspace
 from .model import PlantModel, SampledCoefficients, sample_coefficients
@@ -291,12 +290,7 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProb
     # tell apart, share one family of crossing curves traced at the first.
     _, first, group = np.unique(coeff.speed_u_grid.T, axis=0,
                                 return_index=True, return_inverse=True)
-    # Every family reads its curves from one x-table and one xi-table.
-    xi_nodes = np.unique(xis)
     family_y = spec.y_nodes[first]
-    tables = TrajectoryTables(coeff, np.concatenate([xs, xis]),
-                              np.repeat(xi_nodes, family_y.size),
-                              np.tile(family_y, xi_nodes.size))
     cross_ops = []
     diagonal_data = np.empty((n_tri, spec.ny))
     for g, y0 in enumerate(family_y):
@@ -305,8 +299,7 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProb
         if cols[-1] - cols[0] + 1 == cols.size:
             # A slice, not an index array: no copy of the columns per sweep.
             cols = slice(cols[0], cols[-1] + 1)
-        bundle = trace_crossing_batch(coeff, xs, xis, np.full(n_tri, y0),
-                                      tables=tables)
+        bundle = trace_crossing_batch(coeff, xs, xis, np.full(n_tri, y0))
         cross_ops.append((cols, _quadrature_matrix(spec, bundle)))
         launch = bundle.launch[:, None]
         # A family's samples are the bulk of the solve's memory: each bundle
@@ -315,10 +308,7 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProb
         diagonal_data[:, cols] = -model.readout(launch, y) / (
             model.speed_u(launch, y) + model.speed_v(launch))
 
-    # The edge curves read the x-table only; the xi-table would stay alive
-    # through the edge family's assembly, where the solve peaks.
-    del tables.xi_table
-    bundle = trace_edge_batch(coeff, xs, xis, tables=tables)
+    bundle = trace_edge_batch(coeff, xs, xis)
     edge_op = _quadrature_matrix(spec, bundle)
     edge_interp = _edge_interp_indices(spec, bundle.launch)
     del bundle

@@ -12,7 +12,9 @@ ensemble parameter ``y``) with a single scalar field ``v(t, x)``:
   ``inflow_gain(y)``; the ``x = 1`` boundary of ``v`` is the control input.
 
 Evaluators must accept numpy-broadcastable arguments and be defined on all of
-[0, 1] in each variable.
+[0, 1] in each variable.  Both transport speeds must be strictly positive on
+all of [0, 1], not only at the grid nodes where sampling checks them: the
+characteristic curves are traced through the travel times ``int dx/speed``.
 """
 
 from __future__ import annotations
@@ -46,9 +48,12 @@ class PlantModel:
     ----------
     name : str
     speed_u : callable (x, y) -> float
-        Rightward transport speed of the ensemble field; strictly positive.
+        Rightward transport speed of the ensemble field; strictly positive
+        on all of [0, 1] x [0, 1].
     speed_v : callable (x,) -> float
-        Leftward transport speed of the scalar field; strictly positive.
+        Leftward transport speed of the scalar field; strictly positive on
+        all of [0, 1].  A speed that vanishes between grid nodes makes the
+        kernel solve raise :class:`~ensemble_backstep.errors.NonconvergenceError`.
     exchange : callable (x, y, eta) -> float
         Kernel of the intra-ensemble exchange integral (integrated over eta).
     drive : callable (x, y) -> float
@@ -110,9 +115,18 @@ class SampledCoefficients:
 
 
 def _on_grid(values, shape: tuple[int, ...]) -> np.ndarray:
-    """A coefficient's sampled values as an owned float array of ``shape``
-    (a model may return a scalar or a lower-dimensional broadcastable)."""
-    return np.broadcast_to(np.asarray(values, dtype=float), shape).copy()
+    """A coefficient's sampled values as an owned float array of ``shape``.
+
+    The model's return value is kept as it is when it already is one (no
+    code writes into a sampled grid), so that sampling holds one copy of
+    the largest grid, the exchange kernel, not two.  A scalar, a
+    lower-dimensional broadcastable or a view is copied into an owned,
+    writable array.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape == shape and values.base is None:
+        return values
+    return np.broadcast_to(values, shape).copy()
 
 
 def sample_coefficients(model: PlantModel, spec: GridSpec) -> SampledCoefficients:

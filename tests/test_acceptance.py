@@ -205,8 +205,7 @@ def test_criterion_4_characteristic_closed_forms(toy, pure_transport, rng):
     affine = _uncoupled_plant(
         lambda x, y: np.ones(np.broadcast_shapes(np.shape(x), np.shape(y))),
         lambda x: 1.0 + np.asarray(x, dtype=float))
-    edge = trace_edge_batch(sample_coefficients(affine, spec),
-                            [1.0], [0.5], step=1e-4)
+    edge = trace_edge_batch(sample_coefficients(affine, spec), [1.0], [0.5])
     affine_err = abs(float(edge.s_end[0]) - np.log(1.5))
     assert affine_err <= 1e-8, f"affine-speed edge time off by {affine_err:.2e}"
 

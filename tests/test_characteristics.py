@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from ensemble_backstep import characteristics
 from ensemble_backstep.characteristics import (
     trace_crossing_batch,
     trace_edge_batch,
@@ -73,6 +72,28 @@ class TestCrossingClosedForms:
         np.testing.assert_allclose(bundle.s_end, (xs - xis) / 2.0, atol=1e-9)
         np.testing.assert_allclose(bundle.launch, (xs + xis) / 2.0, atol=1e-9)
 
+    def test_curved_speeds_varying_in_x_and_y(self, rng):
+        # speed_v = 1 + x/2 and speed_u = c (1 + x/2) with c = 1 + y/2 have
+        # travel times 2 ln(1 + x/2) and 2 ln(1 + x/2) / c, so the launch l
+        # has ln(1 + l/2) = (c ln(1 + x/2) + ln(1 + xi/2)) / (c + 1) and
+        # s_end = 2 (ln(1 + x/2) - ln(1 + l/2))
+        plant = _plant(
+            lambda x, y: (1.0 + 0.5 * np.asarray(x)) * (1.0 + 0.5 * np.asarray(y)),
+            lambda x: 1.0 + 0.5 * np.asarray(x, dtype=float),
+        )
+        xs = rng.uniform(0.0, 1.0, 500)
+        xis = xs * rng.uniform(0.0, 1.0, 500)
+        ys = rng.uniform(0.0, 1.0, 500)
+        bundle = trace_crossing_batch(sample_coefficients(plant, SPEC),
+                                      xs, xis, ys)
+        c = 1.0 + 0.5 * ys
+        log_launch = (c * np.log1p(xs / 2.0) + np.log1p(xis / 2.0)) / (c + 1.0)
+        np.testing.assert_allclose(bundle.launch, 2.0 * np.expm1(log_launch),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(bundle.s_end,
+                                   2.0 * (np.log1p(xs / 2.0) - log_launch),
+                                   rtol=0.0, atol=1e-12)
+
 
 class TestEdgeClosedForms:
     def test_unit_speed(self, toy):
@@ -91,17 +112,14 @@ class TestEdgeClosedForms:
             lambda x, y: np.ones(np.broadcast_shapes(np.shape(x), np.shape(y))),
             lambda x: 1.0 + np.asarray(x, dtype=float),
         )
-        cc = trace_edge_batch(sample_coefficients(plant, SPEC),
-                              [1.0], [0.5], step=1e-4)
+        cc = trace_edge_batch(sample_coefficients(plant, SPEC), [1.0], [0.5])
         assert abs(cc.s_end[0] - np.log(1.5)) <= 1e-8
         assert abs(cc.launch[0] - (2.0 / 1.5 - 1.0)) <= 1e-8
 
     @pytest.mark.parametrize("nx", [25, 50, 100])
     def test_event_time_on_curved_edge_curves(self, nx, rng):
-        # speed_v = 1 + x/2 reaches the edge at s = 2 ln(1 + xi/2); the last
-        # step continues the speed past x = 0 along its tangent, so the event
-        # time holds to the integrator's order (a speed clamped at its value
-        # at 0 missed by up to 4.6e-7 at nx = 25)
+        # speed_v = 1 + x/2 reaches the edge at s = 2 ln(1 + xi/2), the
+        # travel time from 0 to xi
         coeff = sample_coefficients(_half_x_speeds(), GridSpec(nx=nx, ny=5))
         xs = rng.uniform(0.0, 1.0, 400)
         xis = xs * rng.uniform(0.0, 1.0, 400)
@@ -291,7 +309,8 @@ def _half_y_speed():
                          ids=["speeds-1+x/2", "speed_u-1+y/2"])
 @pytest.mark.parametrize("family", ["cross", "edge"])
 def test_batch_equals_one_point_traces(make_plant, family):
-    """Curves that share starts read the same trajectories as lone curves."""
+    """Curves traced together, some sharing starts, are bit for bit the
+    curves traced alone."""
     coeff = sample_coefficients(make_plant(), SPEC)
     # a repeated point, a diagonal point, two xi = 0 points, and points
     # sharing x or (xi, y) with another
@@ -333,6 +352,28 @@ def test_stalling_speed_raises_nonconvergence():
         trace_edge_batch(coeff, xs, xis)
 
 
+def test_speed_vanishing_on_one_y_spares_the_others():
+    """An ensemble speed that vanishes between two nodes at y = 0.5 only,
+    traced together with unit speeds at y = 0 and y = 1: the curves of the
+    other rows keep their closed forms, and a curve across the stall
+    raises."""
+    plant = _plant(
+        lambda x, y: np.where(np.abs(np.asarray(y) - 0.5) < 0.01,
+                              40.0 * (np.asarray(x) - 0.55) ** 2,
+                              np.ones(np.broadcast_shapes(np.shape(x),
+                                                          np.shape(y)))),
+        lambda x: np.ones(np.shape(x)),
+    )
+    coeff = sample_coefficients(plant, GridSpec(nx=10, ny=3))
+    xs = np.array([0.9, 0.8, 0.95, 0.3])
+    xis = np.array([0.1, 0.2, 0.9, 0.1])
+    bundle = trace_crossing_batch(coeff, xs, xis, [0.0, 0.0, 1.0, 0.5])
+    np.testing.assert_allclose(bundle.launch[:3], (xs + xis)[:3] / 2.0,
+                               rtol=0.0, atol=1e-12)
+    with pytest.raises(NonconvergenceError, match=r"^1 characteristic curve"):
+        trace_crossing_batch(coeff, [0.9, 0.9], [0.1, 0.6], [0.0, 0.5])
+
+
 def test_bundle_samples_fully_populated(toy, rng):
     """Every stored sample slot is meaningful (no uninitialized tails)."""
     coeff = sample_coefficients(toy, SPEC)
@@ -347,45 +388,3 @@ def test_bundle_samples_fully_populated(toy, rng):
     # last sample of each curve is the refined meeting point
     last = bundle.offsets[1:] - 1
     np.testing.assert_allclose(bundle.sample_x[last], bundle.launch, atol=1e-12)
-
-
-def _hermite_bisect_all_entries(d0, d1, m0, m1):
-    """The event refinement stepping every entry until the last converges:
-    the reference the working-set version must match bit for bit."""
-    lo = np.zeros_like(d0)
-    hi = np.ones_like(d0)
-    result = np.full_like(d0, 0.5)
-    done = np.zeros(d0.shape, dtype=bool)
-    for _ in range(characteristics.REFINE_STEPS):
-        mid = 0.5 * (lo + hi)
-        val = characteristics._hermite(d0, d1, m0, m1, mid)
-        hit = np.abs(val) <= characteristics.REFINE_TOL
-        newly = hit & ~done
-        result[newly] = mid[newly]
-        done |= hit
-        if done.all():
-            break
-        neg = val < 0.0
-        lo = np.where(neg & ~done, mid, lo)
-        hi = np.where(~neg & ~done, mid, hi)
-    result[~done] = (0.5 * (lo + hi))[~done]
-    return result
-
-
-@pytest.mark.parametrize("n", [0, 1, 7, 5000])
-def test_hermite_bisect_matches_full_array_reference(rng, n):
-    """Random brackets d0 < 0 <= d1 with slopes near the secant, one with
-    its root at 0.5 exactly and one too steep to converge in REFINE_STEPS
-    steps: the refined times are the full-array reference's, bit for bit."""
-    step = rng.uniform(1e-4, 1e-1, n)
-    d0 = -rng.uniform(0.0, 1.0, n) * step
-    d1 = d0 + step
-    m0 = step * rng.uniform(0.5, 1.5, n)
-    m1 = step * rng.uniform(0.5, 1.5, n)
-    # a root at tau = 0.5 exactly, and a cubic so steep that its rounded
-    # value stays above the tolerance for the whole budget
-    if n > 2:
-        d0[0], d1[0], m0[0], m1[0] = -1.0, 1.0, 2.0, 2.0
-        d0[1], d1[1], m0[1], m1[1] = -1e20, 3e20, 2e20, 7e20
-    got = characteristics._hermite_bisect(d0, d1, m0, m1)
-    assert np.array_equal(got, _hermite_bisect_all_entries(d0, d1, m0, m1))

@@ -129,6 +129,36 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             sample_coefficients(bad, GridSpec(nx=4, ny=3))
 
+    def test_owned_grids_are_kept_and_broadcasts_copied(self, toy):
+        # an owned float array of the grid's shape is kept as the model
+        # returned it; a scalar and a broadcast view become owned, writable
+        # arrays of the grid's shape
+        spec = GridSpec(nx=6, ny=4)
+        returned = {}
+
+        def exchange(x, y, eta):
+            returned["exchange"] = toy.exchange(x, y, eta)
+            return returned["exchange"]
+
+        def drive(x, y):
+            returned["drive"] = np.broadcast_to(
+                np.asarray(toy.drive(x, 0.25), dtype=float), (spec.nx + 1, spec.ny))
+            return returned["drive"]
+
+        plant = PlantModel(
+            name="ownership", speed_u=toy.speed_u, speed_v=lambda x: 2.0,
+            exchange=exchange, drive=drive, readout=toy.readout,
+            inflow_gain=toy.inflow_gain)
+        coeff = sample_coefficients(plant, spec)
+        assert returned["exchange"].base is None
+        assert coeff.exchange_grid is returned["exchange"]
+        assert returned["drive"].base is not None
+        for grid, want in ((coeff.drive_grid, returned["drive"]),
+                           (coeff.speed_v_grid, np.full(spec.nx + 1, 2.0))):
+            assert grid.base is None and grid.flags.writeable
+            assert grid.shape == want.shape
+            np.testing.assert_array_equal(grid, want)
+
     def test_finite_difference_speed_derivative(self):
         # omit the analytic derivative; the sampled slope must still be right
         quad = PlantModel(
