@@ -399,7 +399,7 @@ def _verify_kernel_boundary(spec: GridSpec, coeff, kernels) -> dict:
 
 def _verify_round_trip(spec: GridSpec, kernels, rng) -> dict:
     """Forward-then-inverse transform must reproduce the scalar field."""
-    transform = transform_operator(spec, kernels.k, kernels.ktilde)
+    transform = transform_operator(kernels)
     xs = spec.x_nodes[:, None]
     ys = spec.y_nodes[None, :]
     worst = 0.0

@@ -12,10 +12,10 @@ Conventions used throughout the package:
 * Integrals over the x- and y-nodes use the composite trapezoid rule;
   :func:`corner_weights` also applies a quadrature rule to the interpolant
   along a segment inside one cell.
-* Kernels that act along y are applied factored in y (:func:`y_factor`),
-  so applying one costs in proportion to its numerical rank, not to ``ny``;
-  fields that stay in a few y-directions are held in the coordinates of the
-  smallest closed subspace that holds them (:func:`y_subspace`).
+* Fields that stay in a few y-directions are held in the coordinates of
+  the smallest closed subspace that holds them (:func:`y_subspace`), and
+  kernels acting along y are factored in those (:func:`y_factor`), so
+  applying one costs in proportion to its numerical rank, not to ``ny``.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import numpy as np
 
 
 #: Rows per block of the blocked QR in :func:`y_factor`.  Each block's QR
-#: stacks it under the ``ny x ny`` R factor so far; at ny = 120, blocks of
-#: 1024 rows factored the 24120 x 120 exchange matrix and the 20301 x 120
-#: kernel 1.3-1.4x faster than blocks of 4096 (single-threaded OpenBLAS).
+#: stacks it under the ``ny x ny`` R factor so far; blocks of 1024 rows
+#: factored the solver's 20502 x 120 closure seeds at the default grid 1.7x
+#: faster than blocks of 4096 (single-threaded OpenBLAS 0.3.31, Xeon).
 _FACTOR_BLOCK_ROWS = 1024
 
 
@@ -133,13 +133,13 @@ def y_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     singular values above ``s_max * max(m, ny) * eps``, the rule of
     ``numpy.linalg.matrix_rank``; a zero matrix gets r = 0.
 
-    The singular values and ``Q`` come from the SVD of the ``ny x ny`` R
-    factor of a QR decomposition, accumulated over row blocks.  A thin SVD
-    of the matrix itself would also allocate its ``m x ny`` left factor,
-    which nothing here needs, and one QR of the whole matrix makes
-    ``m x ny`` working copies: for the exchange kernel of an open run at
-    the default grid (24120 x 120) either raised the run's peak RSS from
-    96 MB to 143 MB.
+    It factors the closure seeds and images of :func:`y_subspace` (the
+    kernel solver's seeds are about ``n_tri + nx + 1`` rows), a solved
+    kernel's ``(n_tri, r)`` coordinates in the solver's basis and a run's
+    ``(n * r, r)`` exchange blocks.  The singular values and ``Q`` come
+    from the SVD of the R factor of a QR decomposition accumulated over row
+    blocks: a thin SVD would also allocate the ``m x ny`` left factor, and
+    one QR of the whole matrix makes ``m x ny`` working copies.
     """
     m, ny = matrix.shape
     r_factor = np.empty((0, ny))

@@ -39,8 +39,8 @@ the smallest y-subspace that holds every iterate: ``F = C @ B.T`` with
 applied to r columns and the exchange to one ``r x r`` block per x-node.
 With more than one family, or when that subspace is all of y, ``B`` is the
 identity and the sweeps act on every y-node.  The solver returns the
-kernel pair with its iteration history; the controller reads the outlet
-row ``x = 1`` of both kernels.
+kernel pair with ``B``, in which the transform factors ``k``, and its
+iteration history; the controller reads the outlet row of both kernels.
 """
 
 from __future__ import annotations
@@ -106,11 +106,6 @@ class GoursatProblem:
     edge_gain: np.ndarray
     apply_ensemble_operator: Callable
 
-    @property
-    def y_rank(self) -> int:
-        """Number of columns each sweep acts on."""
-        return self.basis.shape[1]
-
 
 @dataclass(frozen=True)
 class KernelSolution:
@@ -119,9 +114,9 @@ class KernelSolution:
     ``k`` is the ``(n_tri, ny)`` ensemble kernel and ``ktilde`` the
     ``(n_tri,)`` scalar kernel, both flat over the triangle.  ``deltas``
     holds the sup-norm increment of every sweep, the last of which is
-    ``final_delta``.  ``y_rank`` is the number of y-columns the solver
-    swept: the dimension of the y-subspace that holds ``k``, or ``ny`` when
-    ``k`` was held per y-node.
+    ``final_delta``.  ``basis`` is the orthonormal ``(ny, y_rank)`` basis
+    of the y-subspace the solver swept, which holds every row of ``k``, or
+    the identity when ``k`` was held per y-node.
     """
 
     k: np.ndarray
@@ -130,7 +125,11 @@ class KernelSolution:
     final_delta: float
     deltas: tuple[float, ...]
     spec: GridSpec
-    y_rank: int
+    basis: np.ndarray
+
+    @property
+    def y_rank(self) -> int:
+        return self.basis.shape[1]
 
 
 def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
@@ -228,7 +227,7 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     diagonal = problem.diagonal_data @ basis
     edge_flat0, edge_flat1, edge_frac = problem.edge_interp
 
-    C = np.zeros((tri.n_nodes, problem.y_rank))
+    C = np.zeros((tri.n_nodes, basis.shape[1]))
     G = np.zeros(tri.n_nodes)
     deltas: list[float] = []
     for iteration in range(1, MAX_SWEEPS + 1):
@@ -258,7 +257,7 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
             F = problem.diagonal_data + (C - diagonal) @ basis.T
             return KernelSolution(k=F, ktilde=G, iterations=iteration,
                                   final_delta=delta, deltas=tuple(deltas),
-                                  spec=problem.spec, y_rank=problem.y_rank)
+                                  spec=problem.spec, basis=basis)
     raise NonconvergenceError(
         f"Goursat iteration did not reach tol={tol} in {MAX_SWEEPS} sweeps",
         final_delta=deltas[-1],
@@ -377,7 +376,7 @@ def kernel_solution_from_evaluators(spec: GridSpec, ensemble_kernel,
         np.asarray(scalar_kernel(tri.x_coord, tri.xi_coord), dtype=float),
         (tri.n_nodes,)).copy()
     return KernelSolution(k=k, ktilde=ktilde, iterations=0, final_delta=0.0,
-                          deltas=(), spec=spec, y_rank=spec.ny)
+                          deltas=(), spec=spec, basis=np.eye(spec.ny))
 
 
 def kernel_pde_residual(sol: KernelSolution,

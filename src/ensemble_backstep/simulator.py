@@ -152,8 +152,8 @@ class TransformOperator:
 
     Maps a state ``(u, v)`` to ``int_0^x (int kernel(x, xi, y) u(xi, y) dy
     + scalar_kernel(x, xi) v(xi)) dxi`` at every x-node.  The ensemble
-    kernel is factored in y: ``kernel[(i, j), :] ~= basis @ P[(i, j)]`` is
-    the :func:`~ensemble_backstep.grid.y_factor` of the flat kernel,
+    kernel is factored in y inside the solver's y-subspace: ``kernel[(i,
+    j), :] ~= basis @ P[(i, j)]`` (:func:`transform_operator`),
     ``rows[i, s, j]`` is ``P[(i, j), s]`` times the running-integral weight
     of node ``(i, j)``, zero above the diagonal, and ``weighted_basis`` is
     ``basis`` times the y-quadrature weights.  ``scalar`` is the scalar
@@ -189,18 +189,19 @@ class TransformOperator:
         return self.integrate(u) + self.scalar @ v
 
 
-def transform_operator(spec: GridSpec, kernel: np.ndarray,
-                       scalar_kernel: np.ndarray) -> TransformOperator:
-    """Build the operator of the transform with the flat triangle kernels
-    ``(k, ktilde)`` of a :class:`KernelSolution`, and of its inverse."""
+def transform_operator(kernels: KernelSolution) -> TransformOperator:
+    """Build the operator of the transform with the kernels, and of its
+    inverse: ``k ~= P @ (B @ Q).T`` in the solver's basis ``B``, ``P @ Q.T``
+    the :func:`~ensemble_backstep.grid.y_factor` of ``k @ B``."""
+    spec = kernels.spec
     weights = _running_weights(spec)
-    loadings, basis = y_factor(np.asarray(kernel, dtype=float))
+    loadings, inner = y_factor(kernels.k @ kernels.basis)
     rows = tri_to_matrix(spec, weights[:, None] * loadings)
-    coupling = solve_target_coupling(spec, scalar_kernel)
+    coupling = solve_target_coupling(spec, kernels.ktilde)
     return TransformOperator(
         spec=spec, rows=np.ascontiguousarray(rows.transpose(1, 0, 2)),
-        weighted_basis=basis * spec.y_weights[:, None],
-        scalar=tri_to_matrix(spec, weights * scalar_kernel),
+        weighted_basis=(kernels.basis @ inner) * spec.y_weights[:, None],
+        scalar=tri_to_matrix(spec, weights * kernels.ktilde),
         resolvent=tri_to_matrix(spec, weights * coupling), coupling=coupling)
 
 
@@ -506,10 +507,10 @@ def forward_transform(state: EnsembleState,
                       transform: TransformOperator) -> tuple[np.ndarray, np.ndarray]:
     """Map the plant state onto the cascade variables.
 
-    ``transform`` is :func:`transform_operator` of the solved ``(k,
-    ktilde)``.  The ensemble component is returned unchanged; the scalar
-    component is ``v`` minus the running x-integral of the kernels against
-    the state, so its value at x = 0 always equals ``v(0)``.
+    ``transform`` is :func:`transform_operator` of the solved kernels.  The
+    ensemble component is returned unchanged; the scalar component is ``v``
+    minus the running x-integral of the kernels against the state, so its
+    value at x = 0 always equals ``v(0)``.
     """
     beta = state.v - transform(state.u, state.v)
     return state.u.copy(), beta
@@ -519,9 +520,9 @@ def inverse_transform(inverse: TransformOperator, alpha: np.ndarray,
                       beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map cascade variables back to the plant state.
 
-    ``inverse`` is :func:`transform_operator` of the solved ``(k, ktilde)``,
-    the same operator :func:`forward_transform` applies; the scalar field
-    is ``(I + L)(beta + J)`` with ``L`` the resolvent of ``ktilde``.
+    ``inverse`` is :func:`transform_operator` of the solved kernels, the
+    same operator :func:`forward_transform` applies; the scalar field is
+    ``(I + L)(beta + J)`` with ``L`` the resolvent of ``ktilde``.
     """
     _check_state_shapes(inverse.spec, alpha, beta)
     return alpha.copy(), _scalar_field(inverse, beta, inverse.integrate(alpha))
@@ -755,20 +756,20 @@ def simulate_target(coeff: SampledCoefficients, spec: GridSpec,
                     u0=None, v0=None, snapshot_times=()) -> SimulationRecord:
     """Run the transformed (cascade) system from the transformed initial state.
 
-    The kernels are factored once (:func:`transform_operator`), the
-    Lyapunov recipe is assembled from them and that operator's coupling
-    (:func:`lyapunov_recipe`), the plant initial condition is mapped
-    through the forward transform, and the run steps the coordinates of the
-    :func:`coordinate_step` built from the transformed ensemble field.  The
-    Lyapunov value with recipe parameters is recorded at every step
-    alongside the norms.  The record's ``recipe`` holds the recipe, and its
-    ``y_ranks`` also the rank of the factored ensemble kernel.  ``coeff``
-    and ``kernels`` must be sampled and solved at ``spec``'s nx and ny, as
-    in :func:`simulate`.
+    The kernels are factored once, in the coordinates of the solver's y-basis
+    (:func:`transform_operator`), the Lyapunov recipe is assembled from them
+    and that operator's coupling (:func:`lyapunov_recipe`), the plant
+    initial condition is mapped through the forward transform, and the run
+    steps the coordinates of the :func:`coordinate_step` built from the
+    transformed ensemble field.  The Lyapunov value with recipe parameters is
+    recorded at every step alongside the norms.  The record's ``recipe``
+    holds the recipe, and its ``y_ranks`` also the rank of the factored
+    ensemble kernel.  ``coeff`` and ``kernels`` must be sampled and solved at
+    ``spec``'s nx and ny, as in :func:`simulate`.
     """
     _check_grid(spec, coeff, kernels)
     plant0 = _initial_state(spec, u0, v0)
-    transform = transform_operator(spec, kernels.k, kernels.ktilde)
+    transform = transform_operator(kernels)
     recipe = lyapunov_recipe(coeff, kernels, transform)
     alpha0, beta0 = forward_transform(plant0, transform)
     step = coordinate_step(coeff, spec.dt, alpha0, transform)

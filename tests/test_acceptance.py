@@ -242,8 +242,7 @@ def test_criterion_5_volterra_routes(toy, spec_default, kernels_default):
 
 
 def test_criterion_6_transform_round_trip(spec_default, kernels_default, rng):
-    transform = transform_operator(spec_default, kernels_default.k,
-                                   kernels_default.ktilde)
+    transform = transform_operator(kernels_default)
     worst = 0.0
     for _ in range(20):
         state = _smooth_state(spec_default, rng)
@@ -277,8 +276,7 @@ def test_criterion_7_closed_loop_stabilization(spec_default, kernels_default,
     assert slope < 0.0, f"late-time log-norm slope {slope:.3f} not negative"
 
     (_, state0), (_, state3) = closed_rec.snapshots
-    forward = transform_operator(spec_default, kernels_default.k,
-                                 kernels_default.ktilde)
+    forward = transform_operator(kernels_default)
     beta0 = forward_transform(state0, forward)[1]
     beta3 = forward_transform(state3, forward)[1]
     flush = scalar_norm(spec_default, beta3) / scalar_norm(spec_default, beta0)

@@ -55,10 +55,6 @@ def _smooth_state(spec, rng, amplitude=1.0):
     return u, v
 
 
-def _forward(kernels):
-    return transform_operator(kernels.spec, kernels.k, kernels.ktilde)
-
-
 def _plant_step(coeff, state, boundary_v1, dt):
     """One plant step of a full-field state, taken on the coordinates of a
     run that starts from it."""
@@ -186,13 +182,13 @@ class TestTransforms:
             spec, lambda x, xi, y: 0.0 * (x + xi + y), lambda x, xi: 0.0 * (x + xi))
         u, v = _smooth_state(spec, rng)
         alpha, beta = forward_transform(EnsembleState(u=u, v=v, t=0.0),
-                                        _forward(sol))
+                                        transform_operator(sol))
         assert np.array_equal(alpha, u)
         np.testing.assert_allclose(beta, v, atol=1e-15)
 
     def test_inlet_value_is_preserved(self, kernels_mid, rng):
         spec = kernels_mid.spec
-        forward = _forward(kernels_mid)
+        forward = transform_operator(kernels_mid)
         for _ in range(5):
             u, v = _smooth_state(spec, rng)
             _, beta = forward_transform(EnsembleState(u=u, v=v, t=0.0),
@@ -201,7 +197,7 @@ class TestTransforms:
 
     def test_round_trip_recovers_scalar_field(self, kernels_mid, rng):
         spec = kernels_mid.spec
-        transform = _forward(kernels_mid)
+        transform = transform_operator(kernels_mid)
         worst = 0.0
         for _ in range(5):
             u, v = _smooth_state(spec, rng)
@@ -217,7 +213,7 @@ class TestTransforms:
         with pytest.raises(DimensionError):
             forward_transform(
                 EnsembleState(u=np.zeros((3, 3)), v=np.zeros(spec.nx + 1),
-                              t=0.0), _forward(kernels_mid))
+                              t=0.0), transform_operator(kernels_mid))
 
 
 class TestTargetStep:
@@ -226,7 +222,8 @@ class TestTargetStep:
         coeff = sample_coefficients(toy, spec)
         state = EnsembleState(u=np.zeros((spec.nx + 1, spec.ny)),
                               v=np.zeros(spec.nx + 1), t=0.0)
-        new = _target_step(coeff, _forward(kernels_mid), state, spec.dt)
+        new = _target_step(coeff, transform_operator(kernels_mid), state,
+                           spec.dt)
         assert np.all(new.u == 0.0)
         assert np.all(new.v == 0.0)
 
@@ -234,7 +231,7 @@ class TestTargetStep:
         spec = kernels_mid.spec
         coeff = sample_coefficients(toy, spec)
         u, v = _smooth_state(spec, rng)
-        new = _target_step(coeff, _forward(kernels_mid),
+        new = _target_step(coeff, transform_operator(kernels_mid),
                            EnsembleState(u=u, v=v, t=0.0), spec.dt)
         assert new.v[-1] == 0.0
         np.testing.assert_allclose(
@@ -251,7 +248,7 @@ class TestTargetStep:
             coeff = sample_coefficients(toy, spec)
             u, v = _smooth_state(spec, rng)
             state = EnsembleState(u=u, v=v, t=0.0)
-            transform = _forward(sol)
+            transform = transform_operator(sol)
             after_plant = _plant_step(coeff, state, control_value(state, sol),
                                       spec.dt)
             a_direct, b_direct = forward_transform(after_plant, transform)
@@ -346,7 +343,7 @@ class TestFactoredOperators:
         _, coeff, sol, resolvent = operator_case
         spec = coeff.spec
         alpha, beta = _smooth_state(spec, rng)
-        new = _target_step(coeff, _forward(sol),
+        new = _target_step(coeff, transform_operator(sol),
                            EnsembleState(u=alpha, v=beta, t=0.0), spec.dt)
         kappa = coeff.drive_grid[spec.tri.i_index] * resolvent[:, None]
         J = _ref_integral(spec, sol.k, 0.0 * sol.ktilde, alpha, beta)
@@ -375,7 +372,7 @@ class TestFactoredOperators:
         spec = coeff.spec
         u, v = _smooth_state(spec, rng)
         _, beta = forward_transform(EnsembleState(u=u, v=v, t=0.0),
-                                    _forward(sol))
+                                    transform_operator(sol))
         _assert_rel_close(v - beta, _ref_integral(spec, sol.k, sol.ktilde, u, v))
 
     def test_inverse_transform(self, operator_case, rng):
@@ -383,7 +380,7 @@ class TestFactoredOperators:
         _, coeff, sol, resolvent = operator_case
         spec = coeff.spec
         alpha, beta = _smooth_state(spec, rng)
-        _, v = inverse_transform(_forward(sol), alpha, beta)
+        _, v = inverse_transform(transform_operator(sol), alpha, beta)
         bj = beta + _ref_integral(spec, sol.k, 0.0 * sol.ktilde, alpha, beta)
         _assert_rel_close(v, bj + _running_rows(spec)
                           @ (resolvent * bj[spec.tri.j_index]))
@@ -393,7 +390,7 @@ class TestFactoredOperators:
         plant = _full_rank_plant()
         spec = GridSpec(nx=100, ny=16)
         sol = solve_backstepping_kernels(plant, spec, tol=1e-10)
-        transform = _forward(sol)
+        transform = transform_operator(sol)
         worst = 0.0
         for _ in range(5):
             u, v = _smooth_state(spec, rng)
@@ -464,7 +461,7 @@ class TestCoordinateStep:
                                    v=np.zeros(spec.nx + 1), t=0.0)
         times = spec.dt * np.arange(21)
         if mode == "target":
-            transform = _forward(sol)
+            transform = transform_operator(sol)
             record = simulate_target(coeff, spec, sol, u0=plant0.u, v0=plant0.v,
                                      snapshot_times=times)
             alpha0, beta0 = forward_transform(plant0, transform)
@@ -566,7 +563,7 @@ class TestLyapunov:
         spec = GridSpec(nx=60, ny=16)
         coeff = sample_coefficients(pure_transport, spec)
         sol = solve_backstepping_kernels(pure_transport, spec)
-        recipe = lyapunov_recipe(coeff, sol, _forward(sol))
+        recipe = lyapunov_recipe(coeff, sol, transform_operator(sol))
         assert recipe.p > 0.0
         assert recipe.delta > 0.0
         assert recipe.m_equiv > 0.0  # nontrivial for uncoupled transport
@@ -670,13 +667,13 @@ class TestSimulateTarget:
         coeff = sample_coefficients(toy, spec)
         kernels = solve_backstepping_kernels(toy, spec)
         record = simulate_target(coeff, spec, kernels)
-        expected = lyapunov_recipe(coeff, kernels, _forward(kernels))
+        expected = lyapunov_recipe(coeff, kernels, transform_operator(kernels))
         for field in dataclasses.fields(expected):
             assert getattr(record.recipe, field.name) == \
                 getattr(expected, field.name), field.name
         # the recorded Lyapunov series is evaluated with that recipe
         alpha0, beta0 = forward_transform(default_initial_state(spec),
-                                          _forward(kernels))
+                                          transform_operator(kernels))
         want = lyapunov_value(alpha0, beta0, coeff, expected.p, expected.delta)
         assert abs(record.lyapunov[0] - want) <= 1e-13 * want
         # plant runs, open and closed, carry no recipe

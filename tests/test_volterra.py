@@ -12,6 +12,7 @@ from ensemble_backstep.errors import (
     NumericError,
 )
 from ensemble_backstep.grid import GridSpec, gregory_weights
+from ensemble_backstep.kernelsolve import kernel_solution_from_evaluators
 from ensemble_backstep.model import sample_coefficients
 from ensemble_backstep.simulator import inverse_transform, transform_operator
 from ensemble_backstep.volterra import (
@@ -221,7 +222,8 @@ class TestInverseKernels:
     def test_zero_scalar_kernel_returns_direct_kernel(self, rng):
         spec = GridSpec(nx=15, ny=8)
         k = rng.uniform(0.5, 1.5, (spec.tri.n_nodes, spec.ny))
-        op = transform_operator(spec, k, _const_tri(spec, 0.0))
+        op = transform_operator(kernel_solution_from_evaluators(
+            spec, lambda x, xi, y: k, lambda x, xi: 0.0))
         assert np.all(op.resolvent == 0.0)
         alpha = rng.standard_normal((spec.nx + 1, spec.ny))
         beta = rng.standard_normal(spec.nx + 1)
@@ -232,8 +234,8 @@ class TestInverseKernels:
         # with ktilde = c the inverse maps beta = 1 to v = exp(c x)
         spec = GridSpec(nx=200, ny=4)
         c = TOY_CONST
-        op = transform_operator(spec, np.zeros((spec.tri.n_nodes, spec.ny)),
-                                _const_tri(spec, c))
+        op = transform_operator(kernel_solution_from_evaluators(
+            spec, lambda x, xi, y: 0.0, lambda x, xi: c))
         _, v = inverse_transform(op, np.zeros((spec.nx + 1, spec.ny)),
                                  np.ones(spec.nx + 1))
         assert np.max(np.abs(v - np.exp(c * spec.x_nodes))) <= 1e-4
@@ -245,11 +247,12 @@ class TestInverseKernels:
         # per halving of h)
         spec = GridSpec(nx=40, ny=6)
         tri = spec.tri
-        x, xi, y = tri.x_coord[:, None], tri.xi_coord[:, None], spec.y_nodes
-        k = np.cos(x + xi * y)
-        ktilde = 0.7 * np.sin(2.0 * tri.x_coord - tri.xi_coord) + 0.3
-        alpha = np.sin(np.pi * spec.x_nodes)[:, None] * (1.0 + y)
-        _, v = inverse_transform(transform_operator(spec, k, ktilde), alpha,
+        sol = kernel_solution_from_evaluators(
+            spec, lambda x, xi, y: np.cos(x + xi * y),
+            lambda x, xi: 0.7 * np.sin(2.0 * x - xi) + 0.3)
+        k, ktilde = sol.k, sol.ktilde
+        alpha = np.sin(np.pi * spec.x_nodes)[:, None] * (1.0 + spec.y_nodes)
+        _, v = inverse_transform(transform_operator(sol), alpha,
                                  np.zeros(spec.nx + 1))
         lt_mat = tri_to_matrix(spec, solve_target_coupling(spec, ktilde))
         l = k + matrix_to_tri(spec, compose(spec.hx, tri_to_matrix(spec, k),
