@@ -201,7 +201,8 @@ def write_table(path: str, header: str, columns) -> None:
                     text = text[lo:hi]
                 texts.append(text)
             width = sum(text.shape[-1] + 1 for text in texts)
-            lines = np.zeros((hi - lo, n_inner, width), np.uint8)
+            # Every byte is written below, by a field or its separator.
+            lines = np.empty((hi - lo, n_inner, width), np.uint8)
             at = 0
             for text, sep in zip(texts, seps):
                 end = at + text.shape[-1]

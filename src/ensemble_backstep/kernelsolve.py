@@ -24,10 +24,16 @@ instead of one).  Each family is traced through the travel times of the
 two speeds (see :mod:`.characteristics`), whose tables cost about
 ``nx + 1`` cells per trace, and becomes one sparse operator: Simpson's
 rule on every cell segment of a curve applied to the bilinear interpolant
-on the triangle, which is exact along straight curves.  It is written in CSR a block of curves at a time,
-four corner entries per segment, its shared corners summed by two
-transposes instead of a sort; the family's samples are freed once its
-operator and launch abscissas exist.
+on the triangle, which is exact along straight curves.  A family is traced
+and assembled in bands: runs of triangle rows, each a contiguous flat
+range, closed once a bound on their curves' segments, known from the grid
+before any trace, reaches :data:`_BAND_SEGMENTS`.  A band's operator is
+written in CSR a block of curves at a time, four corner entries per
+segment, its shared corners summed by two transposes instead of a sort,
+and its samples are freed once its operator and launch abscissas exist,
+so no transient grows with the family.  The operator is kept as its row
+bands, which the sweeps apply one at a time; a row's curve reaches only
+rows at or below it, so a band is also the unit a march in x would take.
 Boundary data is always evaluated exactly at the off-grid launch abscissas,
 so the diagonal condition holds exactly at nodes and the edge condition
 holds to the fixed-point tolerance.
@@ -76,6 +82,15 @@ MAX_SWEEPS = 60
 #: of building a block, few enough that a block's arrays stay small.
 _BLOCK_SEGMENTS = 16384
 
+#: Cell segments a band of triangle rows may reach, by the geometric bound
+#: of :func:`_bands`, before it is closed: the size of every trace and
+#: operator build, and so of their transients.  Building the toy's problem
+#: at nx=200, ny=120 peaked at 183, 186, 192, 208, 223 and 287 MB of RSS
+#: with 2**16 ... 2**20 and with whole families, at build times within the
+#: host's noise (2-core Xeon, one sitting); 2**18 is the smallest power of
+#: two that keeps a crossing family at nx = 100 (bound 176,851) one band.
+_BAND_SEGMENTS = 2 ** 18
+
 
 @dataclass(frozen=True)
 class GoursatProblem:
@@ -85,9 +100,13 @@ class GoursatProblem:
     orthonormal ``(ny, r)`` basis of the y-subspace that holds every iterate,
     and every ``(n_tri, r)`` field here is a plant field in those
     coordinates, except ``diagonal_data``: the ``(n_tri, ny)`` data each
-    crossing curve carries from the diagonal.  ``cross_ops`` pairs each
-    crossing operator with the columns it acts on, and ``edge_interp`` holds
-    the linear-in-x interpolation of the edge launch points.
+    crossing curve carries from the diagonal.  Every operator is held as its
+    row bands, a tuple of ``(rows, csr)`` pairs: ``rows`` a slice of the
+    flat triangle nodes and ``csr`` the operator's rows for those nodes,
+    with a column for every triangle node.  ``cross_ops`` pairs each
+    crossing operator's bands with the columns it acts on, ``edge_bands``
+    are the edge operator's, and ``edge_interp`` holds the linear-in-x
+    interpolation of the edge launch points.
     ``apply_ensemble_operator(tri, field)`` receives the ``(n_tri, r)``
     coordinates of the ensemble iterate and returns those of the ensemble
     operator (the speed derivative and the transposed exchange) applied per
@@ -101,7 +120,7 @@ class GoursatProblem:
     scalar_to_ensemble: np.ndarray
     ensemble_to_scalar: np.ndarray
     scalar_decay: np.ndarray
-    edge_op: sparse.csr_matrix
+    edge_bands: tuple
     edge_interp: tuple
     edge_gain: np.ndarray
     apply_ensemble_operator: Callable
@@ -133,16 +152,18 @@ class KernelSolution:
 
 
 def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
-    """Sparse operator turning a grid field into per-node path integrals.
+    """Sparse operator turning a grid field into per-curve path integrals.
 
-    Row ``t`` of the result, applied to a flat triangle field, yields the
-    integral of the bilinear interpolant of that field along the traced
-    curve of triangle node ``t``: Simpson's rule on every cell segment, its
-    three points interpolated in the segment's cell (its midpoint's), which
-    is exact wherever the segment is straight.  Each segment adds the four
-    corners of its cell, so ``4 * seg_off`` is the row pointer, and
-    consecutive curves holding about :data:`_BLOCK_SEGMENTS` segments are
-    written as one CSR block, the corners a curve's segments share summed.
+    Row ``c`` of the result, applied to a flat triangle field, yields the
+    integral of the bilinear interpolant of that field along curve ``c`` of
+    the bundle (the bundle of a band of triangle nodes, so the result has a
+    row per band node and a column per triangle node): Simpson's rule on
+    every cell segment, its three points interpolated in the segment's cell
+    (its midpoint's), which is exact wherever the segment is straight.
+    Each segment adds the four corners of its cell, so ``4 * seg_off`` is
+    the row pointer, and consecutive curves holding about
+    :data:`_BLOCK_SEGMENTS` segments are written as one CSR block, the
+    corners a curve's segments share summed.
     """
     # scipy is imported here, where the operators are built, so that the
     # CLI's other commands and the simulators start without it.
@@ -155,7 +176,8 @@ def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
     # segment's midpoint and end.
     seg_off = (offsets - curves) // 2
     bounds = np.unique(np.append(np.searchsorted(
-        seg_off, np.arange(0, seg_off[-1] + 1, _BLOCK_SEGMENTS)), tri.n_nodes))
+        seg_off, np.arange(0, seg_off[-1] + 1, _BLOCK_SEGMENTS)),
+        offsets.size - 1))
     simpson = np.array([[0.25], [1.0], [0.25]])
     blocks = []
     for a, b in zip(bounds[:-1], bounds[1:]):
@@ -177,6 +199,21 @@ def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
         block.sum_duplicates()
         blocks.append(block.tocsr())
     return sparse.vstack(blocks, format="csr")
+
+
+def _bands(tri: TriangularIndex, segments: np.ndarray) -> list[slice]:
+    """Contiguous runs of triangle rows, as flat slices, each closed at the
+    row where the sum of ``segments`` over its nodes (a bound on the cell
+    segments of each node's curve, known before any trace) reaches
+    :data:`_BAND_SEGMENTS`."""
+    bands, lo, total = [], 0, 0
+    for i, row in enumerate(np.add.reduceat(segments, tri.row_start)):
+        total += int(row)
+        if total >= _BAND_SEGMENTS or i == tri.nx:
+            hi = int(tri.row_start[i]) + i + 1
+            bands.append(slice(lo, hi))
+            lo, total = hi, 0
+    return bands
 
 
 def _edge_interp_indices(spec: GridSpec, launch: np.ndarray):
@@ -234,15 +271,18 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
         source_C = (problem.scalar_to_ensemble * G[:, None]
                     + problem.apply_ensemble_operator(tri, C))
         C_new = np.empty_like(C)
-        for cols, op in problem.cross_ops:
-            C_new[:, cols] = diagonal[:, cols] + op @ source_C[:, cols]
+        for cols, bands in problem.cross_ops:
+            source = source_C[:, cols]
+            for rows, op in bands:
+                C_new[rows, cols] = diagonal[rows, cols] + op @ source
 
         source_G = (problem.scalar_decay * G
                     + (problem.ensemble_to_scalar * C).sum(axis=1))
         edge_rows = ((1.0 - edge_frac)[:, None] * C_new[edge_flat0]
                      + edge_frac[:, None] * C_new[edge_flat1])
-        G_new = (problem.edge_op @ source_G
-                 + (problem.edge_gain * edge_rows).sum(axis=1))
+        G_new = (problem.edge_gain * edge_rows).sum(axis=1)
+        for rows, op in problem.edge_bands:
+            G_new[rows] += op @ source_G
 
         if not (np.all(np.isfinite(C_new)) and np.all(np.isfinite(G_new))):
             raise NumericError("Goursat iterate is no longer finite")
@@ -290,6 +330,11 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProb
     _, first, group = np.unique(coeff.speed_u_grid.T, axis=0,
                                 return_index=True, return_inverse=True)
     family_y = spec.y_nodes[first]
+    # A crossing curve from node (i, j) crosses each grid line strictly
+    # between xi_j and x_i once, with one of its components, and the two
+    # falling components of an edge curve cross at most i and j lines: at
+    # most i - j + 1 and i + j + 1 segments.
+    cross_bands = _bands(tri, tri.i_index - tri.j_index + 1)
     cross_ops = []
     diagonal_data = np.empty((n_tri, spec.ny))
     for g, y0 in enumerate(family_y):
@@ -298,37 +343,51 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProb
         if cols[-1] - cols[0] + 1 == cols.size:
             # A slice, not an index array: no copy of the columns per sweep.
             cols = slice(cols[0], cols[-1] + 1)
-        bundle = trace_crossing_batch(coeff, xs, xis, np.full(n_tri, y0))
-        cross_ops.append((cols, _quadrature_matrix(spec, bundle)))
-        launch = bundle.launch[:, None]
-        # A family's samples are the bulk of the solve's memory: each bundle
-        # goes as soon as its operator and launch data exist.
+        bands = []
+        for rows in cross_bands:
+            bundle = trace_crossing_batch(coeff, xs[rows], xis[rows],
+                                          np.full(rows.stop - rows.start, y0))
+            bands.append((rows, _quadrature_matrix(spec, bundle)))
+            launch = bundle.launch[:, None]
+            # Samples are the bulk of the build's memory: each band's bundle
+            # goes as soon as its operator and launch data exist.
+            del bundle
+            diagonal_data[rows, cols] = -model.readout(launch, y) / (
+                model.speed_u(launch, y) + model.speed_v(launch))
+        cross_ops.append((cols, tuple(bands)))
+
+    edge_bands = []
+    edge_launch = np.empty(n_tri)
+    for rows in _bands(tri, tri.i_index + tri.j_index + 1):
+        bundle = trace_edge_batch(coeff, xs[rows], xis[rows])
+        edge_bands.append((rows, _quadrature_matrix(spec, bundle)))
+        edge_launch[rows] = bundle.launch
         del bundle
-        diagonal_data[:, cols] = -model.readout(launch, y) / (
-            model.speed_u(launch, y) + model.speed_v(launch))
 
-    bundle = trace_edge_batch(coeff, xs, xis)
-    edge_op = _quadrature_matrix(spec, bundle)
-    edge_interp = _edge_interp_indices(spec, bundle.launch)
-    del bundle
-
-    # The ensemble operator at x-node j maps a y-profile f to f @ maps[j]:
-    # maps[j] = diag(speed_u_dx[j]) + diag(w_y) @ exchange[j].
-    maps = wy[:, None] * coeff.exchange_grid
+    # The ensemble operator at x-node j maps a y-profile f to f @ A_j,
+    # A_j = diag(speed_u_dx[j]) + diag(w_y) @ exchange[j].  Each pass builds
+    # the A_j one at a time: no copy of the exchange grid is made.
     diag = np.arange(spec.ny)
-    maps[:, diag, diag] += coeff.speed_u_dx_grid
+
+    def maps():
+        for exchange, speed_u_dx in zip(coeff.exchange_grid,
+                                        coeff.speed_u_dx_grid):
+            a = wy[:, None] * exchange
+            a[diag, diag] += speed_u_dx
+            yield a
+
     if len(cross_ops) == 1:
         # The sweeps make y-profiles only from the diagonal data and the
-        # readout rows, and move a profile f only by f @ maps[j].
+        # readout rows, and move a profile f only by f @ A_j.
         basis = y_subspace(
-            np.vstack([diagonal_data, coeff.readout_grid]),
-            lambda new: (new.T @ maps).reshape(-1, spec.ny),
-            float(np.max(np.linalg.norm(maps, axis=(1, 2)))))
+            (diagonal_data, coeff.readout_grid),
+            lambda new: np.concatenate([new.T @ a for a in maps()]),
+            max(float(np.linalg.norm(a, axis=(0, 1))) for a in maps()))
         # The one family acts on every column of the subspace.
         cross_ops = [(slice(None), cross_ops[0][1])]
     else:
         basis = np.eye(spec.ny)
-    blocks = basis.T @ maps @ basis
+    blocks = [basis.T @ a @ basis for a in maps()]
     columns = [tri.row_start[j:] + j for j in range(spec.nx + 1)]
 
     def apply_ensemble_operator(tri: TriangularIndex, field: np.ndarray) -> np.ndarray:
@@ -346,8 +405,8 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProb
         scalar_to_ensemble=(coeff.readout_grid @ basis)[tri.j_index],
         ensemble_to_scalar=((coeff.drive_grid * wy) @ basis)[tri.j_index],
         scalar_decay=-coeff.speed_v_dx_grid[tri.j_index],
-        edge_op=edge_op,
-        edge_interp=edge_interp,
+        edge_bands=tuple(edge_bands),
+        edge_interp=_edge_interp_indices(spec, edge_launch),
         edge_gain=(coeff.inflow_gain_grid * coeff.speed_u_grid[0]
                    / coeff.speed_v_grid[0] * wy) @ basis,
         apply_ensemble_operator=apply_ensemble_operator,

@@ -388,8 +388,8 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
         # Each seed enters at unit scale: the rank rule drops a direction
         # only below rounding of the largest, whatever the field's amplitude.
         seeds = [u0, coeff.inflow_gain_grid[None], coeff.drive_grid]
-        basis = y_subspace(np.vstack([_unit_scale(part) for part in seeds]),
-                           images, math.sqrt(largest))
+        basis = y_subspace([_unit_scale(part) for part in seeds], images,
+                           math.sqrt(largest))
         speed_u = speed_u[:, :1]
     else:
         basis = np.eye(ny)

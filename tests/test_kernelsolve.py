@@ -1,10 +1,12 @@
 """Goursat solver: boundary data, convergence, identities, determinism."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.integrate import quad
 
 from ensemble_backstep import kernelsolve
@@ -503,6 +505,71 @@ def test_families_read_the_curves_of_lone_traces(monkeypatch):
                                   getattr(alone, field.name)), field.name
 
 
+
+@pytest.mark.parametrize("plant_name", ["toy", "sloped", "half_x"])
+def test_bands_change_no_bit(toy, plant_name, monkeypatch):
+    """Families traced and assembled in bands of rows (at least 3 each
+    here) give the operators of whole-family traces, entry for entry, and
+    the solution of one band per family, bit for bit: straight and curved
+    characteristics, one family and one per y-node."""
+    spec = GridSpec(nx=40, ny=16)
+    tri = spec.tri
+    plant = {"toy": toy, "sloped": _sloped(toy),
+             "half_x": _half_x(toy)}[plant_name]
+    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", np.inf)
+    whole = solve_backstepping_kernels(plant, spec)
+    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 2048)
+    problem = build_backstepping_problem(plant, spec)
+    banded = solve_goursat(problem)
+    assert np.array_equal(banded.k, whole.k)
+    assert np.array_equal(banded.ktilde, whole.ktilde)
+    assert banded.iterations == whole.iterations
+    assert banded.deltas == whole.deltas
+
+    coeff = sample_coefficients(plant, spec)
+    # the build's families, one per distinct speed column, in its order
+    _, first = np.unique(coeff.speed_u_grid.T, axis=0, return_index=True)
+    assert len(problem.cross_ops) == first.size
+    families = [
+        (bands, trace_crossing_batch(coeff, tri.x_coord, tri.xi_coord,
+                                     np.full(tri.n_nodes, spec.y_nodes[f])))
+        for (_, bands), f in zip(problem.cross_ops, first)]
+    families.append((problem.edge_bands,
+                     trace_edge_batch(coeff, tri.x_coord, tri.xi_coord)))
+    for bands, bundle in families:
+        assert len(bands) >= 3
+        rows = [r for r, _ in bands]
+        assert rows[0].start == 0 and rows[-1].stop == tri.n_nodes
+        assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+        stacked = sparse.vstack([op for _, op in bands], format="csr")
+        one = kernelsolve._quadrature_matrix(spec, bundle)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(stacked, part), getattr(one, part))
+
+
+def test_build_holds_no_transient_of_a_family(toy, monkeypatch):
+    """With bands of a few thousand segments the build's peak of traced
+    memory is what it keeps: the operators (8 B of value and 4 B of column
+    a nonzero), the diagonal data and the sampled grids, plus 2 MB.  A whole
+    family's samples and a stacked copy of its operator exceed that (by
+    15.6 MB here when every family is one trace)."""
+    spec = GridSpec(nx=80, ny=8)
+    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 4096)
+    tracemalloc.start()
+    try:
+        problem = build_backstepping_problem(toy, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    coeff = sample_coefficients(toy, spec)
+    grids = sum(value.nbytes for value in vars(coeff).values()
+                if isinstance(value, np.ndarray))
+    ops = [op for _, bands in problem.cross_ops for _, op in bands]
+    ops += [op for _, op in problem.edge_bands]
+    kept = (12 * sum(op.nnz for op in ops) + problem.diagonal_data.nbytes
+            + grids)
+    assert peak <= kept + 2 * 2**20
+
 def _reference_plants():
     """The toy (y-rank 1), the toy with a Gaussian exchange (closure rank
     11 or 12 at ny = 16, a count set by rounding: its closure keeps adding
@@ -551,7 +618,7 @@ def test_subspace_solve_matches_per_y_solve(name, y_rank, monkeypatch):
         # against the cutoff 5e-14
         assert transform_operator(sol).weighted_basis.shape[1] == 3
     monkeypatch.setattr(kernelsolve, "y_subspace",
-                        lambda seeds, images, scale: np.eye(seeds.shape[1]))
+                        lambda seeds, images, scale: np.eye(spec.ny))
     ref = solve_backstepping_kernels(plant, spec, tol=1e-10)
     assert ref.y_rank == spec.ny
     k, ktilde = ref.k, ref.ktilde
