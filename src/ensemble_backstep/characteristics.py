@@ -26,12 +26,15 @@ A crossing curve's launch abscissa ``l`` solves
 Phi_v(l)``; an edge curve has ``s_end = Phi_v(xi)`` and
 ``launch = Phi_v^-1(Phi_v(x) - Phi_v(xi))``.  Each launch is bracketed
 between two x-nodes of the tables and refined by Newton steps on the travel
-times themselves.  This relies on the plant's contract that both speeds are
-strictly positive on all of [0, 1] (sampling checks them at the grid nodes
-only): a curve whose travel time is infinite or unresolved, or longer than
-twice the slowest crossing (edge) time the sampled speeds allow, raises
-:class:`NonconvergenceError`.  Speeds are evaluated at positions clamped to
-[0, 1] so that tiny overshoots beyond the domain stay well-defined.
+times themselves.  Crossing launches can be solved alone
+(:func:`crossing_launch`) and given back to the trace of the same points,
+which then does not solve them again.  This relies on the plant's contract
+that both speeds are strictly positive on all of [0, 1] (sampling checks
+them at the grid nodes only): a curve whose travel time is infinite or
+unresolved, or longer than twice the slowest crossing (edge) time the
+sampled speeds allow, raises :class:`NonconvergenceError`.  Speeds are
+evaluated at positions clamped to [0, 1] so that tiny overshoots beyond the
+domain stay well-defined.
 
 A curve is cut into cell segments where either component crosses a grid
 line, at times that are differences of node values of its travel times; an
@@ -59,6 +62,7 @@ from .model import SampledCoefficients, sample_coefficients  # noqa: F401
 
 __all__ = [
     "TracedBundle",
+    "crossing_launch",
     "trace_crossing_batch",
     "trace_edge_batch",
 ]
@@ -125,9 +129,12 @@ def _gauss(rate, a, b, y):
     """The Gauss-Legendre rule for the integral of ``rate(w, y)`` over
     ``[a, b]``, entry by entry."""
     width = b - a
+    # One call of ``rate`` for the eight nodes, summed in node order.
+    values = np.broadcast_to(rate(a + _GAUSS_NODES[:, None] * width, y),
+                             _GAUSS_NODES.shape + width.shape)
     total = np.zeros_like(width)
-    for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
-        total += weight * rate(a + node * width, y)
+    for weight, value in zip(_GAUSS_WEIGHTS, values):
+        total += weight * value
     return total * width
 
 
@@ -217,13 +224,17 @@ class _TravelTime:
 
     def at(self, rows, p):
         """Travel time of rows ``rows`` to positions ``p``: the node value
-        below each, plus the integral over the rest of its cell."""
+        below each, plus the integral over the rest of its cell, which a
+        position on a node does not have."""
         k = np.clip(np.searchsorted(self.x, p, side="right") - 1,
                     0, self.nx - 1)
+        value = self.nodes.ravel()[rows * (self.nx + 1) + k]
+        rest = np.flatnonzero(p != self.x[k])
         y = self._y(rows)
-        return (self.nodes.ravel()[rows * (self.nx + 1) + k]
-                + _integrate(self._rate, self.x[k], p,
-                             None if y is None else np.broadcast_to(y, p.shape)))
+        value[rest] += _integrate(
+            self._rate, self.x[k[rest]], p[rest],
+            None if y is None else np.broadcast_to(y, p.shape)[rest])
+        return value
 
     def inverse(self, at, phi):
         """Positions at which the travel time reaches ``phi`` in the cells
@@ -475,14 +486,31 @@ def _cut_curves(z: _Component, w: _Component, s_end, span):
                                                          weights)
 
 
-def _read_curves(coeff: SampledCoefficients, kind: str, xs, xis,
-                 ys) -> TracedBundle:
-    """One family's curves, each traced through the travel times up to its
-    event point and cut into cell segments, with composite-Simpson
-    weights."""
+@dataclass(frozen=True)
+class _Family:
+    """The curves from many query points, up to their events: the travel
+    time ``phi_v`` of their x-component and ``phi_w`` of their
+    xi-component, read on row ``rows[c]`` by curve c, with its values
+    ``start_x`` and ``start_xi`` at the query point, the curves ``ref`` that
+    move, and the longest event time ``s_max`` the sampled speeds allow."""
+
+    kind: str
+    xs: np.ndarray
+    xis: np.ndarray
+    phi_v: _TravelTime
+    phi_w: _TravelTime
+    rows: np.ndarray
+    s_max: float
+    ref: np.ndarray
+    start_x: np.ndarray
+    start_xi: np.ndarray
+
+
+def _family(coeff: SampledCoefficients, kind: str, xs, xis, ys) -> _Family:
+    """Tabulate the travel times of a family's curves and read them at
+    every query point."""
     m = xs.shape[0]
     phi_v = _TravelTime(coeff)
-    on_v = np.zeros(m, dtype=np.int64)
     if kind == "cross":
         y_rows, rows = np.unique(ys, return_inverse=True)
         phi_w = _TravelTime(coeff, y_rows)
@@ -490,34 +518,63 @@ def _read_curves(coeff: SampledCoefficients, kind: str, xs, xis,
         ref = np.flatnonzero(xis - xs < DEGENERATE_TOL)
     else:
         # Both components of an edge curve follow the scalar speed.
-        phi_w, rows = phi_v, on_v
+        phi_w, rows = phi_v, np.zeros(m, dtype=np.int64)
         s_max = 2.0 / coeff.speed_v_min
         ref = np.flatnonzero(-xis < DEGENERATE_TOL)
-
-    start_x, start_xi, s_end = np.zeros(m), np.zeros(m), np.zeros(m)
-    launch = xs.copy()
+    start_x, start_xi = np.zeros(m), np.zeros(m)
     with np.errstate(divide="ignore", invalid="ignore"):
         start_x[ref] = phi_v.at(0, xs[ref])
         start_xi[ref] = phi_w.at(rows[ref], xis[ref])
+    return _Family(kind, xs, xis, phi_v, phi_w, rows, s_max, ref, start_x,
+                   start_xi)
+
+
+def _events(family: _Family, launch=None):
+    """Each curve's launch abscissa and event time.  The launches are solved
+    unless given (as solved for the same points before).
+
+    Raises :class:`NonconvergenceError` if a launch is not resolved or an
+    event lies beyond ``family.s_max``.
+    """
+    ref = family.ref
+    phi_v, kind = family.phi_v, family.kind
+    start_x, start_xi = family.start_x, family.start_xi
+    s_end = np.zeros(family.xs.shape[0])
+    resolved = True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if launch is None:
+            launch = family.xs.copy()
+            if kind == "cross":
+                target, phi_w = start_x[ref] + start_xi[ref], family.phi_w
+            else:
+                target, phi_w = start_x[ref] - start_xi[ref], None
+            launch[ref], resolved = _launch(target, family.rows[ref], phi_v,
+                                            phi_w)
         if kind == "cross":
-            launch[ref], resolved = _launch(start_x[ref] + start_xi[ref],
-                                            rows[ref], phi_v, phi_w)
             s_end[ref] = start_x[ref] - phi_v.at(0, launch[ref])
         else:
-            launch[ref], resolved = _launch(start_x[ref] - start_xi[ref],
-                                            on_v[ref], phi_v)
             s_end[ref] = start_xi[ref]
-    missed = np.count_nonzero(~(resolved & (s_end[ref] <= s_max)))
+    missed = np.count_nonzero(~(resolved & (s_end[ref] <= family.s_max)))
     if missed:
         raise NonconvergenceError(
             f"{missed} characteristic curve(s) found no {kind} event before "
-            f"s = {s_max:.3g}; the model's speeds are too close to zero")
+            f"s = {family.s_max:.3g}; the model's speeds are too close to zero")
+    return launch, s_end
 
-    z = _Component(phi_v, -1, on_v, start_x, xs, launch)
-    if kind == "cross":
-        w = _Component(phi_w, 1, rows, start_xi, xis, launch)
+
+def _read_curves(family: _Family, launch, s_end) -> TracedBundle:
+    """A family's curves, cut into cell segments up to their event points,
+    with composite-Simpson weights."""
+    xs, xis, ref = family.xs, family.xis, family.ref
+    m = xs.shape[0]
+    phi_v = family.phi_v
+    on_v = np.zeros(m, dtype=np.int64)
+    z = _Component(phi_v, -1, on_v, family.start_x, xs, launch)
+    if family.kind == "cross":
+        w = _Component(family.phi_w, 1, family.rows, family.start_xi, xis,
+                       launch)
     else:
-        w = _Component(phi_v, -1, on_v, start_xi, xis, np.zeros(m))
+        w = _Component(phi_v, -1, on_v, family.start_xi, xis, np.zeros(m))
 
     # Cut the curves into segments a block of _CUT_CURVES curves at a time,
     # into arrays sized for a cut at every line between each curve's ends
@@ -527,7 +584,7 @@ def _read_curves(coeff: SampledCoefficients, kind: str, xs, xis,
     bound = m + 2 * (int(n_lines) + ref.size)
     sample_x, sample_xi, weights = (np.empty(bound) for _ in range(3))
     offsets = np.zeros(m + 1, dtype=np.int64)
-    span = 2.0 ** np.ceil(np.log2(2.0 * s_max))
+    span = 2.0 ** np.ceil(np.log2(2.0 * family.s_max))
     for lo in range(0, m, _CUT_CURVES):
         block = slice(lo, min(lo + _CUT_CURVES, m))
         counts, kept, samples = _cut_curves(z[block], w[block], s_end[block],
@@ -541,14 +598,27 @@ def _read_curves(coeff: SampledCoefficients, kind: str, xs, xis,
     return TracedBundle(offsets, sample_x, sample_xi, weights, s_end, launch)
 
 
-def trace_crossing_batch(coeff: SampledCoefficients, xs, xis,
-                         ys) -> TracedBundle:
-    """Trace crossing curves for many triangle points at once."""
-    xs, xis, ys = _points(xs, xis, ys)
-    return _read_curves(coeff, "cross", xs, xis, ys)
+def crossing_launch(coeff: SampledCoefficients, xs, xis, ys) -> np.ndarray:
+    """Launch abscissas of the crossing curves from many triangle points:
+    where each curve meets the diagonal (a diagonal point is its own)."""
+    family = _family(coeff, "cross", *_points(xs, xis, ys))
+    return _events(family)[0]
+
+
+def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys,
+                         launch=None) -> TracedBundle:
+    """Trace crossing curves for many triangle points at once.
+
+    ``launch``, the points' :func:`crossing_launch` if it is known, spares
+    solving it again; the bundle is the same, bit for bit.
+    """
+    family = _family(coeff, "cross", *_points(xs, xis, ys))
+    if launch is not None:
+        launch = np.asarray(launch, dtype=float)
+    return _read_curves(family, *_events(family, launch))
 
 
 def trace_edge_batch(coeff: SampledCoefficients, xs, xis) -> TracedBundle:
     """Trace edge curves for many triangle points at once."""
-    xs, xis, _ = _points(xs, xis)
-    return _read_curves(coeff, "edge", xs, xis, None)
+    family = _family(coeff, "edge", *_points(xs, xis))
+    return _read_curves(family, *_events(family))

@@ -100,10 +100,11 @@ class TestGenericSolver:
         problem = build_backstepping_problem(toy, SPEC)
         op = problem.apply_ensemble_operator
         tri = SPEC.tri
+        rows = range(SPEC.nx + 1)
         f = rng.standard_normal((tri.n_nodes, problem.basis.shape[1]))
         g = rng.standard_normal((tri.n_nodes, problem.basis.shape[1]))
-        combined = op(tri, 2.0 * f + 3.0 * g)
-        split = 2.0 * op(tri, f) + 3.0 * op(tri, g)
+        combined = op(rows, 2.0 * f + 3.0 * g)
+        split = 2.0 * op(rows, f) + 3.0 * op(rows, g)
         scale = max(1.0, float(np.max(np.abs(split))))
         assert np.max(np.abs(combined - split)) <= 1e-10 * scale
 
@@ -265,18 +266,21 @@ def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
 
     The toy traces one family; a speed that varies in y traces one per
     y-node; a speed constant in y on [0, 1/2] only traces one family for the
-    15 nodes there and one per node above.
+    15 nodes there and one per node above.  Each band traces the curves of
+    every family in one call.
     """
-    calls = []
+    traced = []
     trace = kernelsolve.trace_crossing_batch
 
-    def counting_trace(*args, **kwargs):
-        calls.append(1)
-        return trace(*args, **kwargs)
+    def recording_trace(coeff, xs, xis, ys, **kwargs):
+        traced.append(np.unique(ys))
+        return trace(coeff, xs, xis, ys, **kwargs)
 
-    monkeypatch.setattr(kernelsolve, "trace_crossing_batch", counting_trace)
-    solve_backstepping_kernels(toy, GridSpec(nx=25, ny=30))
-    assert len(calls) == 1
+    monkeypatch.setattr(kernelsolve, "trace_crossing_batch", recording_trace)
+    spec = GridSpec(nx=25, ny=30)
+    solve_backstepping_kernels(toy, spec)
+    assert len(traced) == len(kernelsolve._bands(spec.tri, 1))
+    assert all(ys.size == 1 for ys in traced)
 
     sloped = dataclasses.replace(
         toy, speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x))
@@ -286,9 +290,11 @@ def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
     for plant, families in ((sloped, 30), (kinked, 16)):
         residual = {}
         for nx in (25, 50):
-            calls.clear()
-            sol = solve_backstepping_kernels(plant, GridSpec(nx=nx, ny=30))
-            assert len(calls) == families
+            traced.clear()
+            spec = GridSpec(nx=nx, ny=30)
+            sol = solve_backstepping_kernels(plant, spec)
+            assert len(traced) == len(kernelsolve._bands(spec.tri, families))
+            assert all(ys.size == families for ys in traced)
             residual[nx] = kernel_pde_residual(sol, plant)[0]
         # Curves traced at y = 0 only would leave the residual flat under
         # refinement; the per-group curves make it fall at first order.
@@ -482,12 +488,14 @@ def test_refinement_gap_no_larger_than_sampled(toy):
 
 
 def test_families_read_the_curves_of_lone_traces(monkeypatch):
-    """Every family the build traces is the bundle a trace of that family
-    alone gives, bit for bit."""
+    """Every band's traces, crossing curves on the launches solved with the
+    diagonal data, are the bundles that traces of the same points alone,
+    solving their launches anew, give, bit for bit."""
     spec = GridSpec(nx=12, ny=6)
     plant = dataclasses.replace(
         toy_model(),
         speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x))
+    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 256)
     traced = []
     for name in ("trace_crossing_batch", "trace_edge_batch"):
         def recording(*args, _trace=getattr(kernelsolve, name), **kwargs):
@@ -495,8 +503,10 @@ def test_families_read_the_curves_of_lone_traces(monkeypatch):
             traced.append((_trace, args, bundle))
             return bundle
         monkeypatch.setattr(kernelsolve, name, recording)
-    build_backstepping_problem(plant, spec)
-    assert len(traced) == spec.ny + 1
+    solve_backstepping_kernels(plant, spec)
+    bands = kernelsolve._bands(spec.tri, spec.ny)
+    assert len(bands) >= 3
+    assert len(traced) == 2 * len(bands)
     monkeypatch.undo()
     for trace, args, bundle in traced:
         alone = trace(*args)
@@ -505,70 +515,183 @@ def test_families_read_the_curves_of_lone_traces(monkeypatch):
                                   getattr(alone, field.name)), field.name
 
 
-
 @pytest.mark.parametrize("plant_name", ["toy", "sloped", "half_x"])
-def test_bands_change_no_bit(toy, plant_name, monkeypatch):
-    """Families traced and assembled in bands of rows (at least 3 each
-    here) give the operators of whole-family traces, entry for entry, and
-    the solution of one band per family, bit for bit: straight and curved
+def test_band_partition_moves_kernels_by_rounding(toy, plant_name,
+                                                  monkeypatch):
+    """Marching in bands of rows (at least 3 here) solves the kernels of one
+    band over the whole triangle to rounding: straight and curved
     characteristics, one family and one per y-node."""
     spec = GridSpec(nx=40, ny=16)
-    tri = spec.tri
     plant = {"toy": toy, "sloped": _sloped(toy),
              "half_x": _half_x(toy)}[plant_name]
     monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", np.inf)
+    assert len(kernelsolve._bands(spec.tri, spec.ny)) == 1
     whole = solve_backstepping_kernels(plant, spec)
     monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 2048)
-    problem = build_backstepping_problem(plant, spec)
-    banded = solve_goursat(problem)
-    assert np.array_equal(banded.k, whole.k)
-    assert np.array_equal(banded.ktilde, whole.ktilde)
-    assert banded.iterations == whole.iterations
-    assert banded.deltas == whole.deltas
-
-    coeff = sample_coefficients(plant, spec)
-    # the build's families, one per distinct speed column, in its order
-    _, first = np.unique(coeff.speed_u_grid.T, axis=0, return_index=True)
-    assert len(problem.cross_ops) == first.size
-    families = [
-        (bands, trace_crossing_batch(coeff, tri.x_coord, tri.xi_coord,
-                                     np.full(tri.n_nodes, spec.y_nodes[f])))
-        for (_, bands), f in zip(problem.cross_ops, first)]
-    families.append((problem.edge_bands,
-                     trace_edge_batch(coeff, tri.x_coord, tri.xi_coord)))
-    for bands, bundle in families:
-        assert len(bands) >= 3
-        rows = [r for r, _ in bands]
-        assert rows[0].start == 0 and rows[-1].stop == tri.n_nodes
-        assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
-        stacked = sparse.vstack([op for _, op in bands], format="csr")
-        one = kernelsolve._quadrature_matrix(spec, bundle)
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(stacked, part), getattr(one, part))
+    assert len(kernelsolve._bands(spec.tri, 1)) >= 3
+    banded = solve_backstepping_kernels(plant, spec)
+    assert np.max(np.abs(banded.k - whole.k)) <= 1e-12 * np.max(np.abs(whole.k))
+    assert (np.max(np.abs(banded.ktilde - whole.ktilde))
+            <= 1e-12 * np.max(np.abs(whole.ktilde)))
 
 
-def test_build_holds_no_transient_of_a_family(toy, monkeypatch):
-    """With bands of a few thousand segments the build's peak of traced
-    memory is what it keeps: the operators (8 B of value and 4 B of column
-    a nonzero), the diagonal data and the sampled grids, plus 2 MB.  A whole
-    family's samples and a stacked copy of its operator exceed that (by
-    15.6 MB here when every family is one trace)."""
-    spec = GridSpec(nx=80, ny=8)
+def test_bands_read_no_row_above_them(toy, monkeypatch):
+    """Every operator row of a band, and every edge launch it interpolates,
+    reads only rows at or below its own: a launch on x-line i (the edge
+    curve from (x_i, 0) has no length) reads rows i - 1 and i, one from row
+    0 reads row 0 alone."""
+    spec = GridSpec(nx=60, ny=8)
+    tri = spec.tri
     monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 4096)
+    for plant in (toy, _half_x(toy), _sloped(toy)):
+        problem = build_backstepping_problem(plant, spec)
+        bands = kernelsolve._bands(tri, problem.family_y.size)
+        assert len(bands) >= 10
+        for rows in bands:
+            nodes = kernelsolve._nodes(tri, rows)
+            cross, edge, (flat0, flat1, frac) = kernelsolve._band_operators(
+                problem, nodes)
+            lanes = cross.shape[1] // tri.n_nodes
+            assert cross.indices.max() < lanes * nodes.stop
+            assert edge.indices.max() < nodes.stop
+            row = tri.i_index[nodes]
+            lower, upper = tri.i_index[flat0], tri.i_index[flat1]
+            assert np.all((tri.j_index[flat0] == 0) & (tri.j_index[flat1] == 0))
+            assert np.all(lower <= np.maximum(row - 1, 0))
+            assert np.all(upper == np.minimum(lower + 1, row))
+            assert np.all((frac >= 0.0) & (frac <= 1.0))
+            assert np.all(frac[row == 0] == 0.0)
+
+
+@pytest.mark.parametrize("group", [[0, 1, 2, 3], [3, 1, 0, 2], [1, 0, 1, 1]])
+def test_per_y_operator_applies_each_family_to_its_lanes(group, rng):
+    """On the flat (node, y) unknowns, lane y of the per-y crossing operator
+    is the operator of family ``group[y]``: in order, permuted (a speed
+    falling in y), and shared by several y-nodes."""
+    group = np.array(group)
+    families, ny, nodes, columns = group.max() + 1, group.size, 5, 9
+    op = sparse.random(nodes * families, columns, density=0.4, format="csr",
+                       random_state=np.random.default_rng(1))
+    field = rng.standard_normal((columns, ny))
+    flat = (kernelsolve._per_y(op, group) @ field.ravel()).reshape(nodes, ny)
+    for y, f in enumerate(group):
+        assert np.allclose(flat[:, y], op[f::families] @ field[:, y],
+                           rtol=1e-14, atol=1e-14)
+
+
+def _dense_march_oracle(problem):
+    """Both unknowns of the discrete kernel system (the band operators
+    stacked over the triangle), solved densely with ``np.linalg.solve``:
+    ``C = D + K(s2e G + A C)`` and ``G = g . interp(C) + E(d G + e2s . C)``,
+    in the coordinates of ``problem.basis``."""
+    from scipy import sparse
+
+    spec = problem.spec
+    tri = spec.tri
+    n, r = tri.n_nodes, problem.basis.shape[1]
+    parts = [kernelsolve._band_operators(problem, kernelsolve._nodes(tri, rows))
+             for rows in kernelsolve._bands(tri, problem.family_y.size)]
+    cross = sparse.vstack([p[0] for p in parts], format="csr").toarray()
+    edge = sparse.vstack([p[1] for p in parts], format="csr").toarray()
+    flat0, flat1, frac = (np.concatenate([p[2][k] for p in parts])
+                          for k in range(3))
+    lanes = cross.shape[1] // n
+    diagonal = problem.diagonal_data @ problem.basis
+    everything = range(spec.nx + 1)
+
+    def update(x):
+        C, G = x[:n * r].reshape(n, r), x[n * r:]
+        source = (problem.scalar_to_ensemble * G[:, None]
+                  + problem.apply_ensemble_operator(everything, C))
+        if lanes == 1:
+            C_new = cross @ source
+        else:
+            C_new = (cross @ source.ravel()).reshape(n, r)
+        edge_rows = ((1.0 - frac)[:, None] * C[flat0]
+                     + frac[:, None] * C[flat1])
+        G_new = ((problem.edge_gain * edge_rows).sum(axis=1)
+                 + edge @ (problem.scalar_decay * G
+                           + (problem.ensemble_to_scalar * C).sum(axis=1)))
+        return np.concatenate([C_new.ravel(), G_new])
+
+    size = n * (r + 1)
+    matrix = np.column_stack([update(e) for e in np.eye(size)])
+    data = np.concatenate([diagonal.ravel(), np.zeros(n)])
+    x = np.linalg.solve(np.eye(size) - matrix, data)
+    C, G = x[:n * r].reshape(n, r), x[n * r:]
+    return problem.diagonal_data + (C - diagonal) @ problem.basis.T, G
+
+
+@pytest.mark.parametrize("name", ["toy", "gauss", "half_x", "sloped"])
+def test_march_solves_the_discrete_system(name, monkeypatch):
+    """The march, band by band, solves the discrete kernel system its band
+    operators make: against a dense solve of the whole system, to 1e-12
+    relative, on one family in a y-subspace (the toy, the Gaussian
+    exchange), curved characteristics and one family per y-node."""
+    toy = toy_model()
+    plant = {"half_x": _half_x(toy), "sloped": _sloped(toy),
+             **_reference_plants()}[name]
+    spec = GridSpec(nx=16, ny=6)
+    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 128)
+    problem = build_backstepping_problem(plant, spec)
+    assert len(kernelsolve._bands(spec.tri, problem.family_y.size)) >= 4
+    sol = solve_goursat(problem)
+    k, ktilde = _dense_march_oracle(problem)
+    assert np.max(np.abs(sol.k - k)) <= 1e-12 * np.max(np.abs(k))
+    assert np.max(np.abs(sol.ktilde - ktilde)) <= 1e-12 * np.max(np.abs(ktilde))
+
+
+@pytest.mark.parametrize("name, nx", [("toy", 100), ("sloped", 80)],
+                         ids=["toy", "sloped"])
+def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
+    """With bands of a few thousand segments a whole solve peaks, in traced
+    memory, at the arrays kept over the march, one band of operators (12 B
+    a nonzero, in at most three copies: as assembled, on flat (node, y)
+    unknowns, and the band's own columns) and the work arrays of one band's
+    trace and assembly (128 B a sample of its crossing and edge bundles),
+    on one family in a y-subspace (the toy) and on one family per y-node.
+    Holding every band's operators, as a global sweep does, exceeds it."""
+    plant = {"toy": toy, "sloped": _sloped(toy)}[name]
+    spec = GridSpec(nx=nx, ny=8)
+    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 4096)
+    nnz, samples, problems = [], {}, []
+
+    def recording(fn, log):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            log(out)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(kernelsolve, "_quadrature_matrix", recording(
+        kernelsolve._quadrature_matrix, lambda op: nnz.append(op.nnz)))
+    monkeypatch.setattr(kernelsolve, "build_backstepping_problem", recording(
+        kernelsolve.build_backstepping_problem, problems.append))
+    for attr in ("trace_crossing_batch", "trace_edge_batch"):
+        monkeypatch.setattr(kernelsolve, attr, recording(
+            getattr(kernelsolve, attr),
+            lambda bundle, attr=attr: samples.setdefault(attr, []).append(
+                bundle.sample_x.size)))
     tracemalloc.start()
     try:
-        problem = build_backstepping_problem(toy, spec)
+        sol = solve_backstepping_kernels(plant, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    coeff = sample_coefficients(toy, spec)
-    grids = sum(value.nbytes for value in vars(coeff).values()
-                if isinstance(value, np.ndarray))
-    ops = [op for _, bands in problem.cross_ops for _, op in bands]
-    ops += [op for _, op in problem.edge_bands]
-    kept = (12 * sum(op.nnz for op in ops) + problem.diagonal_data.nbytes
-            + grids)
-    assert peak <= kept + 2 * 2**20
+    arrays = [value for fields in (vars(problems[0]),
+                                   vars(sample_coefficients(plant, spec)))
+              for value in fields.values() if isinstance(value, np.ndarray)]
+    n_tri, r = sol.k.shape[0], sol.basis.shape[1]
+    # The problem's and the sampled grids' arrays; the march's unknowns (C,
+    # its source and the diagonal data in coordinates, G and its source);
+    # the kernel pair, k with the product it is summed from.
+    kept = (sum(a.nbytes for a in arrays) + 8 * n_tri * (3 * r + 2)
+            + 2 * sol.k.nbytes + sol.ktilde.nbytes)
+    work = 128 * sum(max(sizes) for sizes in samples.values())
+    bound = kept + 3 * 12 * max(nnz) + work
+    assert kept + 12 * sum(nnz) > bound
+    assert peak <= bound
+
 
 def _reference_plants():
     """The toy (y-rank 1), the toy with a Gaussian exchange (closure rank
@@ -716,11 +839,14 @@ def test_y_subspace_holds_seeds_and_is_closed(c, width):
 
 class _RecordingArray:
     """Stands in for ``scalar_to_ensemble`` and keeps the scalar iterate
-    each sweep multiplies it by."""
+    each local sweep multiplies it by, for a band's rows of it too."""
 
-    def __init__(self, array):
+    def __init__(self, array, iterates=None):
         self.array = array
-        self.iterates = []
+        self.iterates = [] if iterates is None else iterates
+
+    def __getitem__(self, index):
+        return _RecordingArray(self.array[index], self.iterates)
 
     def __mul__(self, other):
         self.iterates.append(other[:, 0].copy())
@@ -729,28 +855,40 @@ class _RecordingArray:
 
 @pytest.mark.parametrize("name, y_rank", [
     ("toy", 1), pytest.param("gauss", None, id="gauss")])
-def test_increment_is_the_sup_on_every_y_node(name, y_rank):
-    """Every sweep's increment is ``max|dC @ B.T|`` over every y-node, or the
-    scalar's if larger, bit for bit, with one column as with many."""
+def test_increment_is_the_sup_on_every_y_node(name, y_rank, monkeypatch):
+    """Every local sweep's increment is ``max|dC @ B.T|`` over every y-node,
+    or the scalar's if larger, bit for bit, with one column as with many;
+    ``deltas[k]`` is the largest band increment of local sweep k + 1, a band
+    that stopped sooner counting its last."""
     spec = GridSpec(nx=20, ny=16)
+    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 1024)
     problem = build_backstepping_problem(_reference_plants()[name], spec)
     _assert_closure_rank(problem.basis.shape[1], y_rank, spec.ny)
-    fields = []
+    calls = []
     scalars = _RecordingArray(problem.scalar_to_ensemble)
     operator = problem.apply_ensemble_operator
 
-    def recording(tri, field):
-        fields.append(field.copy())
-        return operator(tri, field)
+    def recording(rows, field):
+        calls.append((rows, field.copy()))
+        return operator(rows, field)
 
     sol = solve_goursat(dataclasses.replace(
         problem, apply_ensemble_operator=recording,
         scalar_to_ensemble=scalars))
-    assert sol.iterations > 10
-    # sweep k + 1 starts from the iterates of sweep k; the last sweep's
-    # iterates are never passed on
-    for k in range(1, sol.iterations):
-        step_f = (fields[k] - fields[k - 1]) @ problem.basis.T
-        step_g = scalars.iterates[k] - scalars.iterates[k - 1]
-        assert sol.deltas[k - 1] == max(float(np.max(np.abs(step_f))),
-                                        float(np.max(np.abs(step_g))))
+    # a band's calls, in x order: one from each local sweep's iterates and
+    # one from its converged iterates
+    iterates = {}
+    for (rows, field), scalar in zip(calls, scalars.iterates, strict=True):
+        iterates.setdefault(rows, []).append((field, scalar))
+    assert list(iterates) == kernelsolve._bands(spec.tri, 1)
+    assert len(iterates) >= 3
+    increments = [
+        [max(float(np.max(np.abs((f1 - f0) @ problem.basis.T))),
+             float(np.max(np.abs(g1 - g0))))
+         for (f0, g0), (f1, g1) in zip(band, band[1:])]
+        for band in iterates.values()]
+    assert sol.iterations == max(len(steps) for steps in increments) > 5
+    assert sol.deltas == tuple(
+        max(steps[min(k, len(steps) - 1)] for steps in increments)
+        for k in range(sol.iterations))
+    assert sol.final_delta == sol.deltas[-1] < 1e-10

@@ -1,14 +1,16 @@
 """The benchmark's layer tracer still finds every name it wraps.
 
 ``bench/tracing.install`` replaces names the package's modules bind and
-times each solver sweep through the ensemble-operator callback of
-``build_backstepping_problem``.  A refactor that unbinds one of those names,
-or stops calling the callback once per sweep, breaks the traced benchmark
-run; these tests catch it without running the benchmark, on the shared-curve
-path (the toy, swept in its one-dimensional y-subspace) and on the per-y
-path (a y-dependent ensemble speed, swept on every y-node).  Traced CLI
-simulations check the same for the plant and cascade steppers, the
-simulation driver, the Lyapunov recipe and the coupling solve.
+times each local sweep of the solver's march through the ensemble-operator
+callback of ``build_backstepping_problem``.  A refactor that unbinds one of
+those names, or stops calling the callback once per local sweep (and once
+per band on its converged rows), breaks the traced benchmark run; these
+tests catch it without running the benchmark, on the shared-curve path (the
+toy, swept in its one-dimensional y-subspace) and on the per-y path (a
+y-dependent ensemble speed, swept on every y-node), in bands small enough
+that there are several.  Traced CLI simulations check the same for the
+plant and cascade steppers, the simulation driver, the Lyapunov recipe and
+the coupling solve.
 """
 
 import importlib
@@ -36,26 +38,33 @@ if sys.argv[1] == "ydep":
         drive=plant.drive, readout=plant.readout,
         inflow_gain=plant.inflow_gain,
         speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x))
+kernelsolve._BAND_SEGMENTS = 256
 tracer = tracing.Tracer()
 tracing.install(tracer)
-# Record the width of every field the traced sweep callback receives.
-widths = []
+# Record the rows and the width of every field the traced sweep callback
+# receives.
+calls = []
 traced_build = kernelsolve.build_backstepping_problem
 def recording_build(*args, **kwargs):
     problem = traced_build(*args, **kwargs)
     callback = problem.apply_ensemble_operator
-    def recording_callback(tri, field):
-        widths.append(field.shape[1])
-        return callback(tri, field)
+    def recording_callback(rows, field):
+        calls.append((rows, field.shape[1]))
+        return callback(rows, field)
     return dataclasses.replace(problem,
                                apply_ensemble_operator=recording_callback)
 kernelsolve.build_backstepping_problem = recording_build
-sol = kernelsolve.solve_backstepping_kernels(plant, GridSpec(nx=12, ny=6))
+spec = GridSpec(nx=12, ny=6)
+sol = kernelsolve.solve_backstepping_kernels(plant, spec)
+families = spec.ny if sys.argv[1] == "ydep" else 1
+bands = kernelsolve._bands(spec.tri, families)
 counts = collections.Counter(span["name"] for span in tracer.spans)
 def total(name, key):
     return sum(span[key] for span in tracer.spans if span["name"] == name)
 print(json.dumps({"iterations": sol.iterations, "spans": counts,
-                  "widths": sorted(set(widths)),
+                  "calls": [[rows.start, rows.stop] for rows, _ in calls],
+                  "bands": [[rows.start, rows.stop] for rows in bands],
+                  "widths": sorted({width for _, width in calls}),
                   "points": total("grid.corner_weights", "points"),
                   "samples": total("characteristics.trace", "samples"),
                   "curves": total("characteristics.trace", "curves")}))
@@ -89,36 +98,40 @@ def _run_traced(script, *args):
 
 
 def _traced_solve(plant):
-    """Span counts and sweep field widths of a traced solve at nx=12, ny=6,
-    after the checks that hold for every plant."""
+    """Span counts, band count and sweep field widths of a traced solve at
+    nx=12, ny=6, after the checks that hold for every plant."""
     report = _run_traced(SCRIPT, plant)
     assert report["iterations"] > 1
-    assert report["spans"]["kernelsolve.sweep"] == report["iterations"]
+    calls, bands = report["calls"], len(report["bands"])
+    assert bands >= 3
+    # one span per callback call: each local sweep of a band, and the
+    # band's converged rows, the bands in x order
+    assert report["spans"]["kernelsolve.sweep"] == len(calls)
+    assert [rows for k, rows in enumerate(calls)
+            if k == 0 or rows != calls[k - 1]] == report["bands"]
+    assert 2 * bands <= len(calls) <= (report["iterations"] + 1) * bands
     assert report["spans"]["kernelsolve.solve"] == 1
+    # every band traces its crossing curves, of every family, in one call
+    # and its edge curves in another, and assembles each once
+    assert report["spans"]["characteristics.trace"] == 2 * bands
+    assert report["spans"]["kernelsolve.quadrature"] == 2 * bands
     # the bench's grid.stencil_points counts the three Simpson points of
     # every traced cell segment; a curve of n segments holds 2n + 1 samples
     segments = (report["samples"] - report["curves"]) // 2
     assert report["points"] == 3 * segments > 0
-    return report["spans"], report["widths"]
+    return report["widths"]
 
 
 def test_tracer_counts_one_span_per_sweep():
-    spans, widths = _traced_solve("toy")
-    # the toy traces one crossing family and one edge family
-    assert spans["characteristics.trace"] == 2
-    assert spans["kernelsolve.quadrature"] == 2
-    # and sweeps its one-dimensional y-subspace
-    assert widths == [1]
+    # the toy traces one crossing family and sweeps its one-dimensional
+    # y-subspace
+    assert _traced_solve("toy") == [1]
 
 
 def test_tracer_counts_per_y_families():
-    spans, widths = _traced_solve("ydep")
-    # a speed 1 + y/2 traces one crossing family per y-node (ny = 6) and
-    # one edge family
-    assert spans["characteristics.trace"] == 6 + 1
-    assert spans["kernelsolve.quadrature"] == 6 + 1
-    # and sweeps every y-node
-    assert widths == [6]
+    # a speed 1 + y/2 traces one crossing family per y-node (ny = 6), a
+    # band of each in one call, and sweeps every y-node
+    assert _traced_solve("ydep") == [6]
 
 
 def _traced_simulation(mode, out_dir):
