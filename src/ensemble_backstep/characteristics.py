@@ -107,22 +107,34 @@ class TracedBundle:
     """Many traced curves, concatenated, in backward parametrization.
 
     A curve is cut into cell segments where it crosses grid lines.  Curve
-    ``c`` of ``n`` segments owns samples ``offsets[c]:offsets[c+1]`` of
-    ``sample_x`` / ``sample_xi``, ``2n + 1`` of them: the query point
-    ``(x, xi)``, then each segment's midpoint and end, the last end being
-    the event point.  ``weights`` are composite-Simpson weights in the curve
-    parameter, so ``sum(weights * f(sample_x, sample_xi))`` over a curve's
-    slice is the path integral of ``f`` up to the event time, exactly for a
-    quadratic along each segment.  A degenerate curve holds its query point
-    alone, with weight 0.
+    ``c`` owns segments ``offsets[c]:offsets[c+1]``, in order from the query
+    point ``(x, xi)`` to the event point; a degenerate curve owns none.
+    Column q of ``x`` and ``xi`` holds segment q's start, midpoint (in the
+    curve parameter) and end, and ``weights[q]`` is its Simpson midpoint
+    weight, two thirds of its length: Simpson's rule on the segment
+    (:meth:`simpson_weights`) is ``weights[q] * (f0/4 + f1 + f2/4)``, exact
+    for a quadratic along it.
     """
 
     offsets: np.ndarray
-    sample_x: np.ndarray
-    sample_xi: np.ndarray
+    x: np.ndarray
+    xi: np.ndarray
     weights: np.ndarray
     s_end: np.ndarray
     launch: np.ndarray
+
+    def simpson_weights(self, segments=slice(None)) -> np.ndarray:
+        """Simpson's rule on the segments ``segments``: the ``(3, n)``
+        weights of their points."""
+        return np.array([[0.25], [1.0], [0.25]]) * self.weights[segments]
+
+    def path_integral(self, values: np.ndarray) -> np.ndarray:
+        """Each curve's path integral, up to its event time, of a function
+        given by its ``(3, S)`` values at the segments' points."""
+        per_segment = (self.simpson_weights() * values).sum(axis=0)
+        curve = np.repeat(np.arange(self.offsets.size - 1),
+                          np.diff(self.offsets))
+        return np.bincount(curve, per_segment, minlength=self.offsets.size - 1)
 
 
 def _gauss(rate, a, b, y):
@@ -386,11 +398,12 @@ class _Component:
         return t, n, self.phi.x[line], cell
 
 
-def _cut_curves(z: _Component, w: _Component, s_end, span):
-    """Samples and composite-Simpson weights of curves whose x- and
-    xi-components are ``z`` and ``w``, up to time ``s_end``: each curve's
-    sample count, cumulated, the mask of the samples kept, and the sample x,
-    xi and weight arrays it masks.
+def _cut_curves(z: _Component, w: _Component, s_end, span, out, first):
+    """Cut curves whose x- and xi-components are ``z`` and ``w`` into cell
+    segments up to time ``s_end``, and return each curve's segment count,
+    cumulated.  The S segments are written from column ``first`` on into
+    ``out``: their ``(3, S)`` x and xi points (start, midpoint, end) and
+    their ``(S,)`` Simpson midpoint weights.
 
     A curve's segments end where one of its components crosses a grid
     line; an x-line and a xi-line crossed within :data:`CORNER_TOL` of each
@@ -398,7 +411,8 @@ def _cut_curves(z: _Component, w: _Component, s_end, span):
     and, for a curve that moves, its event point) sort by (curve, time) in
     one linear pass of a stable sort over four runs sorted already; the
     keys shift curve c's times by ``c * span``, with ``span`` a power of two
-    above twice the longest event time.
+    above twice the longest event time.  Consecutive ends of one curve
+    bound a segment; the joins between curves are masked out.
     """
     m = s_end.size
     nx = z.phi.nx
@@ -451,39 +465,27 @@ def _cut_curves(z: _Component, w: _Component, s_end, span):
             phi += t
         return at, phi
 
+    # Segment q runs from end begin[q] to the next: every pair of
+    # consecutive ends but the joins from one curve's event to the next
+    # curve's start.
+    begin = np.delete(np.arange(t.size - 1), e_off[1:-1] - 1)
+    length = t[begin + 1] - t[begin]
+    written = slice(first, first + begin.size)
+    seg_x, seg_xi, weights = out
+    np.multiply(2.0 / 3.0, length, out=weights[written])
     # The other component at a cut, and both at a segment's mid-time, come
     # from the inverse travel time in the cell the component is in.
-    length = np.diff(t)
-    length[e_off[1:-1] - 1] = 0.0
     half = 0.5 * length
-    samples = []
-    for component, cell0, position in ((z, cell_z0, x), (w, cell_w0, xi)):
+    for component, cell0, position, points in ((z, cell_z0, x, seg_x),
+                                                (w, cell_w0, xi, seg_xi)):
         at, phi = reading(component, cell0, position)
-        mid_phi = phi[:-1] + component.sign * half
+        mid_phi = phi[begin] + component.sign * half
         unread = np.flatnonzero(np.isnan(position))
         position[unread] = component.phi.inverse(at[unread], phi[unread])
-        samples.append(component.phi.inverse(at[:-1], mid_phi))
-    mid_x, mid_xi = samples
-
-    # Curve c's samples are its start, then each segment's midpoint and end:
-    # end e is sample 2e - c and the midpoint after it sample 2e - c + 1.
-    # Composite Simpson: a segment of length L weighs L/6 at its ends and
-    # 2L/3 at its midpoint.
-    kept = np.ones(2 * t.size - 1, dtype=bool)
-    kept[2 * e_off[1:-1] - 1] = False
-    sample_x = np.empty(kept.size)
-    sample_x[0::2] = x
-    sample_x[1::2] = mid_x
-    sample_xi = np.empty(kept.size)
-    sample_xi[0::2] = xi
-    sample_xi[1::2] = mid_xi
-    weights = np.empty(kept.size)
-    weights[1::2] = (2.0 / 3.0) * length
-    length /= 6.0
-    weights[0::2] = np.append(length, 0.0)
-    weights[2::2] += length
-    return 2 * e_off[1:] - np.arange(1, m + 1), kept, (sample_x, sample_xi,
-                                                         weights)
+        np.take(position, begin, out=points[0, written])
+        points[1, written] = component.phi.inverse(at[begin], mid_phi)
+        np.take(position, begin + 1, out=points[2, written])
+    return e_off[1:] - np.arange(1, m + 1)
 
 
 @dataclass(frozen=True)
@@ -563,8 +565,7 @@ def _events(family: _Family, launch=None):
 
 
 def _read_curves(family: _Family, launch, s_end) -> TracedBundle:
-    """A family's curves, cut into cell segments up to their event points,
-    with composite-Simpson weights."""
+    """A family's curves, cut into cell segments up to their event points."""
     xs, xis, ref = family.xs, family.xis, family.ref
     m = xs.shape[0]
     phi_v = family.phi_v
@@ -577,25 +578,24 @@ def _read_curves(family: _Family, launch, s_end) -> TracedBundle:
         w = _Component(phi_v, -1, on_v, family.start_xi, xis, np.zeros(m))
 
     # Cut the curves into segments a block of _CUT_CURVES curves at a time,
-    # into arrays sized for a cut at every line between each curve's ends
-    # (lines crossed too close to an end and merged corners leave their
-    # tails unwritten, and untouched pages cost no memory).
+    # into arrays sized for a cut at every line between each curve's ends,
+    # plus one segment per curve that moves (lines crossed too close to an
+    # end and merged corners leave their tails unwritten, and untouched
+    # pages cost no memory).
     n_lines = z[ref].lines()[1].sum() + w[ref].lines()[1].sum()
-    bound = m + 2 * (int(n_lines) + ref.size)
-    sample_x, sample_xi, weights = (np.empty(bound) for _ in range(3))
+    bound = int(n_lines) + ref.size
+    seg_x, seg_xi = np.empty((3, bound)), np.empty((3, bound))
+    weights = np.empty(bound)
     offsets = np.zeros(m + 1, dtype=np.int64)
     span = 2.0 ** np.ceil(np.log2(2.0 * family.s_max))
     for lo in range(0, m, _CUT_CURVES):
         block = slice(lo, min(lo + _CUT_CURVES, m))
-        counts, kept, samples = _cut_curves(z[block], w[block], s_end[block],
-                                            span)
-        at = offsets[lo]
-        offsets[lo + 1:block.stop + 1] = at + counts
-        for out, values in zip((sample_x, sample_xi, weights), samples):
-            np.compress(kept, values, out=out[at:at + counts[-1]])
+        offsets[lo + 1:block.stop + 1] = offsets[lo] + _cut_curves(
+            z[block], w[block], s_end[block], span, (seg_x, seg_xi, weights),
+            offsets[lo])
     n = offsets[-1]
-    sample_x, sample_xi, weights = sample_x[:n], sample_xi[:n], weights[:n]
-    return TracedBundle(offsets, sample_x, sample_xi, weights, s_end, launch)
+    return TracedBundle(offsets, seg_x[:, :n], seg_xi[:, :n], weights[:n],
+                        s_end, launch)
 
 
 def crossing_launch(coeff: SampledCoefficients, xs, xis, ys) -> np.ndarray:

@@ -346,20 +346,15 @@ def _verify_characteristics(coeff, rng) -> dict:
     x = rng.uniform(0.0, 1.0, size=m)
     xi = x * rng.uniform(0.0, 1.0, size=m)
     y = rng.uniform(0.0, 1.0, size=m)
+    model = coeff.model
     cross = trace_crossing_batch(coeff, x, xi, y)
-    worst = 0.0
-    for c in range(m):
-        lo, hi = cross.offsets[c], cross.offsets[c + 1]
-        speeds = (coeff.model.speed_u(cross.sample_xi[lo:hi], y[c])
-                  + coeff.model.speed_v(cross.sample_x[lo:hi]))
-        gap = float(np.dot(cross.weights[lo:hi], speeds))
-        worst = max(worst, abs(gap - (x[c] - xi[c])))
+    y_seg = np.repeat(y, np.diff(cross.offsets))
+    gap = cross.path_integral(model.speed_u(cross.xi, y_seg)
+                              + model.speed_v(cross.x))
     edge = trace_edge_batch(coeff, x, xi)
-    for c in range(m):
-        lo, hi = edge.offsets[c], edge.offsets[c + 1]
-        speeds = coeff.model.speed_v(edge.sample_xi[lo:hi])
-        travelled = float(np.dot(edge.weights[lo:hi], speeds))
-        worst = max(worst, abs(travelled - xi[c]))
+    travelled = edge.path_integral(model.speed_v(edge.xi))
+    worst = float(max(np.max(np.abs(gap - (x - xi))),
+                      np.max(np.abs(travelled - xi))))
     return {"measured": worst, "tolerance": 1e-6, "passed": worst <= 1e-6}
 
 
@@ -460,7 +455,9 @@ def cmd_verify(config: RunConfig) -> int:
     checks["characteristics"] = _verify_characteristics(coeff, rng)
     checks["volterra_resolvent"] = _verify_volterra(spec)
 
-    kernels = solve_backstepping_kernels(model, spec, tol=config.kernel_tol)
+    kernels = _solve_kernels(config, model, spec)
+    if kernels is None:
+        return 3
     if config.model_name == "toy":
         oracle_err = _toy_kernel_error(kernels)
         checks["kernel_oracle"] = {"measured": oracle_err, "tolerance": 0.02,

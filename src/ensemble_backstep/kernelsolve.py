@@ -106,10 +106,12 @@ class GoursatProblem:
     and ready to march.
 
     The ensemble unknown is held as ``F = C @ basis.T``, with ``basis`` an
-    orthonormal ``(ny, r)`` basis of the y-subspace that holds every iterate,
-    and every ``(n_tri, r)`` field here is a plant field in those
-    coordinates, except ``diagonal_data``: the ``(n_tri, ny)`` data each
-    crossing curve carries from the diagonal.  The crossing curves of y-node
+    orthonormal ``(ny, r)`` basis of the y-subspace that holds every iterate.
+    ``scalar_to_ensemble`` and ``ensemble_to_scalar`` are ``(nx + 1, r)``
+    plant fields in those coordinates and ``scalar_decay`` an
+    ``(nx + 1,)`` one, held per x-node: triangle node ``(i, j)`` reads row
+    ``j``.  ``diagonal_data`` is the ``(n_tri, ny)`` data each crossing
+    curve carries from the diagonal.  The crossing curves of y-node
     ``y`` are family ``group[y]``'s, traced at ``family_y[group[y]]``, and
     ``launch[n, f]`` is where family f's curve from triangle node n meets
     the diagonal.  No operator is held: :func:`solve_goursat` traces and
@@ -173,7 +175,7 @@ def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
     curve and a column per triangle node): Simpson's rule on
     every cell segment, its three points interpolated in the segment's cell
     (its midpoint's), which is exact wherever the segment is straight.
-    Each segment adds the four corners of its cell, so ``4 * seg_off`` is
+    Each segment adds the four corners of its cell, so ``4 * offsets`` is
     the row pointer, and consecutive curves holding about
     :data:`_BLOCK_SEGMENTS` segments are written as one CSR block, the
     corners a curve's segments share summed.
@@ -184,26 +186,17 @@ def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
 
     tri = spec.tri
     offsets = bundle.offsets
-    curves = np.arange(offsets.size)
-    # A curve of n segments holds 2n + 1 samples: its start, then each
-    # segment's midpoint and end.
-    seg_off = (offsets - curves) // 2
     bounds = np.unique(np.append(np.searchsorted(
-        seg_off, np.arange(0, seg_off[-1] + 1, _BLOCK_SEGMENTS)),
+        offsets, np.arange(0, offsets[-1] + 1, _BLOCK_SEGMENTS)),
         offsets.size - 1))
-    simpson = np.array([[0.25], [1.0], [0.25]])
     blocks = []
     for a, b in zip(bounds[:-1], bounds[1:]):
-        lo, hi = seg_off[a], seg_off[b]
-        # Segment q of curve c starts at sample 2q + c.
-        start = 2 * np.arange(lo, hi) + np.repeat(curves[a:b],
-                                                  np.diff(seg_off[a:b + 1]))
-        points = start + np.arange(3)[:, None]
-        idx4, w4 = corner_weights(spec.nx, bundle.sample_x[points],
-                                  bundle.sample_xi[points],
-                                  simpson * bundle.weights[start + 1])
+        lo, hi = offsets[a], offsets[b]
+        idx4, w4 = corner_weights(spec.nx, bundle.x[:, lo:hi],
+                                  bundle.xi[:, lo:hi],
+                                  bundle.simpson_weights(slice(lo, hi)))
         block = sparse.csr_matrix(
-            (w4.ravel(), idx4.ravel(), 4 * (seg_off[a:b + 1] - lo)),
+            (w4.ravel(), idx4.ravel(), 4 * (offsets[a:b + 1] - lo)),
             shape=(b - a, tri.n_nodes))
         # After the transpose each column lists its rows in order, so the
         # corners a curve's segments share are adjacent and summed in
@@ -298,7 +291,7 @@ def _band_operators(problem: GoursatProblem, nodes: slice):
         coeff, *_crossing_points(tri, nodes, problem.family_y),
         launch=problem.launch[nodes].ravel())
     cross = _quadrature_matrix(spec, bundle)
-    # Samples are the bulk of a band's memory: each bundle goes as soon as
+    # Segments are the bulk of a band's memory: each bundle goes as soon as
     # its operator exists.
     del bundle
     if problem.family_y.size > 1:
@@ -379,9 +372,10 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
         fixed_G = edge @ source_G
         cross = cross[:, lanes * nodes.start:lanes * nodes.stop]
         edge = edge[:, nodes]
-        to_ensemble = problem.scalar_to_ensemble[nodes]
-        to_scalar = problem.ensemble_to_scalar[nodes]
-        decay = problem.scalar_decay[nodes]
+        j = tri.j_index[nodes]
+        to_ensemble = problem.scalar_to_ensemble[j]
+        to_scalar = problem.ensemble_to_scalar[j]
+        decay = problem.scalar_decay[j]
 
         c = np.zeros_like(fixed_C)
         g = np.zeros_like(fixed_G)
@@ -507,9 +501,9 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProb
         group=group,
         launch=launch,
         diagonal_data=diagonal_data,
-        scalar_to_ensemble=(coeff.readout_grid @ basis)[tri.j_index],
-        ensemble_to_scalar=((coeff.drive_grid * wy) @ basis)[tri.j_index],
-        scalar_decay=-coeff.speed_v_dx_grid[tri.j_index],
+        scalar_to_ensemble=coeff.readout_grid @ basis,
+        ensemble_to_scalar=(coeff.drive_grid * wy) @ basis,
+        scalar_decay=-coeff.speed_v_dx_grid,
         edge_gain=(coeff.inflow_gain_grid * coeff.speed_u_grid[0]
                    / coeff.speed_v_grid[0] * wy) @ basis,
         apply_ensemble_operator=apply_ensemble_operator,

@@ -32,9 +32,10 @@ SPEC = GridSpec(nx=50, ny=11)
 
 
 def _curve(bundle):
-    """(sample_x, sample_xi) of the only curve of a one-point bundle."""
-    sl = slice(bundle.offsets[0], bundle.offsets[1])
-    return bundle.sample_x[sl], bundle.sample_xi[sl]
+    """The x and xi of the only curve of a one-point bundle at its points in
+    path order: its start, then each segment's midpoint and end."""
+    return tuple(np.append(p[0, :1], p[1:].T.ravel())
+                 for p in (bundle.x, bundle.xi))
 
 
 class TestCrossingClosedForms:
@@ -51,7 +52,8 @@ class TestCrossingClosedForms:
                                   [0.625], [0.625], [0.5])
         assert cc.s_end[0] == 0.0
         assert cc.launch[0] == 0.625
-        assert cc.offsets[1] - cc.offsets[0] == 1
+        assert cc.offsets[1] - cc.offsets[0] == 0
+        assert cc.path_integral(np.ones_like(cc.x))[0] == 0.0
 
     def test_unequal_constant_speeds(self):
         plant = _plant(
@@ -165,7 +167,7 @@ class TestDomain:
 
 
 class TestPathIntegrity:
-    """Samples run backward from the query point to the event point."""
+    """Segments run backward from the query point to the event point."""
 
     def test_crossing_path_endpoints(self, toy):
         cc = trace_crossing_batch(sample_coefficients(toy, SPEC),
@@ -175,7 +177,7 @@ class TestPathIntegrity:
         assert abs(px[-1] - cc.launch[0]) <= 1e-9
         assert abs(pxi[-1] - cc.launch[0]) <= 1e-9
         assert np.all(np.diff(px) <= 1e-12)
-        assert abs(cc.weights[cc.offsets[0]:cc.offsets[1]].sum()
+        assert abs(cc.path_integral(np.ones_like(cc.x))[0]
                    - cc.s_end[0]) <= 1e-12
 
     def test_edge_path_endpoints(self, toy):
@@ -189,25 +191,51 @@ class TestPathIntegrity:
     def test_path_stays_on_straight_characteristic(self, toy):
         # with unit speeds the backward pair is x(s) = x - s, xi(s) = xi + s;
         # from (0.8, 0.1) it passes a grid node every 1/nx and ends at the
-        # diagonal half a cell later, so it holds 18 cell segments, sampled
-        # at s = 0 and at each segment's midpoint and end
+        # diagonal half a cell later, so it holds 18 cell segments, each with
+        # its start, midpoint and end, weighted by 2/3 of its length
         cc = trace_crossing_batch(sample_coefficients(toy, SPEC),
                                   [0.8], [0.1], [0.9])
-        px, pxi = _curve(cc)
-        assert px.size == 2 * 18 + 1
+        assert np.array_equal(cc.offsets, [0, 18])
         ends = np.arange(19) / SPEC.nx
         ends[-1] = 0.35
-        s = np.empty(px.size)
-        s[0::2] = ends
-        s[1::2] = 0.5 * (ends[:-1] + ends[1:])
-        np.testing.assert_allclose(px, 0.8 - s, atol=1e-9)
-        np.testing.assert_allclose(pxi, 0.1 + s, atol=1e-9)
-        length = np.diff(ends)
-        weights = np.zeros(px.size)
-        weights[1::2] = 2.0 * length / 3.0
-        weights[0:-1:2] += length / 6.0
-        weights[2::2] += length / 6.0
-        np.testing.assert_allclose(cc.weights, weights, atol=1e-9)
+        s = np.stack([ends[:-1], 0.5 * (ends[:-1] + ends[1:]), ends[1:]])
+        np.testing.assert_allclose(cc.x, 0.8 - s, atol=1e-9)
+        np.testing.assert_allclose(cc.xi, 0.1 + s, atol=1e-9)
+        np.testing.assert_allclose(cc.weights, 2.0 * np.diff(ends) / 3.0,
+                                   atol=1e-9)
+
+    @pytest.mark.parametrize("family", ["cross", "edge"])
+    def test_segments_chain_along_each_curve(self, family, rng):
+        # within a curve each segment ends where the next starts, the first
+        # starts at the query point, the last ends at the event, and the
+        # path integral of 1 is the event time; along curved characteristics
+        # of speeds 1 + x/2, with diagonal and edge points among them
+        coeff = sample_coefficients(_half_x_speeds(), SPEC)
+        xs = rng.uniform(0.0, 1.0, 150)
+        xis = xs * rng.uniform(0.0, 1.0, 150)
+        xis[:5] = 0.0 if family == "edge" else xs[:5]
+        if family == "cross":
+            bundle = trace_crossing_batch(coeff, xs, xis,
+                                          rng.uniform(0.0, 1.0, 150))
+            event_xi = bundle.launch
+        else:
+            bundle = trace_edge_batch(coeff, xs, xis)
+            event_xi = np.zeros(xs.size)
+        counts = np.diff(bundle.offsets)
+        assert np.all(counts[:5] == 0) and np.all(counts[5:] > 0)
+        moving = np.flatnonzero(counts)
+        first, last = bundle.offsets[moving], bundle.offsets[moving + 1] - 1
+        inner = np.ones(bundle.weights.size - 1, dtype=bool)
+        inner[last[:-1]] = False
+        for p, start, end in ((bundle.x, xs, bundle.launch),
+                              (bundle.xi, xis, event_xi)):
+            assert np.array_equal(p[2, :-1][inner], p[0, 1:][inner])
+            assert np.array_equal(p[0, first], start[moving])
+            np.testing.assert_allclose(p[2, last], end[moving], rtol=0.0,
+                                       atol=1e-12)
+        np.testing.assert_allclose(
+            bundle.path_integral(np.ones_like(bundle.x)), bundle.s_end,
+            rtol=1e-14, atol=0.0)
 
 
 class TestBatchInvariants:
@@ -218,12 +246,11 @@ class TestBatchInvariants:
         xis = xs * rng.uniform(0.0, 1.0, 120)
         ys = rng.uniform(0.0, 1.0, 120)
         bundle = trace_crossing_batch(coeff, xs, xis, ys)
-        for c in range(xs.shape[0]):
-            sl = slice(bundle.offsets[c], bundle.offsets[c + 1])
-            lam = coeff.model.speed_u(np.clip(bundle.sample_xi[sl], 0, 1), ys[c])
-            mu = coeff.model.speed_v(np.clip(bundle.sample_x[sl], 0, 1))
-            val = float(bundle.weights[sl] @ (lam + mu))
-            assert abs(val - (xs[c] - xis[c])) <= 1e-6
+        lam = coeff.model.speed_u(np.clip(bundle.xi, 0, 1),
+                                  _per_segment(bundle, ys))
+        mu = coeff.model.speed_v(np.clip(bundle.x, 0, 1))
+        val = bundle.path_integral(lam + mu)
+        assert np.max(np.abs(val - (xs - xis))) <= 1e-6
 
     def test_consistency_identity_crossing_curved(self, rng):
         # the same identity along the curved characteristics of speeds
@@ -235,12 +262,10 @@ class TestBatchInvariants:
         xis = xs * rng.uniform(0.0, 1.0, 120)
         ys = rng.uniform(0.0, 1.0, 120)
         bundle = trace_crossing_batch(coeff, xs, xis, ys)
-        for c in range(xs.shape[0]):
-            sl = slice(bundle.offsets[c], bundle.offsets[c + 1])
-            lam = coeff.model.speed_u(bundle.sample_xi[sl], ys[c])
-            mu = coeff.model.speed_v(bundle.sample_x[sl])
-            val = float(bundle.weights[sl] @ (lam + mu))
-            assert abs(val - (xs[c] - xis[c])) <= 1e-8
+        lam = coeff.model.speed_u(bundle.xi, _per_segment(bundle, ys))
+        mu = coeff.model.speed_v(bundle.x)
+        val = bundle.path_integral(lam + mu)
+        assert np.max(np.abs(val - (xs - xis))) <= 1e-8
 
     def test_consistency_identity_edge(self, toy, rng):
         # integral of speed_v along the curve from the edge equals xi
@@ -248,11 +273,9 @@ class TestBatchInvariants:
         xs = rng.uniform(0.0, 1.0, 120)
         xis = xs * rng.uniform(0.0, 1.0, 120)
         bundle = trace_edge_batch(coeff, xs, xis)
-        for c in range(xs.shape[0]):
-            sl = slice(bundle.offsets[c], bundle.offsets[c + 1])
-            mu = coeff.model.speed_v(np.clip(bundle.sample_xi[sl], 0, 1))
-            val = float(bundle.weights[sl] @ mu)
-            assert abs(val - xis[c]) <= 1e-6
+        mu = coeff.model.speed_v(np.clip(bundle.xi, 0, 1))
+        val = bundle.path_integral(mu)
+        assert np.max(np.abs(val - xis)) <= 1e-6
 
     def test_uniform_crossing_time_bound(self, toy, rng):
         coeff = sample_coefficients(toy, SPEC)
@@ -291,6 +314,11 @@ class TestBatchInvariants:
         assert np.max(np.abs(np.diff(b2.s_end))) <= 1e-12
 
 
+def _per_segment(bundle, values):
+    """Per-curve values repeated onto each curve's segments."""
+    return np.repeat(values, np.diff(bundle.offsets))
+
+
 def _half_x_speeds():
     return _plant(
         lambda x, y: 1.0 + 0.5 * np.asarray(x) + 0.0 * np.asarray(y),
@@ -325,8 +353,8 @@ def test_batch_equals_one_point_traces(make_plant, family):
 
     batch = trace(slice(None))
     singles = [trace(slice(c, c + 1)) for c in range(xs.size)]
-    for name in ("sample_x", "sample_xi", "weights", "s_end", "launch"):
-        joined = np.concatenate([getattr(b, name) for b in singles])
+    for name in ("x", "xi", "weights", "s_end", "launch"):
+        joined = np.concatenate([getattr(b, name) for b in singles], axis=-1)
         assert np.array_equal(getattr(batch, name), joined), name
     lengths = [b.offsets[1] for b in singles]
     assert np.array_equal(batch.offsets, np.concatenate([[0], np.cumsum(lengths)]))
@@ -375,16 +403,17 @@ def test_speed_vanishing_on_one_y_spares_the_others():
 
 
 def test_bundle_samples_fully_populated(toy, rng):
-    """Every stored sample slot is meaningful (no uninitialized tails)."""
+    """Every stored segment point is meaningful (no uninitialized tails)."""
     coeff = sample_coefficients(toy, SPEC)
     xs = rng.uniform(0.0, 1.0, 64)
     xis = xs * rng.uniform(0.0, 1.0, 64)
     ys = rng.uniform(0.0, 1.0, 64)
     bundle = trace_crossing_batch(coeff, xs, xis, ys)
-    assert np.all(bundle.sample_x >= -1e-6)
-    assert np.all(bundle.sample_x <= 1.0 + 1e-6)
-    assert np.all(bundle.sample_xi >= -1e-6)
-    assert np.all(bundle.sample_xi <= 1.0 + 1e-6)
-    # last sample of each curve is the refined meeting point
+    assert np.all(bundle.x >= -1e-6)
+    assert np.all(bundle.x <= 1.0 + 1e-6)
+    assert np.all(bundle.xi >= -1e-6)
+    assert np.all(bundle.xi <= 1.0 + 1e-6)
+    assert np.all(bundle.weights > 0.0)
+    # the last segment of each curve ends at the refined meeting point
     last = bundle.offsets[1:] - 1
-    np.testing.assert_allclose(bundle.sample_x[last], bundle.launch, atol=1e-12)
+    np.testing.assert_allclose(bundle.x[2, last], bundle.launch, atol=1e-12)

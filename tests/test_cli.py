@@ -346,7 +346,8 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(
             "ensemble_backstep.cli.solve_backstepping_kernels", _give_up)
-        for command in (["kernels"], ["simulate", "--mode", "closed"]):
+        for command in (["kernels"], ["simulate", "--mode", "closed"],
+                        ["verify"]):
             out = tmp_path / command[0]
             code = main(command + ["--nx", "10", "--ny", "4",
                                    "--out", str(out)])

@@ -303,21 +303,18 @@ def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
 
 def _one_shot_operator(spec, bundle):
     """The quadrature operator as one dense array over the whole bundle,
-    sample by sample: each of a cell segment's three points is interpolated
+    point by point: each of a cell segment's three points is interpolated
     alone in the segment's cell (its midpoint's), and its stencil, weighted
     by the point's Simpson weight, is added with ``np.add.at``."""
     n_tri = spec.tri.n_nodes
-    n_seg = (np.diff(bundle.offsets) - 1) // 2
-    row = np.repeat(np.arange(n_tri), n_seg)
-    mid = 2 * np.arange(n_seg.sum()) + row + 1
+    row = np.repeat(np.arange(n_tri), np.diff(bundle.offsets))
     dense = np.zeros((n_tri, n_tri))
-    for point, share in ((mid - 1, 0.25), (mid, 1.0), (mid + 1, 0.25)):
+    for point, share in enumerate((0.25, 1.0, 0.25)):
         # a group of two points, the second with weight 0, is the first
         # point's stencil in the second point's cell
         idx4, w4 = corner_weights(
-            spec.nx, np.stack([bundle.sample_x[point], bundle.sample_x[mid]]),
-            np.stack([bundle.sample_xi[point], bundle.sample_xi[mid]]),
-            np.stack([share * bundle.weights[mid], np.zeros(mid.size)]))
+            spec.nx, bundle.x[[point, 1]], bundle.xi[[point, 1]],
+            np.stack([share * bundle.weights, np.zeros(row.size)]))
         np.add.at(dense, (np.repeat(row, 4), idx4.ravel()), w4.ravel())
     return dense
 
@@ -353,8 +350,8 @@ def _family_operator(plant, spec, family, y=0.75):
     ("half_x", "cross")])
 def test_row_blocks_equal_one_shot_assembly(toy, plant_name, family):
     """The operator built block by block from the segment moments is the
-    composite-Simpson sum over every sample of every segment, in canonical
-    CSR form."""
+    Simpson sum over the three points of every segment, in canonical CSR
+    form."""
     spec = GridSpec(nx=30, ny=8)
     plant = {"toy": toy, "sloped": _sloped(toy),
              "half_x": _half_x(toy)}[plant_name]
@@ -599,9 +596,11 @@ def _dense_march_oracle(problem):
     diagonal = problem.diagonal_data @ problem.basis
     everything = range(spec.nx + 1)
 
+    j = tri.j_index
+
     def update(x):
         C, G = x[:n * r].reshape(n, r), x[n * r:]
-        source = (problem.scalar_to_ensemble * G[:, None]
+        source = (problem.scalar_to_ensemble[j] * G[:, None]
                   + problem.apply_ensemble_operator(everything, C))
         if lanes == 1:
             C_new = cross @ source
@@ -610,8 +609,8 @@ def _dense_march_oracle(problem):
         edge_rows = ((1.0 - frac)[:, None] * C[flat0]
                      + frac[:, None] * C[flat1])
         G_new = ((problem.edge_gain * edge_rows).sum(axis=1)
-                 + edge @ (problem.scalar_decay * G
-                           + (problem.ensemble_to_scalar * C).sum(axis=1)))
+                 + edge @ (problem.scalar_decay[j] * G
+                           + (problem.ensemble_to_scalar[j] * C).sum(axis=1)))
         return np.concatenate([C_new.ravel(), G_new])
 
     size = n * (r + 1)
@@ -648,13 +647,14 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
     memory, at the arrays kept over the march, one band of operators (12 B
     a nonzero, in at most three copies: as assembled, on flat (node, y)
     unknowns, and the band's own columns) and the work arrays of one band's
-    trace and assembly (128 B a sample of its crossing and edge bundles),
+    trace and assembly (256 B a segment and 128 B a curve of its crossing
+    and edge bundles),
     on one family in a y-subspace (the toy) and on one family per y-node.
     Holding every band's operators, as a global sweep does, exceeds it."""
     plant = {"toy": toy, "sloped": _sloped(toy)}[name]
     spec = GridSpec(nx=nx, ny=8)
     monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 4096)
-    nnz, samples, problems = [], {}, []
+    nnz, work_bytes, problems = [], {}, []
 
     def recording(fn, log):
         def wrapper(*args, **kwargs):
@@ -670,8 +670,8 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
     for attr in ("trace_crossing_batch", "trace_edge_batch"):
         monkeypatch.setattr(kernelsolve, attr, recording(
             getattr(kernelsolve, attr),
-            lambda bundle, attr=attr: samples.setdefault(attr, []).append(
-                bundle.sample_x.size)))
+            lambda bundle, attr=attr: work_bytes.setdefault(attr, []).append(
+                256 * bundle.weights.size + 128 * (bundle.offsets.size - 1))))
     tracemalloc.start()
     try:
         sol = solve_backstepping_kernels(plant, spec)
@@ -687,7 +687,7 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
     # the kernel pair, k with the product it is summed from.
     kept = (sum(a.nbytes for a in arrays) + 8 * n_tri * (3 * r + 2)
             + 2 * sol.k.nbytes + sol.ktilde.nbytes)
-    work = 128 * sum(max(sizes) for sizes in samples.values())
+    work = sum(max(sizes) for sizes in work_bytes.values())
     bound = kept + 3 * 12 * max(nnz) + work
     assert kept + 12 * sum(nnz) > bound
     assert peak <= bound
@@ -839,7 +839,8 @@ def test_y_subspace_holds_seeds_and_is_closed(c, width):
 
 class _RecordingArray:
     """Stands in for ``scalar_to_ensemble`` and keeps the scalar iterate
-    each local sweep multiplies it by, for a band's rows of it too."""
+    each local sweep multiplies it by, for its rows read at a band's nodes
+    too."""
 
     def __init__(self, array, iterates=None):
         self.array = array

@@ -116,9 +116,8 @@ def _traced_solve(plant):
     assert report["spans"]["characteristics.trace"] == 2 * bands
     assert report["spans"]["kernelsolve.quadrature"] == 2 * bands
     # the bench's grid.stencil_points counts the three Simpson points of
-    # every traced cell segment; a curve of n segments holds 2n + 1 samples
-    segments = (report["samples"] - report["curves"]) // 2
-    assert report["points"] == 3 * segments > 0
+    # every traced cell segment, and characteristics.samples the segments
+    assert report["points"] == 3 * report["samples"] > 0
     return report["widths"]
 
 
