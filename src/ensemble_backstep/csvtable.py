@@ -176,17 +176,20 @@ def write_table(path: str, header: str, columns) -> None:
     Each column is an array that broadcasts to ``(n_groups, n_inner)``: of
     shape ``(n_groups, 1)`` it holds one value per group, ``(1, n_inner)``
     one per inner index and ``(n_groups, n_inner)`` one per line; ``None``
-    is an empty field.  The bytes are those of ``np.savetxt(fmt="%.17g",
+    is an empty field, and a callable a column of one value per line that
+    returns its rows of groups ``g`` for a slice ``g``, so that it is never
+    held whole.  The bytes are those of ``np.savetxt(fmt="%.17g",
     delimiter=",")`` on the full numeric table (with an empty field left
     empty), written :data:`_CHUNK_LINES` lines at a time.
     """
     shape = np.broadcast_shapes(*(np.shape(c) for c in columns
-                                  if c is not None))
+                                  if c is not None and not callable(c)))
     n_groups, n_inner = shape
-    # An empty field and a column of one value per group or per inner index
-    # are formatted once; a column of one value per line, a chunk at a time.
+    # An empty field and a column of one value per inner index are
+    # formatted once; every other column, a chunk of groups at a time.
     once = [np.zeros((1, 1, 0), np.uint8) if c is None else
-            None if c.shape == shape else format_17g(c) for c in columns]
+            None if callable(c) or c.shape[0] > 1 else format_17g(c)
+            for c in columns]
     seps = [ord(",")] * (len(columns) - 1) + [ord("\n")]
     step = max(1, _CHUNK_LINES // n_inner)
     with open(path, "wb") as fh:
@@ -196,9 +199,8 @@ def write_table(path: str, header: str, columns) -> None:
             texts = []
             for c, text in zip(columns, once):
                 if text is None:
-                    text = format_17g(c[lo:hi])
-                elif text.shape[0] > 1:
-                    text = text[lo:hi]
+                    text = format_17g(c(slice(lo, hi)) if callable(c)
+                                      else c[lo:hi])
                 texts.append(text)
             width = sum(text.shape[-1] + 1 for text in texts)
             # Every byte is written below, by a field or its separator.

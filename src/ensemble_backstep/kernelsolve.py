@@ -49,21 +49,25 @@ applied to r columns and the exchange to one ``r x r`` block per x-node.
 With more than one family ``B`` is the identity, and a band's crossing
 operator is one CSR over the flat ``(node, y)`` unknowns, each row its
 family's; when the one family's subspace is all of y, ``B`` is the identity
-too.  The solver returns the kernel pair with ``B``, in which the transform
-factors ``k``, and its iteration history; the controller reads the outlet
-row of both kernels.
+too.  The solver returns the kernel pair as it marched it: ``k`` as its
+coordinates ``C`` in ``B`` with the exact diagonal rows, formed into rows on
+y-nodes a block at a time where it is read, ``ktilde`` whole, and the
+iteration history; the transform factors ``k`` in ``B``, and the controller
+reads the outlet row of both kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from .characteristics import (crossing_launch, trace_crossing_batch,
                               trace_edge_batch)
-from .errors import DomainError, NonconvergenceError, NumericError
+from .errors import (DimensionError, DomainError, NonconvergenceError,
+                     NumericError)
 from .grid import GridSpec, TriangularIndex, corner_weights, y_subspace
 from .model import PlantModel, SampledCoefficients, sample_coefficients
 
@@ -99,6 +103,10 @@ _BLOCK_SEGMENTS = 16384
 #: trace less often, larger ones hold more.
 _BAND_SEGMENTS = 2 ** 18
 
+#: Values of ``k`` (rows times ny) in one block of
+#: :meth:`KernelSolution.k_blocks`.
+_BLOCK_VALUES = 1 << 13
+
 
 @dataclass(frozen=True)
 class GoursatProblem:
@@ -110,12 +118,15 @@ class GoursatProblem:
     ``scalar_to_ensemble`` and ``ensemble_to_scalar`` are ``(nx + 1, r)``
     plant fields in those coordinates and ``scalar_decay`` an
     ``(nx + 1,)`` one, held per x-node: triangle node ``(i, j)`` reads row
-    ``j``.  ``diagonal_data`` is the ``(n_tri, ny)`` data each crossing
-    curve carries from the diagonal.  The crossing curves of y-node
-    ``y`` are family ``group[y]``'s, traced at ``family_y[group[y]]``, and
-    ``launch[n, f]`` is where family f's curve from triangle node n meets
-    the diagonal.  No operator is held: :func:`solve_goursat` traces and
-    assembles them a band of rows at a time from ``coeff``.
+    ``j``.  ``diagonal_coords`` holds the ``(n_tri, r)`` coordinates of the
+    data each crossing curve carries from the diagonal, and
+    ``diagonal_rows`` the exact ``(nx + 1, ny)`` data on the diagonal nodes
+    ``(i, i)``, which the solution keeps as its diagonal rows.  The crossing
+    curves of y-node ``y`` are family ``group[y]``'s, traced at
+    ``family_y[group[y]]``, and ``launch[n, f]`` is where family f's curve
+    from triangle node n meets the diagonal.  No operator is held:
+    :func:`solve_goursat` traces and assembles them a band of rows at a
+    time from ``coeff``.
     ``apply_ensemble_operator(rows, field)`` receives the ``(n, r)``
     coordinates of the ensemble iterate on the triangle rows ``rows`` (a
     range of x-indices, the nodes flat in their order) and returns those of
@@ -130,7 +141,8 @@ class GoursatProblem:
     family_y: np.ndarray
     group: np.ndarray
     launch: np.ndarray
-    diagonal_data: np.ndarray
+    diagonal_coords: np.ndarray
+    diagonal_rows: np.ndarray
     scalar_to_ensemble: np.ndarray
     ensemble_to_scalar: np.ndarray
     scalar_decay: np.ndarray
@@ -142,18 +154,22 @@ class GoursatProblem:
 class KernelSolution:
     """Transform kernels on the triangle with their iteration history.
 
-    ``k`` is the ``(n_tri, ny)`` ensemble kernel and ``ktilde`` the
-    ``(n_tri,)`` scalar kernel, both flat over the triangle.
-    ``iterations`` is the most local sweeps a band of the march took, and
-    ``deltas[k]`` the largest sup-norm increment of a band at local sweep
-    k + 1, a band that stopped sooner counting its last, so that
-    ``deltas[-1]`` is ``final_delta``, the largest last increment.
-    ``basis`` is the orthonormal ``(ny, y_rank)`` basis
-    of the y-subspace the solver swept, which holds every row of ``k``, or
-    the identity when ``k`` was held per y-node.
+    The ``(n_tri, ny)`` ensemble kernel ``k`` is held as the solver marched
+    it: ``coords``, its ``(n_tri, y_rank)`` coordinates in ``basis``, the
+    orthonormal ``(ny, y_rank)`` basis of the y-subspace the solver swept
+    (the identity when ``k`` was held per y-node), and ``diagonal_rows``,
+    its ``(nx + 1, ny)`` rows on the diagonal nodes ``(i, i)``, the exact
+    diagonal data.  :meth:`k_rows` forms rows of ``k`` on the y-nodes,
+    :meth:`k_blocks` all of them a block at a time, and :attr:`k` the whole
+    array.  ``ktilde`` is the ``(n_tri,)`` scalar kernel, flat over the
+    triangle.  ``iterations`` is the most local sweeps a band of the march
+    took, and ``deltas[k]`` the largest sup-norm increment of a band at
+    local sweep k + 1, a band that stopped sooner counting its last, so
+    that ``deltas[-1]`` is ``final_delta``, the largest last increment.
     """
 
-    k: np.ndarray
+    coords: np.ndarray
+    diagonal_rows: np.ndarray
     ktilde: np.ndarray
     iterations: int
     final_delta: float
@@ -164,6 +180,55 @@ class KernelSolution:
     @property
     def y_rank(self) -> int:
         return self.basis.shape[1]
+
+    @cached_property
+    def _identity_basis(self) -> bool:
+        return np.array_equal(self.basis, np.eye(self.spec.ny))
+
+    def k_rows(self, nodes) -> np.ndarray:
+        """The rows of ``k`` at ``nodes``, a slice or an index array of flat
+        triangle nodes: ``coords @ basis.T``, summed one basis column at a
+        time so that a row's value does not depend on the rows formed with
+        it, and on the diagonal nodes the exact diagonal rows."""
+        coords = self.coords[nodes]
+        if self._identity_basis:
+            rows = np.array(coords)
+        else:
+            rows = np.zeros((coords.shape[0], self.spec.ny))
+            for s in range(self.y_rank):
+                rows += coords[:, s:s + 1] * self.basis[:, s]
+        tri = self.spec.tri
+        i = tri.i_index[nodes]
+        on = np.flatnonzero(i == tri.j_index[nodes])
+        rows[on] = self.diagonal_rows[i[on]]
+        return rows
+
+    def k_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """Every row of ``k``, in flat order, as ``(nodes, k_rows(nodes))``
+        for consecutive slices of about :data:`_BLOCK_VALUES` values."""
+        n_tri = self.spec.tri.n_nodes
+        step = max(1, _BLOCK_VALUES // self.spec.ny)
+        for lo in range(0, n_tri, step):
+            nodes = slice(lo, min(lo + step, n_tri))
+            yield nodes, self.k_rows(nodes)
+
+    @cached_property
+    def k(self) -> np.ndarray:
+        """The whole ``(n_tri, ny)`` ensemble kernel, read-only, formed by
+        :meth:`k_rows` once."""
+        k = self.k_rows(slice(None))
+        k.flags.writeable = False
+        return k
+
+    def coordinates(self) -> np.ndarray:
+        """``k @ basis``: ``coords`` with the diagonal rows' coordinates, on
+        the identity basis the rows themselves, as :meth:`k_rows` gives
+        them."""
+        coords = self.coords.copy()
+        diagonal = self.diagonal_rows
+        coords[self.spec.tri.diagonal_flat()] = (
+            diagonal if self._identity_basis else diagonal @ self.basis)
+        return coords
 
 
 def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
@@ -338,7 +403,9 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     fresh ensemble values in the edge condition and the previous iterates
     in the path integral.  ``iterations`` is the most local sweeps any band
     took, and ``deltas[k]`` the largest band increment of local sweep
-    k + 1, a band that stopped sooner counting its last.
+    k + 1, a band that stopped sooner counting its last.  The solution
+    keeps the marched coordinates and the problem's exact diagonal rows: no
+    ``(n_tri, ny)`` array is formed.
 
     Raises
     ------
@@ -354,7 +421,7 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
         raise DomainError(f"tol must be positive and finite, got {tol}")
     tri = problem.spec.tri
     basis = problem.basis
-    diagonal = problem.diagonal_data @ basis
+    diagonal = problem.diagonal_coords
     C = np.zeros((tri.n_nodes, basis.shape[1]))
     G = np.zeros(tri.n_nodes)
     # What the operators apply to: the sources of the finished rows, zero
@@ -412,10 +479,8 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     iterations = max(len(h) for h in histories)
     deltas = tuple(max(h[min(k, len(h) - 1)] for h in histories)
                    for k in range(iterations))
-    # The diagonal data enters at full y-resolution, so a node whose curve
-    # has no length carries it exactly.
-    F = problem.diagonal_data + (C - diagonal) @ basis.T
-    return KernelSolution(k=F, ktilde=G, iterations=iterations,
+    return KernelSolution(coords=C, diagonal_rows=problem.diagonal_rows,
+                          ktilde=G, iterations=iterations,
                           final_delta=deltas[-1], deltas=deltas,
                           spec=problem.spec, basis=basis)
 
@@ -431,10 +496,32 @@ def _transpose_exchange_rows(coeff: SampledCoefficients, j: int,
     return (rows * coeff.spec.y_weights) @ coeff.exchange_grid[j]
 
 
-def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProblem:
-    """Sample the plant, solve every crossing launch and the diagonal data,
-    and project the kernel system onto its y-subspace."""
-    coeff = sample_coefficients(model, spec)
+def _sampled(model: PlantModel, spec: GridSpec,
+             coeff: SampledCoefficients | None) -> SampledCoefficients:
+    """``coeff``, checked to be ``model`` sampled on ``spec``, or if it is
+    None the plant sampled now."""
+    if coeff is None:
+        return sample_coefficients(model, spec)
+    if coeff.model is not model or coeff.spec != spec:
+        raise DimensionError(
+            f"coefficients sampled from {coeff.model.name!r} at "
+            f"nx={coeff.spec.nx}, ny={coeff.spec.ny} are not those of "
+            f"{model.name!r} at nx={spec.nx}, ny={spec.ny}")
+    return coeff
+
+
+def build_backstepping_problem(model: PlantModel, spec: GridSpec,
+                               coeff: SampledCoefficients | None = None
+                               ) -> GoursatProblem:
+    """Solve every crossing launch and the diagonal data of the plant, and
+    project the kernel system onto its y-subspace.
+
+    ``coeff`` is the plant already sampled on ``spec``, if the caller holds
+    it; otherwise it is sampled here.  The ``(n_tri, ny)`` diagonal data
+    seeds the subspace and is dropped when this returns: the problem keeps
+    its coordinates and its rows on the diagonal nodes.
+    """
+    coeff = _sampled(model, spec, coeff)
     tri = spec.tri
     n_tri = tri.n_nodes
     wy = spec.y_weights
@@ -500,7 +587,8 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProb
         family_y=family_y,
         group=group,
         launch=launch,
-        diagonal_data=diagonal_data,
+        diagonal_coords=diagonal_data @ basis,
+        diagonal_rows=diagonal_data[tri.diagonal_flat()],
         scalar_to_ensemble=coeff.readout_grid @ basis,
         ensemble_to_scalar=(coeff.drive_grid * wy) @ basis,
         scalar_decay=-coeff.speed_v_dx_grid,
@@ -511,9 +599,13 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec) -> GoursatProb
 
 
 def solve_backstepping_kernels(model: PlantModel, spec: GridSpec,
-                               tol: float = 1e-10) -> KernelSolution:
-    """Solve the transform-kernel equations for a plant on a given grid."""
-    return solve_goursat(build_backstepping_problem(model, spec), tol=tol)
+                               tol: float = 1e-10,
+                               coeff: SampledCoefficients | None = None
+                               ) -> KernelSolution:
+    """Solve the transform-kernel equations for a plant on a given grid;
+    ``coeff``, the plant sampled on ``spec``, spares sampling it again."""
+    return solve_goursat(build_backstepping_problem(model, spec, coeff),
+                         tol=tol)
 
 
 def kernel_solution_from_evaluators(spec: GridSpec, ensemble_kernel,
@@ -531,32 +623,34 @@ def kernel_solution_from_evaluators(spec: GridSpec, ensemble_kernel,
     ktilde = np.broadcast_to(
         np.asarray(scalar_kernel(tri.x_coord, tri.xi_coord), dtype=float),
         (tri.n_nodes,)).copy()
-    return KernelSolution(k=k, ktilde=ktilde, iterations=0, final_delta=0.0,
+    return KernelSolution(coords=k, diagonal_rows=k[tri.diagonal_flat()],
+                          ktilde=ktilde, iterations=0, final_delta=0.0,
                           deltas=(), spec=spec, basis=np.eye(spec.ny))
 
 
-def kernel_pde_residual(sol: KernelSolution,
-                        model: PlantModel) -> tuple[float, float]:
+def kernel_pde_residual(sol: KernelSolution, model: PlantModel,
+                        coeff: SampledCoefficients | None = None
+                        ) -> tuple[float, float]:
     """One-sided finite-difference residuals of both kernel equations.
 
-    Samples ``model`` on ``sol.spec`` and evaluates the ensemble and scalar
-    kernel equations at interior triangle nodes, excluding a one-cell band
-    along the diagonal and along the ``xi = 0`` edge where the one-sided
-    stencils would cross the data lines.
+    Evaluates the ensemble and scalar kernel equations of ``model``, sampled
+    on ``sol.spec`` unless ``coeff`` holds it already, at interior triangle
+    nodes, excluding a one-cell band along the diagonal and along the
+    ``xi = 0`` edge where the one-sided stencils would cross the data lines.
     Each equation's max absolute residual is normalized by the sup of the
     kernel it differentiates (floored at 1), since the finite-difference
     truncation error scales with the field; both normalized residuals shrink
     linearly with the grid spacing for a converged (or exact) kernel pair.
-    The nodes are visited one xi-column at a time, so the work arrays hold
-    one column's ``(rows, ny)`` values, not the whole triangle's.
+    The nodes are visited one xi-column at a time, and the sup of ``k`` a
+    block of rows at a time, so the work arrays hold one column's or
+    block's rows of ``k``, not the whole triangle's.
     """
     spec = sol.spec
     tri = spec.tri
     h = spec.hx
     if spec.nx < 4:
         return 0.0, 0.0
-    coeff = sample_coefficients(model, spec)
-    k = sol.k
+    coeff = _sampled(model, spec, coeff)
     kt = sol.ktilde
     # One xi-column j at a time, rows i >= max(j + 2, 4), with a running max.
     worst_k = worst_kt = 0.0
@@ -564,9 +658,9 @@ def kernel_pde_residual(sol: KernelSolution,
         iv = np.arange(max(j + 2, 4), spec.nx + 1)
         f_ij = tri.row_start[iv] + j
         f_im1j = tri.row_start[iv - 1] + j
-        k_rows = k[f_ij]
-        kx = (k_rows - k[f_im1j]) / h
-        kxi = (k[f_ij + 1] - k_rows) / h
+        k_rows = sol.k_rows(f_ij)
+        kx = (k_rows - sol.k_rows(f_im1j)) / h
+        kxi = (sol.k_rows(f_ij + 1) - k_rows) / h
         theta_term = _transpose_exchange_rows(coeff, j, k_rows)
         readout_term = coeff.readout_grid[j] * kt[f_ij][:, None]
         res_ensemble = (coeff.speed_v_grid[iv][:, None] * kx
@@ -582,6 +676,7 @@ def kernel_pde_residual(sol: KernelSolution,
         worst_k = max(worst_k, float(np.max(np.abs(res_ensemble))))
         worst_kt = max(worst_kt, float(np.max(np.abs(res_scalar))))
 
-    k_scale = max(1.0, float(np.max(np.abs(k))))
+    k_sup = max(float(np.max(np.abs(rows))) for _, rows in sol.k_blocks())
+    k_scale = max(1.0, k_sup)
     kt_scale = max(1.0, float(np.max(np.abs(kt))))
     return worst_k / k_scale, worst_kt / kt_scale

@@ -192,10 +192,11 @@ class TransformOperator:
 def transform_operator(kernels: KernelSolution) -> TransformOperator:
     """Build the operator of the transform with the kernels, and of its
     inverse: ``k ~= P @ (B @ Q).T`` in the solver's basis ``B``, ``P @ Q.T``
-    the :func:`~ensemble_backstep.grid.y_factor` of ``k @ B``."""
+    the :func:`~ensemble_backstep.grid.y_factor` of ``k @ B``, which is
+    ``kernels.coordinates()``."""
     spec = kernels.spec
     weights = _running_weights(spec)
-    loadings, inner = y_factor(kernels.k @ kernels.basis)
+    loadings, inner = y_factor(kernels.coordinates())
     rows = tri_to_matrix(spec, weights[:, None] * loadings)
     coupling = solve_target_coupling(spec, kernels.ktilde)
     return TransformOperator(
@@ -469,7 +470,7 @@ def _feedback_gain(kernels: KernelSolution,
     one as weights on the coordinates of ``weighted_basis``."""
     spec = kernels.spec
     outlet = spec.tri.row_slice(spec.nx)
-    return kernels.k[outlet] @ weighted_basis, kernels.ktilde[outlet]
+    return kernels.k_rows(outlet) @ weighted_basis, kernels.ktilde[outlet]
 
 
 def _feedback(spec: GridSpec, gain: tuple[np.ndarray, np.ndarray],
@@ -578,6 +579,20 @@ def lyapunov_value(alpha: np.ndarray, beta: np.ndarray,
                      coeff.speed_u_grid, beta)
 
 
+def _kernel_y_norms(kernels: KernelSolution) -> np.ndarray:
+    """``||k(x, xi, .)||_y`` at every triangle node, from the coordinates
+    ``C`` of ``k`` in the solver's basis ``B``: the square root of the row
+    sums of ``(C @ M) * C``, ``M = B.T @ diag(w_y) @ B``, and on the
+    diagonal nodes of the exact diagonal rows squared against ``w_y``."""
+    spec = kernels.spec
+    wy = spec.y_weights
+    coords, basis = kernels.coords, kernels.basis
+    squares = ((coords @ (basis.T @ (wy[:, None] * basis))) * coords).sum(
+        axis=1)
+    squares[spec.tri.diagonal_flat()] = (kernels.diagonal_rows ** 2) @ wy
+    return np.sqrt(squares)
+
+
 def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
                     transform: TransformOperator) -> LyapunovRecipe:
     """Choose Lyapunov parameters from measured coefficient bounds.
@@ -590,18 +605,20 @@ def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
     sandwich constants for the resulting pair.  The Volterra coupling per
     unit drive is ``transform.coupling``, the resolvent of ``kernels.ktilde``
     that :func:`transform_operator` solved, so ``||kappa(x, xi, .)||_y =
-    ||drive(x, .)||_y * |coupling(x, xi)|``.
+    ||drive(x, .)||_y * |coupling(x, xi)|``; the y-norms of ``k`` come from
+    its coordinates (:func:`_kernel_y_norms`).
     """
     spec = coeff.spec
     wy = spec.y_weights
     m_linv = 1.0 / coeff.speed_u_min
+    exchange = coeff.exchange_grid
     m_theta = float(np.sqrt(
-        np.einsum("xyh,y,h->x", coeff.exchange_grid ** 2, wy, wy).max()))
+        np.einsum("xyh,xyh,y,h->x", exchange, exchange, wy, wy).max()))
     drive_norm = np.sqrt((coeff.drive_grid ** 2) @ wy)
     m_drive = float(drive_norm.max())
     q_norm = float(np.sqrt((coeff.inflow_gain_grid ** 2) @ wy))
 
-    k_norm = np.sqrt((kernels.k ** 2) @ wy)
+    k_norm = _kernel_y_norms(kernels)
     kap_norm = drive_norm[spec.tri.i_index] * np.abs(transform.coupling)
     k_mat = tri_to_matrix(spec, k_norm)
     kap_mat = tri_to_matrix(spec, kap_norm)

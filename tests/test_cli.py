@@ -6,6 +6,7 @@ schemas, every exit code, and byte-level determinism of the emitted files
 across repeated runs under different BLAS/OpenMP thread settings.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -16,13 +17,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ensemble_backstep import cli
+from ensemble_backstep import cli, csvtable
 from ensemble_backstep.cli import load_config_file, main
 from ensemble_backstep.errors import ConfigurationError, NonconvergenceError
 from ensemble_backstep.grid import GridSpec
 from ensemble_backstep.kernelsolve import (kernel_solution_from_evaluators,
                                           solve_backstepping_kernels)
-from ensemble_backstep.model import builtin_model
+from ensemble_backstep.model import builtin_model, sample_coefficients
 
 
 def _read_csv(path):
@@ -185,6 +186,48 @@ class TestKernelsCommand:
         np.testing.assert_array_equal(data[:, 4], np.repeat(sol.ktilde, 12))
 
 
+def test_csv_kernel_column_is_k_in_a_subspace(tmp_path, monkeypatch):
+    """With y-rank above 1 (the toy with a Gaussian exchange) the k column
+    of kernels.csv, formed a chunk of rows at a time, is ``sol.k``, formed
+    whole, bit for bit: both come from ``KernelSolution.k_rows``."""
+    plant = dataclasses.replace(
+        builtin_model("toy"), name="toy-gauss",
+        exchange=lambda x, y, eta: x * np.exp(-(y - eta) ** 2))
+    spec = GridSpec(nx=20, ny=16)
+    sol = solve_backstepping_kernels(plant, spec)
+    assert sol.y_rank > 1
+    # one triangle node a chunk: every row is formed alone
+    monkeypatch.setattr(csvtable, "_CHUNK_LINES", spec.ny)
+    cli._write_kernels_csv(str(tmp_path / "kernels.csv"), sol)
+    _, data = _read_csv(tmp_path / "kernels.csv")
+    np.testing.assert_array_equal(data[:, 3], sol.k.ravel())
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.5], ids=["toy", "speed_u=1+y/2"])
+def test_diagonal_rows_are_the_exact_data(slope):
+    """The diagonal rows of a solved k are ``-readout / (speed_u +
+    speed_v)`` bit for bit, as the solution holds them, as its rows and as
+    the whole array give them, so that the boundary check of ``verify``
+    measures 0 on the toy and on a speed 1 + y/2 held per y-node."""
+    toy = builtin_model("toy")
+    plant = dataclasses.replace(
+        toy, speed_u=lambda x, y: 1.0 + slope * np.asarray(y)
+        + 0.0 * np.asarray(x))
+    spec = GridSpec(nx=30, ny=12)
+    coeff = sample_coefficients(plant, spec)
+    sol = solve_backstepping_kernels(plant, spec, coeff=coeff)
+    assert sol.y_rank == (1 if slope == 0.0 else spec.ny)
+    x, y = spec.x_nodes[:, None], spec.y_nodes[None, :]
+    exact = -plant.readout(x, y) / (plant.speed_u(x, y) + plant.speed_v(x))
+    diag = spec.tri.diagonal_flat()
+    assert np.array_equal(sol.diagonal_rows, exact)
+    assert np.array_equal(sol.k_rows(diag), exact)
+    assert np.array_equal(sol.k[diag], exact)
+    check = cli._verify_kernel_boundary(spec, coeff, sol)
+    assert check["measured"]["diagonal"] == 0.0
+    assert check["passed"]
+
+
 def _savetxt_bytes(header, columns, newline="\n"):
     """The table as ``np.savetxt(fmt="%.17g")`` writes it."""
     buffer = io.StringIO()
@@ -340,7 +383,7 @@ class TestSimulateCommand:
 
     def test_kernel_nonconvergence_exits_3(self, tmp_path, monkeypatch,
                                            capsys):
-        def _give_up(model, spec, tol):
+        def _give_up(model, spec, tol, coeff=None):
             raise NonconvergenceError("iteration budget exhausted",
                                       final_delta=0.125)
 

@@ -9,19 +9,22 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.integrate import quad
 
-from ensemble_backstep import kernelsolve
+from ensemble_backstep import cli, csvtable, kernelsolve
 from ensemble_backstep.characteristics import (
     trace_crossing_batch,
     trace_edge_batch,
 )
-from ensemble_backstep.errors import DomainError, NonconvergenceError
+from ensemble_backstep.errors import (DimensionError, DomainError,
+                                      NonconvergenceError)
 from ensemble_backstep.grid import (
+    _FACTOR_BLOCK_ROWS,
     GridSpec,
     corner_weights,
     gregory_weights,
     y_factor,
 )
 from ensemble_backstep.kernelsolve import (
+    KernelSolution,
     build_backstepping_problem,
     kernel_pde_residual,
     kernel_solution_from_evaluators,
@@ -159,6 +162,21 @@ class TestBacksteppingKernels:
         assert np.all(sol.k == 0.0)
         assert np.all(sol.ktilde == 0.0)
         assert sol.iterations == 1
+
+    def test_coefficients_of_another_plant_or_grid_are_refused(
+            self, toy, pure_transport):
+        """Coefficients handed to the solve or the residuals must be the
+        plant's, sampled on the solve's grid."""
+        spec = GridSpec(nx=12, ny=6)
+        coeff = sample_coefficients(toy, spec)
+        sol = solve_backstepping_kernels(toy, spec, coeff=coeff)
+        assert np.array_equal(sol.k, solve_backstepping_kernels(toy, spec).k)
+        for plant, grid in ((pure_transport, spec),
+                            (toy, GridSpec(nx=12, ny=8))):
+            with pytest.raises(DimensionError):
+                solve_backstepping_kernels(plant, grid, coeff=coeff)
+        with pytest.raises(DimensionError):
+            kernel_pde_residual(sol, pure_transport, coeff)
 
 
 class TestPdeResidual:
@@ -593,7 +611,7 @@ def _dense_march_oracle(problem):
     flat0, flat1, frac = (np.concatenate([p[2][k] for p in parts])
                           for k in range(3))
     lanes = cross.shape[1] // n
-    diagonal = problem.diagonal_data @ problem.basis
+    diagonal = problem.diagonal_coords
     everything = range(spec.nx + 1)
 
     j = tri.j_index
@@ -618,7 +636,9 @@ def _dense_march_oracle(problem):
     data = np.concatenate([diagonal.ravel(), np.zeros(n)])
     x = np.linalg.solve(np.eye(size) - matrix, data)
     C, G = x[:n * r].reshape(n, r), x[n * r:]
-    return problem.diagonal_data + (C - diagonal) @ problem.basis.T, G
+    return KernelSolution(coords=C, diagonal_rows=problem.diagonal_rows,
+                          ktilde=G, iterations=0, final_delta=0.0, deltas=(),
+                          spec=spec, basis=problem.basis).k, G
 
 
 @pytest.mark.parametrize("name", ["toy", "gauss", "half_x", "sloped"])
@@ -640,57 +660,130 @@ def test_march_solves_the_discrete_system(name, monkeypatch):
     assert np.max(np.abs(sol.ktilde - ktilde)) <= 1e-12 * np.max(np.abs(ktilde))
 
 
+def _recording(fn, log):
+    """``fn``, passing each result to ``log`` on its way out."""
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        log(out)
+        return out
+    return wrapper
+
+
+def _record_band_work(monkeypatch):
+    """Record, as the solver runs, the nonzeros of every operator it
+    assembles, the work bytes of every trace (256 B a segment and 128 B a
+    curve of its bundle) and the bytes of the arrays of every problem it
+    builds."""
+    nnz, work_bytes, problem_bytes = [], {}, []
+    monkeypatch.setattr(kernelsolve, "_quadrature_matrix", _recording(
+        kernelsolve._quadrature_matrix, lambda op: nnz.append(op.nnz)))
+    monkeypatch.setattr(kernelsolve, "build_backstepping_problem", _recording(
+        kernelsolve.build_backstepping_problem,
+        lambda problem: problem_bytes.append(_array_bytes(problem))))
+    for attr in ("trace_crossing_batch", "trace_edge_batch"):
+        monkeypatch.setattr(kernelsolve, attr, _recording(
+            getattr(kernelsolve, attr),
+            lambda bundle, attr=attr: work_bytes.setdefault(attr, []).append(
+                256 * bundle.weights.size + 128 * (bundle.offsets.size - 1))))
+    return nnz, work_bytes, problem_bytes
+
+
+def _band_bytes(nnz, work_bytes):
+    """One band: its operators (12 B a nonzero, in at most three copies: as
+    assembled, on flat (node, y) unknowns, and the band's own columns) and
+    the work arrays of its crossing and edge traces."""
+    return 3 * 12 * max(nnz) + sum(max(sizes) for sizes in work_bytes.values())
+
+
+def _array_bytes(*objects):
+    """The bytes of the arrays among the attributes of ``objects``."""
+    return sum(value.nbytes for obj in objects for value in vars(obj).values()
+               if isinstance(value, np.ndarray))
+
+
 @pytest.mark.parametrize("name, nx", [("toy", 100), ("sloped", 80)],
                          ids=["toy", "sloped"])
 def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
     """With bands of a few thousand segments a whole solve peaks, in traced
-    memory, at the arrays kept over the march, one band of operators (12 B
-    a nonzero, in at most three copies: as assembled, on flat (node, y)
-    unknowns, and the band's own columns) and the work arrays of one band's
-    trace and assembly (256 B a segment and 128 B a curve of its crossing
-    and edge bundles),
-    on one family in a y-subspace (the toy) and on one family per y-node.
-    Holding every band's operators, as a global sweep does, exceeds it."""
+    memory, at the arrays kept over the march, which hold no
+    ``(n_tri, ny)`` array on one family, and one band
+    (:func:`_band_bytes`), on one family in a y-subspace (the toy) and on
+    one family per y-node.  Holding every band's operators, as a global
+    sweep does, exceeds it."""
     plant = {"toy": toy, "sloped": _sloped(toy)}[name]
     spec = GridSpec(nx=nx, ny=8)
     monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 4096)
-    nnz, work_bytes, problems = [], {}, []
-
-    def recording(fn, log):
-        def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            log(out)
-            return out
-        return wrapper
-
-    monkeypatch.setattr(kernelsolve, "_quadrature_matrix", recording(
-        kernelsolve._quadrature_matrix, lambda op: nnz.append(op.nnz)))
-    monkeypatch.setattr(kernelsolve, "build_backstepping_problem", recording(
-        kernelsolve.build_backstepping_problem, problems.append))
-    for attr in ("trace_crossing_batch", "trace_edge_batch"):
-        monkeypatch.setattr(kernelsolve, attr, recording(
-            getattr(kernelsolve, attr),
-            lambda bundle, attr=attr: work_bytes.setdefault(attr, []).append(
-                256 * bundle.weights.size + 128 * (bundle.offsets.size - 1))))
+    nnz, work_bytes, problem_bytes = _record_band_work(monkeypatch)
     tracemalloc.start()
     try:
         sol = solve_backstepping_kernels(plant, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    arrays = [value for fields in (vars(problems[0]),
-                                   vars(sample_coefficients(plant, spec)))
-              for value in fields.values() if isinstance(value, np.ndarray)]
-    n_tri, r = sol.k.shape[0], sol.basis.shape[1]
-    # The problem's and the sampled grids' arrays; the march's unknowns (C,
-    # its source and the diagonal data in coordinates, G and its source);
-    # the kernel pair, k with the product it is summed from.
-    kept = (sum(a.nbytes for a in arrays) + 8 * n_tri * (3 * r + 2)
-            + 2 * sol.k.nbytes + sol.ktilde.nbytes)
-    work = sum(max(sizes) for sizes in work_bytes.values())
-    bound = kept + 3 * 12 * max(nnz) + work
+    n_tri, r = sol.coords.shape
+    # The problem's arrays (the diagonal data as coordinates and diagonal
+    # rows) and the sampled grids; the march's unknowns (C and its source,
+    # G and its source), which the solution keeps.
+    kept = (problem_bytes[0] + _array_bytes(sample_coefficients(plant, spec))
+            + 8 * n_tri * (2 * r + 2))
+    bound = kept + _band_bytes(nnz, work_bytes)
     assert kept + 12 * sum(nnz) > bound
     assert peak <= bound
+
+
+def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
+    """``kernels`` on the toy peaks, in traced memory, below the arrays it
+    keeps (the sampled coefficients, the problem's arrays, the grid's index
+    arrays and the march's unknowns, ``C`` among them, with the diagonal
+    rows), the larger of one band and the build's seeds (the diagonal data,
+    the one ``(n_tri, ny)`` array, which the build frees, and two copies of
+    a block of their QR), and one CSV chunk.  After the solve it forms
+    ``k`` a block of rows at a time, in the residual, the closed-form error
+    and the CSV writer, so that it peaks below what it holds (the
+    coefficients, the solution and the grid's index arrays) plus the larger
+    of one CSV chunk (512 B a line) and one block of ``k`` (128 B a value):
+    an allowance smaller than any ``(n_tri, ny)`` array.  Nothing on the
+    way asks for the whole ``k``."""
+    spec = GridSpec(nx=100, ny=60)
+    ny = spec.ny
+    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 4096)
+    monkeypatch.setattr(csvtable, "_CHUNK_LINES", 2048)
+    nnz, work_bytes, problem_bytes = _record_band_work(monkeypatch)
+    coeffs, solutions, solve_peaks = [], [], []
+    monkeypatch.setattr(cli, "sample_coefficients", _recording(
+        cli.sample_coefficients, coeffs.append))
+
+    def solve_and_reset_peak(*args, **kwargs):
+        sol = solve_backstepping_kernels(*args, **kwargs)
+        solve_peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        solutions.append(sol)
+        return sol
+
+    monkeypatch.setattr(cli, "solve_backstepping_kernels",
+                        solve_and_reset_peak)
+    tracemalloc.start()
+    try:
+        assert cli.cmd_kernels(cli.RunConfig(
+            nx=spec.nx, ny=ny, output_dir=str(tmp_path))) == 0
+        _, after_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (coeff,), (sol,) = coeffs, solutions
+    n_tri, r = sol.coords.shape
+    full_size = 8 * n_tri * ny
+    grid = _array_bytes(sol.spec.tri)
+    chunk = max(512 * csvtable._CHUNK_LINES, 128 * kernelsolve._BLOCK_VALUES)
+    assert chunk < full_size
+    seeds = full_size + 2 * 8 * (_FACTOR_BLOCK_ROWS + ny) * ny
+    kept = (problem_bytes[0] + _array_bytes(coeff) + grid
+            + 8 * n_tri * (2 * r + 2))
+    bound = kept + max(_band_bytes(nnz, work_bytes), seeds) + chunk
+    assert max(solve_peaks[0], after_peak) <= bound
+    # the command never asks for the whole k, and holds the solution's
+    # own arrays only
+    assert "k" not in vars(sol)
+    assert after_peak <= _array_bytes(coeff, sol) + grid + chunk
 
 
 def _reference_plants():
@@ -825,10 +918,20 @@ def test_y_subspace_holds_seeds_and_is_closed(c, width):
     def outside(rows):
         return rows - (rows @ basis) @ basis.T
 
-    seeds = np.vstack([problem.diagonal_data,
-                       coeff.readout_grid])
-    assert np.max(np.abs(outside(seeds))) <= 1e-12 * max(np.max(np.abs(seeds)),
-                                                          1e-300)
+    # the data each crossing curve carries from the diagonal, at its launch
+    at = problem.launch[:, problem.group]
+    y = spec.y_nodes
+    diagonal_data = -plant.readout(at, y) / (plant.speed_u(at, y)
+                                             + plant.speed_v(at))
+    seeds = np.vstack([diagonal_data, coeff.readout_grid])
+    scale = max(np.max(np.abs(seeds)), 1e-300)
+    assert np.max(np.abs(outside(seeds))) <= 1e-12 * scale
+    # the problem holds that data as its coordinates, and exactly on the
+    # diagonal nodes
+    assert (np.max(np.abs(problem.diagonal_coords @ basis.T - diagonal_data))
+            <= 1e-12 * scale)
+    assert np.array_equal(problem.diagonal_rows,
+                          diagonal_data[spec.tri.diagonal_flat()])
     for j in range(spec.nx + 1):
         a_j = (np.diag(coeff.speed_u_dx_grid[j])
                + spec.y_weights[:, None] * coeff.exchange_grid[j])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ensemble_backstep import simulator
 from ensemble_backstep.errors import (
     ConfigurationError,
     DimensionError,
@@ -702,3 +703,37 @@ class TestSimulateTarget:
         growth = record.lyapunov[2:] / np.maximum(record.lyapunov[1:-1], 1e-300)
         assert np.all(growth <= 1.0 + 1e-12)
         assert record.joint_norms[-1] <= 1e-20
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.5], ids=["toy", "per_y"])
+def test_recipe_reads_kernel_norms_from_coordinates(slope, monkeypatch):
+    """The recipe's y-norms of k, read from the solver's coordinates, are
+    those of the whole k, ``sqrt((k ** 2) @ w_y)``, to 1e-12 relative; so
+    are its bounds, p, delta and M_equiv, on the toy (y-rank 1) and on a
+    plant whose ensemble speed 1 + y/2 is held per y-node."""
+    toy = toy_model()
+    plant = dataclasses.replace(
+        toy, speed_u=lambda x, y: 1.0 + slope * np.asarray(y)
+        + 0.0 * np.asarray(x))
+    spec = GridSpec(nx=30, ny=12)
+    coeff = sample_coefficients(plant, spec)
+    kernels = solve_backstepping_kernels(plant, spec, coeff=coeff)
+    assert kernels.y_rank == (1 if slope == 0.0 else spec.ny)
+    transform = transform_operator(kernels)
+
+    def full_k_norms(sol):
+        return np.sqrt((sol.k ** 2) @ sol.spec.y_weights)
+
+    want = full_k_norms(kernels)
+    got = simulator._kernel_y_norms(kernels)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    recipe = lyapunov_recipe(coeff, kernels, transform)
+    monkeypatch.setattr(simulator, "_kernel_y_norms", full_k_norms)
+    oracle = lyapunov_recipe(coeff, kernels, transform)
+    assert oracle.bounds.keys() == recipe.bounds.keys()
+    pairs = [(name, recipe.bounds[name], value)
+             for name, value in oracle.bounds.items()]
+    pairs += [(name, getattr(recipe, name), getattr(oracle, name))
+              for name in ("p", "delta", "M_equiv")]
+    for name, got, value in pairs:
+        assert abs(got - value) <= 1e-12 * abs(value), name
