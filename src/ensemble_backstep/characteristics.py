@@ -26,13 +26,12 @@ A crossing curve's launch abscissa ``l`` solves
 Phi_v(l)``; an edge curve has ``s_end = Phi_v(xi)`` and
 ``launch = Phi_v^-1(Phi_v(x) - Phi_v(xi))``.  Each launch is bracketed
 between two x-nodes of the tables and refined by Newton steps on the travel
-times themselves.  Crossing launches can be solved alone
-(:func:`crossing_launch`) and given back to the trace of the same points,
-which then does not solve them again.  This relies on the plant's contract
-that both speeds are strictly positive on all of [0, 1] (sampling checks
-them at the grid nodes only): a curve whose travel time is infinite or
-unresolved, or longer than twice the slowest crossing (edge) time the
-sampled speeds allow, raises :class:`NonconvergenceError`.  Speeds are
+times themselves; every trace solves the launches of its own curves.  This
+relies on the plant's contract that both speeds are strictly positive on
+all of [0, 1] (sampling checks them at the grid nodes only): a curve whose
+travel time is infinite or unresolved, or longer than twice the slowest
+crossing (edge) time the sampled speeds allow, raises
+:class:`NonconvergenceError`.  Speeds are
 evaluated at positions clamped to [0, 1] so that tiny overshoots beyond the
 domain stay well-defined.
 
@@ -62,7 +61,6 @@ from .model import SampledCoefficients, sample_coefficients  # noqa: F401
 
 __all__ = [
     "TracedBundle",
-    "crossing_launch",
     "trace_crossing_batch",
     "trace_edge_batch",
 ]
@@ -531,9 +529,8 @@ def _family(coeff: SampledCoefficients, kind: str, xs, xis, ys) -> _Family:
                    start_xi)
 
 
-def _events(family: _Family, launch=None):
-    """Each curve's launch abscissa and event time.  The launches are solved
-    unless given (as solved for the same points before).
+def _events(family: _Family):
+    """Each curve's launch abscissa and event time.
 
     Raises :class:`NonconvergenceError` if a launch is not resolved or an
     event lies beyond ``family.s_max``.
@@ -542,16 +539,14 @@ def _events(family: _Family, launch=None):
     phi_v, kind = family.phi_v, family.kind
     start_x, start_xi = family.start_x, family.start_xi
     s_end = np.zeros(family.xs.shape[0])
-    resolved = True
+    launch = family.xs.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        if launch is None:
-            launch = family.xs.copy()
-            if kind == "cross":
-                target, phi_w = start_x[ref] + start_xi[ref], family.phi_w
-            else:
-                target, phi_w = start_x[ref] - start_xi[ref], None
-            launch[ref], resolved = _launch(target, family.rows[ref], phi_v,
-                                            phi_w)
+        if kind == "cross":
+            target, phi_w = start_x[ref] + start_xi[ref], family.phi_w
+        else:
+            target, phi_w = start_x[ref] - start_xi[ref], None
+        launch[ref], resolved = _launch(target, family.rows[ref], phi_v,
+                                        phi_w)
         if kind == "cross":
             s_end[ref] = start_x[ref] - phi_v.at(0, launch[ref])
         else:
@@ -598,24 +593,11 @@ def _read_curves(family: _Family, launch, s_end) -> TracedBundle:
                         s_end, launch)
 
 
-def crossing_launch(coeff: SampledCoefficients, xs, xis, ys) -> np.ndarray:
-    """Launch abscissas of the crossing curves from many triangle points:
-    where each curve meets the diagonal (a diagonal point is its own)."""
+def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys
+                         ) -> TracedBundle:
+    """Trace crossing curves for many triangle points at once."""
     family = _family(coeff, "cross", *_points(xs, xis, ys))
-    return _events(family)[0]
-
-
-def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys,
-                         launch=None) -> TracedBundle:
-    """Trace crossing curves for many triangle points at once.
-
-    ``launch``, the points' :func:`crossing_launch` if it is known, spares
-    solving it again; the bundle is the same, bit for bit.
-    """
-    family = _family(coeff, "cross", *_points(xs, xis, ys))
-    if launch is not None:
-        launch = np.asarray(launch, dtype=float)
-    return _read_curves(family, *_events(family, launch))
+    return _read_curves(family, *_events(family))
 
 
 def trace_edge_batch(coeff: SampledCoefficients, xs, xis) -> TracedBundle:

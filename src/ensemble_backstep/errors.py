@@ -32,7 +32,8 @@ class NonconvergenceError(EnsembleBackstepError):
 
 
 class NumericError(EnsembleBackstepError):
-    """A computation produced or received non-finite values."""
+    """A computation produced or received non-finite values, or values the
+    grid does not resolve."""
 
 
 class DivergenceError(EnsembleBackstepError):

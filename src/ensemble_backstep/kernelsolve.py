@@ -31,7 +31,7 @@ whose speed does not depend on y has one group, one with a different speed
 at every y-node has ny.  A band's crossing curves, of every family, are one
 trace through the travel times of the two speeds (see
 :mod:`.characteristics`), whose tables cost about ``nx + 1`` cells per
-trace, on launch abscissas solved once per solve; its edge curves are
+trace, which solves their launch abscissas; its edge curves are
 another.  Each trace becomes one sparse operator: Simpson's rule on every
 cell segment of a curve applied to the bilinear interpolant on the
 triangle, which is exact along straight curves, written in CSR a block of
@@ -53,7 +53,9 @@ too.  The solver returns the kernel pair as it marched it: ``k`` as its
 coordinates ``C`` in ``B`` with the exact diagonal rows, formed into rows on
 y-nodes a block at a time where it is read, ``ktilde`` whole, and the
 iteration history; the transform factors ``k`` in ``B``, and the controller
-reads the outlet row of both kernels.
+reads the outlet row of both kernels.  ``B`` is seeded with the diagonal
+data on the diagonal nodes and the readout rows, and each band checks that
+the data its crossing curves carry lie in it.
 """
 
 from __future__ import annotations
@@ -64,8 +66,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
-from .characteristics import (crossing_launch, trace_crossing_batch,
-                              trace_edge_batch)
+from .characteristics import trace_crossing_batch, trace_edge_batch
 from .errors import (DimensionError, DomainError, NonconvergenceError,
                      NumericError)
 from .grid import GridSpec, TriangularIndex, corner_weights, y_subspace
@@ -103,6 +104,10 @@ _BLOCK_SEGMENTS = 16384
 #: trace less often, larger ones hold more.
 _BAND_SEGMENTS = 2 ** 18
 
+#: The part of a band's diagonal data, relative to the sup of the diagonal
+#: rows, that may lie outside the y-subspace seeded with those rows.
+_SUBSPACE_TOL = 1e-12
+
 #: Values of ``k`` (rows times ny) in one block of
 #: :meth:`KernelSolution.k_blocks`.
 _BLOCK_VALUES = 1 << 13
@@ -118,14 +123,12 @@ class GoursatProblem:
     ``scalar_to_ensemble`` and ``ensemble_to_scalar`` are ``(nx + 1, r)``
     plant fields in those coordinates and ``scalar_decay`` an
     ``(nx + 1,)`` one, held per x-node: triangle node ``(i, j)`` reads row
-    ``j``.  ``diagonal_coords`` holds the ``(n_tri, r)`` coordinates of the
-    data each crossing curve carries from the diagonal, and
-    ``diagonal_rows`` the exact ``(nx + 1, ny)`` data on the diagonal nodes
-    ``(i, i)``, which the solution keeps as its diagonal rows.  The crossing
-    curves of y-node ``y`` are family ``group[y]``'s, traced at
-    ``family_y[group[y]]``, and ``launch[n, f]`` is where family f's curve
-    from triangle node n meets the diagonal.  No operator is held:
-    :func:`solve_goursat` traces and assembles them a band of rows at a
+    ``j``.  ``diagonal_rows`` holds the exact ``(nx + 1, ny)`` data on the
+    diagonal nodes ``(i, i)``, which the solution keeps as its diagonal
+    rows.  The crossing curves of y-node ``y`` are family ``group[y]``'s,
+    traced at ``family_y[group[y]]``.  Nothing is traced and no operator is
+    held: :func:`solve_goursat` traces and assembles them, and forms the
+    data the crossing curves carry from the diagonal, a band of rows at a
     time from ``coeff``.
     ``apply_ensemble_operator(rows, field)`` receives the ``(n, r)``
     coordinates of the ensemble iterate on the triangle rows ``rows`` (a
@@ -140,8 +143,6 @@ class GoursatProblem:
     basis: np.ndarray
     family_y: np.ndarray
     group: np.ndarray
-    launch: np.ndarray
-    diagonal_coords: np.ndarray
     diagonal_rows: np.ndarray
     scalar_to_ensemble: np.ndarray
     ensemble_to_scalar: np.ndarray
@@ -335,36 +336,65 @@ def _nodes(tri: TriangularIndex, rows: range) -> slice:
                  int(tri.row_start[rows.stop - 1]) + rows.stop)
 
 
-def _crossing_points(tri: TriangularIndex, nodes: slice, family_y):
-    """The query points of the crossing curves from ``nodes``: one per
-    (node, family), node-major."""
-    families = family_y.size
-    n = nodes.stop - nodes.start
-    return (np.repeat(tri.x_coord[nodes], families),
-            np.repeat(tri.xi_coord[nodes], families), np.tile(family_y, n))
+def _diagonal_data(model: PlantModel, at: np.ndarray,
+                   y: np.ndarray) -> np.ndarray:
+    """``-readout / (speed_u + speed_v)`` at the ``(n, ny)`` launch
+    abscissas ``at`` of crossing curves, one per y-node: the data they carry
+    from the diagonal."""
+    return -model.readout(at, y) / (model.speed_u(at, y) + model.speed_v(at))
+
+
+def _diagonal_coords(problem: GoursatProblem, data: np.ndarray,
+                     nodes: slice) -> np.ndarray:
+    """The coordinates in ``problem.basis`` of the diagonal data ``data``
+    (overwritten) of the crossing curves from ``nodes``, on the identity
+    basis the data themselves.  Raises
+    :class:`NumericError` where more than :data:`_SUBSPACE_TOL` of the sup
+    of the diagonal rows lies outside the basis: the plant's y-profiles
+    change between x-nodes."""
+    spec, basis = problem.spec, problem.basis
+    if basis.shape[1] == spec.ny:
+        return data
+    coords = data @ basis
+    data -= coords @ basis.T
+    outside = float(np.max(np.abs(data)))
+    scale = float(np.max(np.abs(problem.diagonal_rows)))
+    if outside > _SUBSPACE_TOL * scale:
+        i = spec.tri.i_index
+        raise NumericError(
+            f"the diagonal data of rows {i[nodes.start]} to "
+            f"{i[nodes.stop - 1]} lie {outside:.3g} outside the y-subspace "
+            f"of the diagonal rows (sup {scale:.3g}): the plant's y-profiles "
+            f"change between x-nodes, which nx={spec.nx} does not resolve")
+    return coords
 
 
 def _band_operators(problem: GoursatProblem, nodes: slice):
-    """Trace and assemble the curves of a band's nodes: the crossing
-    operator, on flat ``(node, y)`` unknowns when there is more than one
-    family, the edge operator and the edge interpolation data."""
-    spec, coeff = problem.spec, problem.coeff
+    """Trace and assemble the curves of a band's nodes: the coordinates of
+    the diagonal data their crossing curves carry, the crossing operator,
+    on flat ``(node, y)`` unknowns when there is more than one family, the
+    edge operator and the edge interpolation data."""
+    spec, coeff, family_y = problem.spec, problem.coeff, problem.family_y
     tri = spec.tri
-    # Every crossing curve of the band in one trace, its launches those
-    # solved with the diagonal data.
+    n = nodes.stop - nodes.start
+    # Every crossing curve of the band, one per (node, family), node-major,
+    # in one trace, which solves their launches.
     bundle = trace_crossing_batch(
-        coeff, *_crossing_points(tri, nodes, problem.family_y),
-        launch=problem.launch[nodes].ravel())
+        coeff, np.repeat(tri.x_coord[nodes], family_y.size),
+        np.repeat(tri.xi_coord[nodes], family_y.size), np.tile(family_y, n))
+    launch = bundle.launch.reshape(n, family_y.size)
     cross = _quadrature_matrix(spec, bundle)
     # Segments are the bulk of a band's memory: each bundle goes as soon as
     # its operator exists.
     del bundle
-    if problem.family_y.size > 1:
+    diagonal = _diagonal_coords(problem, _diagonal_data(
+        coeff.model, launch[:, problem.group], spec.y_nodes), nodes)
+    if family_y.size > 1:
         cross = _per_y(cross, problem.group)
     bundle = trace_edge_batch(coeff, tri.x_coord[nodes], tri.xi_coord[nodes])
     edge = _quadrature_matrix(spec, bundle)
     interp = _edge_interp_indices(spec, bundle.launch, tri.i_index[nodes])
-    return cross, edge, interp
+    return diagonal, cross, edge, interp
 
 
 def _apply(op: sparse.csr_matrix, field: np.ndarray, lanes: int) -> np.ndarray:
@@ -421,7 +451,6 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
         raise DomainError(f"tol must be positive and finite, got {tol}")
     tri = problem.spec.tri
     basis = problem.basis
-    diagonal = problem.diagonal_coords
     C = np.zeros((tri.n_nodes, basis.shape[1]))
     G = np.zeros(tri.n_nodes)
     # What the operators apply to: the sources of the finished rows, zero
@@ -431,11 +460,11 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     histories = []
     for rows in _bands(tri, problem.family_y.size):
         nodes = _nodes(tri, rows)
-        cross, edge, (edge_flat0, edge_flat1, edge_frac) = _band_operators(
-            problem, nodes)
+        diagonal, cross, edge, (edge_flat0, edge_flat1, edge_frac) = (
+            _band_operators(problem, nodes))
         lanes = cross.shape[1] // tri.n_nodes
         # Every column once, on the finished sources; then only the band's.
-        fixed_C = diagonal[nodes] + _apply(cross, source_C, lanes)
+        fixed_C = diagonal + _apply(cross, source_C, lanes)
         fixed_G = edge @ source_G
         cross = cross[:, lanes * nodes.start:lanes * nodes.stop]
         edge = edge[:, nodes]
@@ -513,17 +542,14 @@ def _sampled(model: PlantModel, spec: GridSpec,
 def build_backstepping_problem(model: PlantModel, spec: GridSpec,
                                coeff: SampledCoefficients | None = None
                                ) -> GoursatProblem:
-    """Solve every crossing launch and the diagonal data of the plant, and
-    project the kernel system onto its y-subspace.
+    """Project the kernel system of the sampled plant onto its y-subspace;
+    nothing is traced.
 
     ``coeff`` is the plant already sampled on ``spec``, if the caller holds
-    it; otherwise it is sampled here.  The ``(n_tri, ny)`` diagonal data
-    seeds the subspace and is dropped when this returns: the problem keeps
-    its coordinates and its rows on the diagonal nodes.
+    it; otherwise it is sampled here.  The subspace is seeded with the
+    exact diagonal data on the diagonal nodes and the readout rows.
     """
     coeff = _sampled(model, spec, coeff)
-    tri = spec.tri
-    n_tri = tri.n_nodes
     wy = spec.y_weights
 
     # y-nodes whose sampled speed columns are equal, which the grid cannot
@@ -531,20 +557,10 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec,
     _, first, group = np.unique(coeff.speed_u_grid.T, axis=0,
                                 return_index=True, return_inverse=True)
     family_y = spec.y_nodes[first]
-    families = family_y.size
-    # Every launch, one per (node, family), is solved once, here, a band of
-    # rows at a time: the y-subspace is closed over the diagonal data before
-    # the march starts.
-    launch = np.empty((n_tri, families))
-    diagonal_data = np.empty((n_tri, spec.ny))
-    y = spec.y_nodes
-    for rows in _bands(tri, families):
-        nodes = _nodes(tri, rows)
-        launch[nodes] = crossing_launch(
-            coeff, *_crossing_points(tri, nodes, family_y)).reshape(-1, families)
-        at = launch[nodes][:, group]
-        diagonal_data[nodes] = -model.readout(at, y) / (
-            model.speed_u(at, y) + model.speed_v(at))
+    # A diagonal node is its own launch.
+    diagonal_rows = _diagonal_data(
+        model, np.broadcast_to(spec.x_nodes[:, None], (spec.nx + 1, spec.ny)),
+        spec.y_nodes)
 
     # The ensemble operator at x-node j maps a y-profile f to f @ A_j,
     # A_j = diag(speed_u_dx[j]) + diag(w_y) @ exchange[j].  Each pass builds
@@ -558,11 +574,11 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec,
             a[diag, diag] += speed_u_dx
             yield a
 
-    if families == 1:
+    if family_y.size == 1:
         # The sweeps make y-profiles only from the diagonal data and the
         # readout rows, and move a profile f only by f @ A_j.
         basis = y_subspace(
-            (diagonal_data, coeff.readout_grid),
+            (diagonal_rows, coeff.readout_grid),
             lambda new: np.concatenate([new.T @ a for a in maps()]),
             max(float(np.linalg.norm(a, axis=(0, 1))) for a in maps()))
     else:
@@ -586,9 +602,7 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec,
         basis=basis,
         family_y=family_y,
         group=group,
-        launch=launch,
-        diagonal_coords=diagonal_data @ basis,
-        diagonal_rows=diagonal_data[tri.diagonal_flat()],
+        diagonal_rows=diagonal_rows,
         scalar_to_ensemble=coeff.readout_grid @ basis,
         ensemble_to_scalar=(coeff.drive_grid * wy) @ basis,
         scalar_decay=-coeff.speed_v_dx_grid,

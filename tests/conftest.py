@@ -1,5 +1,7 @@
-"""Shared fixtures: expensive artifacts built once per session."""
+"""Shared fixtures, expensive artifacts built once per session, and the
+test plants more than one test file solves."""
 
+import dataclasses
 import os
 import time
 
@@ -9,6 +11,34 @@ import pytest
 import ensemble_backstep
 from ensemble_backstep import kernelsolve, model, simulator
 from ensemble_backstep.grid import GridSpec
+
+
+def sloped_plant(slope=0.5):
+    """The toy with the ensemble speed ``1 + slope * y``: one family of
+    crossing curves per y-node, unless ``slope`` is 0."""
+    return dataclasses.replace(
+        model.toy_model(),
+        speed_u=lambda x, y: 1.0 + slope * np.asarray(y) + 0.0 * np.asarray(x))
+
+
+def half_x_plant():
+    """The toy with speeds 1 + x/2: curved characteristics."""
+    return dataclasses.replace(
+        model.toy_model(),
+        speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(x) + 0.0 * np.asarray(y),
+        speed_v=lambda x: 1.0 + 0.5 * np.asarray(x),
+        speed_u_dx=lambda x, y: 0.5 + 0.0 * (np.asarray(x) + np.asarray(y)),
+        speed_v_dx=lambda x: 0.5 + 0.0 * np.asarray(x))
+
+
+def full_rank_plant():
+    """The speed 1 + y/2 with a Gaussian exchange and a drive that is not
+    separable, so that every kernel the cascade applies has y-rank > 1."""
+    return dataclasses.replace(
+        sloped_plant(), name="full-rank",
+        exchange=lambda x, y, eta: x * np.exp(-(y - eta) ** 2),
+        drive=lambda x, y: (x * (x + 1.0) * (y - 0.5) * np.exp(x)
+                            + 0.5 * np.sin(np.pi * x * y)))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import half_x_plant, sloped_plant
 from ensemble_backstep.characteristics import (
     trace_crossing_batch,
     trace_edge_batch,
@@ -122,7 +123,7 @@ class TestEdgeClosedForms:
     def test_event_time_on_curved_edge_curves(self, nx, rng):
         # speed_v = 1 + x/2 reaches the edge at s = 2 ln(1 + xi/2), the
         # travel time from 0 to xi
-        coeff = sample_coefficients(_half_x_speeds(), GridSpec(nx=nx, ny=5))
+        coeff = sample_coefficients(half_x_plant(), GridSpec(nx=nx, ny=5))
         xs = rng.uniform(0.0, 1.0, 400)
         xis = xs * rng.uniform(0.0, 1.0, 400)
         bundle = trace_edge_batch(coeff, xs, xis)
@@ -210,7 +211,7 @@ class TestPathIntegrity:
         # starts at the query point, the last ends at the event, and the
         # path integral of 1 is the event time; along curved characteristics
         # of speeds 1 + x/2, with diagonal and edge points among them
-        coeff = sample_coefficients(_half_x_speeds(), SPEC)
+        coeff = sample_coefficients(half_x_plant(), SPEC)
         xs = rng.uniform(0.0, 1.0, 150)
         xis = xs * rng.uniform(0.0, 1.0, 150)
         xis[:5] = 0.0 if family == "edge" else xs[:5]
@@ -257,7 +258,7 @@ class TestBatchInvariants:
         # 1 + x/2: Simpson's rule on every cell segment, with each midpoint
         # read to fourth order, holds it to 1e-8 (sampling every trace step
         # with trapezoid weights left 2.2e-7)
-        coeff = sample_coefficients(_half_x_speeds(), SPEC)
+        coeff = sample_coefficients(half_x_plant(), SPEC)
         xs = rng.uniform(0.0, 1.0, 120)
         xis = xs * rng.uniform(0.0, 1.0, 120)
         ys = rng.uniform(0.0, 1.0, 120)
@@ -295,11 +296,7 @@ class TestBatchInvariants:
 
     def test_lipschitz_in_y(self, rng):
         # a y-dependent ensemble speed: the crossing time must vary smoothly
-        plant = _plant(
-            lambda x, y: 1.0 + 0.5 * np.asarray(y) * np.ones(np.shape(x)),
-            lambda x: np.ones(np.shape(x)),
-        )
-        coeff = sample_coefficients(plant, SPEC)
+        coeff = sample_coefficients(sloped_plant(), SPEC)
         ys = np.linspace(0.0, 1.0, 50)
         bundle = trace_crossing_batch(coeff, np.full(50, 0.9), np.full(50, 0.2), ys)
         s = bundle.s_end
@@ -319,21 +316,7 @@ def _per_segment(bundle, values):
     return np.repeat(values, np.diff(bundle.offsets))
 
 
-def _half_x_speeds():
-    return _plant(
-        lambda x, y: 1.0 + 0.5 * np.asarray(x) + 0.0 * np.asarray(y),
-        lambda x: 1.0 + 0.5 * np.asarray(x, dtype=float),
-    )
-
-
-def _half_y_speed():
-    return _plant(
-        lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x),
-        lambda x: np.ones(np.shape(x)),
-    )
-
-
-@pytest.mark.parametrize("make_plant", [_half_x_speeds, _half_y_speed],
+@pytest.mark.parametrize("make_plant", [half_x_plant, sloped_plant],
                          ids=["speeds-1+x/2", "speed_u-1+y/2"])
 @pytest.mark.parametrize("family", ["cross", "edge"])
 def test_batch_equals_one_point_traces(make_plant, family):

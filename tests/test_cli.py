@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import sloped_plant
 from ensemble_backstep import cli, csvtable
 from ensemble_backstep.cli import load_config_file, main
 from ensemble_backstep.errors import ConfigurationError, NonconvergenceError
@@ -209,10 +210,7 @@ def test_diagonal_rows_are_the_exact_data(slope):
     speed_v)`` bit for bit, as the solution holds them, as its rows and as
     the whole array give them, so that the boundary check of ``verify``
     measures 0 on the toy and on a speed 1 + y/2 held per y-node."""
-    toy = builtin_model("toy")
-    plant = dataclasses.replace(
-        toy, speed_u=lambda x, y: 1.0 + slope * np.asarray(y)
-        + 0.0 * np.asarray(x))
+    plant = sloped_plant(slope)
     spec = GridSpec(nx=30, ny=12)
     coeff = sample_coefficients(plant, spec)
     sol = solve_backstepping_kernels(plant, spec, coeff=coeff)

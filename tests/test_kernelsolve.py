@@ -9,15 +9,15 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.integrate import quad
 
+from conftest import full_rank_plant, half_x_plant, sloped_plant
 from ensemble_backstep import cli, csvtable, kernelsolve
 from ensemble_backstep.characteristics import (
     trace_crossing_batch,
     trace_edge_batch,
 )
 from ensemble_backstep.errors import (DimensionError, DomainError,
-                                      NonconvergenceError)
+                                      NonconvergenceError, NumericError)
 from ensemble_backstep.grid import (
-    _FACTOR_BLOCK_ROWS,
     GridSpec,
     corner_weights,
     gregory_weights,
@@ -198,12 +198,7 @@ class TestPdeResidual:
     def test_residual_shrinks_linearly_with_x_dependent_speeds(self, toy):
         # non-unit speeds that vary in x, with analytic derivatives; no other
         # solve here has a nonzero scalar decay term -speed_v_dx * ktilde
-        plant = dataclasses.replace(
-            toy,
-            speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(x) + 0.0 * np.asarray(y),
-            speed_v=lambda x: 1.0 + 0.5 * np.asarray(x),
-            speed_u_dx=lambda x, y: 0.5 + 0.0 * (np.asarray(x) + np.asarray(y)),
-            speed_v_dx=lambda x: 0.5 + 0.0 * np.asarray(x))
+        plant = half_x_plant()
         values = {}
         for nx in (25, 50):
             sol = solve_backstepping_kernels(plant, GridSpec(nx=nx, ny=30))
@@ -270,8 +265,8 @@ def _whole_array_residual(sol, model):
 def test_residual_by_columns_equals_whole_array(toy, plant_name):
     """Visiting the interior one xi-column at a time gives the residuals of
     the whole-array evaluation."""
-    plant = {"toy": toy, "half_x": _half_x(toy),
-             "full_rank": _reference_plants()["full_rank"]}[plant_name]
+    plant = {"toy": toy, "half_x": half_x_plant(),
+             "full_rank": full_rank_plant()}[plant_name]
     sol = solve_backstepping_kernels(plant, SPEC)
     got = kernel_pde_residual(sol, plant)
     want = _whole_array_residual(sol, plant)
@@ -300,8 +295,7 @@ def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
     assert len(traced) == len(kernelsolve._bands(spec.tri, 1))
     assert all(ys.size == 1 for ys in traced)
 
-    sloped = dataclasses.replace(
-        toy, speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x))
+    sloped = sloped_plant()
     kinked = dataclasses.replace(
         toy, speed_u=lambda x, y: (1.0 + np.maximum(0.0, np.asarray(y) - 0.5)
                                    + 0.0 * np.asarray(x)))
@@ -337,21 +331,6 @@ def _one_shot_operator(spec, bundle):
     return dense
 
 
-def _sloped(toy):
-    return dataclasses.replace(
-        toy, speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x))
-
-
-def _half_x(toy):
-    """Speeds 1 + x/2: curved characteristics."""
-    return dataclasses.replace(
-        toy,
-        speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(x) + 0.0 * np.asarray(y),
-        speed_v=lambda x: 1.0 + 0.5 * np.asarray(x),
-        speed_u_dx=lambda x, y: 0.5 + 0.0 * (np.asarray(x) + np.asarray(y)),
-        speed_v_dx=lambda x: 0.5 + 0.0 * np.asarray(x))
-
-
 def _family_operator(plant, spec, family, y=0.75):
     coeff = sample_coefficients(plant, spec)
     tri = spec.tri
@@ -371,8 +350,8 @@ def test_row_blocks_equal_one_shot_assembly(toy, plant_name, family):
     Simpson sum over the three points of every segment, in canonical CSR
     form."""
     spec = GridSpec(nx=30, ny=8)
-    plant = {"toy": toy, "sloped": _sloped(toy),
-             "half_x": _half_x(toy)}[plant_name]
+    plant = {"toy": toy, "sloped": sloped_plant(),
+             "half_x": half_x_plant()}[plant_name]
     op, bundle = _family_operator(plant, spec, family)
     assert op.shape == (spec.tri.n_nodes, spec.tri.n_nodes)
     assert op.has_canonical_format
@@ -470,8 +449,8 @@ _SAMPLED_NNZ = {("toy", "cross"): 10621, ("toy", "edge"): 18649,
 def test_operator_nonzeros_no_more_than_sampled(toy, plant_name, family):
     """Segment assembly stores no more nonzeros per family than sampling the
     curves at every trace step did."""
-    plant = {"toy": toy, "sloped": _sloped(toy),
-             "half_x": _half_x(toy)}[plant_name]
+    plant = {"toy": toy, "sloped": sloped_plant(),
+             "half_x": half_x_plant()}[plant_name]
     op, _ = _family_operator(plant, GridSpec(nx=30, ny=8), family)
     assert op.nnz <= _SAMPLED_NNZ[plant_name, family]
 
@@ -495,39 +474,11 @@ def test_refinement_gap_no_larger_than_sampled(toy):
     kernel of speed_u = 1 + y/2 is left out: it moves 2.12e-3, against
     2.10e-3 with sampling, and its error against an nx = 200 solution is as
     close (2.77e-3 and 2.74e-3 at nx = 25)."""
-    gap_k, _ = _refinement_gap(_sloped(toy))
+    gap_k, _ = _refinement_gap(sloped_plant())
     assert gap_k <= 1.887176e-3
-    gap_k, gap_kt = _refinement_gap(_half_x(toy))
+    gap_k, gap_kt = _refinement_gap(half_x_plant())
     assert gap_k <= 1.666297e-4
     assert gap_kt <= 1.168731e-3
-
-
-def test_families_read_the_curves_of_lone_traces(monkeypatch):
-    """Every band's traces, crossing curves on the launches solved with the
-    diagonal data, are the bundles that traces of the same points alone,
-    solving their launches anew, give, bit for bit."""
-    spec = GridSpec(nx=12, ny=6)
-    plant = dataclasses.replace(
-        toy_model(),
-        speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x))
-    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 256)
-    traced = []
-    for name in ("trace_crossing_batch", "trace_edge_batch"):
-        def recording(*args, _trace=getattr(kernelsolve, name), **kwargs):
-            bundle = _trace(*args, **kwargs)
-            traced.append((_trace, args, bundle))
-            return bundle
-        monkeypatch.setattr(kernelsolve, name, recording)
-    solve_backstepping_kernels(plant, spec)
-    bands = kernelsolve._bands(spec.tri, spec.ny)
-    assert len(bands) >= 3
-    assert len(traced) == 2 * len(bands)
-    monkeypatch.undo()
-    for trace, args, bundle in traced:
-        alone = trace(*args)
-        for field in dataclasses.fields(bundle):
-            assert np.array_equal(getattr(bundle, field.name),
-                                  getattr(alone, field.name)), field.name
 
 
 @pytest.mark.parametrize("plant_name", ["toy", "sloped", "half_x"])
@@ -537,8 +488,8 @@ def test_band_partition_moves_kernels_by_rounding(toy, plant_name,
     band over the whole triangle to rounding: straight and curved
     characteristics, one family and one per y-node."""
     spec = GridSpec(nx=40, ny=16)
-    plant = {"toy": toy, "sloped": _sloped(toy),
-             "half_x": _half_x(toy)}[plant_name]
+    plant = {"toy": toy, "sloped": sloped_plant(),
+             "half_x": half_x_plant()}[plant_name]
     monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", np.inf)
     assert len(kernelsolve._bands(spec.tri, spec.ny)) == 1
     whole = solve_backstepping_kernels(plant, spec)
@@ -558,14 +509,14 @@ def test_bands_read_no_row_above_them(toy, monkeypatch):
     spec = GridSpec(nx=60, ny=8)
     tri = spec.tri
     monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 4096)
-    for plant in (toy, _half_x(toy), _sloped(toy)):
+    for plant in (toy, half_x_plant(), sloped_plant()):
         problem = build_backstepping_problem(plant, spec)
         bands = kernelsolve._bands(tri, problem.family_y.size)
         assert len(bands) >= 10
         for rows in bands:
             nodes = kernelsolve._nodes(tri, rows)
-            cross, edge, (flat0, flat1, frac) = kernelsolve._band_operators(
-                problem, nodes)
+            _, cross, edge, (flat0, flat1, frac) = (
+                kernelsolve._band_operators(problem, nodes))
             lanes = cross.shape[1] // tri.n_nodes
             assert cross.indices.max() < lanes * nodes.stop
             assert edge.indices.max() < nodes.stop
@@ -576,6 +527,58 @@ def test_bands_read_no_row_above_them(toy, monkeypatch):
             assert np.all(upper == np.minimum(lower + 1, row))
             assert np.all((frac >= 0.0) & (frac <= 1.0))
             assert np.all(frac[row == 0] == 0.0)
+
+
+@pytest.mark.parametrize("name", ["toy", "sloped"])
+def test_build_traces_nothing(name, monkeypatch):
+    """The build reads only the sampled plant: it calls no trace and forms
+    no band.  The solve traces every band's crossing curves, of every
+    family, in one call, each curve exactly once, the bands in x order."""
+    plant = {"toy": toy_model(), "sloped": sloped_plant()}[name]
+    spec = GridSpec(nx=20, ny=6)
+    tri = spec.tri
+    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 256)
+    calls, crossing_points = [], []
+    for attr in ("trace_edge_batch", "_bands"):
+        monkeypatch.setattr(kernelsolve, attr, _recording(
+            getattr(kernelsolve, attr), lambda _, attr=attr: calls.append(attr)))
+    trace = kernelsolve.trace_crossing_batch
+
+    def recording_crossing(coeff, xs, xis, ys):
+        crossing_points.append(np.column_stack([xs, xis, ys]))
+        return trace(coeff, xs, xis, ys)
+
+    monkeypatch.setattr(kernelsolve, "trace_crossing_batch",
+                        recording_crossing)
+    problem = build_backstepping_problem(plant, spec)
+    assert calls == [] and crossing_points == []
+    solve_goursat(problem)
+    traced = len(crossing_points), calls.count("trace_edge_batch")
+    bands = kernelsolve._bands(tri, problem.family_y.size)
+    assert len(bands) >= 3
+    assert traced == (len(bands), len(bands))
+    families = problem.family_y.size
+    every_curve = np.column_stack([
+        np.repeat(tri.x_coord, families), np.repeat(tri.xi_coord, families),
+        np.tile(problem.family_y, tri.n_nodes)])
+    assert np.array_equal(np.concatenate(crossing_points), every_curve)
+
+
+def test_unresolved_plant_raises_numeric_error():
+    """A readout term that vanishes on every x-node, and changes the
+    readout's y-profile between them, puts the diagonal data of the crossing
+    curves, launched between x-nodes, outside the y-subspace seeded with
+    the diagonal rows: the solve raises :class:`NumericError`, naming the
+    rows, where it would solve in too small a subspace.  The toy on the
+    same grid solves."""
+    spec = GridSpec(nx=20, ny=12)
+    toy = toy_model()
+    plant = dataclasses.replace(
+        toy, readout=lambda x, y: (toy.readout(x, y) + np.sin(np.pi * spec.nx * x)
+                                   * (y - 0.5) ** 3))
+    assert solve_backstepping_kernels(toy, spec).y_rank == 1
+    with pytest.raises(NumericError, match="rows 0 to"):
+        solve_backstepping_kernels(plant, spec)
 
 
 @pytest.mark.parametrize("group", [[0, 1, 2, 3], [3, 1, 0, 2], [1, 0, 1, 1]])
@@ -606,12 +609,12 @@ def _dense_march_oracle(problem):
     n, r = tri.n_nodes, problem.basis.shape[1]
     parts = [kernelsolve._band_operators(problem, kernelsolve._nodes(tri, rows))
              for rows in kernelsolve._bands(tri, problem.family_y.size)]
-    cross = sparse.vstack([p[0] for p in parts], format="csr").toarray()
-    edge = sparse.vstack([p[1] for p in parts], format="csr").toarray()
-    flat0, flat1, frac = (np.concatenate([p[2][k] for p in parts])
+    diagonal = np.concatenate([p[0] for p in parts])
+    cross = sparse.vstack([p[1] for p in parts], format="csr").toarray()
+    edge = sparse.vstack([p[2] for p in parts], format="csr").toarray()
+    flat0, flat1, frac = (np.concatenate([p[3][k] for p in parts])
                           for k in range(3))
     lanes = cross.shape[1] // n
-    diagonal = problem.diagonal_coords
     everything = range(spec.nx + 1)
 
     j = tri.j_index
@@ -647,8 +650,7 @@ def test_march_solves_the_discrete_system(name, monkeypatch):
     operators make: against a dense solve of the whole system, to 1e-12
     relative, on one family in a y-subspace (the toy, the Gaussian
     exchange), curved characteristics and one family per y-node."""
-    toy = toy_model()
-    plant = {"half_x": _half_x(toy), "sloped": _sloped(toy),
+    plant = {"half_x": half_x_plant(), "sloped": sloped_plant(),
              **_reference_plants()}[name]
     spec = GridSpec(nx=16, ny=6)
     monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 128)
@@ -672,7 +674,9 @@ def _recording(fn, log):
 def _record_band_work(monkeypatch):
     """Record, as the solver runs, the nonzeros of every operator it
     assembles, the work bytes of every trace (256 B a segment and 128 B a
-    curve of its bundle) and the bytes of the arrays of every problem it
+    curve of its bundle), the bytes of the diagonal data of every crossing
+    trace's nodes (8 B a node and y-node, in six arrays while it is formed
+    and projected) and the bytes of the arrays of every problem it
     builds."""
     nnz, work_bytes, problem_bytes = [], {}, []
     monkeypatch.setattr(kernelsolve, "_quadrature_matrix", _recording(
@@ -685,13 +689,22 @@ def _record_band_work(monkeypatch):
             getattr(kernelsolve, attr),
             lambda bundle, attr=attr: work_bytes.setdefault(attr, []).append(
                 256 * bundle.weights.size + 128 * (bundle.offsets.size - 1))))
+    trace = kernelsolve.trace_crossing_batch
+
+    def recording_crossing(coeff, xs, xis, ys):
+        nodes = np.size(xs) // np.unique(ys).size
+        work_bytes.setdefault("diagonal data", []).append(
+            6 * 8 * nodes * coeff.spec.ny)
+        return trace(coeff, xs, xis, ys)
+
+    monkeypatch.setattr(kernelsolve, "trace_crossing_batch", recording_crossing)
     return nnz, work_bytes, problem_bytes
 
 
 def _band_bytes(nnz, work_bytes):
     """One band: its operators (12 B a nonzero, in at most three copies: as
-    assembled, on flat (node, y) unknowns, and the band's own columns) and
-    the work arrays of its crossing and edge traces."""
+    assembled, on flat (node, y) unknowns, and the band's own columns), the
+    work arrays of its crossing and edge traces and its diagonal data."""
     return 3 * 12 * max(nnz) + sum(max(sizes) for sizes in work_bytes.values())
 
 
@@ -710,7 +723,7 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
     (:func:`_band_bytes`), on one family in a y-subspace (the toy) and on
     one family per y-node.  Holding every band's operators, as a global
     sweep does, exceeds it."""
-    plant = {"toy": toy, "sloped": _sloped(toy)}[name]
+    plant = {"toy": toy, "sloped": sloped_plant()}[name]
     spec = GridSpec(nx=nx, ny=8)
     monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 4096)
     nnz, work_bytes, problem_bytes = _record_band_work(monkeypatch)
@@ -732,12 +745,11 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
 
 
 def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
-    """``kernels`` on the toy peaks, in traced memory, below the arrays it
-    keeps (the sampled coefficients, the problem's arrays, the grid's index
-    arrays and the march's unknowns, ``C`` among them, with the diagonal
-    rows), the larger of one band and the build's seeds (the diagonal data,
-    the one ``(n_tri, ny)`` array, which the build frees, and two copies of
-    a block of their QR), and one CSV chunk.  After the solve it forms
+    """``kernels`` on the toy peaks in its solve, in traced memory, below
+    the arrays it keeps (the sampled coefficients, the problem's arrays, the
+    grid's index arrays and the march's unknowns, ``C`` among them, with the
+    diagonal rows) and one band (:func:`_band_bytes`): the build forms no
+    ``(n_tri, ny)`` array.  After the solve it forms
     ``k`` a block of rows at a time, in the residual, the closed-form error
     and the CSV writer, so that it peaks below what it holds (the
     coefficients, the solution and the grid's index arrays) plus the larger
@@ -775,11 +787,9 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     grid = _array_bytes(sol.spec.tri)
     chunk = max(512 * csvtable._CHUNK_LINES, 128 * kernelsolve._BLOCK_VALUES)
     assert chunk < full_size
-    seeds = full_size + 2 * 8 * (_FACTOR_BLOCK_ROWS + ny) * ny
     kept = (problem_bytes[0] + _array_bytes(coeff) + grid
             + 8 * n_tri * (2 * r + 2))
-    bound = kept + max(_band_bytes(nnz, work_bytes), seeds) + chunk
-    assert max(solve_peaks[0], after_peak) <= bound
+    assert solve_peaks[0] <= kept + _band_bytes(nnz, work_bytes)
     # the command never asks for the whole k, and holds the solution's
     # own arrays only
     assert "k" not in vars(sol)
@@ -801,12 +811,7 @@ def _reference_plants():
         "poly": dataclasses.replace(
             toy, name="toy-poly",
             exchange=lambda x, y, eta: x * (1.0 + y * eta + (y * eta) ** 2)),
-        "full_rank": dataclasses.replace(
-            toy, name="full-rank",
-            speed_u=lambda x, y: 1.0 + 0.5 * y + 0.0 * x,
-            exchange=lambda x, y, eta: x * np.exp(-(y - eta) ** 2),
-            drive=lambda x, y: (x * (x + 1.0) * (y - 0.5) * np.exp(x)
-                                + 0.5 * np.sin(np.pi * x * y))),
+        "full_rank": full_rank_plant(),
     }
 
 
@@ -893,8 +898,9 @@ _coefficient = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
        st.floats(0.1, 8.0))
 def test_y_subspace_holds_seeds_and_is_closed(c, width):
     """For a random smooth plant whose speed does not depend on y, the
-    sweep basis B holds the diagonal data and the readout rows, and is
-    closed under every x-node's map f -> f @ A_j."""
+    sweep basis B holds its seeds, the exact diagonal data on the diagonal
+    nodes and the readout rows, and the data every crossing curve carries
+    from its launch, and is closed under every x-node's map f -> f @ A_j."""
     plant = dataclasses.replace(
         toy_model(), name="random",
         speed_u=lambda x, y: 1.5 + c[0] * np.sin(3.0 * x) / 2.0 + 0.0 * y,
@@ -918,20 +924,26 @@ def test_y_subspace_holds_seeds_and_is_closed(c, width):
     def outside(rows):
         return rows - (rows @ basis) @ basis.T
 
-    # the data each crossing curve carries from the diagonal, at its launch
-    at = problem.launch[:, problem.group]
-    y = spec.y_nodes
-    diagonal_data = -plant.readout(at, y) / (plant.speed_u(at, y)
-                                             + plant.speed_v(at))
-    seeds = np.vstack([diagonal_data, coeff.readout_grid])
+    def diagonal_data(at):
+        y = spec.y_nodes
+        return -plant.readout(at, y) / (plant.speed_u(at, y)
+                                        + plant.speed_v(at))
+
+    # the seeds, the diagonal rows exact as the problem holds them
+    x = spec.x_nodes[:, None]
+    assert np.array_equal(problem.diagonal_rows, diagonal_data(x))
+    # and the data each crossing curve carries from its launch, as the
+    # band's trace solves it (one family: the launch is the same on every
+    # y-node)
+    tri = spec.tri
+    assert problem.family_y.size == 1
+    launch = trace_crossing_batch(
+        coeff, tri.x_coord, tri.xi_coord,
+        np.full(tri.n_nodes, problem.family_y[0])).launch
+    seeds = np.vstack([problem.diagonal_rows, coeff.readout_grid,
+                       diagonal_data(launch[:, None])])
     scale = max(np.max(np.abs(seeds)), 1e-300)
     assert np.max(np.abs(outside(seeds))) <= 1e-12 * scale
-    # the problem holds that data as its coordinates, and exactly on the
-    # diagonal nodes
-    assert (np.max(np.abs(problem.diagonal_coords @ basis.T - diagonal_data))
-            <= 1e-12 * scale)
-    assert np.array_equal(problem.diagonal_rows,
-                          diagonal_data[spec.tri.diagonal_flat()])
     for j in range(spec.nx + 1):
         a_j = (np.diag(coeff.speed_u_dx_grid[j])
                + spec.y_weights[:, None] * coeff.exchange_grid[j])

@@ -26,18 +26,12 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = """
 import collections, dataclasses, json, sys
-import numpy as np
 import tracing
+from conftest import sloped_plant
 from ensemble_backstep import kernelsolve
 from ensemble_backstep.grid import GridSpec
-from ensemble_backstep.model import PlantModel, toy_model
-plant = toy_model()
-if sys.argv[1] == "ydep":
-    plant = PlantModel(
-        name="toy-ydep", speed_v=plant.speed_v, exchange=plant.exchange,
-        drive=plant.drive, readout=plant.readout,
-        inflow_gain=plant.inflow_gain,
-        speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(y) + 0.0 * np.asarray(x))
+from ensemble_backstep.model import toy_model
+plant = sloped_plant() if sys.argv[1] == "ydep" else toy_model()
 kernelsolve._BAND_SEGMENTS = 256
 tracer = tracing.Tracer()
 tracing.install(tracer)
@@ -86,10 +80,10 @@ print(json.dumps({"code": code, "spans": collections.Counter(
 
 def _run_traced(script, *args):
     """The JSON report a traced script prints last, run in a fresh
-    interpreter with the bench's tracer on the path."""
+    interpreter with the bench's tracer and the test plants on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(REPO, "bench"),
+        [os.path.join(REPO, "bench"), os.path.join(REPO, "tests"),
          os.path.dirname(os.path.dirname(ensemble_backstep.__file__))])
     done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import full_rank_plant, sloped_plant
 from ensemble_backstep import simulator
 from ensemble_backstep.errors import (
     ConfigurationError,
@@ -264,21 +265,10 @@ class TestTargetStep:
         assert defects[100] <= 0.6 * defects[50]
 
 
-def _full_rank_plant():
-    """The toy with a Gaussian exchange, a y-dependent speed and a drive that
-    is not separable, so every kernel the cascade applies has y-rank > 1."""
-    return dataclasses.replace(
-        toy_model(), name="full-rank",
-        speed_u=lambda x, y: 1.0 + 0.5 * y + 0.0 * x,
-        exchange=lambda x, y, eta: x * np.exp(-(y - eta) ** 2),
-        drive=lambda x, y: (x * (x + 1.0) * (y - 0.5) * np.exp(x)
-                            + 0.5 * np.sin(np.pi * x * y)))
-
-
 @pytest.fixture(scope="module", params=["toy", "full-rank"])
 def operator_case(request):
     """Solved kernels of a small plant and the resolvent of its ktilde."""
-    plant = toy_model() if request.param == "toy" else _full_rank_plant()
+    plant = toy_model() if request.param == "toy" else full_rank_plant()
     spec = GridSpec(nx=40, ny=16, dt=0.01)
     coeff = sample_coefficients(plant, spec)
     sol = solve_backstepping_kernels(plant, spec, tol=1e-10)
@@ -388,7 +378,7 @@ class TestFactoredOperators:
 
     def test_round_trip_on_full_rank_plant(self, rng):
         # criterion 6's tolerance on a plant whose kernels all have y-rank > 1
-        plant = _full_rank_plant()
+        plant = full_rank_plant()
         spec = GridSpec(nx=100, ny=16)
         sol = solve_backstepping_kernels(plant, spec, tol=1e-10)
         transform = transform_operator(sol)
@@ -523,7 +513,7 @@ class TestCoordinateStep:
 
     def test_speed_varying_in_y_steps_every_node(self, rng):
         spec = GridSpec(nx=20, ny=9)
-        coeff = sample_coefficients(_full_rank_plant(), spec)
+        coeff = sample_coefficients(full_rank_plant(), spec)
         u, _ = _smooth_state(spec, rng)
         step = coordinate_step(coeff, spec.dt, u)
         # the identity, scaled to be orthonormal in the y-quadrature
@@ -711,10 +701,7 @@ def test_recipe_reads_kernel_norms_from_coordinates(slope, monkeypatch):
     those of the whole k, ``sqrt((k ** 2) @ w_y)``, to 1e-12 relative; so
     are its bounds, p, delta and M_equiv, on the toy (y-rank 1) and on a
     plant whose ensemble speed 1 + y/2 is held per y-node."""
-    toy = toy_model()
-    plant = dataclasses.replace(
-        toy, speed_u=lambda x, y: 1.0 + slope * np.asarray(y)
-        + 0.0 * np.asarray(x))
+    plant = sloped_plant(slope)
     spec = GridSpec(nx=30, ny=12)
     coeff = sample_coefficients(plant, spec)
     kernels = solve_backstepping_kernels(plant, spec, coeff=coeff)
