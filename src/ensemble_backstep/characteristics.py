@@ -486,92 +486,13 @@ def _cut_curves(z: _Component, w: _Component, s_end, span, out, first):
     return e_off[1:] - np.arange(1, m + 1)
 
 
-@dataclass(frozen=True)
-class _Family:
-    """The curves from many query points, up to their events: the travel
-    time ``phi_v`` of their x-component and ``phi_w`` of their
-    xi-component, read on row ``rows[c]`` by curve c, with its values
-    ``start_x`` and ``start_xi`` at the query point, the curves ``ref`` that
-    move, and the longest event time ``s_max`` the sampled speeds allow."""
-
-    kind: str
-    xs: np.ndarray
-    xis: np.ndarray
-    phi_v: _TravelTime
-    phi_w: _TravelTime
-    rows: np.ndarray
-    s_max: float
-    ref: np.ndarray
-    start_x: np.ndarray
-    start_xi: np.ndarray
-
-
-def _family(coeff: SampledCoefficients, kind: str, xs, xis, ys) -> _Family:
-    """Tabulate the travel times of a family's curves and read them at
-    every query point."""
-    m = xs.shape[0]
-    phi_v = _TravelTime(coeff)
-    if kind == "cross":
-        y_rows, rows = np.unique(ys, return_inverse=True)
-        phi_w = _TravelTime(coeff, y_rows)
-        s_max = 2.0 / coeff.crossing_speed_min
-        ref = np.flatnonzero(xis - xs < DEGENERATE_TOL)
-    else:
-        # Both components of an edge curve follow the scalar speed.
-        phi_w, rows = phi_v, np.zeros(m, dtype=np.int64)
-        s_max = 2.0 / coeff.speed_v_min
-        ref = np.flatnonzero(-xis < DEGENERATE_TOL)
-    start_x, start_xi = np.zeros(m), np.zeros(m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        start_x[ref] = phi_v.at(0, xs[ref])
-        start_xi[ref] = phi_w.at(rows[ref], xis[ref])
-    return _Family(kind, xs, xis, phi_v, phi_w, rows, s_max, ref, start_x,
-                   start_xi)
-
-
-def _events(family: _Family):
-    """Each curve's launch abscissa and event time.
-
-    Raises :class:`NonconvergenceError` if a launch is not resolved or an
-    event lies beyond ``family.s_max``.
-    """
-    ref = family.ref
-    phi_v, kind = family.phi_v, family.kind
-    start_x, start_xi = family.start_x, family.start_xi
-    s_end = np.zeros(family.xs.shape[0])
-    launch = family.xs.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "cross":
-            target, phi_w = start_x[ref] + start_xi[ref], family.phi_w
-        else:
-            target, phi_w = start_x[ref] - start_xi[ref], None
-        launch[ref], resolved = _launch(target, family.rows[ref], phi_v,
-                                        phi_w)
-        if kind == "cross":
-            s_end[ref] = start_x[ref] - phi_v.at(0, launch[ref])
-        else:
-            s_end[ref] = start_xi[ref]
-    missed = np.count_nonzero(~(resolved & (s_end[ref] <= family.s_max)))
-    if missed:
-        raise NonconvergenceError(
-            f"{missed} characteristic curve(s) found no {kind} event before "
-            f"s = {family.s_max:.3g}; the model's speeds are too close to zero")
-    return launch, s_end
-
-
-def _read_curves(family: _Family, launch, s_end) -> TracedBundle:
-    """A family's curves, cut into cell segments up to their event points."""
-    xs, xis, ref = family.xs, family.xis, family.ref
-    m = xs.shape[0]
-    phi_v = family.phi_v
-    on_v = np.zeros(m, dtype=np.int64)
-    z = _Component(phi_v, -1, on_v, family.start_x, xs, launch)
-    if family.kind == "cross":
-        w = _Component(family.phi_w, 1, family.rows, family.start_xi, xis,
-                       launch)
-    else:
-        w = _Component(phi_v, -1, on_v, family.start_xi, xis, np.zeros(m))
-
+def _read_curves(z: _Component, w: _Component, ref, s_end, launch,
+                 s_max) -> TracedBundle:
+    """Curves whose x- and xi-components are ``z`` and ``w``, cut into cell
+    segments up to their event times ``s_end`` at the launch abscissas
+    ``launch``; ``ref`` are the curves that move, and ``s_max`` bounds
+    their event times."""
+    m = s_end.size
     # Cut the curves into segments a block of _CUT_CURVES curves at a time,
     # into arrays sized for a cut at every line between each curve's ends,
     # plus one segment per curve that moves (lines crossed too close to an
@@ -582,7 +503,7 @@ def _read_curves(family: _Family, launch, s_end) -> TracedBundle:
     seg_x, seg_xi = np.empty((3, bound)), np.empty((3, bound))
     weights = np.empty(bound)
     offsets = np.zeros(m + 1, dtype=np.int64)
-    span = 2.0 ** np.ceil(np.log2(2.0 * family.s_max))
+    span = 2.0 ** np.ceil(np.log2(2.0 * s_max))
     for lo in range(0, m, _CUT_CURVES):
         block = slice(lo, min(lo + _CUT_CURVES, m))
         offsets[lo + 1:block.stop + 1] = offsets[lo] + _cut_curves(
@@ -595,12 +516,56 @@ def _read_curves(family: _Family, launch, s_end) -> TracedBundle:
 
 def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys
                          ) -> TracedBundle:
-    """Trace crossing curves for many triangle points at once."""
-    family = _family(coeff, "cross", *_points(xs, xis, ys))
-    return _read_curves(family, *_events(family))
+    """Trace crossing curves for many triangle points at once, tabulating
+    ``Phi_u`` once per distinct y; raises :class:`NonconvergenceError` for
+    curves with no resolved event (see the module docstring)."""
+    xs, xis, ys = _points(xs, xis, ys)
+    m = xs.shape[0]
+    phi_v = _TravelTime(coeff)
+    y_rows, rows = np.unique(ys, return_inverse=True)
+    phi_u = _TravelTime(coeff, y_rows)
+    s_max = 2.0 / coeff.crossing_speed_min
+    ref = np.flatnonzero(xis - xs < DEGENERATE_TOL)
+    start_x, start_xi = np.zeros(m), np.zeros(m)
+    s_end, launch = np.zeros(m), xs.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        start_x[ref] = phi_v.at(0, xs[ref])
+        start_xi[ref] = phi_u.at(rows[ref], xis[ref])
+        launch[ref], resolved = _launch(start_x[ref] + start_xi[ref],
+                                        rows[ref], phi_v, phi_u)
+        s_end[ref] = start_x[ref] - phi_v.at(0, launch[ref])
+    missed = np.count_nonzero(~(resolved & (s_end[ref] <= s_max)))
+    if missed:
+        raise NonconvergenceError(
+            f"{missed} characteristic curve(s) found no cross event before "
+            f"s = {s_max:.3g}; the model's speeds are too close to zero")
+    z = _Component(phi_v, -1, np.zeros(m, dtype=np.int64), start_x, xs, launch)
+    w = _Component(phi_u, 1, rows, start_xi, xis, launch)
+    return _read_curves(z, w, ref, s_end, launch, s_max)
 
 
 def trace_edge_batch(coeff: SampledCoefficients, xs, xis) -> TracedBundle:
-    """Trace edge curves for many triangle points at once."""
-    family = _family(coeff, "edge", *_points(xs, xis))
-    return _read_curves(family, *_events(family))
+    """Trace edge curves for many triangle points at once, both components
+    falling along ``Phi_v``; raises :class:`NonconvergenceError` for curves
+    with no resolved event (see the module docstring)."""
+    xs, xis, _ = _points(xs, xis)
+    m = xs.shape[0]
+    phi_v = _TravelTime(coeff)
+    on_v = np.zeros(m, dtype=np.int64)
+    s_max = 2.0 / coeff.speed_v_min
+    ref = np.flatnonzero(-xis < DEGENERATE_TOL)
+    start_x, s_end = np.zeros(m), np.zeros(m)
+    launch = xs.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        start_x[ref] = phi_v.at(0, xs[ref])
+        s_end[ref] = phi_v.at(0, xis[ref])
+        launch[ref], resolved = _launch(start_x[ref] - s_end[ref], on_v[ref],
+                                        phi_v)
+    missed = np.count_nonzero(~(resolved & (s_end[ref] <= s_max)))
+    if missed:
+        raise NonconvergenceError(
+            f"{missed} characteristic curve(s) found no edge event before "
+            f"s = {s_max:.3g}; the model's speeds are too close to zero")
+    z = _Component(phi_v, -1, on_v, start_x, xs, launch)
+    w = _Component(phi_v, -1, on_v, s_end, xis, np.zeros(m))
+    return _read_curves(z, w, ref, s_end, launch, s_max)

@@ -22,16 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-
-
-#: Rows per block of the blocked QR in :func:`y_factor`.  Each block's QR
-#: stacks it under the ``ny x ny`` R factor so far; blocks of 1024 rows
-#: factored the solver's 20502 x 120 closure seeds at the default grid 1.7x
-#: faster than blocks of 4096 (single-threaded OpenBLAS 0.3.31, Xeon).
-_FACTOR_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -125,65 +118,51 @@ def gregory_weights(n_nodes: int, spacing: float) -> np.ndarray:
     return w
 
 
-def y_factor(*blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def y_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor an ``(m, ny)`` matrix as ``P @ Q.T`` at its numerical rank r.
 
-    The matrix is given as one array or as row blocks, stacked in order;
-    the blocks are read in place, never copied into one array.  ``Q`` is an
-    orthonormal ``(ny, r)`` basis of the matrix's row space (the y-profiles
-    it spans) and ``P = matrix @ Q`` is ``(m, r)``.  r counts the singular
-    values above ``s_max * max(m, ny) * eps``, the rule of
+    ``Q`` is an orthonormal ``(ny, r)`` basis of the matrix's row space (the
+    y-profiles it spans) and ``P = matrix @ Q`` is ``(m, r)``.  r counts the
+    singular values above ``s_max * max(m, ny) * eps``, the rule of
     ``numpy.linalg.matrix_rank``; a zero matrix gets r = 0.
 
     It factors the closure seeds and images of :func:`y_subspace` (the
-    kernel solver's seeds are its ``n_tri`` rows of diagonal data and
-    ``nx + 1`` readout rows), a solved kernel's ``(n_tri, r)`` coordinates
-    in the solver's basis and a run's ``(n * r, r)`` exchange blocks.  The
-    singular values and ``Q`` come from the SVD of the R factor of a QR
-    decomposition accumulated over blocks of :data:`_FACTOR_BLOCK_ROWS`
-    rows of the stacked matrix, the same blocks whatever row blocks the
-    matrix comes in (one that straddles two of them joins their pieces).
-    A thin SVD would also allocate the ``m x ny`` left factor, and one QR
-    of the whole matrix makes ``m x ny`` working copies.
+    kernel solver's seeds are its ``nx + 1`` diagonal rows and ``nx + 1``
+    readout rows), a solved kernel's ``(n_tri, r)`` coordinates in the
+    solver's basis and a run's ``(n * r, r)`` exchange blocks.  The singular
+    values and ``Q`` come from the SVD of the R factor of the matrix's QR
+    decomposition, which never forms the ``m x ny`` left factor a thin SVD
+    would.
     """
-    ny = blocks[0].shape[1]
-    starts = np.cumsum([0] + [len(block) for block in blocks])
-    m = int(starts[-1])
-    r_factor = np.empty((0, ny))
-    for lo in range(0, m, _FACTOR_BLOCK_ROWS):
-        hi = lo + _FACTOR_BLOCK_ROWS
-        rows = [block[max(lo - start, 0):hi - start]
-                for block, start in zip(blocks, starts)
-                if start < hi and start + len(block) > lo]
-        r_factor = np.linalg.qr(np.vstack([r_factor, *rows]), mode="r")
-    _, sv, vt = np.linalg.svd(r_factor, full_matrices=False)
+    m, ny = matrix.shape
+    _, sv, vt = np.linalg.svd(np.linalg.qr(matrix, mode="r"),
+                              full_matrices=False)
     cutoff = sv.max(initial=0.0) * max(m, ny) * np.finfo(float).eps
     basis = vt[:int(np.count_nonzero(sv > cutoff))].T.copy()
-    return np.concatenate([block @ basis for block in blocks]), basis
+    return matrix @ basis, basis
 
 
-def y_subspace(seeds: Sequence[np.ndarray],
+def y_subspace(seeds: np.ndarray,
                images: Callable[[np.ndarray], np.ndarray],
                scale: float) -> np.ndarray:
     """Orthonormal basis of the smallest y-subspace that holds the seeds and
     is closed under a family of linear maps.
 
-    ``seeds`` is a sequence of ``(m_k, ny)`` row blocks of y-profiles, read
-    in place by :func:`y_factor` (the kernel solver passes its diagonal data
-    and readout rows without stacking them).  ``images(columns)`` returns,
-    for an ``(ny, a)`` block of orthonormal columns, the y-profiles of their
-    images under every map of the family, stacked as rows, and ``scale`` is
-    the largest norm of a map.  The basis starts as the :func:`y_factor` of
-    the seeds; each pass adds the images of the directions the previous
-    pass added, until the rank stops growing.  The basis enters each pass
-    scaled by ``scale``, so a direction counts as new only if its images
-    stand out of their rounding.  A closure of rank ny returns the identity.
+    ``seeds`` is an ``(m, ny)`` array of y-profiles, one a row.
+    ``images(columns)`` returns, for an ``(ny, a)`` block of orthonormal
+    columns, the y-profiles of their images under every map of the family,
+    stacked as rows, and ``scale`` is the largest norm of a map.  The basis
+    starts as the :func:`y_factor` of the seeds; each pass adds the images
+    of the directions the previous pass added, until the rank stops
+    growing: it factors the images stacked under ``scale * basis.T``, so a
+    direction counts as new only if its images stand out of their
+    rounding.  A closure of rank ny returns the identity.
     """
-    ny = seeds[0].shape[1]
-    _, basis = y_factor(*seeds)
+    ny = seeds.shape[1]
+    _, basis = y_factor(seeds)
     new = basis
     while new.shape[1] and 0.0 < scale and basis.shape[1] < ny:
-        _, grown = y_factor(scale * basis.T, images(new))
+        _, grown = y_factor(np.vstack([scale * basis.T, images(new)]))
         added = grown.shape[1] - basis.shape[1]
         if added <= 0:
             break

@@ -25,10 +25,9 @@ any trace, reaches :data:`_BAND_SEGMENTS`.  In x order each band is traced
 and assembled, the operator columns of the finished rows below it are
 applied once, its own rows are iterated from zero until their increment is
 below the tolerance, and its operators are dropped; at most one band's
-operators are held.  One family of crossing curves is traced per group of
-y-nodes whose sampled ensemble speeds are equal at every x-node: a plant
-whose speed does not depend on y has one group, one with a different speed
-at every y-node has ny.  A band's crossing curves, of every family, are one
+operators are held.  A plant whose sampled ensemble speed does not vary in
+y has one family of crossing curves, traced at the first y-node, and any
+other one per y-node.  A band's crossing curves, of every family, are one
 trace through the travel times of the two speeds (see
 :mod:`.characteristics`), whose tables cost about ``nx + 1`` cells per
 trace, which solves their launch abscissas; its edge curves are
@@ -125,8 +124,8 @@ class GoursatProblem:
     ``(nx + 1,)`` one, held per x-node: triangle node ``(i, j)`` reads row
     ``j``.  ``diagonal_rows`` holds the exact ``(nx + 1, ny)`` data on the
     diagonal nodes ``(i, i)``, which the solution keeps as its diagonal
-    rows.  The crossing curves of y-node ``y`` are family ``group[y]``'s,
-    traced at ``family_y[group[y]]``.  Nothing is traced and no operator is
+    rows.  The crossing curves are traced at ``family_y``: the first y-node,
+    shared by all, or every y-node.  Nothing is traced and no operator is
     held: :func:`solve_goursat` traces and assembles them, and forms the
     data the crossing curves carry from the diagonal, a band of rows at a
     time from ``coeff``.
@@ -142,7 +141,6 @@ class GoursatProblem:
     coeff: SampledCoefficients
     basis: np.ndarray
     family_y: np.ndarray
-    group: np.ndarray
     diagonal_rows: np.ndarray
     scalar_to_ensemble: np.ndarray
     ensemble_to_scalar: np.ndarray
@@ -182,17 +180,13 @@ class KernelSolution:
     def y_rank(self) -> int:
         return self.basis.shape[1]
 
-    @cached_property
-    def _identity_basis(self) -> bool:
-        return np.array_equal(self.basis, np.eye(self.spec.ny))
-
     def k_rows(self, nodes) -> np.ndarray:
         """The rows of ``k`` at ``nodes``, a slice or an index array of flat
         triangle nodes: ``coords @ basis.T``, summed one basis column at a
         time so that a row's value does not depend on the rows formed with
         it, and on the diagonal nodes the exact diagonal rows."""
         coords = self.coords[nodes]
-        if self._identity_basis:
+        if self.y_rank == self.spec.ny:
             rows = np.array(coords)
         else:
             rows = np.zeros((coords.shape[0], self.spec.ny))
@@ -228,7 +222,7 @@ class KernelSolution:
         coords = self.coords.copy()
         diagonal = self.diagonal_rows
         coords[self.spec.tri.diagonal_flat()] = (
-            diagonal if self._identity_basis else diagonal @ self.basis)
+            diagonal if self.y_rank == self.spec.ny else diagonal @ self.basis)
         return coords
 
 
@@ -311,17 +305,13 @@ def _edge_interp_indices(spec: GridSpec, launch: np.ndarray, i: np.ndarray):
     return row_start[lower], row_start[np.minimum(lower + 1, i)], pos - lower
 
 
-def _per_y(op: sparse.csr_matrix, group: np.ndarray) -> sparse.csr_matrix:
-    """Crossing operators with a row per (node, family), node-major, as one
-    operator on the flat ``(node, y)`` unknowns: row ``(n, y)`` is family
-    ``group[y]``'s row of node n, acting on the y-lane of every node."""
+def _per_y(op: sparse.csr_matrix, ny: int) -> sparse.csr_matrix:
+    """Crossing operators with a row per (node, y-node), node-major, as one
+    operator on the flat ``(node, y)`` unknowns: row ``(n, y)`` acts on the
+    y-lane of every node."""
     from scipy import sparse
 
-    ny = group.size
-    families = int(group.max()) + 1
-    nodes = op.shape[0] // families
-    if not np.array_equal(group, np.arange(ny)):
-        op = op[(np.arange(nodes)[:, None] * families + group).ravel()]
+    nodes = op.shape[0] // ny
     dtype = np.int32 if op.shape[1] * ny < 2**31 else np.int64
     indices = op.indices.astype(dtype) * ny
     indices += np.repeat(np.tile(np.arange(ny, dtype=dtype), nodes),
@@ -338,9 +328,9 @@ def _nodes(tri: TriangularIndex, rows: range) -> slice:
 
 def _diagonal_data(model: PlantModel, at: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
-    """``-readout / (speed_u + speed_v)`` at the ``(n, ny)`` launch
-    abscissas ``at`` of crossing curves, one per y-node: the data they carry
-    from the diagonal."""
+    """``-readout / (speed_u + speed_v)`` at the ``(n, 1)`` or ``(n, ny)``
+    launch abscissas ``at`` of crossing curves: the ``(n, ny)`` data they
+    carry from the diagonal."""
     return -model.readout(at, y) / (model.speed_u(at, y) + model.speed_v(at))
 
 
@@ -372,7 +362,7 @@ def _diagonal_coords(problem: GoursatProblem, data: np.ndarray,
 def _band_operators(problem: GoursatProblem, nodes: slice):
     """Trace and assemble the curves of a band's nodes: the coordinates of
     the diagonal data their crossing curves carry, the crossing operator,
-    on flat ``(node, y)`` unknowns when there is more than one family, the
+    on flat ``(node, y)`` unknowns when there is a family per y-node, the
     edge operator and the edge interpolation data."""
     spec, coeff, family_y = problem.spec, problem.coeff, problem.family_y
     tri = spec.tri
@@ -388,9 +378,9 @@ def _band_operators(problem: GoursatProblem, nodes: slice):
     # its operator exists.
     del bundle
     diagonal = _diagonal_coords(problem, _diagonal_data(
-        coeff.model, launch[:, problem.group], spec.y_nodes), nodes)
+        coeff.model, launch, spec.y_nodes), nodes)
     if family_y.size > 1:
-        cross = _per_y(cross, problem.group)
+        cross = _per_y(cross, family_y.size)
     bundle = trace_edge_batch(coeff, tri.x_coord[nodes], tri.xi_coord[nodes])
     edge = _quadrature_matrix(spec, bundle)
     interp = _edge_interp_indices(spec, bundle.launch, tri.i_index[nodes])
@@ -552,11 +542,9 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec,
     coeff = _sampled(model, spec, coeff)
     wy = spec.y_weights
 
-    # y-nodes whose sampled speed columns are equal, which the grid cannot
-    # tell apart, share one family of crossing curves traced at the first.
-    _, first, group = np.unique(coeff.speed_u_grid.T, axis=0,
-                                return_index=True, return_inverse=True)
-    family_y = spec.y_nodes[first]
+    # A speed the grid sees vary in y gives each y-node its own crossing
+    # curves; otherwise one family, traced at the first, serves them all.
+    family_y = spec.y_nodes if coeff.speed_u_varies_in_y else spec.y_nodes[:1]
     # A diagonal node is its own launch.
     diagonal_rows = _diagonal_data(
         model, np.broadcast_to(spec.x_nodes[:, None], (spec.nx + 1, spec.ny)),
@@ -578,7 +566,7 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec,
         # The sweeps make y-profiles only from the diagonal data and the
         # readout rows, and move a profile f only by f @ A_j.
         basis = y_subspace(
-            (diagonal_rows, coeff.readout_grid),
+            np.vstack([diagonal_rows, coeff.readout_grid]),
             lambda new: np.concatenate([new.T @ a for a in maps()]),
             max(float(np.linalg.norm(a, axis=(0, 1))) for a in maps()))
     else:
@@ -601,7 +589,6 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec,
         coeff=coeff,
         basis=basis,
         family_y=family_y,
-        group=group,
         diagonal_rows=diagonal_rows,
         scalar_to_ensemble=coeff.readout_grid @ basis,
         ensemble_to_scalar=(coeff.drive_grid * wy) @ basis,

@@ -113,6 +113,13 @@ class SampledCoefficients:
         """Largest transport speed on the grid (CFL constant)."""
         return float(max(self.speed_u_grid.max(), self.speed_v_grid.max()))
 
+    @cached_property
+    def speed_u_varies_in_y(self) -> bool:
+        """Whether the sampled ensemble speed differs between y-nodes at
+        some x-node: then each y-node has its own crossing curves."""
+        speed_u = self.speed_u_grid
+        return bool(np.any(speed_u != speed_u[:, :1]))
+
 
 def _on_grid(values, shape: tuple[int, ...]) -> np.ndarray:
     """A coefficient's sampled values as an owned float array of ``shape``.

@@ -378,7 +378,7 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
     wy = spec.y_weights
     exchange = coeff.exchange_grid.reshape(n * ny, ny)
     speed_u = coeff.speed_u_grid
-    if np.all(speed_u == speed_u[:, :1]):
+    if not coeff.speed_u_varies_in_y:
         def images(columns):
             out = (exchange @ (wy[:, None] * columns)).reshape(n, ny, -1)
             return out.transpose(0, 2, 1).reshape(-1, ny)
@@ -389,8 +389,8 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
         # Each seed enters at unit scale: the rank rule drops a direction
         # only below rounding of the largest, whatever the field's amplitude.
         seeds = [u0, coeff.inflow_gain_grid[None], coeff.drive_grid]
-        basis = y_subspace([_unit_scale(part) for part in seeds], images,
-                           math.sqrt(largest))
+        basis = y_subspace(np.vstack([_unit_scale(part) for part in seeds]),
+                           images, math.sqrt(largest))
         speed_u = speed_u[:, :1]
     else:
         basis = np.eye(ny)

@@ -345,7 +345,8 @@ def test_batch_equals_one_point_traces(make_plant, family):
 
 def test_stalling_speed_raises_nonconvergence():
     """A scalar speed of 1.999 at every node and 0.001 between nodes stalls
-    the curves: the trace reports how many found no event."""
+    the curves: each trace reports how many found no event, and of which
+    family."""
     nx = 50
     plant = _plant(
         lambda x, y: np.ones(np.broadcast_shapes(np.shape(x), np.shape(y))),
@@ -356,10 +357,12 @@ def test_stalling_speed_raises_nonconvergence():
     xs = [0.9, 0.8, 0.5, 0.3]
     xis = [0.1, 0.0, 0.5, 0.2]
     # crossing: the two widest gaps stall; the diagonal point is degenerate
-    with pytest.raises(NonconvergenceError, match=r"^2 characteristic curve"):
+    with pytest.raises(NonconvergenceError,
+                       match=r"^2 characteristic curve.* found no cross event"):
         trace_crossing_batch(coeff, xs, xis, [0.5] * 4)
     # edge: all but the point already on the xi = 0 edge stall
-    with pytest.raises(NonconvergenceError, match=r"^3 characteristic curve"):
+    with pytest.raises(NonconvergenceError,
+                       match=r"^3 characteristic curve.* found no edge event"):
         trace_edge_batch(coeff, xs, xis)
 
 

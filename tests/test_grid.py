@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from ensemble_backstep import grid
 from ensemble_backstep.grid import (
     GridSpec,
     TriangularIndex,
@@ -183,17 +182,13 @@ class TestYFactor:
         p0, q0 = y_factor(np.zeros((7, 5)))
         assert p0.shape == (7, 0) and q0.shape == (5, 0)
 
-    def test_blocking_does_not_move_the_factor(self, rng, monkeypatch):
-        # a rank-5 matrix over several row blocks factors as in one block
+    def test_tall_low_rank_matrix_factors_at_its_rank(self, rng):
+        # a tall rank-5 matrix factors at rank 5 and reproduces itself
         m = rng.standard_normal((5000, 5)) @ rng.standard_normal((5, 60))
-        assert 2 * grid._FACTOR_BLOCK_ROWS < m.shape[0]
         p, q = y_factor(m)
-        monkeypatch.setattr(grid, "_FACTOR_BLOCK_ROWS", m.shape[0])
-        p1, q1 = y_factor(m)
-        assert q.shape == q1.shape == (60, 5)
-        np.testing.assert_allclose(q @ q.T, q1 @ q1.T, rtol=0.0, atol=1e-13)
-        assert np.max(np.abs(p @ q.T - p1 @ q1.T)) \
-            <= 1e-13 * np.max(np.abs(m))
+        assert p.shape == (5000, 5) and q.shape == (60, 5)
+        np.testing.assert_allclose(q.T @ q, np.eye(5), rtol=0.0, atol=1e-13)
+        assert np.max(np.abs(p @ q.T - m)) <= 1e-12 * np.max(np.abs(m))
 
     def test_empty_matrix(self):
         p, q = y_factor(np.zeros((0, 0)))

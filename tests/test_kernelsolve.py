@@ -36,7 +36,11 @@ from ensemble_backstep.model import (
     toy_analytic_kernels,
     toy_model,
 )
-from ensemble_backstep.simulator import transform_operator
+from ensemble_backstep.simulator import (
+    coordinate_step,
+    default_initial_state,
+    transform_operator,
+)
 from ensemble_backstep.volterra import tri_to_matrix
 
 SPEC = GridSpec(nx=40, ny=24)
@@ -274,13 +278,30 @@ def test_residual_by_columns_equals_whole_array(toy, plant_name):
         assert abs(g - w) <= 1e-15 * w
 
 
-def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
-    """y-nodes share crossing curves exactly where their sampled speeds agree.
+def _kinked_plant(toy):
+    """The toy with the ensemble speed ``1 + max(0, y - 1/2)``: constant in
+    y on [0, 1/2] only."""
+    return dataclasses.replace(
+        toy, speed_u=lambda x, y: (1.0 + np.maximum(0.0, np.asarray(y) - 0.5)
+                                   + 0.0 * np.asarray(x)))
 
-    The toy traces one family; a speed that varies in y traces one per
-    y-node; a speed constant in y on [0, 1/2] only traces one family for the
-    15 nodes there and one per node above.  Each band traces the curves of
-    every family in one call.
+
+def _one_node_plant(toy, spec):
+    """The toy with an ensemble speed that varies in y at the x-node 1/2
+    only: a hat in x, half a cell wide, times y."""
+    return dataclasses.replace(
+        toy, speed_u=lambda x, y: (
+            1.0 + 0.25 * np.asarray(y)
+            * np.maximum(0.0, 1.0 - 2.0 * spec.nx * np.abs(np.asarray(x) - 0.5))))
+
+
+def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
+    """y-nodes share crossing curves exactly when the sampled speed does not
+    vary in y.
+
+    The toy traces one family; a speed that varies in y, on all of [0, 1]
+    or on (1/2, 1] only, traces one per y-node.  Each band traces the curves
+    of every family in one call.
     """
     traced = []
     trace = kernelsolve.trace_crossing_batch
@@ -293,24 +314,44 @@ def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
     spec = GridSpec(nx=25, ny=30)
     solve_backstepping_kernels(toy, spec)
     assert len(traced) == len(kernelsolve._bands(spec.tri, 1))
-    assert all(ys.size == 1 for ys in traced)
+    assert all(np.array_equal(ys, spec.y_nodes[:1]) for ys in traced)
 
-    sloped = sloped_plant()
-    kinked = dataclasses.replace(
-        toy, speed_u=lambda x, y: (1.0 + np.maximum(0.0, np.asarray(y) - 0.5)
-                                   + 0.0 * np.asarray(x)))
-    for plant, families in ((sloped, 30), (kinked, 16)):
+    for plant in (sloped_plant(), _kinked_plant(toy)):
         residual = {}
         for nx in (25, 50):
             traced.clear()
             spec = GridSpec(nx=nx, ny=30)
             sol = solve_backstepping_kernels(plant, spec)
-            assert len(traced) == len(kernelsolve._bands(spec.tri, families))
-            assert all(ys.size == families for ys in traced)
+            assert len(traced) == len(kernelsolve._bands(spec.tri, spec.ny))
+            assert all(np.array_equal(ys, spec.y_nodes) for ys in traced)
             residual[nx] = kernel_pde_residual(sol, plant)[0]
         # Curves traced at y = 0 only would leave the residual flat under
-        # refinement; the per-group curves make it fall at first order.
+        # refinement; the per-y curves make it fall at first order.
         assert residual[50] < 0.8 * residual[25], residual
+
+
+@pytest.mark.parametrize("name, varies", [
+    ("toy", False), ("half_x", False), ("sloped", True), ("kinked", True),
+    ("one_node", True)])
+def test_one_rule_splits_families_and_steps(toy, name, varies):
+    """``speed_u_varies_in_y`` decides both splits: the solver traces one
+    crossing family or one per y-node, and the plant step runs in a
+    y-subspace or on every y-node (the identity scaled by
+    ``1 / sqrt(w_y)``)."""
+    spec = GridSpec(nx=20, ny=9)
+    plant = {"toy": toy, "half_x": half_x_plant(), "sloped": sloped_plant(),
+             "kinked": _kinked_plant(toy),
+             "one_node": _one_node_plant(toy, spec)}[name]
+    coeff = sample_coefficients(plant, spec)
+    assert coeff.speed_u_varies_in_y is varies
+    problem = build_backstepping_problem(plant, spec, coeff)
+    assert problem.family_y.size == (spec.ny if varies else 1)
+    step = coordinate_step(coeff, spec.dt, default_initial_state(spec).u)
+    if varies:
+        assert np.array_equal(step.basis,
+                              np.diag(1.0 / np.sqrt(spec.y_weights)))
+    else:
+        assert step.basis.shape[1] < spec.ny
 
 
 def _one_shot_operator(spec, bundle):
@@ -581,19 +622,16 @@ def test_unresolved_plant_raises_numeric_error():
         solve_backstepping_kernels(plant, spec)
 
 
-@pytest.mark.parametrize("group", [[0, 1, 2, 3], [3, 1, 0, 2], [1, 0, 1, 1]])
-def test_per_y_operator_applies_each_family_to_its_lanes(group, rng):
+def test_per_y_operator_applies_each_family_to_its_lanes(rng):
     """On the flat (node, y) unknowns, lane y of the per-y crossing operator
-    is the operator of family ``group[y]``: in order, permuted (a speed
-    falling in y), and shared by several y-nodes."""
-    group = np.array(group)
-    families, ny, nodes, columns = group.max() + 1, group.size, 5, 9
-    op = sparse.random(nodes * families, columns, density=0.4, format="csr",
+    is the operator of y-node y's family, the rows ``(n, y)``."""
+    ny, nodes, columns = 4, 5, 9
+    op = sparse.random(nodes * ny, columns, density=0.4, format="csr",
                        random_state=np.random.default_rng(1))
     field = rng.standard_normal((columns, ny))
-    flat = (kernelsolve._per_y(op, group) @ field.ravel()).reshape(nodes, ny)
-    for y, f in enumerate(group):
-        assert np.allclose(flat[:, y], op[f::families] @ field[:, y],
+    flat = (kernelsolve._per_y(op, ny) @ field.ravel()).reshape(nodes, ny)
+    for y in range(ny):
+        assert np.allclose(flat[:, y], op[y::ny] @ field[:, y],
                            rtol=1e-14, atol=1e-14)
 
 
