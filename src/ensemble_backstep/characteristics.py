@@ -24,13 +24,21 @@ cell by cell with an adaptive Gauss-Legendre rule (:func:`_integrate`).
 A crossing curve's launch abscissa ``l`` solves
 ``Phi_v(l) + Phi_u(l) = Phi_v(x) + Phi_u(xi)``, and ``s_end = Phi_v(x) -
 Phi_v(l)``; an edge curve has ``s_end = Phi_v(xi)`` and
-``launch = Phi_v^-1(Phi_v(x) - Phi_v(xi))``.  Each launch is bracketed
-between two x-nodes of the tables and refined by Newton steps on the travel
-times themselves; every trace solves the launches of its own curves.  This
-relies on the plant's contract that both speeds are strictly positive on
-all of [0, 1] (sampling checks them at the grid nodes only): a curve whose
-travel time is infinite or unresolved, or longer than twice the slowest
-crossing (edge) time the sampled speeds allow, raises
+``launch = Phi_v^-1(Phi_v(x) - Phi_v(xi))``.  A trace may stop each curve
+earlier, where its x-component reaches a given x-line ``x_m``, at
+``s_end = Phi_v(x) - Phi_v(x_m)``, if that comes first: a crossing curve's
+launch lies below ``x_m`` exactly when the summed node values of the two
+travel times at ``x_m`` exceed its target, and an edge curve's event comes
+later when ``Phi_v(xi)`` exceeds that time, so the node tables decide which
+end comes first.  The other component where a curve stops on its line is
+read by the inverse travel time in the cell that brackets it.  Each launch
+is bracketed between two x-nodes of the tables and refined by Newton steps
+on the travel times themselves; every trace solves the launches of its own
+curves that reach their event first, and only those.  This relies on the
+plant's contract that both speeds are strictly positive on all of [0, 1]
+(sampling checks them at the grid nodes only): a curve whose travel time
+is infinite or unresolved, or longer than twice the slowest crossing
+(edge) time the sampled speeds allow, raises
 :class:`NonconvergenceError`.  Speeds are
 evaluated at positions clamped to [0, 1] so that tiny overshoots beyond the
 domain stay well-defined.
@@ -104,9 +112,14 @@ _GAUSS_WEIGHTS = 0.5 * _GAUSS_WEIGHTS
 class TracedBundle:
     """Many traced curves, concatenated, in backward parametrization.
 
-    A curve is cut into cell segments where it crosses grid lines.  Curve
-    ``c`` owns segments ``offsets[c]:offsets[c+1]``, in order from the query
-    point ``(x, xi)`` to the event point; a degenerate curve owns none.
+    Curve c runs from its query point ``(x, xi)`` for a time ``s_end[c]``
+    to its end: its event, at the launch abscissa ``launch[c]``, or, if it
+    reaches it first, the x-line it was to stop at, where ``launch[c]`` is
+    NaN; ``end_xi[c]`` is the xi-component at its end (the launch on the
+    diagonal, 0 on the edge).  A curve is cut into cell segments where it
+    crosses grid lines.  Curve ``c`` owns segments
+    ``offsets[c]:offsets[c+1]``, in order from the query point to the end;
+    a degenerate curve owns none.
     Column q of ``x`` and ``xi`` holds segment q's start, midpoint (in the
     curve parameter) and end, and ``weights[q]`` is its Simpson midpoint
     weight, two thirds of its length: Simpson's rule on the segment
@@ -120,6 +133,7 @@ class TracedBundle:
     weights: np.ndarray
     s_end: np.ndarray
     launch: np.ndarray
+    end_xi: np.ndarray
 
     def simpson_weights(self, segments=slice(None)) -> np.ndarray:
         """Simpson's rule on the segments ``segments``: the ``(3, n)``
@@ -127,7 +141,7 @@ class TracedBundle:
         return np.array([[0.25], [1.0], [0.25]]) * self.weights[segments]
 
     def path_integral(self, values: np.ndarray) -> np.ndarray:
-        """Each curve's path integral, up to its event time, of a function
+        """Each curve's path integral, up to its end, of a function
         given by its ``(3, S)`` values at the segments' points."""
         per_segment = (self.simpson_weights() * values).sum(axis=0)
         curve = np.repeat(np.arange(self.offsets.size - 1),
@@ -246,6 +260,12 @@ class _TravelTime:
             None if y is None else np.broadcast_to(y, p.shape)[rest])
         return value
 
+    def reach(self, rows, phi):
+        """Positions at which rows ``rows`` reach the travel times ``phi``:
+        :meth:`inverse` in the cell that brackets each."""
+        at = rows * self.nx + _bracket(self.nodes, rows, phi)
+        return self.inverse(at, phi.copy())
+
     def inverse(self, at, phi):
         """Positions at which the travel time reaches ``phi`` in the cells
         ``at`` (flat over (row, cell), ``row * nx + cell``), read by the
@@ -265,6 +285,22 @@ class _TravelTime:
         return p
 
 
+def _bracket(table, rows, target):
+    """The cell k, between node values rising along row ``rows[e]`` of
+    ``table``, with ``table[rows[e], k] <= target[e] < table[rows[e], k+1]``,
+    clipped to the cells."""
+    nx = table.shape[1] - 1
+    # (row, value) keys sort lexicographically as complex numbers, so one
+    # search brackets every target in its own row.  An unresolved node
+    # value (NaN) keys as +inf: a complex NaN would sort after every other
+    # row and mis-bracket their targets.
+    keys = np.empty(table.shape, dtype=complex)
+    keys.real = np.arange(table.shape[0])[:, None]
+    keys.imag = np.where(np.isnan(table), np.inf, table)
+    k = np.searchsorted(keys.ravel(), rows + 1j * target, side="right")
+    return np.clip(k - 1 - rows * (nx + 1), 0, nx - 1)
+
+
 def _launch(target, rows, phi_v: _TravelTime, phi_u: _TravelTime | None = None):
     """Abscissa ``l`` at which ``Phi_v(l)``, plus ``Phi_u(l)`` of rows
     ``rows`` when given, reaches ``target``, and whether it is resolved.
@@ -277,19 +313,9 @@ def _launch(target, rows, phi_v: _TravelTime, phi_u: _TravelTime | None = None):
     finite node values.  Off a smooth speed's O(h^2) secant root Newton's
     error squares at every step, so that takes three.
     """
-    nx = phi_v.nx
     table = phi_v.nodes if phi_u is None else phi_v.nodes + phi_u.nodes
-    # (row, value) keys sort lexicographically as complex numbers, so one
-    # search brackets every target in its own row.  An unresolved node
-    # value (NaN) keys as +inf: a complex NaN would sort after every other
-    # row and mis-bracket their targets.
-    keys = np.empty(table.shape, dtype=complex)
-    keys.real = np.arange(table.shape[0])[:, None]
-    keys.imag = np.where(np.isnan(table), np.inf, table)
-    keys = keys.ravel()
-    first = rows * (nx + 1)
-    k = np.searchsorted(keys, rows + 1j * target, side="right") - 1 - first
-    k = np.clip(k, 0, nx - 1)
+    k = _bracket(table, rows, target)
+    first = rows * (phi_v.nx + 1)
     at_lo = table.ravel()[first + k]
     at_hi = table.ravel()[first + k + 1]
     lo, hi = phi_v.x[k], phi_v.x[k + 1]
@@ -406,10 +432,10 @@ def _cut_curves(z: _Component, w: _Component, s_end, span, out, first):
     A curve's segments end where one of its components crosses a grid
     line; an x-line and a xi-line crossed within :data:`CORNER_TOL` of each
     other are one corner crossing.  Every curve's ends (its start, its cuts
-    and, for a curve that moves, its event point) sort by (curve, time) in
+    and, for a curve that moves, its end point) sort by (curve, time) in
     one linear pass of a stable sort over four runs sorted already; the
     keys shift curve c's times by ``c * span``, with ``span`` a power of two
-    above twice the longest event time.  Consecutive ends of one curve
+    above twice the longest end time.  Consecutive ends of one curve
     bound a segment; the joins between curves are masked out.
     """
     m = s_end.size
@@ -427,7 +453,7 @@ def _cut_curves(z: _Component, w: _Component, s_end, span, out, first):
     cut = (order >= m) & (order < m + tz.size + tw.size)
     apart = np.ones(t.size, dtype=bool)
     apart[1:] = (np.diff(key) > CORNER_TOL) | ~(cut[1:] & cut[:-1])
-    # The end positions: the start, the event point, and at a cut the line
+    # The end positions: the start, the end point, and at a cut the line
     # that was crossed; NaN marks a component still to be read.  Two merged
     # cuts are a grid node: they keep the earlier time, whichever way the
     # shifted keys rounded, and both lines.
@@ -464,7 +490,7 @@ def _cut_curves(z: _Component, w: _Component, s_end, span, out, first):
         return at, phi
 
     # Segment q runs from end begin[q] to the next: every pair of
-    # consecutive ends but the joins from one curve's event to the next
+    # consecutive ends but the joins from one curve's end to the next
     # curve's start.
     begin = np.delete(np.arange(t.size - 1), e_off[1:-1] - 1)
     length = t[begin + 1] - t[begin]
@@ -489,9 +515,9 @@ def _cut_curves(z: _Component, w: _Component, s_end, span, out, first):
 def _read_curves(z: _Component, w: _Component, ref, s_end, launch,
                  s_max) -> TracedBundle:
     """Curves whose x- and xi-components are ``z`` and ``w``, cut into cell
-    segments up to their event times ``s_end`` at the launch abscissas
-    ``launch``; ``ref`` are the curves that move, and ``s_max`` bounds
-    their event times."""
+    segments up to their end times ``s_end``, with the launch abscissas
+    ``launch`` of those that end at their event; ``ref`` are the curves
+    that move, and ``s_max`` bounds their end times."""
     m = s_end.size
     # Cut the curves into segments a block of _CUT_CURVES curves at a time,
     # into arrays sized for a cut at every line between each curve's ends,
@@ -511,61 +537,108 @@ def _read_curves(z: _Component, w: _Component, ref, s_end, launch,
             offsets[lo])
     n = offsets[-1]
     return TracedBundle(offsets, seg_x[:, :n], seg_xi[:, :n], weights[:n],
-                        s_end, launch)
+                        s_end, launch, w.p_end)
 
 
-def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys
+def _stops(stop, m, x):
+    """The x-line index each of ``m`` curves stops at, and its position."""
+    stop = np.broadcast_to(np.asarray(stop, dtype=np.int64), (m,))
+    return stop, x[stop]
+
+
+def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys, stop=0
                          ) -> TracedBundle:
     """Trace crossing curves for many triangle points at once, tabulating
-    ``Phi_u`` once per distinct y; raises :class:`NonconvergenceError` for
-    curves with no resolved event (see the module docstring)."""
+    ``Phi_u`` once per distinct y.
+
+    Each curve ends at its cross event or where its x-component reaches the
+    x-line ``stop`` (an index, one per curve or one for all), whichever
+    comes first; the default 0 runs every curve to its event.  A launch is
+    solved only for the curves that reach the diagonal first.  Raises
+    :class:`NonconvergenceError` for curves with no resolved end (see the
+    module docstring)."""
     xs, xis, ys = _points(xs, xis, ys)
     m = xs.shape[0]
     phi_v = _TravelTime(coeff)
     y_rows, rows = np.unique(ys, return_inverse=True)
     phi_u = _TravelTime(coeff, y_rows)
+    stop, x_stop = _stops(stop, m, phi_v.x)
     s_max = 2.0 / coeff.crossing_speed_min
     ref = np.flatnonzero(xis - xs < DEGENERATE_TOL)
     start_x, start_xi = np.zeros(m), np.zeros(m)
     s_end, launch = np.zeros(m), xs.copy()
+    z_end, w_end = xs.copy(), xs.copy()
+    resolved = np.ones(m, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         start_x[ref] = phi_v.at(0, xs[ref])
         start_xi[ref] = phi_u.at(rows[ref], xis[ref])
-        launch[ref], resolved = _launch(start_x[ref] + start_xi[ref],
-                                        rows[ref], phi_v, phi_u)
-        s_end[ref] = start_x[ref] - phi_v.at(0, launch[ref])
-    missed = np.count_nonzero(~(resolved & (s_end[ref] <= s_max)))
+        target = start_x[ref] + start_xi[ref]
+        # The launch lies above the stop line exactly when the summed travel
+        # times there fall short of the target; an unresolved sum counts as
+        # an event, so that the launch solve flags it.
+        on_stop = stop[ref], rows[ref]
+        line = (phi_v.nodes[0, on_stop[0]]
+                + phi_u.nodes[on_stop[1], on_stop[0]]) > target
+        event, at_line = ref[~line], ref[line]
+        launch[event], resolved[event] = _launch(target[~line], rows[event],
+                                                 phi_v, phi_u)
+        s_end[event] = start_x[event] - phi_v.at(0, launch[event])
+        z_end[event] = w_end[event] = launch[event]
+        s_end[at_line] = start_x[at_line] - phi_v.nodes[0, stop[at_line]]
+        z_end[at_line] = x_stop[at_line]
+        w_end[at_line] = phi_u.reach(rows[at_line],
+                                     start_xi[at_line] + s_end[at_line])
+        launch[at_line] = np.nan
+    missed = np.count_nonzero(~(resolved[ref] & (s_end[ref] <= s_max)))
     if missed:
         raise NonconvergenceError(
             f"{missed} characteristic curve(s) found no cross event before "
             f"s = {s_max:.3g}; the model's speeds are too close to zero")
-    z = _Component(phi_v, -1, np.zeros(m, dtype=np.int64), start_x, xs, launch)
-    w = _Component(phi_u, 1, rows, start_xi, xis, launch)
+    z = _Component(phi_v, -1, np.zeros(m, dtype=np.int64), start_x, xs, z_end)
+    w = _Component(phi_u, 1, rows, start_xi, xis, w_end)
     return _read_curves(z, w, ref, s_end, launch, s_max)
 
 
-def trace_edge_batch(coeff: SampledCoefficients, xs, xis) -> TracedBundle:
+def trace_edge_batch(coeff: SampledCoefficients, xs, xis, stop=0
+                     ) -> TracedBundle:
     """Trace edge curves for many triangle points at once, both components
-    falling along ``Phi_v``; raises :class:`NonconvergenceError` for curves
-    with no resolved event (see the module docstring)."""
+    falling along ``Phi_v``.
+
+    Each curve ends at its edge event or where its x-component reaches the
+    x-line ``stop``, whichever comes first, as in
+    :func:`trace_crossing_batch`.  Raises :class:`NonconvergenceError` for
+    curves with no resolved end (see the module docstring)."""
     xs, xis, _ = _points(xs, xis)
     m = xs.shape[0]
     phi_v = _TravelTime(coeff)
     on_v = np.zeros(m, dtype=np.int64)
+    stop, x_stop = _stops(stop, m, phi_v.x)
     s_max = 2.0 / coeff.speed_v_min
     ref = np.flatnonzero(-xis < DEGENERATE_TOL)
-    start_x, s_end = np.zeros(m), np.zeros(m)
-    launch = xs.copy()
+    start_x, start_xi, s_end = np.zeros(m), np.zeros(m), np.zeros(m)
+    launch, z_end, w_end = xs.copy(), xs.copy(), np.zeros(m)
+    resolved = np.ones(m, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         start_x[ref] = phi_v.at(0, xs[ref])
-        s_end[ref] = phi_v.at(0, xis[ref])
-        launch[ref], resolved = _launch(start_x[ref] - s_end[ref], on_v[ref],
-                                        phi_v)
-    missed = np.count_nonzero(~(resolved & (s_end[ref] <= s_max)))
+        start_xi[ref] = phi_v.at(0, xis[ref])
+        s_line = start_x[ref] - phi_v.nodes[0, stop[ref]]
+        # An unresolved travel time counts as an event, which flags it.
+        line = s_line < start_xi[ref]
+        event, at_line = ref[~line], ref[line]
+        s_end[event] = start_xi[event]
+        launch[event], resolved[event] = _launch(
+            start_x[event] - s_end[event], on_v[event], phi_v)
+        z_end[event] = launch[event]
+        s_end[at_line] = s_line[line]
+        z_end[at_line] = x_stop[at_line]
+        w_end[at_line] = phi_v.reach(on_v[at_line],
+                                     start_xi[at_line] - s_end[at_line])
+        launch[at_line] = np.nan
+    missed = np.count_nonzero(~(resolved[ref] & (s_end[ref] <= s_max)))
     if missed:
         raise NonconvergenceError(
             f"{missed} characteristic curve(s) found no edge event before "
             f"s = {s_max:.3g}; the model's speeds are too close to zero")
-    z = _Component(phi_v, -1, on_v, start_x, xs, launch)
-    w = _Component(phi_v, -1, on_v, s_end, xis, np.zeros(m))
+    z = _Component(phi_v, -1, on_v, start_x, xs, z_end)
+    w = _Component(phi_v, -1, on_v, start_xi, xis, w_end)
     return _read_curves(z, w, ref, s_end, launch, s_max)

@@ -239,6 +239,7 @@ def cmd_kernels(config: RunConfig) -> int:
         "iterations": sol.iterations,
         "final_delta": sol.final_delta,
         "deltas": sol.deltas,
+        "contraction_ratio": sol.contraction_ratio,
         "y_rank": sol.y_rank,
         "residuals": {"ensemble_equation": res_ensemble,
                       "scalar_equation": res_scalar},
@@ -324,12 +325,15 @@ def cmd_simulate(config: RunConfig) -> int:
         "final_norm": float(record.joint_norms[-1]),
         "max_abs_U": float(np.abs(record.control).max()),
         "y_ranks": record.y_ranks,
+        "courant": cfl_condition(coeff, spec.dt)[0],
     }
     recipe = record.recipe
     if recipe is not None:
         summary["lyapunov_recipe"] = {"p": recipe.p, "delta": recipe.delta,
                                       "m_equiv": recipe.m_equiv,
                                       "M_equiv": recipe.M_equiv}
+    if record.resolvent is not None:
+        summary["resolvent"] = record.resolvent
     _write_json(summary_path, summary)
     extras = f" and {len(snap_paths)} snapshot file(s)" if snap_paths else ""
     print(f"wrote {ts_path} and {summary_path}{extras} "

@@ -18,50 +18,55 @@ Integrating each equation along its curve family turns the system into
 coupled integral equations.  They are Volterra in x: every crossing and edge
 curve from a node of row i reaches only rows at or below i.  So they are
 solved by marching in x, the standard way with Volterra equations (Linz,
-*Analytical and Numerical Methods for Volterra Equations*, SIAM 1985):
-the triangle is cut into bands, runs of rows each a contiguous flat range,
-closed once a bound on their curves' segments, known from the grid before
-any trace, reaches :data:`_BAND_SEGMENTS`.  In x order each band is traced
-and assembled, the operator columns of the finished rows below it are
-applied once, its own rows are iterated from zero until their increment is
-below the tolerance, and its operators are dropped; at most one band's
-operators are held.  A plant whose sampled ensemble speed does not vary in
-y has one family of crossing curves, traced at the first y-node, and any
-other one per y-node.  A band's crossing curves, of every family, are one
-trace through the travel times of the two speeds (see
-:mod:`.characteristics`), whose tables cost about ``nx + 1`` cells per
-trace, which solves their launch abscissas; its edge curves are
-another.  Each trace becomes one sparse operator: Simpson's rule on every
-cell segment of a curve applied to the bilinear interpolant on the
-triangle, which is exact along straight curves, written in CSR a block of
-curves at a time, four corner entries per segment, its shared corners
-summed by two transposes instead of a sort.  Boundary data is always
-evaluated exactly at the off-grid launch abscissas, so the diagonal
-condition holds exactly at nodes and the edge condition holds to the
-fixed-point tolerance.
+*Analytical and Numerical Methods for Volterra Equations*, SIAM 1985), one
+row of nodes at a time.  The equations hold along every piece of a curve,
+so a node's curve is followed only back to the x-line below its row, or to
+its event (the diagonal, the edge) if it reaches that first: a
+semi-Lagrangian step (Staniforth & Cote, *Mon. Weather Rev.* 119, 1991;
+Falcone & Ferretti, *Semi-Lagrangian Approximation Schemes for Linear and
+Hamilton-Jacobi Equations*, SIAM 2013).  The value where a step crosses the
+x-line is read from the row below by a 4-point Lagrange stencil in xi; a
+step that reaches the diagonal starts from the diagonal data at its launch,
+and an edge step that reaches the edge from the edge condition,
+interpolated linearly in x between the row below and its own.  To that the
+step adds the path integral of the source over its one cell: Simpson's rule
+on every cell segment applied to the bilinear interpolant on the triangle,
+which is exact along straight curves.  Each step has a few segments, so the
+work is O(nx^2) segments per family, not the O(nx^3) of whole curves.  With
+unit speeds every step ends on a node, and the march solves the system of
+whole curves summed in another order.  The steps are traced a block of
+rows at a time, at most :data:`_BLOCK_CURVES` curves, through the travel
+times of the two speeds (see :mod:`.characteristics`), and laid out as
+padded numpy gathers of corner stencils.  A step's source reads the
+corners of its cell on its own row too, so each row is a small fixed
+point.  Boundary data is evaluated exactly at the off-grid launch
+abscissas, so the diagonal condition holds exactly at nodes and the edge
+condition holds to the fixed-point tolerance.  A plant whose sampled
+ensemble speed does not vary in y has one family of crossing curves,
+traced at the first y-node, and any other one per y-node.
 
-With one family the crossing operators act on x and xi only, so y moves
-only through the exchange and the speed derivative, and the sweeps run in
-the smallest y-subspace that holds every iterate: ``F = C @ B.T`` with
-``B`` an orthonormal ``(ny, r)`` basis (r = 1 for the toy), each operator
-applied to r columns and the exchange to one ``r x r`` block per x-node.
-With more than one family ``B`` is the identity, and a band's crossing
-operator is one CSR over the flat ``(node, y)`` unknowns, each row its
-family's; when the one family's subspace is all of y, ``B`` is the identity
-too.  The solver returns the kernel pair as it marched it: ``k`` as its
-coordinates ``C`` in ``B`` with the exact diagonal rows, formed into rows on
-y-nodes a block at a time where it is read, ``ktilde`` whole, and the
-iteration history; the transform factors ``k`` in ``B``, and the controller
-reads the outlet row of both kernels.  ``B`` is seeded with the diagonal
-data on the diagonal nodes and the readout rows, and each band checks that
-the data its crossing curves carry lie in it.
+With one family the steps act on x and xi only, so y moves only through
+the exchange and the speed derivative, and the sweeps run in the smallest
+y-subspace that holds every iterate: ``F = C @ B.T`` with ``B`` an
+orthonormal ``(ny, r)`` basis (r = 1 for the toy), each step applied to r
+columns and the exchange to one ``r x r`` block per x-node.  With more than
+one family ``B`` is the identity, and the crossing steps act on the flat
+``(node, y)`` lanes, each lane's step its family's; when the one family's
+subspace is all of y, ``B`` is the identity too.  The solver returns the
+kernel pair as it marched it: ``k`` as its coordinates ``C`` in ``B`` with
+the exact diagonal rows, formed into rows on y-nodes a block at a time
+where it is read, ``ktilde`` whole, and the iteration history; the
+transform factors ``k`` in ``B``, and the controller reads the outlet row
+of both kernels.  ``B`` is seeded with the diagonal data on the diagonal
+nodes and the readout rows, and each block checks that the data its
+crossing steps carry from the diagonal lie in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -70,9 +75,6 @@ from .errors import (DimensionError, DomainError, NonconvergenceError,
                      NumericError)
 from .grid import GridSpec, TriangularIndex, corner_weights, y_subspace
 from .model import PlantModel, SampledCoefficients, sample_coefficients
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "GoursatProblem",
@@ -84,26 +86,21 @@ __all__ = [
     "kernel_solution_from_evaluators",
 ]
 
-#: Local sweep budget of every band of :func:`solve_goursat`; a band that
+#: Local sweep budget of every row of :func:`solve_goursat`; a row that
 #: needs more raises :class:`~ensemble_backstep.errors.NonconvergenceError`.
 MAX_SWEEPS = 60
 
-#: Cell segments per CSR block of an operator: enough to spread the cost
-#: of building a block, few enough that a block's arrays stay small.
-_BLOCK_SEGMENTS = 16384
+#: Steps (crossing and edge curves) a block of rows of :func:`solve_goursat`
+#: may hold: the size of every trace and of the step data the march holds.
+#: Solving the toy at nx=200, ny=120 and the plant with speed_u = 1 + y/2 at
+#: nx=100, ny=60 with 2**13 ... 2**17 took 0.14, 0.20, 0.15, 0.13 and 0.12 s
+#: and 0.71-0.86, 0.65-0.88, 0.58-0.69, 0.56-0.59 and 0.68 s, peaking at
+#: 62, 65, 67, 69 and 69 MB of RSS and 52, 60, 75, 113 and 157 MB (two runs
+#: each, 2-core Xeon, one sitting): fewer blocks trace less often, larger
+#: ones hold more.
+_BLOCK_CURVES = 2 ** 15
 
-#: Cell segments a band of triangle rows may reach, by the geometric bound
-#: of :func:`_bands`, before it is closed: the size of every trace and
-#: operator build, and of the operators the march holds.  Solving the toy
-#: at nx=200, ny=120 and the plant with speed_u = 1 + y/2 at nx=100, ny=60
-#: with 2**16 ... 2**20 took 2.1-2.6, 1.9-2.1, 1.6-1.9, 1.9 and 1.5-1.8 s
-#: and 4.5-7.1, 5.7-6.2, 4.5-4.8, 4.8-5.5 and 5.2-5.3 s, peaking at 118,
-#: 120, 125-128, 140 and 171 MB of RSS and 117, 119-121, 129-130, 153-155
-#: and 208-214 MB (two runs each, 2-core Xeon, one sitting): fewer bands
-#: trace less often, larger ones hold more.
-_BAND_SEGMENTS = 2 ** 18
-
-#: The part of a band's diagonal data, relative to the sup of the diagonal
+#: The part of a block's diagonal data, relative to the sup of the diagonal
 #: rows, that may lie outside the y-subspace seeded with those rows.
 _SUBSPACE_TOL = 1e-12
 
@@ -125,16 +122,16 @@ class GoursatProblem:
     ``j``.  ``diagonal_rows`` holds the exact ``(nx + 1, ny)`` data on the
     diagonal nodes ``(i, i)``, which the solution keeps as its diagonal
     rows.  The crossing curves are traced at ``family_y``: the first y-node,
-    shared by all, or every y-node.  Nothing is traced and no operator is
-    held: :func:`solve_goursat` traces and assembles them, and forms the
-    data the crossing curves carry from the diagonal, a band of rows at a
-    time from ``coeff``.
+    shared by all, or every y-node.  Nothing is traced: :func:`solve_goursat`
+    traces the steps, and forms the data the crossing steps carry from the
+    diagonal, a block of rows at a time from ``coeff``.
     ``apply_ensemble_operator(rows, field)`` receives the ``(n, r)``
     coordinates of the ensemble iterate on the triangle rows ``rows`` (a
     range of x-indices, the nodes flat in their order) and returns those of
     the ensemble operator (the speed derivative and the transposed
-    exchange) applied per node; the solver calls it once at the start of
-    every local sweep of a band and once on the band's converged iterate.
+    exchange) applied per node; the solver calls it on one row at a time,
+    once at the start of every local sweep and once on the row's converged
+    iterate.
     """
 
     spec: GridSpec
@@ -161,9 +158,9 @@ class KernelSolution:
     diagonal data.  :meth:`k_rows` forms rows of ``k`` on the y-nodes,
     :meth:`k_blocks` all of them a block at a time, and :attr:`k` the whole
     array.  ``ktilde`` is the ``(n_tri,)`` scalar kernel, flat over the
-    triangle.  ``iterations`` is the most local sweeps a band of the march
-    took, and ``deltas[k]`` the largest sup-norm increment of a band at
-    local sweep k + 1, a band that stopped sooner counting its last, so
+    triangle.  ``iterations`` is the most local sweeps a row of the march
+    took, and ``deltas[k]`` the largest sup-norm increment of a row at
+    local sweep k + 1, a row that stopped sooner counting its last, so
     that ``deltas[-1]`` is ``final_delta``, the largest last increment.
     """
 
@@ -179,6 +176,15 @@ class KernelSolution:
     @property
     def y_rank(self) -> int:
         return self.basis.shape[1]
+
+    @property
+    def contraction_ratio(self) -> float | None:
+        """The median of ``deltas[k + 1] / deltas[k]`` over the sweeps with
+        a nonzero increment before them: the observed contraction of a
+        local sweep, None with no such pair."""
+        ratios = [b / a for a, b in zip(self.deltas, self.deltas[1:])
+                  if a > 0.0]
+        return float(np.median(ratios)) if ratios else None
 
     def k_rows(self, nodes) -> np.ndarray:
         """The rows of ``k`` at ``nodes``, a slice or an index array of flat
@@ -226,98 +232,56 @@ class KernelSolution:
         return coords
 
 
-def _quadrature_matrix(spec: GridSpec, bundle) -> sparse.csr_matrix:
-    """Sparse operator turning a grid field into per-curve path integrals.
+class _PathQuadrature(NamedTuple):
+    """Path integrals of a grid field along many curves, as a padded gather.
 
-    Row ``c`` of the result, applied to a flat triangle field, yields the
-    integral of the bilinear interpolant of that field along curve ``c`` of
-    the bundle (the bundle of a band's curves, so the result has a row per
-    curve and a column per triangle node): Simpson's rule on
-    every cell segment, its three points interpolated in the segment's cell
-    (its midpoint's), which is exact wherever the segment is straight.
-    Each segment adds the four corners of its cell, so ``4 * offsets`` is
-    the row pointer, and consecutive curves holding about
-    :data:`_BLOCK_SEGMENTS` segments are written as one CSR block, the
-    corners a curve's segments share summed.
+    ``nodes`` and ``weights`` are ``(curves, 4 * width)``: the four corner
+    stencils of each cell segment of a curve in turn (:func:`corner_weights`
+    order), padded with node 0 at weight 0 up to the ``width`` segments of
+    the longest curve.  Curve c's integral of a flat triangle field f is
+    ``(weights[c] * f[nodes[c]]).sum()``.  ``nnz`` counts the entries
+    computed, four per segment.
     """
-    # scipy is imported here, where the operators are built, so that the
-    # CLI's other commands and the simulators start without it.
-    from scipy import sparse
 
-    tri = spec.tri
+    nodes: np.ndarray
+    weights: np.ndarray
+    nnz: int
+
+
+def _quadrature_matrix(spec: GridSpec, bundle) -> _PathQuadrature:
+    """The path integral of the bilinear interpolant of a grid field along
+    every curve of ``bundle``: Simpson's rule on every cell segment, its
+    three points interpolated in the segment's cell (its midpoint's), which
+    is exact wherever the segment is straight."""
     offsets = bundle.offsets
-    bounds = np.unique(np.append(np.searchsorted(
-        offsets, np.arange(0, offsets[-1] + 1, _BLOCK_SEGMENTS)),
-        offsets.size - 1))
-    blocks = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        lo, hi = offsets[a], offsets[b]
-        idx4, w4 = corner_weights(spec.nx, bundle.x[:, lo:hi],
-                                  bundle.xi[:, lo:hi],
-                                  bundle.simpson_weights(slice(lo, hi)))
-        block = sparse.csr_matrix(
-            (w4.ravel(), idx4.ravel(), 4 * (offsets[a:b + 1] - lo)),
-            shape=(b - a, tri.n_nodes))
-        # After the transpose each column lists its rows in order, so the
-        # corners a curve's segments share are adjacent and summed in
-        # segment order; both conversions are linear passes with no sort.
-        block = block.tocsc()
-        block.sum_duplicates()
-        blocks.append(block.tocsr())
-    return sparse.vstack(blocks, format="csr")
+    counts = np.diff(offsets)
+    m, width = counts.size, int(counts.max(initial=0))
+    idx4, w4 = corner_weights(spec.nx, bundle.x, bundle.xi,
+                              bundle.simpson_weights())
+    curve = np.repeat(np.arange(m), counts)
+    slot = np.arange(offsets[-1]) - offsets[curve]
+    nodes = np.zeros((m, width, 4), dtype=np.int64)
+    weights = np.zeros((m, width, 4))
+    nodes[curve, slot] = idx4
+    weights[curve, slot] = w4
+    return _PathQuadrature(nodes.reshape(m, -1), weights.reshape(m, -1),
+                           4 * int(offsets[-1]))
 
 
-def _bands(tri: TriangularIndex, families: int) -> list[range]:
+def _blocks(tri: TriangularIndex, families: int) -> list[range]:
     """Contiguous runs of triangle rows, as ranges of x-indices, each closed
-    at the row where a bound on the cell segments of its nodes' curves,
-    known before any trace, reaches :data:`_BAND_SEGMENTS`: summed over a
-    crossing curve of every family and the edge curve of each node.
-
-    A crossing curve from node (i, j) crosses each grid line strictly
-    between xi_j and x_i once, with one of its components, and the two
-    falling components of an edge curve cross at most i and j lines: at
-    most i - j + 1 and i + j + 1 segments.
-    """
-    segments = (families * (tri.i_index - tri.j_index + 1)
-                + tri.i_index + tri.j_index + 1)
-    bands, lo, total = [], 0, 0
-    for i, row in enumerate(np.add.reduceat(segments, tri.row_start)):
-        total += int(row)
-        if total >= _BAND_SEGMENTS or i == tri.nx:
-            bands.append(range(lo, i + 1))
-            lo, total = i + 1, 0
-    return bands
-
-
-def _edge_interp_indices(spec: GridSpec, launch: np.ndarray, i: np.ndarray):
-    """Linear-in-x interpolation of the edge (xi = 0) at the launch
-    abscissas of edge curves from x-rows ``i``: the flat nodes of the lower
-    and the upper row read, and the weight of the upper.
-
-    A launch lies at or below its curve's row i, and is read from two
-    neighbouring rows no higher than i: one on x-line i from rows i - 1 and
-    i, one from row 0 from row 0 alone.  So it never reads a row the march
-    has not reached.
-    """
-    pos = np.clip(launch * spec.nx, 0.0, i)
-    lower = np.clip(np.floor(pos).astype(np.int64), 0, np.maximum(i - 1, 0))
-    row_start = spec.tri.row_start
-    return row_start[lower], row_start[np.minimum(lower + 1, i)], pos - lower
-
-
-def _per_y(op: sparse.csr_matrix, ny: int) -> sparse.csr_matrix:
-    """Crossing operators with a row per (node, y-node), node-major, as one
-    operator on the flat ``(node, y)`` unknowns: row ``(n, y)`` acts on the
-    y-lane of every node."""
-    from scipy import sparse
-
-    nodes = op.shape[0] // ny
-    dtype = np.int32 if op.shape[1] * ny < 2**31 else np.int64
-    indices = op.indices.astype(dtype) * ny
-    indices += np.repeat(np.tile(np.arange(ny, dtype=dtype), nodes),
-                         np.diff(op.indptr))
-    return sparse.csr_matrix((op.data, indices, op.indptr),
-                             shape=(nodes * ny, op.shape[1] * ny))
+    before its steps (a crossing step of every family and an edge step from
+    each node) exceed :data:`_BLOCK_CURVES`; a row above it alone is a
+    block."""
+    blocks, lo, total = [], 0, 0
+    for i in range(tri.nx + 1):
+        steps = (families + 1) * (i + 1)
+        if total and total + steps > _BLOCK_CURVES:
+            blocks.append(range(lo, i))
+            lo, total = i, 0
+        total += steps
+    blocks.append(range(lo, tri.nx + 1))
+    return blocks
 
 
 def _nodes(tri: TriangularIndex, rows: range) -> slice:
@@ -326,73 +290,167 @@ def _nodes(tri: TriangularIndex, rows: range) -> slice:
                  int(tri.row_start[rows.stop - 1]) + rows.stop)
 
 
+def _row_stencil(tri: TriangularIndex, row: np.ndarray, xi: np.ndarray):
+    """4-point Lagrange stencils in xi along the triangle rows ``row`` at
+    ``xi``: their flat nodes and weights, ``(n, 4)`` each, on the four nodes
+    nearest ``xi`` that the row has.  A row with fewer nodes uses all of
+    them, the other entries weighing 0."""
+    count = np.minimum(row + 1, 4)
+    t = xi * tri.nx
+    first = np.clip(np.floor(t).astype(np.int64) - 1, 0, row + 1 - count)
+    cols = first[:, None] + np.arange(4)
+    used = np.arange(4) < count[:, None]
+    weights = np.ones(cols.shape)
+    for k in range(4):
+        for q in range(4):
+            if q != k:
+                factor = (t - cols[:, q]) / (k - q)
+                weights[:, k] *= np.where(used[:, q], factor, 1.0)
+    weights[~used] = 0.0
+    nodes = tri.row_start[row][:, None] + np.where(used, cols, first[:, None])
+    return nodes, weights
+
+
+class _Steps(NamedTuple):
+    """One family of a block's steps, each a curve from a node of row i
+    back to the x-line i - 1 or to its event, whichever it reaches first,
+    in node order (and family order within a node), as rows of the
+    unknown and of its source read in lanes (a row per node, or per node and
+    y-node).
+
+    A step's value is its start, plus the Simpson integral of the source
+    over its cell segments, which lie in the cells between rows i - 1 and
+    i.  ``start_nodes``/``start_weights`` read the start on the x-line
+    i - 1 by the 4-point Lagrange stencil of row i - 1 (weight 0 for a step
+    that reaches its event first); ``below_nodes``/``below_weights`` are the
+    source's corners on row i - 1, and ``row_nodes``/``row_weights`` those
+    on row i, as rows of row i's own source.
+    """
+
+    start_nodes: np.ndarray
+    start_weights: np.ndarray
+    below_nodes: np.ndarray
+    below_weights: np.ndarray
+    row_nodes: np.ndarray
+    row_weights: np.ndarray
+
+    @classmethod
+    def trace(cls, spec: GridSpec, bundle, row: np.ndarray, lanes: int,
+              lane: np.ndarray) -> _Steps:
+        """The steps of ``bundle``, traced from rows ``row`` to the x-lines
+        below them, read in ``lanes`` lanes, step s in lane ``lane[s]``."""
+        tri = spec.tri
+        m = row.size
+        quad = _quadrature_matrix(spec, bundle)
+        # A segment's corners (a, b), (a+1, b), (a, b+1), (a+1, b+1) lie on
+        # rows a = i - 1 and a + 1 = i: the last axis splits them.
+        nodes = quad.nodes.reshape(m, -1, 2, 2)
+        weights = quad.weights.reshape(m, -1, 2, 2)
+        below = nodes[..., 0].reshape(m, -1)
+        # Padding (node 0) is moved onto row i's first node.
+        on_row = np.maximum(nodes[..., 1].reshape(m, -1)
+                            - tri.row_start[row][:, None], 0)
+        start, start_weights = _row_stencil(tri, np.maximum(row - 1, 0),
+                                            bundle.end_xi)
+        start_weights[~np.isnan(bundle.launch)] = 0.0
+        lane = lane[:, None]
+        return cls(start * lanes + lane, start_weights,
+                   below * lanes + lane, weights[..., 0].reshape(m, -1),
+                   on_row * lanes + lane, weights[..., 1].reshape(m, -1))
+
+    def fixed(self, steps: slice, unknown: np.ndarray,
+              source: np.ndarray) -> np.ndarray:
+        """The part of ``steps`` that rows below theirs set: the start read
+        from ``unknown`` and the source's corners below, from ``source``."""
+        return (_gather(unknown, self.start_nodes[steps],
+                        self.start_weights[steps])
+                + _gather(source, self.below_nodes[steps],
+                          self.below_weights[steps]))
+
+
+def _gather(field: np.ndarray, nodes: np.ndarray,
+            weights: np.ndarray) -> np.ndarray:
+    """``sum_k weights[s, k] * field[nodes[s, k]]`` for every step s."""
+    if field.ndim == 1:
+        return np.einsum("sk,sk->s", field[nodes], weights)
+    return np.einsum("skl,sk->sl", field[nodes], weights)
+
+
 def _diagonal_data(model: PlantModel, at: np.ndarray,
                    y: np.ndarray) -> np.ndarray:
-    """``-readout / (speed_u + speed_v)`` at the ``(n, 1)`` or ``(n, ny)``
-    launch abscissas ``at`` of crossing curves: the ``(n, ny)`` data they
-    carry from the diagonal."""
+    """``-readout / (speed_u + speed_v)`` at the launch abscissas ``at`` of
+    crossing curves and the y-nodes ``y``: the data they carry from the
+    diagonal."""
     return -model.readout(at, y) / (model.speed_u(at, y) + model.speed_v(at))
 
 
 def _diagonal_coords(problem: GoursatProblem, data: np.ndarray,
-                     nodes: slice) -> np.ndarray:
-    """The coordinates in ``problem.basis`` of the diagonal data ``data``
-    (overwritten) of the crossing curves from ``nodes``, on the identity
-    basis the data themselves.  Raises
+                     rows: range) -> np.ndarray:
+    """The coordinates in ``problem.basis`` of the ``(n, ny)`` diagonal data
+    ``data`` (overwritten) of the crossing steps from ``rows``.  Raises
     :class:`NumericError` where more than :data:`_SUBSPACE_TOL` of the sup
     of the diagonal rows lies outside the basis: the plant's y-profiles
     change between x-nodes."""
     spec, basis = problem.spec, problem.basis
-    if basis.shape[1] == spec.ny:
-        return data
     coords = data @ basis
     data -= coords @ basis.T
-    outside = float(np.max(np.abs(data)))
+    outside = float(np.max(np.abs(data), initial=0.0))
     scale = float(np.max(np.abs(problem.diagonal_rows)))
     if outside > _SUBSPACE_TOL * scale:
-        i = spec.tri.i_index
         raise NumericError(
-            f"the diagonal data of rows {i[nodes.start]} to "
-            f"{i[nodes.stop - 1]} lie {outside:.3g} outside the y-subspace "
-            f"of the diagonal rows (sup {scale:.3g}): the plant's y-profiles "
-            f"change between x-nodes, which nx={spec.nx} does not resolve")
+            f"the diagonal data of rows {rows.start} to {rows.stop - 1} lie "
+            f"{outside:.3g} outside the y-subspace of the diagonal rows (sup "
+            f"{scale:.3g}): the plant's y-profiles change between x-nodes, "
+            f"which nx={spec.nx} does not resolve")
     return coords
 
 
-def _band_operators(problem: GoursatProblem, nodes: slice):
-    """Trace and assemble the curves of a band's nodes: the coordinates of
-    the diagonal data their crossing curves carry, the crossing operator,
-    on flat ``(node, y)`` unknowns when there is a family per y-node, the
-    edge operator and the edge interpolation data."""
+def _lane_width(problem: GoursatProblem) -> int:
+    """Coordinates in a lane of the ensemble unknown: all r of a node's with
+    one family, one with a family (and a lane) per y-node."""
+    return problem.basis.shape[1] if problem.family_y.size == 1 else 1
+
+
+def _block_steps(problem: GoursatProblem, rows: range):
+    """Trace the steps of a block of rows: the crossing steps, of every
+    family, with the data those that reach the diagonal carry, in the
+    crossing steps' lanes, and the edge steps, with the weights by which
+    those that reach the edge read it from the x-lines i - 1 and i."""
     spec, coeff, family_y = problem.spec, problem.coeff, problem.family_y
     tri = spec.tri
-    n = nodes.stop - nodes.start
-    # Every crossing curve of the band, one per (node, family), node-major,
-    # in one trace, which solves their launches.
+    nodes = _nodes(tri, rows)
+    families = family_y.size
+    row = tri.i_index[nodes]
+    stop = np.maximum(row - 1, 0)
+    lane = np.tile(np.arange(families), row.size)
+    # Every crossing step of the block, one per (node, family), node-major,
+    # in one trace, which solves the launches of the steps that reach the
+    # diagonal.
     bundle = trace_crossing_batch(
-        coeff, np.repeat(tri.x_coord[nodes], family_y.size),
-        np.repeat(tri.xi_coord[nodes], family_y.size), np.tile(family_y, n))
-    launch = bundle.launch.reshape(n, family_y.size)
-    cross = _quadrature_matrix(spec, bundle)
-    # Segments are the bulk of a band's memory: each bundle goes as soon as
-    # its operator exists.
+        coeff, np.repeat(tri.x_coord[nodes], families),
+        np.repeat(tri.xi_coord[nodes], families), family_y[lane],
+        np.repeat(stop, families))
+    cross = _Steps.trace(spec, bundle, np.repeat(row, families), families,
+                         lane)
+    event = np.flatnonzero(~np.isnan(bundle.launch))
+    launch = bundle.launch[event]
     del bundle
-    diagonal = _diagonal_coords(problem, _diagonal_data(
-        coeff.model, launch, spec.y_nodes), nodes)
-    if family_y.size > 1:
-        cross = _per_y(cross, family_y.size)
-    bundle = trace_edge_batch(coeff, tri.x_coord[nodes], tri.xi_coord[nodes])
-    edge = _quadrature_matrix(spec, bundle)
-    interp = _edge_interp_indices(spec, bundle.launch, tri.i_index[nodes])
-    return diagonal, cross, edge, interp
-
-
-def _apply(op: sparse.csr_matrix, field: np.ndarray, lanes: int) -> np.ndarray:
-    """``op`` applied to an ``(n, r)`` field: to each column with one lane,
-    or to the flat field when ``op`` acts on its ``(node, lane)`` entries."""
-    if lanes == 1:
-        return op @ field
-    return (op @ field.ravel()).reshape(-1, lanes)
+    diagonal = np.zeros((row.size * families, _lane_width(problem)))
+    if families == 1:
+        diagonal[event] = _diagonal_coords(problem, _diagonal_data(
+            coeff.model, launch[:, None], spec.y_nodes), rows)
+    else:
+        diagonal[event, 0] = _diagonal_data(coeff.model, launch,
+                                            family_y[lane[event]])
+    bundle = trace_edge_batch(coeff, tri.x_coord[nodes], tri.xi_coord[nodes],
+                              stop)
+    edge = _Steps.trace(spec, bundle, row, 1, np.zeros(row.size, np.int64))
+    # An edge event lies between the x-lines i - 1 and i (row 0's on
+    # x-line 0), and reads the edge linearly in x between them.
+    event = ~np.isnan(bundle.launch)
+    upper = np.where(event, np.clip(np.nan_to_num(bundle.launch) * spec.nx
+                                    - (row - 1), 0.0, 1.0), 0.0)
+    return cross, diagonal, edge, (np.where(event, 1.0 - upper, 0.0), upper)
 
 
 def _sup_increment(step: np.ndarray, basis: np.ndarray) -> float:
@@ -401,38 +459,46 @@ def _sup_increment(step: np.ndarray, basis: np.ndarray) -> float:
 
     With one column every entry is one product, and rounding is monotone,
     so the sup is the product of the two sups, bit for bit, without forming
-    the ``(n_tri, ny)`` field.
+    the ``(n, ny)`` field; on the identity basis (the per-y path) every
+    entry is its own coordinate times 1 plus zeros, exactly.
     """
+    if basis.shape[1] == basis.shape[0]:
+        return float(np.max(np.abs(step)))
     if basis.shape[1] == 1:
         return float(np.max(np.abs(step))) * float(np.max(np.abs(basis)))
     return float(np.max(np.abs(step @ basis.T)))
 
 
 def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution:
-    """Solve the kernel system by marching in x, a band of rows at a time.
+    """Solve the kernel system by marching in x, one row of nodes at a time.
 
-    Every crossing and edge curve from a node of row i reaches only rows at
-    or below i, so the system is block lower-triangular in the rows.  For
-    each band (:func:`_bands`), in x order, the band's curves are traced
-    and assembled, the operator columns of the finished rows below it are
-    applied once to their sources, and both unknowns on the band's rows are
-    iterated from zero until their sup-norm increment (of the ensemble
-    unknown on every y-node, not of its coordinates) falls below ``tol``;
-    then its operators are dropped.  Each local sweep computes the ensemble
-    update from the previous iterates, then the scalar update using the
-    fresh ensemble values in the edge condition and the previous iterates
-    in the path integral.  ``iterations`` is the most local sweeps any band
-    took, and ``deltas[k]`` the largest band increment of local sweep
-    k + 1, a band that stopped sooner counting its last.  The solution
-    keeps the marched coordinates and the problem's exact diagonal rows: no
-    ``(n_tri, ny)`` array is formed.
+    The kernel equations hold along every piece of a characteristic, so the
+    unknowns at node (i, j) are their values where its crossing and edge
+    curves cross the x-line i - 1, read from row i - 1 by a 4-point
+    Lagrange stencil in xi, plus the path integral of their sources over
+    that one cell (Simpson on every cell segment, as
+    :func:`_quadrature_matrix` does), a semi-Lagrangian step; a step that
+    reaches the diagonal (the edge) first starts from the diagonal (edge)
+    data there instead.  The steps are traced a block of rows at a time
+    (:func:`_blocks`).  The source of a step reads its cell's corners on
+    row i too, so each row is a small fixed point: both unknowns on the row
+    are iterated from zero until their sup-norm increment (of the ensemble
+    unknown on every y-node, not of its coordinates) falls below ``tol``.
+    Each local sweep computes the ensemble update from the previous
+    iterates, then the scalar update using the fresh ensemble values in the
+    edge condition and the previous iterates in the path integral.
+    ``iterations`` is the most local sweeps any row took, and ``deltas[k]``
+    the largest row increment of local sweep k + 1, a row that stopped
+    sooner counting its last.  The solution keeps the marched coordinates
+    and the problem's exact diagonal rows: no ``(n_tri, ny)`` array is
+    formed.
 
     Raises
     ------
     DomainError
         If ``tol`` is not a positive finite number.
     NonconvergenceError
-        If a band does not reach ``tol`` in :data:`MAX_SWEEPS` local sweeps
+        If a row does not reach ``tol`` in :data:`MAX_SWEEPS` local sweeps
         (carries its last increment as ``final_delta``).
     NumericError
         If an iterate stops being finite.
@@ -441,66 +507,84 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
         raise DomainError(f"tol must be positive and finite, got {tol}")
     tri = problem.spec.tri
     basis = problem.basis
-    C = np.zeros((tri.n_nodes, basis.shape[1]))
+    r = basis.shape[1]
+    families = problem.family_y.size
+    C = np.zeros((tri.n_nodes, r))
     G = np.zeros(tri.n_nodes)
-    # What the operators apply to: the sources of the finished rows, zero
-    # on the rows still to come.
+    # The sources of the finished rows.
     source_C = np.zeros_like(C)
     source_G = np.zeros_like(G)
-    histories = []
-    for rows in _bands(tri, problem.family_y.size):
-        nodes = _nodes(tri, rows)
-        diagonal, cross, edge, (edge_flat0, edge_flat1, edge_frac) = (
-            _band_operators(problem, nodes))
-        lanes = cross.shape[1] // tri.n_nodes
-        # Every column once, on the finished sources; then only the band's.
-        fixed_C = diagonal + _apply(cross, source_C, lanes)
-        fixed_G = edge @ source_G
-        cross = cross[:, lanes * nodes.start:lanes * nodes.stop]
-        edge = edge[:, nodes]
-        j = tri.j_index[nodes]
-        to_ensemble = problem.scalar_to_ensemble[j]
-        to_scalar = problem.ensemble_to_scalar[j]
-        decay = problem.scalar_decay[j]
+    # The ensemble unknown and its source as the crossing steps read them:
+    # a row per node, or per node and y-node with a family per y-node.
+    width = _lane_width(problem)
+    lanes_C = C.reshape(tri.n_nodes * families, width)
+    lanes_source = source_C.reshape(lanes_C.shape)
+    # deltas[k]: the largest row increment of local sweep k + 1, a row that
+    # stopped sooner counting its last; ended: the largest last increment.
+    deltas, ended = [], 0.0
+    for rows in _blocks(tri, families):
+        cross, diagonal, edge, (edge_below, edge_on_row) = (
+            _block_steps(problem, rows))
+        first = int(tri.row_start[rows.start])
+        for i in rows:
+            nodes = tri.row_slice(i)
+            n = i + 1
+            on_edge = slice(nodes.start - first, nodes.stop - first)
+            on_cross = slice(on_edge.start * families, on_edge.stop * families)
+            fixed_C = (diagonal[on_cross]
+                       + cross.fixed(on_cross, lanes_C, lanes_source)
+                       ).reshape(n, r)
+            below = int(tri.row_start[max(i - 1, 0)])
+            fixed_G = (edge.fixed(on_edge, G, source_G) + edge_below[on_edge]
+                       * float(problem.edge_gain @ C[below]))
+            cross_nodes = cross.row_nodes[on_cross]
+            cross_weights = cross.row_weights[on_cross]
+            edge_nodes = edge.row_nodes[on_edge]
+            edge_weights = edge.row_weights[on_edge]
+            gain = edge_on_row[on_edge]
+            to_ensemble = problem.scalar_to_ensemble[:n]
+            to_scalar = problem.ensemble_to_scalar[:n]
+            decay = problem.scalar_decay[:n]
 
-        c = np.zeros_like(fixed_C)
-        g = np.zeros_like(fixed_G)
-        deltas: list[float] = []
-        # The sources are formed at the top of every sweep, so that those of
-        # the converged iterate are at hand for the bands above.
-        while True:
-            src_c = (to_ensemble * g[:, None]
-                     + problem.apply_ensemble_operator(rows, c))
-            src_g = decay * g + (to_scalar * c).sum(axis=1)
-            if deltas and deltas[-1] < tol:
-                break
-            if len(deltas) == MAX_SWEEPS:
-                raise NonconvergenceError(
-                    f"Goursat iteration did not reach tol={tol} in "
-                    f"{MAX_SWEEPS} sweeps on rows {rows.start} to "
-                    f"{rows.stop - 1}", final_delta=deltas[-1])
-            c_new = fixed_C + _apply(cross, src_c, lanes)
-            C[nodes] = c_new
-            edge_rows = ((1.0 - edge_frac)[:, None] * C[edge_flat0]
-                         + edge_frac[:, None] * C[edge_flat1])
-            g_new = ((problem.edge_gain * edge_rows).sum(axis=1) + fixed_G
-                     + edge @ src_g)
-            if not (np.all(np.isfinite(c_new)) and np.all(np.isfinite(g_new))):
-                raise NumericError("Goursat iterate is no longer finite")
-            deltas.append(max(_sup_increment(c_new - c, basis),
-                              float(np.max(np.abs(g_new - g)))))
-            c, g = c_new, g_new
-        G[nodes] = g
-        source_C[nodes] = src_c
-        source_G[nodes] = src_g
-        histories.append(deltas)
+            c = np.zeros((n, r))
+            g = np.zeros(n)
+            history: list[float] = []
+            # The sources are formed at the top of every sweep, so that
+            # those of the converged iterate are at hand for the rows above.
+            while True:
+                src_c = (to_ensemble * g[:, None]
+                         + problem.apply_ensemble_operator(range(i, i + 1), c))
+                src_g = decay * g + (to_scalar * c).sum(axis=1)
+                if history and history[-1] < tol:
+                    break
+                if len(history) == MAX_SWEEPS:
+                    raise NonconvergenceError(
+                        f"Goursat iteration did not reach tol={tol} in "
+                        f"{MAX_SWEEPS} sweeps on row {i}",
+                        final_delta=history[-1])
+                c_new = fixed_C + _gather(src_c.reshape(n * families, width),
+                                          cross_nodes, cross_weights
+                                          ).reshape(n, r)
+                g_new = (fixed_G + gain * float(problem.edge_gain @ c_new[0])
+                         + _gather(src_g, edge_nodes, edge_weights))
+                if not (np.all(np.isfinite(c_new))
+                        and np.all(np.isfinite(g_new))):
+                    raise NumericError("Goursat iterate is no longer finite")
+                history.append(max(_sup_increment(c_new - c, basis),
+                                   float(np.max(np.abs(g_new - g)))))
+                c, g = c_new, g_new
+            C[nodes] = c
+            G[nodes] = g
+            source_C[nodes] = src_c
+            source_G[nodes] = src_g
+            deltas += [ended] * (len(history) - len(deltas))
+            for k in range(len(deltas)):
+                deltas[k] = max(deltas[k], history[min(k, len(history) - 1)])
+            ended = max(ended, history[-1])
 
-    iterations = max(len(h) for h in histories)
-    deltas = tuple(max(h[min(k, len(h) - 1)] for h in histories)
-                   for k in range(iterations))
     return KernelSolution(coords=C, diagonal_rows=problem.diagonal_rows,
-                          ktilde=G, iterations=iterations,
-                          final_delta=deltas[-1], deltas=deltas,
+                          ktilde=G, iterations=len(deltas),
+                          final_delta=deltas[-1], deltas=tuple(deltas),
                           spec=problem.spec, basis=basis)
 
 

@@ -102,7 +102,9 @@ class SimulationRecord:
     subspace it stepped in, ``exchange``, the rank of the factored
     exchange, and in transformed-system runs ``k``, the rank of the
     factored ensemble kernel.  ``recipe`` (transformed-system runs only) is
-    the :class:`LyapunovRecipe` the Lyapunov series was evaluated with.
+    the :class:`LyapunovRecipe` the Lyapunov series was evaluated with, and
+    ``resolvent`` the resolvent series of the scalar kernel behind the
+    coupling: ``n_terms_used`` and ``tail_bound``, the last term's sup-norm.
     """
 
     times: np.ndarray
@@ -115,6 +117,7 @@ class SimulationRecord:
     decay_rate: float | None
     y_ranks: dict[str, int]
     recipe: LyapunovRecipe | None = None
+    resolvent: dict[str, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -162,8 +165,9 @@ class TransformOperator:
     transform as ``v = (I + L)(beta + J)``, with ``J`` the running integral
     of the ensemble kernel against the ensemble field.  ``coupling`` is the
     same resolvent in flat triangle storage, without weights: the cascade's
-    coupling per unit drive.  An application costs O(N^2 r + N ny r) for
-    ``N = nx + 1`` x-nodes and y-rank r.
+    coupling per unit drive, whose series took ``coupling_terms`` terms, the
+    last of sup-norm ``coupling_tail``.  An application costs
+    O(N^2 r + N ny r) for ``N = nx + 1`` x-nodes and y-rank r.
     """
 
     spec: GridSpec
@@ -172,6 +176,8 @@ class TransformOperator:
     scalar: np.ndarray
     resolvent: np.ndarray
     coupling: np.ndarray
+    coupling_terms: int
+    coupling_tail: float
 
     def integrate(self, field: np.ndarray) -> np.ndarray:
         """``J``: ``int_0^x int kernel(x, xi, y) field(xi, y) dy dxi`` at
@@ -198,12 +204,14 @@ def transform_operator(kernels: KernelSolution) -> TransformOperator:
     weights = _running_weights(spec)
     loadings, inner = y_factor(kernels.coordinates())
     rows = tri_to_matrix(spec, weights[:, None] * loadings)
-    coupling = solve_target_coupling(spec, kernels.ktilde)
+    series = solve_target_coupling(spec, kernels.ktilde)
     return TransformOperator(
         spec=spec, rows=np.ascontiguousarray(rows.transpose(1, 0, 2)),
         weighted_basis=(kernels.basis @ inner) * spec.y_weights[:, None],
         scalar=tri_to_matrix(spec, weights * kernels.ktilde),
-        resolvent=tri_to_matrix(spec, weights * coupling), coupling=coupling)
+        resolvent=tri_to_matrix(spec, weights * series.values),
+        coupling=series.values, coupling_terms=series.n_terms_used,
+        coupling_tail=series.tail_bound)
 
 
 def _scalar_field(transform: TransformOperator, beta: np.ndarray,
@@ -780,9 +788,10 @@ def simulate_target(coeff: SampledCoefficients, spec: GridSpec,
     steps the coordinates of the :func:`coordinate_step` built from the
     transformed ensemble field.  The Lyapunov value with recipe parameters is
     recorded at every step alongside the norms.  The record's ``recipe``
-    holds the recipe, and its ``y_ranks`` also the rank of the factored
-    ensemble kernel.  ``coeff`` and ``kernels`` must be sampled and solved at
-    ``spec``'s nx and ny, as in :func:`simulate`.
+    holds the recipe, its ``resolvent`` the coupling's series counts, and
+    its ``y_ranks`` also the rank of the factored ensemble kernel.
+    ``coeff`` and ``kernels`` must be sampled and solved at ``spec``'s nx
+    and ny, as in :func:`simulate`.
     """
     _check_grid(spec, coeff, kernels)
     plant0 = _initial_state(spec, u0, v0)
@@ -802,4 +811,6 @@ def simulate_target(coeff: SampledCoefficients, spec: GridSpec,
                                                              t=0.0)),
                   snapshot_times, advance, lyapunov=lyapunov)
     return replace(record, recipe=recipe, y_ranks={
-        "k": transform.weighted_basis.shape[1], **record.y_ranks})
+        "k": transform.weighted_basis.shape[1], **record.y_ranks},
+        resolvent={"n_terms_used": transform.coupling_terms,
+                   "tail_bound": transform.coupling_tail})

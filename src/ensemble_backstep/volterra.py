@@ -175,16 +175,18 @@ def _coupling_source(spec: GridSpec, drive_grid: np.ndarray,
     return drive_grid.T[:, :, None] * kernel[None, :, :]
 
 
-def solve_target_coupling(spec: GridSpec, ktilde: np.ndarray) -> np.ndarray:
+def solve_target_coupling(spec: GridSpec,
+                          ktilde: np.ndarray) -> ResolventKernel:
     """The coupling kernel of the target system per unit drive.
 
     The unknown ``kappa(x, xi, y)`` satisfies ``kappa = drive(x, y)
     ktilde(x, xi) + integral_xi^x kappa(x, s, y) ktilde(s, xi) ds``.  The
     drive does not depend on the integration variable, so ``kappa(x, xi, y)
     = drive(x, y) m(x, xi)`` with ``m`` the resolvent of ``ktilde``, which
-    this returns in flat triangle storage, shape ``(n_tri,)``.
+    this returns with its series counts: ``values`` in flat triangle
+    storage, shape ``(n_tri,)``.
     """
-    return resolvent(spec, ktilde).values
+    return resolvent(spec, ktilde)
 
 
 def solve_target_coupling_picard(spec: GridSpec, drive_grid: np.ndarray,

@@ -230,7 +230,8 @@ def test_criterion_5_volterra_routes(toy, spec_default, kernels_default):
     assert resolvent_err <= 1e-6, f"resolvent error {resolvent_err:.2e}"
 
     coeff = sample_coefficients(toy, spec_default)
-    coupling = solve_target_coupling(spec_default, kernels_default.ktilde)
+    coupling = solve_target_coupling(spec_default,
+                                     kernels_default.ktilde).values
     kappa_resolvent = coeff.drive_grid[spec_default.tri.i_index] \
         * coupling[:, None]
     kappa_picard = solve_target_coupling_picard(

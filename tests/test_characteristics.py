@@ -403,3 +403,51 @@ def test_bundle_samples_fully_populated(toy, rng):
     # the last segment of each curve ends at the refined meeting point
     last = bundle.offsets[1:] - 1
     np.testing.assert_allclose(bundle.x[2, last], bundle.launch, atol=1e-12)
+
+
+@pytest.mark.parametrize("make_plant", [half_x_plant, sloped_plant],
+                         ids=["half_x", "sloped"])
+@pytest.mark.parametrize("family", ["crossing", "edge"])
+def test_curve_stopped_at_a_line_continues_as_the_whole_curve(make_plant,
+                                                              family):
+    """A curve from node (i, j) stopped at x-line i - 1 is the start of its
+    whole curve: a curve that reaches its event first is the whole curve,
+    and one that reaches the line first, at ``(x_{i-1}, end_xi)``, leaves
+    the whole curve from there, whose time, launch and path integral of a
+    smooth function add up to the whole curve's: to rounding on straight
+    characteristics, and on curved ones to the error of the cubic Hermite
+    inverse of the travel times that reads the end point (below 1e-8 at
+    nx = 16)."""
+    spec = GridSpec(nx=16, ny=5)
+    coeff = sample_coefficients(make_plant(), spec)
+    tri = spec.tri
+    moving = tri.i_index > 0
+    xs, xis = tri.x_coord[moving], tri.xi_coord[moving]
+    stop = tri.i_index[moving] - 1
+    tol = 1e-8 if make_plant is half_x_plant else 1e-14
+
+    def trace(x, xi, stop=0):
+        if family == "crossing":
+            return trace_crossing_batch(coeff, x, xi, np.full(x.size, 0.75),
+                                        stop)
+        return trace_edge_batch(coeff, x, xi, stop)
+
+    def smooth(x, xi):
+        return np.cos(3.0 * x) * (1.0 + xi * xi)
+
+    whole, step = trace(xs, xis), trace(xs, xis, stop)
+    at_line = np.isnan(step.launch)
+    assert 0 < np.count_nonzero(at_line) < xs.size
+    assert np.all(step.s_end <= whole.s_end + 1e-14)
+    event = ~at_line
+    assert np.array_equal(step.s_end[event], whole.s_end[event])
+    assert np.array_equal(step.launch[event], whole.launch[event])
+    end_x = spec.x_nodes[stop[at_line]]
+    rest = trace(end_x, step.end_xi[at_line])
+    assert np.allclose(step.s_end[at_line] + rest.s_end,
+                       whole.s_end[at_line], rtol=0, atol=tol)
+    assert np.allclose(rest.launch, whole.launch[at_line], rtol=0, atol=tol)
+    parts = step.path_integral(smooth(step.x, step.xi))
+    assert np.allclose(parts[at_line] + rest.path_integral(
+        smooth(rest.x, rest.xi)), whole.path_integral(
+        smooth(whole.x, whole.xi))[at_line], rtol=0, atol=tol)

@@ -159,12 +159,18 @@ class TestKernelsCommand:
         assert code == 0
         payload = json.loads((tmp_path / "kernels.json").read_text())
         assert set(payload) == {"iterations", "final_delta", "deltas",
-                                "residuals", "analytic_max_rel_error",
-                                "y_rank"}
+                                "contraction_ratio", "residuals",
+                                "analytic_max_rel_error", "y_rank"}
         assert isinstance(payload["iterations"], int)
         # one sup-norm increment per sweep, the last being final_delta
         assert len(payload["deltas"]) == payload["iterations"]
         assert payload["deltas"][-1] == payload["final_delta"]
+        # the median ratio of consecutive increments: a local sweep of a row
+        # contracts by far more than half
+        deltas = payload["deltas"]
+        assert payload["contraction_ratio"] == float(np.median(
+            [b / a for a, b in zip(deltas, deltas[1:])]))
+        assert 0.0 < payload["contraction_ratio"] < 0.1
         # the toy's kernels are swept in a one-dimensional y-subspace
         assert payload["y_rank"] == 1
         assert payload["iterations"] >= 1
@@ -307,7 +313,8 @@ class TestSimulateCommand:
             assert all(float(f) == 0.0 for f in fields[1:5])
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == {"mode", "decay_rate", "max_norm",
-                                "final_norm", "max_abs_U", "y_ranks"}
+                                "final_norm", "max_abs_U", "y_ranks",
+                                "courant"}
         # a zero field with no inflow or drive is stepped in no y-direction
         assert summary["y_ranks"] == {"exchange": 0, "state": 0}
         assert summary["mode"] == "open"
@@ -351,6 +358,13 @@ class TestSimulateCommand:
         assert set(summary["lyapunov_recipe"]) == {"p", "delta", "m_equiv",
                                                    "M_equiv"}
         assert summary["lyapunov_recipe"]["p"] > 0.0
+        # dt * max speed * nx, and the coupling's resolvent series: the
+        # terms it took and the last one's sup-norm, below the series
+        # tolerance
+        assert summary["courant"] == 0.02 * 1.0 * 30
+        assert set(summary["resolvent"]) == {"n_terms_used", "tail_bound"}
+        assert summary["resolvent"]["n_terms_used"] > 1
+        assert 0.0 < summary["resolvent"]["tail_bound"] <= 1e-12
 
     def test_unknown_mode_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--mode", "sideways",
@@ -441,8 +455,8 @@ class TestEntryPoints:
         assert "Warning" not in proc.stderr
 
     def test_import_leaves_scipy_unloaded(self):
-        """scipy loads only where the kernel operators are built, so the
-        CLI and the simulators start without it."""
+        """The package needs no scipy: the CLI and the simulators start
+        without it."""
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
@@ -452,6 +466,25 @@ class TestEntryPoints:
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("args", [
+        ["kernels", "--nx", "20", "--ny", "8"],
+        ["simulate", "--mode", "target", "--nx", "20", "--ny", "8",
+         "--t-final", "0.2"]], ids=["kernels", "simulate-target"])
+    def test_solve_and_simulation_leave_scipy_unloaded(self, tmp_path, args):
+        """A kernel solve, and a cascade run on the kernels it solves, load
+        no scipy module."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        script = ("import sys\n"
+                  "from ensemble_backstep.cli import main\n"
+                  f"code = main({args + ['--out', str(tmp_path)]!r})\n"
+                  "print(code, sorted(m for m in sys.modules\n"
+                  "                   if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 class TestDeterminism:

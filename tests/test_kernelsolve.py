@@ -1,6 +1,9 @@
 """Goursat solver: boundary data, convergence, identities, determinism."""
 
 import dataclasses
+import importlib
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -86,9 +89,8 @@ class TestGenericSolver:
     def test_nonconvergence_carries_final_delta(self, toy, monkeypatch):
         problem = build_backstepping_problem(toy, SPEC)
         # a sweep budget too small for the tolerance (the toy at nx = 40
-        # needs 20 sweeps; swept on, it reaches an exact fixed point, an
-        # increment of 0.0, at sweep 25)
-        monkeypatch.setattr(kernelsolve, "MAX_SWEEPS", 10)
+        # needs 9 sweeps on its slowest row)
+        monkeypatch.setattr(kernelsolve, "MAX_SWEEPS", 3)
         with pytest.raises(NonconvergenceError) as exc:
             solve_goursat(problem, tol=1e-10)
         assert exc.value.final_delta is not None
@@ -300,20 +302,20 @@ def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
     vary in y.
 
     The toy traces one family; a speed that varies in y, on all of [0, 1]
-    or on (1/2, 1] only, traces one per y-node.  Each band traces the curves
+    or on (1/2, 1] only, traces one per y-node.  Each block traces the steps
     of every family in one call.
     """
     traced = []
     trace = kernelsolve.trace_crossing_batch
 
-    def recording_trace(coeff, xs, xis, ys, **kwargs):
+    def recording_trace(coeff, xs, xis, ys, stop=0):
         traced.append(np.unique(ys))
-        return trace(coeff, xs, xis, ys, **kwargs)
+        return trace(coeff, xs, xis, ys, stop)
 
     monkeypatch.setattr(kernelsolve, "trace_crossing_batch", recording_trace)
     spec = GridSpec(nx=25, ny=30)
     solve_backstepping_kernels(toy, spec)
-    assert len(traced) == len(kernelsolve._bands(spec.tri, 1))
+    assert len(traced) == len(kernelsolve._blocks(spec.tri, 1))
     assert all(np.array_equal(ys, spec.y_nodes[:1]) for ys in traced)
 
     for plant in (sloped_plant(), _kinked_plant(toy)):
@@ -322,7 +324,7 @@ def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
             traced.clear()
             spec = GridSpec(nx=nx, ny=30)
             sol = solve_backstepping_kernels(plant, spec)
-            assert len(traced) == len(kernelsolve._bands(spec.tri, spec.ny))
+            assert len(traced) == len(kernelsolve._blocks(spec.tri, spec.ny))
             assert all(np.array_equal(ys, spec.y_nodes) for ys in traced)
             residual[nx] = kernel_pde_residual(sol, plant)[0]
         # Curves traced at y = 0 only would leave the residual flat under
@@ -383,20 +385,36 @@ def _family_operator(plant, spec, family, y=0.75):
     return kernelsolve._quadrature_matrix(spec, bundle), bundle
 
 
+def _dense(op, n_tri):
+    """A path quadrature as one dense ``(curves, n_tri)`` array, its
+    entries summed per node with ``np.add.at``."""
+    dense = np.zeros((op.nodes.shape[0], n_tri))
+    rows = np.repeat(np.arange(op.nodes.shape[0]), op.nodes.shape[1])
+    np.add.at(dense, (rows, op.nodes.ravel()), op.weights.ravel())
+    return dense
+
+
 @pytest.mark.parametrize("plant_name, family", [
     ("toy", "cross"), ("toy", "edge"), ("sloped", "cross"),
     ("half_x", "cross")])
 def test_row_blocks_equal_one_shot_assembly(toy, plant_name, family):
-    """The operator built block by block from the segment moments is the
-    Simpson sum over the three points of every segment, in canonical CSR
-    form."""
+    """The padded gather built from the segment moments is the Simpson sum
+    over the three points of every segment: four corner entries per
+    segment, a curve's segments in order, then padding (node 0, weight
+    0)."""
     spec = GridSpec(nx=30, ny=8)
     plant = {"toy": toy, "sloped": sloped_plant(),
              "half_x": half_x_plant()}[plant_name]
     op, bundle = _family_operator(plant, spec, family)
-    assert op.shape == (spec.tri.n_nodes, spec.tri.n_nodes)
-    assert op.has_canonical_format
-    assert np.max(np.abs(op.toarray() - _one_shot_operator(spec, bundle))) <= 1e-14
+    counts = np.diff(bundle.offsets)
+    assert op.nodes.shape == op.weights.shape == (spec.tri.n_nodes,
+                                                  4 * counts.max())
+    assert op.nnz == 4 * bundle.offsets[-1]
+    padding = np.arange(op.nodes.shape[1]) >= 4 * counts[:, None]
+    assert np.all(op.nodes[padding] == 0)
+    assert np.all(op.weights[padding] == 0.0)
+    assert (np.max(np.abs(_dense(op, spec.tri.n_nodes)
+                          - _one_shot_operator(spec, bundle))) <= 1e-14)
 
 
 def _basis_line_integrals(nx, x0, xi0, dx, dxi, s_end):
@@ -463,7 +481,7 @@ def test_operator_rows_are_line_integrals_of_the_basis(toy, lam, family):
     tri = spec.tri
     op, bundle = _family_operator(_constant_speeds(toy, lam, 1.0), spec,
                                   family)
-    dense = op.toarray()
+    dense = _dense(op, tri.n_nodes)
     # the event times are exact to the refinement tolerance; the rows
     # integrate up to the traced ones
     np.testing.assert_allclose(
@@ -488,12 +506,16 @@ _SAMPLED_NNZ = {("toy", "cross"): 10621, ("toy", "edge"): 18649,
 
 @pytest.mark.parametrize("plant_name, family", sorted(_SAMPLED_NNZ))
 def test_operator_nonzeros_no_more_than_sampled(toy, plant_name, family):
-    """Segment assembly stores no more nonzeros per family than sampling the
-    curves at every trace step did."""
+    """Segment quadrature reaches no more (curve, node) pairs per family
+    than sampling the curves at every trace step stored as nonzeros."""
     plant = {"toy": toy, "sloped": sloped_plant(),
              "half_x": half_x_plant()}[plant_name]
-    op, _ = _family_operator(plant, GridSpec(nx=30, ny=8), family)
-    assert op.nnz <= _SAMPLED_NNZ[plant_name, family]
+    op, bundle = _family_operator(plant, GridSpec(nx=30, ny=8), family)
+    computed = (np.arange(op.nodes.shape[1])
+                < 4 * np.diff(bundle.offsets)[:, None])
+    pairs = np.unique(np.column_stack([np.nonzero(computed)[0],
+                                       op.nodes[computed]]), axis=0)
+    assert len(pairs) <= _SAMPLED_NNZ[plant_name, family]
 
 
 def _refinement_gap(plant):
@@ -509,100 +531,154 @@ def _refinement_gap(plant):
 
 
 def test_refinement_gap_no_larger_than_sampled(toy):
-    """The nx = 25 -> 50 change of the kernels is no larger than with the
-    trapezoid-sampled operators (1.887e-3 for k on speed_u = 1 + y/2, and
-    1.666e-4 for k and 1.169e-3 for ktilde on speeds 1 + x/2).  The scalar
-    kernel of speed_u = 1 + y/2 is left out: it moves 2.12e-3, against
-    2.10e-3 with sampling, and its error against an nx = 200 solution is as
-    close (2.77e-3 and 2.74e-3 at nx = 25)."""
+    """The nx = 25 -> 50 change of the ensemble kernel is no larger than
+    with the trapezoid-sampled operators (1.887e-3 on speed_u = 1 + y/2 and
+    1.666e-4 on speeds 1 + x/2).  The scalar kernels are left out, and
+    :func:`test_error_falls_at_second_order` pins their order instead:
+    on speed_u = 1 + y/2 the scalar kernel moves 2.12e-3, against 2.10e-3
+    with sampling, and its error against an nx = 320 solution is the same to
+    four digits with whole-curve operators and with one-cell steps (1.272e-3
+    at nx = 40, 3.526e-4 at nx = 80), so that change is the discretization's
+    leading error, not the operators'; on speeds 1 + x/2 it moves 1.201e-3
+    with one-cell steps, against 1.169e-3 with sampling and 1.113e-3 with
+    whole-curve operators, whose errors against an nx = 320 solution
+    (2.57e-3 against 2.41e-3 at nx = 20, 1.460e-4 against 1.452e-4 at
+    nx = 80) differ at third order."""
     gap_k, _ = _refinement_gap(sloped_plant())
     assert gap_k <= 1.887176e-3
-    gap_k, gap_kt = _refinement_gap(half_x_plant())
+    gap_k, _ = _refinement_gap(half_x_plant())
     assert gap_k <= 1.666297e-4
-    assert gap_kt <= 1.168731e-3
 
 
-@pytest.mark.parametrize("plant_name", ["toy", "sloped", "half_x"])
-def test_band_partition_moves_kernels_by_rounding(toy, plant_name,
-                                                  monkeypatch):
-    """Marching in bands of rows (at least 3 here) solves the kernels of one
-    band over the whole triangle to rounding: straight and curved
-    characteristics, one family and one per y-node."""
-    spec = GridSpec(nx=40, ny=16)
-    plant = {"toy": toy, "sloped": sloped_plant(),
-             "half_x": half_x_plant()}[plant_name]
-    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", np.inf)
-    assert len(kernelsolve._bands(spec.tri, spec.ny)) == 1
-    whole = solve_backstepping_kernels(plant, spec)
-    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 2048)
-    assert len(kernelsolve._bands(spec.tri, 1)) >= 3
-    banded = solve_backstepping_kernels(plant, spec)
-    assert np.max(np.abs(banded.k - whole.k)) <= 1e-12 * np.max(np.abs(whole.k))
-    assert (np.max(np.abs(banded.ktilde - whole.ktilde))
-            <= 1e-12 * np.max(np.abs(whole.ktilde)))
+def _ydep_plant():
+    """``ydep_plant(0.5)`` of the benchmark's workloads: the toy with
+    speed_u = 1 + y/2, built without the toy's speed derivatives."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("workloads").ydep_plant(0.5)
+    finally:
+        sys.path.remove(bench)
 
 
-def test_bands_read_no_row_above_them(toy, monkeypatch):
-    """Every operator row of a band, and every edge launch it interpolates,
-    reads only rows at or below its own: a launch on x-line i (the edge
-    curve from (x_i, 0) has no length) reads rows i - 1 and i, one from row
-    0 reads row 0 alone."""
-    spec = GridSpec(nx=60, ny=8)
+@pytest.mark.parametrize("name", ["half_x", "sloped", "full_rank", "ydep"])
+def test_error_falls_at_second_order(name):
+    """Against an nx = 160 solve, the error of both kernels on the nodes of
+    nx = 20, 40 and 80 (ny = 8) falls by a factor of at most 0.35 per
+    halving of the grid: second order, on curved characteristics, one
+    family per y-node and a y-rank above 1."""
+    plant = {"half_x": half_x_plant, "sloped": sloped_plant,
+             "full_rank": full_rank_plant, "ydep": _ydep_plant}[name]()
+    fine_spec = GridSpec(nx=160, ny=8)
+    fine = solve_backstepping_kernels(plant, fine_spec)
+    errors = []
+    for nx in (20, 40, 80):
+        spec = GridSpec(nx=nx, ny=8)
+        sol = solve_backstepping_kernels(plant, spec)
+        tri, step = spec.tri, 160 // nx
+        same = fine_spec.tri.row_start[step * tri.i_index] + step * tri.j_index
+        errors.append((
+            np.max(np.abs(sol.k - fine.k[same])) / np.max(np.abs(fine.k)),
+            np.max(np.abs(sol.ktilde - fine.ktilde[same]))
+            / np.max(np.abs(fine.ktilde))))
+    ratios = np.array(errors[1:]) / np.array(errors[:-1])
+    assert np.all(ratios <= 0.35), (errors, ratios)
+
+
+def test_steps_read_their_row_and_the_one_below(toy, monkeypatch):
+    """Every step of a block, crossing or edge, reads its start from row
+    i - 1 by a stencil of at most four nodes whose weights sum to 1, or
+    starts at its event, and the source at the corners of cells between
+    rows i - 1 and i; the steps of row i are node-major, a crossing step of
+    every family per node."""
+    spec = GridSpec(nx=30, ny=6)
     tri = spec.tri
-    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 4096)
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 256)
     for plant in (toy, half_x_plant(), sloped_plant()):
         problem = build_backstepping_problem(plant, spec)
-        bands = kernelsolve._bands(tri, problem.family_y.size)
-        assert len(bands) >= 10
-        for rows in bands:
-            nodes = kernelsolve._nodes(tri, rows)
-            _, cross, edge, (flat0, flat1, frac) = (
-                kernelsolve._band_operators(problem, nodes))
-            lanes = cross.shape[1] // tri.n_nodes
-            assert cross.indices.max() < lanes * nodes.stop
-            assert edge.indices.max() < nodes.stop
-            row = tri.i_index[nodes]
-            lower, upper = tri.i_index[flat0], tri.i_index[flat1]
-            assert np.all((tri.j_index[flat0] == 0) & (tri.j_index[flat1] == 0))
-            assert np.all(lower <= np.maximum(row - 1, 0))
-            assert np.all(upper == np.minimum(lower + 1, row))
-            assert np.all((frac >= 0.0) & (frac <= 1.0))
-            assert np.all(frac[row == 0] == 0.0)
+        families = problem.family_y.size
+        blocks = kernelsolve._blocks(tri, families)
+        assert len(blocks) >= 3
+        assert [rows.start for rows in blocks[1:]] == [
+            rows.stop for rows in blocks[:-1]]
+        for rows in blocks:
+            cross, diagonal, edge, (below, on_row) = (
+                kernelsolve._block_steps(problem, rows))
+            row = tri.i_index[kernelsolve._nodes(tri, rows)]
+            for steps, lanes, i in ((cross, families,
+                                     np.repeat(row, families)),
+                                    (edge, 1, row)):
+                lane = np.arange(i.size) % lanes
+                start = steps.start_weights.sum(axis=1)
+                from_line = start != 0.0
+                assert np.allclose(start[from_line], 1.0, rtol=0, atol=1e-12)
+                line_nodes = (steps.start_nodes - lane[:, None]) // lanes
+                assert np.all(tri.i_index[line_nodes[from_line]]
+                              == (i - 1)[from_line, None])
+                assert np.all((steps.below_nodes - lane[:, None]) % lanes == 0)
+                below_nodes = (steps.below_nodes - lane[:, None]) // lanes
+                used = steps.below_weights != 0.0
+                below_rows = np.broadcast_to(i[:, None] - 1, used.shape)
+                assert np.all(tri.i_index[below_nodes][used]
+                              == below_rows[used])
+                local = (steps.row_nodes - lane[:, None]) // lanes
+                used = steps.row_weights != 0.0
+                assert np.all((local >= 0) & (local <= i[:, None])
+                              | ~used)
+            # a crossing step that starts from the diagonal carries its data
+            # instead, and an edge step that reaches the edge reads it from
+            # rows i - 1 and i
+            event = cross.start_weights.sum(axis=1) == 0.0
+            assert np.all(diagonal[~event] == 0.0)
+            reached = edge.start_weights.sum(axis=1) == 0.0
+            assert np.allclose((below + on_row)[reached], 1.0, rtol=0,
+                               atol=1e-15)
+            assert np.all((below + on_row)[~reached] == 0.0)
 
 
 @pytest.mark.parametrize("name", ["toy", "sloped"])
 def test_build_traces_nothing(name, monkeypatch):
     """The build reads only the sampled plant: it calls no trace and forms
-    no band.  The solve traces every band's crossing curves, of every
-    family, in one call, each curve exactly once, the bands in x order."""
+    no block.  The solve traces every block's crossing steps, of every
+    family, in one call and its edge steps in another, each step once,
+    the blocks in x order, each curve stopping at the x-line below its
+    node's row."""
     plant = {"toy": toy_model(), "sloped": sloped_plant()}[name]
     spec = GridSpec(nx=20, ny=6)
     tri = spec.tri
-    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 256)
-    calls, crossing_points = [], []
-    for attr in ("trace_edge_batch", "_bands"):
-        monkeypatch.setattr(kernelsolve, attr, _recording(
-            getattr(kernelsolve, attr), lambda _, attr=attr: calls.append(attr)))
-    trace = kernelsolve.trace_crossing_batch
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 128)
+    calls, points = [], {"crossing": [], "edge": []}
+    monkeypatch.setattr(kernelsolve, "_blocks", _recording(
+        kernelsolve._blocks, lambda _: calls.append("_blocks")))
+    crossing, edge = (kernelsolve.trace_crossing_batch,
+                      kernelsolve.trace_edge_batch)
 
-    def recording_crossing(coeff, xs, xis, ys):
-        crossing_points.append(np.column_stack([xs, xis, ys]))
-        return trace(coeff, xs, xis, ys)
+    def recording_crossing(coeff, xs, xis, ys, stop=0):
+        points["crossing"].append(np.column_stack([xs, xis, ys, stop]))
+        return crossing(coeff, xs, xis, ys, stop)
+
+    def recording_edge(coeff, xs, xis, stop=0):
+        points["edge"].append(np.column_stack([xs, xis, stop]))
+        return edge(coeff, xs, xis, stop)
 
     monkeypatch.setattr(kernelsolve, "trace_crossing_batch",
                         recording_crossing)
+    monkeypatch.setattr(kernelsolve, "trace_edge_batch", recording_edge)
     problem = build_backstepping_problem(plant, spec)
-    assert calls == [] and crossing_points == []
+    assert calls == [] and points == {"crossing": [], "edge": []}
     solve_goursat(problem)
-    traced = len(crossing_points), calls.count("trace_edge_batch")
-    bands = kernelsolve._bands(tri, problem.family_y.size)
-    assert len(bands) >= 3
-    assert traced == (len(bands), len(bands))
+    blocks = kernelsolve._blocks(tri, problem.family_y.size)
+    assert len(blocks) >= 3
+    assert len(points["crossing"]) == len(points["edge"]) == len(blocks)
     families = problem.family_y.size
-    every_curve = np.column_stack([
+    stop = np.maximum(tri.i_index - 1, 0)
+    every_step = np.column_stack([
         np.repeat(tri.x_coord, families), np.repeat(tri.xi_coord, families),
-        np.tile(problem.family_y, tri.n_nodes)])
-    assert np.array_equal(np.concatenate(crossing_points), every_curve)
+        np.tile(problem.family_y, tri.n_nodes), np.repeat(stop, families)])
+    assert np.array_equal(np.concatenate(points["crossing"]), every_step)
+    assert np.array_equal(np.concatenate(points["edge"]), np.column_stack(
+        [tri.x_coord, tri.xi_coord, stop]))
 
 
 def test_unresolved_plant_raises_numeric_error():
@@ -622,56 +698,68 @@ def test_unresolved_plant_raises_numeric_error():
         solve_backstepping_kernels(plant, spec)
 
 
-def test_per_y_operator_applies_each_family_to_its_lanes(rng):
-    """On the flat (node, y) unknowns, lane y of the per-y crossing operator
-    is the operator of y-node y's family, the rows ``(n, y)``."""
-    ny, nodes, columns = 4, 5, 9
-    op = sparse.random(nodes * ny, columns, density=0.4, format="csr",
-                       random_state=np.random.default_rng(1))
-    field = rng.standard_normal((columns, ny))
-    flat = (kernelsolve._per_y(op, ny) @ field.ravel()).reshape(nodes, ny)
-    for y in range(ny):
-        assert np.allclose(flat[:, y], op[y::ny] @ field[:, y],
-                           rtol=1e-14, atol=1e-14)
 
 
-def _dense_march_oracle(problem):
-    """Both unknowns of the discrete kernel system (the band operators
-    stacked over the triangle), solved densely with ``np.linalg.solve``:
+def _whole_curve_oracle(problem):
+    """Both unknowns of the whole-curve kernel system of a plant with one
+    family of crossing curves, solved densely with ``np.linalg.solve``, in
+    the coordinates of ``problem.basis``: every node's crossing curve
+    traced to the diagonal and its edge curve to the edge, each an operator
+    row of Simpson's rule on every cell segment of the bilinear interpolant
+    (assembled by scipy, which sums a curve's shared corners), so that
     ``C = D + K(s2e G + A C)`` and ``G = g . interp(C) + E(d G + e2s . C)``,
-    in the coordinates of ``problem.basis``."""
-    from scipy import sparse
-
+    the edge data interpolated linearly in x at the edge curve's launch
+    between the rows at and below it."""
     spec = problem.spec
     tri = spec.tri
     n, r = tri.n_nodes, problem.basis.shape[1]
-    parts = [kernelsolve._band_operators(problem, kernelsolve._nodes(tri, rows))
-             for rows in kernelsolve._bands(tri, problem.family_y.size)]
-    diagonal = np.concatenate([p[0] for p in parts])
-    cross = sparse.vstack([p[1] for p in parts], format="csr").toarray()
-    edge = sparse.vstack([p[2] for p in parts], format="csr").toarray()
-    flat0, flat1, frac = (np.concatenate([p[3][k] for p in parts])
-                          for k in range(3))
-    lanes = cross.shape[1] // n
-    everything = range(spec.nx + 1)
+    assert problem.family_y.size == 1
+    coeff = problem.coeff
 
+    def operator(bundle):
+        idx4, w4 = corner_weights(spec.nx, bundle.x, bundle.xi,
+                                  bundle.simpson_weights())
+        return sparse.csr_matrix(
+            (w4.ravel(), idx4.ravel(), 4 * bundle.offsets),
+            shape=(n, n)).toarray()
+
+    crossing = trace_crossing_batch(coeff, tri.x_coord, tri.xi_coord,
+                                    np.full(n, problem.family_y[0]))
+    launch = crossing.launch[:, None]
+    diagonal = (-coeff.model.readout(launch, spec.y_nodes)
+                / (coeff.model.speed_u(launch, spec.y_nodes)
+                   + coeff.model.speed_v(launch))) @ problem.basis
+    cross = operator(crossing)
+    edging = trace_edge_batch(coeff, tri.x_coord, tri.xi_coord)
+    edge = operator(edging)
+    i = tri.i_index
+    pos = np.clip(edging.launch * spec.nx, 0.0, i)
+    lower = np.clip(np.floor(pos).astype(np.int64), 0, np.maximum(i - 1, 0))
+    flat0 = tri.row_start[lower]
+    flat1 = tri.row_start[np.minimum(lower + 1, i)]
+    frac = pos - lower
+    everything = range(spec.nx + 1)
     j = tri.j_index
 
     def update(x):
         C, G = x[:n * r].reshape(n, r), x[n * r:]
         source = (problem.scalar_to_ensemble[j] * G[:, None]
                   + problem.apply_ensemble_operator(everything, C))
-        if lanes == 1:
-            C_new = cross @ source
-        else:
-            C_new = (cross @ source.ravel()).reshape(n, r)
         edge_rows = ((1.0 - frac)[:, None] * C[flat0]
                      + frac[:, None] * C[flat1])
         G_new = ((problem.edge_gain * edge_rows).sum(axis=1)
                  + edge @ (problem.scalar_decay[j] * G
                            + (problem.ensemble_to_scalar[j] * C).sum(axis=1)))
-        return np.concatenate([C_new.ravel(), G_new])
+        return np.concatenate([(cross @ source).ravel(), G_new])
 
+    return _dense_solve(problem, update, diagonal)
+
+
+def _dense_solve(problem, update, diagonal):
+    """``k`` and ``ktilde`` of the solution of ``x = update(x) + data``,
+    ``data`` the diagonal coordinates ``diagonal`` for C and zero for G, by
+    a dense solve of the matrix of the linear map ``update``."""
+    n, r = problem.spec.tri.n_nodes, problem.basis.shape[1]
     size = n * (r + 1)
     matrix = np.column_stack([update(e) for e in np.eye(size)])
     data = np.concatenate([diagonal.ravel(), np.zeros(n)])
@@ -679,25 +767,93 @@ def _dense_march_oracle(problem):
     C, G = x[:n * r].reshape(n, r), x[n * r:]
     return KernelSolution(coords=C, diagonal_rows=problem.diagonal_rows,
                           ktilde=G, iterations=0, final_delta=0.0, deltas=(),
-                          spec=spec, basis=problem.basis).k, G
+                          spec=problem.spec, basis=problem.basis).k, G
+
+
+def _one_cell_oracle(problem):
+    """Both unknowns of the one-cell kernel system of the march's steps,
+    block by block, solved densely: each node's value is its steps' starts
+    (read from the row below, or the diagonal and edge data) plus their
+    source integrals, over the whole triangle at once."""
+    spec = problem.spec
+    tri = spec.tri
+    n, r = tri.n_nodes, problem.basis.shape[1]
+    families = problem.family_y.size
+    width = r if families == 1 else 1
+    blocks = kernelsolve._blocks(tri, families)
+    parts = [kernelsolve._block_steps(problem, rows) for rows in blocks]
+    everything = range(spec.nx + 1)
+    j = tri.j_index
+
+    def gather(field, nodes, weights):
+        values = field[nodes]
+        weights = weights.reshape(weights.shape + (1,) * (values.ndim - 2))
+        return (values * weights).sum(axis=1)
+
+    def update(x):
+        C, G = x[:n * r].reshape(n, r), x[n * r:]
+        src_c = (problem.scalar_to_ensemble[j] * G[:, None]
+                 + problem.apply_ensemble_operator(everything, C))
+        src_g = (problem.scalar_decay[j] * G
+                 + (problem.ensemble_to_scalar[j] * C).sum(axis=1))
+        lanes = C.reshape(n * families, width)
+        lanes_src = src_c.reshape(n * families, width)
+        C_new = np.empty_like(lanes)
+        G_new = np.empty(n)
+        for rows, (cross, _, edge, (below, on_row)) in zip(blocks, parts):
+            nodes = kernelsolve._nodes(tri, rows)
+            row = tri.i_index[nodes]
+            shift = tri.row_start[np.repeat(row, families)] * families
+            C_new[nodes.start * families:nodes.stop * families] = (
+                gather(lanes, cross.start_nodes, cross.start_weights)
+                + gather(lanes_src, cross.below_nodes, cross.below_weights)
+                + gather(lanes_src, cross.row_nodes + shift[:, None],
+                         cross.row_weights))
+            gain = C @ problem.edge_gain
+            G_new[nodes] = (
+                gather(G, edge.start_nodes, edge.start_weights)
+                + gather(src_g, edge.below_nodes, edge.below_weights)
+                + gather(src_g, edge.row_nodes + tri.row_start[row][:, None],
+                         edge.row_weights)
+                + below * gain[tri.row_start[np.maximum(row - 1, 0)]]
+                + on_row * gain[tri.row_start[row]])
+        return np.concatenate([C_new.ravel(), G_new])
+
+    diagonal = np.concatenate([part[1] for part in parts])
+    return _dense_solve(problem, update, diagonal.reshape(n, r))
 
 
 @pytest.mark.parametrize("name", ["toy", "gauss", "half_x", "sloped"])
 def test_march_solves_the_discrete_system(name, monkeypatch):
-    """The march, band by band, solves the discrete kernel system its band
-    operators make: against a dense solve of the whole system, to 1e-12
-    relative, on one family in a y-subspace (the toy, the Gaussian
-    exchange), curved characteristics and one family per y-node."""
+    """The march, row by row, solves the discrete kernel system its steps
+    make: against a dense solve of the one-cell system over the whole
+    triangle, to 1e-12 relative, in several blocks, on one family in a
+    y-subspace (the toy, the Gaussian exchange), curved characteristics
+    and one family per y-node."""
     plant = {"half_x": half_x_plant(), "sloped": sloped_plant(),
              **_reference_plants()}[name]
     spec = GridSpec(nx=16, ny=6)
-    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 128)
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 64)
     problem = build_backstepping_problem(plant, spec)
-    assert len(kernelsolve._bands(spec.tri, problem.family_y.size)) >= 4
+    assert len(kernelsolve._blocks(spec.tri, problem.family_y.size)) >= 4
     sol = solve_goursat(problem)
-    k, ktilde = _dense_march_oracle(problem)
+    k, ktilde = _one_cell_oracle(problem)
     assert np.max(np.abs(sol.k - k)) <= 1e-12 * np.max(np.abs(k))
     assert np.max(np.abs(sol.ktilde - ktilde)) <= 1e-12 * np.max(np.abs(ktilde))
+
+
+@pytest.mark.parametrize("name", ["toy", "gauss"])
+def test_unit_speeds_keep_the_whole_curve_system(name):
+    """With unit speeds every one-cell step ends on a node, so the march
+    solves the whole-curve system summed in another order: against its
+    dense solve (:func:`_whole_curve_oracle`), to 1e-12 relative."""
+    spec = GridSpec(nx=16, ny=6)
+    problem = build_backstepping_problem(_reference_plants()[name], spec)
+    sol = solve_goursat(problem)
+    k, ktilde = _whole_curve_oracle(problem)
+    assert np.max(np.abs(sol.k - k)) <= 1e-12 * np.max(np.abs(k))
+    assert (np.max(np.abs(sol.ktilde - ktilde))
+            <= 1e-12 * np.max(np.abs(ktilde)))
 
 
 def _recording(fn, log):
@@ -709,41 +865,35 @@ def _recording(fn, log):
     return wrapper
 
 
-def _record_band_work(monkeypatch):
-    """Record, as the solver runs, the nonzeros of every operator it
-    assembles, the work bytes of every trace (256 B a segment and 128 B a
-    curve of its bundle), the bytes of the diagonal data of every crossing
-    trace's nodes (8 B a node and y-node, in six arrays while it is formed
-    and projected) and the bytes of the arrays of every problem it
-    builds."""
-    nnz, work_bytes, problem_bytes = [], {}, []
+def _record_block_work(monkeypatch):
+    """Record, as the solver runs, the padded entries of every path
+    quadrature it forms, the work bytes (256 B a segment and 128 B a curve
+    of its bundle) and the curves of every trace, and the bytes of the
+    arrays of every problem it builds."""
+    padded, work, problem_bytes = [], {}, []
     monkeypatch.setattr(kernelsolve, "_quadrature_matrix", _recording(
-        kernelsolve._quadrature_matrix, lambda op: nnz.append(op.nnz)))
+        kernelsolve._quadrature_matrix,
+        lambda op: padded.append(op.nodes.size)))
     monkeypatch.setattr(kernelsolve, "build_backstepping_problem", _recording(
         kernelsolve.build_backstepping_problem,
         lambda problem: problem_bytes.append(_array_bytes(problem))))
     for attr in ("trace_crossing_batch", "trace_edge_batch"):
         monkeypatch.setattr(kernelsolve, attr, _recording(
             getattr(kernelsolve, attr),
-            lambda bundle, attr=attr: work_bytes.setdefault(attr, []).append(
-                256 * bundle.weights.size + 128 * (bundle.offsets.size - 1))))
-    trace = kernelsolve.trace_crossing_batch
-
-    def recording_crossing(coeff, xs, xis, ys):
-        nodes = np.size(xs) // np.unique(ys).size
-        work_bytes.setdefault("diagonal data", []).append(
-            6 * 8 * nodes * coeff.spec.ny)
-        return trace(coeff, xs, xis, ys)
-
-    monkeypatch.setattr(kernelsolve, "trace_crossing_batch", recording_crossing)
-    return nnz, work_bytes, problem_bytes
+            lambda bundle, attr=attr: work.setdefault(attr, []).append(
+                (256 * bundle.weights.size + 128 * (bundle.offsets.size - 1),
+                 bundle.offsets.size - 1))))
+    return padded, work, problem_bytes
 
 
-def _band_bytes(nnz, work_bytes):
-    """One band: its operators (12 B a nonzero, in at most three copies: as
-    assembled, on flat (node, y) unknowns, and the band's own columns), the
-    work arrays of its crossing and edge traces and its diagonal data."""
-    return 3 * 12 * max(nnz) + sum(max(sizes) for sizes in work_bytes.values())
+def _block_bytes(padded, work):
+    """One block: the work arrays of its crossing and edge traces, and its
+    step data: 48 B a padded entry of a path quadrature (its node and
+    weight as formed, and split by row into lanes) and 256 B a step (its
+    start stencil as formed, its diagonal data and the edge weights)."""
+    traces = sum(max(b for b, _ in sizes) for sizes in work.values())
+    steps = sum(max(c for _, c in sizes) for sizes in work.values())
+    return traces + 48 * max(padded) + 256 * steps
 
 
 def _array_bytes(*objects):
@@ -755,16 +905,16 @@ def _array_bytes(*objects):
 @pytest.mark.parametrize("name, nx", [("toy", 100), ("sloped", 80)],
                          ids=["toy", "sloped"])
 def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
-    """With bands of a few thousand segments a whole solve peaks, in traced
+    """With blocks of a few hundred steps a whole solve peaks, in traced
     memory, at the arrays kept over the march, which hold no
-    ``(n_tri, ny)`` array on one family, and one band
-    (:func:`_band_bytes`), on one family in a y-subspace (the toy) and on
-    one family per y-node.  Holding every band's operators, as a global
-    sweep does, exceeds it."""
+    ``(n_tri, ny)`` array on one family, and one block's traces and step
+    data (:func:`_block_bytes`), on one family in a y-subspace (the toy)
+    and on one family per y-node.  Holding every block's step data exceeds
+    it."""
     plant = {"toy": toy, "sloped": sloped_plant()}[name]
     spec = GridSpec(nx=nx, ny=8)
-    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 4096)
-    nnz, work_bytes, problem_bytes = _record_band_work(monkeypatch)
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 256)
+    padded, work, problem_bytes = _record_block_work(monkeypatch)
     tracemalloc.start()
     try:
         sol = solve_backstepping_kernels(plant, spec)
@@ -772,13 +922,15 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
     finally:
         tracemalloc.stop()
     n_tri, r = sol.coords.shape
-    # The problem's arrays (the diagonal data as coordinates and diagonal
-    # rows) and the sampled grids; the march's unknowns (C and its source,
-    # G and its source), which the solution keeps.
+    # The problem's arrays (the diagonal rows and the per-x-node plant
+    # fields), the sampled grids and the grid's index arrays; the march's
+    # unknowns (C and its source, G and its source), which the solution
+    # keeps.
     kept = (problem_bytes[0] + _array_bytes(sample_coefficients(plant, spec))
-            + 8 * n_tri * (2 * r + 2))
-    bound = kept + _band_bytes(nnz, work_bytes)
-    assert kept + 12 * sum(nnz) > bound
+            + _array_bytes(spec.tri) + 8 * n_tri * (2 * r + 2))
+    bound = kept + _block_bytes(padded, work)
+    # every block's step data, as the march reads it (16 B a padded entry)
+    assert kept + 16 * sum(padded) > bound
     assert peak <= bound
 
 
@@ -786,7 +938,7 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     """``kernels`` on the toy peaks in its solve, in traced memory, below
     the arrays it keeps (the sampled coefficients, the problem's arrays, the
     grid's index arrays and the march's unknowns, ``C`` among them, with the
-    diagonal rows) and one band (:func:`_band_bytes`): the build forms no
+    diagonal rows) and one block (:func:`_block_bytes`): the build forms no
     ``(n_tri, ny)`` array.  After the solve it forms
     ``k`` a block of rows at a time, in the residual, the closed-form error
     and the CSV writer, so that it peaks below what it holds (the
@@ -796,9 +948,9 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     way asks for the whole ``k``."""
     spec = GridSpec(nx=100, ny=60)
     ny = spec.ny
-    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 4096)
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 1024)
     monkeypatch.setattr(csvtable, "_CHUNK_LINES", 2048)
-    nnz, work_bytes, problem_bytes = _record_band_work(monkeypatch)
+    padded, work, problem_bytes = _record_block_work(monkeypatch)
     coeffs, solutions, solve_peaks = [], [], []
     monkeypatch.setattr(cli, "sample_coefficients", _recording(
         cli.sample_coefficients, coeffs.append))
@@ -827,7 +979,7 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     assert chunk < full_size
     kept = (problem_bytes[0] + _array_bytes(coeff) + grid
             + 8 * n_tri * (2 * r + 2))
-    assert solve_peaks[0] <= kept + _band_bytes(nnz, work_bytes)
+    assert solve_peaks[0] <= kept + _block_bytes(padded, work)
     # the command never asks for the whole k, and holds the solution's
     # own arrays only
     assert "k" not in vars(sol)
@@ -885,8 +1037,11 @@ def test_subspace_solve_matches_per_y_solve(name, y_rank, monkeypatch):
     assert np.max(np.abs(sol.ktilde - ktilde)) <= 1e-12 * np.max(np.abs(ktilde))
 
 
+# The full-rank plant's kernel, solved on every y-node, has numerical rank
+# 13 of 16: its singular values fall smoothly, sigma_13 / sigma_1 = 6.1e-13
+# and sigma_14 / sigma_1 = 3.6e-14 against the cutoff 5.1e-14.
 @pytest.mark.parametrize("name, factor_rank", [
-    ("toy", 1), ("gauss", 3), ("poly", 3), ("full_rank", 16),
+    ("toy", 1), ("gauss", 3), ("poly", 3), ("full_rank", 13),
     ("evaluator", 2)])
 def test_transform_factors_the_kernel_in_its_basis(name, factor_rank, rng):
     """The solution's basis is orthonormal and holds every row of k, and
@@ -992,7 +1147,7 @@ def test_y_subspace_holds_seeds_and_is_closed(c, width):
 
 class _RecordingArray:
     """Stands in for ``scalar_to_ensemble`` and keeps the scalar iterate
-    each local sweep multiplies it by, for its rows read at a band's nodes
+    each local sweep multiplies it by, for its rows read at a row's nodes
     too."""
 
     def __init__(self, array, iterates=None):
@@ -1008,14 +1163,14 @@ class _RecordingArray:
 
 
 @pytest.mark.parametrize("name, y_rank", [
-    ("toy", 1), pytest.param("gauss", None, id="gauss")])
-def test_increment_is_the_sup_on_every_y_node(name, y_rank, monkeypatch):
+    ("toy", 1), pytest.param("gauss", None, id="gauss"), ("full_rank", 16)])
+def test_increment_is_the_sup_on_every_y_node(name, y_rank):
     """Every local sweep's increment is ``max|dC @ B.T|`` over every y-node,
-    or the scalar's if larger, bit for bit, with one column as with many;
-    ``deltas[k]`` is the largest band increment of local sweep k + 1, a band
+    or the scalar's if larger, bit for bit, with one column as with many
+    and on the identity basis of the per-y path (where it is ``max|dC|``);
+    ``deltas[k]`` is the largest row increment of local sweep k + 1, a row
     that stopped sooner counting its last."""
     spec = GridSpec(nx=20, ny=16)
-    monkeypatch.setattr(kernelsolve, "_BAND_SEGMENTS", 1024)
     problem = build_backstepping_problem(_reference_plants()[name], spec)
     _assert_closure_rank(problem.basis.shape[1], y_rank, spec.ny)
     calls = []
@@ -1029,18 +1184,17 @@ def test_increment_is_the_sup_on_every_y_node(name, y_rank, monkeypatch):
     sol = solve_goursat(dataclasses.replace(
         problem, apply_ensemble_operator=recording,
         scalar_to_ensemble=scalars))
-    # a band's calls, in x order: one from each local sweep's iterates and
+    # a row's calls, in x order: one from each local sweep's iterates and
     # one from its converged iterates
     iterates = {}
     for (rows, field), scalar in zip(calls, scalars.iterates, strict=True):
         iterates.setdefault(rows, []).append((field, scalar))
-    assert list(iterates) == kernelsolve._bands(spec.tri, 1)
-    assert len(iterates) >= 3
+    assert list(iterates) == [range(i, i + 1) for i in range(spec.nx + 1)]
     increments = [
         [max(float(np.max(np.abs((f1 - f0) @ problem.basis.T))),
              float(np.max(np.abs(g1 - g0))))
-         for (f0, g0), (f1, g1) in zip(band, band[1:])]
-        for band in iterates.values()]
+         for (f0, g0), (f1, g1) in zip(row, row[1:])]
+        for row in iterates.values()]
     assert sol.iterations == max(len(steps) for steps in increments) > 5
     assert sol.deltas == tuple(
         max(steps[min(k, len(steps) - 1)] for steps in increments)

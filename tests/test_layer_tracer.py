@@ -3,14 +3,14 @@
 ``bench/tracing.install`` replaces names the package's modules bind and
 times each local sweep of the solver's march through the ensemble-operator
 callback of ``build_backstepping_problem``.  A refactor that unbinds one of
-those names, or stops calling the callback once per local sweep (and once
-per band on its converged rows), breaks the traced benchmark run; these
-tests catch it without running the benchmark, on the shared-curve path (the
-toy, swept in its one-dimensional y-subspace) and on the per-y path (a
-y-dependent ensemble speed, swept on every y-node), in bands small enough
-that there are several.  Traced CLI simulations check the same for the
-plant and cascade steppers, the simulation driver, the Lyapunov recipe and
-the coupling solve.
+those names, or stops calling the callback once per local sweep of a row
+(and once on the row's converged iterate), breaks the traced benchmark run;
+these tests catch it without running the benchmark, on the shared-curve
+path (the toy, swept in its one-dimensional y-subspace) and on the per-y
+path (a y-dependent ensemble speed, swept on every y-node), in blocks of
+rows small enough that there are several.  Traced CLI simulations check
+the same for the plant and cascade steppers, the simulation driver, the
+Lyapunov recipe and the coupling solve.
 """
 
 import importlib
@@ -32,7 +32,7 @@ from ensemble_backstep import kernelsolve
 from ensemble_backstep.grid import GridSpec
 from ensemble_backstep.model import toy_model
 plant = sloped_plant() if sys.argv[1] == "ydep" else toy_model()
-kernelsolve._BAND_SEGMENTS = 256
+kernelsolve._BLOCK_CURVES = 64
 tracer = tracing.Tracer()
 tracing.install(tracer)
 # Record the rows and the width of every field the traced sweep callback
@@ -51,13 +51,13 @@ kernelsolve.build_backstepping_problem = recording_build
 spec = GridSpec(nx=12, ny=6)
 sol = kernelsolve.solve_backstepping_kernels(plant, spec)
 families = spec.ny if sys.argv[1] == "ydep" else 1
-bands = kernelsolve._bands(spec.tri, families)
+blocks = kernelsolve._blocks(spec.tri, families)
 counts = collections.Counter(span["name"] for span in tracer.spans)
 def total(name, key):
     return sum(span[key] for span in tracer.spans if span["name"] == name)
 print(json.dumps({"iterations": sol.iterations, "spans": counts,
                   "calls": [[rows.start, rows.stop] for rows, _ in calls],
-                  "bands": [[rows.start, rows.stop] for rows in bands],
+                  "blocks": len(blocks),
                   "widths": sorted({width for _, width in calls}),
                   "points": total("grid.corner_weights", "points"),
                   "samples": total("characteristics.trace", "samples"),
@@ -92,23 +92,24 @@ def _run_traced(script, *args):
 
 
 def _traced_solve(plant):
-    """Span counts, band count and sweep field widths of a traced solve at
+    """Span counts, block count and sweep field widths of a traced solve at
     nx=12, ny=6, after the checks that hold for every plant."""
     report = _run_traced(SCRIPT, plant)
     assert report["iterations"] > 1
-    calls, bands = report["calls"], len(report["bands"])
-    assert bands >= 3
-    # one span per callback call: each local sweep of a band, and the
-    # band's converged rows, the bands in x order
+    calls, blocks = report["calls"], report["blocks"]
+    assert blocks >= 3
+    # one span per callback call: each local sweep of a row, and the row's
+    # converged iterate, the rows in x order
     assert report["spans"]["kernelsolve.sweep"] == len(calls)
     assert [rows for k, rows in enumerate(calls)
-            if k == 0 or rows != calls[k - 1]] == report["bands"]
-    assert 2 * bands <= len(calls) <= (report["iterations"] + 1) * bands
+            if k == 0 or rows != calls[k - 1]] == [[i, i + 1]
+                                                   for i in range(13)]
+    assert 2 * 13 <= len(calls) <= (report["iterations"] + 1) * 13
     assert report["spans"]["kernelsolve.solve"] == 1
-    # every band traces its crossing curves, of every family, in one call
-    # and its edge curves in another, and assembles each once
-    assert report["spans"]["characteristics.trace"] == 2 * bands
-    assert report["spans"]["kernelsolve.quadrature"] == 2 * bands
+    # every block traces its crossing steps, of every family, in one call
+    # and its edge steps in another, and lays out each once
+    assert report["spans"]["characteristics.trace"] == 2 * blocks
+    assert report["spans"]["kernelsolve.quadrature"] == 2 * blocks
     # the bench's grid.stencil_points counts the three Simpson points of
     # every traced cell segment, and characteristics.samples the segments
     assert report["points"] == 3 * report["samples"] > 0
@@ -123,8 +124,37 @@ def test_tracer_counts_one_span_per_sweep():
 
 def test_tracer_counts_per_y_families():
     # a speed 1 + y/2 traces one crossing family per y-node (ny = 6), a
-    # band of each in one call, and sweeps every y-node
+    # block of each in one call, and sweeps every y-node
     assert _traced_solve("ydep") == [6]
+
+
+WRAPPED_SCRIPT = """
+import json
+import tracing
+wrapped = []
+wrap = tracing.Tracer.wrap
+def recording_wrap(self, module, attr, *args, **kwargs):
+    wrapped.append((module.__name__, attr))
+    return wrap(self, module, attr, *args, **kwargs)
+tracing.Tracer.wrap = recording_wrap
+tracing.install(tracing.Tracer())
+print(json.dumps(wrapped))
+"""
+
+
+def test_every_wrapped_name_still_resolves():
+    """Every name ``bench/tracing.install`` wraps is bound where it wraps
+    it, and stays bound to a wrapper of the package's function of that
+    name: the solver's traces, corner stencils and path quadratures among
+    them."""
+    wrapped = _run_traced(WRAPPED_SCRIPT)
+    assert ["ensemble_backstep.kernelsolve", "_quadrature_matrix"] in wrapped
+    for name in ("trace_crossing_batch", "trace_edge_batch",
+                 "corner_weights"):
+        assert ["ensemble_backstep.kernelsolve", name] in wrapped
+    for module, attr in wrapped:
+        original = getattr(importlib.import_module(module), attr)
+        assert callable(original), (module, attr)
 
 
 def _traced_simulation(mode, out_dir):

@@ -272,7 +272,8 @@ def operator_case(request):
     spec = GridSpec(nx=40, ny=16, dt=0.01)
     coeff = sample_coefficients(plant, spec)
     sol = solve_backstepping_kernels(plant, spec, tol=1e-10)
-    return request.param, coeff, sol, solve_target_coupling(spec, sol.ktilde)
+    coupling = solve_target_coupling(spec, sol.ktilde).values
+    return request.param, coeff, sol, coupling
 
 
 def _running_rows(spec):

@@ -154,7 +154,7 @@ class TestTargetCoupling:
     def test_zero_drive_gives_zero(self):
         spec = GridSpec(nx=20, ny=4)
         drive = np.zeros((spec.nx + 1, spec.ny))
-        coupling = solve_target_coupling(spec, _const_tri(spec, 1.0))
+        coupling = solve_target_coupling(spec, _const_tri(spec, 1.0)).values
         assert coupling.shape == (spec.tri.n_nodes,)
         assert np.all(_drive_times(spec, drive, coupling) == 0.0)
         picard = solve_target_coupling_picard(spec, drive, _const_tri(spec, 1.0))
@@ -164,7 +164,7 @@ class TestTargetCoupling:
         # unit drive and constant scalar kernel c solve to c*exp(c*(x-xi))
         spec = GridSpec(nx=200, ny=4)
         c = 0.9
-        coupling = solve_target_coupling(spec, _const_tri(spec, c))
+        coupling = solve_target_coupling(spec, _const_tri(spec, c)).values
         tri = spec.tri
         exact = c * np.exp(c * (tri.x_coord - tri.xi_coord))
         assert np.max(np.abs(coupling - exact)) <= 1e-6
@@ -174,7 +174,7 @@ class TestTargetCoupling:
         coeff = sample_coefficients(toy, spec)
         ktilde = _const_tri(spec, TOY_CONST)
         kappa = _drive_times(spec, coeff.drive_grid,
-                             solve_target_coupling(spec, ktilde))
+                             solve_target_coupling(spec, ktilde).values)
         res = target_coupling_residual(spec, kappa, coeff.drive_grid, ktilde)
         assert res <= 1e-9
 
@@ -183,8 +183,8 @@ class TestTargetCoupling:
         spec = GridSpec(nx=100, ny=40)
         coeff = sample_coefficients(toy, spec)
         ktilde = _const_tri(spec, TOY_CONST)
-        via_resolvent = _drive_times(spec, coeff.drive_grid,
-                                     solve_target_coupling(spec, ktilde))
+        coupling = solve_target_coupling(spec, ktilde).values
+        via_resolvent = _drive_times(spec, coeff.drive_grid, coupling)
         via_picard = solve_target_coupling_picard(spec, coeff.drive_grid, ktilde)
         assert np.max(np.abs(via_resolvent - via_picard)) <= 1e-9
 
@@ -201,7 +201,8 @@ class TestTargetCoupling:
         xs, ys = spec.x_nodes[:, None], spec.y_nodes[None, :]
         drive = (1.0 + coef[4] * xs * ys + coef[5] * np.sin(np.pi * xs * ys)
                  + coef[6] * np.exp(xs) * (ys - 0.5))
-        kappa = _drive_times(spec, drive, solve_target_coupling(spec, ktilde))
+        kappa = _drive_times(spec, drive,
+                             solve_target_coupling(spec, ktilde).values)
         scale = float(np.max(np.abs(kappa)))
         res = target_coupling_residual(spec, kappa, drive, ktilde)
         assert res <= 1e-12 * scale
@@ -254,7 +255,8 @@ class TestInverseKernels:
         alpha = np.sin(np.pi * spec.x_nodes)[:, None] * (1.0 + spec.y_nodes)
         _, v = inverse_transform(transform_operator(sol), alpha,
                                  np.zeros(spec.nx + 1))
-        lt_mat = tri_to_matrix(spec, solve_target_coupling(spec, ktilde))
+        lt_mat = tri_to_matrix(spec,
+                               solve_target_coupling(spec, ktilde).values)
         l = k + matrix_to_tri(spec, compose(spec.hx, tri_to_matrix(spec, k),
                                             lt_mat))
         inner = np.einsum("ny,ny->n", l, (alpha * spec.y_weights)[tri.j_index])
