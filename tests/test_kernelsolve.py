@@ -867,9 +867,11 @@ def _recording(fn, log):
 
 def _record_block_work(monkeypatch):
     """Record, as the solver runs, the padded entries of every path
-    quadrature it forms, the work bytes (256 B a segment and 128 B a curve
-    of its bundle) and the curves of every trace, and the bytes of the
-    arrays of every problem it builds."""
+    quadrature it forms; for every trace its work bytes (256 B a segment and
+    128 B a curve of its bundle, and 512 B a cell of each travel-time table
+    it builds, one for speed_v and one per distinct y of its crossing
+    curves) and its curves; and the bytes of the arrays of every problem it
+    builds."""
     padded, work, problem_bytes = [], {}, []
     monkeypatch.setattr(kernelsolve, "_quadrature_matrix", _recording(
         kernelsolve._quadrature_matrix,
@@ -878,11 +880,16 @@ def _record_block_work(monkeypatch):
         kernelsolve.build_backstepping_problem,
         lambda problem: problem_bytes.append(_array_bytes(problem))))
     for attr in ("trace_crossing_batch", "trace_edge_batch"):
-        monkeypatch.setattr(kernelsolve, attr, _recording(
-            getattr(kernelsolve, attr),
-            lambda bundle, attr=attr: work.setdefault(attr, []).append(
-                (256 * bundle.weights.size + 128 * (bundle.offsets.size - 1),
-                 bundle.offsets.size - 1))))
+        def recording(coeff, *args, attr=attr, trace=getattr(kernelsolve, attr)):
+            bundle = trace(coeff, *args)
+            tables = 1 + (np.unique(args[2]).size
+                          if attr == "trace_crossing_batch" else 0)
+            work.setdefault(attr, []).append((
+                256 * bundle.weights.size + 128 * (bundle.offsets.size - 1)
+                + 512 * tables * coeff.spec.nx, bundle.offsets.size - 1))
+            return bundle
+
+        monkeypatch.setattr(kernelsolve, attr, recording)
     return padded, work, problem_bytes
 
 
