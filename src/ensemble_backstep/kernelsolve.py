@@ -31,19 +31,22 @@ and an edge step that reaches the edge from the edge condition,
 interpolated linearly in x between the row below and its own.  To that the
 step adds the path integral of the source over its one cell: Simpson's rule
 on every cell segment applied to the bilinear interpolant on the triangle,
-which is exact along straight curves.  Each step has a few segments, so the
-work is O(nx^2) segments per family, not the O(nx^3) of whole curves.  With
-unit speeds every step ends on a node, and the march solves the system of
-whole curves summed in another order.  The steps are traced a block of
-rows at a time, at most :data:`_BLOCK_CURVES` curves, through the travel
-times of the two speeds (see :mod:`.characteristics`), and laid out as
-padded numpy gathers of corner stencils.  A step's source reads the
-corners of its cell on its own row too, so each row is a small fixed
-point.  Boundary data is evaluated exactly at the off-grid launch
-abscissas, so the diagonal condition holds exactly at nodes and the edge
-condition holds to the fixed-point tolerance.  A plant whose sampled
-ensemble speed does not vary in y has one family of crossing curves,
-traced at the first y-node, and any other one per y-node.
+which is exact along straight curves, with the interpolant's xi-error on
+each segment leveled to its mean over a cell (:func:`_leveled_below`), so
+that steps which end partway across a cell keep the leading error of whole
+curves.  Each step has a few segments, so the work is O(nx^2) segments per
+family, not the O(nx^3) of whole curves.  With unit speeds every step ends
+on a node, and the march solves the system of whole curves summed in
+another order.  The steps are traced a block of rows at a time, at most
+:data:`_BLOCK_CURVES` curves, through the travel times of the two speeds
+(see :mod:`.characteristics`), and laid out as padded numpy gathers of
+corner stencils.  A step's source reads the corners of its cell on its own
+row too, so each row is a small fixed point.  Boundary data is evaluated
+exactly at the off-grid launch abscissas, so the diagonal condition holds
+exactly at nodes and the edge condition holds to the fixed-point
+tolerance.  A plant whose sampled ensemble speed does not vary in y has one
+family of crossing curves, traced at the first y-node, and any other one
+per y-node.
 
 With one family the steps act on x and xi only, so y moves only through
 the exchange and the speed derivative, and the sweeps run in the smallest
@@ -311,6 +314,59 @@ def _row_stencil(tri: TriangularIndex, row: np.ndarray, xi: np.ndarray):
     return nodes, weights
 
 
+def _leveled_below(spec: GridSpec, bundle, row: np.ndarray,
+                   corners: np.ndarray, weights: np.ndarray):
+    """Row i - 1's part of the source quadrature of the steps of ``bundle``
+    from rows ``row``, from each segment's cell corners (i - 1, j) and
+    (i - 1, j + 1) and their weights, ``(m, width, 2)`` each: three
+    consecutive nodes of row i - 1 a segment, as ``(m, 3 * width)`` nodes
+    and weights, which also level the segment's xi-error.
+
+    Along a segment the bilinear interpolant misses the source by about
+    ``-h**2 * b * (1 - b) * S_xixi / 2``, ``b`` the local xi-coordinate in
+    the segment's cell.  A whole curve meets every ``b`` alike, so it
+    takes ``b * (1 - b)`` at its mean, 1/6, whatever its offset.  A step
+    starts on a node, so a step that moves ``tau`` cells in xi per cell in
+    x, ``tau`` < 1, meets only ``b`` in ``[0, tau]``, at the mean
+    ``tau / 2 - tau**2 / 3``, on every step of the march.  So a segment in
+    a full cell, on a row i - 1 of three nodes or more, adds
+    ``-sum_k w_k * (b_k * (1 - b_k) - 1/6) / 2`` (``w_k`` its Simpson
+    weights) times the second difference of the source along row i - 1 at
+    its cell, ``h**2 * S_xixi`` to first order: the march keeps the leading
+    xi-error of whole curves.  A segment from one xi-line to the next, as
+    every step with unit speeds is, adds 0 to rounding.
+    """
+    tri = spec.tri
+    m, width = corners.shape[:2]
+    counts = np.diff(bundle.offsets)
+    below = np.maximum(row - 1, 0)
+    # Segment by segment: its row i - 1, and the xi-column j of its cell,
+    # that of its midpoint.
+    on = np.repeat(below, counts)
+    j = np.floor(bundle.xi[1] * spec.nx).astype(np.int64)
+    b = bundle.xi * spec.nx - j
+    b *= 1.0 - b
+    b -= 1.0 / 6.0
+    level = -0.5 * (bundle.simpson_weights() * b).sum(axis=0)
+    # Cells on the diagonal (j = i - 1) interpolate linearly, and a row of
+    # two nodes has no second difference.
+    level[(j >= on) | (on < 2)] = 0.0
+    # Segment q of curve c goes to slot q - offsets[c] of row c.
+    padded = np.zeros(m * width)
+    padded[np.arange(level.size) + np.repeat(
+        np.arange(m) * width - bundle.offsets[:-1], counts)] = level
+    # The stencil is j - 1, j, j + 1, or 0, 1, 2 on the edge column; the
+    # padding (node 0, weight 0) stays on node 0.
+    lower, w_lower = corners[..., 0], weights[..., 0]
+    edge = lower == tri.row_start[below][:, None]
+    nodes = np.maximum(lower - 1 + edge, 0)[..., None] + np.arange(3)
+    out = padded.reshape(m, width, 1) * np.array([1.0, -2.0, 1.0])
+    out[..., 0] += np.where(edge, w_lower, 0.0)
+    out[..., 1] += np.where(edge, weights[..., 1], w_lower)
+    out[..., 2] += np.where(edge, 0.0, weights[..., 1])
+    return nodes.reshape(m, -1), out.reshape(m, -1)
+
+
 class _Steps(NamedTuple):
     """One family of a block's steps, each a curve from a node of row i
     back to the x-line i - 1 or to its event, whichever it reaches first,
@@ -322,9 +378,10 @@ class _Steps(NamedTuple):
     over its cell segments, which lie in the cells between rows i - 1 and
     i.  ``start_nodes``/``start_weights`` read the start on the x-line
     i - 1 by the 4-point Lagrange stencil of row i - 1 (weight 0 for a step
-    that reaches its event first); ``below_nodes``/``below_weights`` are the
-    source's corners on row i - 1, and ``row_nodes``/``row_weights`` those
-    on row i, as rows of row i's own source.
+    that reaches its event first); ``below_nodes``/``below_weights`` read
+    the source on row i - 1, three nodes a segment that also level its
+    xi-error (:func:`_leveled_below`), and ``row_nodes``/``row_weights``
+    the source's corners on row i, as rows of row i's own source.
     """
 
     start_nodes: np.ndarray
@@ -346,17 +403,21 @@ class _Steps(NamedTuple):
         # rows a = i - 1 and a + 1 = i: the last axis splits them.
         nodes = quad.nodes.reshape(m, -1, 2, 2)
         weights = quad.weights.reshape(m, -1, 2, 2)
-        below = nodes[..., 0].reshape(m, -1)
         # Padding (node 0) is moved onto row i's first node.
         on_row = np.maximum(nodes[..., 1].reshape(m, -1)
                             - tri.row_start[row][:, None], 0)
+        row_weights = weights[..., 1].reshape(m, -1)
+        below, below_weights = _leveled_below(spec, bundle, row,
+                                              nodes[..., 0], weights[..., 0])
+        del quad, nodes, weights
         start, start_weights = _row_stencil(tri, np.maximum(row - 1, 0),
                                             bundle.end_xi)
         start_weights[~np.isnan(bundle.launch)] = 0.0
-        lane = lane[:, None]
-        return cls(start * lanes + lane, start_weights,
-                   below * lanes + lane, weights[..., 0].reshape(m, -1),
-                   on_row * lanes + lane, weights[..., 1].reshape(m, -1))
+        for index in (start, below, on_row):
+            index *= lanes
+            index += lane[:, None]
+        return cls(start, start_weights, below, below_weights, on_row,
+                   row_weights)
 
     def fixed(self, steps: slice, unknown: np.ndarray,
               source: np.ndarray) -> np.ndarray:
@@ -477,7 +538,8 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     curves cross the x-line i - 1, read from row i - 1 by a 4-point
     Lagrange stencil in xi, plus the path integral of their sources over
     that one cell (Simpson on every cell segment, as
-    :func:`_quadrature_matrix` does), a semi-Lagrangian step; a step that
+    :func:`_quadrature_matrix` does, its xi-error leveled by
+    :func:`_leveled_below`), a semi-Lagrangian step; a step that
     reaches the diagonal (the edge) first starts from the diagonal (edge)
     data there instead.  The steps are traced a block of rows at a time
     (:func:`_blocks`).  The source of a step reads its cell's corners on

@@ -1,9 +1,6 @@
 """Goursat solver: boundary data, convergence, identities, determinism."""
 
 import dataclasses
-import importlib
-import os
-import sys
 import tracemalloc
 
 import numpy as np
@@ -531,45 +528,29 @@ def _refinement_gap(plant):
 
 
 def test_refinement_gap_no_larger_than_sampled(toy):
-    """The nx = 25 -> 50 change of the ensemble kernel is no larger than
-    with the trapezoid-sampled operators (1.887e-3 on speed_u = 1 + y/2 and
-    1.666e-4 on speeds 1 + x/2).  The scalar kernels are left out, and
-    :func:`test_error_falls_at_second_order` pins their order instead:
-    on speed_u = 1 + y/2 the scalar kernel moves 2.12e-3, against 2.10e-3
-    with sampling, and its error against an nx = 320 solution is the same to
-    four digits with whole-curve operators and with one-cell steps (1.272e-3
-    at nx = 40, 3.526e-4 at nx = 80), so that change is the discretization's
-    leading error, not the operators'; on speeds 1 + x/2 it moves 1.201e-3
-    with one-cell steps, against 1.169e-3 with sampling and 1.113e-3 with
-    whole-curve operators, whose errors against an nx = 320 solution
-    (2.57e-3 against 2.41e-3 at nx = 20, 1.460e-4 against 1.452e-4 at
-    nx = 80) differ at third order."""
+    """The nx = 25 -> 50 change of the kernels is no larger than with the
+    trapezoid-sampled operators (1.887e-3 for k on speed_u = 1 + y/2, and
+    1.666e-4 for k and 1.169e-3 for ktilde on speeds 1 + x/2).  The scalar
+    kernel of speed_u = 1 + y/2 is left out: it moves 2.12e-3, against
+    2.10e-3 with sampling, and its error against an nx = 320 solution is
+    the same to four digits with whole-curve operators and with one-cell
+    steps (1.272e-3 at nx = 40, 3.526e-4 at nx = 80);
+    :func:`test_error_falls_at_second_order` pins its order."""
     gap_k, _ = _refinement_gap(sloped_plant())
     assert gap_k <= 1.887176e-3
-    gap_k, _ = _refinement_gap(half_x_plant())
+    gap_k, gap_kt = _refinement_gap(half_x_plant())
     assert gap_k <= 1.666297e-4
+    assert gap_kt <= 1.168731e-3
 
 
-def _ydep_plant():
-    """``ydep_plant(0.5)`` of the benchmark's workloads: the toy with
-    speed_u = 1 + y/2, built without the toy's speed derivatives."""
-    bench = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "bench")
-    sys.path.insert(0, bench)
-    try:
-        return importlib.import_module("workloads").ydep_plant(0.5)
-    finally:
-        sys.path.remove(bench)
-
-
-@pytest.mark.parametrize("name", ["half_x", "sloped", "full_rank", "ydep"])
+@pytest.mark.parametrize("name", ["half_x", "sloped", "full_rank"])
 def test_error_falls_at_second_order(name):
     """Against an nx = 160 solve, the error of both kernels on the nodes of
     nx = 20, 40 and 80 (ny = 8) falls by a factor of at most 0.35 per
     halving of the grid: second order, on curved characteristics, one
     family per y-node and a y-rank above 1."""
     plant = {"half_x": half_x_plant, "sloped": sloped_plant,
-             "full_rank": full_rank_plant, "ydep": _ydep_plant}[name]()
+             "full_rank": full_rank_plant}[name]()
     fine_spec = GridSpec(nx=160, ny=8)
     fine = solve_backstepping_kernels(plant, fine_spec)
     errors = []
@@ -635,6 +616,42 @@ def test_steps_read_their_row_and_the_one_below(toy, monkeypatch):
             assert np.allclose((below + on_row)[reached], 1.0, rtol=0,
                                atol=1e-15)
             assert np.all((below + on_row)[~reached] == 0.0)
+
+
+def test_leveled_steps_take_the_mean_cell_error():
+    """On the source xi**2, whose bilinear interpolant exceeds it by
+    h**2 * b * (1 - b) across a cell, every step's source quadrature (its
+    nodes on rows i - 1 and i) is the exact path integral plus h**3 / 6, the
+    mean over a cell, wherever in a cell the step ends: on the straight
+    steps of speed_u = 1 + y/2, whose crossing steps end 1 to 1.5 cells on
+    in xi, and its edge steps, from node to node, away from the diagonal,
+    the edge and the rows of fewer than three nodes, to 1e-11 of h**3."""
+    spec = GridSpec(nx=20, ny=4)
+    tri, h = spec.tri, spec.hx
+    problem = build_backstepping_problem(sloped_plant(), spec)
+    families = problem.family_y.size
+    source = tri.xi_coord ** 2
+    for rows in kernelsolve._blocks(tri, families):
+        cross, _, edge, _ = kernelsolve._block_steps(problem, rows)
+        nodes = kernelsolve._nodes(tri, rows)
+        for steps, lanes in ((cross, families), (edge, 1)):
+            i = np.repeat(tri.i_index[nodes], lanes)
+            j = np.repeat(tri.j_index[nodes], lanes)
+            xi = np.repeat(tri.xi_coord[nodes], lanes)
+            field = np.repeat(source, lanes)
+            on_row = steps.row_nodes + (tri.row_start[i] * lanes)[:, None]
+            got = ((field[steps.below_nodes] * steps.below_weights).sum(axis=1)
+                   + (field[on_row] * steps.row_weights).sum(axis=1))
+            if steps is cross:
+                speed = 1.0 + 0.5 * problem.family_y[np.arange(i.size) % lanes]
+                exact = ((xi + speed * h) ** 3 - xi ** 3) / (3.0 * speed)
+                inside = (i >= 3) & (j <= i - 3)
+            else:
+                exact = (xi ** 3 - (xi - h) ** 3) / 3.0
+                inside = (i >= 3) & (j >= 2) & (j <= i - 1)
+            assert np.count_nonzero(inside) > 0
+            assert np.max(np.abs(got - exact - h ** 3 / 6.0)[inside]) <= (
+                1e-11 * h ** 3)
 
 
 @pytest.mark.parametrize("name", ["toy", "sloped"])
@@ -1045,10 +1062,10 @@ def test_subspace_solve_matches_per_y_solve(name, y_rank, monkeypatch):
 
 
 # The full-rank plant's kernel, solved on every y-node, has numerical rank
-# 13 of 16: its singular values fall smoothly, sigma_13 / sigma_1 = 6.1e-13
-# and sigma_14 / sigma_1 = 3.6e-14 against the cutoff 5.1e-14.
+# 14 of 16: its singular values fall smoothly, sigma_14 / sigma_1 = 5.23e-14
+# and sigma_15 / sigma_1 = 3.2e-15 against the cutoff 5.13e-14.
 @pytest.mark.parametrize("name, factor_rank", [
-    ("toy", 1), ("gauss", 3), ("poly", 3), ("full_rank", 13),
+    ("toy", 1), ("gauss", 3), ("poly", 3), ("full_rank", 14),
     ("evaluator", 2)])
 def test_transform_factors_the_kernel_in_its_basis(name, factor_rank, rng):
     """The solution's basis is orthonormal and holds every row of k, and
