@@ -225,43 +225,36 @@ class TriangularIndex:
 
 
 def corner_weights(nx: int, x: np.ndarray, xi: np.ndarray,
-                   weights: np.ndarray | None = None):
+                   weights: np.ndarray):
     """Bilinear interpolation stencils on the triangle, vectorized.
 
-    For each query point returns four flat node indices and four weights whose
-    weighted sum interpolates a tri field at that point.  Full cells use the
-    bilinear formula; cells touching the diagonal use barycentric weights on
-    the corner triangle (which degenerate to linear interpolation along the
-    diagonal itself).  A query's cell is that of the query clamped to the
+    The points come in groups along the first axis: column ``g`` of ``x``,
+    ``xi`` and ``weights`` (all of shape ``(p, ...)``) is one group, and
+    for each group this returns four flat node indices and four weights:
+    the ``weights``-weighted sum of its points' interpolation stencils in
+    the cell of its middle point ``p // 2``.  Full cells use the bilinear
+    formula; cells touching the diagonal use barycentric weights on the
+    corner triangle (which degenerate to linear interpolation along the
+    diagonal itself).  The cell is that of the middle point clamped to the
     triangle; callers are responsible for rejecting points farther than
-    roundoff outside it.
-
-    With ``weights`` the points come in groups along the first axis: column
-    ``g`` of ``x``, ``xi`` and ``weights`` (all of shape ``(p, n)``) is one
-    group, interpolated in the cell of its middle point ``p // 2``, and the
-    stencil returned for it is the ``weights``-weighted sum of its points'
-    stencils in that cell.  The interpolant is one polynomial per cell and
+    roundoff outside it.  The interpolant is one polynomial per cell and
     continuous across cells, so a point on the cell's boundary gets its
     value there.  A group that lies in its cell thus gets the quadrature
-    rule ``weights`` applied to the interpolant.
+    rule ``weights`` applied to the interpolant; a group of one point with
+    weight 1 gets the point's interpolation stencil.
 
     Parameters
     ----------
     nx : int
-    x, xi : arrays of equal shape
-    weights : array of the shape of ``x``, optional
+    x, xi, weights : arrays of equal shape ``(p,) + s``
 
     Returns
     -------
     idx : int64 array of shape ``s + (4,)``
     w : float array of shape ``s + (4,)``
-
-    ``s`` is ``x.shape``, or ``x.shape[1:]`` with ``weights``.
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if weights is None:
-        x, xi, weights = x[None], xi[None], np.ones((1,) + x.shape)
     shape = x.shape[1:] + (4,)
     x, xi, weights = (v.reshape(len(v), -1) for v in (x, xi, weights))
     # The cell of the middle point, clamped to the triangle.

@@ -86,7 +86,6 @@ __all__ = [
     "build_backstepping_problem",
     "solve_backstepping_kernels",
     "kernel_pde_residual",
-    "kernel_solution_from_evaluators",
 ]
 
 #: Local sweep budget of every row of :func:`solve_goursat`; a row that
@@ -753,26 +752,6 @@ def solve_backstepping_kernels(model: PlantModel, spec: GridSpec,
     ``coeff``, the plant sampled on ``spec``, spares sampling it again."""
     return solve_goursat(build_backstepping_problem(model, spec, coeff),
                          tol=tol)
-
-
-def kernel_solution_from_evaluators(spec: GridSpec, ensemble_kernel,
-                                    scalar_kernel) -> KernelSolution:
-    """Sample closed-form kernel evaluators into a KernelSolution.
-
-    ``ensemble_kernel(x, xi, y)`` and ``scalar_kernel(x, xi)`` must broadcast
-    over arrays.  Useful for injecting known solutions as references.
-    """
-    tri = spec.tri
-    k = np.broadcast_to(
-        np.asarray(ensemble_kernel(tri.x_coord[:, None], tri.xi_coord[:, None],
-                                   spec.y_nodes[None, :]), dtype=float),
-        (tri.n_nodes, spec.ny)).copy()
-    ktilde = np.broadcast_to(
-        np.asarray(scalar_kernel(tri.x_coord, tri.xi_coord), dtype=float),
-        (tri.n_nodes,)).copy()
-    return KernelSolution(coords=k, diagonal_rows=k[tri.diagonal_flat()],
-                          ktilde=ktilde, iterations=0, final_delta=0.0,
-                          deltas=(), spec=spec, basis=np.eye(spec.ny))
 
 
 def kernel_pde_residual(sol: KernelSolution, model: PlantModel,

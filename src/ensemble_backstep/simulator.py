@@ -48,7 +48,7 @@ from .kernelsolve import KernelSolution
 # ``sample_coefficients`` is unused here but must stay bound: bench/tracing.py
 # wraps it in this module.
 from .model import SampledCoefficients, sample_coefficients  # noqa: F401
-from .volterra import solve_target_coupling, tri_to_matrix
+from .volterra import ResolventKernel, solve_target_coupling, tri_to_matrix
 
 __all__ = [
     "EnsembleState",
@@ -61,16 +61,13 @@ __all__ = [
     "default_initial_state",
     "cfl_condition",
     "check_cfl",
-    "ensemble_norm",
     "scalar_norm",
     "step_plant",
-    "control_value",
     "simulate",
     "simulate_target",
     "forward_transform",
     "inverse_transform",
     "step_target",
-    "lyapunov_value",
     "lyapunov_recipe",
 ]
 
@@ -164,9 +161,8 @@ class TransformOperator:
     matrices with the running-integral weights folded in; ``L`` undoes the
     transform as ``v = (I + L)(beta + J)``, with ``J`` the running integral
     of the ensemble kernel against the ensemble field.  ``coupling`` is the
-    same resolvent in flat triangle storage, without weights: the cascade's
-    coupling per unit drive, whose series took ``coupling_terms`` terms, the
-    last of sup-norm ``coupling_tail``.  An application costs
+    same resolvent series in flat triangle storage, without weights: the
+    cascade's coupling per unit drive.  An application costs
     O(N^2 r + N ny r) for ``N = nx + 1`` x-nodes and y-rank r.
     """
 
@@ -175,9 +171,7 @@ class TransformOperator:
     weighted_basis: np.ndarray
     scalar: np.ndarray
     resolvent: np.ndarray
-    coupling: np.ndarray
-    coupling_terms: int
-    coupling_tail: float
+    coupling: ResolventKernel
 
     def integrate(self, field: np.ndarray) -> np.ndarray:
         """``J``: ``int_0^x int kernel(x, xi, y) field(xi, y) dy dxi`` at
@@ -210,8 +204,7 @@ def transform_operator(kernels: KernelSolution) -> TransformOperator:
         weighted_basis=(kernels.basis @ inner) * spec.y_weights[:, None],
         scalar=tri_to_matrix(spec, weights * kernels.ktilde),
         resolvent=tri_to_matrix(spec, weights * series.values),
-        coupling=series.values, coupling_terms=series.n_terms_used,
-        coupling_tail=series.tail_bound)
+        coupling=series)
 
 
 def _scalar_field(transform: TransformOperator, beta: np.ndarray,
@@ -222,26 +215,11 @@ def _scalar_field(transform: TransformOperator, beta: np.ndarray,
     return bj + transform.resolvent @ bj
 
 
-def _field_coordinates(spec: GridSpec, u: np.ndarray) -> np.ndarray:
-    """An ensemble field's coordinates in the basis of every y-node, scaled
-    to be orthonormal in the y-quadrature: ``u * sqrt(w_y)``."""
-    return u * np.sqrt(spec.y_weights)
-
-
 def _ensemble_norm(spec: GridSpec, coords: np.ndarray) -> float:
     """L2 norm over (x, y) of an ensemble field given by its coordinates in
     a basis orthonormal in the y-quadrature."""
     with np.errstate(over="ignore"):
         return float(np.sqrt(spec.x_weights @ (coords * coords).sum(axis=1)))
-
-
-def ensemble_norm(spec: GridSpec, u: np.ndarray) -> float:
-    """L2 norm of an ensemble field over (x, y).
-
-    Returns ``inf`` without warning when the field has overflowed; divergence
-    detection is the caller's job.
-    """
-    return _ensemble_norm(spec, _field_coordinates(spec, u))
 
 
 def scalar_norm(spec: GridSpec, v: np.ndarray) -> float:
@@ -489,13 +467,6 @@ def _feedback(spec: GridSpec, gain: tuple[np.ndarray, np.ndarray],
     return float(spec.x_weights @ ((k * coords).sum(axis=1) + ktilde * v))
 
 
-def control_value(state: EnsembleState, kernels: KernelSolution) -> float:
-    """Scalar feedback: the kernel outlet row integrated against the state."""
-    spec = kernels.spec
-    gain = _feedback_gain(kernels, np.diag(np.sqrt(spec.y_weights)))
-    return _feedback(spec, gain, _field_coordinates(spec, state.u), state.v)
-
-
 def _refresh_outlet(state: EnsembleState, spec: GridSpec,
                     gain: tuple[np.ndarray, np.ndarray]
                     ) -> tuple[EnsembleState, float]:
@@ -559,7 +530,8 @@ def _lyapunov_weights(coeff: SampledCoefficients, p: float,
                       delta: float) -> tuple[np.ndarray, np.ndarray]:
     """x-weights of the Lyapunov value's ensemble and scalar parts."""
     if p <= 0 or delta <= 0:
-        raise ConfigurationError("lyapunov_value requires p > 0 and delta > 0")
+        raise ConfigurationError(
+            "the Lyapunov value requires p > 0 and delta > 0")
     spec = coeff.spec
     return (p * spec.x_weights * np.exp(-delta * spec.x_nodes),
             spec.x_weights * (1.0 + spec.x_nodes) / coeff.speed_v_grid)
@@ -573,18 +545,6 @@ def _lyapunov(weights: tuple[np.ndarray, np.ndarray], coords: np.ndarray,
     ensemble, scalar = weights
     return float(ensemble @ ((coords * coords) / speed_u).sum(axis=1)
                  + scalar @ (beta * beta))
-
-
-def lyapunov_value(alpha: np.ndarray, beta: np.ndarray,
-                   coeff: SampledCoefficients, p: float, delta: float) -> float:
-    """Weighted energy of the cascade variables.
-
-    ``p * integral of exp(-delta x) <alpha, alpha/speed_u>`` plus the
-    integral of ``(1 + x)/speed_v * beta**2``.
-    """
-    weights = _lyapunov_weights(coeff, p, delta)
-    return _lyapunov(weights, _field_coordinates(coeff.spec, alpha),
-                     coeff.speed_u_grid, beta)
 
 
 def _kernel_y_norms(kernels: KernelSolution) -> np.ndarray:
@@ -611,10 +571,10 @@ def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
     gain, the Volterra coupling, and the drive.  This routine doubles the
     threshold and halves the feasibility minimum, then evaluates the norm
     sandwich constants for the resulting pair.  The Volterra coupling per
-    unit drive is ``transform.coupling``, the resolvent of ``kernels.ktilde``
-    that :func:`transform_operator` solved, so ``||kappa(x, xi, .)||_y =
-    ||drive(x, .)||_y * |coupling(x, xi)|``; the y-norms of ``k`` come from
-    its coordinates (:func:`_kernel_y_norms`).
+    unit drive is ``transform.coupling.values``, the resolvent of
+    ``kernels.ktilde`` that :func:`transform_operator` solved, so
+    ``||kappa(x, xi, .)||_y = ||drive(x, .)||_y * |coupling(x, xi)|``; the
+    y-norms of ``k`` come from its coordinates (:func:`_kernel_y_norms`).
     """
     spec = coeff.spec
     wy = spec.y_weights
@@ -627,7 +587,7 @@ def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
     q_norm = float(np.sqrt((coeff.inflow_gain_grid ** 2) @ wy))
 
     k_norm = _kernel_y_norms(kernels)
-    kap_norm = drive_norm[spec.tri.i_index] * np.abs(transform.coupling)
+    kap_norm = drive_norm[spec.tri.i_index] * np.abs(transform.coupling.values)
     k_mat = tri_to_matrix(spec, k_norm)
     kap_mat = tri_to_matrix(spec, kap_norm)
     composed = drive_norm[:, None] * k_mat + spec.hx * (kap_mat @ k_mat)
@@ -812,5 +772,5 @@ def simulate_target(coeff: SampledCoefficients, spec: GridSpec,
                   snapshot_times, advance, lyapunov=lyapunov)
     return replace(record, recipe=recipe, y_ranks={
         "k": transform.weighted_basis.shape[1], **record.y_ranks},
-        resolvent={"n_terms_used": transform.coupling_terms,
-                   "tail_bound": transform.coupling_tail})
+        resolvent={"n_terms_used": transform.coupling.n_terms_used,
+                   "tail_bound": transform.coupling.tail_bound})

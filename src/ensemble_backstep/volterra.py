@@ -5,10 +5,8 @@ This module provides the composition quadrature for kernels on the triangle
 
 * iterated-kernel resolvents (Neumann series), and
 * the coupling kernel of the stabilized target dynamics, which is the drive
-  times the resolvent of the scalar kernel, with a direct
-  successive-approximation solver of the full equation kept as an
-  independent oracle.  The same resolvent is the scalar kernel of the
-  inverse state transform.
+  times the resolvent of the scalar kernel.  The same resolvent is the
+  scalar kernel of the inverse state transform.
 
 Path integrals between triangle nodes use the trapezoid rule with the
 first-order Gregory end correction (weights ``h/12`` moved between the two
@@ -41,8 +39,6 @@ __all__ = [
     "compose",
     "resolvent",
     "solve_target_coupling",
-    "solve_target_coupling_picard",
-    "target_coupling_residual",
 ]
 
 
@@ -86,14 +82,12 @@ def tri_to_matrix(spec: GridSpec, values: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_tri(spec: GridSpec, mat: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`tri_to_matrix` (batch dimension moves last again)."""
+    """Inverse of :func:`tri_to_matrix` for one ``(N, N)`` matrix."""
     tri = spec.tri
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim == 2:
-        return mat[tri.i_index, tri.j_index].copy()
-    if mat.ndim == 3:
-        return mat[:, tri.i_index, tri.j_index].T.copy()
-    raise DimensionError(f"expected 2 or 3 dimensions, got {mat.ndim}")
+    if mat.ndim != 2:
+        raise DimensionError(f"expected 2 dimensions, got {mat.ndim}")
+    return mat[tri.i_index, tri.j_index].copy()
 
 
 @lru_cache(maxsize=8)
@@ -164,17 +158,6 @@ def resolvent(spec: GridSpec, ktilde: np.ndarray) -> ResolventKernel:
     )
 
 
-def _coupling_source(spec: GridSpec, drive_grid: np.ndarray,
-                     ktilde: np.ndarray) -> np.ndarray:
-    """Zeroth iterate drive(x, y) * ktilde(x, xi) as a (ny, N, N) batch."""
-    drive_grid = np.asarray(drive_grid, dtype=float)
-    if drive_grid.shape[0] != spec.nx + 1:
-        raise DimensionError(
-            f"drive grid must have {spec.nx + 1} x-rows, got {drive_grid.shape[0]}")
-    kernel = tri_to_matrix(spec, np.asarray(ktilde, dtype=float))
-    return drive_grid.T[:, :, None] * kernel[None, :, :]
-
-
 def solve_target_coupling(spec: GridSpec,
                           ktilde: np.ndarray) -> ResolventKernel:
     """The coupling kernel of the target system per unit drive.
@@ -187,45 +170,3 @@ def solve_target_coupling(spec: GridSpec,
     storage, shape ``(n_tri,)``.
     """
     return resolvent(spec, ktilde)
-
-
-def solve_target_coupling_picard(spec: GridSpec, drive_grid: np.ndarray,
-                                 ktilde: np.ndarray, tol: float = 1e-12,
-                                 max_iter: int = 200) -> np.ndarray:
-    """Independent oracle: solve the full equation by direct iteration.
-
-    Starts from zero and applies the fixed-point map, drive included, to an
-    ``(ny, N, N)`` batch until the sup-norm increment drops to ``tol``, and
-    returns ``kappa`` of shape ``(n_tri, ny)``.  Kept deliberately separate
-    from :func:`solve_target_coupling` so the two routes cross-check each
-    other.
-    """
-    kernel = tri_to_matrix(spec, np.asarray(ktilde, dtype=float))
-    source = _coupling_source(spec, drive_grid, ktilde)
-    kappa = np.zeros_like(source)
-    for _ in range(max_iter):
-        new = source + compose(spec.hx, kernel, kappa)
-        delta = float(np.max(np.abs(new - kappa)))
-        kappa = new
-        if delta <= tol:
-            return matrix_to_tri(spec, kappa)
-    raise NonconvergenceError(
-        f"direct coupling iteration not below tol={tol} after {max_iter} sweeps",
-        final_delta=delta,
-    )
-
-
-def target_coupling_residual(spec: GridSpec, kappa: np.ndarray,
-                             drive_grid: np.ndarray,
-                             ktilde: np.ndarray) -> float:
-    """Sup-norm residual of a coupling kernel in its defining equation.
-
-    Evaluates ``kappa - kappa0 - integral_xi^x ktilde(s, xi) kappa(x, s) ds``
-    with the same composition quadrature the solvers use, so a correct
-    solution scores at roundoff level.
-    """
-    kernel = tri_to_matrix(spec, np.asarray(ktilde, dtype=float))
-    source = _coupling_source(spec, drive_grid, ktilde)
-    kap_mat = tri_to_matrix(spec, np.asarray(kappa, dtype=float))
-    resid = kap_mat - source - compose(spec.hx, kernel, kap_mat)
-    return float(np.max(np.abs(matrix_to_tri(spec, resid))))

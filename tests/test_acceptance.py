@@ -38,7 +38,6 @@ from ensemble_backstep.characteristics import (
 from ensemble_backstep.grid import GridSpec
 from ensemble_backstep.kernelsolve import (
     kernel_pde_residual,
-    kernel_solution_from_evaluators,
     solve_backstepping_kernels,
 )
 from ensemble_backstep.model import (
@@ -57,8 +56,11 @@ from ensemble_backstep.simulator import (
 from ensemble_backstep.volterra import (
     resolvent,
     solve_target_coupling,
-    solve_target_coupling_picard,
     tri_to_matrix,
+)
+from oracles import (
+    kernel_solution_from_evaluators,
+    solve_target_coupling_picard,
 )
 
 

@@ -22,9 +22,9 @@ from ensemble_backstep import cli, csvtable
 from ensemble_backstep.cli import load_config_file, main
 from ensemble_backstep.errors import ConfigurationError, NonconvergenceError
 from ensemble_backstep.grid import GridSpec
-from ensemble_backstep.kernelsolve import (kernel_solution_from_evaluators,
-                                          solve_backstepping_kernels)
+from ensemble_backstep.kernelsolve import solve_backstepping_kernels
 from ensemble_backstep.model import builtin_model, sample_coefficients
+from oracles import kernel_solution_from_evaluators
 
 
 def _read_csv(path):

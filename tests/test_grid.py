@@ -16,8 +16,10 @@ from ensemble_backstep.grid import (
 
 
 def _interpolate(tri, field, x, xi):
-    """Value of a tri field at one point through its corner_weights stencil."""
-    idx, w = corner_weights(tri.nx, x, xi)
+    """Value of a tri field at one point through its corner_weights stencil,
+    a group of one point with weight 1."""
+    x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+    idx, w = corner_weights(tri.nx, x[None], xi[None], np.ones((1,) + x.shape))
     return w @ field[idx]
 
 
@@ -160,7 +162,8 @@ class TestBilinearTri:
         nx = 9
         xs = rng.uniform(0.0, 1.0, 200)
         xis = xs * rng.uniform(0.0, 1.0, 200)
-        idx4, w4 = corner_weights(nx, xs, xis)
+        idx4, w4 = corner_weights(nx, xs[None], xis[None],
+                                  np.ones((1,) + xs.shape))
         np.testing.assert_allclose(w4.sum(axis=1), 1.0, atol=1e-12)
         assert idx4.min() >= 0
         assert idx4.max() < TriangularIndex(nx).n_nodes

@@ -27,7 +27,6 @@ from ensemble_backstep.kernelsolve import (
     KernelSolution,
     build_backstepping_problem,
     kernel_pde_residual,
-    kernel_solution_from_evaluators,
     solve_backstepping_kernels,
     solve_goursat,
 )
@@ -42,6 +41,7 @@ from ensemble_backstep.simulator import (
     transform_operator,
 )
 from ensemble_backstep.volterra import tri_to_matrix
+from oracles import kernel_solution_from_evaluators
 
 SPEC = GridSpec(nx=40, ny=24)
 

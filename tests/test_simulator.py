@@ -14,10 +14,7 @@ from ensemble_backstep.errors import (
     DivergenceError,
 )
 from ensemble_backstep.grid import GridSpec, gregory_weights
-from ensemble_backstep.kernelsolve import (
-    kernel_solution_from_evaluators,
-    solve_backstepping_kernels,
-)
+from ensemble_backstep.kernelsolve import solve_backstepping_kernels
 from ensemble_backstep.model import (
     sample_coefficients,
     toy_analytic_kernels,
@@ -25,14 +22,11 @@ from ensemble_backstep.model import (
 )
 from ensemble_backstep.simulator import (
     EnsembleState,
-    control_value,
     coordinate_step,
     default_initial_state,
-    ensemble_norm,
     forward_transform,
     inverse_transform,
     lyapunov_recipe,
-    lyapunov_value,
     scalar_norm,
     simulate,
     simulate_target,
@@ -41,6 +35,12 @@ from ensemble_backstep.simulator import (
     transform_operator,
 )
 from ensemble_backstep.volterra import solve_target_coupling
+from oracles import (
+    control_value,
+    ensemble_norm,
+    kernel_solution_from_evaluators,
+    lyapunov_value,
+)
 
 
 def _smooth_state(spec, rng, amplitude=1.0):
@@ -92,8 +92,12 @@ class TestNorms:
         assert scalar_norm(spec, np.zeros(11)) == 0.0
 
     def test_overflowed_field_reports_inf_silently(self):
+        # the package's norms, on coordinates, and the full-field oracle
         spec = GridSpec(nx=10, ny=5)
-        assert ensemble_norm(spec, np.full((11, 5), 1e300)) == np.inf
+        big = np.full((11, 5), 1e300)
+        assert simulator._ensemble_norm(spec, big) == np.inf
+        assert scalar_norm(spec, big[:, 0]) == np.inf
+        assert ensemble_norm(spec, big) == np.inf
 
 
 class TestPlantStep:
@@ -545,11 +549,11 @@ class TestLyapunov:
     def test_rejects_bad_parameters(self, toy):
         spec = GridSpec(nx=10, ny=5)
         coeff = sample_coefficients(toy, spec)
-        z = np.zeros((11, 5))
-        with pytest.raises(ConfigurationError):
-            lyapunov_value(z, np.zeros(11), coeff, 0.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            lyapunov_value(z, np.zeros(11), coeff, 1.0, -2.0)
+        # the guard on the weights every Lyapunov series is evaluated with
+        with pytest.raises(ConfigurationError, match="p > 0"):
+            simulator._lyapunov_weights(coeff, 0.0, 1.0)
+        with pytest.raises(ConfigurationError, match="delta > 0"):
+            simulator._lyapunov_weights(coeff, 1.0, -2.0)
 
     def test_recipe_sandwich_on_random_states(self, pure_transport, rng):
         spec = GridSpec(nx=60, ny=16)

@@ -12,7 +12,6 @@ from ensemble_backstep.errors import (
     NumericError,
 )
 from ensemble_backstep.grid import GridSpec, gregory_weights
-from ensemble_backstep.kernelsolve import kernel_solution_from_evaluators
 from ensemble_backstep.model import sample_coefficients
 from ensemble_backstep.simulator import inverse_transform, transform_operator
 from ensemble_backstep.volterra import (
@@ -20,9 +19,13 @@ from ensemble_backstep.volterra import (
     matrix_to_tri,
     resolvent,
     solve_target_coupling,
+    tri_to_matrix,
+)
+from oracles import (
+    batch_to_tri,
+    kernel_solution_from_evaluators,
     solve_target_coupling_picard,
     target_coupling_residual,
-    tri_to_matrix,
 )
 
 TOY_CONST = 35.0 / (2.0 * np.pi**2)
@@ -52,7 +55,7 @@ class TestTriangleStorage:
         flat = rng.standard_normal((spec.tri.n_nodes, spec.ny))
         mat = tri_to_matrix(spec, flat)
         assert mat.shape == (spec.ny, 8, 8)
-        assert np.array_equal(matrix_to_tri(spec, mat), flat)
+        assert np.array_equal(batch_to_tri(spec, mat), flat)
 
     def test_rejects_bad_shapes(self):
         spec = GridSpec(nx=5, ny=3)
@@ -62,6 +65,8 @@ class TestTriangleStorage:
             tri_to_matrix(spec, np.zeros((spec.tri.n_nodes, 2, 2)))
         with pytest.raises(DimensionError):
             matrix_to_tri(spec, np.zeros(6))
+        with pytest.raises(DimensionError):
+            matrix_to_tri(spec, np.zeros((2, 6, 6)))
 
 
 class TestCompose:
@@ -257,8 +262,8 @@ class TestInverseKernels:
                                  np.zeros(spec.nx + 1))
         lt_mat = tri_to_matrix(spec,
                                solve_target_coupling(spec, ktilde).values)
-        l = k + matrix_to_tri(spec, compose(spec.hx, tri_to_matrix(spec, k),
-                                            lt_mat))
+        l = k + batch_to_tri(spec, compose(spec.hx, tri_to_matrix(spec, k),
+                                           lt_mat))
         inner = np.einsum("ny,ny->n", l, (alpha * spec.y_weights)[tri.j_index])
         expected = np.zeros(spec.nx + 1)
         for i in range(1, spec.nx + 1):
