@@ -143,26 +143,31 @@ def y_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def y_subspace(seeds: np.ndarray,
-               images: Callable[[np.ndarray], np.ndarray],
-               scale: float) -> np.ndarray:
+               images: Callable[[np.ndarray], tuple[np.ndarray, float]]
+               ) -> np.ndarray:
     """Orthonormal basis of the smallest y-subspace that holds the seeds and
     is closed under a family of linear maps.
 
     ``seeds`` is an ``(m, ny)`` array of y-profiles, one a row.
     ``images(columns)`` returns, for an ``(ny, a)`` block of orthonormal
     columns, the y-profiles of their images under every map of the family,
-    stacked as rows, and ``scale`` is the largest norm of a map.  The basis
-    starts as the :func:`y_factor` of the seeds; each pass adds the images
-    of the directions the previous pass added, until the rank stops
-    growing: it factors the images stacked under ``scale * basis.T``, so a
-    direction counts as new only if its images stand out of their
-    rounding.  A closure of rank ny returns the identity.
+    stacked as rows, and the largest norm of a map, ``scale``: one pass
+    over the maps gives both.  The basis starts as the :func:`y_factor` of
+    the seeds; each pass adds the images of the directions the previous
+    pass added, until the rank stops growing: it factors the images stacked
+    under ``scale * basis.T``, so a direction counts as new only if its
+    images stand out of their rounding.  A family of zero maps adds
+    nothing.  A closure of rank ny returns the identity; one that stops on
+    its first pass returns the columns that pass was given.
     """
     ny = seeds.shape[1]
     _, basis = y_factor(seeds)
     new = basis
-    while new.shape[1] and 0.0 < scale and basis.shape[1] < ny:
-        _, grown = y_factor(np.vstack([scale * basis.T, images(new)]))
+    while new.shape[1] and basis.shape[1] < ny:
+        rows, scale = images(new)
+        if not 0.0 < scale:
+            break
+        _, grown = y_factor(np.vstack([scale * basis.T, rows]))
         added = grown.shape[1] - basis.shape[1]
         if added <= 0:
             break

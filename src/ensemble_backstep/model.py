@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -38,6 +38,12 @@ __all__ = [
     "builtin_model",
     "BUILTIN_MODEL_NAMES",
 ]
+
+#: Values of the exchange kernel, x-nodes times ny**2, that
+#: :meth:`SampledCoefficients.exchange_slabs` samples at once: 128 KB, one
+#: x-node at ny = 120 and four at ny = 60.  A reader holds its slab while
+#: the next one is sampled, so two are alive at a time.
+_SLAB_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -85,16 +91,16 @@ class SampledCoefficients:
     """A plant sampled on one grid, with positivity bounds.
 
     Grid layouts: ``speed_u_grid``, ``drive_grid``, ``readout_grid`` are
-    ``(nx+1, ny)``; ``exchange_grid[i, a, b]`` is the kernel at
-    ``(x_i, y_a, eta_b)``; ``speed_v_grid`` is ``(nx+1,)``;
-    ``inflow_gain_grid`` is ``(ny,)``.
+    ``(nx+1, ny)``; ``speed_v_grid`` is ``(nx+1,)``; ``inflow_gain_grid``
+    is ``(ny,)``.  The exchange kernel is the one coefficient with two
+    ensemble arguments, ``(nx+1) * ny**2`` values, so it is not held: its
+    readers sample it a slab of x-nodes at a time (:meth:`exchange_slabs`).
     """
 
     model: PlantModel
     spec: GridSpec
     speed_u_grid: np.ndarray
     speed_v_grid: np.ndarray
-    exchange_grid: np.ndarray
     drive_grid: np.ndarray
     readout_grid: np.ndarray
     inflow_gain_grid: np.ndarray
@@ -120,15 +126,36 @@ class SampledCoefficients:
         speed_u = self.speed_u_grid
         return bool(np.any(speed_u != speed_u[:, :1]))
 
+    def exchange_slabs(self, start: int = 0, stop: int | None = None
+                       ) -> Iterator[tuple[slice, np.ndarray]]:
+        """The exchange kernel on the x-nodes ``start:stop`` (all of them by
+        default), sampled a slab of x-nodes at a time.
+
+        Yields ``(rows, slab)``, ``slab[k, a, b]`` the kernel at
+        ``(x_{rows.start + k}, y_a, eta_b)``, in order of x.  A slab holds
+        at most :data:`_SLAB_VALUES` values, or one x-node, and comes from
+        the broadcasting call on its nodes that samples the whole grid, so
+        an elementwise model gives the whole grid's values bit for bit.
+        """
+        spec = self.spec
+        x, y = spec.x_nodes, spec.y_nodes
+        stop = spec.nx + 1 if stop is None else stop
+        step = max(1, _SLAB_VALUES // spec.ny ** 2)
+        for first in range(start, stop, step):
+            rows = slice(first, min(first + step, stop))
+            yield rows, _on_grid(
+                self.model.exchange(x[rows, None, None], y[None, :, None],
+                                    y[None, None, :]),
+                (rows.stop - first, spec.ny, spec.ny))
+
 
 def _on_grid(values, shape: tuple[int, ...]) -> np.ndarray:
     """A coefficient's sampled values as an owned float array of ``shape``.
 
     The model's return value is kept as it is when it already is one (no
     code writes into a sampled grid), so that sampling holds one copy of
-    the largest grid, the exchange kernel, not two.  A scalar, a
-    lower-dimensional broadcastable or a view is copied into an owned,
-    writable array.
+    each grid or exchange slab, not two.  A scalar, a lower-dimensional
+    broadcastable or a view is copied into an owned, writable array.
     """
     values = np.asarray(values, dtype=float)
     if values.shape == shape and values.base is None:
@@ -137,7 +164,9 @@ def _on_grid(values, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def sample_coefficients(model: PlantModel, spec: GridSpec) -> SampledCoefficients:
-    """Sample a plant's coefficients on a grid, checking speed positivity."""
+    """Sample a plant's coefficients on a grid, checking speed positivity;
+    the exchange kernel is sampled where it is read
+    (:meth:`SampledCoefficients.exchange_slabs`)."""
     x = spec.x_nodes
     y = spec.y_nodes
     xc, yr = x[:, None], y[None, :]
@@ -146,9 +175,6 @@ def sample_coefficients(model: PlantModel, spec: GridSpec) -> SampledCoefficient
 
     speed_u_grid = _on_grid(model.speed_u(xc, yr), shape_xy)
     speed_v_grid = _on_grid(model.speed_v(x), shape_x)
-    exchange_grid = _on_grid(
-        model.exchange(x[:, None, None], y[None, :, None], y[None, None, :]),
-        (spec.nx + 1, spec.ny, spec.ny))
     drive_grid = _on_grid(model.drive(xc, yr), shape_xy)
     readout_grid = _on_grid(model.readout(xc, yr), shape_xy)
     inflow_gain_grid = _on_grid(model.inflow_gain(y), (spec.ny,))
@@ -178,7 +204,6 @@ def sample_coefficients(model: PlantModel, spec: GridSpec) -> SampledCoefficient
         spec=spec,
         speed_u_grid=speed_u_grid,
         speed_v_grid=speed_v_grid,
-        exchange_grid=exchange_grid,
         drive_grid=drive_grid,
         readout_grid=readout_grid,
         inflow_gain_grid=inflow_gain_grid,

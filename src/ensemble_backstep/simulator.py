@@ -341,6 +341,14 @@ def _unit_scale(rows: np.ndarray) -> np.ndarray:
     return rows / peak if peak > 0.0 else rows
 
 
+def _exchange_products(slab: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``slab[k] @ columns`` for each x-node of an exchange slab, as one
+    product over the slab's stacked rows."""
+    k, ny, _ = slab.shape
+    return (slab.reshape(k * ny, ny) @ columns).reshape(k, ny,
+                                                         columns.shape[1])
+
+
 def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
                     transform: TransformOperator | None = None) -> CoordinateStep:
     """Build the upwind step of a run that starts from the ensemble field
@@ -350,11 +358,15 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
     the rows of ``u0``, the inflow gain and the drive rows, and the exchange
     at each x-node maps a profile ``f`` to ``exchange[i] @ (w_y * f)``; the
     basis spans the smallest subspace that holds those seeds and is closed
-    under those maps (:func:`~ensemble_backstep.grid.y_subspace`, given the
-    images without a copy of the exchange grid).  When the sampled speed
-    varies in y, or that subspace is all of y, the basis is the identity
-    scaled by ``1 / sqrt(w_y)``.  ``transform`` is the
+    under those maps (:func:`~ensemble_backstep.grid.y_subspace`).  When
+    the sampled speed varies in y, or that subspace is all of y, the basis
+    is the identity scaled by ``1 / sqrt(w_y)``.  ``transform`` is the
     :func:`transform_operator` of the solved kernels, for cascade steps.
+
+    The exchange is read a slab of x-nodes at a time
+    (:meth:`~ensemble_backstep.model.SampledCoefficients.exchange_slabs`):
+    once for each closure pass, which gives the images and the largest map
+    norm together, and once for the ``r x r`` blocks in the basis.
 
     Raises :class:`ConfigurationError` if ``dt`` violates the CFL condition.
     """
@@ -362,21 +374,24 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
     spec = coeff.spec
     n, ny = spec.nx + 1, spec.ny
     wy = spec.y_weights
-    exchange = coeff.exchange_grid.reshape(n * ny, ny)
     speed_u = coeff.speed_u_grid
     if not coeff.speed_u_varies_in_y:
         def images(columns):
-            out = (exchange @ (wy[:, None] * columns)).reshape(n, ny, -1)
-            return out.transpose(0, 2, 1).reshape(-1, ny)
+            out = np.empty((n, columns.shape[1], ny))
+            weighted = wy[:, None] * columns
+            largest = 0.0
+            for rows, slab in coeff.exchange_slabs():
+                out[rows] = _exchange_products(slab, weighted
+                                               ).transpose(0, 2, 1)
+                largest = max(largest, float(np.einsum(
+                    "xab,xab,b->x", slab, slab, wy * wy).max()))
+            return out.reshape(-1, ny), math.sqrt(largest)
 
-        kernel = coeff.exchange_grid
-        largest = float(np.einsum("xab,xab,b->x", kernel, kernel,
-                                  wy * wy).max())
         # Each seed enters at unit scale: the rank rule drops a direction
         # only below rounding of the largest, whatever the field's amplitude.
         seeds = [u0, coeff.inflow_gain_grid[None], coeff.drive_grid]
         basis = y_subspace(np.vstack([_unit_scale(part) for part in seeds]),
-                           images, math.sqrt(largest))
+                           images)
         speed_u = speed_u[:, :1]
     else:
         basis = np.eye(ny)
@@ -385,7 +400,9 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
     basis = np.linalg.qr(root * basis)[0] / root
     weighted = wy[:, None] * basis
     r = basis.shape[1]
-    blocks = weighted.T @ (exchange @ weighted).reshape(n, ny, r)
+    blocks = np.empty((n, r, r))
+    for rows, slab in coeff.exchange_slabs():
+        blocks[rows] = weighted.T @ _exchange_products(slab, weighted)
     loadings, directions = y_factor(blocks.reshape(n * r, r))
     return CoordinateStep(
         spec=spec, dt=dt, basis=basis, speed_u=speed_u,
@@ -579,9 +596,9 @@ def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
     spec = coeff.spec
     wy = spec.y_weights
     m_linv = 1.0 / coeff.speed_u_min
-    exchange = coeff.exchange_grid
-    m_theta = float(np.sqrt(
-        np.einsum("xyh,xyh,y,h->x", exchange, exchange, wy, wy).max()))
+    m_theta = float(np.sqrt(max(
+        np.einsum("xyh,xyh,y,h->x", slab, slab, wy, wy).max()
+        for _, slab in coeff.exchange_slabs())))
     drive_norm = np.sqrt((coeff.drive_grid ** 2) @ wy)
     m_drive = float(drive_norm.max())
     q_norm = float(np.sqrt((coeff.inflow_gain_grid ** 2) @ wy))

@@ -8,7 +8,9 @@ The tests compare the package against these:
   against the package's drive-times-resolvent route;
 * full-field formulas for the ensemble norm, the feedback value and the
   Lyapunov value, which the package evaluates on the coordinates of a
-  y-basis.
+  y-basis;
+* the exchange kernel sampled on the whole grid at once, which the package
+  samples a slab of x-nodes at a time where it reads it.
 
 Only public names of the package are used here, so the two routes share no
 private code.
@@ -39,6 +41,17 @@ def kernel_solution_from_evaluators(spec, ensemble_kernel, scalar_kernel):
     return KernelSolution(coords=k, diagonal_rows=k[tri.diagonal_flat()],
                           ktilde=ktilde, iterations=0, final_delta=0.0,
                           deltas=(), spec=spec, basis=np.eye(spec.ny))
+
+
+def exchange_grid(coeff):
+    """The exchange kernel of ``coeff`` on every x-node at once, ``(nx+1,
+    ny, ny)``, by one broadcasting call on the whole grid."""
+    spec = coeff.spec
+    x, y = spec.x_nodes, spec.y_nodes
+    values = coeff.model.exchange(x[:, None, None], y[None, :, None],
+                                  y[None, None, :])
+    return np.broadcast_to(np.asarray(values, dtype=float),
+                           (spec.nx + 1, spec.ny, spec.ny))
 
 
 def batch_to_tri(spec, mats):

@@ -41,7 +41,7 @@ from ensemble_backstep.simulator import (
     transform_operator,
 )
 from ensemble_backstep.volterra import tri_to_matrix
-from oracles import kernel_solution_from_evaluators
+from oracles import exchange_grid, kernel_solution_from_evaluators
 
 SPEC = GridSpec(nx=40, ny=24)
 
@@ -248,8 +248,9 @@ def _whole_array_residual(sol, model):
     kxi = (k[f_ij + 1] - k_rows) / h
     weighted = k_rows * spec.y_weights
     theta_term = np.empty_like(k_rows)
+    exchange = exchange_grid(coeff)
     for j in np.unique(jv):
-        theta_term[jv == j] = weighted[jv == j] @ coeff.exchange_grid[j]
+        theta_term[jv == j] = weighted[jv == j] @ exchange[j]
     readout_term = coeff.readout_grid[jv] * kt[f_ij][:, None]
     res_ensemble = (coeff.speed_v_grid[iv][:, None] * kx
                     - coeff.speed_u_grid[jv] * kxi
@@ -1038,6 +1039,25 @@ def _assert_closure_rank(rank, pinned, ny):
         assert rank == pinned
 
 
+def test_toy_build_samples_the_exchange_once(toy):
+    """Sampling the toy calls no exchange, and its closure stops on its
+    first pass, whose images give the blocks: building its problem samples
+    the exchange on each x-node once."""
+    spec = GridSpec(nx=30, ny=40)
+    sampled = []
+
+    def exchange(x, y, eta):
+        sampled.extend(np.ravel(x))
+        return toy.exchange(x, y, eta)
+
+    plant = dataclasses.replace(toy, exchange=exchange)
+    coeff = sample_coefficients(plant, spec)
+    assert sampled == []
+    problem = build_backstepping_problem(plant, spec, coeff)
+    assert problem.basis.shape[1] == 1
+    assert sampled == list(spec.x_nodes)
+
+
 @pytest.mark.parametrize("name, y_rank", [
     ("toy", 1), pytest.param("gauss", None, id="gauss"), ("poly", 3),
     ("full_rank", 16)])
@@ -1053,7 +1073,7 @@ def test_subspace_solve_matches_per_y_solve(name, y_rank, monkeypatch):
         # against the cutoff 5e-14
         assert transform_operator(sol).weighted_basis.shape[1] == 3
     monkeypatch.setattr(kernelsolve, "y_subspace",
-                        lambda seeds, images, scale: np.eye(spec.ny))
+                        lambda seeds, images: np.eye(spec.ny))
     ref = solve_backstepping_kernels(plant, spec, tol=1e-10)
     assert ref.y_rank == spec.ny
     k, ktilde = ref.k, ref.ktilde
@@ -1161,9 +1181,10 @@ def test_y_subspace_holds_seeds_and_is_closed(c, width):
                        diagonal_data(launch[:, None])])
     scale = max(np.max(np.abs(seeds)), 1e-300)
     assert np.max(np.abs(outside(seeds))) <= 1e-12 * scale
+    exchange = exchange_grid(coeff)
     for j in range(spec.nx + 1):
         a_j = (np.diag(coeff.speed_u_dx_grid[j])
-               + spec.y_weights[:, None] * coeff.exchange_grid[j])
+               + spec.y_weights[:, None] * exchange[j])
         images = basis.T @ a_j
         assert (np.linalg.norm(outside(images), 2)
                 <= 1e-12 * np.linalg.norm(a_j, 2))

@@ -1,8 +1,13 @@
 """Built-in plants, coefficient sampling, and exchange-operator identities."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import full_rank_plant
+from ensemble_backstep import model
 from ensemble_backstep.errors import ConfigurationError
 from ensemble_backstep.grid import GridSpec
 from ensemble_backstep.kernelsolve import _transpose_exchange_rows
@@ -14,6 +19,7 @@ from ensemble_backstep.model import (
     toy_analytic_kernels,
     toy_model,
 )
+from oracles import exchange_grid
 
 TWO_C = 35.0 / np.pi**2
 C_SCALAR = 35.0 / (2.0 * np.pi**2)
@@ -22,12 +28,13 @@ C_SCALAR = 35.0 / (2.0 * np.pi**2)
 def _exchange(coeff, x_index, a):
     """The exchange integral at one x-node, by the y-quadrature of the
     sampled kernel."""
-    return coeff.exchange_grid[x_index] @ (coeff.spec.y_weights * a)
+    return exchange_grid(coeff)[x_index] @ (coeff.spec.y_weights * a)
 
 
 def _exchange_transpose(coeff, x_index, a):
     """The transposed exchange at one x-node, as the kernel solver applies it."""
-    return _transpose_exchange_rows(coeff, x_index, a[None, :])[0]
+    return _transpose_exchange_rows(coeff.spec, exchange_grid(coeff)[x_index],
+                                    a[None, :])[0]
 
 
 class TestToyModel:
@@ -106,7 +113,8 @@ class TestSampling:
         coeff = sample_coefficients(toy, spec)
         assert coeff.speed_u_grid.shape == (11, 7)
         assert coeff.speed_v_grid.shape == (11,)
-        assert coeff.exchange_grid.shape == (11, 7, 7)
+        assert np.concatenate([slab for _, slab in coeff.exchange_slabs()]
+                              ).shape == (11, 7, 7)
         assert coeff.drive_grid.shape == (11, 7)
         assert coeff.readout_grid.shape == (11, 7)
         assert coeff.inflow_gain_grid.shape == (7,)
@@ -130,9 +138,9 @@ class TestSampling:
             sample_coefficients(bad, GridSpec(nx=4, ny=3))
 
     def test_owned_grids_are_kept_and_broadcasts_copied(self, toy):
-        # an owned float array of the grid's shape is kept as the model
-        # returned it; a scalar and a broadcast view become owned, writable
-        # arrays of the grid's shape
+        # an owned float array of the grid's or the exchange slab's shape is
+        # kept as the model returned it; a scalar and a broadcast view
+        # become owned, writable arrays of the grid's shape
         spec = GridSpec(nx=6, ny=4)
         returned = {}
 
@@ -150,14 +158,49 @@ class TestSampling:
             exchange=exchange, drive=drive, readout=toy.readout,
             inflow_gain=toy.inflow_gain)
         coeff = sample_coefficients(plant, spec)
+        _, slab = next(coeff.exchange_slabs())
         assert returned["exchange"].base is None
-        assert coeff.exchange_grid is returned["exchange"]
+        assert slab is returned["exchange"]
         assert returned["drive"].base is not None
         for grid, want in ((coeff.drive_grid, returned["drive"]),
                            (coeff.speed_v_grid, np.full(spec.nx + 1, 2.0))):
             assert grid.base is None and grid.flags.writeable
             assert grid.shape == want.shape
             np.testing.assert_array_equal(grid, want)
+
+    @pytest.mark.parametrize("nx, ny", [(20, 60), (4, 130)])
+    @pytest.mark.parametrize("name", ["toy", "gauss", "full_rank"])
+    def test_exchange_slabs_are_the_whole_grid(self, name, nx, ny, toy):
+        # in order of x, each at most _SLAB_VALUES values or one x-node
+        # (ny = 130 holds more than _SLAB_VALUES values on one), bit for bit
+        # the grid sampled by one call, on every x-node or a range of them
+        gauss = dataclasses.replace(
+            toy, exchange=lambda x, y, eta: x * np.exp(-(y - eta) ** 2))
+        plant = {"toy": toy, "gauss": gauss,
+                 "full_rank": full_rank_plant()}[name]
+        coeff = sample_coefficients(plant, GridSpec(nx=nx, ny=ny))
+        whole = exchange_grid(coeff)
+        for start, stop in ((0, nx + 1), (2, nx - 1)):
+            at = start
+            for rows, slab in coeff.exchange_slabs(start, stop):
+                assert rows.start == at and rows.stop > at
+                assert (slab.size <= model._SLAB_VALUES
+                        or rows.stop - at == 1)
+                assert slab.tobytes() == whole[rows].tobytes()
+                at = rows.stop
+            assert at == stop
+
+    def test_sampling_holds_no_exchange_grid(self, toy):
+        # the (nx+1, ny) grids only: a quarter of the exchange grid's
+        # (nx+1) * ny**2 doubles is more than sampling ever holds
+        spec = GridSpec(nx=100, ny=60)
+        tracemalloc.start()
+        try:
+            sample_coefficients(toy, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (spec.nx + 1) * spec.ny ** 2 / 4
 
     def test_finite_difference_speed_derivative(self):
         # omit the analytic derivative; the sampled slope must still be right

@@ -38,6 +38,7 @@ from ensemble_backstep.volterra import solve_target_coupling
 from oracles import (
     control_value,
     ensemble_norm,
+    exchange_grid,
     kernel_solution_from_evaluators,
     lyapunov_value,
 )
@@ -297,7 +298,7 @@ def _ref_integral(spec, kernel, scalar_kernel, u, v):
 
 
 def _ref_exchange(coeff, u):
-    return np.einsum("xyh,h,xh->xy", coeff.exchange_grid,
+    return np.einsum("xyh,h,xh->xy", exchange_grid(coeff),
                      coeff.spec.y_weights, u)
 
 
