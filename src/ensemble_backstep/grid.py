@@ -157,8 +157,7 @@ def y_subspace(seeds: np.ndarray,
     pass added, until the rank stops growing: it factors the images stacked
     under ``scale * basis.T``, so a direction counts as new only if its
     images stand out of their rounding.  A family of zero maps adds
-    nothing.  A closure of rank ny returns the identity; one that stops on
-    its first pass returns the columns that pass was given.
+    nothing.  A closure of rank ny returns the identity.
     """
     ny = seeds.shape[1]
     _, basis = y_factor(seeds)

@@ -649,24 +649,15 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
                           spec=problem.spec, basis=basis)
 
 
-def _exchange_nodes(coeff: SampledCoefficients, start: int = 0,
-                    stop: int | None = None
-                    ) -> Iterator[tuple[int, np.ndarray]]:
-    """``(j, exchange)`` for each x-node ``j`` in ``start:stop``, ``exchange``
-    the ``(ny, ny)`` exchange kernel there, sampled a slab at a time."""
-    for rows, slab in coeff.exchange_slabs(start, stop):
-        yield from zip(range(rows.start, rows.stop), slab)
-
-
-def _transpose_exchange_rows(spec: GridSpec, exchange: np.ndarray,
+def _transpose_exchange_rows(coeff: SampledCoefficients, j: int,
                              rows: np.ndarray) -> np.ndarray:
-    """Apply the transposed y-exchange at one x-node to every row.
+    """Apply the transposed y-exchange at x-index ``j`` to every row.
 
     Row ``r`` of the result is the y-profile ``rows[r]`` integrated against
-    ``exchange``, the ``(ny, ny)`` exchange kernel sampled at that x-node,
-    with the integration hitting the first (not the second) ensemble slot.
+    the exchange field sampled at x-index ``j``, with the integration
+    hitting the first (not the second) ensemble slot.
     """
-    return (rows * spec.y_weights) @ exchange
+    return (rows * coeff.spec.y_weights) @ coeff.exchange_at(j)
 
 
 def _sampled(model: PlantModel, spec: GridSpec,
@@ -706,40 +697,32 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec,
 
     # The ensemble operator at x-node j maps a y-profile f to f @ A_j,
     # A_j = diag(speed_u_dx[j]) + diag(w_y) @ exchange[j].  Each pass over
-    # the maps samples the exchange a slab of x-nodes at a time and builds
-    # the A_j one at a time, so the exchange grid is never held whole.  A
-    # closure pass gives the images and the largest map norm at once.
+    # the maps samples the exchange and builds the A_j one x-node at a
+    # time, so the exchange grid is never held whole.  A closure pass gives
+    # the images and the largest map norm at once.
     diag = np.arange(spec.ny)
 
     def maps():
-        for j, exchange in _exchange_nodes(coeff):
-            a = wy[:, None] * exchange
-            a[diag, diag] += coeff.speed_u_dx_grid[j]
+        for j, speed_u_dx in enumerate(coeff.speed_u_dx_grid):
+            a = wy[:, None] * coeff.exchange_at(j)
+            a[diag, diag] += speed_u_dx
             yield a
 
-    last = None  # the columns of the last closure pass and their images
     if family_y.size == 1:
         # The sweeps make y-profiles only from the diagonal data and the
         # readout rows, and move a profile f only by f @ A_j.
         def images(new):
-            nonlocal last
             rows, scale = [], 0.0
             for a in maps():
                 rows.append(new.T @ a)
                 scale = max(scale, float(np.linalg.norm(a, axis=(0, 1))))
-            last = new, rows
             return np.concatenate(rows), scale
 
         basis = y_subspace(np.vstack([diagonal_rows, coeff.readout_grid]),
                            images)
     else:
         basis = np.eye(spec.ny)
-    if last is not None and last[0] is basis:
-        # The closure stopped on its first pass, whose columns are the
-        # basis: its images B.T @ A_j give the blocks without another pass.
-        blocks = np.stack([row @ basis for row in last[1]])
-    else:
-        blocks = np.stack([basis.T @ a @ basis for a in maps()])
+    blocks = np.stack([basis.T @ a @ basis for a in maps()])
 
     def apply_ensemble_operator(rows: range, field: np.ndarray) -> np.ndarray:
         # Row i holds the nodes (i, j), j <= i, in order, and the map of
@@ -801,17 +784,16 @@ def kernel_pde_residual(sol: KernelSolution, model: PlantModel,
         return 0.0, 0.0
     coeff = _sampled(model, spec, coeff)
     kt = sol.ktilde
-    # One xi-column j at a time, rows i >= max(j + 2, 4), with a running max;
-    # the exchange is sampled a slab of columns at a time.
+    # One xi-column j at a time, rows i >= max(j + 2, 4), with a running max.
     worst_k = worst_kt = 0.0
-    for j, exchange in _exchange_nodes(coeff, 2, spec.nx - 1):
+    for j in range(2, spec.nx - 1):
         iv = np.arange(max(j + 2, 4), spec.nx + 1)
         f_ij = tri.row_start[iv] + j
         f_im1j = tri.row_start[iv - 1] + j
         k_rows = sol.k_rows(f_ij)
         kx = (k_rows - sol.k_rows(f_im1j)) / h
         kxi = (sol.k_rows(f_ij + 1) - k_rows) / h
-        theta_term = _transpose_exchange_rows(spec, exchange, k_rows)
+        theta_term = _transpose_exchange_rows(coeff, j, k_rows)
         readout_term = coeff.readout_grid[j] * kt[f_ij][:, None]
         res_ensemble = (coeff.speed_v_grid[iv][:, None] * kx
                         - coeff.speed_u_grid[j] * kxi

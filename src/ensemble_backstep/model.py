@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -38,12 +38,6 @@ __all__ = [
     "builtin_model",
     "BUILTIN_MODEL_NAMES",
 ]
-
-#: Values of the exchange kernel, x-nodes times ny**2, that
-#: :meth:`SampledCoefficients.exchange_slabs` samples at once: 128 KB, one
-#: x-node at ny = 120 and four at ny = 60.  A reader holds its slab while
-#: the next one is sampled, so two are alive at a time.
-_SLAB_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,7 @@ class SampledCoefficients:
     ``(nx+1, ny)``; ``speed_v_grid`` is ``(nx+1,)``; ``inflow_gain_grid``
     is ``(ny,)``.  The exchange kernel is the one coefficient with two
     ensemble arguments, ``(nx+1) * ny**2`` values, so it is not held: its
-    readers sample it a slab of x-nodes at a time (:meth:`exchange_slabs`).
+    readers sample it one x-node at a time (:meth:`exchange_at`).
     """
 
     model: PlantModel
@@ -126,27 +120,19 @@ class SampledCoefficients:
         speed_u = self.speed_u_grid
         return bool(np.any(speed_u != speed_u[:, :1]))
 
-    def exchange_slabs(self, start: int = 0, stop: int | None = None
-                       ) -> Iterator[tuple[slice, np.ndarray]]:
-        """The exchange kernel on the x-nodes ``start:stop`` (all of them by
-        default), sampled a slab of x-nodes at a time.
+    def exchange_at(self, j: int) -> np.ndarray:
+        """The ``(ny, ny)`` exchange kernel at x-node ``j``, ``[a, b]`` the
+        kernel at ``(x_j, y_a, eta_b)``, sampled anew on each call.
 
-        Yields ``(rows, slab)``, ``slab[k, a, b]`` the kernel at
-        ``(x_{rows.start + k}, y_a, eta_b)``, in order of x.  A slab holds
-        at most :data:`_SLAB_VALUES` values, or one x-node, and comes from
-        the broadcasting call on its nodes that samples the whole grid, so
-        an elementwise model gives the whole grid's values bit for bit.
+        It comes from the broadcasting call that samples the whole grid, on
+        an array of the one x-node (not a scalar, whose arithmetic may round
+        otherwise), so an elementwise model gives the whole grid's values
+        bit for bit.
         """
-        spec = self.spec
-        x, y = spec.x_nodes, spec.y_nodes
-        stop = spec.nx + 1 if stop is None else stop
-        step = max(1, _SLAB_VALUES // spec.ny ** 2)
-        for first in range(start, stop, step):
-            rows = slice(first, min(first + step, stop))
-            yield rows, _on_grid(
-                self.model.exchange(x[rows, None, None], y[None, :, None],
-                                    y[None, None, :]),
-                (rows.stop - first, spec.ny, spec.ny))
+        x, y = self.spec.x_nodes, self.spec.y_nodes
+        return _on_grid(
+            self.model.exchange(x[j, None, None], y[:, None], y[None, :]),
+            (self.spec.ny, self.spec.ny))
 
 
 def _on_grid(values, shape: tuple[int, ...]) -> np.ndarray:
@@ -154,7 +140,7 @@ def _on_grid(values, shape: tuple[int, ...]) -> np.ndarray:
 
     The model's return value is kept as it is when it already is one (no
     code writes into a sampled grid), so that sampling holds one copy of
-    each grid or exchange slab, not two.  A scalar, a lower-dimensional
+    each grid or exchange matrix, not two.  A scalar, a lower-dimensional
     broadcastable or a view is copied into an owned, writable array.
     """
     values = np.asarray(values, dtype=float)
@@ -166,7 +152,7 @@ def _on_grid(values, shape: tuple[int, ...]) -> np.ndarray:
 def sample_coefficients(model: PlantModel, spec: GridSpec) -> SampledCoefficients:
     """Sample a plant's coefficients on a grid, checking speed positivity;
     the exchange kernel is sampled where it is read
-    (:meth:`SampledCoefficients.exchange_slabs`)."""
+    (:meth:`SampledCoefficients.exchange_at`)."""
     x = spec.x_nodes
     y = spec.y_nodes
     xc, yr = x[:, None], y[None, :]

@@ -341,14 +341,6 @@ def _unit_scale(rows: np.ndarray) -> np.ndarray:
     return rows / peak if peak > 0.0 else rows
 
 
-def _exchange_products(slab: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """``slab[k] @ columns`` for each x-node of an exchange slab, as one
-    product over the slab's stacked rows."""
-    k, ny, _ = slab.shape
-    return (slab.reshape(k * ny, ny) @ columns).reshape(k, ny,
-                                                         columns.shape[1])
-
-
 def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
                     transform: TransformOperator | None = None) -> CoordinateStep:
     """Build the upwind step of a run that starts from the ensemble field
@@ -363,8 +355,8 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
     is the identity scaled by ``1 / sqrt(w_y)``.  ``transform`` is the
     :func:`transform_operator` of the solved kernels, for cascade steps.
 
-    The exchange is read a slab of x-nodes at a time
-    (:meth:`~ensemble_backstep.model.SampledCoefficients.exchange_slabs`):
+    The exchange is sampled one x-node at a time
+    (:meth:`~ensemble_backstep.model.SampledCoefficients.exchange_at`):
     once for each closure pass, which gives the images and the largest map
     norm together, and once for the ``r x r`` blocks in the basis.
 
@@ -380,11 +372,11 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
             out = np.empty((n, columns.shape[1], ny))
             weighted = wy[:, None] * columns
             largest = 0.0
-            for rows, slab in coeff.exchange_slabs():
-                out[rows] = _exchange_products(slab, weighted
-                                               ).transpose(0, 2, 1)
+            for j in range(n):
+                exchange = coeff.exchange_at(j)
+                out[j] = (exchange @ weighted).T
                 largest = max(largest, float(np.einsum(
-                    "xab,xab,b->x", slab, slab, wy * wy).max()))
+                    "ab,ab,b->", exchange, exchange, wy * wy)))
             return out.reshape(-1, ny), math.sqrt(largest)
 
         # Each seed enters at unit scale: the rank rule drops a direction
@@ -401,8 +393,8 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
     weighted = wy[:, None] * basis
     r = basis.shape[1]
     blocks = np.empty((n, r, r))
-    for rows, slab in coeff.exchange_slabs():
-        blocks[rows] = weighted.T @ _exchange_products(slab, weighted)
+    for j in range(n):
+        blocks[j] = weighted.T @ (coeff.exchange_at(j) @ weighted)
     loadings, directions = y_factor(blocks.reshape(n * r, r))
     return CoordinateStep(
         spec=spec, dt=dt, basis=basis, speed_u=speed_u,
@@ -597,8 +589,8 @@ def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
     wy = spec.y_weights
     m_linv = 1.0 / coeff.speed_u_min
     m_theta = float(np.sqrt(max(
-        np.einsum("xyh,xyh,y,h->x", slab, slab, wy, wy).max()
-        for _, slab in coeff.exchange_slabs())))
+        np.einsum("yh,yh,y,h->", exchange, exchange, wy, wy)
+        for exchange in map(coeff.exchange_at, range(spec.nx + 1)))))
     drive_norm = np.sqrt((coeff.drive_grid ** 2) @ wy)
     m_drive = float(drive_norm.max())
     q_norm = float(np.sqrt((coeff.inflow_gain_grid ** 2) @ wy))

@@ -1039,25 +1039,6 @@ def _assert_closure_rank(rank, pinned, ny):
         assert rank == pinned
 
 
-def test_toy_build_samples_the_exchange_once(toy):
-    """Sampling the toy calls no exchange, and its closure stops on its
-    first pass, whose images give the blocks: building its problem samples
-    the exchange on each x-node once."""
-    spec = GridSpec(nx=30, ny=40)
-    sampled = []
-
-    def exchange(x, y, eta):
-        sampled.extend(np.ravel(x))
-        return toy.exchange(x, y, eta)
-
-    plant = dataclasses.replace(toy, exchange=exchange)
-    coeff = sample_coefficients(plant, spec)
-    assert sampled == []
-    problem = build_backstepping_problem(plant, spec, coeff)
-    assert problem.basis.shape[1] == 1
-    assert sampled == list(spec.x_nodes)
-
-
 @pytest.mark.parametrize("name, y_rank", [
     ("toy", 1), pytest.param("gauss", None, id="gauss"), ("poly", 3),
     ("full_rank", 16)])

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from conftest import full_rank_plant
-from ensemble_backstep import model
 from ensemble_backstep.errors import ConfigurationError
 from ensemble_backstep.grid import GridSpec
 from ensemble_backstep.kernelsolve import _transpose_exchange_rows
@@ -33,8 +32,7 @@ def _exchange(coeff, x_index, a):
 
 def _exchange_transpose(coeff, x_index, a):
     """The transposed exchange at one x-node, as the kernel solver applies it."""
-    return _transpose_exchange_rows(coeff.spec, exchange_grid(coeff)[x_index],
-                                    a[None, :])[0]
+    return _transpose_exchange_rows(coeff, x_index, a[None, :])[0]
 
 
 class TestToyModel:
@@ -113,8 +111,8 @@ class TestSampling:
         coeff = sample_coefficients(toy, spec)
         assert coeff.speed_u_grid.shape == (11, 7)
         assert coeff.speed_v_grid.shape == (11,)
-        assert np.concatenate([slab for _, slab in coeff.exchange_slabs()]
-                              ).shape == (11, 7, 7)
+        for j in range(11):
+            assert coeff.exchange_at(j).shape == (7, 7)
         assert coeff.drive_grid.shape == (11, 7)
         assert coeff.readout_grid.shape == (11, 7)
         assert coeff.inflow_gain_grid.shape == (7,)
@@ -138,7 +136,7 @@ class TestSampling:
             sample_coefficients(bad, GridSpec(nx=4, ny=3))
 
     def test_owned_grids_are_kept_and_broadcasts_copied(self, toy):
-        # an owned float array of the grid's or the exchange slab's shape is
+        # an owned float array of the grid's or the exchange matrix's shape is
         # kept as the model returned it; a scalar and a broadcast view
         # become owned, writable arrays of the grid's shape
         spec = GridSpec(nx=6, ny=4)
@@ -158,9 +156,9 @@ class TestSampling:
             exchange=exchange, drive=drive, readout=toy.readout,
             inflow_gain=toy.inflow_gain)
         coeff = sample_coefficients(plant, spec)
-        _, slab = next(coeff.exchange_slabs())
+        exchange = coeff.exchange_at(0)
         assert returned["exchange"].base is None
-        assert slab is returned["exchange"]
+        assert exchange is returned["exchange"]
         assert returned["drive"].base is not None
         for grid, want in ((coeff.drive_grid, returned["drive"]),
                            (coeff.speed_v_grid, np.full(spec.nx + 1, 2.0))):
@@ -168,27 +166,18 @@ class TestSampling:
             assert grid.shape == want.shape
             np.testing.assert_array_equal(grid, want)
 
-    @pytest.mark.parametrize("nx, ny", [(20, 60), (4, 130)])
     @pytest.mark.parametrize("name", ["toy", "gauss", "full_rank"])
-    def test_exchange_slabs_are_the_whole_grid(self, name, nx, ny, toy):
-        # in order of x, each at most _SLAB_VALUES values or one x-node
-        # (ny = 130 holds more than _SLAB_VALUES values on one), bit for bit
-        # the grid sampled by one call, on every x-node or a range of them
+    def test_exchange_at_is_the_whole_grid(self, name, toy):
+        # every x-node's matrix is bit for bit the grid sampled by one call
+        # (the toy's x**3 rounds otherwise on a scalar x)
         gauss = dataclasses.replace(
             toy, exchange=lambda x, y, eta: x * np.exp(-(y - eta) ** 2))
         plant = {"toy": toy, "gauss": gauss,
                  "full_rank": full_rank_plant()}[name]
-        coeff = sample_coefficients(plant, GridSpec(nx=nx, ny=ny))
+        coeff = sample_coefficients(plant, GridSpec(nx=40, ny=16))
         whole = exchange_grid(coeff)
-        for start, stop in ((0, nx + 1), (2, nx - 1)):
-            at = start
-            for rows, slab in coeff.exchange_slabs(start, stop):
-                assert rows.start == at and rows.stop > at
-                assert (slab.size <= model._SLAB_VALUES
-                        or rows.stop - at == 1)
-                assert slab.tobytes() == whole[rows].tobytes()
-                at = rows.stop
-            assert at == stop
+        for j in range(coeff.spec.nx + 1):
+            assert coeff.exchange_at(j).tobytes() == whole[j].tobytes()
 
     def test_sampling_holds_no_exchange_grid(self, toy):
         # the (nx+1, ny) grids only: a quarter of the exchange grid's
