@@ -292,6 +292,14 @@ def test_writers_write_savetxt_bytes(tmp_path, rng):
         assert (tmp_path / "timeseries.csv").read_bytes() == expected
 
 
+def test_writers_write_savetxt_bytes_across_chunks(tmp_path, rng,
+                                                   monkeypatch):
+    """The same tables with ``ny`` lines a chunk: the awkward values cross
+    many chunk boundaries between the formatting thread and the sink."""
+    monkeypatch.setattr(csvtable, "_CHUNK_LINES", 5)    # the tables' ny
+    test_writers_write_savetxt_bytes(tmp_path, rng)
+
+
 class TestSimulateCommand:
     def test_zero_initial_state_timeseries(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,8 +1,13 @@
-"""The numpy ``"%.17g"`` formatter against Python's own formatting."""
+"""The numpy ``"%.17g"`` formatter against Python's own formatting, and
+the pipelined table writer's failures."""
 
+import io
 import math
+import sys
+import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ensemble_backstep import csvtable
@@ -94,3 +99,103 @@ def test_scaled_corrects_the_log10_estimate():
     assert ok.all()
     assert ((1e16 <= hi) & (hi <= 1e17)).all()
     assert (p == 16 - np.arange(-6, 16)).all()
+
+
+def test_write_table_raises_a_column_error_and_ends_its_sink(tmp_path,
+                                                             monkeypatch):
+    """A column that raises in the third chunk stops the table there: the
+    error reaches the caller, the sink has written the two chunks before it
+    in order, and no thread is left behind."""
+    monkeypatch.setattr(csvtable, "_CHUNK_LINES", 4)
+    calls = []
+
+    def column(rows):
+        calls.append(rows)
+        if len(calls) == 3:
+            raise ValueError("chunk 3")
+        return np.arange(rows.start, rows.stop)[:, None] + np.zeros(4)
+
+    path = tmp_path / "table.csv"
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="chunk 3"):
+        csvtable.write_table(str(path), "g,a,v\n", [
+            np.arange(10.0)[:, None], np.arange(4.0)[None, :], column])
+    assert threading.active_count() == before
+    assert len(calls) == 3
+    assert path.read_text() == "g,a,v\n" + "".join(
+        f"{g},{a},{g}\n" for g in range(2) for a in range(4))
+
+
+def test_write_table_raises_the_sinks_error(monkeypatch):
+    """A write that fails on the sink reaches the caller as the same
+    exception.  The write fails once the caller formats the third chunk,
+    with the second waiting in the queue: the caller formats no further
+    chunk and does not wait on a full queue, and no thread is left
+    behind."""
+    monkeypatch.setattr(csvtable, "_CHUNK_LINES", 4)
+    error = OSError("no space left on device")
+    calls = []
+    third_chunk = threading.Event()
+
+    class FullDisk(io.BytesIO):
+        """Takes the header, then fails every write."""
+        def write(self, data):
+            if self.tell():
+                third_chunk.wait(timeout=60)
+                raise error
+            return super().write(data)
+
+    def column(rows):
+        calls.append(rows)
+        if len(calls) == 3:
+            third_chunk.set()
+        return np.zeros((rows.stop - rows.start, 4))
+
+    monkeypatch.setattr(csvtable, "open", lambda path, mode: FullDisk(),
+                        raising=False)
+    raised = []
+
+    def write():
+        try:
+            csvtable.write_table("table.csv", "g,a,v\n", [
+                np.arange(100.0)[:, None], np.arange(4.0)[None, :], column])
+        except OSError as exc:
+            raised.append(exc)
+
+    before = threading.active_count()
+    caller = threading.Thread(target=write, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "write_table waits on a full queue"
+    assert len(raised) == 1 and raised[0] is error
+    assert threading.active_count() == before
+    assert len(calls) == 3
+
+
+def test_tables_written_at_once_keep_their_bytes(tmp_path, monkeypatch):
+    """Four tables of 64 chunks each, written at once from four threads
+    (eight with their sinks, on any number of cores) with a short switch
+    interval: every file holds its own lines, in order."""
+    monkeypatch.setattr(csvtable, "_CHUNK_LINES", 3)
+    groups, inner = np.arange(64.0)[:, None], np.arange(3.0)[None, :] / 7
+
+    def expected(i):
+        return "g,a,v\n" + "".join(
+            "%.17g,%.17g,%.17g\n" % (g, a, g * a + i)
+            for g in groups.ravel().tolist() for a in inner.ravel().tolist())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writers = [threading.Thread(target=csvtable.write_table, args=(
+            str(tmp_path / f"{i}.csv"), "g,a,v\n",
+            [groups, inner, groups * inner + i])) for i in range(4)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(writer.is_alive() for writer in writers)
+    for i in range(4):
+        assert (tmp_path / f"{i}.csv").read_text() == expected(i)
