@@ -42,8 +42,9 @@ from .kernelsolve import (KernelSolution, kernel_pde_residual,
 from .model import (BUILTIN_MODEL_NAMES, builtin_model, sample_coefficients,
                     toy_analytic_kernels)
 from .simulator import (cfl_condition, check_cfl, default_initial_state,
-                        inverse_transform, forward_transform, simulate,
-                        simulate_target, transform_operator, EnsembleState)
+                        inverse_transform, forward_transform, scalar_norm,
+                        simulate, simulate_target, transform_operator,
+                        EnsembleState)
 # ``lyapunov_recipe`` and ``solve_target_coupling`` are unused here but must
 # stay bound: bench/tracing.py wraps them in this module.
 from .simulator import lyapunov_recipe  # noqa: F401
@@ -414,9 +415,8 @@ def _verify_round_trip(spec: GridSpec, kernels, rng) -> dict:
         state = EnsembleState(u=u, v=v, t=0.0)
         alpha, beta = forward_transform(state, transform)
         _, v_back = inverse_transform(transform, alpha, beta)
-        denom = float(np.sqrt(spec.x_weights @ (v * v)))
-        err = float(np.sqrt(spec.x_weights @ ((v_back - v) ** 2)))
-        worst = max(worst, err / max(denom, 1e-300))
+        err = scalar_norm(spec, v_back - v)
+        worst = max(worst, err / max(scalar_norm(spec, v), 1e-300))
     tol = 1e-3 * (200.0 / spec.nx) ** 2
     return {"measured": worst, "tolerance": tol, "passed": worst <= tol}
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -126,10 +126,11 @@ def y_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     singular values above ``s_max * max(m, ny) * eps``, the rule of
     ``numpy.linalg.matrix_rank``; a zero matrix gets r = 0.
 
-    It factors the closure seeds and images of :func:`y_subspace` (the
-    kernel solver's seeds are its ``nx + 1`` diagonal rows and ``nx + 1``
-    readout rows), a solved kernel's ``(n_tri, r)`` coordinates in the
-    solver's basis and a run's ``(n * r, r)`` exchange blocks.  The singular
+    It factors the seeds of :func:`y_subspace` (the kernel solver's are its
+    ``nx + 1`` diagonal rows and ``nx + 1`` readout rows) and, each closure
+    pass, the images of the maps stacked under the basis; a solved kernel's
+    ``(n_tri, r)`` coordinates in the solver's basis; and a run's
+    ``(n * r, r)`` exchange blocks.  The singular
     values and ``Q`` come from the SVD of the R factor of the matrix's QR
     decomposition, which never forms the ``m x ny`` left factor a thin SVD
     would.
@@ -143,30 +144,31 @@ def y_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def y_subspace(seeds: np.ndarray,
-               images: Callable[[np.ndarray], tuple[np.ndarray, float]]
-               ) -> np.ndarray:
+               maps: Callable[[], Iterable[np.ndarray]]) -> np.ndarray:
     """Orthonormal basis of the smallest y-subspace that holds the seeds and
     is closed under a family of linear maps.
 
-    ``seeds`` is an ``(m, ny)`` array of y-profiles, one a row.
-    ``images(columns)`` returns, for an ``(ny, a)`` block of orthonormal
-    columns, the y-profiles of their images under every map of the family,
-    stacked as rows, and the largest norm of a map, ``scale``: one pass
-    over the maps gives both.  The basis starts as the :func:`y_factor` of
-    the seeds; each pass adds the images of the directions the previous
-    pass added, until the rank stops growing: it factors the images stacked
-    under ``scale * basis.T``, so a direction counts as new only if its
-    images stand out of their rounding.  A family of zero maps adds
-    nothing.  A closure of rank ny returns the identity.
+    ``seeds`` is an ``(m, ny)`` array of y-profiles, one a row.  ``maps()``
+    yields the family's ``(ny, ny)`` matrices in row form: a profile ``f``
+    maps to ``f @ a``.  The basis starts as the :func:`y_factor` of the
+    seeds; each pass over the maps adds the images ``new.T @ a`` of the
+    directions ``new`` the previous pass added, until the rank stops
+    growing: it factors the images stacked under ``scale * basis.T``, with
+    ``scale`` the largest Frobenius norm of a map, so a direction counts as
+    new only if its images stand out of their rounding.  A family of zero
+    maps adds nothing.  A closure of rank ny returns the identity.
     """
     ny = seeds.shape[1]
     _, basis = y_factor(seeds)
     new = basis
     while new.shape[1] and basis.shape[1] < ny:
-        rows, scale = images(new)
+        rows, scale = [], 0.0
+        for a in maps():
+            rows.append(new.T @ a)
+            scale = max(scale, float(np.linalg.norm(a)))
         if not 0.0 < scale:
             break
-        _, grown = y_factor(np.vstack([scale * basis.T, rows]))
+        _, grown = y_factor(np.vstack([scale * basis.T] + rows))
         added = grown.shape[1] - basis.shape[1]
         if added <= 0:
             break

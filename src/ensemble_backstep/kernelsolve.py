@@ -69,6 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -649,15 +650,18 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
                           spec=problem.spec, basis=basis)
 
 
-def _transpose_exchange_rows(coeff: SampledCoefficients, j: int,
-                             rows: np.ndarray) -> np.ndarray:
-    """Apply the transposed y-exchange at x-index ``j`` to every row.
-
-    Row ``r`` of the result is the y-profile ``rows[r]`` integrated against
-    the exchange field sampled at x-index ``j``, with the integration
-    hitting the first (not the second) ensemble slot.
-    """
-    return (rows * coeff.spec.y_weights) @ coeff.exchange_at(j)
+def _ensemble_maps(coeff: SampledCoefficients) -> Iterator[np.ndarray]:
+    """The ensemble operator of ``coeff`` at each x-node j in turn, in row
+    form: ``A_j = diag(speed_u_dx[j]) + diag(w_y) @ exchange[j]`` maps a
+    y-profile ``f`` to ``f @ A_j``, the speed derivative plus the exchange
+    integrated against ``f`` in its first ensemble slot.  The exchange is
+    sampled one x-node at a time, so its grid is never held whole."""
+    wy = coeff.spec.y_weights
+    diag = np.arange(coeff.spec.ny)
+    for j, speed_u_dx in enumerate(coeff.speed_u_dx_grid):
+        a = wy[:, None] * coeff.exchange_at(j)
+        a[diag, diag] += speed_u_dx
+        yield a
 
 
 def _sampled(model: PlantModel, spec: GridSpec,
@@ -695,34 +699,14 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec,
         model, np.broadcast_to(spec.x_nodes[:, None], (spec.nx + 1, spec.ny)),
         spec.y_nodes)
 
-    # The ensemble operator at x-node j maps a y-profile f to f @ A_j,
-    # A_j = diag(speed_u_dx[j]) + diag(w_y) @ exchange[j].  Each pass over
-    # the maps samples the exchange and builds the A_j one x-node at a
-    # time, so the exchange grid is never held whole.  A closure pass gives
-    # the images and the largest map norm at once.
-    diag = np.arange(spec.ny)
-
-    def maps():
-        for j, speed_u_dx in enumerate(coeff.speed_u_dx_grid):
-            a = wy[:, None] * coeff.exchange_at(j)
-            a[diag, diag] += speed_u_dx
-            yield a
-
     if family_y.size == 1:
         # The sweeps make y-profiles only from the diagonal data and the
         # readout rows, and move a profile f only by f @ A_j.
-        def images(new):
-            rows, scale = [], 0.0
-            for a in maps():
-                rows.append(new.T @ a)
-                scale = max(scale, float(np.linalg.norm(a, axis=(0, 1))))
-            return np.concatenate(rows), scale
-
         basis = y_subspace(np.vstack([diagonal_rows, coeff.readout_grid]),
-                           images)
+                           lambda: _ensemble_maps(coeff))
     else:
         basis = np.eye(spec.ny)
-    blocks = np.stack([basis.T @ a @ basis for a in maps()])
+    blocks = np.stack([basis.T @ a @ basis for a in _ensemble_maps(coeff)])
 
     def apply_ensemble_operator(rows: range, field: np.ndarray) -> np.ndarray:
         # Row i holds the nodes (i, j), j <= i, in order, and the map of
@@ -773,9 +757,11 @@ def kernel_pde_residual(sol: KernelSolution, model: PlantModel,
     kernel it differentiates (floored at 1), since the finite-difference
     truncation error scales with the field; both normalized residuals shrink
     linearly with the grid spacing for a converged (or exact) kernel pair.
-    The nodes are visited one xi-column at a time, and the sup of ``k`` a
-    block of rows at a time, so the work arrays hold one column's or
-    block's rows of ``k``, not the whole triangle's.
+    The ensemble operator is the solver's own, ``k @ A_j``
+    (:func:`_ensemble_maps`).  The nodes are visited one xi-column at a
+    time, and the sup of ``k`` a block of rows at a time, so the work
+    arrays hold one column's or block's rows of ``k``, not the whole
+    triangle's.
     """
     spec = sol.spec
     tri = spec.tri
@@ -786,19 +772,18 @@ def kernel_pde_residual(sol: KernelSolution, model: PlantModel,
     kt = sol.ktilde
     # One xi-column j at a time, rows i >= max(j + 2, 4), with a running max.
     worst_k = worst_kt = 0.0
-    for j in range(2, spec.nx - 1):
+    for j, a_j in enumerate(islice(_ensemble_maps(coeff), 2, spec.nx - 1),
+                            start=2):
         iv = np.arange(max(j + 2, 4), spec.nx + 1)
         f_ij = tri.row_start[iv] + j
         f_im1j = tri.row_start[iv - 1] + j
         k_rows = sol.k_rows(f_ij)
         kx = (k_rows - sol.k_rows(f_im1j)) / h
         kxi = (sol.k_rows(f_ij + 1) - k_rows) / h
-        theta_term = _transpose_exchange_rows(coeff, j, k_rows)
         readout_term = coeff.readout_grid[j] * kt[f_ij][:, None]
         res_ensemble = (coeff.speed_v_grid[iv][:, None] * kx
                         - coeff.speed_u_grid[j] * kxi
-                        - (coeff.speed_u_dx_grid[j] * k_rows + theta_term
-                           + readout_term))
+                        - (k_rows @ a_j + readout_term))
 
         ktx = (kt[f_ij] - kt[f_im1j]) / h
         ktxi = (kt[f_ij] - kt[f_ij - 1]) / h

@@ -19,7 +19,7 @@ characteristic curves are traced through the travel times ``int dx/speed``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -249,34 +249,18 @@ def toy_model() -> PlantModel:
 
 
 def pure_transport_model() -> PlantModel:
-    """Unit-speed transport with no coupling at all (conservation tests)."""
-
-    def one_xy(x, y):
-        return np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
-
-    def one_x(x):
-        return np.ones(np.shape(x))
+    """The toy's unit speeds with no coupling at all (conservation tests)."""
 
     def zero_xy(x, y):
         return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
 
     def zero_x3(x, y, eta):
-        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(eta)))
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y),
+                                            np.shape(eta)))
 
-    def zero_y(y):
-        return np.zeros(np.shape(y))
-
-    return PlantModel(
-        name="pure-transport",
-        speed_u=one_xy,
-        speed_v=one_x,
-        exchange=zero_x3,
-        drive=zero_xy,
-        readout=zero_xy,
-        inflow_gain=zero_y,
-        speed_u_dx=zero_xy,
-        speed_v_dx=lambda x: np.zeros(np.shape(x)),
-    )
+    return replace(toy_model(), name="pure-transport", exchange=zero_x3,
+                   drive=zero_xy, readout=zero_xy,
+                   inflow_gain=lambda y: np.zeros(np.shape(y)))
 
 
 BUILTIN_MODEL_NAMES = ("toy", "pure-transport")

@@ -357,8 +357,9 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
 
     The exchange is sampled one x-node at a time
     (:meth:`~ensemble_backstep.model.SampledCoefficients.exchange_at`):
-    once for each closure pass, which gives the images and the largest map
-    norm together, and once for the ``r x r`` blocks in the basis.
+    once for each closure pass, which hands :func:`y_subspace` the maps in
+    row form, ``(exchange[i] * w_y).T``, and once for the ``r x r`` blocks
+    in the basis.
 
     Raises :class:`ConfigurationError` if ``dt`` violates the CFL condition.
     """
@@ -368,22 +369,12 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
     wy = spec.y_weights
     speed_u = coeff.speed_u_grid
     if not coeff.speed_u_varies_in_y:
-        def images(columns):
-            out = np.empty((n, columns.shape[1], ny))
-            weighted = wy[:, None] * columns
-            largest = 0.0
-            for j in range(n):
-                exchange = coeff.exchange_at(j)
-                out[j] = (exchange @ weighted).T
-                largest = max(largest, float(np.einsum(
-                    "ab,ab,b->", exchange, exchange, wy * wy)))
-            return out.reshape(-1, ny), math.sqrt(largest)
-
         # Each seed enters at unit scale: the rank rule drops a direction
         # only below rounding of the largest, whatever the field's amplitude.
         seeds = [u0, coeff.inflow_gain_grid[None], coeff.drive_grid]
-        basis = y_subspace(np.vstack([_unit_scale(part) for part in seeds]),
-                           images)
+        basis = y_subspace(
+            np.vstack([_unit_scale(part) for part in seeds]),
+            lambda: ((coeff.exchange_at(j) * wy).T for j in range(n)))
         speed_u = speed_u[:, :1]
     else:
         basis = np.eye(ny)

@@ -12,6 +12,7 @@ from ensemble_backstep.grid import (
     gregory_weights,
     trapezoid_weights,
     y_factor,
+    y_subspace,
 )
 
 
@@ -196,3 +197,37 @@ class TestYFactor:
     def test_empty_matrix(self):
         p, q = y_factor(np.zeros((0, 0)))
         assert p.shape == (0, 0) and q.shape == (0, 0)
+
+
+class TestYSubspace:
+    def test_zero_family_keeps_the_seed_basis(self, rng):
+        seeds = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 9))
+        basis = y_subspace(seeds, lambda: [np.zeros((9, 9))] * 3)
+        assert np.array_equal(basis, y_factor(seeds)[1])
+
+    def test_nilpotent_shift_grows_to_its_span(self):
+        # e_k -> e_{k+1} for k < 3 in row form (f -> f @ a): from e_0 three
+        # growth passes add e_1, e_2 and e_3, and a fourth adds nothing
+        ny = 8
+        shift = np.zeros((ny, ny))
+        shift[[0, 1, 2], [1, 2, 3]] = 1.0
+        passes = []
+
+        def maps():
+            passes.append(None)
+            yield shift
+
+        basis = y_subspace(np.eye(ny)[:1], maps)
+        assert basis.shape == (ny, 4)
+        assert len(passes) == 4
+        np.testing.assert_allclose(basis.T @ basis, np.eye(4), atol=1e-15)
+        span = np.zeros((ny, ny))
+        span[:4, :4] = np.eye(4)
+        np.testing.assert_allclose(basis @ basis.T, span, atol=1e-15)
+
+    def test_full_rank_closure_is_the_identity(self):
+        # a cyclic shift carries e_0 through every y-node
+        ny = 5
+        cycle = np.roll(np.eye(ny), 1, axis=1)
+        basis = y_subspace(np.eye(ny)[:1], lambda: [cycle])
+        assert np.array_equal(basis, np.eye(ny))

@@ -1054,7 +1054,7 @@ def test_subspace_solve_matches_per_y_solve(name, y_rank, monkeypatch):
         # against the cutoff 5e-14
         assert transform_operator(sol).weighted_basis.shape[1] == 3
     monkeypatch.setattr(kernelsolve, "y_subspace",
-                        lambda seeds, images: np.eye(spec.ny))
+                        lambda seeds, maps: np.eye(spec.ny))
     ref = solve_backstepping_kernels(plant, spec, tol=1e-10)
     assert ref.y_rank == spec.ny
     k, ktilde = ref.k, ref.ktilde
@@ -1106,6 +1106,23 @@ def test_transform_factors_the_kernel_in_its_basis(name, factor_rank, rng):
         assert np.array_equal(op.rows, rows.transpose(1, 0, 2))
         assert np.array_equal(op.weighted_basis,
                               directions * spec.y_weights[:, None])
+
+
+@pytest.mark.parametrize("plant", [
+    toy_model(), half_x_plant(), full_rank_plant()],
+    ids=["toy", "half_x", "full_rank"])
+def test_ensemble_maps_are_the_speed_derivative_plus_the_exchange(plant):
+    """The solver's ensemble operator at each x-node, which the closure,
+    the blocks and the residual all read, is diag(speed_u_dx) plus the
+    weighted exchange of the whole sampled grid, bit for bit."""
+    spec = GridSpec(nx=8, ny=12)
+    coeff = sample_coefficients(plant, spec)
+    exchange = exchange_grid(coeff)
+    maps = list(kernelsolve._ensemble_maps(coeff))
+    assert len(maps) == spec.nx + 1
+    for j, a_j in enumerate(maps):
+        assert np.array_equal(a_j, np.diag(coeff.speed_u_dx_grid[j])
+                              + spec.y_weights[:, None] * exchange[j])
 
 
 _coefficient = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)

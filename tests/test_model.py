@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from conftest import full_rank_plant
 from ensemble_backstep.errors import ConfigurationError
 from ensemble_backstep.grid import GridSpec
-from ensemble_backstep.kernelsolve import _transpose_exchange_rows
+from ensemble_backstep.kernelsolve import _ensemble_maps
 from ensemble_backstep.model import (
     PlantModel,
     builtin_model,
@@ -31,8 +32,10 @@ def _exchange(coeff, x_index, a):
 
 
 def _exchange_transpose(coeff, x_index, a):
-    """The transposed exchange at one x-node, as the kernel solver applies it."""
-    return _transpose_exchange_rows(coeff, x_index, a[None, :])[0]
+    """The transposed exchange at one x-node, as the kernel solver applies
+    it: ``a @ A_j``, whose speed derivative is zero on the toy."""
+    a_j = next(islice(_ensemble_maps(coeff), x_index, None))
+    return a @ a_j
 
 
 class TestToyModel:
