@@ -466,8 +466,13 @@ def cmd_verify(config: RunConfig) -> int:
         return 3
     if config.model_name == "toy":
         oracle_err = _toy_kernel_error(kernels)
-        checks["kernel_oracle"] = {"measured": oracle_err, "tolerance": 0.02,
-                                   "passed": oracle_err <= 0.02}
+        # Criterion 1's 0.02 at ny = 60, scaled with the y-quadrature error
+        # the closed form measures (second order in 1 / (ny - 1)), at most
+        # 0.25.
+        oracle_tol = min(0.25, 0.02 * (59.0 / (spec.ny - 1)) ** 2)
+        checks["kernel_oracle"] = {"measured": oracle_err,
+                                   "tolerance": oracle_tol,
+                                   "passed": oracle_err <= oracle_tol}
     checks["kernel_boundary"] = _verify_kernel_boundary(spec, coeff, kernels)
 
     res_ensemble, res_scalar = kernel_pde_residual(kernels, model, coeff)

@@ -40,13 +40,15 @@ on a node, and the march solves the system of whole curves summed in
 another order.  The steps are traced a block of rows at a time, at most
 :data:`_BLOCK_CURVES` curves, through the travel times of the two speeds
 (see :mod:`.characteristics`), and laid out as padded numpy gathers of
-corner stencils.  A step's source reads the corners of its cell on its own
-row too, so each row is a small fixed point.  Boundary data is evaluated
-exactly at the off-grid launch abscissas, so the diagonal condition holds
-exactly at nodes and the edge condition holds to the fixed-point
-tolerance.  A plant whose sampled ensemble speed does not vary in y has one
-family of crossing curves, traced at the first y-node, and any other one
-per y-node.
+corner stencils on int32 node indices, formed a run of at most
+:data:`_RUN_SEGMENTS` cell segments at a time.  The march holds one block's
+step data at a time: they are freed before the next block is traced.  A
+step's source reads the corners of its cell on its own row too, so each
+row is a small fixed point.  Boundary data is evaluated exactly at the
+off-grid launch abscissas, so the diagonal condition holds exactly at
+nodes and the edge condition holds to the fixed-point tolerance.  A plant
+whose sampled ensemble speed does not vary in y has one family of crossing
+curves, traced at the first y-node, and any other one per y-node.
 
 With one family the steps act on x and xi only, so y moves only through
 the exchange and the speed derivative, and the sweeps run in the smallest
@@ -94,14 +96,23 @@ __all__ = [
 MAX_SWEEPS = 60
 
 #: Steps (crossing and edge curves) a block of rows of :func:`solve_goursat`
-#: may hold: the size of every trace and of the step data the march holds.
-#: Solving the toy at nx=200, ny=120 and the plant with speed_u = 1 + y/2 at
-#: nx=100, ny=60 with 2**13 ... 2**17 took 0.14, 0.20, 0.15, 0.13 and 0.12 s
-#: and 0.71-0.86, 0.65-0.88, 0.58-0.69, 0.56-0.59 and 0.68 s, peaking at
-#: 62, 65, 67, 69 and 69 MB of RSS and 52, 60, 75, 113 and 157 MB (two runs
-#: each, 2-core Xeon, one sitting): fewer blocks trace less often, larger
-#: ones hold more.
+#: may hold: the size of every trace and of the step data the march holds,
+#: one block at a time.  Solving the toy at nx=200, ny=120 and the plant
+#: with speed_u = 1 + y/2 at nx=100, ny=60 with 2**13 ... 2**17 took
+#: 0.17-0.21, 0.15-0.17, 0.12-0.16, 0.12-0.13 and 0.14-0.17 s and 0.85-1.06,
+#: 0.70-0.93, 0.63-0.68, 0.63-0.69 and 0.66-0.70 s, and a process that
+#: samples the plant and solves peaked at 39, 40, 44, 46 and 46 MB of RSS
+#: and 47, 48, 58, 78 and 110 MB (two runs each, 2-core Xeon, one
+#: sitting): fewer blocks trace less often, larger ones hold more.
 _BLOCK_CURVES = 2 ** 15
+
+#: Cell segments whose corner stencils and leveling a block forms at a time
+#: (:func:`_segment_runs`): enough to spread the cost of a run, few enough
+#: that its temporaries stay small beside the block's padded step data.  A
+#: solve of the plant with speed_u = 1 + y/2 at nx=100, ny=60 peaked at
+#: 27.2, 27.4 and 27.7 MB of traced memory with runs of 2**10, 2**12 and
+#: 2**13 segments, and at 37.3 MB with each block formed whole.
+_RUN_SEGMENTS = 4096
 
 #: The part of a block's diagonal data, relative to the sup of the diagonal
 #: rows, that may lie outside the y-subspace seeded with those rows.
@@ -238,10 +249,10 @@ class KernelSolution:
 class _PathQuadrature(NamedTuple):
     """Path integrals of a grid field along many curves, as a padded gather.
 
-    ``nodes`` and ``weights`` are ``(curves, 4 * width)``: the four corner
-    stencils of each cell segment of a curve in turn (:func:`corner_weights`
-    order), padded with node 0 at weight 0 up to the ``width`` segments of
-    the longest curve.  Curve c's integral of a flat triangle field f is
+    ``nodes`` (int32) and ``weights`` are ``(curves, 4 * width)``: the four
+    corner stencils of each cell segment of a curve in turn
+    (:func:`corner_weights` order), padded with node 0 at weight 0 up to the
+    ``width`` segments of the longest curve.  Curve c's integral of a flat triangle field f is
     ``(weights[c] * f[nodes[c]]).sum()``.  ``nnz`` counts the entries
     computed, four per segment.
     """
@@ -251,22 +262,38 @@ class _PathQuadrature(NamedTuple):
     nnz: int
 
 
+def _segment_runs(offsets: np.ndarray, width: int):
+    """The cell segments of curves with the segment offsets ``offsets``, in
+    runs of at most :data:`_RUN_SEGMENTS`: each run as its slice of the
+    segments, their curves, and their slots in the curves' padded
+    ``(curves * width)`` layout, segment q of curve c in slot
+    ``c * width + q - offsets[c]``."""
+    total = int(offsets[-1])
+    for lo in range(0, total, _RUN_SEGMENTS):
+        hi = min(lo + _RUN_SEGMENTS, total)
+        # The curves that own segments lo to hi - 1, and how many each.
+        first, last = np.searchsorted(offsets, [lo, hi - 1], side="right") - 1
+        owned = np.diff(np.clip(offsets[first:last + 2], lo, hi))
+        curves = np.arange(first, last + 1)
+        curve = np.repeat(curves, owned)
+        yield slice(lo, hi), curve, np.arange(lo, hi) + np.repeat(
+            curves * width - offsets[first:last + 1], owned)
+
+
 def _quadrature_matrix(spec: GridSpec, bundle) -> _PathQuadrature:
     """The path integral of the bilinear interpolant of a grid field along
     every curve of ``bundle``: Simpson's rule on every cell segment, its
     three points interpolated in the segment's cell (its midpoint's), which
-    is exact wherever the segment is straight."""
+    is exact wherever the segment is straight.  The stencils are formed a
+    run of segments at a time, each run written into its padded slots."""
     offsets = bundle.offsets
-    counts = np.diff(offsets)
-    m, width = counts.size, int(counts.max(initial=0))
-    idx4, w4 = corner_weights(spec.nx, bundle.x, bundle.xi,
-                              bundle.simpson_weights())
-    curve = np.repeat(np.arange(m), counts)
-    slot = np.arange(offsets[-1]) - offsets[curve]
-    nodes = np.zeros((m, width, 4), dtype=np.int64)
-    weights = np.zeros((m, width, 4))
-    nodes[curve, slot] = idx4
-    weights[curve, slot] = w4
+    m, width = offsets.size - 1, int(np.diff(offsets).max(initial=0))
+    nodes = np.zeros((m * width, 4), dtype=np.int32)
+    weights = np.zeros((m * width, 4))
+    for run, _, slot in _segment_runs(offsets, width):
+        nodes[slot], weights[slot] = corner_weights(
+            spec.nx, bundle.x[:, run], bundle.xi[:, run],
+            bundle.simpson_weights(run))
     return _PathQuadrature(nodes.reshape(m, -1), weights.reshape(m, -1),
                            4 * int(offsets[-1]))
 
@@ -311,7 +338,7 @@ def _row_stencil(tri: TriangularIndex, row: np.ndarray, xi: np.ndarray):
                 weights[:, k] *= np.where(used[:, q], factor, 1.0)
     weights[~used] = 0.0
     nodes = tri.row_start[row][:, None] + np.where(used, cols, first[:, None])
-    return nodes, weights
+    return nodes.astype(np.int32), weights
 
 
 def _leveled_below(spec: GridSpec, bundle, row: np.ndarray,
@@ -338,28 +365,28 @@ def _leveled_below(spec: GridSpec, bundle, row: np.ndarray,
     """
     tri = spec.tri
     m, width = corners.shape[:2]
-    counts = np.diff(bundle.offsets)
     below = np.maximum(row - 1, 0)
-    # Segment by segment: its row i - 1, and the xi-column j of its cell,
-    # that of its midpoint.
-    on = np.repeat(below, counts)
-    j = np.floor(bundle.xi[1] * spec.nx).astype(np.int64)
-    b = bundle.xi * spec.nx - j
-    b *= 1.0 - b
-    b -= 1.0 / 6.0
-    level = -0.5 * (bundle.simpson_weights() * b).sum(axis=0)
-    # Cells on the diagonal (j = i - 1) interpolate linearly, and a row of
-    # two nodes has no second difference.
-    level[(j >= on) | (on < 2)] = 0.0
-    # Segment q of curve c goes to slot q - offsets[c] of row c.
+    # Segment by segment, a run at a time: its row i - 1, and the xi-column
+    # j of its cell, that of its midpoint; its level goes to its slot.
     padded = np.zeros(m * width)
-    padded[np.arange(level.size) + np.repeat(
-        np.arange(m) * width - bundle.offsets[:-1], counts)] = level
+    for run, curve, slot in _segment_runs(bundle.offsets, width):
+        xi = bundle.xi[:, run]
+        on = below[curve]
+        j = np.floor(xi[1] * spec.nx).astype(np.int64)
+        b = xi * spec.nx - j
+        b *= 1.0 - b
+        b -= 1.0 / 6.0
+        level = -0.5 * (bundle.simpson_weights(run) * b).sum(axis=0)
+        # Cells on the diagonal (j = i - 1) interpolate linearly, and a row
+        # of two nodes has no second difference.
+        level[(j >= on) | (on < 2)] = 0.0
+        padded[slot] = level
     # The stencil is j - 1, j, j + 1, or 0, 1, 2 on the edge column; the
     # padding (node 0, weight 0) stays on node 0.
     lower, w_lower = corners[..., 0], weights[..., 0]
     edge = lower == tri.row_start[below][:, None]
-    nodes = np.maximum(lower - 1 + edge, 0)[..., None] + np.arange(3)
+    nodes = (np.maximum(lower - 1 + edge, 0)[..., None]
+             + np.arange(3, dtype=np.int32))
     out = padded.reshape(m, width, 1) * np.array([1.0, -2.0, 1.0])
     out[..., 0] += np.where(edge, w_lower, 0.0)
     out[..., 1] += np.where(edge, weights[..., 1], w_lower)
@@ -381,7 +408,8 @@ class _Steps(NamedTuple):
     that reaches its event first); ``below_nodes``/``below_weights`` read
     the source on row i - 1, three nodes a segment that also level its
     xi-error (:func:`_leveled_below`), and ``row_nodes``/``row_weights``
-    the source's corners on row i, as rows of row i's own source.
+    the source's corners on row i, as rows of row i's own source.  The
+    nodes are int32.
     """
 
     start_nodes: np.ndarray
@@ -398,6 +426,15 @@ class _Steps(NamedTuple):
         below them, read in ``lanes`` lanes, step s in lane ``lane[s]``."""
         tri = spec.tri
         m = row.size
+        if tri.n_nodes * lanes > 2 ** 31:
+            raise DimensionError(
+                f"{tri.n_nodes} nodes in {lanes} lanes each need more "
+                f"than the 2**31 int32 indices of the march's steps")
+        # The start stencils first: their temporaries are step-sized, and
+        # none of the padded segment data is formed yet.
+        start, start_weights = _row_stencil(tri, np.maximum(row - 1, 0),
+                                            bundle.end_xi)
+        start_weights[~np.isnan(bundle.launch)] = 0.0
         quad = _quadrature_matrix(spec, bundle)
         # A segment's corners (a, b), (a+1, b), (a, b+1), (a+1, b+1) lie on
         # rows a = i - 1 and a + 1 = i: the last axis splits them.
@@ -405,14 +442,10 @@ class _Steps(NamedTuple):
         weights = quad.weights.reshape(m, -1, 2, 2)
         # Padding (node 0) is moved onto row i's first node.
         on_row = np.maximum(nodes[..., 1].reshape(m, -1)
-                            - tri.row_start[row][:, None], 0)
+                            - tri.row_start[row, None].astype(np.int32), 0)
         row_weights = weights[..., 1].reshape(m, -1)
         below, below_weights = _leveled_below(spec, bundle, row,
                                               nodes[..., 0], weights[..., 0])
-        del quad, nodes, weights
-        start, start_weights = _row_stencil(tri, np.maximum(row - 1, 0),
-                                            bundle.end_xi)
-        start_weights[~np.isnan(bundle.launch)] = 0.0
         for index in (start, below, on_row):
             index *= lanes
             index += lane[:, None]
@@ -542,10 +575,12 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     :func:`_leveled_below`), a semi-Lagrangian step; a step that
     reaches the diagonal (the edge) first starts from the diagonal (edge)
     data there instead.  The steps are traced a block of rows at a time
-    (:func:`_blocks`).  The source of a step reads its cell's corners on
-    row i too, so each row is a small fixed point: both unknowns on the row
-    are iterated from zero until their sup-norm increment (of the ensemble
-    unknown on every y-node, not of its coordinates) falls below ``tol``.
+    (:func:`_blocks`), and each block's rows are marched by
+    :func:`_march_block`, so that one block's step data are held at a time.
+    The source of a step reads its cell's corners on row i too, so each row
+    is a small fixed point: both unknowns on the row are iterated from zero
+    until their sup-norm increment (of the ensemble unknown on every y-node,
+    not of its coordinates) falls below ``tol``.
     Each local sweep computes the ensemble update from the previous
     iterates, then the scalar update using the fresh ensemble values in the
     edge condition and the previous iterates in the path integral.
@@ -568,77 +603,18 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     if not 0.0 < tol < np.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     tri = problem.spec.tri
-    basis = problem.basis
-    r = basis.shape[1]
-    families = problem.family_y.size
+    r = problem.basis.shape[1]
     C = np.zeros((tri.n_nodes, r))
     G = np.zeros(tri.n_nodes)
     # The sources of the finished rows.
     source_C = np.zeros_like(C)
     source_G = np.zeros_like(G)
-    # The ensemble unknown and its source as the crossing steps read them:
-    # a row per node, or per node and y-node with a family per y-node.
-    width = _lane_width(problem)
-    lanes_C = C.reshape(tri.n_nodes * families, width)
-    lanes_source = source_C.reshape(lanes_C.shape)
     # deltas[k]: the largest row increment of local sweep k + 1, a row that
     # stopped sooner counting its last; ended: the largest last increment.
     deltas, ended = [], 0.0
-    for rows in _blocks(tri, families):
-        cross, diagonal, edge, (edge_below, edge_on_row) = (
-            _block_steps(problem, rows))
-        first = int(tri.row_start[rows.start])
-        for i in rows:
-            nodes = tri.row_slice(i)
-            n = i + 1
-            on_edge = slice(nodes.start - first, nodes.stop - first)
-            on_cross = slice(on_edge.start * families, on_edge.stop * families)
-            fixed_C = (diagonal[on_cross]
-                       + cross.fixed(on_cross, lanes_C, lanes_source)
-                       ).reshape(n, r)
-            below = int(tri.row_start[max(i - 1, 0)])
-            fixed_G = (edge.fixed(on_edge, G, source_G) + edge_below[on_edge]
-                       * float(problem.edge_gain @ C[below]))
-            cross_nodes = cross.row_nodes[on_cross]
-            cross_weights = cross.row_weights[on_cross]
-            edge_nodes = edge.row_nodes[on_edge]
-            edge_weights = edge.row_weights[on_edge]
-            gain = edge_on_row[on_edge]
-            to_ensemble = problem.scalar_to_ensemble[:n]
-            to_scalar = problem.ensemble_to_scalar[:n]
-            decay = problem.scalar_decay[:n]
-
-            c = np.zeros((n, r))
-            g = np.zeros(n)
-            history: list[float] = []
-            # The sources are formed at the top of every sweep, so that
-            # those of the converged iterate are at hand for the rows above.
-            while True:
-                src_c = (to_ensemble * g[:, None]
-                         + problem.apply_ensemble_operator(range(i, i + 1), c))
-                src_g = decay * g + (to_scalar * c).sum(axis=1)
-                if history and history[-1] < tol:
-                    break
-                if len(history) == MAX_SWEEPS:
-                    raise NonconvergenceError(
-                        f"Goursat iteration did not reach tol={tol} in "
-                        f"{MAX_SWEEPS} sweeps on row {i}",
-                        final_delta=history[-1])
-                c_new = fixed_C + _gather(src_c.reshape(n * families, width),
-                                          cross_nodes, cross_weights
-                                          ).reshape(n, r)
-                g_new = (fixed_G + gain * float(problem.edge_gain @ c_new[0])
-                         + _gather(src_g, edge_nodes, edge_weights))
-                if not (np.all(np.isfinite(c_new))
-                        and np.all(np.isfinite(g_new))):
-                    raise NumericError("Goursat iterate is no longer finite")
-                history.append(max(_sup_increment(c_new - c, basis),
-                                   float(np.max(np.abs(g_new - g)))))
-                c, g = c_new, g_new
-            C[nodes] = c
-            G[nodes] = g
-            source_C[nodes] = src_c
-            source_G[nodes] = src_g
+    for rows in _blocks(tri, problem.family_y.size):
+        for history in _march_block(problem, rows, tol, C, G, source_C,
+                                    source_G):
             deltas += [ended] * (len(history) - len(deltas))
             for k in range(len(deltas)):
                 deltas[k] = max(deltas[k], history[min(k, len(history) - 1)])
@@ -647,7 +623,83 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     return KernelSolution(coords=C, diagonal_rows=problem.diagonal_rows,
                           ktilde=G, iterations=len(deltas),
                           final_delta=deltas[-1], deltas=tuple(deltas),
-                          spec=problem.spec, basis=basis)
+                          spec=problem.spec, basis=problem.basis)
+
+
+def _march_block(problem: GoursatProblem, rows: range, tol: float,
+                 C: np.ndarray, G: np.ndarray, source_C: np.ndarray,
+                 source_G: np.ndarray) -> list[list[float]]:
+    """March the rows of one block of :func:`solve_goursat`, writing their
+    unknowns ``C`` and ``G`` and their sources, and return each row's
+    local sweep increments.  The block's step data live in this call only,
+    so they are freed before the next block is traced."""
+    tri = problem.spec.tri
+    basis = problem.basis
+    r = basis.shape[1]
+    families = problem.family_y.size
+    cross, diagonal, edge, (edge_below, edge_on_row) = (
+        _block_steps(problem, rows))
+    # The ensemble unknown and its source as the crossing steps read them:
+    # a row per node, or per node and y-node with a family per y-node.
+    width = _lane_width(problem)
+    lanes_C = C.reshape(tri.n_nodes * families, width)
+    lanes_source = source_C.reshape(lanes_C.shape)
+    first = int(tri.row_start[rows.start])
+    histories = []
+    for i in rows:
+        nodes = tri.row_slice(i)
+        n = i + 1
+        on_edge = slice(nodes.start - first, nodes.stop - first)
+        on_cross = slice(on_edge.start * families, on_edge.stop * families)
+        fixed_C = (diagonal[on_cross]
+                   + cross.fixed(on_cross, lanes_C, lanes_source)
+                   ).reshape(n, r)
+        below = int(tri.row_start[max(i - 1, 0)])
+        fixed_G = (edge.fixed(on_edge, G, source_G) + edge_below[on_edge]
+                   * float(problem.edge_gain @ C[below]))
+        # Indexed every sweep, so widened from int32 once per row.
+        cross_nodes = cross.row_nodes[on_cross].astype(np.intp)
+        cross_weights = cross.row_weights[on_cross]
+        edge_nodes = edge.row_nodes[on_edge].astype(np.intp)
+        edge_weights = edge.row_weights[on_edge]
+        gain = edge_on_row[on_edge]
+        to_ensemble = problem.scalar_to_ensemble[:n]
+        to_scalar = problem.ensemble_to_scalar[:n]
+        decay = problem.scalar_decay[:n]
+
+        c = np.zeros((n, r))
+        g = np.zeros(n)
+        history: list[float] = []
+        # The sources are formed at the top of every sweep, so that those
+        # of the converged iterate are at hand for the rows above.
+        while True:
+            src_c = (to_ensemble * g[:, None]
+                     + problem.apply_ensemble_operator(range(i, i + 1), c))
+            src_g = decay * g + (to_scalar * c).sum(axis=1)
+            if history and history[-1] < tol:
+                break
+            if len(history) == MAX_SWEEPS:
+                raise NonconvergenceError(
+                    f"Goursat iteration did not reach tol={tol} in "
+                    f"{MAX_SWEEPS} sweeps on row {i}",
+                    final_delta=history[-1])
+            c_new = fixed_C + _gather(src_c.reshape(n * families, width),
+                                      cross_nodes, cross_weights
+                                      ).reshape(n, r)
+            g_new = (fixed_G + gain * float(problem.edge_gain @ c_new[0])
+                     + _gather(src_g, edge_nodes, edge_weights))
+            if not (np.all(np.isfinite(c_new))
+                    and np.all(np.isfinite(g_new))):
+                raise NumericError("Goursat iterate is no longer finite")
+            history.append(max(_sup_increment(c_new - c, basis),
+                               float(np.max(np.abs(g_new - g)))))
+            c, g = c_new, g_new
+        C[nodes] = c
+        G[nodes] = g
+        source_C[nodes] = src_c
+        source_G[nodes] = src_g
+        histories.append(history)
+    return histories
 
 
 def _ensemble_maps(coeff: SampledCoefficients) -> Iterator[np.ndarray]:
@@ -770,16 +822,21 @@ def kernel_pde_residual(sol: KernelSolution, model: PlantModel,
         return 0.0, 0.0
     coeff = _sampled(model, spec, coeff)
     kt = sol.ktilde
-    # One xi-column j at a time, rows i >= max(j + 2, 4), with a running max.
+    # One xi-column j at a time, rows i >= j + 2, with a running max.  The
+    # column's rows of k, from row j + 1 on, are the previous column's
+    # rows at xi-column j (rows of k do not depend on the rows formed with
+    # them), so each row is formed once.
     worst_k = worst_kt = 0.0
+    column = sol.k_rows(tri.row_start[3:] + 2)
     for j, a_j in enumerate(islice(_ensemble_maps(coeff), 2, spec.nx - 1),
                             start=2):
-        iv = np.arange(max(j + 2, 4), spec.nx + 1)
+        iv = np.arange(j + 2, spec.nx + 1)
         f_ij = tri.row_start[iv] + j
         f_im1j = tri.row_start[iv - 1] + j
-        k_rows = sol.k_rows(f_ij)
-        kx = (k_rows - sol.k_rows(f_im1j)) / h
-        kxi = (sol.k_rows(f_ij + 1) - k_rows) / h
+        k_rows = column[1:]
+        kx = (k_rows - column[:-1]) / h
+        column = sol.k_rows(f_ij + 1)
+        kxi = (column - k_rows) / h
         readout_term = coeff.readout_grid[j] * kt[f_ij][:, None]
         res_ensemble = (coeff.speed_v_grid[iv][:, None] * kx
                         - coeff.speed_u_grid[j] * kxi

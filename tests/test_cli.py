@@ -437,6 +437,42 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "all checks passed" in out
 
+    @pytest.mark.parametrize("grid", [
+        ["--nx", "40", "--ny", "16", "--dt", "0.01", "--t-final", "1.0"],
+        ["--nx", "30", "--ny", "12", "--dt", "0.02", "--t-final", "1.0"]],
+        ids=["ny16", "ny12"])
+    def test_coarse_grids_pass(self, tmp_path, grid):
+        """The kernel oracle's tolerance grows with the y-quadrature error
+        on coarse y-grids, up to 0.25, so the solver passes there."""
+        assert main(["verify"] + grid + ["--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify.json").read_text())
+        oracle = report["checks"]["kernel_oracle"]
+        assert oracle["tolerance"] == 0.25
+        assert oracle["passed"] is True
+
+    @pytest.mark.parametrize("grid, factor", [
+        (["--nx", "40", "--ny", "16", "--dt", "0.01", "--t-final", "1.0"],
+         1.5),
+        ([], 1.1)], ids=["ny16", "default"])
+    def test_scaled_kernel_fails_the_oracle(self, tmp_path, monkeypatch,
+                                            grid, factor):
+        """A solved k scaled by 1.5 on the coarse grid, or by 1.1 at the
+        defaults, where the tolerance is 0.02 * (59 / 119)**2, fails the
+        kernel oracle, and verify exits 5."""
+        def scaled(*args, **kwargs):
+            sol = solve_backstepping_kernels(*args, **kwargs)
+            return dataclasses.replace(
+                sol, coords=factor * sol.coords,
+                diagonal_rows=factor * sol.diagonal_rows)
+
+        monkeypatch.setattr(cli, "solve_backstepping_kernels", scaled)
+        assert main(["verify"] + grid + ["--out", str(tmp_path)]) == 5
+        oracle = json.loads(
+            (tmp_path / "verify.json").read_text())["checks"]["kernel_oracle"]
+        assert oracle["passed"] is False
+        if not grid:
+            assert oracle["tolerance"] == 0.02 * (59.0 / 119.0) ** 2
+
     def test_cfl_failure_exits_5(self, tmp_path):
         code = main(["verify", "--nx", "60", "--ny", "40", "--dt", "0.05",
                      "--out", str(tmp_path)])
