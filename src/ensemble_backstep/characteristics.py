@@ -135,10 +135,10 @@ class TracedBundle:
     launch: np.ndarray
     end_xi: np.ndarray
 
-    def simpson_weights(self, segments: slice = slice(None)) -> np.ndarray:
-        """Simpson's rule on the segments ``segments``, by default every
-        one: the ``(3, n)`` weights of their points."""
-        return np.array([[0.25], [1.0], [0.25]]) * self.weights[segments]
+    def simpson_weights(self) -> np.ndarray:
+        """Simpson's rule on every segment: the ``(3, S)`` weights of the
+        segments' points."""
+        return np.array([[0.25], [1.0], [0.25]]) * self.weights
 
     def path_integral(self, values: np.ndarray) -> np.ndarray:
         """Each curve's path integral, up to its end, of a function

@@ -280,6 +280,13 @@ def _segment_runs(offsets: np.ndarray, width: int):
             curves * width - offsets[first:last + 1], owned)
 
 
+def _simpson_weights(bundle, run: slice) -> np.ndarray:
+    """Simpson's rule on the segments ``run`` of ``bundle``: the ``(3, n)``
+    weights of their points, as ``bundle.simpson_weights()`` forms them
+    for every segment."""
+    return np.array([[0.25], [1.0], [0.25]]) * bundle.weights[run]
+
+
 def _quadrature_matrix(spec: GridSpec, bundle) -> _PathQuadrature:
     """The path integral of the bilinear interpolant of a grid field along
     every curve of ``bundle``: Simpson's rule on every cell segment, its
@@ -293,7 +300,7 @@ def _quadrature_matrix(spec: GridSpec, bundle) -> _PathQuadrature:
     for run, _, slot in _segment_runs(offsets, width):
         nodes[slot], weights[slot] = corner_weights(
             spec.nx, bundle.x[:, run], bundle.xi[:, run],
-            bundle.simpson_weights(run))
+            _simpson_weights(bundle, run))
     return _PathQuadrature(nodes.reshape(m, -1), weights.reshape(m, -1),
                            4 * int(offsets[-1]))
 
@@ -376,7 +383,7 @@ def _leveled_below(spec: GridSpec, bundle, row: np.ndarray,
         b = xi * spec.nx - j
         b *= 1.0 - b
         b -= 1.0 / 6.0
-        level = -0.5 * (bundle.simpson_weights(run) * b).sum(axis=0)
+        level = -0.5 * (_simpson_weights(bundle, run) * b).sum(axis=0)
         # Cells on the diagonal (j = i - 1) interpolate linearly, and a row
         # of two nodes has no second difference.
         level[(j >= on) | (on < 2)] = 0.0
@@ -657,10 +664,9 @@ def _march_block(problem: GoursatProblem, rows: range, tol: float,
         below = int(tri.row_start[max(i - 1, 0)])
         fixed_G = (edge.fixed(on_edge, G, source_G) + edge_below[on_edge]
                    * float(problem.edge_gain @ C[below]))
-        # Indexed every sweep, so widened from int32 once per row.
-        cross_nodes = cross.row_nodes[on_cross].astype(np.intp)
+        cross_nodes = cross.row_nodes[on_cross]
         cross_weights = cross.row_weights[on_cross]
-        edge_nodes = edge.row_nodes[on_edge].astype(np.intp)
+        edge_nodes = edge.row_nodes[on_edge]
         edge_weights = edge.row_weights[on_edge]
         gain = edge_on_row[on_edge]
         to_ensemble = problem.scalar_to_ensemble[:n]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -930,11 +931,14 @@ def _recording(fn, log):
 
 def _record_block_work(monkeypatch):
     """Record, as the solver runs, the padded entries of every path
-    quadrature it forms; for every trace its work, the peak of traced
-    memory it reaches above its entry, and its curves; and the bytes of the
-    arrays of every problem it builds.  A trace resets the traced peak, so
-    the peaks reached before each trace are recorded too: the run's peak
-    is the largest of them and the peak read after it (:func:`_peak`)."""
+    quadrature it forms; for every trace its work bytes as modelled (128 B a
+    segment and 640 B a curve of its bundle, and 512 B a cell of each
+    travel-time table it builds, one for speed_v and one per distinct y of
+    its crossing curves), the peak of traced memory it reaches above its
+    entry, and its curves; and the bytes of the arrays of every problem it
+    builds.  A trace resets the traced peak, so the peaks reached before
+    each trace are recorded too: the run's peak is the largest of them and
+    the peak read after it (:func:`_peak`)."""
     padded, work, problem_bytes, before = [], {}, [], []
     monkeypatch.setattr(kernelsolve, "_quadrature_matrix", _recording(
         kernelsolve._quadrature_matrix,
@@ -948,9 +952,13 @@ def _record_block_work(monkeypatch):
             before.append(peak)
             tracemalloc.reset_peak()
             bundle = trace(coeff, *args)
+            tables = 1 + (np.unique(args[2]).size
+                          if attr == "trace_crossing_batch" else 0)
+            curves = bundle.offsets.size - 1
             work.setdefault(attr, []).append((
-                tracemalloc.get_traced_memory()[1] - entry,
-                bundle.offsets.size - 1))
+                128 * bundle.weights.size + 640 * curves
+                + 512 * tables * coeff.spec.nx,
+                tracemalloc.get_traced_memory()[1] - entry, curves))
             return bundle
 
         monkeypatch.setattr(kernelsolve, attr, recording)
@@ -966,23 +974,32 @@ def _peak(before):
 
 
 def _step_bytes(steps):
-    """The bytes of a block's step data of one family: its source stencils
-    on rows i - 1 and i, 15 B a padded entry of its path quadrature (three
-    and two int32 nodes and float weights a segment of four entries), and
-    its start stencils, 48 B a step (four int32 nodes and four weights)."""
+    """The bytes of a block's step data of one family, as held: its source
+    stencils, 19 B a padded entry of its path quadrature (on row i - 1
+    three int32 nodes and float weights a segment of four entries, 9 B; on
+    row i two int32 nodes, 2 B, and the weights, a view that holds the
+    padded layout's weights whole, 8 B), and its start stencils, 48 B a
+    step (four int32 nodes and four weights)."""
     padded = 4 * steps.below_nodes.size // 3
-    return 15 * padded + 48 * len(steps.start_nodes)
+    return 19 * padded + 48 * len(steps.start_nodes)
 
 
 def _block_bytes(padded, work):
-    """One block: the work of its crossing and edge traces, as measured;
-    its step data, 15 B a padded entry (:func:`_step_bytes`) and 56 B a
-    step (its start stencil and its diagonal datum); and the padded layout
-    they are split from, 12 B a padded entry (an int32 node and a float
-    weight)."""
-    traces = sum(max(b for b, _ in sizes) for sizes in work.values())
-    steps = sum(max(c for _, c in sizes) for sizes in work.values())
-    return traces + (15 + 12) * max(padded) + 56 * steps
+    """One block: the work of its crossing and edge traces, as modelled
+    (:func:`_record_block_work`); the padded layout, 12 B a padded entry
+    (an int32 node and a float weight), and the step data split from it,
+    15 B a padded entry more (:func:`_step_bytes`, whose row-i weights are
+    the layout's); and 56 B a step (its start stencil and its diagonal
+    datum)."""
+    traces = sum(max(b for b, _, _ in sizes) for sizes in work.values())
+    steps = sum(max(c for _, _, c in sizes) for sizes in work.values())
+    return traces + (12 + 15) * max(padded) + 56 * steps
+
+
+def _traces_within_model(work):
+    """Whether every trace peaked within its modelled work bytes."""
+    return all(peak <= model for sizes in work.values()
+               for model, peak, _ in sizes)
 
 
 def _array_bytes(*objects):
@@ -999,17 +1016,28 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
     ``(n_tri, ny)`` array on one family, and one block's traces and step
     data (:func:`_block_bytes`), on one family in a y-subspace (the toy)
     and on one family per y-node.  Holding every block's step data exceeds
-    it, and on one family per y-node so does holding the previous block's
-    too; each block's step data take :func:`_step_bytes`, int32 nodes."""
+    it.  Each trace peaks within its modelled work, each block's step data
+    take :func:`_step_bytes`, int32 nodes, and they are freed before the
+    next block is traced: the modelled trace work exceeds what a trace
+    takes by more than one block's step data, so the bound alone would not
+    see a block held too long."""
     plant = {"toy": toy, "sloped": sloped_plant()}[name]
     spec = GridSpec(nx=nx, ny=8)
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 256)
     padded, work, problem_bytes, before = _record_block_work(monkeypatch)
-    held = []
-    monkeypatch.setattr(kernelsolve, "_block_steps", _recording(
-        kernelsolve._block_steps, lambda block: held.append((
-            sum(a.nbytes for a in block[0] + block[2]),
-            _step_bytes(block[0]) + _step_bytes(block[2])))))
+    held, alive, refs = [], [], []
+
+    def block_steps(problem, rows, steps=kernelsolve._block_steps):
+        alive.append(sum(ref() is not None for ref in refs))
+        block = steps(problem, rows)
+        arrays = block[0] + block[1:2] + block[2] + block[3]
+        refs[:] = [weakref.ref(a) for a in arrays]
+        held.append((sum((a if a.base is None else a.base).nbytes
+                         for a in block[0] + block[2]),
+                     _step_bytes(block[0]) + _step_bytes(block[2])))
+        return block
+
+    monkeypatch.setattr(kernelsolve, "_block_steps", block_steps)
     tracemalloc.start()
     try:
         sol = solve_backstepping_kernels(plant, spec)
@@ -1027,7 +1055,9 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
     # every block's step data, as the march reads it (15 B a padded entry)
     assert kept + 15 * sum(padded) > bound
     assert peak <= bound
+    assert _traces_within_model(work)
     assert all(nbytes == expected for nbytes, expected in held)
+    assert len(alive) > 2 and not any(alive)
 
 
 def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
@@ -1035,7 +1065,8 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     the arrays it keeps (the sampled coefficients, the problem's arrays, the
     grid's index arrays and the march's unknowns, ``C`` among them, with the
     diagonal rows) and one block (:func:`_block_bytes`): the build forms no
-    ``(n_tri, ny)`` array.  After the solve it forms
+    ``(n_tri, ny)`` array, and each trace peaks within its modelled work.
+    After the solve it forms
     ``k`` a block of rows at a time, in the residual, the closed-form error
     and the CSV writer, so that it peaks below what it holds (the
     coefficients, the solution and the grid's index arrays) plus the larger
@@ -1076,6 +1107,7 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     kept = (problem_bytes[0] + _array_bytes(coeff) + grid
             + 8 * n_tri * (2 * r + 2))
     assert solve_peaks[0] <= kept + _block_bytes(padded, work)
+    assert _traces_within_model(work)
     # the command never asks for the whole k, and holds the solution's
     # own arrays only
     assert "k" not in vars(sol)
