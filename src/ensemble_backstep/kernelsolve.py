@@ -32,17 +32,21 @@ interpolated linearly in x between the row below and its own.  To that the
 step adds the path integral of the source over its one cell: Simpson's rule
 on every cell segment applied to the bilinear interpolant on the triangle,
 which is exact along straight curves, with the interpolant's xi-error on
-each segment leveled to its mean over a cell (:func:`_leveled_below`), so
-that steps which end partway across a cell keep the leading error of whole
-curves.  Each step has a few segments, so the work is O(nx^2) segments per
-family, not the O(nx^3) of whole curves.  With unit speeds every step ends
-on a node, and the march solves the system of whole curves summed in
-another order.  The steps are traced a block of rows at a time, at most
-:data:`_BLOCK_CURVES` curves, through the travel times of the two speeds
-(see :mod:`.characteristics`), and laid out as padded numpy gathers of
-corner stencils on int32 node indices, formed a run of at most
-:data:`_RUN_SEGMENTS` cell segments at a time.  The march holds one block's
-step data at a time: they are freed before the next block is traced.  A
+each segment leveled to its mean over a cell, so that steps which end
+partway across a cell keep the leading error of whole curves.  Each step
+has a few segments, so the work is O(nx^2) segments per family, not the
+O(nx^3) of whole curves.  With unit speeds every step ends on a node, and
+the march solves the system of whole curves summed in another order.  The
+steps are traced a block of rows at a time, at most :data:`_BLOCK_CURVES`
+curves, through the travel times of the two speeds (see
+:mod:`.characteristics`), and laid out once, a run of at most
+:data:`_RUN_SEGMENTS` cell segments at a time, as the two padded stencils
+the march gathers on int32 node indices (:func:`_quadrature_matrix`):
+three leveled nodes a segment on the row below, two corners a segment on
+the step's own row.  The march holds one block's step data at a time:
+they are freed before the next block is traced.  Every gather sums its
+stencil in one fixed order, and every projection one basis column at a
+time, so no bit of the kernels depends on the block or run sizes.  A
 step's source reads the corners of its cell on its own row too, so each
 row is a small fixed point.  Boundary data is evaluated exactly at the
 off-grid launch abscissas, so the diagonal condition holds exactly at
@@ -99,19 +103,21 @@ MAX_SWEEPS = 60
 #: may hold: the size of every trace and of the step data the march holds,
 #: one block at a time.  Solving the toy at nx=200, ny=120 and the plant
 #: with speed_u = 1 + y/2 at nx=100, ny=60 with 2**13 ... 2**17 took
-#: 0.17-0.21, 0.15-0.17, 0.12-0.16, 0.12-0.13 and 0.14-0.17 s and 0.85-1.06,
-#: 0.70-0.93, 0.63-0.68, 0.63-0.69 and 0.66-0.70 s, and a process that
-#: samples the plant and solves peaked at 39, 40, 44, 46 and 46 MB of RSS
-#: and 47, 48, 58, 78 and 110 MB (two runs each, 2-core Xeon, one
-#: sitting): fewer blocks trace less often, larger ones hold more.
+#: 0.25-0.30, 0.24-0.26, 0.18-0.19, 0.15-0.23 and 0.23-0.24 s and 1.11-1.23,
+#: 0.99-1.19, 0.70-0.85, 0.94-0.99 and 0.84-0.98 s, and a process that
+#: samples the plant and solves peaked at 39, 41, 44, 46 and 46 MB of RSS
+#: and 46, 48, 56, 75 and 98 MB (two runs each, 2-core Xeon shared with
+#: other jobs, one sitting): fewer blocks trace less often, larger ones
+#: hold more.
 _BLOCK_CURVES = 2 ** 15
 
-#: Cell segments whose corner stencils and leveling a block forms at a time
+#: Cell segments whose stencils a block forms at a time
 #: (:func:`_segment_runs`): enough to spread the cost of a run, few enough
 #: that its temporaries stay small beside the block's padded step data.  A
-#: solve of the plant with speed_u = 1 + y/2 at nx=100, ny=60 peaked at
-#: 27.2, 27.4 and 27.7 MB of traced memory with runs of 2**10, 2**12 and
-#: 2**13 segments, and at 37.3 MB with each block formed whole.
+#: solve of the plant with speed_u = 1 + y/2 at nx=100, ny=60, sampled
+#: beforehand, peaked at 26.1, 27.2 and 28.8 MB of traced memory with runs
+#: of 2**10, 2**12 and 2**13 segments, and at 40.3 MB with each block
+#: formed whole.
 _RUN_SEGMENTS = 4096
 
 #: The part of a block's diagonal data, relative to the sup of the diagonal
@@ -247,18 +253,22 @@ class KernelSolution:
 
 
 class _PathQuadrature(NamedTuple):
-    """Path integrals of a grid field along many curves, as a padded gather.
+    """The source quadrature of many steps, each from a node of row i back
+    to the x-line i - 1, as the two padded stencils the march reads.
 
-    ``nodes`` (int32) and ``weights`` are ``(curves, 4 * width)``: the four
-    corner stencils of each cell segment of a curve in turn
-    (:func:`corner_weights` order), padded with node 0 at weight 0 up to the
-    ``width`` segments of the longest curve.  Curve c's integral of a flat triangle field f is
-    ``(weights[c] * f[nodes[c]]).sum()``.  ``nnz`` counts the entries
-    computed, four per segment.
+    ``below_nodes``/``below_weights``, ``(steps, 3 * width)``, read row
+    i - 1, three consecutive nodes a cell segment that also level its
+    xi-error; ``row_nodes``/``row_weights``, ``(steps, 2 * width)``, read
+    row i, two corners a segment, as indices into the row.  A step's
+    segments come in order, padded with node 0 at weight 0 up to the
+    ``width`` segments of the longest step.  The nodes are int32.  ``nnz``
+    counts the corner entries computed, four per segment.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    below_nodes: np.ndarray
+    below_weights: np.ndarray
+    row_nodes: np.ndarray
+    row_weights: np.ndarray
     nnz: int
 
 
@@ -280,29 +290,72 @@ def _segment_runs(offsets: np.ndarray, width: int):
             curves * width - offsets[first:last + 1], owned)
 
 
-def _simpson_weights(bundle, run: slice) -> np.ndarray:
-    """Simpson's rule on the segments ``run`` of ``bundle``: the ``(3, n)``
-    weights of their points, as ``bundle.simpson_weights()`` forms them
-    for every segment."""
-    return np.array([[0.25], [1.0], [0.25]]) * bundle.weights[run]
-
-
-def _quadrature_matrix(spec: GridSpec, bundle) -> _PathQuadrature:
+def _quadrature_matrix(spec: GridSpec, bundle,
+                       row: np.ndarray) -> _PathQuadrature:
     """The path integral of the bilinear interpolant of a grid field along
-    every curve of ``bundle``: Simpson's rule on every cell segment, its
-    three points interpolated in the segment's cell (its midpoint's), which
-    is exact wherever the segment is straight.  The stencils are formed a
-    run of segments at a time, each run written into its padded slots."""
+    every step of ``bundle``, from rows ``row``: Simpson's rule on every
+    cell segment, its three points interpolated in the segment's cell (its
+    midpoint's), which is exact wherever the segment is straight, and its
+    xi-error leveled to its mean over a cell.  The stencils are formed a
+    run of segments at a time, each run written straight into its padded
+    slots of both stencils.
+
+    Along a segment the bilinear interpolant misses the source by about
+    ``-h**2 * b * (1 - b) * S_xixi / 2``, ``b`` the local xi-coordinate in
+    the segment's cell.  A whole curve meets every ``b`` alike, so it
+    takes ``b * (1 - b)`` at its mean, 1/6, whatever its offset.  A step
+    starts on a node, so a step that moves ``tau`` cells in xi per cell in
+    x, ``tau`` < 1, meets only ``b`` in ``[0, tau]``, at the mean
+    ``tau / 2 - tau**2 / 3``, on every step of the march.  So a segment in
+    a full cell, on a row i - 1 of three nodes or more, adds
+    ``-sum_k w_k * (b_k * (1 - b_k) - 1/6) / 2`` (``w_k`` its Simpson
+    weights) times the second difference of the source along row i - 1 at
+    its cell, ``h**2 * S_xixi`` to first order: the march keeps the leading
+    xi-error of whole curves.  A segment from one xi-line to the next, as
+    every step with unit speeds is, adds 0 to rounding.
+    """
+    row_start = spec.tri.row_start
     offsets = bundle.offsets
     m, width = offsets.size - 1, int(np.diff(offsets).max(initial=0))
-    nodes = np.zeros((m * width, 4), dtype=np.int32)
-    weights = np.zeros((m * width, 4))
-    for run, _, slot in _segment_runs(offsets, width):
-        nodes[slot], weights[slot] = corner_weights(
-            spec.nx, bundle.x[:, run], bundle.xi[:, run],
-            _simpson_weights(bundle, run))
-    return _PathQuadrature(nodes.reshape(m, -1), weights.reshape(m, -1),
-                           4 * int(offsets[-1]))
+    below = np.maximum(row - 1, 0)
+    below_nodes = np.zeros((m * width, 3), dtype=np.int32)
+    below_weights = np.zeros((m * width, 3))
+    row_nodes = np.zeros((m * width, 2), dtype=np.int32)
+    row_weights = np.zeros((m * width, 2))
+    for run, curve, slot in _segment_runs(offsets, width):
+        xi = bundle.xi[:, run]
+        simpson = np.array([[0.25], [1.0], [0.25]]) * bundle.weights[run]
+        # Corners (i - 1, j), (i, j), (i - 1, j + 1), (i, j + 1): the even
+        # ones lie on row i - 1, the odd ones on row i.
+        corners, weights = corner_weights(spec.nx, bundle.x[:, run], xi,
+                                          simpson)
+        # The segment's level, from the xi-column j of its midpoint.
+        on = below[curve]
+        j = np.floor(xi[1] * spec.nx).astype(np.int64)
+        b = xi * spec.nx - j
+        b *= 1.0 - b
+        b -= 1.0 / 6.0
+        level = -0.5 * (simpson * b).sum(axis=0)
+        # Cells on the diagonal (j = i - 1) interpolate linearly, and a row
+        # of two nodes has no second difference.
+        level[(j >= on) | (on < 2)] = 0.0
+        # Row i - 1: the stencil j - 1, j, j + 1, or 0, 1, 2 on the edge
+        # column, the level's second difference plus the two corners.
+        lower, w_lower, w_upper = corners[:, 0], weights[:, 0], weights[:, 2]
+        edge = lower == row_start[on]
+        below_nodes[slot] = (lower - 1 + edge)[:, None] + np.arange(3)
+        out = level[:, None] * np.array([1.0, -2.0, 1.0])
+        out[:, 0] += np.where(edge, w_lower, 0.0)
+        out[:, 1] += np.where(edge, w_upper, w_lower)
+        out[:, 2] += np.where(edge, 0.0, w_upper)
+        below_weights[slot] = out
+        # Row i: the two corners, as indices into the row.
+        row_nodes[slot] = corners[:, 1::2] - row_start[row[curve], None]
+        row_weights[slot] = weights[:, 1::2]
+    return _PathQuadrature(below_nodes.reshape(m, -1),
+                           below_weights.reshape(m, -1),
+                           row_nodes.reshape(m, -1),
+                           row_weights.reshape(m, -1), 4 * int(offsets[-1]))
 
 
 def _blocks(tri: TriangularIndex, families: int) -> list[range]:
@@ -348,59 +401,6 @@ def _row_stencil(tri: TriangularIndex, row: np.ndarray, xi: np.ndarray):
     return nodes.astype(np.int32), weights
 
 
-def _leveled_below(spec: GridSpec, bundle, row: np.ndarray,
-                   corners: np.ndarray, weights: np.ndarray):
-    """Row i - 1's part of the source quadrature of the steps of ``bundle``
-    from rows ``row``, from each segment's cell corners (i - 1, j) and
-    (i - 1, j + 1) and their weights, ``(m, width, 2)`` each: three
-    consecutive nodes of row i - 1 a segment, as ``(m, 3 * width)`` nodes
-    and weights, which also level the segment's xi-error.
-
-    Along a segment the bilinear interpolant misses the source by about
-    ``-h**2 * b * (1 - b) * S_xixi / 2``, ``b`` the local xi-coordinate in
-    the segment's cell.  A whole curve meets every ``b`` alike, so it
-    takes ``b * (1 - b)`` at its mean, 1/6, whatever its offset.  A step
-    starts on a node, so a step that moves ``tau`` cells in xi per cell in
-    x, ``tau`` < 1, meets only ``b`` in ``[0, tau]``, at the mean
-    ``tau / 2 - tau**2 / 3``, on every step of the march.  So a segment in
-    a full cell, on a row i - 1 of three nodes or more, adds
-    ``-sum_k w_k * (b_k * (1 - b_k) - 1/6) / 2`` (``w_k`` its Simpson
-    weights) times the second difference of the source along row i - 1 at
-    its cell, ``h**2 * S_xixi`` to first order: the march keeps the leading
-    xi-error of whole curves.  A segment from one xi-line to the next, as
-    every step with unit speeds is, adds 0 to rounding.
-    """
-    tri = spec.tri
-    m, width = corners.shape[:2]
-    below = np.maximum(row - 1, 0)
-    # Segment by segment, a run at a time: its row i - 1, and the xi-column
-    # j of its cell, that of its midpoint; its level goes to its slot.
-    padded = np.zeros(m * width)
-    for run, curve, slot in _segment_runs(bundle.offsets, width):
-        xi = bundle.xi[:, run]
-        on = below[curve]
-        j = np.floor(xi[1] * spec.nx).astype(np.int64)
-        b = xi * spec.nx - j
-        b *= 1.0 - b
-        b -= 1.0 / 6.0
-        level = -0.5 * (_simpson_weights(bundle, run) * b).sum(axis=0)
-        # Cells on the diagonal (j = i - 1) interpolate linearly, and a row
-        # of two nodes has no second difference.
-        level[(j >= on) | (on < 2)] = 0.0
-        padded[slot] = level
-    # The stencil is j - 1, j, j + 1, or 0, 1, 2 on the edge column; the
-    # padding (node 0, weight 0) stays on node 0.
-    lower, w_lower = corners[..., 0], weights[..., 0]
-    edge = lower == tri.row_start[below][:, None]
-    nodes = (np.maximum(lower - 1 + edge, 0)[..., None]
-             + np.arange(3, dtype=np.int32))
-    out = padded.reshape(m, width, 1) * np.array([1.0, -2.0, 1.0])
-    out[..., 0] += np.where(edge, w_lower, 0.0)
-    out[..., 1] += np.where(edge, weights[..., 1], w_lower)
-    out[..., 2] += np.where(edge, 0.0, weights[..., 1])
-    return nodes.reshape(m, -1), out.reshape(m, -1)
-
-
 class _Steps(NamedTuple):
     """One family of a block's steps, each a curve from a node of row i
     back to the x-line i - 1 or to its event, whichever it reaches first,
@@ -412,11 +412,10 @@ class _Steps(NamedTuple):
     over its cell segments, which lie in the cells between rows i - 1 and
     i.  ``start_nodes``/``start_weights`` read the start on the x-line
     i - 1 by the 4-point Lagrange stencil of row i - 1 (weight 0 for a step
-    that reaches its event first); ``below_nodes``/``below_weights`` read
-    the source on row i - 1, three nodes a segment that also level its
-    xi-error (:func:`_leveled_below`), and ``row_nodes``/``row_weights``
-    the source's corners on row i, as rows of row i's own source.  The
-    nodes are int32.
+    that reaches its event first); ``below_nodes``/``below_weights`` and
+    ``row_nodes``/``row_weights`` read the source on rows i - 1 and i, as
+    :func:`_quadrature_matrix` lays them out, row i's as rows of row i's
+    own source.  The nodes are int32.
     """
 
     start_nodes: np.ndarray
@@ -432,7 +431,6 @@ class _Steps(NamedTuple):
         """The steps of ``bundle``, traced from rows ``row`` to the x-lines
         below them, read in ``lanes`` lanes, step s in lane ``lane[s]``."""
         tri = spec.tri
-        m = row.size
         if tri.n_nodes * lanes > 2 ** 31:
             raise DimensionError(
                 f"{tri.n_nodes} nodes in {lanes} lanes each need more "
@@ -442,22 +440,11 @@ class _Steps(NamedTuple):
         start, start_weights = _row_stencil(tri, np.maximum(row - 1, 0),
                                             bundle.end_xi)
         start_weights[~np.isnan(bundle.launch)] = 0.0
-        quad = _quadrature_matrix(spec, bundle)
-        # A segment's corners (a, b), (a+1, b), (a, b+1), (a+1, b+1) lie on
-        # rows a = i - 1 and a + 1 = i: the last axis splits them.
-        nodes = quad.nodes.reshape(m, -1, 2, 2)
-        weights = quad.weights.reshape(m, -1, 2, 2)
-        # Padding (node 0) is moved onto row i's first node.
-        on_row = np.maximum(nodes[..., 1].reshape(m, -1)
-                            - tri.row_start[row, None].astype(np.int32), 0)
-        row_weights = weights[..., 1].reshape(m, -1)
-        below, below_weights = _leveled_below(spec, bundle, row,
-                                              nodes[..., 0], weights[..., 0])
-        for index in (start, below, on_row):
+        quad = _quadrature_matrix(spec, bundle, row)
+        for index in (start, quad.below_nodes, quad.row_nodes):
             index *= lanes
             index += lane[:, None]
-        return cls(start, start_weights, below, below_weights, on_row,
-                   row_weights)
+        return cls(start, start_weights, *quad[:4])
 
     def fixed(self, steps: slice, unknown: np.ndarray,
               source: np.ndarray) -> np.ndarray:
@@ -471,10 +458,15 @@ class _Steps(NamedTuple):
 
 def _gather(field: np.ndarray, nodes: np.ndarray,
             weights: np.ndarray) -> np.ndarray:
-    """``sum_k weights[s, k] * field[nodes[s, k]]`` for every step s."""
-    if field.ndim == 1:
-        return np.einsum("sk,sk->s", field[nodes], weights)
-    return np.einsum("skl,sk->sl", field[nodes], weights)
+    """``sum_k weights[s, k] * field[nodes[s, k]]`` for every step s, summed
+    over k in order, so that no bit of a step's value depends on the steps
+    gathered with it or on their padded width: padding adds an exact 0."""
+    if field.ndim > 1:
+        weights = weights[..., None]
+    out = np.zeros((nodes.shape[0],) + field.shape[1:])
+    for k in range(nodes.shape[1]):
+        out += field[nodes[:, k]] * weights[:, k]
+    return out
 
 
 def _diagonal_data(model: PlantModel, at: np.ndarray,
@@ -491,9 +483,16 @@ def _diagonal_coords(problem: GoursatProblem, data: np.ndarray,
     ``data`` (overwritten) of the crossing steps from ``rows``.  Raises
     :class:`NumericError` where more than :data:`_SUBSPACE_TOL` of the sup
     of the diagonal rows lies outside the basis: the plant's y-profiles
-    change between x-nodes."""
+    change between x-nodes.  Each coordinate sums one basis column's
+    products along y, so that a step's coordinates do not depend, to the
+    bit, on the steps projected with it; on the identity basis they are
+    the data themselves."""
     spec, basis = problem.spec, problem.basis
-    coords = data @ basis
+    if basis.shape[1] == spec.ny:
+        return data
+    coords = np.empty((data.shape[0], basis.shape[1]))
+    for s, column in enumerate(basis.T):
+        coords[:, s] = (data * column).sum(axis=1)
     data -= coords @ basis.T
     outside = float(np.max(np.abs(data), initial=0.0))
     scale = float(np.max(np.abs(problem.diagonal_rows)))
@@ -577,12 +576,11 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     unknowns at node (i, j) are their values where its crossing and edge
     curves cross the x-line i - 1, read from row i - 1 by a 4-point
     Lagrange stencil in xi, plus the path integral of their sources over
-    that one cell (Simpson on every cell segment, as
-    :func:`_quadrature_matrix` does, its xi-error leveled by
-    :func:`_leveled_below`), a semi-Lagrangian step; a step that
-    reaches the diagonal (the edge) first starts from the diagonal (edge)
-    data there instead.  The steps are traced a block of rows at a time
-    (:func:`_blocks`), and each block's rows are marched by
+    that one cell (Simpson on every cell segment, its xi-error leveled, as
+    :func:`_quadrature_matrix` lays it out), a semi-Lagrangian step; a step
+    that reaches the diagonal (the edge) first starts from the diagonal
+    (edge) data there instead.  The steps are traced a block of rows at a
+    time (:func:`_blocks`), and each block's rows are marched by
     :func:`_march_block`, so that one block's step data are held at a time.
     The source of a step reads its cell's corners on row i too, so each row
     is a small fixed point: both unknowns on the row are iterated from zero

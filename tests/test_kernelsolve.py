@@ -373,7 +373,23 @@ def _one_shot_operator(spec, bundle):
     return dense
 
 
+def _whole_curve_operator(spec, bundle):
+    """The path quadrature of every curve of ``bundle``, a row each of one
+    sparse ``(curves, n_tri)`` matrix: Simpson's rule on every cell segment
+    of the bilinear interpolant, its four corner entries
+    (:func:`corner_weights` with the Simpson weights), a curve's segments
+    in order.  Its entries are as computed, four a segment; a dense form
+    sums a curve's shared corners."""
+    idx4, w4 = corner_weights(spec.nx, bundle.x, bundle.xi,
+                              bundle.simpson_weights())
+    return sparse.csr_matrix(
+        (w4.ravel(), idx4.ravel(), 4 * bundle.offsets),
+        shape=(bundle.offsets.size - 1, spec.tri.n_nodes))
+
+
 def _family_operator(plant, spec, family, y=0.75):
+    """Every node's whole crossing curve (at ``y``) or edge curve, traced,
+    and its :func:`_whole_curve_operator`."""
     coeff = sample_coefficients(plant, spec)
     tri = spec.tri
     if family == "cross":
@@ -381,39 +397,85 @@ def _family_operator(plant, spec, family, y=0.75):
                                       np.full(tri.n_nodes, y))
     else:
         bundle = trace_edge_batch(coeff, tri.x_coord, tri.xi_coord)
-    return kernelsolve._quadrature_matrix(spec, bundle), bundle
-
-
-def _dense(op, n_tri):
-    """A path quadrature as one dense ``(curves, n_tri)`` array, its
-    entries summed per node with ``np.add.at``."""
-    dense = np.zeros((op.nodes.shape[0], n_tri))
-    rows = np.repeat(np.arange(op.nodes.shape[0]), op.nodes.shape[1])
-    np.add.at(dense, (rows, op.nodes.ravel()), op.weights.ravel())
-    return dense
+    return _whole_curve_operator(spec, bundle), bundle
 
 
 @pytest.mark.parametrize("plant_name, family", [
     ("toy", "cross"), ("toy", "edge"), ("sloped", "cross"),
     ("half_x", "cross")])
 def test_row_blocks_equal_one_shot_assembly(toy, plant_name, family):
-    """The padded gather built from the segment moments is the Simpson sum
-    over the three points of every segment: four corner entries per
-    segment, a curve's segments in order, then padding (node 0, weight
-    0)."""
+    """The corner stencils built from the segment moments are the Simpson
+    sum over the three points of every segment: four corner entries per
+    segment, which summed per curve are the point-by-point assembly."""
     spec = GridSpec(nx=30, ny=8)
     plant = {"toy": toy, "sloped": sloped_plant(),
              "half_x": half_x_plant()}[plant_name]
     op, bundle = _family_operator(plant, spec, family)
-    counts = np.diff(bundle.offsets)
-    assert op.nodes.shape == op.weights.shape == (spec.tri.n_nodes,
-                                                  4 * counts.max())
     assert op.nnz == 4 * bundle.offsets[-1]
-    padding = np.arange(op.nodes.shape[1]) >= 4 * counts[:, None]
-    assert np.all(op.nodes[padding] == 0)
-    assert np.all(op.weights[padding] == 0.0)
-    assert (np.max(np.abs(_dense(op, spec.tri.n_nodes)
-                          - _one_shot_operator(spec, bundle))) <= 1e-14)
+    assert (np.max(np.abs(op.toarray() - _one_shot_operator(spec, bundle)))
+            <= 1e-14)
+
+
+@pytest.mark.parametrize("name", ["toy", "half_x", "sloped"])
+def test_step_quadrature_reads_rows_below_and_on(toy, name):
+    """The march's source quadrature of one-cell steps, crossing and edge,
+    from every node at nx = 30: each segment's entries on row i - 1 and on
+    row i are its four corner weights (:func:`corner_weights` with its
+    Simpson weights), plus on row i - 1 its level times ``[1, -2, 1]``,
+    the second difference at its cell (``-sum_k w_k * (b_k * (1 - b_k) -
+    1/6) / 2`` from its three points' places ``b_k`` across the cell in xi,
+    zero on a diagonal cell or a row i - 1 of fewer than three nodes), to
+    1e-15.  Row i's nodes lie in the row, four entries are computed a
+    segment, and the padding is node 0 at weight 0."""
+    spec = GridSpec(nx=30, ny=8)
+    tri, nx, n = spec.tri, spec.nx, spec.tri.n_nodes
+    plant = {"toy": toy, "half_x": half_x_plant(),
+             "sloped": sloped_plant()}[name]
+    coeff = sample_coefficients(plant, spec)
+    i, stop = tri.i_index, np.maximum(tri.i_index - 1, 0)
+    for bundle in (trace_crossing_batch(coeff, tri.x_coord, tri.xi_coord,
+                                        np.full(n, 0.75), stop),
+                   trace_edge_batch(coeff, tri.x_coord, tri.xi_coord, stop)):
+        op = kernelsolve._quadrature_matrix(spec, bundle, i)
+        counts = np.diff(bundle.offsets)
+        width = counts.max()
+        assert op.nnz == 4 * bundle.offsets[-1]
+        assert op.below_nodes.shape == op.below_weights.shape == (n, 3 * width)
+        assert op.row_nodes.shape == op.row_weights.shape == (n, 2 * width)
+        for nodes, weights, per in ((op.below_nodes, op.below_weights, 3),
+                                    (op.row_nodes, op.row_weights, 2)):
+            assert nodes.dtype == np.int32
+            padding = np.arange(per * width) >= per * counts[:, None]
+            assert np.all(nodes[padding] == 0)
+            assert np.all(weights[padding] == 0.0)
+        assert np.all((op.row_nodes >= 0) & (op.row_nodes <= i[:, None]))
+
+        # Segment by segment: its curve c and its slot q in the curve.
+        c = np.repeat(np.arange(n), counts)
+        q = np.arange(bundle.offsets[-1]) - bundle.offsets[c]
+        simpson = bundle.simpson_weights()
+        idx4, w4 = corner_weights(nx, bundle.x, bundle.xi, simpson)
+        below = i[c] - 1
+        j = np.floor(bundle.xi[1] * nx)
+        b = bundle.xi * nx - j
+        level = -0.5 * (simpson * (b * (1.0 - b) - 1.0 / 6.0)).sum(axis=0)
+        level[(j >= below) | (below < 2)] = 0.0
+        # The second difference on row i - 1, about its node 1 on the edge
+        # column.
+        centre = tri.row_start[below] + np.maximum(
+            idx4[:, 0] - tri.row_start[below], 1)
+        segments = np.arange(c.size)[:, None]
+        want, got = np.zeros((2, c.size, n))
+        np.add.at(want, (segments, idx4), w4)
+        np.add.at(want, (segments, centre[:, None] + [-1, 0, 1]),
+                  level[:, None] * [1.0, -2.0, 1.0])
+        slots = (c[:, None], 3 * q[:, None] + np.arange(3))
+        np.add.at(got, (segments, op.below_nodes[slots]),
+                  op.below_weights[slots])
+        slots = (c[:, None], 2 * q[:, None] + np.arange(2))
+        np.add.at(got, (segments, op.row_nodes[slots]
+                        + tri.row_start[i[c], None]), op.row_weights[slots])
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def _basis_line_integrals(nx, x0, xi0, dx, dxi, s_end):
@@ -480,7 +542,7 @@ def test_operator_rows_are_line_integrals_of_the_basis(toy, lam, family):
     tri = spec.tri
     op, bundle = _family_operator(_constant_speeds(toy, lam, 1.0), spec,
                                   family)
-    dense = _dense(op, tri.n_nodes)
+    dense = op.toarray()
     # the event times are exact to the refinement tolerance; the rows
     # integrate up to the traced ones
     np.testing.assert_allclose(
@@ -509,11 +571,9 @@ def test_operator_nonzeros_no_more_than_sampled(toy, plant_name, family):
     than sampling the curves at every trace step stored as nonzeros."""
     plant = {"toy": toy, "sloped": sloped_plant(),
              "half_x": half_x_plant()}[plant_name]
-    op, bundle = _family_operator(plant, GridSpec(nx=30, ny=8), family)
-    computed = (np.arange(op.nodes.shape[1])
-                < 4 * np.diff(bundle.offsets)[:, None])
-    pairs = np.unique(np.column_stack([np.nonzero(computed)[0],
-                                       op.nodes[computed]]), axis=0)
+    op, _ = _family_operator(plant, GridSpec(nx=30, ny=8), family)
+    curve = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    pairs = np.unique(np.column_stack([curve, op.indices]), axis=0)
     assert len(pairs) <= _SAMPLED_NNZ[plant_name, family]
 
 
@@ -748,11 +808,7 @@ def _whole_curve_oracle(problem):
     coeff = problem.coeff
 
     def operator(bundle):
-        idx4, w4 = corner_weights(spec.nx, bundle.x, bundle.xi,
-                                  bundle.simpson_weights())
-        return sparse.csr_matrix(
-            (w4.ravel(), idx4.ravel(), 4 * bundle.offsets),
-            shape=(n, n)).toarray()
+        return _whole_curve_operator(spec, bundle).toarray()
 
     crossing = trace_crossing_batch(coeff, tri.x_coord, tri.xi_coord,
                                     np.full(n, problem.family_y[0]))
@@ -874,15 +930,12 @@ def test_march_solves_the_discrete_system(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["toy", "half_x", "sloped", "full_rank"])
-def test_runs_change_no_bit_and_blocks_at_most_rounding(name, toy, monkeypatch):
-    """Runs of segments bound only what a block forms at a time: runs of 7
-    segments solve the same kernels as the default runs, bit for bit, in
-    the default blocks and in blocks of 64 steps.  Blocks of 64 steps
-    change no bit either where the basis is the identity (one family per
-    y-node, a closure of rank ny).  In a smaller y-subspace each block
-    projects the data its steps carry from the diagonal with one matrix
-    product, whose rounding BLAS may set by a row's place in the product,
-    so there the blocks move k at rounding only."""
+def test_runs_and_blocks_change_no_bit(name, toy, monkeypatch):
+    """Runs of segments and blocks of rows bound only what the march forms
+    and holds at a time: runs of 7 segments, blocks of 64 steps and both
+    solve the same kernels as the defaults, bit for bit, in a y-subspace
+    (the toy, half_x) and on every y-node (one family per y-node, a closure
+    of rank ny)."""
     plant = {"toy": toy, "half_x": half_x_plant(), "sloped": sloped_plant(),
              "full_rank": full_rank_plant()}[name]
     spec = GridSpec(nx=30, ny=8)
@@ -894,16 +947,10 @@ def test_runs_change_no_bit_and_blocks_at_most_rounding(name, toy, monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 64)
     blocks = solve_backstepping_kernels(plant, spec)
-    for attr in ("coords", "ktilde", "deltas"):
-        assert np.array_equal(getattr(runs, attr), getattr(default, attr))
-        assert np.array_equal(getattr(both, attr), getattr(blocks, attr))
-    if default.y_rank == spec.ny:
+    for other in (runs, both, blocks):
         for attr in ("coords", "ktilde", "deltas"):
-            assert np.array_equal(getattr(blocks, attr),
+            assert np.array_equal(getattr(other, attr),
                                   getattr(default, attr))
-    else:
-        assert (np.max(np.abs(blocks.k - default.k))
-                <= 1e-14 * np.max(np.abs(default.k)))
 
 
 @pytest.mark.parametrize("name", ["toy", "gauss"])
@@ -930,19 +977,23 @@ def _recording(fn, log):
 
 
 def _record_block_work(monkeypatch):
-    """Record, as the solver runs, the padded entries of every path
-    quadrature it forms; for every trace its work bytes as modelled (128 B a
-    segment and 640 B a curve of its bundle, and 512 B a cell of each
-    travel-time table it builds, one for speed_v and one per distinct y of
-    its crossing curves), the peak of traced memory it reaches above its
-    entry, and its curves; and the bytes of the arrays of every problem it
-    builds.  A trace resets the traced peak, so the peaks reached before
-    each trace are recorded too: the run's peak is the largest of them and
-    the peak read after it (:func:`_peak`)."""
-    padded, work, problem_bytes, before = [], {}, [], []
+    """Record, as the solver runs, the padded segments of every path
+    quadrature it forms, a block's crossing steps then its edge steps; for
+    every trace its work bytes as modelled (128 B a segment and 640 B a
+    curve of its bundle, and 512 B a cell of each travel-time table it
+    builds, one for speed_v and one per distinct y of its crossing curves),
+    the peak of traced memory it reaches above its entry, and its curves;
+    and the bytes of the arrays of every problem it builds.  A trace
+    resets the traced peak, so the peaks reached before each trace are
+    recorded too: the run's peak is the largest of them and the peak read
+    after it (:func:`_peak`).  For every block it records the bytes its
+    step data hold, a view counted by the array it holds, their
+    :func:`_step_bytes`, and how many arrays of the block before it are
+    alive, by weak references, when its steps are traced."""
+    padded, work, problem_bytes, before, blocks = [], {}, [], [], []
     monkeypatch.setattr(kernelsolve, "_quadrature_matrix", _recording(
         kernelsolve._quadrature_matrix,
-        lambda op: padded.append(op.nodes.size)))
+        lambda op: padded.append(op.row_nodes.size // 2)))
     monkeypatch.setattr(kernelsolve, "build_backstepping_problem", _recording(
         kernelsolve.build_backstepping_problem,
         lambda problem: problem_bytes.append(_array_bytes(problem))))
@@ -962,7 +1013,20 @@ def _record_block_work(monkeypatch):
             return bundle
 
         monkeypatch.setattr(kernelsolve, attr, recording)
-    return padded, work, problem_bytes, before
+    refs = []
+
+    def block_steps(problem, rows, steps=kernelsolve._block_steps):
+        alive = sum(ref() is not None for ref in refs)
+        block = steps(problem, rows)
+        arrays = block[0] + block[1:2] + block[2] + block[3]
+        refs[:] = [weakref.ref(a) for a in arrays]
+        blocks.append((sum((a if a.base is None else a.base).nbytes
+                           for a in block[0] + block[2]),
+                       _step_bytes(block[0]) + _step_bytes(block[2]), alive))
+        return block
+
+    monkeypatch.setattr(kernelsolve, "_block_steps", block_steps)
+    return padded, work, problem_bytes, before, blocks
 
 
 def _peak(before):
@@ -975,25 +1039,32 @@ def _peak(before):
 
 def _step_bytes(steps):
     """The bytes of a block's step data of one family, as held: its source
-    stencils, 19 B a padded entry of its path quadrature (on row i - 1
-    three int32 nodes and float weights a segment of four entries, 9 B; on
-    row i two int32 nodes, 2 B, and the weights, a view that holds the
-    padded layout's weights whole, 8 B), and its start stencils, 48 B a
-    step (four int32 nodes and four weights)."""
-    padded = 4 * steps.below_nodes.size // 3
-    return 19 * padded + 48 * len(steps.start_nodes)
+    stencils, 60 B a padded segment of its path quadrature (on row i - 1
+    three int32 nodes and three float weights, 36 B; on row i two and two,
+    24 B), and its start stencils, 48 B a step (four int32 nodes and four
+    weights)."""
+    padded = steps.row_nodes.size // 2
+    return 60 * padded + 48 * len(steps.start_nodes)
 
 
 def _block_bytes(padded, work):
     """One block: the work of its crossing and edge traces, as modelled
-    (:func:`_record_block_work`); the padded layout, 12 B a padded entry
-    (an int32 node and a float weight), and the step data split from it,
-    15 B a padded entry more (:func:`_step_bytes`, whose row-i weights are
-    the layout's); and 56 B a step (its start stencil and its diagonal
-    datum)."""
+    (:func:`_record_block_work`); the step data of both, 60 B a padded
+    segment (:func:`_step_bytes`), for the block whose two path quadratures
+    have the most padded segments together; and 56 B a step (its start
+    stencil and its diagonal datum)."""
     traces = sum(max(b for b, _, _ in sizes) for sizes in work.values())
     steps = sum(max(c for _, _, c in sizes) for sizes in work.values())
-    return traces + (12 + 15) * max(padded) + 56 * steps
+    block = max(map(sum, zip(padded[::2], padded[1::2])))
+    return traces + 60 * block + 56 * steps
+
+
+def _one_block_at_a_time(blocks):
+    """Whether, over more than two blocks, every block's step data took
+    :func:`_step_bytes` as held and were freed before the next block was
+    traced (:func:`_record_block_work`)."""
+    return len(blocks) > 2 and all(nbytes == expected and not alive
+                                   for nbytes, expected, alive in blocks)
 
 
 def _traces_within_model(work):
@@ -1018,26 +1089,14 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
     and on one family per y-node.  Holding every block's step data exceeds
     it.  Each trace peaks within its modelled work, each block's step data
     take :func:`_step_bytes`, int32 nodes, and they are freed before the
-    next block is traced: the modelled trace work exceeds what a trace
-    takes by more than one block's step data, so the bound alone would not
-    see a block held too long."""
+    next block is traced (:func:`_one_block_at_a_time`): the modelled trace
+    work exceeds what a trace takes by more than one block's step data, so
+    the bound alone would not see a block held too long."""
     plant = {"toy": toy, "sloped": sloped_plant()}[name]
     spec = GridSpec(nx=nx, ny=8)
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 256)
-    padded, work, problem_bytes, before = _record_block_work(monkeypatch)
-    held, alive, refs = [], [], []
-
-    def block_steps(problem, rows, steps=kernelsolve._block_steps):
-        alive.append(sum(ref() is not None for ref in refs))
-        block = steps(problem, rows)
-        arrays = block[0] + block[1:2] + block[2] + block[3]
-        refs[:] = [weakref.ref(a) for a in arrays]
-        held.append((sum((a if a.base is None else a.base).nbytes
-                         for a in block[0] + block[2]),
-                     _step_bytes(block[0]) + _step_bytes(block[2])))
-        return block
-
-    monkeypatch.setattr(kernelsolve, "_block_steps", block_steps)
+    padded, work, problem_bytes, before, blocks = _record_block_work(
+        monkeypatch)
     tracemalloc.start()
     try:
         sol = solve_backstepping_kernels(plant, spec)
@@ -1052,12 +1111,11 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
     kept = (problem_bytes[0] + _array_bytes(sample_coefficients(plant, spec))
             + _array_bytes(spec.tri) + 8 * n_tri * (2 * r + 2))
     bound = kept + _block_bytes(padded, work)
-    # every block's step data, as the march reads it (15 B a padded entry)
-    assert kept + 15 * sum(padded) > bound
+    # every block's step data (60 B a padded segment)
+    assert kept + 60 * sum(padded) > bound
     assert peak <= bound
     assert _traces_within_model(work)
-    assert all(nbytes == expected for nbytes, expected in held)
-    assert len(alive) > 2 and not any(alive)
+    assert _one_block_at_a_time(blocks)
 
 
 def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
@@ -1065,19 +1123,21 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     the arrays it keeps (the sampled coefficients, the problem's arrays, the
     grid's index arrays and the march's unknowns, ``C`` among them, with the
     diagonal rows) and one block (:func:`_block_bytes`): the build forms no
-    ``(n_tri, ny)`` array, and each trace peaks within its modelled work.
-    After the solve it forms
-    ``k`` a block of rows at a time, in the residual, the closed-form error
-    and the CSV writer, so that it peaks below what it holds (the
-    coefficients, the solution and the grid's index arrays) plus the larger
-    of one CSV chunk (512 B a line) and one block of ``k`` (128 B a value):
-    an allowance smaller than any ``(n_tri, ny)`` array.  Nothing on the
-    way asks for the whole ``k``."""
+    ``(n_tri, ny)`` array, each trace peaks within its modelled work, and
+    each block's step data take :func:`_step_bytes` and are freed before
+    the next block is traced.  After the solve it forms ``k`` a block of
+    rows at a time, in the residual, the closed-form error and the CSV
+    writer, so that it peaks below what it holds (the coefficients, the
+    solution and the grid's index arrays) plus the larger of one CSV chunk
+    (512 B a line) and one block of ``k`` (128 B a value): an allowance
+    smaller than any ``(n_tri, ny)`` array.  Nothing on the way asks for
+    the whole ``k``."""
     spec = GridSpec(nx=100, ny=60)
     ny = spec.ny
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 1024)
     monkeypatch.setattr(csvtable, "_CHUNK_LINES", 2048)
-    padded, work, problem_bytes, before = _record_block_work(monkeypatch)
+    padded, work, problem_bytes, before, blocks = _record_block_work(
+        monkeypatch)
     coeffs, solutions, solve_peaks = [], [], []
     monkeypatch.setattr(cli, "sample_coefficients", _recording(
         cli.sample_coefficients, coeffs.append))
@@ -1108,6 +1168,7 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
             + 8 * n_tri * (2 * r + 2))
     assert solve_peaks[0] <= kept + _block_bytes(padded, work)
     assert _traces_within_model(work)
+    assert _one_block_at_a_time(blocks)
     # the command never asks for the whole k, and holds the solution's
     # own arrays only
     assert "k" not in vars(sol)
