@@ -14,15 +14,16 @@ Conventions used throughout the package:
   along a segment inside one cell.
 * Fields that stay in a few y-directions are held in the coordinates of
   the smallest closed subspace that holds them (:func:`y_subspace`), and
-  kernels acting along y are factored in those (:func:`y_factor`), so
-  applying one costs in proportion to its numerical rank, not to ``ny``.
+  kernels acting along y are factored through the row space of their
+  blocks (:func:`row_basis`, streamed a block at a time), so applying one
+  costs in proportion to its numerical rank, not to ``ny``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -118,29 +119,35 @@ def gregory_weights(n_nodes: int, spacing: float) -> np.ndarray:
     return w
 
 
-def y_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor an ``(m, ny)`` matrix as ``P @ Q.T`` at its numerical rank r.
+def row_basis(blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """Orthonormal ``(ny, q)`` basis of the row space of a family of
+    ``(m_k, ny)`` blocks stacked, at the stack's numerical rank q.
 
-    ``Q`` is an orthonormal ``(ny, r)`` basis of the matrix's row space (the
-    y-profiles it spans) and ``P = matrix @ Q`` is ``(m, r)``.  r counts the
-    singular values above ``s_max * max(m, ny) * eps``, the rule of
-    ``numpy.linalg.matrix_rank``; a zero matrix gets r = 0.
-
-    It factors the seeds of :func:`y_subspace` (the kernel solver's are its
-    ``nx + 1`` diagonal rows and ``nx + 1`` readout rows) and, each closure
-    pass, the images of the maps stacked under the basis; a solved kernel's
-    ``(n_tri, r)`` coordinates in the solver's basis; and a run's
-    ``(n * r, r)`` exchange blocks.  The singular
-    values and ``Q`` come from the SVD of the R factor of the matrix's QR
-    decomposition, which never forms the ``m x ny`` left factor a thin SVD
-    would.
+    q counts the singular values above ``s_max * max(m, ny) * eps``, m the
+    rows of all the blocks, the rule of ``numpy.linalg.matrix_rank``; a
+    family of zero blocks gets q = 0.  The singular values and the basis
+    come from the SVD of the stack's R factor, carried from slab to slab
+    (QR updating: Golub & Van Loan, *Matrix Computations*, 4th ed.,
+    sec. 6.5): a slab is the R factor so far over the next blocks, at most
+    ``ny**2`` values of them or one larger block, so the stack is never
+    formed, nor the ``m x ny`` left factor a thin SVD would form.  A family
+    that fits in one slab gets the one QR of its stack.  It factors the
+    seeds and closure passes of :func:`y_subspace`, a solved kernel's
+    coordinates and the exchange in a y-basis, one ``(r, r)`` block per
+    x-node.
     """
-    m, ny = matrix.shape
-    _, sv, vt = np.linalg.svd(np.linalg.qr(matrix, mode="r"),
+    slab, held, rows = [], 0, 0
+    for block in blocks:
+        ny = block.shape[1]
+        if held and held + block.size > ny * ny:
+            slab, held = [np.linalg.qr(np.vstack(slab), mode="r")], 0
+        slab.append(block)
+        held += block.size
+        rows += len(block)
+    _, sv, vt = np.linalg.svd(np.linalg.qr(np.vstack(slab), mode="r"),
                               full_matrices=False)
-    cutoff = sv.max(initial=0.0) * max(m, ny) * np.finfo(float).eps
-    basis = vt[:int(np.count_nonzero(sv > cutoff))].T.copy()
-    return matrix @ basis, basis
+    cutoff = sv.max(initial=0.0) * max(rows, ny) * np.finfo(float).eps
+    return vt[:int(np.count_nonzero(sv > cutoff))].T.copy()
 
 
 def y_subspace(seeds: np.ndarray,
@@ -150,25 +157,20 @@ def y_subspace(seeds: np.ndarray,
 
     ``seeds`` is an ``(m, ny)`` array of y-profiles, one a row.  ``maps()``
     yields the family's ``(ny, ny)`` matrices in row form: a profile ``f``
-    maps to ``f @ a``.  The basis starts as the :func:`y_factor` of the
+    maps to ``f @ a``.  The basis starts as the :func:`row_basis` of the
     seeds; each pass over the maps adds the images ``new.T @ a`` of the
     directions ``new`` the previous pass added, until the rank stops
-    growing: it factors the images stacked under ``scale * basis.T``, with
-    ``scale`` the largest Frobenius norm of a map, so a direction counts as
-    new only if its images stand out of their rounding.  A family of zero
-    maps adds nothing.  A closure of rank ny returns the identity.
+    growing: it factors the images, a map at a time, stacked over ``scale *
+    basis.T``, with ``scale`` the largest Frobenius norm of a map, so a
+    direction counts as new only if its images stand out of their rounding.
+    A family of zero maps adds nothing.  A closure of rank ny returns the
+    identity.
     """
     ny = seeds.shape[1]
-    _, basis = y_factor(seeds)
+    basis = row_basis([seeds])
     new = basis
     while new.shape[1] and basis.shape[1] < ny:
-        rows, scale = [], 0.0
-        for a in maps():
-            rows.append(new.T @ a)
-            scale = max(scale, float(np.linalg.norm(a)))
-        if not 0.0 < scale:
-            break
-        _, grown = y_factor(np.vstack([scale * basis.T] + rows))
+        grown = row_basis(_closure_pass(new, basis, maps))
         added = grown.shape[1] - basis.shape[1]
         if added <= 0:
             break
@@ -177,6 +179,18 @@ def y_subspace(seeds: np.ndarray,
         new = u[:, :added]
         basis = grown
     return basis if basis.shape[1] < ny else np.eye(ny)
+
+
+def _closure_pass(new: np.ndarray, basis: np.ndarray,
+                  maps: Callable[[], Iterable[np.ndarray]]
+                  ) -> Iterator[np.ndarray]:
+    """The images ``new.T @ a`` of one pass over the maps, then ``scale *
+    basis.T``: a pass over zero maps has rank 0."""
+    scale = 0.0
+    for a in maps():
+        yield new.T @ a
+        scale = max(scale, float(np.linalg.norm(a)))
+    yield scale * basis.T
 
 
 @dataclass(frozen=True)

@@ -58,17 +58,21 @@ With one family the steps act on x and xi only, so y moves only through
 the exchange and the speed derivative, and the sweeps run in the smallest
 y-subspace that holds every iterate: ``F = C @ B.T`` with ``B`` an
 orthonormal ``(ny, r)`` basis (r = 1 for the toy), each step applied to r
-columns and the exchange to one ``r x r`` block per x-node.  With more than
-one family ``B`` is the identity, and the crossing steps act on the flat
-``(node, y)`` lanes, each lane's step its family's; when the one family's
-subspace is all of y, ``B`` is the identity too.  The solver returns the
-kernel pair as it marched it: ``k`` as its coordinates ``C`` in ``B`` with
-the exact diagonal rows, formed into rows on y-nodes a block at a time
-where it is read, ``ktilde`` whole, and the iteration history; the
-transform factors ``k`` in ``B``, and the controller reads the outlet row
-of both kernels.  ``B`` is seeded with the diagonal data on the diagonal
-nodes and the readout rows, and each block checks that the data its
-crossing steps carry from the diagonal lie in it.
+columns.  With more than one family ``B`` is the identity, and the crossing
+steps act on the flat ``(node, y)`` lanes, each lane's step its family's;
+when the one family's subspace is all of y, ``B`` is the identity too.  In
+either case the ensemble operator at x-node j is the speed derivative
+times ``C`` plus the exchange in ``B``, factored through the row space of
+its blocks over all x-nodes (:func:`~ensemble_backstep.grid.row_basis`):
+``(C @ blocks[j]) @ D.T``, with ``D`` of the exchange's joint rank q in y
+(1 for the toy's exchange), so no ``(nx + 1, r, r)`` stack is formed.  The
+solver returns the kernel pair as it marched it: ``k`` as its coordinates
+``C`` in ``B`` with the exact diagonal rows, formed into rows on y-nodes a
+block at a time where it is read, ``ktilde`` whole, and the iteration
+history; the transform factors ``k`` in ``B``, and the controller reads
+the outlet row of both kernels.  ``B`` is seeded with the diagonal data
+on the diagonal nodes and the readout rows, and each block checks that the
+data its crossing steps carry from the diagonal lie in it.
 """
 
 from __future__ import annotations
@@ -83,7 +87,8 @@ import numpy as np
 from .characteristics import trace_crossing_batch, trace_edge_batch
 from .errors import (DimensionError, DomainError, NonconvergenceError,
                      NumericError)
-from .grid import GridSpec, TriangularIndex, corner_weights, y_subspace
+from .grid import (GridSpec, TriangularIndex, corner_weights, row_basis,
+                   y_subspace)
 from .model import PlantModel, SampledCoefficients, sample_coefficients
 
 __all__ = [
@@ -742,7 +747,12 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec,
 
     ``coeff`` is the plant already sampled on ``spec``, if the caller holds
     it; otherwise it is sampled here.  The subspace is seeded with the
-    exact diagonal data on the diagonal nodes and the readout rows.
+    exact diagonal data on the diagonal nodes and the readout rows.  The
+    exchange part of each ``A_j`` in the basis is sampled one x-node at a
+    time, twice: once for the row basis ``D`` of all of them
+    (:func:`~ensemble_backstep.grid.row_basis`) and once for their
+    ``(r, q)`` loadings ``blocks[j]`` on it.  The speed derivative stays
+    out of the factored part, so one that varies in y cannot raise q.
     """
     coeff = _sampled(model, spec, coeff)
     wy = spec.y_weights
@@ -760,18 +770,32 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec,
         # readout rows, and move a profile f only by f @ A_j.
         basis = y_subspace(np.vstack([diagonal_rows, coeff.readout_grid]),
                            lambda: _ensemble_maps(coeff))
+        speed_u_dx = coeff.speed_u_dx_grid[:, :1]
     else:
         basis = np.eye(spec.ny)
-    blocks = np.stack([basis.T @ a @ basis for a in _ensemble_maps(coeff)])
+        speed_u_dx = coeff.speed_u_dx_grid
+    identity = basis.shape[1] == spec.ny
+
+    def exchanges() -> Iterator[np.ndarray]:
+        # The exchange part of A_j in the basis, one x-node at a time.
+        for j in range(spec.nx + 1):
+            a = wy[:, None] * coeff.exchange_at(j)
+            yield a if identity else basis.T @ a @ basis
+
+    # A_j = f * speed_u_dx[j] + f @ (blocks[j] @ directions.T) in the basis.
+    directions = row_basis(exchanges())
+    blocks = np.stack([a @ directions for a in exchanges()])
 
     def apply_ensemble_operator(rows: range, field: np.ndarray) -> np.ndarray:
         # Row i holds the nodes (i, j), j <= i, in order, and the map of
-        # node (i, j) is blocks[j].
+        # node (i, j) is that of x-node j.
         out = np.empty_like(field)
         at = 0
         for i in rows:
-            np.matmul(field[at:at + i + 1, None], blocks[:i + 1],
-                      out=out[at:at + i + 1, None])
+            f = field[at:at + i + 1]
+            exchanged = np.matmul(f[:, None], blocks[:i + 1])[:, 0]
+            np.add(f * speed_u_dx[:i + 1], exchanged @ directions.T,
+                   out=out[at:at + i + 1])
             at += i + 1
         return out
 

@@ -127,12 +127,15 @@ class SampledCoefficients:
         It comes from the broadcasting call that samples the whole grid, on
         an array of the one x-node (not a scalar, whose arithmetic may round
         otherwise), so an elementwise model gives the whole grid's values
-        bit for bit.
+        bit for bit.  Raises :class:`ConfigurationError` if a value is not
+        finite.
         """
         x, y = self.spec.x_nodes, self.spec.y_nodes
-        return _on_grid(
+        exchange = _on_grid(
             self.model.exchange(x[j, None, None], y[:, None], y[None, :]),
             (self.spec.ny, self.spec.ny))
+        _check_finite(self.model, "exchange", exchange, f" at x-node {j}")
+        return exchange
 
 
 def _on_grid(values, shape: tuple[int, ...]) -> np.ndarray:
@@ -149,10 +152,22 @@ def _on_grid(values, shape: tuple[int, ...]) -> np.ndarray:
     return np.broadcast_to(values, shape).copy()
 
 
+def _check_finite(model: PlantModel, name: str, values: np.ndarray,
+                  where: str = "") -> None:
+    """Raise :class:`ConfigurationError` naming the coefficient ``name`` if
+    any of its sampled ``values`` is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        node = np.unravel_index(np.argmin(finite), values.shape)
+        raise ConfigurationError(
+            f"model {model.name!r}: {name} must be finite on the grid{where} "
+            f"({values[node]} at index {tuple(map(int, node))})")
+
+
 def sample_coefficients(model: PlantModel, spec: GridSpec) -> SampledCoefficients:
-    """Sample a plant's coefficients on a grid, checking speed positivity;
-    the exchange kernel is sampled where it is read
-    (:meth:`SampledCoefficients.exchange_at`)."""
+    """Sample a plant's coefficients on a grid, checking that they are
+    finite and the speeds positive; the exchange kernel is sampled where it
+    is read (:meth:`SampledCoefficients.exchange_at`)."""
     x = spec.x_nodes
     y = spec.y_nodes
     xc, yr = x[:, None], y[None, :]
@@ -174,6 +189,12 @@ def sample_coefficients(model: PlantModel, spec: GridSpec) -> SampledCoefficient
     else:
         speed_v_dx_grid = np.gradient(speed_v_grid, spec.hx)
 
+    for name, values in (("speed_u", speed_u_grid), ("speed_v", speed_v_grid),
+                         ("drive", drive_grid), ("readout", readout_grid),
+                         ("inflow_gain", inflow_gain_grid),
+                         ("speed_u_dx", speed_u_dx_grid),
+                         ("speed_v_dx", speed_v_dx_grid)):
+        _check_finite(model, name, values)
     if not np.all(speed_u_grid > 0.0):
         raise ConfigurationError(
             f"model {model.name!r}: ensemble transport speed must be strictly "

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError
-from .grid import GridSpec, gregory_weights, y_factor, y_subspace
+from .grid import GridSpec, gregory_weights, row_basis, y_subspace
 from .kernelsolve import KernelSolution
 # ``sample_coefficients`` is unused here but must stay bound: bench/tracing.py
 # wraps it in this module.
@@ -191,13 +191,14 @@ class TransformOperator:
 
 def transform_operator(kernels: KernelSolution) -> TransformOperator:
     """Build the operator of the transform with the kernels, and of its
-    inverse: ``k ~= P @ (B @ Q).T`` in the solver's basis ``B``, ``P @ Q.T``
-    the :func:`~ensemble_backstep.grid.y_factor` of ``k @ B``, which is
-    ``kernels.coordinates()``."""
+    inverse: ``k ~= P @ (B @ Q).T`` in the solver's basis ``B``, with ``Q``
+    the :func:`~ensemble_backstep.grid.row_basis` of ``k @ B``, which is
+    ``kernels.coordinates()``, and ``P = k @ B @ Q`` its loadings."""
     spec = kernels.spec
     weights = _running_weights(spec)
-    loadings, inner = y_factor(kernels.coordinates())
-    rows = tri_to_matrix(spec, weights[:, None] * loadings)
+    coords = kernels.coordinates()
+    inner = row_basis([coords])
+    rows = tri_to_matrix(spec, weights[:, None] * (coords @ inner))
     series = solve_target_coupling(spec, kernels.ktilde)
     return TransformOperator(
         spec=spec, rows=np.ascontiguousarray(rows.transpose(1, 0, 2)),
@@ -296,11 +297,14 @@ class CoordinateStep:
     column when the speed does not depend on y); ``drive`` and ``readout``
     are the ``(nx + 1, r)`` rows and ``inflow`` the inflow gain, each times
     ``diag(w_y) @ basis``; ``exchange = (loadings, directions)`` factors the
-    exchange's ``r x r`` block at every x-node, so the coordinates of the
-    exchange integral at x-node i are ``loadings[i] @ (A[i] @
-    directions)``.  A step built with a ``transform`` can also take cascade
-    steps: ``contraction = basis.T @ transform.weighted_basis`` maps
-    coordinates to the y-contractions of the transform's running integral.
+    exchange in the basis, ``W.T @ E_i @ W ~= loadings[i] @ directions.T``
+    with ``W = diag(w_y) @ basis``: ``directions`` is the ``(r, q)`` row
+    basis of those blocks over every x-node and ``loadings`` is ``(nx + 1,
+    r, q)``, so the coordinates of the exchange integral at x-node i are
+    ``loadings[i] @ (A[i] @ directions)``.  A step built with a
+    ``transform`` can also take cascade steps: ``contraction = basis.T @
+    transform.weighted_basis`` maps coordinates to the y-contractions of
+    the transform's running integral.
     """
 
     spec: GridSpec
@@ -358,8 +362,10 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
     The exchange is sampled one x-node at a time
     (:meth:`~ensemble_backstep.model.SampledCoefficients.exchange_at`):
     once for each closure pass, which hands :func:`y_subspace` the maps in
-    row form, ``(exchange[i] * w_y).T``, and once for the ``r x r`` blocks
-    in the basis.
+    row form, ``(exchange[i] * w_y).T``, once for the
+    :func:`~ensemble_backstep.grid.row_basis` of its ``r x r`` blocks in
+    the basis, and once for their loadings on that row basis, so no
+    ``(nx + 1, r, r)`` array is formed.
 
     Raises :class:`ConfigurationError` if ``dt`` violates the CFL condition.
     """
@@ -382,15 +388,16 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
     root = np.sqrt(wy)[:, None]
     basis = np.linalg.qr(root * basis)[0] / root
     weighted = wy[:, None] * basis
-    r = basis.shape[1]
-    blocks = np.empty((n, r, r))
-    for j in range(n):
-        blocks[j] = weighted.T @ (coeff.exchange_at(j) @ weighted)
-    loadings, directions = y_factor(blocks.reshape(n * r, r))
+
+    def blocks():
+        for j in range(n):
+            yield weighted.T @ (coeff.exchange_at(j) @ weighted)
+
+    directions = row_basis(blocks())
     return CoordinateStep(
         spec=spec, dt=dt, basis=basis, speed_u=speed_u,
         speed_v=coeff.speed_v_grid,
-        exchange=(loadings.reshape(n, r, directions.shape[1]), directions),
+        exchange=(np.stack([b @ directions for b in blocks()]), directions),
         drive=coeff.drive_grid @ weighted,
         readout=coeff.readout_grid @ weighted,
         inflow=coeff.inflow_gain_grid @ weighted,

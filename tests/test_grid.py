@@ -10,8 +10,8 @@ from ensemble_backstep.grid import (
     TriangularIndex,
     corner_weights,
     gregory_weights,
+    row_basis,
     trapezoid_weights,
-    y_factor,
     y_subspace,
 )
 
@@ -170,40 +170,88 @@ class TestBilinearTri:
         assert idx4.max() < TriangularIndex(nx).n_nodes
 
 
-class TestYFactor:
+def _one_shot_basis(matrix):
+    """The row basis of one QR of the whole stack, as it was factored
+    before the R factor was carried across slabs."""
+    _, sv, vt = np.linalg.svd(np.linalg.qr(matrix, mode="r"),
+                              full_matrices=False)
+    cutoff = sv.max(initial=0.0) * max(matrix.shape) * np.finfo(float).eps
+    return vt[:int(np.count_nonzero(sv > cutoff))].T
+
+
+def _blocks(matrix, rows):
+    """``matrix`` as a family of blocks of ``rows`` rows each."""
+    return [matrix[at:at + rows] for at in range(0, len(matrix), rows)]
+
+
+class TestRowBasis:
     def test_recovers_rank_and_matrix(self, rng):
+        # 125 blocks of 40 rows, one slab each
         m = rng.standard_normal((5000, 3)) @ rng.standard_normal((3, 40))
-        p, q = y_factor(m)
-        assert p.shape == (5000, 3) and q.shape == (40, 3)
+        q = row_basis(_blocks(m, 40))
+        assert q.shape == (40, 3)
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-14)
-        assert np.max(np.abs(p @ q.T - m)) <= 1e-13 * np.max(np.abs(m))
+        assert np.max(np.abs((m @ q) @ q.T - m)) <= 1e-13 * np.max(np.abs(m))
 
     def test_full_rank_and_zero(self, rng):
         m = rng.standard_normal((9000, 12))
-        p, q = y_factor(m)
+        q = row_basis(_blocks(m, 100))
         assert q.shape == (12, 12)
-        assert np.max(np.abs(p @ q.T - m)) <= 1e-13 * np.max(np.abs(m))
-        p0, q0 = y_factor(np.zeros((7, 5)))
-        assert p0.shape == (7, 0) and q0.shape == (5, 0)
+        assert np.max(np.abs((m @ q) @ q.T - m)) <= 1e-13 * np.max(np.abs(m))
+        # zero blocks, one slab or several, have rank 0
+        assert row_basis([np.zeros((7, 5))]).shape == (5, 0)
+        assert row_basis([np.zeros((7, 5))] * 9).shape == (5, 0)
 
     def test_tall_low_rank_matrix_factors_at_its_rank(self, rng):
         # a tall rank-5 matrix factors at rank 5 and reproduces itself
         m = rng.standard_normal((5000, 5)) @ rng.standard_normal((5, 60))
-        p, q = y_factor(m)
-        assert p.shape == (5000, 5) and q.shape == (60, 5)
+        q = row_basis(_blocks(m, 30))
+        assert q.shape == (60, 5)
         np.testing.assert_allclose(q.T @ q, np.eye(5), rtol=0.0, atol=1e-13)
-        assert np.max(np.abs(p @ q.T - m)) <= 1e-12 * np.max(np.abs(m))
+        assert np.max(np.abs((m @ q) @ q.T - m)) <= 1e-12 * np.max(np.abs(m))
 
     def test_empty_matrix(self):
-        p, q = y_factor(np.zeros((0, 0)))
-        assert p.shape == (0, 0) and q.shape == (0, 0)
+        assert row_basis([np.zeros((0, 0))]).shape == (0, 0)
+
+    @pytest.mark.parametrize("rows", [(5000,), (4, 4, 4), (12,), (1,) * 12])
+    def test_one_slab_is_the_one_shot_qr(self, rng, rows):
+        # one block of any size, or blocks of at most ny**2 = 144 values in
+        # all, factor bit for bit as one QR of their stack
+        m = rng.standard_normal((sum(rows), 3)) @ rng.standard_normal((3, 12))
+        blocks = np.split(m, np.cumsum(rows)[:-1])
+        assert np.array_equal(row_basis(blocks), _one_shot_basis(m))
+
+    @pytest.mark.parametrize("rank", [1, 3, 16])
+    def test_slabs_keep_the_rank_and_span(self, rng, rank):
+        # 201 blocks of 16 x 16, one slab each, as an exchange per x-node
+        ny = 16
+        m = (rng.standard_normal((201 * ny, rank))
+             @ rng.standard_normal((rank, ny)))
+        q = row_basis(_blocks(m, ny))
+        one_shot = _one_shot_basis(m)
+        assert q.shape == one_shot.shape == (ny, rank)
+        assert np.max(np.abs(q @ q.T - one_shot @ one_shot.T)) <= 1e-12
+
+    def test_cutoff_counts_every_row_of_the_family(self):
+        # sigma_2 / sigma_1 = 100 eps stands above the cutoff of the last
+        # slab's 8 rows, 8 eps, but not above that of the family's 4000,
+        # 4000 eps
+        ny = 4
+        first = np.zeros((ny, ny))
+        first[0, 0] = 1.0
+        first[1, 1] = 100.0 * np.finfo(float).eps
+        blocks = [first] + [np.zeros((ny, ny))] * 999
+        q = row_basis(blocks)
+        assert q.shape == (ny, 1)
+        assert np.array_equal(np.abs(q[:, 0]), [1.0, 0.0, 0.0, 0.0])
+        assert row_basis(blocks[:2]).shape == (ny, 2)
 
 
 class TestYSubspace:
     def test_zero_family_keeps_the_seed_basis(self, rng):
         seeds = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 9))
         basis = y_subspace(seeds, lambda: [np.zeros((9, 9))] * 3)
-        assert np.array_equal(basis, y_factor(seeds)[1])
+        assert np.array_equal(basis, row_basis([seeds]))
 
     def test_nilpotent_shift_grows_to_its_span(self):
         # e_k -> e_{k+1} for k < 3 in row form (f -> f @ a): from e_0 three

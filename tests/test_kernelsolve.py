@@ -22,7 +22,7 @@ from ensemble_backstep.grid import (
     GridSpec,
     corner_weights,
     gregory_weights,
-    y_factor,
+    row_basis,
 )
 from ensemble_backstep.kernelsolve import (
     KernelSolution,
@@ -1074,9 +1074,11 @@ def _traces_within_model(work):
 
 
 def _array_bytes(*objects):
-    """The bytes of the arrays among the attributes of ``objects``."""
-    return sum(value.nbytes for obj in objects for value in vars(obj).values()
-               if isinstance(value, np.ndarray))
+    """The bytes of the arrays among the attributes of ``objects``, and in
+    their tuple attributes."""
+    return sum(v.nbytes for obj in objects for value in vars(obj).values()
+               for v in (value if isinstance(value, tuple) else (value,))
+               if isinstance(v, np.ndarray))
 
 
 @pytest.mark.parametrize("name, nx", [("toy", 100), ("sloped", 80)],
@@ -1239,7 +1241,7 @@ def test_transform_factors_the_kernel_in_its_basis(name, factor_rank, rng):
     the transform built on it integrates the full k: against a dense
     running-weight quadrature, no factoring, to rounding.  Its factor has
     the rank of the kernel's coordinates, pinned or, where rounding sets it,
-    counted as :func:`y_factor` counts it.  On the identity basis its
+    counted as :func:`row_basis` counts it.  On the identity basis its
     factor is that of k itself, bit for bit."""
     spec = GridSpec(nx=20, ny=16)
     tri = spec.tri
@@ -1274,20 +1276,65 @@ def test_transform_factors_the_kernel_in_its_basis(name, factor_rank, rng):
 
     if sol.y_rank == spec.ny:
         assert np.array_equal(basis, np.eye(spec.ny))
-        loadings, directions = y_factor(k)
-        rows = tri_to_matrix(spec, weights[:, None] * loadings)
+        directions = row_basis([k])
+        rows = tri_to_matrix(spec, weights[:, None] * (k @ directions))
         assert np.array_equal(op.rows, rows.transpose(1, 0, 2))
         assert np.array_equal(op.weighted_basis,
                               directions * spec.y_weights[:, None])
 
 
 @pytest.mark.parametrize("plant", [
+    toy_model(), half_x_plant(), sloped_plant(), full_rank_plant()],
+    ids=["toy", "half_x", "sloped", "full_rank"])
+def test_ensemble_operator_is_the_projected_map_at_every_node(plant, rng):
+    """The factored ensemble operator applies ``B.T @ A_j @ B`` at node
+    (i, j), to 1e-13 of the sup, on the whole triangle and on one row at
+    a time as the march calls it."""
+    spec = GridSpec(nx=20, ny=16)
+    tri = spec.tri
+    coeff = sample_coefficients(plant, spec)
+    problem = build_backstepping_problem(plant, spec, coeff)
+    basis = problem.basis
+    maps = [basis.T @ a @ basis for a in kernelsolve._ensemble_maps(coeff)]
+    c = rng.standard_normal((tri.n_nodes, basis.shape[1]))
+    want = np.stack([c[t] @ maps[j] for t, j in enumerate(tri.j_index)])
+    got = problem.apply_ensemble_operator(range(spec.nx + 1), c)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for i in range(spec.nx + 1):
+        row = tri.row_slice(i)
+        assert np.array_equal(
+            problem.apply_ensemble_operator(range(i, i + 1), c[row]),
+            got[row])
+
+
+@pytest.mark.parametrize("reader", ["build", "coordinate_step"])
+def test_exchange_is_factored_without_its_stack(reader):
+    """Both readers of the exchange factor it a slab at a time: each peaks,
+    in traced memory, above the arrays it returns by less than half of the
+    ``(nx + 1, ny, ny)`` stack of the exchange on the y-nodes."""
+    plant = sloped_plant()
+    spec = GridSpec(nx=100, ny=60)
+    coeff = sample_coefficients(plant, spec)
+    tracemalloc.start()
+    try:
+        if reader == "build":
+            made = build_backstepping_problem(plant, spec, coeff)
+        else:
+            made = coordinate_step(coeff, spec.dt,
+                                   default_initial_state(spec).u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - _array_bytes(made) < 8 * (spec.nx + 1) * spec.ny ** 2 / 2
+
+
+@pytest.mark.parametrize("plant", [
     toy_model(), half_x_plant(), full_rank_plant()],
     ids=["toy", "half_x", "full_rank"])
 def test_ensemble_maps_are_the_speed_derivative_plus_the_exchange(plant):
-    """The solver's ensemble operator at each x-node, which the closure,
-    the blocks and the residual all read, is diag(speed_u_dx) plus the
-    weighted exchange of the whole sampled grid, bit for bit."""
+    """The solver's ensemble operator at each x-node, which the closure and
+    the residual read, is diag(speed_u_dx) plus the weighted exchange of
+    the whole sampled grid, bit for bit."""
     spec = GridSpec(nx=8, ny=12)
     coeff = sample_coefficients(plant, spec)
     exchange = exchange_grid(coeff)

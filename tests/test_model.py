@@ -10,7 +10,8 @@ import pytest
 from conftest import full_rank_plant
 from ensemble_backstep.errors import ConfigurationError
 from ensemble_backstep.grid import GridSpec
-from ensemble_backstep.kernelsolve import _ensemble_maps
+from ensemble_backstep.kernelsolve import (_ensemble_maps,
+                                          solve_backstepping_kernels)
 from ensemble_backstep.model import (
     PlantModel,
     builtin_model,
@@ -19,6 +20,7 @@ from ensemble_backstep.model import (
     toy_analytic_kernels,
     toy_model,
 )
+from ensemble_backstep.simulator import simulate
 from oracles import exchange_grid
 
 TWO_C = 35.0 / np.pi**2
@@ -137,6 +139,27 @@ class TestSampling:
         )
         with pytest.raises(ConfigurationError):
             sample_coefficients(bad, GridSpec(nx=4, ny=3))
+
+    @pytest.mark.parametrize("run", ["solve", "simulate"])
+    @pytest.mark.parametrize("name, change", [
+        ("readout", lambda toy: {"readout": lambda x, y: np.where(
+            np.asarray(y) == 0.5, np.inf, toy.readout(x, y))}),
+        ("drive", lambda toy: {
+            "drive": lambda x, y: np.nan * toy.drive(x, y)}),
+        ("exchange", lambda toy: {
+            "exchange": lambda x, y, eta: np.nan * toy.exchange(x, y, eta)}),
+    ], ids=["readout-inf", "drive-nan", "exchange-nan"])
+    def test_rejects_nonfinite_coefficients(self, toy, name, change, run):
+        # a readout that is inf at the y-node 1/2, a NaN drive and a NaN
+        # exchange are named, not left to fail the factoring of the
+        # y-subspace; the exchange is checked where it is sampled
+        plant = dataclasses.replace(toy, **change(toy))
+        spec = GridSpec(nx=20, ny=9, dt=0.01, t_final=0.1)
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            if run == "solve":
+                solve_backstepping_kernels(plant, spec)
+            else:
+                simulate(sample_coefficients(plant, spec), spec)
 
     def test_owned_grids_are_kept_and_broadcasts_copied(self, toy):
         # an owned float array of the grid's or the exchange matrix's shape is

@@ -517,6 +517,27 @@ class TestCoordinateStep:
             assert np.max(np.abs(outside)) <= 1e-14
         assert step.y_ranks == {"state": 2, "exchange": 1}
 
+    @pytest.mark.parametrize("name", ["toy", "gauss", "sloped", "full_rank"])
+    def test_factored_exchange_is_the_projected_exchange(self, toy, name):
+        # loadings[j] @ directions.T is W.T @ E_j @ W, W the weighted basis,
+        # at every x-node: in the toy's two directions, in the Gaussian
+        # exchange's closure and on every y-node
+        gauss = dataclasses.replace(
+            toy, exchange=lambda x, y, eta: x * np.exp(-(y - eta) ** 2))
+        plant = {"toy": toy, "gauss": gauss,
+                 "sloped": sloped_plant(),
+                 "full_rank": full_rank_plant()}[name]
+        spec = GridSpec(nx=20, ny=16)
+        coeff = sample_coefficients(plant, spec)
+        step = coordinate_step(coeff, spec.dt, default_initial_state(spec).u)
+        loadings, directions = step.exchange
+        w = step.weighted_basis
+        want = np.stack([w.T @ coeff.exchange_at(j) @ w
+                         for j in range(spec.nx + 1)])
+        assert loadings.shape == want.shape[:2] + (directions.shape[1],)
+        assert (np.max(np.abs(loadings @ directions.T - want))
+                <= 1e-13 * np.max(np.abs(want)))
+
     def test_speed_varying_in_y_steps_every_node(self, rng):
         spec = GridSpec(nx=20, ny=9)
         coeff = sample_coefficients(full_rank_plant(), spec)
