@@ -17,9 +17,15 @@ follows ``z' = -speed_v(z)`` and an ensemble component, at a fixed y,
 ``Phi_u(xi; y) = int_0^xi dw / speed_u(w, y)``: a curve from ``(x, xi)`` has
 ``z(s) = Phi_v^-1(Phi_v(x) - s)`` and, on a crossing curve,
 ``w(s) = Phi_u^-1(Phi_u(xi) + s)`` (the lower component of an edge curve
-falls like ``z``).  A trace tabulates ``Phi_v`` on the x-nodes, and ``Phi_u``
-on the x-nodes for every distinct y of its points, integrating ``1/speed``
-cell by cell with an adaptive Gauss-Legendre rule (:func:`_integrate`).
+falls like ``z``).  A trace reads ``Phi_v`` tabulated on the x-nodes, and
+``Phi_u`` on the x-nodes for every distinct y of its points, integrated
+from ``1/speed`` cell by cell with an adaptive Gauss-Legendre rule
+(:func:`_integrate`).  The tables depend on the sampled plant alone, so
+they are kept with it (``SampledCoefficients.travel_times``): the first
+trace that needs a table builds it, and every later trace of the same
+y-nodes reads it.  Every block of a solve traces the same families, so a
+solve builds ``Phi_v`` once and ``Phi_u`` once, however many blocks it
+traces.
 
 A crossing curve's launch abscissa ``l`` solves
 ``Phi_v(l) + Phi_u(l) = Phi_v(x) + Phi_u(xi)``, and ``s_end = Phi_v(x) -
@@ -285,6 +291,19 @@ class _TravelTime:
         return p
 
 
+def _travel_time(coeff: SampledCoefficients, ys=None) -> _TravelTime:
+    """The travel time of ``speed_v`` (``ys`` None) or of ``speed_u`` at
+    the distinct ``ys``, from ``coeff.travel_times``, which keeps the table
+    of ``speed_v`` and the last of ``speed_u``: a table is built on the
+    first trace that needs it and read by every later trace of the same
+    y-nodes, as every block of a solve is."""
+    key = "speed_v" if ys is None else "speed_u"
+    phi = coeff.travel_times.get(key)
+    if phi is None or (ys is not None and not np.array_equal(phi.ys, ys)):
+        phi = coeff.travel_times[key] = _TravelTime(coeff, ys)
+    return phi
+
+
 def _bracket(table, rows, target):
     """The cell k, between node values rising along row ``rows[e]`` of
     ``table``, with ``table[rows[e], k] <= target[e] < table[rows[e], k+1]``,
@@ -346,15 +365,22 @@ def _launch(target, rows, phi_v: _TravelTime, phi_u: _TravelTime | None = None):
 def _points(xs, xis, ys=None):
     """The query points as float arrays.
 
-    Raises :class:`DomainError` unless every point is finite and lies in
-    ``0 <= xi <= x <= 1`` (and ``0 <= y <= 1``) up to :data:`DOMAIN_TOL`.
+    Raises :class:`DomainError` unless the coordinates are 1-D arrays of
+    one length and every point is finite and lies in ``0 <= xi <= x <= 1``
+    (and ``0 <= y <= 1``) up to :data:`DOMAIN_TOL`.
     """
     xs = np.asarray(xs, dtype=float)
     xis = np.asarray(xis, dtype=float)
+    shapes = [xs.shape, xis.shape]
+    if ys is not None:
+        ys = np.asarray(ys, dtype=float)
+        shapes.append(ys.shape)
+    if xs.ndim != 1 or len(set(shapes)) > 1:
+        raise DomainError(f"the points' coordinates must be 1-D arrays of "
+                          f"one length, got shapes {shapes}")
     inside = (np.isfinite(xs) & np.isfinite(xis) & (xis >= -DOMAIN_TOL)
               & (xis <= xs + DOMAIN_TOL) & (xs <= 1.0 + DOMAIN_TOL))
     if ys is not None:
-        ys = np.asarray(ys, dtype=float)
         inside &= (np.isfinite(ys) & (ys >= -DOMAIN_TOL)
                    & (ys <= 1.0 + DOMAIN_TOL))
     if not inside.all():
@@ -540,29 +566,52 @@ def _read_curves(z: _Component, w: _Component, ref, s_end, launch,
                         s_end, launch, w.p_end)
 
 
-def _stops(stop, m, x):
-    """The x-line index each of ``m`` curves stops at, and its position."""
-    stop = np.broadcast_to(np.asarray(stop, dtype=np.int64), (m,))
+def _stops(stop, xs, x):
+    """The x-line index each curve from the abscissas ``xs`` stops at, and
+    its position on the x-nodes ``x``.
+
+    Raises :class:`DomainError` unless ``stop`` is one integer, or one per
+    curve, in ``0 .. nx``, its line no higher than its curve's point (up to
+    :data:`DOMAIN_TOL`).
+    """
+    stop, nx = np.asarray(stop), x.size - 1
+    if (not np.issubdtype(stop.dtype, np.integer) or stop.ndim > 1
+            or stop.size not in (1, xs.size)):
+        raise DomainError(f"stop must be one integer x-line index or one per "
+                          f"point, got {stop.dtype} of shape {stop.shape}")
+    stop = np.broadcast_to(stop.astype(np.int64, copy=False), xs.shape)
+    outside = (stop < 0) | (stop > nx)
+    if outside.any():
+        raise DomainError(f"stop x-line {stop[np.argmax(outside)]} is not "
+                          f"in 0..{nx}")
+    above = x[stop] > xs + DOMAIN_TOL
+    if above.any():
+        c = int(np.argmax(above))
+        raise DomainError(f"stop x-line {stop[c]} (x={x[stop[c]]:g}) lies "
+                          f"above its point's x={xs[c]:g}")
     return stop, x[stop]
 
 
 def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys, stop=0
                          ) -> TracedBundle:
-    """Trace crossing curves for many triangle points at once, tabulating
-    ``Phi_u`` once per distinct y.
+    """Trace crossing curves for many triangle points at once, reading
+    ``Phi_u`` tabulated at their distinct ys.
 
     Each curve ends at its cross event or where its x-component reaches the
     x-line ``stop`` (an index, one per curve or one for all), whichever
     comes first; the default 0 runs every curve to its event.  A launch is
     solved only for the curves that reach the diagonal first.  Raises
+    :class:`DomainError` for points that are not 1-D arrays of one length
+    or lie outside the triangle, and for a ``stop`` that is not an integer
+    x-line index in ``0 .. nx`` at or below its point, and
     :class:`NonconvergenceError` for curves with no resolved end (see the
     module docstring)."""
     xs, xis, ys = _points(xs, xis, ys)
-    m = xs.shape[0]
-    phi_v = _TravelTime(coeff)
+    m = xs.size
+    stop, x_stop = _stops(stop, xs, coeff.spec.x_nodes)
+    phi_v = _travel_time(coeff)
     y_rows, rows = np.unique(ys, return_inverse=True)
-    phi_u = _TravelTime(coeff, y_rows)
-    stop, x_stop = _stops(stop, m, phi_v.x)
+    phi_u = _travel_time(coeff, y_rows)
     s_max = 2.0 / coeff.crossing_speed_min
     ref = np.flatnonzero(xis - xs < DEGENERATE_TOL)
     start_x, start_xi = np.zeros(m), np.zeros(m)
@@ -606,13 +655,14 @@ def trace_edge_batch(coeff: SampledCoefficients, xs, xis, stop=0
 
     Each curve ends at its edge event or where its x-component reaches the
     x-line ``stop``, whichever comes first, as in
-    :func:`trace_crossing_batch`.  Raises :class:`NonconvergenceError` for
+    :func:`trace_crossing_batch`.  Raises :class:`DomainError` as
+    :func:`trace_crossing_batch` does, and :class:`NonconvergenceError` for
     curves with no resolved end (see the module docstring)."""
     xs, xis, _ = _points(xs, xis)
-    m = xs.shape[0]
-    phi_v = _TravelTime(coeff)
+    m = xs.size
+    stop, x_stop = _stops(stop, xs, coeff.spec.x_nodes)
+    phi_v = _travel_time(coeff)
     on_v = np.zeros(m, dtype=np.int64)
-    stop, x_stop = _stops(stop, m, phi_v.x)
     s_max = 2.0 / coeff.speed_v_min
     ref = np.flatnonzero(-xis < DEGENERATE_TOL)
     start_x, start_xi, s_end = np.zeros(m), np.zeros(m), np.zeros(m)

@@ -39,7 +39,8 @@ O(nx^3) of whole curves.  With unit speeds every step ends on a node, and
 the march solves the system of whole curves summed in another order.  The
 steps are traced a block of rows at a time, at most :data:`_BLOCK_CURVES`
 curves, through the travel times of the two speeds (see
-:mod:`.characteristics`), and laid out once, a run of at most
+:mod:`.characteristics`), tabulated by the first block's traces and read
+by every later block's, and laid out once, a run of at most
 :data:`_RUN_SEGMENTS` cell segments at a time, as the two padded stencils
 the march gathers on int32 node indices (:func:`_quadrature_matrix`):
 three leveled nodes a segment on the row below, two corners a segment on
@@ -106,15 +107,16 @@ MAX_SWEEPS = 60
 
 #: Steps (crossing and edge curves) a block of rows of :func:`solve_goursat`
 #: may hold: the size of every trace and of the step data the march holds,
-#: one block at a time.  Solving the toy at nx=200, ny=120 and the plant
-#: with speed_u = 1 + y/2 at nx=100, ny=60 with 2**13 ... 2**17 took
-#: 0.25-0.30, 0.24-0.26, 0.18-0.19, 0.15-0.23 and 0.23-0.24 s and 1.11-1.23,
-#: 0.99-1.19, 0.70-0.85, 0.94-0.99 and 0.84-0.98 s, and a process that
-#: samples the plant and solves peaked at 39, 41, 44, 46 and 46 MB of RSS
-#: and 46, 48, 56, 75 and 98 MB (two runs each, 2-core Xeon shared with
-#: other jobs, one sitting): fewer blocks trace less often, larger ones
-#: hold more.
-_BLOCK_CURVES = 2 ** 15
+#: one block at a time.  Every block's traces read the travel-time tables
+#: the first one built, so a block costs its curves and a fixed overhead.
+#: With 2**13 ... 2**16 (6, 3, 2 and 1 blocks) the toy at nx=200, ny=120
+#: solved in 0.20, 0.18, 0.19 and 0.17 s, and the plant with
+#: speed_u = 1 + y/2 at nx=100, ny=60 (54, 23, 11 and 5 blocks) in 0.87,
+#: 0.70, 0.68 and 0.77 s, and a process that samples the plant and solves
+#: peaked at 38.9, 40.6, 43.8 and 45.6 MB of RSS and 44.3, 46.6, 54.1 and
+#: 72.3 MB (medians of five runs, 2-core Xeon shared with other jobs, one
+#: sitting): fewer blocks trace less often, larger ones hold more.
+_BLOCK_CURVES = 2 ** 14
 
 #: Cell segments whose stencils a block forms at a time
 #: (:func:`_segment_runs`): enough to spread the cost of a run, few enough

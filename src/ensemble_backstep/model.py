@@ -120,6 +120,14 @@ class SampledCoefficients:
         speed_u = self.speed_u_grid
         return bool(np.any(speed_u != speed_u[:, :1]))
 
+    @cached_property
+    def travel_times(self) -> dict:
+        """The travel-time tables of the sampled speeds that traces read,
+        kept with the plant they tabulate: :mod:`.characteristics` builds
+        each on the first trace that needs it, and later traces of the same
+        speed and y-nodes read it again."""
+        return {}
+
     def exchange_at(self, j: int) -> np.ndarray:
         """The ``(ny, ny)`` exchange kernel at x-node ``j``, ``[a, b]`` the
         kernel at ``(x_j, y_a, eta_b)``, sampled anew on each call.

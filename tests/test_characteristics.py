@@ -167,6 +167,60 @@ class TestDomain:
         assert np.all(np.isfinite(ce.s_end))
 
 
+def _trace(family, coeff, xs, xis, stop=0):
+    """A trace of ``family`` from the points ``(xs, xis)``, crossing curves
+    at y = 0.3."""
+    if family == "crossing":
+        return trace_crossing_batch(coeff, xs, xis, np.full(np.shape(xs), 0.3),
+                                    stop)
+    return trace_edge_batch(coeff, xs, xis, stop)
+
+
+class TestArguments:
+    """Points that are not 1-D arrays of one length, and a stop line a
+    curve cannot end on, are refused: the traces had answered wrongly or
+    failed with an untyped error."""
+
+    @pytest.mark.parametrize("family", ["crossing", "edge"])
+    @pytest.mark.parametrize("stop", [-1, 8, 2.7, 50, [1, 2]], ids=[
+        "negative", "above-point", "not-integer", "past-nx", "wrong-length"])
+    def test_stop_it_cannot_honour(self, toy, family, stop):
+        """From (0.5, 0.2) at nx = 10 the traces had wrapped stop -1 to
+        the x-line nx and ended the curve there, above its point (``s_end``
+        -0.5), ran it up to the line 8 above its point, truncated 2.7 to 2,
+        and raised IndexError for 50 and a broadcast ValueError for two
+        stops of one point."""
+        coeff = sample_coefficients(toy, GridSpec(nx=10, ny=4))
+        with pytest.raises(DomainError, match="stop"):
+            _trace(family, coeff, [0.5], [0.2], stop)
+
+    @pytest.mark.parametrize("family", ["crossing", "edge"])
+    @pytest.mark.parametrize("xs, xis", [
+        (0.5, 0.2), ([[0.5]], [[0.2]]), ([0.5, 0.6], [0.2])],
+        ids=["scalar", "2-d", "unequal"])
+    def test_points_of_another_shape(self, toy, family, xs, xis):
+        """Scalar and 2-D points had raised IndexError, and unequal lengths
+        a broadcast ValueError."""
+        coeff = sample_coefficients(toy, GridSpec(nx=10, ny=4))
+        with pytest.raises(DomainError, match="1-D"):
+            _trace(family, coeff, xs, xis)
+
+    def test_ys_of_another_length(self, toy):
+        coeff = sample_coefficients(toy, GridSpec(nx=10, ny=4))
+        with pytest.raises(DomainError, match="1-D"):
+            trace_crossing_batch(coeff, [0.5, 0.6], [0.2, 0.1], [0.3])
+
+    @pytest.mark.parametrize("family", ["crossing", "edge"])
+    def test_stop_on_the_points_own_line(self, toy, family):
+        """A stop line through the point itself, one stop for all or one
+        per point of any integer type, ends each curve where it starts."""
+        coeff = sample_coefficients(toy, GridSpec(nx=10, ny=4))
+        for stop in (5, np.array([5, 5], dtype=np.uint8)):
+            bundle = _trace(family, coeff, [0.5, 0.5], [0.2, 0.3], stop)
+            assert np.array_equal(bundle.s_end, [0.0, 0.0])
+            assert np.array_equal(bundle.end_xi, [0.2, 0.3])
+
+
 class TestPathIntegrity:
     """Segments run backward from the query point to the event point."""
 

@@ -11,7 +11,7 @@ from scipy import sparse
 from scipy.integrate import quad
 
 from conftest import full_rank_plant, half_x_plant, sloped_plant
-from ensemble_backstep import cli, csvtable, kernelsolve
+from ensemble_backstep import characteristics, cli, csvtable, kernelsolve
 from ensemble_backstep.characteristics import (
     trace_crossing_batch,
     trace_edge_batch,
@@ -953,6 +953,27 @@ def test_runs_and_blocks_change_no_bit(name, toy, monkeypatch):
                                   getattr(default, attr))
 
 
+def test_solve_builds_its_travel_times_once(monkeypatch):
+    """Every block's crossing and edge traces read the travel-time tables
+    of the sampled plant: a per-y solve in four blocks or more builds the
+    same tables as in one block, one of speed_v and one of speed_u at
+    every y-node."""
+    spec = GridSpec(nx=40, ny=8)
+    tables = []
+    monkeypatch.setattr(characteristics, "_TravelTime", _recording(
+        characteristics._TravelTime, tables.append))
+    built = []
+    for block_curves in (2048, 2 ** 20):
+        monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", block_curves)
+        tables.clear()
+        solve_backstepping_kernels(sloped_plant(), spec)
+        built.append((len(kernelsolve._blocks(spec.tri, spec.ny)),
+                      [t.nodes.shape[0] for t in tables]))
+    (blocks, many), (one_block, one) = built
+    assert blocks >= 4 and one_block == 1
+    assert many == one == [1, spec.ny]
+
+
 @pytest.mark.parametrize("name", ["toy", "gauss"])
 def test_unit_speeds_keep_the_whole_curve_system(name):
     """With unit speeds every one-cell step ends on a node, so the march
@@ -980,17 +1001,23 @@ def _record_block_work(monkeypatch):
     """Record, as the solver runs, the padded segments of every path
     quadrature it forms, a block's crossing steps then its edge steps; for
     every trace its work bytes as modelled (128 B a segment and 640 B a
-    curve of its bundle, and 512 B a cell of each travel-time table it
-    builds, one for speed_v and one per distinct y of its crossing curves),
-    the peak of traced memory it reaches above its entry, and its curves;
-    and the bytes of the arrays of every problem it builds.  A trace
-    resets the traced peak, so the peaks reached before each trace are
-    recorded too: the run's peak is the largest of them and the peak read
-    after it (:func:`_peak`).  For every block it records the bytes its
-    step data hold, a view counted by the array it holds, their
+    curve of its bundle; 128 B a cell of each row of the travel-time tables
+    it reads, one for speed_v and one per distinct y of its crossing
+    curves, for its brackets in them and its fixed costs; and 512 B a cell
+    of each row it builds: the sampled plant keeps the tables, so the
+    first trace of a solve builds every row, and later traces none), the
+    peak of traced memory it reaches above its entry, and its curves; the
+    travel-time tables built; and the bytes of the arrays of every problem
+    it builds.  A trace resets the traced peak, so the peaks reached before
+    each trace are recorded too: the run's peak is the largest of them and
+    the peak read after it (:func:`_peak`).  For every block it records the
+    bytes its step data hold, a view counted by the array it holds, their
     :func:`_step_bytes`, and how many arrays of the block before it are
     alive, by weak references, when its steps are traced."""
     padded, work, problem_bytes, before, blocks = [], {}, [], [], []
+    tables = []
+    monkeypatch.setattr(characteristics, "_TravelTime", _recording(
+        characteristics._TravelTime, tables.append))
     monkeypatch.setattr(kernelsolve, "_quadrature_matrix", _recording(
         kernelsolve._quadrature_matrix,
         lambda op: padded.append(op.row_nodes.size // 2)))
@@ -1002,13 +1029,15 @@ def _record_block_work(monkeypatch):
             entry, peak = tracemalloc.get_traced_memory()
             before.append(peak)
             tracemalloc.reset_peak()
+            built = len(tables)
             bundle = trace(coeff, *args)
-            tables = 1 + (np.unique(args[2]).size
-                          if attr == "trace_crossing_batch" else 0)
+            read = 1 + (np.unique(args[2]).size
+                        if attr == "trace_crossing_batch" else 0)
+            rows = sum(t.nodes.shape[0] for t in tables[built:])
             curves = bundle.offsets.size - 1
             work.setdefault(attr, []).append((
                 128 * bundle.weights.size + 640 * curves
-                + 512 * tables * coeff.spec.nx,
+                + (128 * read + 512 * rows) * coeff.spec.nx,
                 tracemalloc.get_traced_memory()[1] - entry, curves))
             return bundle
 
@@ -1026,7 +1055,14 @@ def _record_block_work(monkeypatch):
         return block
 
     monkeypatch.setattr(kernelsolve, "_block_steps", block_steps)
-    return padded, work, problem_bytes, before, blocks
+    return padded, work, problem_bytes, before, blocks, tables
+
+
+def _table_bytes(tables):
+    """The bytes the travel-time tables ``tables`` hold, which the sampled
+    plant keeps from the first trace on: their own arrays, not the x-nodes
+    they share with the grid."""
+    return sum(_array_bytes(t) - t.x.nbytes for t in tables)
 
 
 def _peak(before):
@@ -1097,8 +1133,8 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
     plant = {"toy": toy, "sloped": sloped_plant()}[name]
     spec = GridSpec(nx=nx, ny=8)
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 256)
-    padded, work, problem_bytes, before, blocks = _record_block_work(
-        monkeypatch)
+    padded, work, problem_bytes, before, blocks, tables = (
+        _record_block_work(monkeypatch))
     tracemalloc.start()
     try:
         sol = solve_backstepping_kernels(plant, spec)
@@ -1107,11 +1143,12 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
         tracemalloc.stop()
     n_tri, r = sol.coords.shape
     # The problem's arrays (the diagonal rows and the per-x-node plant
-    # fields), the sampled grids and the grid's index arrays; the march's
-    # unknowns (C and its source, G and its source), which the solution
-    # keeps.
+    # fields), the sampled grids, their travel-time tables and the grid's
+    # index arrays; the march's unknowns (C and its source, G and its
+    # source), which the solution keeps.
     kept = (problem_bytes[0] + _array_bytes(sample_coefficients(plant, spec))
-            + _array_bytes(spec.tri) + 8 * n_tri * (2 * r + 2))
+            + _table_bytes(tables) + _array_bytes(spec.tri)
+            + 8 * n_tri * (2 * r + 2))
     bound = kept + _block_bytes(padded, work)
     # every block's step data (60 B a padded segment)
     assert kept + 60 * sum(padded) > bound
@@ -1138,8 +1175,8 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     ny = spec.ny
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 1024)
     monkeypatch.setattr(csvtable, "_CHUNK_LINES", 2048)
-    padded, work, problem_bytes, before, blocks = _record_block_work(
-        monkeypatch)
+    padded, work, problem_bytes, before, blocks, tables = (
+        _record_block_work(monkeypatch))
     coeffs, solutions, solve_peaks = [], [], []
     monkeypatch.setattr(cli, "sample_coefficients", _recording(
         cli.sample_coefficients, coeffs.append))
@@ -1166,15 +1203,15 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     grid = _array_bytes(sol.spec.tri)
     chunk = max(512 * csvtable._CHUNK_LINES, 128 * kernelsolve._BLOCK_VALUES)
     assert chunk < full_size
-    kept = (problem_bytes[0] + _array_bytes(coeff) + grid
-            + 8 * n_tri * (2 * r + 2))
+    coeff_bytes = _array_bytes(coeff) + _table_bytes(tables)
+    kept = problem_bytes[0] + coeff_bytes + grid + 8 * n_tri * (2 * r + 2)
     assert solve_peaks[0] <= kept + _block_bytes(padded, work)
     assert _traces_within_model(work)
     assert _one_block_at_a_time(blocks)
     # the command never asks for the whole k, and holds the solution's
     # own arrays only
     assert "k" not in vars(sol)
-    assert after_peak <= _array_bytes(coeff, sol) + grid + chunk
+    assert after_peak <= coeff_bytes + _array_bytes(sol) + grid + chunk
 
 
 def _reference_plants():
