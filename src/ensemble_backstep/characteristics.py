@@ -108,6 +108,11 @@ CORNER_TOL = 1e-8
 #: spread the cost of a block, few enough that its temporaries stay small.
 _CUT_CURVES = 2048
 
+#: Simpson's rule on a segment: the weights of its start, midpoint and end
+#: relative to the midpoint's, as a ``(3, 1)`` column.
+SIMPSON_POINT_WEIGHTS = np.array([[0.25], [1.0], [0.25]])
+SIMPSON_POINT_WEIGHTS.flags.writeable = False
+
 #: The 8-point Gauss-Legendre rule on [0, 1].
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GAUSS_NODES = 0.5 * (_GAUSS_NODES + 1.0)
@@ -144,7 +149,7 @@ class TracedBundle:
     def simpson_weights(self) -> np.ndarray:
         """Simpson's rule on every segment: the ``(3, S)`` weights of the
         segments' points."""
-        return np.array([[0.25], [1.0], [0.25]]) * self.weights
+        return SIMPSON_POINT_WEIGHTS * self.weights
 
     def path_integral(self, values: np.ndarray) -> np.ndarray:
         """Each curve's path integral, up to its end, of a function

@@ -13,8 +13,8 @@ Three subcommands share one configuration model (defaults, optional flat
   oracle for the toy model, kernel boundary and equation residuals,
   transform round trip, Lyapunov monotonicity) and writes ``verify.json``.
 
-Exit codes: 0 success, 2 invalid configuration, 3 kernel nonconvergence,
-4 simulation divergence, 5 verification failure.
+Exit codes: 0 success, 2 invalid configuration or unwritable output,
+3 kernel nonconvergence, 4 simulation divergence, 5 verification failure.
 
 All numeric output is deterministic for a fixed configuration and seed: the
 numerical core is vectorized but single-threaded (BLAS thread pools are
@@ -210,13 +210,12 @@ def _toy_kernel_error(sol: KernelSolution) -> float:
     return worst
 
 
-def _solve_kernels(config: RunConfig, coeff) -> KernelSolution | None:
-    """Solve the kernels of a run's sampled plant, or return None after
-    writing ``{"converged": false, "final_delta": ...}`` to
-    ``kernels.json``."""
+def _solve_kernels(config: RunConfig, model, spec: GridSpec
+                   ) -> KernelSolution | None:
+    """Solve the kernels of a run's plant, or return None after writing
+    ``{"converged": false, "final_delta": ...}`` to ``kernels.json``."""
     try:
-        return solve_backstepping_kernels(coeff.model, coeff.spec,
-                                          tol=config.kernel_tol, coeff=coeff)
+        return solve_backstepping_kernels(model, spec, tol=config.kernel_tol)
     except NonconvergenceError as exc:
         path = os.path.join(config.output_dir, "kernels.json")
         _write_json(path, {"converged": False,
@@ -230,12 +229,11 @@ def cmd_kernels(config: RunConfig) -> int:
     """Solve the transform kernels; write kernels.csv and kernels.json."""
     spec = _grid_from_config(config)
     model = builtin_model(config.model_name)
-    coeff = sample_coefficients(model, spec)
     os.makedirs(config.output_dir, exist_ok=True)
-    sol = _solve_kernels(config, coeff)
+    sol = _solve_kernels(config, model, spec)
     if sol is None:
         return 3
-    res_ensemble, res_scalar = kernel_pde_residual(sol, model, coeff)
+    res_ensemble, res_scalar = kernel_pde_residual(sol, model)
     payload = {
         "iterations": sol.iterations,
         "final_delta": sol.final_delta,
@@ -295,7 +293,7 @@ def cmd_simulate(config: RunConfig) -> int:
 
     kernels = None
     if config.mode in ("closed", "target"):
-        kernels = _solve_kernels(config, coeff)
+        kernels = _solve_kernels(config, model, spec)
         if kernels is None:
             return 3
 
@@ -461,7 +459,7 @@ def cmd_verify(config: RunConfig) -> int:
     checks["characteristics"] = _verify_characteristics(coeff, rng)
     checks["volterra_resolvent"] = _verify_volterra(spec)
 
-    kernels = _solve_kernels(config, coeff)
+    kernels = _solve_kernels(config, model, spec)
     if kernels is None:
         return 3
     if config.model_name == "toy":
@@ -475,7 +473,7 @@ def cmd_verify(config: RunConfig) -> int:
                                    "passed": oracle_err <= oracle_tol}
     checks["kernel_boundary"] = _verify_kernel_boundary(spec, coeff, kernels)
 
-    res_ensemble, res_scalar = kernel_pde_residual(kernels, model, coeff)
+    res_ensemble, res_scalar = kernel_pde_residual(kernels, model)
     pde_tol = 10.0 / spec.nx
     pde_worst = max(res_ensemble, res_scalar)
     checks["kernel_pde"] = {"measured": {"ensemble_equation": res_ensemble,
@@ -555,6 +553,10 @@ def main(argv=None) -> int:
         return 4
     except EnsembleBackstepError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output's: the config file was read above
+        path = exc.filename or config.output_dir
+        print(f"cannot write {path!r}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

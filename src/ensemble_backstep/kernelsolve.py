@@ -85,7 +85,8 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .characteristics import trace_crossing_batch, trace_edge_batch
+from .characteristics import (SIMPSON_POINT_WEIGHTS, trace_crossing_batch,
+                              trace_edge_batch)
 from .errors import (DimensionError, DomainError, NonconvergenceError,
                      NumericError)
 from .grid import (GridSpec, TriangularIndex, corner_weights, row_basis,
@@ -331,7 +332,7 @@ def _quadrature_matrix(spec: GridSpec, bundle,
     row_weights = np.zeros((m * width, 2))
     for run, curve, slot in _segment_runs(offsets, width):
         xi = bundle.xi[:, run]
-        simpson = np.array([[0.25], [1.0], [0.25]]) * bundle.weights[run]
+        simpson = SIMPSON_POINT_WEIGHTS * bundle.weights[run]
         # Corners (i - 1, j), (i, j), (i - 1, j + 1), (i, j + 1): the even
         # ones lie on row i - 1, the odd ones on row i.
         corners, weights = corner_weights(spec.nx, bundle.x[:, run], xi,
@@ -727,36 +728,20 @@ def _ensemble_maps(coeff: SampledCoefficients) -> Iterator[np.ndarray]:
         yield a
 
 
-def _sampled(model: PlantModel, spec: GridSpec,
-             coeff: SampledCoefficients | None) -> SampledCoefficients:
-    """``coeff``, checked to be ``model`` sampled on ``spec``, or if it is
-    None the plant sampled now."""
-    if coeff is None:
-        return sample_coefficients(model, spec)
-    if coeff.model is not model or coeff.spec != spec:
-        raise DimensionError(
-            f"coefficients sampled from {coeff.model.name!r} at "
-            f"nx={coeff.spec.nx}, ny={coeff.spec.ny} are not those of "
-            f"{model.name!r} at nx={spec.nx}, ny={spec.ny}")
-    return coeff
+def build_backstepping_problem(model: PlantModel,
+                               spec: GridSpec) -> GoursatProblem:
+    """Sample ``model`` on ``spec`` and project the kernel system onto its
+    y-subspace; nothing is traced.
 
-
-def build_backstepping_problem(model: PlantModel, spec: GridSpec,
-                               coeff: SampledCoefficients | None = None
-                               ) -> GoursatProblem:
-    """Project the kernel system of the sampled plant onto its y-subspace;
-    nothing is traced.
-
-    ``coeff`` is the plant already sampled on ``spec``, if the caller holds
-    it; otherwise it is sampled here.  The subspace is seeded with the
-    exact diagonal data on the diagonal nodes and the readout rows.  The
-    exchange part of each ``A_j`` in the basis is sampled one x-node at a
-    time, twice: once for the row basis ``D`` of all of them
-    (:func:`~ensemble_backstep.grid.row_basis`) and once for their
-    ``(r, q)`` loadings ``blocks[j]`` on it.  The speed derivative stays
-    out of the factored part, so one that varies in y cannot raise q.
+    The subspace is seeded with the exact diagonal data on the diagonal
+    nodes and the readout rows.  The exchange part of each ``A_j`` in the
+    basis is sampled one x-node at a time, twice: once for the row basis
+    ``D`` of all of them (:func:`~ensemble_backstep.grid.row_basis`) and
+    once for their ``(r, q)`` loadings ``blocks[j]`` on it.  The speed
+    derivative stays out of the factored part, so one that varies in y
+    cannot raise q.
     """
-    coeff = _sampled(model, spec, coeff)
+    coeff = sample_coefficients(model, spec)
     wy = spec.y_weights
 
     # A speed the grid sees vary in y gives each y-node its own crossing
@@ -817,24 +802,20 @@ def build_backstepping_problem(model: PlantModel, spec: GridSpec,
 
 
 def solve_backstepping_kernels(model: PlantModel, spec: GridSpec,
-                               tol: float = 1e-10,
-                               coeff: SampledCoefficients | None = None
-                               ) -> KernelSolution:
-    """Solve the transform-kernel equations for a plant on a given grid;
-    ``coeff``, the plant sampled on ``spec``, spares sampling it again."""
-    return solve_goursat(build_backstepping_problem(model, spec, coeff),
-                         tol=tol)
+                               tol: float = 1e-10) -> KernelSolution:
+    """Solve the transform-kernel equations of ``model`` sampled on ``spec``;
+    the samples are freed when the solve returns."""
+    return solve_goursat(build_backstepping_problem(model, spec), tol=tol)
 
 
-def kernel_pde_residual(sol: KernelSolution, model: PlantModel,
-                        coeff: SampledCoefficients | None = None
-                        ) -> tuple[float, float]:
+def kernel_pde_residual(sol: KernelSolution,
+                        model: PlantModel) -> tuple[float, float]:
     """One-sided finite-difference residuals of both kernel equations.
 
     Evaluates the ensemble and scalar kernel equations of ``model``, sampled
-    on ``sol.spec`` unless ``coeff`` holds it already, at interior triangle
-    nodes, excluding a one-cell band along the diagonal and along the
-    ``xi = 0`` edge where the one-sided stencils would cross the data lines.
+    on ``sol.spec`` here, at interior triangle nodes, excluding a one-cell
+    band along the diagonal and along the ``xi = 0`` edge where the
+    one-sided stencils would cross the data lines.
     Each equation's max absolute residual is normalized by the sup of the
     kernel it differentiates (floored at 1), since the finite-difference
     truncation error scales with the field; both normalized residuals shrink
@@ -850,7 +831,7 @@ def kernel_pde_residual(sol: KernelSolution, model: PlantModel,
     h = spec.hx
     if spec.nx < 4:
         return 0.0, 0.0
-    coeff = _sampled(model, spec, coeff)
+    coeff = sample_coefficients(model, spec)
     kt = sol.ktilde
     # One xi-column j at a time, rows i >= j + 2, with a running max.  The
     # column's rows of k, from row j + 1 on, are the previous column's

@@ -219,7 +219,7 @@ def test_diagonal_rows_are_the_exact_data(slope):
     plant = sloped_plant(slope)
     spec = GridSpec(nx=30, ny=12)
     coeff = sample_coefficients(plant, spec)
-    sol = solve_backstepping_kernels(plant, spec, coeff=coeff)
+    sol = solve_backstepping_kernels(plant, spec)
     assert sol.y_rank == (1 if slope == 0.0 else spec.ny)
     x, y = spec.x_nodes[:, None], spec.y_nodes[None, :]
     exact = -plant.readout(x, y) / (plant.speed_u(x, y) + plant.speed_v(x))
@@ -403,7 +403,7 @@ class TestSimulateCommand:
 
     def test_kernel_nonconvergence_exits_3(self, tmp_path, monkeypatch,
                                            capsys):
-        def _give_up(model, spec, tol, coeff=None):
+        def _give_up(model, spec, tol):
             raise NonconvergenceError("iteration budget exhausted",
                                       final_delta=0.125)
 
@@ -488,6 +488,30 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command, output", [
+        (["kernels"], "kernels.json"),
+        (["simulate", "--mode", "closed", "--t-final", "0.1"],
+         "timeseries.csv"),
+        (["verify", "--t-final", "0.1"], "verify.json")],
+        ids=["kernels", "simulate", "verify"])
+    @pytest.mark.parametrize("blocked", ["out", "output"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command,
+                                       output, blocked):
+        """``--out`` naming an existing file, or an output file that is a
+        directory, exits 2 with one stderr line naming the path."""
+        out = tmp_path / "out"
+        if blocked == "out":
+            out.write_text("not a directory\n")
+            path = out
+        else:
+            path = out / output
+            path.mkdir(parents=True)
+        code = main(command + ["--nx", "10", "--ny", "4", "--dt", "0.02",
+                               "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and repr(str(path)) in err
 
     def test_module_run_does_not_warn(self):
         proc = subprocess.run(

@@ -167,21 +167,6 @@ class TestBacksteppingKernels:
         assert np.all(sol.ktilde == 0.0)
         assert sol.iterations == 1
 
-    def test_coefficients_of_another_plant_or_grid_are_refused(
-            self, toy, pure_transport):
-        """Coefficients handed to the solve or the residuals must be the
-        plant's, sampled on the solve's grid."""
-        spec = GridSpec(nx=12, ny=6)
-        coeff = sample_coefficients(toy, spec)
-        sol = solve_backstepping_kernels(toy, spec, coeff=coeff)
-        assert np.array_equal(sol.k, solve_backstepping_kernels(toy, spec).k)
-        for plant, grid in ((pure_transport, spec),
-                            (toy, GridSpec(nx=12, ny=8))):
-            with pytest.raises(DimensionError):
-                solve_backstepping_kernels(plant, grid, coeff=coeff)
-        with pytest.raises(DimensionError):
-            kernel_pde_residual(sol, pure_transport, coeff)
-
 
 class TestPdeResidual:
     def test_residual_shrinks_linearly_on_solved_kernels(self, toy):
@@ -343,9 +328,9 @@ def test_one_rule_splits_families_and_steps(toy, name, varies):
     plant = {"toy": toy, "half_x": half_x_plant(), "sloped": sloped_plant(),
              "kinked": _kinked_plant(toy),
              "one_node": _one_node_plant(toy, spec)}[name]
-    coeff = sample_coefficients(plant, spec)
+    problem = build_backstepping_problem(plant, spec)
+    coeff = problem.coeff
     assert coeff.speed_u_varies_in_y is varies
-    problem = build_backstepping_problem(plant, spec, coeff)
     assert problem.family_y.size == (spec.ny if varies else 1)
     step = coordinate_step(coeff, spec.dt, default_initial_state(spec).u)
     if varies:
@@ -1013,11 +998,14 @@ def _record_block_work(monkeypatch):
     the peak read after it (:func:`_peak`).  For every block it records the
     bytes its step data hold, a view counted by the array it holds, their
     :func:`_step_bytes`, and how many arrays of the block before it are
-    alive, by weak references, when its steps are traced."""
+    alive, by weak references, when its steps are traced.  Each table is
+    recorded as its rows and its bytes (:func:`_table_bytes`), so that no
+    record keeps it alive."""
     padded, work, problem_bytes, before, blocks = [], {}, [], [], []
     tables = []
     monkeypatch.setattr(characteristics, "_TravelTime", _recording(
-        characteristics._TravelTime, tables.append))
+        characteristics._TravelTime,
+        lambda t: tables.append((t.nodes.shape[0], _table_bytes(t)))))
     monkeypatch.setattr(kernelsolve, "_quadrature_matrix", _recording(
         kernelsolve._quadrature_matrix,
         lambda op: padded.append(op.row_nodes.size // 2)))
@@ -1033,7 +1021,7 @@ def _record_block_work(monkeypatch):
             bundle = trace(coeff, *args)
             read = 1 + (np.unique(args[2]).size
                         if attr == "trace_crossing_batch" else 0)
-            rows = sum(t.nodes.shape[0] for t in tables[built:])
+            rows = sum(n for n, _ in tables[built:])
             curves = bundle.offsets.size - 1
             work.setdefault(attr, []).append((
                 128 * bundle.weights.size + 640 * curves
@@ -1058,11 +1046,11 @@ def _record_block_work(monkeypatch):
     return padded, work, problem_bytes, before, blocks, tables
 
 
-def _table_bytes(tables):
-    """The bytes the travel-time tables ``tables`` hold, which the sampled
-    plant keeps from the first trace on: their own arrays, not the x-nodes
-    they share with the grid."""
-    return sum(_array_bytes(t) - t.x.nbytes for t in tables)
+def _table_bytes(table):
+    """The bytes a travel-time table holds, which the sampled plant keeps
+    from the first trace on: its own arrays, not the x-nodes it shares with
+    the grid."""
+    return _array_bytes(table) - table.x.nbytes
 
 
 def _peak(before):
@@ -1117,6 +1105,28 @@ def _array_bytes(*objects):
                if isinstance(v, np.ndarray))
 
 
+@pytest.mark.parametrize("name", ["toy", "sloped"])
+def test_sampled_plants_do_not_outlive_their_call(name, toy, monkeypatch):
+    """Every plant that the solve and the residuals sample, and every
+    travel-time table the solve's traces attach to its plant, is
+    unreachable, by weak references, as soon as the call returns: no
+    sampled plant, and no table, outlives the solve."""
+    plant = {"toy": toy, "sloped": sloped_plant()}[name]
+    spec = GridSpec(nx=12, ny=6)
+    plants, tables = [], []
+    monkeypatch.setattr(kernelsolve, "sample_coefficients", _recording(
+        kernelsolve.sample_coefficients,
+        lambda coeff: plants.append(weakref.ref(coeff))))
+    monkeypatch.setattr(characteristics, "_TravelTime", _recording(
+        characteristics._TravelTime,
+        lambda table: tables.append(weakref.ref(table))))
+    sol = solve_backstepping_kernels(plant, spec)
+    assert len(plants) == 1 and len(tables) == 2
+    assert all(ref() is None for ref in plants + tables)
+    kernel_pde_residual(sol, plant)
+    assert len(plants) == 2 and plants[1]() is None
+
+
 @pytest.mark.parametrize("name, nx", [("toy", 100), ("sloped", 80)],
                          ids=["toy", "sloped"])
 def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
@@ -1147,7 +1157,7 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
     # index arrays; the march's unknowns (C and its source, G and its
     # source), which the solution keeps.
     kept = (problem_bytes[0] + _array_bytes(sample_coefficients(plant, spec))
-            + _table_bytes(tables) + _array_bytes(spec.tri)
+            + sum(b for _, b in tables) + _array_bytes(spec.tri)
             + 8 * n_tri * (2 * r + 2))
     bound = kept + _block_bytes(padded, work)
     # every block's step data (60 B a padded segment)
@@ -1158,28 +1168,35 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
 
 
 def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
-    """``kernels`` on the toy peaks in its solve, in traced memory, below
-    the arrays it keeps (the sampled coefficients, the problem's arrays, the
-    grid's index arrays and the march's unknowns, ``C`` among them, with the
-    diagonal rows) and one block (:func:`_block_bytes`): the build forms no
-    ``(n_tri, ny)`` array, each trace peaks within its modelled work, and
-    each block's step data take :func:`_step_bytes` and are freed before
-    the next block is traced.  After the solve it forms ``k`` a block of
-    rows at a time, in the residual, the closed-form error and the CSV
-    writer, so that it peaks below what it holds (the coefficients, the
-    solution and the grid's index arrays) plus the larger of one CSV chunk
-    (512 B a line) and one block of ``k`` (128 B a value): an allowance
-    smaller than any ``(n_tri, ny)`` array.  Nothing on the way asks for
-    the whole ``k``."""
+    """``kernels`` on the toy samples no plant of its own: the solve and the
+    residual each sample theirs.  It peaks in its solve, in traced memory,
+    below the arrays the solve keeps (its sampled coefficients with their
+    travel-time tables, the problem's arrays, the grid's index arrays and
+    the march's unknowns, ``C`` among them, with the diagonal rows) and one
+    block (:func:`_block_bytes`): the build forms no ``(n_tri, ny)`` array,
+    each trace peaks within its modelled work, and each block's step data
+    take :func:`_step_bytes` and are freed before the next block is traced.
+    After the solve it forms ``k`` a block of rows at a time, in the
+    residual, the closed-form error and the CSV writer, so that it peaks
+    below what it holds (the residual's sampled coefficients, the solution
+    and the grid's index arrays, but no travel-time table: the solve's
+    plant is gone) plus the larger of one CSV chunk (512 B a line) and one
+    block of ``k`` (128 B a value): an allowance smaller than any
+    ``(n_tri, ny)`` array.  Nothing on the way asks for the whole ``k``."""
     spec = GridSpec(nx=100, ny=60)
     ny = spec.ny
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 1024)
     monkeypatch.setattr(csvtable, "_CHUNK_LINES", 2048)
     padded, work, problem_bytes, before, blocks, tables = (
         _record_block_work(monkeypatch))
-    coeffs, solutions, solve_peaks = [], [], []
+    # the bytes of every plant sampled, read as it is sampled, so that no
+    # record keeps a plant alive
+    coeffs, cli_coeffs, solutions, solve_peaks = [], [], [], []
+    monkeypatch.setattr(kernelsolve, "sample_coefficients", _recording(
+        kernelsolve.sample_coefficients,
+        lambda coeff: coeffs.append(_array_bytes(coeff))))
     monkeypatch.setattr(cli, "sample_coefficients", _recording(
-        cli.sample_coefficients, coeffs.append))
+        cli.sample_coefficients, cli_coeffs.append))
 
     def solve_and_reset_peak(*args, **kwargs):
         sol = solve_backstepping_kernels(*args, **kwargs)
@@ -1197,21 +1214,22 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
         after_peak = _peak(before)
     finally:
         tracemalloc.stop()
-    (coeff,), (sol,) = coeffs, solutions
+    (solve_coeff, residual_coeff), (sol,) = coeffs, solutions
+    assert not cli_coeffs
     n_tri, r = sol.coords.shape
     full_size = 8 * n_tri * ny
     grid = _array_bytes(sol.spec.tri)
     chunk = max(512 * csvtable._CHUNK_LINES, 128 * kernelsolve._BLOCK_VALUES)
     assert chunk < full_size
-    coeff_bytes = _array_bytes(coeff) + _table_bytes(tables)
-    kept = problem_bytes[0] + coeff_bytes + grid + 8 * n_tri * (2 * r + 2)
+    kept = (problem_bytes[0] + solve_coeff + sum(b for _, b in tables)
+            + grid + 8 * n_tri * (2 * r + 2))
     assert solve_peaks[0] <= kept + _block_bytes(padded, work)
     assert _traces_within_model(work)
     assert _one_block_at_a_time(blocks)
     # the command never asks for the whole k, and holds the solution's
     # own arrays only
     assert "k" not in vars(sol)
-    assert after_peak <= coeff_bytes + _array_bytes(sol) + grid + chunk
+    assert after_peak <= residual_coeff + _array_bytes(sol) + grid + chunk
 
 
 def _reference_plants():
@@ -1329,10 +1347,10 @@ def test_ensemble_operator_is_the_projected_map_at_every_node(plant, rng):
     a time as the march calls it."""
     spec = GridSpec(nx=20, ny=16)
     tri = spec.tri
-    coeff = sample_coefficients(plant, spec)
-    problem = build_backstepping_problem(plant, spec, coeff)
+    problem = build_backstepping_problem(plant, spec)
     basis = problem.basis
-    maps = [basis.T @ a @ basis for a in kernelsolve._ensemble_maps(coeff)]
+    maps = [basis.T @ a @ basis
+            for a in kernelsolve._ensemble_maps(problem.coeff)]
     c = rng.standard_normal((tri.n_nodes, basis.shape[1]))
     want = np.stack([c[t] @ maps[j] for t, j in enumerate(tri.j_index)])
     got = problem.apply_ensemble_operator(range(spec.nx + 1), c)
@@ -1347,22 +1365,25 @@ def test_ensemble_operator_is_the_projected_map_at_every_node(plant, rng):
 @pytest.mark.parametrize("reader", ["build", "coordinate_step"])
 def test_exchange_is_factored_without_its_stack(reader):
     """Both readers of the exchange factor it a slab at a time: each peaks,
-    in traced memory, above the arrays it returns by less than half of the
-    ``(nx + 1, ny, ny)`` stack of the exchange on the y-nodes."""
+    in traced memory, above the arrays it returns (the build's with the
+    plant it samples) by less than half of the ``(nx + 1, ny, ny)`` stack
+    of the exchange on the y-nodes."""
     plant = sloped_plant()
     spec = GridSpec(nx=100, ny=60)
     coeff = sample_coefficients(plant, spec)
     tracemalloc.start()
     try:
         if reader == "build":
-            made = build_backstepping_problem(plant, spec, coeff)
+            made = build_backstepping_problem(plant, spec)
+            held = _array_bytes(made, made.coeff)
         else:
             made = coordinate_step(coeff, spec.dt,
                                    default_initial_state(spec).u)
+            held = _array_bytes(made)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - _array_bytes(made) < 8 * (spec.nx + 1) * spec.ny ** 2 / 2
+    assert peak - held < 8 * (spec.nx + 1) * spec.ny ** 2 / 2
 
 
 @pytest.mark.parametrize("plant", [

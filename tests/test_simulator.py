@@ -731,7 +731,7 @@ def test_recipe_reads_kernel_norms_from_coordinates(slope, monkeypatch):
     plant = sloped_plant(slope)
     spec = GridSpec(nx=30, ny=12)
     coeff = sample_coefficients(plant, spec)
-    kernels = solve_backstepping_kernels(plant, spec, coeff=coeff)
+    kernels = solve_backstepping_kernels(plant, spec)
     assert kernels.y_rank == (1 if slope == 0.0 else spec.ny)
     transform = transform_operator(kernels)
 
