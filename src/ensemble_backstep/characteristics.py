@@ -543,6 +543,16 @@ def _cut_curves(z: _Component, w: _Component, s_end, span, out, first):
     return e_off[1:] - np.arange(1, m + 1)
 
 
+def _segment_bounds(z: _Component, w: _Component) -> np.ndarray:
+    """The most cell segments each moving curve whose x- and
+    xi-components are ``z`` and ``w`` is cut into: one, plus a cut at every
+    line of each component's span but its two outer lines, the one at or
+    behind its start and the one at or past its end, which
+    :meth:`_Component.crossings` never keeps."""
+    return (np.maximum(z.lines()[1] - 2, 0) + np.maximum(w.lines()[1] - 2, 0)
+            + 1)
+
+
 def _read_curves(z: _Component, w: _Component, ref, s_end, launch,
                  s_max) -> TracedBundle:
     """Curves whose x- and xi-components are ``z`` and ``w``, cut into cell
@@ -551,12 +561,10 @@ def _read_curves(z: _Component, w: _Component, ref, s_end, launch,
     that move, and ``s_max`` bounds their end times."""
     m = s_end.size
     # Cut the curves into segments a block of _CUT_CURVES curves at a time,
-    # into arrays sized for a cut at every line between each curve's ends,
-    # plus one segment per curve that moves (lines crossed too close to an
-    # end and merged corners leave their tails unwritten, and untouched
-    # pages cost no memory).
-    n_lines = z[ref].lines()[1].sum() + w[ref].lines()[1].sum()
-    bound = int(n_lines) + ref.size
+    # into arrays sized by the segments each moving curve can have (lines
+    # crossed too close to an end and merged corners leave their tails
+    # unwritten, and untouched pages cost no memory).
+    bound = int(_segment_bounds(z[ref], w[ref]).sum())
     seg_x, seg_xi = np.empty((3, bound)), np.empty((3, bound))
     weights = np.empty(bound)
     offsets = np.zeros(m + 1, dtype=np.int64)

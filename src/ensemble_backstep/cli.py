@@ -285,8 +285,9 @@ def cmd_simulate(config: RunConfig) -> int:
     """Run a simulation; write timeseries.csv, snapshots, summary.json."""
     spec = _grid_from_config(config)
     model = builtin_model(config.model_name)
-    coeff = sample_coefficients(model, spec)
-    check_cfl(coeff, spec.dt)
+    # The CFL check's plant is dropped before the solve, which samples its
+    # own; the plant that is stepped is sampled after it.
+    check_cfl(sample_coefficients(model, spec), spec.dt)
     os.makedirs(config.output_dir, exist_ok=True)
     summary_path = os.path.join(config.output_dir, "summary.json")
     u0, v0 = _initial_condition(config, spec)
@@ -297,6 +298,7 @@ def cmd_simulate(config: RunConfig) -> int:
         if kernels is None:
             return 3
 
+    coeff = sample_coefficients(model, spec)
     try:
         if config.mode == "target":
             record = simulate_target(coeff, spec, kernels, u0=u0, v0=v0,
@@ -443,25 +445,31 @@ def _verify_lyapunov(config: RunConfig, spec: GridSpec, coeff, kernels) -> dict:
             "passed": passed}
 
 
+def _verify_before_solve(model, spec: GridSpec, rng) -> dict:
+    """The checks that come before the kernel solve, on a plant of their
+    own: the plant, and the travel-time tables its traces attach to it, are
+    dropped on return, before the solve samples its own."""
+    coeff = sample_coefficients(model, spec)
+    courant, cfl_holds = cfl_condition(coeff, spec.dt)
+    return {"cfl": {"measured": courant, "tolerance": 1.0,
+                    "passed": cfl_holds},
+            "characteristics": _verify_characteristics(coeff, rng),
+            "volterra_resolvent": _verify_volterra(spec)}
+
+
 def cmd_verify(config: RunConfig) -> int:
     """Run the invariant suite; write verify.json; exit 0 iff all pass."""
     spec = _grid_from_config(config)
     model = builtin_model(config.model_name)
-    coeff = sample_coefficients(model, spec)
     rng = np.random.default_rng(config.seed)
     os.makedirs(config.output_dir, exist_ok=True)
 
-    checks = {}
-    courant, cfl_holds = cfl_condition(coeff, spec.dt)
-    checks["cfl"] = {"measured": courant, "tolerance": 1.0,
-                     "passed": cfl_holds}
-
-    checks["characteristics"] = _verify_characteristics(coeff, rng)
-    checks["volterra_resolvent"] = _verify_volterra(spec)
-
+    checks = _verify_before_solve(model, spec, rng)
     kernels = _solve_kernels(config, model, spec)
     if kernels is None:
         return 3
+    # The plant checked after the solve.
+    coeff = sample_coefficients(model, spec)
     if config.model_name == "toy":
         oracle_err = _toy_kernel_error(kernels)
         # Criterion 1's 0.02 at ny = 60, scaled with the y-quadrature error

@@ -44,14 +44,17 @@ by every later block's, and laid out once, a run of at most
 :data:`_RUN_SEGMENTS` cell segments at a time, as the two padded stencils
 the march gathers on int32 node indices (:func:`_quadrature_matrix`):
 three leveled nodes a segment on the row below, two corners a segment on
-the step's own row.  The march holds one block's step data at a time:
-they are freed before the next block is traced.  Every gather sums its
-stencil in one fixed order, and every projection one basis column at a
-time, so no bit of the kernels depends on the block or run sizes.  A
-step's source reads the corners of its cell on its own row too, so each
-row is a small fixed point.  Boundary data is evaluated exactly at the
-off-grid launch abscissas, so the diagonal condition holds exactly at
-nodes and the edge condition holds to the fixed-point tolerance.  A plant
+the step's own row, each indexed from its row's first node.  The march
+holds the solution, one block's step data and one row of sources: the
+step data are freed before the next block is traced, and each finished
+row's sources replace those of the row below it, since no step reads a
+source more than one row below its own.  Every gather sums its stencil
+in one fixed order, and every projection one basis column at a time, so
+no bit of the kernels depends on the block or run sizes.  A step's
+source reads the corners of its cell on its own row too, so each row is
+a small fixed point.  Boundary data is evaluated exactly at the off-grid
+launch abscissas, so the diagonal condition holds exactly at nodes and
+the edge condition holds to the fixed-point tolerance.  A plant
 whose sampled ensemble speed does not vary in y has one family of crossing
 curves, traced at the first y-node, and any other one per y-node.
 
@@ -111,12 +114,13 @@ MAX_SWEEPS = 60
 #: one block at a time.  Every block's traces read the travel-time tables
 #: the first one built, so a block costs its curves and a fixed overhead.
 #: With 2**13 ... 2**16 (6, 3, 2 and 1 blocks) the toy at nx=200, ny=120
-#: solved in 0.20, 0.18, 0.19 and 0.17 s, and the plant with
-#: speed_u = 1 + y/2 at nx=100, ny=60 (54, 23, 11 and 5 blocks) in 0.87,
-#: 0.70, 0.68 and 0.77 s, and a process that samples the plant and solves
-#: peaked at 38.9, 40.6, 43.8 and 45.6 MB of RSS and 44.3, 46.6, 54.1 and
-#: 72.3 MB (medians of five runs, 2-core Xeon shared with other jobs, one
-#: sitting): fewer blocks trace less often, larger ones hold more.
+#: solved in 0.25, 0.17, 0.16 and 0.17 s, and the plant with
+#: speed_u = 1 + y/2 at nx=100, ny=60 (54, 23, 11 and 5 blocks) in 0.92,
+#: 0.70, 0.65 and 0.94 s, and a process that samples the plant and solves
+#: peaked at 38.2, 40.2, 42.9 and 44.5 MB of RSS and 40.8, 43.5, 48.5 and
+#: 60.8 MB (medians of five runs, 2-core Xeon shared with other jobs, one
+#: sitting, Python 3.11, numpy 2.4): fewer blocks trace less often, larger
+#: ones hold more.
 _BLOCK_CURVES = 2 ** 14
 
 #: Cell segments whose stencils a block forms at a time
@@ -267,7 +271,9 @@ class _PathQuadrature(NamedTuple):
     ``below_nodes``/``below_weights``, ``(steps, 3 * width)``, read row
     i - 1, three consecutive nodes a cell segment that also level its
     xi-error; ``row_nodes``/``row_weights``, ``(steps, 2 * width)``, read
-    row i, two corners a segment, as indices into the row.  A step's
+    row i, two corners a segment.  Both are indices into their row, from
+    its first node: a stencil below of a short row reaches up to two nodes
+    past row i - 1, at weight 0.  A step's
     segments come in order, padded with node 0 at weight 0 up to the
     ``width`` segments of the longest step.  The nodes are int32.  ``nnz``
     counts the corner entries computed, four per segment.
@@ -349,8 +355,9 @@ def _quadrature_matrix(spec: GridSpec, bundle,
         level[(j >= on) | (on < 2)] = 0.0
         # Row i - 1: the stencil j - 1, j, j + 1, or 0, 1, 2 on the edge
         # column, the level's second difference plus the two corners.
-        lower, w_lower, w_upper = corners[:, 0], weights[:, 0], weights[:, 2]
-        edge = lower == row_start[on]
+        lower = corners[:, 0] - row_start[on]
+        w_lower, w_upper = weights[:, 0], weights[:, 2]
+        edge = lower == 0
         below_nodes[slot] = (lower - 1 + edge)[:, None] + np.arange(3)
         out = level[:, None] * np.array([1.0, -2.0, 1.0])
         out[:, 0] += np.where(edge, w_lower, 0.0)
@@ -422,8 +429,9 @@ class _Steps(NamedTuple):
     i - 1 by the 4-point Lagrange stencil of row i - 1 (weight 0 for a step
     that reaches its event first); ``below_nodes``/``below_weights`` and
     ``row_nodes``/``row_weights`` read the source on rows i - 1 and i, as
-    :func:`_quadrature_matrix` lays them out, row i's as rows of row i's
-    own source.  The nodes are int32.
+    :func:`_quadrature_matrix` lays them out: row i - 1's as rows of the one
+    row of sources the march keeps, row i's as rows of row i's own source,
+    each from its row's first node.  The nodes are int32.
     """
 
     start_nodes: np.ndarray
@@ -589,7 +597,9 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     that reaches the diagonal (the edge) first starts from the diagonal
     (edge) data there instead.  The steps are traced a block of rows at a
     time (:func:`_blocks`), and each block's rows are marched by
-    :func:`_march_block`, so that one block's step data are held at a time.
+    :func:`_march_block`, so that one block's step data are held at a time;
+    the sources of the last finished row, which the next row's steps read,
+    are carried from row to row and from block to block.
     The source of a step reads its cell's corners on row i too, so each row
     is a small fixed point: both unknowns on the row are iterated from zero
     until their sup-norm increment (of the ensemble unknown on every y-node,
@@ -619,15 +629,19 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     r = problem.basis.shape[1]
     C = np.zeros((tri.n_nodes, r))
     G = np.zeros(tri.n_nodes)
-    # The sources of the finished rows.
-    source_C = np.zeros_like(C)
-    source_G = np.zeros_like(G)
+    # The sources of the last finished row, in the crossing steps' lanes,
+    # with room for the longest row and two nodes past it, which the
+    # stencils below of short rows reach at weight 0.  Rows grow, so the
+    # nodes past a row are still zero when the row above reads it.
+    families = problem.family_y.size
+    source_c = np.zeros(((tri.nx + 3) * families, _lane_width(problem)))
+    source_g = np.zeros(tri.nx + 3)
     # deltas[k]: the largest row increment of local sweep k + 1, a row that
     # stopped sooner counting its last; ended: the largest last increment.
     deltas, ended = [], 0.0
-    for rows in _blocks(tri, problem.family_y.size):
-        for history in _march_block(problem, rows, tol, C, G, source_C,
-                                    source_G):
+    for rows in _blocks(tri, families):
+        for history in _march_block(problem, rows, tol, C, G, source_c,
+                                    source_g):
             deltas += [ended] * (len(history) - len(deltas))
             for k in range(len(deltas)):
                 deltas[k] = max(deltas[k], history[min(k, len(history) - 1)])
@@ -640,23 +654,24 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
 
 
 def _march_block(problem: GoursatProblem, rows: range, tol: float,
-                 C: np.ndarray, G: np.ndarray, source_C: np.ndarray,
-                 source_G: np.ndarray) -> list[list[float]]:
+                 C: np.ndarray, G: np.ndarray, source_c: np.ndarray,
+                 source_g: np.ndarray) -> list[list[float]]:
     """March the rows of one block of :func:`solve_goursat`, writing their
-    unknowns ``C`` and ``G`` and their sources, and return each row's
-    local sweep increments.  The block's step data live in this call only,
-    so they are freed before the next block is traced."""
+    unknowns ``C`` and ``G``, and return each row's local sweep increments.
+    ``source_c`` and ``source_g`` hold the sources of the row below the
+    block's first, and each row leaves its own there for the next.  The
+    block's step data live in this call only, so they are freed before the
+    next block is traced."""
     tri = problem.spec.tri
     basis = problem.basis
     r = basis.shape[1]
     families = problem.family_y.size
     cross, diagonal, edge, (edge_below, edge_on_row) = (
         _block_steps(problem, rows))
-    # The ensemble unknown and its source as the crossing steps read them:
-    # a row per node, or per node and y-node with a family per y-node.
+    # The ensemble unknown as the crossing steps read it: a row per node,
+    # or per node and y-node with a family per y-node.
     width = _lane_width(problem)
     lanes_C = C.reshape(tri.n_nodes * families, width)
-    lanes_source = source_C.reshape(lanes_C.shape)
     first = int(tri.row_start[rows.start])
     histories = []
     for i in rows:
@@ -665,10 +680,10 @@ def _march_block(problem: GoursatProblem, rows: range, tol: float,
         on_edge = slice(nodes.start - first, nodes.stop - first)
         on_cross = slice(on_edge.start * families, on_edge.stop * families)
         fixed_C = (diagonal[on_cross]
-                   + cross.fixed(on_cross, lanes_C, lanes_source)
+                   + cross.fixed(on_cross, lanes_C, source_c)
                    ).reshape(n, r)
         below = int(tri.row_start[max(i - 1, 0)])
-        fixed_G = (edge.fixed(on_edge, G, source_G) + edge_below[on_edge]
+        fixed_G = (edge.fixed(on_edge, G, source_g) + edge_below[on_edge]
                    * float(problem.edge_gain @ C[below]))
         cross_nodes = cross.row_nodes[on_cross]
         cross_weights = cross.row_weights[on_cross]
@@ -708,8 +723,8 @@ def _march_block(problem: GoursatProblem, rows: range, tol: float,
             c, g = c_new, g_new
         C[nodes] = c
         G[nodes] = g
-        source_C[nodes] = src_c
-        source_G[nodes] = src_g
+        source_c[:n * families] = src_c.reshape(n * families, width)
+        source_g[:n] = src_g
         histories.append(history)
     return histories
 

@@ -2,6 +2,7 @@
 test plants more than one test file solves."""
 
 import dataclasses
+import importlib
 import os
 import time
 
@@ -39,6 +40,17 @@ def full_rank_plant():
         exchange=lambda x, y, eta: x * np.exp(-(y - eta) ** 2),
         drive=lambda x, y: (x * (x + 1.0) * (y - 0.5) * np.exp(x)
                             + 0.5 * np.sin(np.pi * x * y)))
+
+
+def ydep_plant(slope=0.5):
+    """The plant the bench's ``ydep-kernels`` workload solves, from
+    ``bench/workloads.py``: the toy with the ensemble speed
+    ``1 + slope * y``."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(bench)
+        return importlib.import_module("workloads").ydep_plant(slope)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from conftest import half_x_plant, sloped_plant
+from conftest import full_rank_plant, half_x_plant, sloped_plant, ydep_plant
+from ensemble_backstep import characteristics
 from ensemble_backstep.characteristics import (
     trace_crossing_batch,
     trace_edge_batch,
 )
 from ensemble_backstep.errors import DomainError, NonconvergenceError
 from ensemble_backstep.grid import GridSpec
-from ensemble_backstep.model import PlantModel, sample_coefficients
+from ensemble_backstep.model import PlantModel, sample_coefficients, toy_model
 
 
 def _plant(speed_u, speed_v, name="custom"):
@@ -505,3 +506,59 @@ def test_curve_stopped_at_a_line_continues_as_the_whole_curve(make_plant,
     assert np.allclose(parts[at_line] + rest.path_integral(
         smooth(rest.x, rest.xi)), whole.path_integral(
         smooth(whole.x, whole.xi))[at_line], rtol=0, atol=tol)
+
+
+def _every_line_bounds(z, w):
+    """The segment bound of a curve counting every line of both
+    components' spans, the two outer lines too."""
+    return z.lines()[1] + w.lines()[1] + 1
+
+
+@pytest.mark.parametrize("make_plant", [
+    lambda: toy_model(), half_x_plant, sloped_plant, full_rank_plant,
+    ydep_plant], ids=["toy", "half_x", "sloped", "full_rank", "ydep"])
+@pytest.mark.parametrize("family", ["crossing", "edge"])
+def test_segment_buffers_hold_every_curve(make_plant, family, monkeypatch):
+    """A trace sizes its segment buffers by the lines each curve's
+    components can cross, their spans but the two outer lines, plus one
+    segment per moving curve: whole curves and one-cell steps (to the
+    x-line below each point) from 400 random triangle points trace the
+    same bundles, bit for bit, as with buffers for every line of the
+    spans, no curve has more segments than its bound, and the buffers
+    are smaller."""
+    spec = GridSpec(nx=60, ny=12)
+    coeff = sample_coefficients(make_plant(), spec)
+    rng = np.random.default_rng(36)
+    xs = rng.uniform(0.0, 1.0, 400)
+    xis = xs * rng.uniform(0.0, 1.0, 400)
+    ys = rng.uniform(0.0, 1.0, 400)
+    below = np.maximum(np.ceil(xs * spec.nx).astype(np.int64) - 1, 0)
+    rules, bounds = (characteristics._segment_bounds, _every_line_bounds), []
+
+    def recording(rule):
+        def bound(z, w):
+            out = rule(z, w)
+            bounds.append(out)
+            return out
+        return bound
+
+    for stop in (0, below):
+        traced = []
+        for rule in rules:
+            monkeypatch.setattr(characteristics, "_segment_bounds",
+                                recording(rule))
+            if family == "crossing":
+                traced.append(trace_crossing_batch(coeff, xs, xis, ys, stop))
+            else:
+                traced.append(trace_edge_batch(coeff, xs, xis, stop))
+        (bundle, reference), (bound, every) = traced, bounds[-2:]
+        for name in ("offsets", "x", "xi", "weights", "s_end", "launch",
+                     "end_xi"):
+            assert np.array_equal(getattr(bundle, name),
+                                  getattr(reference, name), equal_nan=True)
+        counts = np.diff(bundle.offsets)
+        moving = bundle.s_end > 0.0
+        assert np.all(counts[~moving] == 0)
+        assert bound.size == np.count_nonzero(moving)
+        assert np.all(counts[moving] <= bound)
+        assert bound.sum() < every.sum()

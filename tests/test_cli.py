@@ -12,13 +12,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import sloped_plant
-from ensemble_backstep import cli, csvtable
+from ensemble_backstep import characteristics, cli, csvtable
 from ensemble_backstep.cli import load_config_file, main
 from ensemble_backstep.errors import ConfigurationError, NonconvergenceError
 from ensemble_backstep.grid import GridSpec
@@ -481,6 +482,51 @@ class TestVerifyCommand:
         assert report["all_passed"] is False
         assert report["checks"]["cfl"]["passed"] is False
         assert report["checks"]["lyapunov"]["note"].startswith("skipped")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--mode", "closed", "--nx", "20", "--ny", "8"],
+    ["simulate", "--mode", "target", "--nx", "20", "--ny", "8"],
+    ["verify", "--nx", "40", "--ny", "16"]], ids=["closed", "target", "verify"])
+def test_commands_hold_no_plant_through_the_solve(tmp_path, monkeypatch,
+                                                  command):
+    """``simulate`` and ``verify`` check the CFL condition (and ``verify``
+    its characteristics) on a plant of their own that is dropped before the
+    kernel solve: when the solve starts, every plant the command sampled
+    and every travel-time table built so far are unreachable, by weak
+    references.  The plant stepped or checked after the solve is sampled
+    after it.  In ``simulate`` a CFL violation exits 2 before any solve."""
+    plants, tables, events = [], [], []
+    make_table = characteristics._TravelTime
+
+    def sample(*args):
+        coeff = sample_coefficients(*args)
+        plants.append(weakref.ref(coeff))
+        events.append("sample")
+        return coeff
+
+    def table(*args):
+        built = make_table(*args)
+        tables.append(weakref.ref(built))
+        return built
+
+    def solve(*args, **kwargs):
+        assert all(ref() is None for ref in plants + tables)
+        events.append("solve")
+        return solve_backstepping_kernels(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_coefficients", sample)
+    monkeypatch.setattr(characteristics, "_TravelTime", table)
+    monkeypatch.setattr(cli, "solve_backstepping_kernels", solve)
+    run = command + ["--dt", "0.01", "--t-final", "0.5"]
+    assert main(run + ["--out", str(tmp_path / "run")]) == 0
+    assert events == ["sample", "solve", "sample"]
+    if command[0] == "verify":
+        assert tables
+    else:
+        events.clear()
+        assert main(run + ["--dt", "0.5", "--out", str(tmp_path / "cfl")]) == 2
+        assert events == ["sample"]
 
 
 class TestEntryPoints:

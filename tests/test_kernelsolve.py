@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.integrate import quad
 
-from conftest import full_rank_plant, half_x_plant, sloped_plant
+from conftest import full_rank_plant, half_x_plant, sloped_plant, ydep_plant
 from ensemble_backstep import characteristics, cli, csvtable, kernelsolve
 from ensemble_backstep.characteristics import (
     trace_crossing_batch,
@@ -410,8 +410,9 @@ def test_step_quadrature_reads_rows_below_and_on(toy, name):
     the second difference at its cell (``-sum_k w_k * (b_k * (1 - b_k) -
     1/6) / 2`` from its three points' places ``b_k`` across the cell in xi,
     zero on a diagonal cell or a row i - 1 of fewer than three nodes), to
-    1e-15.  Row i's nodes lie in the row, four entries are computed a
-    segment, and the padding is node 0 at weight 0."""
+    1e-15, each stencil's nodes counted from its row's first node.  Row
+    i's nodes lie in the row, four entries are computed a segment, and the
+    padding is node 0 at weight 0."""
     spec = GridSpec(nx=30, ny=8)
     tri, nx, n = spec.tri, spec.nx, spec.tri.n_nodes
     plant = {"toy": toy, "half_x": half_x_plant(),
@@ -455,8 +456,8 @@ def test_step_quadrature_reads_rows_below_and_on(toy, name):
         np.add.at(want, (segments, centre[:, None] + [-1, 0, 1]),
                   level[:, None] * [1.0, -2.0, 1.0])
         slots = (c[:, None], 3 * q[:, None] + np.arange(3))
-        np.add.at(got, (segments, op.below_nodes[slots]),
-                  op.below_weights[slots])
+        np.add.at(got, (segments, op.below_nodes[slots]
+                        + tri.row_start[below, None]), op.below_weights[slots])
         slots = (c[:, None], 2 * q[:, None] + np.arange(2))
         np.add.at(got, (segments, op.row_nodes[slots]
                         + tri.row_start[i[c], None]), op.row_weights[slots])
@@ -631,11 +632,17 @@ def test_steps_read_their_row_and_the_one_below(toy, monkeypatch):
     i - 1 by a stencil of at most four nodes whose weights sum to 1, or
     starts at its event, and the source at the corners of cells between
     rows i - 1 and i; the steps of row i are node-major, a crossing step of
-    every family per node."""
+    every family per node.  The march keeps the sources of one row, with
+    two zero nodes past it: every stencil below reads row i - 1 from its
+    first node, nodes 0 to n(i - 1) + 1 of the n(i - 1) it has, and every
+    entry past the row weighs exactly 0.  The stencils of short rows reach
+    the second node past the row."""
     spec = GridSpec(nx=30, ny=6)
     tri = spec.tri
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 256)
-    for plant in (toy, half_x_plant(), sloped_plant()):
+    reach = []
+    for plant in (toy, half_x_plant(), sloped_plant(), full_rank_plant(),
+                  ydep_plant()):
         problem = build_backstepping_problem(plant, spec)
         families = problem.family_y.size
         blocks = kernelsolve._blocks(tri, families)
@@ -657,7 +664,13 @@ def test_steps_read_their_row_and_the_one_below(toy, monkeypatch):
                 assert np.all(tri.i_index[line_nodes[from_line]]
                               == (i - 1)[from_line, None])
                 assert np.all((steps.below_nodes - lane[:, None]) % lanes == 0)
-                below_nodes = (steps.below_nodes - lane[:, None]) // lanes
+                node = (steps.below_nodes - lane[:, None]) // lanes
+                # Row i - 1 has i nodes, row 0 (below itself) one.
+                count = np.maximum(i, 1)[:, None]
+                assert np.all((node >= 0) & (node <= count + 1))
+                assert np.all(steps.below_weights[node >= count] == 0.0)
+                reach.append(np.max(node - count, initial=-1))
+                below_nodes = node + tri.row_start[np.maximum(i - 1, 0), None]
                 used = steps.below_weights != 0.0
                 below_rows = np.broadcast_to(i[:, None] - 1, used.shape)
                 assert np.all(tri.i_index[below_nodes][used]
@@ -675,6 +688,7 @@ def test_steps_read_their_row_and_the_one_below(toy, monkeypatch):
             assert np.allclose((below + on_row)[reached], 1.0, rtol=0,
                                atol=1e-15)
             assert np.all((below + on_row)[~reached] == 0.0)
+    assert max(reach) == 1
 
 
 def test_leveled_steps_take_the_mean_cell_error():
@@ -699,7 +713,9 @@ def test_leveled_steps_take_the_mean_cell_error():
             xi = np.repeat(tri.xi_coord[nodes], lanes)
             field = np.repeat(source, lanes)
             on_row = steps.row_nodes + (tri.row_start[i] * lanes)[:, None]
-            got = ((field[steps.below_nodes] * steps.below_weights).sum(axis=1)
+            below = steps.below_nodes + (
+                tri.row_start[np.maximum(i - 1, 0)] * lanes)[:, None]
+            got = ((field[below] * steps.below_weights).sum(axis=1)
                    + (field[on_row] * steps.row_weights).sum(axis=1))
             if steps is cross:
                 speed = 1.0 + 0.5 * problem.family_y[np.arange(i.size) % lanes]
@@ -875,16 +891,20 @@ def _one_cell_oracle(problem):
         for rows, (cross, _, edge, (below, on_row)) in zip(blocks, parts):
             nodes = kernelsolve._nodes(tri, rows)
             row = tri.i_index[nodes]
+            first = tri.row_start[np.maximum(row - 1, 0)]
             shift = tri.row_start[np.repeat(row, families)] * families
             C_new[nodes.start * families:nodes.stop * families] = (
                 gather(lanes, cross.start_nodes, cross.start_weights)
-                + gather(lanes_src, cross.below_nodes, cross.below_weights)
+                + gather(lanes_src, cross.below_nodes
+                         + np.repeat(first * families, families)[:, None],
+                         cross.below_weights)
                 + gather(lanes_src, cross.row_nodes + shift[:, None],
                          cross.row_weights))
             gain = C @ problem.edge_gain
             G_new[nodes] = (
                 gather(G, edge.start_nodes, edge.start_weights)
-                + gather(src_g, edge.below_nodes, edge.below_weights)
+                + gather(src_g, edge.below_nodes + first[:, None],
+                         edge.below_weights)
                 + gather(src_g, edge.row_nodes + tri.row_start[row][:, None],
                          edge.row_weights)
                 + below * gain[tri.row_start[np.maximum(row - 1, 0)]]
@@ -1083,6 +1103,13 @@ def _block_bytes(padded, work):
     return traces + 60 * block + 56 * steps
 
 
+def _row_of_sources_bytes(spec, r):
+    """The bytes of the sources the march keeps: one row's, of both
+    unknowns, ``r`` coordinates of the ensemble one a node, with two zero
+    nodes past the longest row."""
+    return 8 * (spec.nx + 3) * (r + 1)
+
+
 def _one_block_at_a_time(blocks):
     """Whether, over more than two blocks, every block's step data took
     :func:`_step_bytes` as held and were freed before the next block was
@@ -1127,21 +1154,24 @@ def test_sampled_plants_do_not_outlive_their_call(name, toy, monkeypatch):
     assert len(plants) == 2 and plants[1]() is None
 
 
-@pytest.mark.parametrize("name, nx", [("toy", 100), ("sloped", 80)],
-                         ids=["toy", "sloped"])
-def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
+@pytest.mark.parametrize("name, nx, ny", [
+    ("toy", 100, 8), ("sloped", 80, 8), ("ydep", 380, 4)],
+    ids=["toy", "sloped", "ydep"])
+def test_solve_holds_one_band_of_operators(name, nx, ny, toy, monkeypatch):
     """With blocks of a few hundred steps a whole solve peaks, in traced
     memory, at the arrays kept over the march, which hold no
-    ``(n_tri, ny)`` array on one family, and one block's traces and step
-    data (:func:`_block_bytes`), on one family in a y-subspace (the toy)
-    and on one family per y-node.  Holding every block's step data exceeds
-    it.  Each trace peaks within its modelled work, each block's step data
-    take :func:`_step_bytes`, int32 nodes, and they are freed before the
-    next block is traced (:func:`_one_block_at_a_time`): the modelled trace
-    work exceeds what a trace takes by more than one block's step data, so
-    the bound alone would not see a block held too long."""
-    plant = {"toy": toy, "sloped": sloped_plant()}[name]
-    spec = GridSpec(nx=nx, ny=8)
+    ``(n_tri, ny)`` array on one family and of the sources one row, and one
+    block's traces and step data (:func:`_block_bytes`), on one family in
+    a y-subspace (the toy) and on one family per y-node.  Holding every
+    block's step data exceeds it, and at nx = 380 so does the source of the
+    ensemble unknown on the whole triangle alone.  Each trace peaks within
+    its modelled work, each block's step data take :func:`_step_bytes`,
+    int32 nodes, and they are freed before the next block is traced
+    (:func:`_one_block_at_a_time`): the modelled trace work exceeds what a
+    trace takes by more than one block's step data, so the bound alone
+    would not see a block held too long."""
+    plant = {"toy": toy, "sloped": sloped_plant(), "ydep": ydep_plant()}[name]
+    spec = GridSpec(nx=nx, ny=ny)
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 256)
     padded, work, problem_bytes, before, blocks, tables = (
         _record_block_work(monkeypatch))
@@ -1154,14 +1184,16 @@ def test_solve_holds_one_band_of_operators(name, nx, toy, monkeypatch):
     n_tri, r = sol.coords.shape
     # The problem's arrays (the diagonal rows and the per-x-node plant
     # fields), the sampled grids, their travel-time tables and the grid's
-    # index arrays; the march's unknowns (C and its source, G and its
-    # source), which the solution keeps.
+    # index arrays; the march's unknowns C and G, which the solution keeps,
+    # and the sources of one row (:func:`_row_of_sources_bytes`).
     kept = (problem_bytes[0] + _array_bytes(sample_coefficients(plant, spec))
             + sum(b for _, b in tables) + _array_bytes(spec.tri)
-            + 8 * n_tri * (2 * r + 2))
+            + 8 * n_tri * (r + 1) + _row_of_sources_bytes(spec, r))
     bound = kept + _block_bytes(padded, work)
     # every block's step data (60 B a padded segment)
     assert kept + 60 * sum(padded) > bound
+    if name == "ydep":
+        assert 8 * n_tri * r > _block_bytes(padded, work)
     assert peak <= bound
     assert _traces_within_model(work)
     assert _one_block_at_a_time(blocks)
@@ -1171,11 +1203,12 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     """``kernels`` on the toy samples no plant of its own: the solve and the
     residual each sample theirs.  It peaks in its solve, in traced memory,
     below the arrays the solve keeps (its sampled coefficients with their
-    travel-time tables, the problem's arrays, the grid's index arrays and
-    the march's unknowns, ``C`` among them, with the diagonal rows) and one
-    block (:func:`_block_bytes`): the build forms no ``(n_tri, ny)`` array,
-    each trace peaks within its modelled work, and each block's step data
-    take :func:`_step_bytes` and are freed before the next block is traced.
+    travel-time tables, the problem's arrays, the grid's index arrays, the
+    march's unknowns, ``C`` among them, with the diagonal rows, and one row
+    of their sources) and one block (:func:`_block_bytes`): the build forms
+    no ``(n_tri, ny)`` array, each trace peaks within its modelled work,
+    and each block's step data take :func:`_step_bytes` and are freed
+    before the next block is traced.
     After the solve it forms ``k`` a block of rows at a time, in the
     residual, the closed-form error and the CSV writer, so that it peaks
     below what it holds (the residual's sampled coefficients, the solution
@@ -1222,7 +1255,7 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     chunk = max(512 * csvtable._CHUNK_LINES, 128 * kernelsolve._BLOCK_VALUES)
     assert chunk < full_size
     kept = (problem_bytes[0] + solve_coeff + sum(b for _, b in tables)
-            + grid + 8 * n_tri * (2 * r + 2))
+            + grid + 8 * n_tri * (r + 1) + _row_of_sources_bytes(spec, r))
     assert solve_peaks[0] <= kept + _block_bytes(padded, work)
     assert _traces_within_model(work)
     assert _one_block_at_a_time(blocks)
