@@ -39,8 +39,7 @@ from .errors import (ConfigurationError, DivergenceError, EnsembleBackstepError,
 from .grid import GridSpec
 from .kernelsolve import (KernelSolution, kernel_pde_residual,
                           solve_backstepping_kernels)
-from .model import (BUILTIN_MODEL_NAMES, builtin_model, sample_coefficients,
-                    toy_analytic_kernels)
+from .model import builtin_model, sample_coefficients, toy_analytic_kernels
 from .simulator import (cfl_condition, check_cfl, default_initial_state,
                         inverse_transform, forward_transform, scalar_norm,
                         simulate, simulate_target, transform_operator,
@@ -115,10 +114,8 @@ def load_config_file(path: str) -> dict:
 
 
 def _validate_config(config: RunConfig) -> RunConfig:
-    if config.model_name not in BUILTIN_MODEL_NAMES:
-        raise ConfigurationError(
-            f"unknown model {config.model_name!r}; built-ins: "
-            f"{', '.join(BUILTIN_MODEL_NAMES)}")
+    # The model name is checked where each command looks it up
+    # (builtin_model), before it makes its output directory.
     if config.nx < 2 or config.ny < 2:
         raise ConfigurationError("nx and ny must both be at least 2")
     for name in ("dt", "t_final", "kernel_tol", "ic_amplitude", "ic_center",

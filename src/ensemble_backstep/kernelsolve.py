@@ -40,11 +40,12 @@ the march solves the system of whole curves summed in another order.  The
 steps are traced a block of rows at a time, at most :data:`_BLOCK_CURVES`
 curves, through the travel times of the two speeds (see
 :mod:`.characteristics`), tabulated by the first block's traces and read
-by every later block's, and laid out once, a run of at most
-:data:`_RUN_SEGMENTS` cell segments at a time, as the two padded stencils
-the march gathers on int32 node indices (:func:`_quadrature_matrix`):
-three leveled nodes a segment on the row below, two corners a segment on
-the step's own row, each indexed from its row's first node.  The march
+by every later block's.  Each family's steps are laid out whole, once
+(:func:`_quadrature_matrix`), as the stencils the march gathers on int32
+node indices: a 4-point start stencil on the row below, then, a run of at
+most :data:`_RUN_SEGMENTS` cell segments at a time, two padded source
+stencils, three leveled nodes a segment on the row below and two corners
+a segment on the step's own row, each from its row's first node.  The march
 holds the solution, one block's step data and one row of sources: the
 step data are freed before the next block is traced, and each finished
 row's sources replace those of the row below it, since no step reads a
@@ -71,10 +72,11 @@ its blocks over all x-nodes (:func:`~ensemble_backstep.grid.row_basis`):
 ``(C @ blocks[j]) @ D.T``, with ``D`` of the exchange's joint rank q in y
 (1 for the toy's exchange), so no ``(nx + 1, r, r)`` stack is formed.  The
 solver returns the kernel pair as it marched it: ``k`` as its coordinates
-``C`` in ``B`` with the exact diagonal rows, formed into rows on y-nodes a
-block at a time where it is read, ``ktilde`` whole, and the iteration
-history; the transform factors ``k`` in ``B``, and the controller reads
-the outlet row of both kernels.  ``B`` is seeded with the diagonal data
+``C`` in ``B``, on the diagonal nodes those of the diagonal data, with
+the exact diagonal rows, formed into rows on y-nodes a block at a time
+where it is read, ``ktilde`` whole, and the iteration history; the
+transform factors ``C`` as it stands, and the controller reads the outlet
+row of both kernels.  ``B`` is seeded with the diagonal data
 on the diagonal nodes and the readout rows, and each block checks that the
 data its crossing steps carry from the diagonal lie in it.
 """
@@ -187,7 +189,10 @@ class KernelSolution:
     orthonormal ``(ny, y_rank)`` basis of the y-subspace the solver swept
     (the identity when ``k`` was held per y-node), and ``diagonal_rows``,
     its ``(nx + 1, ny)`` rows on the diagonal nodes ``(i, i)``, the exact
-    diagonal data.  :meth:`k_rows` forms rows of ``k`` on the y-nodes,
+    diagonal data.  On the diagonal nodes ``coords`` holds the coordinates
+    of those rows, each summed one basis column at a time, and on the
+    identity basis the rows themselves, so ``coords`` is ``k @ basis`` to
+    rounding.  :meth:`k_rows` forms rows of ``k`` on the y-nodes,
     :meth:`k_blocks` all of them a block at a time, and :attr:`k` the whole
     array.  ``ktilde`` is the ``(n_tri,)`` scalar kernel, flat over the
     triangle.  ``iterations`` is the most local sweeps a row of the march
@@ -253,38 +258,6 @@ class KernelSolution:
         k.flags.writeable = False
         return k
 
-    def coordinates(self) -> np.ndarray:
-        """``k @ basis``: ``coords`` with the diagonal rows' coordinates, on
-        the identity basis the rows themselves, as :meth:`k_rows` gives
-        them."""
-        coords = self.coords.copy()
-        diagonal = self.diagonal_rows
-        coords[self.spec.tri.diagonal_flat()] = (
-            diagonal if self.y_rank == self.spec.ny else diagonal @ self.basis)
-        return coords
-
-
-class _PathQuadrature(NamedTuple):
-    """The source quadrature of many steps, each from a node of row i back
-    to the x-line i - 1, as the two padded stencils the march reads.
-
-    ``below_nodes``/``below_weights``, ``(steps, 3 * width)``, read row
-    i - 1, three consecutive nodes a cell segment that also level its
-    xi-error; ``row_nodes``/``row_weights``, ``(steps, 2 * width)``, read
-    row i, two corners a segment.  Both are indices into their row, from
-    its first node: a stencil below of a short row reaches up to two nodes
-    past row i - 1, at weight 0.  A step's
-    segments come in order, padded with node 0 at weight 0 up to the
-    ``width`` segments of the longest step.  The nodes are int32.  ``nnz``
-    counts the corner entries computed, four per segment.
-    """
-
-    below_nodes: np.ndarray
-    below_weights: np.ndarray
-    row_nodes: np.ndarray
-    row_weights: np.ndarray
-    nnz: int
-
 
 def _segment_runs(offsets: np.ndarray, width: int):
     """The cell segments of curves with the segment offsets ``offsets``, in
@@ -304,15 +277,18 @@ def _segment_runs(offsets: np.ndarray, width: int):
             curves * width - offsets[first:last + 1], owned)
 
 
-def _quadrature_matrix(spec: GridSpec, bundle,
-                       row: np.ndarray) -> _PathQuadrature:
-    """The path integral of the bilinear interpolant of a grid field along
-    every step of ``bundle``, from rows ``row``: Simpson's rule on every
-    cell segment, its three points interpolated in the segment's cell (its
-    midpoint's), which is exact wherever the segment is straight, and its
-    xi-error leveled to its mean over a cell.  The stencils are formed a
-    run of segments at a time, each run written straight into its padded
-    slots of both stencils.
+def _quadrature_matrix(spec: GridSpec, bundle, row: np.ndarray, lanes: int,
+                       lane: np.ndarray) -> _Steps:
+    """The steps of ``bundle``, traced from rows ``row`` to the x-lines
+    below them, read in ``lanes`` lanes, step s in lane ``lane[s]``: the
+    start stencils, and the path integral of the bilinear interpolant of
+    the source along every step, Simpson's rule on every cell segment, its
+    three points interpolated in the segment's cell (its midpoint's), which
+    is exact wherever the segment is straight, and its xi-error leveled to
+    its mean over a cell.  The start stencils are formed first, so that
+    their step-sized temporaries come before any padded segment data; the
+    source stencils are formed a run of segments at a time, each run
+    written straight into its padded slots of both stencils.
 
     Along a segment the bilinear interpolant misses the source by about
     ``-h**2 * b * (1 - b) * S_xixi / 2``, ``b`` the local xi-coordinate in
@@ -328,10 +304,17 @@ def _quadrature_matrix(spec: GridSpec, bundle,
     xi-error of whole curves.  A segment from one xi-line to the next, as
     every step with unit speeds is, adds 0 to rounding.
     """
-    row_start = spec.tri.row_start
+    tri = spec.tri
+    if tri.n_nodes * lanes > 2 ** 31:
+        raise DimensionError(
+            f"{tri.n_nodes} nodes in {lanes} lanes each need more "
+            f"than the 2**31 int32 indices of the march's steps")
+    row_start = tri.row_start
+    below = np.maximum(row - 1, 0)
+    start_nodes, start_weights = _row_stencil(tri, below, bundle.end_xi)
+    start_weights[~np.isnan(bundle.launch)] = 0.0
     offsets = bundle.offsets
     m, width = offsets.size - 1, int(np.diff(offsets).max(initial=0))
-    below = np.maximum(row - 1, 0)
     below_nodes = np.zeros((m * width, 3), dtype=np.int32)
     below_weights = np.zeros((m * width, 3))
     row_nodes = np.zeros((m * width, 2), dtype=np.int32)
@@ -367,10 +350,13 @@ def _quadrature_matrix(spec: GridSpec, bundle,
         # Row i: the two corners, as indices into the row.
         row_nodes[slot] = corners[:, 1::2] - row_start[row[curve], None]
         row_weights[slot] = weights[:, 1::2]
-    return _PathQuadrature(below_nodes.reshape(m, -1),
-                           below_weights.reshape(m, -1),
-                           row_nodes.reshape(m, -1),
-                           row_weights.reshape(m, -1), 4 * int(offsets[-1]))
+    steps = _Steps(start_nodes, start_weights, below_nodes.reshape(m, -1),
+                   below_weights.reshape(m, -1), row_nodes.reshape(m, -1),
+                   row_weights.reshape(m, -1), 4 * int(offsets[-1]))
+    for index in (steps.start_nodes, steps.below_nodes, steps.row_nodes):
+        index *= lanes
+        index += lane[:, None]
+    return steps
 
 
 def _blocks(tri: TriangularIndex, families: int) -> list[range]:
@@ -417,21 +403,26 @@ def _row_stencil(tri: TriangularIndex, row: np.ndarray, xi: np.ndarray):
 
 
 class _Steps(NamedTuple):
-    """One family of a block's steps, each a curve from a node of row i
-    back to the x-line i - 1 or to its event, whichever it reaches first,
-    in node order (and family order within a node), as rows of the
-    unknown and of its source read in lanes (a row per node, or per node and
-    y-node).
+    """One family of a block's steps, as :func:`_quadrature_matrix` lays
+    them out: each a curve from a node of row i back to the x-line i - 1
+    or to its event, whichever it reaches first, in node order (and family
+    order within a node), reading the unknown and its source in lanes (a
+    row per node, or per node and y-node).
 
     A step's value is its start, plus the Simpson integral of the source
     over its cell segments, which lie in the cells between rows i - 1 and
     i.  ``start_nodes``/``start_weights`` read the start on the x-line
     i - 1 by the 4-point Lagrange stencil of row i - 1 (weight 0 for a step
-    that reaches its event first); ``below_nodes``/``below_weights`` and
-    ``row_nodes``/``row_weights`` read the source on rows i - 1 and i, as
-    :func:`_quadrature_matrix` lays them out: row i - 1's as rows of the one
-    row of sources the march keeps, row i's as rows of row i's own source,
-    each from its row's first node.  The nodes are int32.
+    that reaches its event first).  ``below_nodes``/``below_weights``,
+    ``(steps, 3 * width)``, read the one row of sources the march keeps,
+    row i - 1's, three consecutive nodes a segment that also level its
+    xi-error; ``row_nodes``/``row_weights``, ``(steps, 2 * width)``, read
+    row i's own source, two corners a segment.  Both count from their
+    row's first node, and a stencil below of a short row reaches up to two
+    nodes past it, at weight 0.  A step's segments come in order, padded
+    with node 0 at weight 0 up to the ``width`` segments of the longest
+    step.  The nodes are int32.  ``nnz`` counts the corner entries
+    computed, four a segment.
     """
 
     start_nodes: np.ndarray
@@ -440,27 +431,7 @@ class _Steps(NamedTuple):
     below_weights: np.ndarray
     row_nodes: np.ndarray
     row_weights: np.ndarray
-
-    @classmethod
-    def trace(cls, spec: GridSpec, bundle, row: np.ndarray, lanes: int,
-              lane: np.ndarray) -> _Steps:
-        """The steps of ``bundle``, traced from rows ``row`` to the x-lines
-        below them, read in ``lanes`` lanes, step s in lane ``lane[s]``."""
-        tri = spec.tri
-        if tri.n_nodes * lanes > 2 ** 31:
-            raise DimensionError(
-                f"{tri.n_nodes} nodes in {lanes} lanes each need more "
-                f"than the 2**31 int32 indices of the march's steps")
-        # The start stencils first: their temporaries are step-sized, and
-        # none of the padded segment data is formed yet.
-        start, start_weights = _row_stencil(tri, np.maximum(row - 1, 0),
-                                            bundle.end_xi)
-        start_weights[~np.isnan(bundle.launch)] = 0.0
-        quad = _quadrature_matrix(spec, bundle, row)
-        for index in (start, quad.below_nodes, quad.row_nodes):
-            index *= lanes
-            index += lane[:, None]
-        return cls(start, start_weights, *quad[:4])
+    nnz: int
 
     def fixed(self, steps: slice, unknown: np.ndarray,
               source: np.ndarray) -> np.ndarray:
@@ -546,8 +517,8 @@ def _block_steps(problem: GoursatProblem, rows: range):
         coeff, np.repeat(tri.x_coord[nodes], families),
         np.repeat(tri.xi_coord[nodes], families), family_y[lane],
         np.repeat(stop, families))
-    cross = _Steps.trace(spec, bundle, np.repeat(row, families), families,
-                         lane)
+    cross = _quadrature_matrix(spec, bundle, np.repeat(row, families),
+                               families, lane)
     event = np.flatnonzero(~np.isnan(bundle.launch))
     launch = bundle.launch[event]
     del bundle
@@ -560,7 +531,8 @@ def _block_steps(problem: GoursatProblem, rows: range):
                                             family_y[lane[event]])
     bundle = trace_edge_batch(coeff, tri.x_coord[nodes], tri.xi_coord[nodes],
                               stop)
-    edge = _Steps.trace(spec, bundle, row, 1, np.zeros(row.size, np.int64))
+    edge = _quadrature_matrix(spec, bundle, row, 1,
+                              np.zeros(row.size, np.int64))
     # An edge event lies between the x-lines i - 1 and i (row 0's on
     # x-line 0), and reads the edge linearly in x between them.
     event = ~np.isnan(bundle.launch)

@@ -192,11 +192,12 @@ class TransformOperator:
 def transform_operator(kernels: KernelSolution) -> TransformOperator:
     """Build the operator of the transform with the kernels, and of its
     inverse: ``k ~= P @ (B @ Q).T`` in the solver's basis ``B``, with ``Q``
-    the :func:`~ensemble_backstep.grid.row_basis` of ``k @ B``, which is
-    ``kernels.coordinates()``, and ``P = k @ B @ Q`` its loadings."""
+    the :func:`~ensemble_backstep.grid.row_basis` of ``kernels.coords``,
+    the coordinates of ``k`` in ``B`` (its diagonal rows' among them), and
+    ``P = kernels.coords @ Q`` their loadings."""
     spec = kernels.spec
     weights = _running_weights(spec)
-    coords = kernels.coordinates()
+    coords = kernels.coords
     inner = row_basis([coords])
     rows = tri_to_matrix(spec, weights[:, None] * (coords @ inner))
     series = solve_target_coupling(spec, kernels.ktilde)
@@ -466,14 +467,6 @@ def _feedback_gain(kernels: KernelSolution,
     return kernels.k_rows(outlet) @ weighted_basis, kernels.ktilde[outlet]
 
 
-def _feedback(spec: GridSpec, gain: tuple[np.ndarray, np.ndarray],
-              coords: np.ndarray, v: np.ndarray) -> float:
-    """The feedback value of the state with ensemble coordinates
-    ``coords`` and scalar field ``v``."""
-    k, ktilde = gain
-    return float(spec.x_weights @ ((k * coords).sum(axis=1) + ktilde * v))
-
-
 def _refresh_outlet(state: EnsembleState, spec: GridSpec,
                     gain: tuple[np.ndarray, np.ndarray]
                     ) -> tuple[EnsembleState, float]:
@@ -484,7 +477,9 @@ def _refresh_outlet(state: EnsembleState, spec: GridSpec,
     time ``t`` (as the feedback law prescribes) rather than the value applied
     one step earlier.  Returns the updated state and the feedback value.
     """
-    boundary = _feedback(spec, gain, state.u, state.v)
+    k, ktilde = gain
+    boundary = float(spec.x_weights @ ((k * state.u).sum(axis=1)
+                                       + ktilde * state.v))
     v_new = state.v.copy()
     v_new[-1] = boundary
     return EnsembleState(u=state.u, v=v_new, t=state.t), boundary

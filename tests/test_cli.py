@@ -380,9 +380,17 @@ class TestSimulateCommand:
                      "--out", str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    def test_unknown_model_exits_2(self, tmp_path):
-        assert main(["simulate", "--model", "nonsense",
-                     "--out", str(tmp_path)]) == 2
+    def test_unknown_model_exits_2(self, tmp_path, capsys):
+        # every command looks the model up before it makes its output
+        # directory
+        for command in ("kernels", "simulate", "verify"):
+            out = tmp_path / command
+            assert main([command, "--model", "nonsense",
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "configuration error: unknown model 'nonsense'; built-ins: "
+                "toy, pure-transport\n")
+            assert not out.exists()
 
     def test_cfl_violation_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--nx", "100", "--dt", "0.05",

@@ -422,7 +422,8 @@ def test_step_quadrature_reads_rows_below_and_on(toy, name):
     for bundle in (trace_crossing_batch(coeff, tri.x_coord, tri.xi_coord,
                                         np.full(n, 0.75), stop),
                    trace_edge_batch(coeff, tri.x_coord, tri.xi_coord, stop)):
-        op = kernelsolve._quadrature_matrix(spec, bundle, i)
+        op = kernelsolve._quadrature_matrix(spec, bundle, i, 1,
+                                            np.zeros(n, np.int64))
         counts = np.diff(bundle.offsets)
         width = counts.max()
         assert op.nnz == 4 * bundle.offsets[-1]
@@ -623,8 +624,8 @@ def test_steps_refuse_lanes_past_int32():
     spec = GridSpec(nx=1000, ny=2)
     assert spec.tri.n_nodes * 4282 < 2 ** 31 < spec.tri.n_nodes * 4283
     with pytest.raises(DimensionError, match="int32"):
-        kernelsolve._Steps.trace(spec, None, np.zeros(0, np.int64), 4283,
-                                 None)
+        kernelsolve._quadrature_matrix(spec, None, np.zeros(0, np.int64),
+                                       4283, None)
 
 
 def test_steps_read_their_row_and_the_one_below(toy, monkeypatch):
@@ -1014,15 +1015,18 @@ def _record_block_work(monkeypatch):
     peak of traced memory it reaches above its entry, and its curves; the
     travel-time tables built; and the bytes of the arrays of every problem
     it builds.  A trace resets the traced peak, so the peaks reached before
-    each trace are recorded too: the run's peak is the largest of them and
-    the peak read after it (:func:`_peak`).  For every block it records the
-    bytes its step data hold, a view counted by the array it holds, their
-    :func:`_step_bytes`, and how many arrays of the block before it are
-    alive, by weak references, when its steps are traced.  Each table is
-    recorded as its rows and its bytes (:func:`_table_bytes`), so that no
-    record keeps it alive."""
+    each trace are recorded too, and the peak since the last reading is the
+    largest of them and the peak read after it (:func:`_peak`).  For every
+    block it records the bytes its step data hold, a view counted by the
+    array it holds, their :func:`_step_bytes`, and how many arrays of the
+    block before it are alive, by weak references, when its steps are
+    traced; and, in ``peaks``, the traced peak of every block but the last
+    as the next one starts, the first's counted from the start of tracing.
+    The caller appends the last block's as the solve returns.  Each table
+    is recorded as its rows and its bytes (:func:`_table_bytes`), so that
+    no record keeps it alive."""
     padded, work, problem_bytes, before, blocks = [], {}, [], [], []
-    tables = []
+    tables, peaks = [], []
     monkeypatch.setattr(characteristics, "_TravelTime", _recording(
         characteristics._TravelTime,
         lambda t: tables.append((t.nodes.shape[0], _table_bytes(t)))))
@@ -1053,17 +1057,21 @@ def _record_block_work(monkeypatch):
     refs = []
 
     def block_steps(problem, rows, steps=kernelsolve._block_steps):
+        if blocks:
+            peaks.append(_peak(before))
+            tracemalloc.reset_peak()
         alive = sum(ref() is not None for ref in refs)
-        block = steps(problem, rows)
-        arrays = block[0] + block[1:2] + block[2] + block[3]
-        refs[:] = [weakref.ref(a) for a in arrays]
+        cross, diagonal, edge, reads = block = steps(problem, rows)
+        # every field of both families' steps but their counts nnz
+        held = cross[:-1] + edge[:-1]
+        refs[:] = [weakref.ref(a) for a in held + (diagonal,) + reads]
         blocks.append((sum((a if a.base is None else a.base).nbytes
-                           for a in block[0] + block[2]),
-                       _step_bytes(block[0]) + _step_bytes(block[2]), alive))
+                           for a in held),
+                       _step_bytes(cross) + _step_bytes(edge), alive))
         return block
 
     monkeypatch.setattr(kernelsolve, "_block_steps", block_steps)
-    return padded, work, problem_bytes, before, blocks, tables
+    return padded, work, problem_bytes, before, blocks, tables, peaks
 
 
 def _table_bytes(table):
@@ -1091,16 +1099,26 @@ def _step_bytes(steps):
     return 60 * padded + 48 * len(steps.start_nodes)
 
 
-def _block_bytes(padded, work):
-    """One block: the work of its crossing and edge traces, as modelled
-    (:func:`_record_block_work`); the step data of both, 60 B a padded
-    segment (:func:`_step_bytes`), for the block whose two path quadratures
-    have the most padded segments together; and 56 B a step (its start
+def _block_allowances(padded, work):
+    """Each block's allowance, in order: the work of its crossing and edge
+    traces, as modelled (:func:`_record_block_work`), the travel-time
+    tables charged to the trace that builds them; the step data of both,
+    60 B a padded segment (:func:`_step_bytes`); and 56 B a step (its start
     stencil and its diagonal datum)."""
-    traces = sum(max(b for b, _, _ in sizes) for sizes in work.values())
-    steps = sum(max(c for _, _, c in sizes) for sizes in work.values())
-    block = max(map(sum, zip(padded[::2], padded[1::2])))
-    return traces + 60 * block + 56 * steps
+    return [cross + edge + 60 * (padded_cross + padded_edge)
+            + 56 * (cross_steps + edge_steps)
+            for (cross, _, cross_steps), (edge, _, edge_steps), padded_cross,
+            padded_edge in zip(work["trace_crossing_batch"],
+                               work["trace_edge_batch"], padded[::2],
+                               padded[1::2])]
+
+
+def _blocks_within_allowances(peaks, kept, padded, work):
+    """Whether every block peaked, in traced memory, within ``kept`` and
+    its own allowance (:func:`_block_allowances`)."""
+    allowances = _block_allowances(padded, work)
+    return len(peaks) == len(allowances) and all(
+        peak <= kept + allowance for peak, allowance in zip(peaks, allowances))
 
 
 def _row_of_sources_bytes(spec, r):
@@ -1155,30 +1173,30 @@ def test_sampled_plants_do_not_outlive_their_call(name, toy, monkeypatch):
 
 
 @pytest.mark.parametrize("name, nx, ny", [
-    ("toy", 100, 8), ("sloped", 80, 8), ("ydep", 380, 4)],
+    ("toy", 100, 8), ("sloped", 80, 8), ("ydep", 120, 4)],
     ids=["toy", "sloped", "ydep"])
 def test_solve_holds_one_band_of_operators(name, nx, ny, toy, monkeypatch):
-    """With blocks of a few hundred steps a whole solve peaks, in traced
-    memory, at the arrays kept over the march, which hold no
-    ``(n_tri, ny)`` array on one family and of the sources one row, and one
-    block's traces and step data (:func:`_block_bytes`), on one family in
+    """With blocks of a few hundred steps every block of a solve peaks, in
+    traced memory, at the arrays kept over the march, which hold no
+    ``(n_tri, ny)`` array on one family and of the sources one row, and its
+    own traces and step data (:func:`_block_allowances`), on one family in
     a y-subspace (the toy) and on one family per y-node.  Holding every
-    block's step data exceeds it, and at nx = 380 so does the source of the
-    ensemble unknown on the whole triangle alone.  Each trace peaks within
-    its modelled work, each block's step data take :func:`_step_bytes`,
-    int32 nodes, and they are freed before the next block is traced
-    (:func:`_one_block_at_a_time`): the modelled trace work exceeds what a
-    trace takes by more than one block's step data, so the bound alone
-    would not see a block held too long."""
+    block's step data exceeds every block's allowance, and at nx = 120
+    the source of the ensemble unknown on the whole triangle alone exceeds
+    some block's.  Each trace peaks within its modelled work, each block's
+    step data take :func:`_step_bytes`, int32 nodes, and they are freed
+    before the next block is traced (:func:`_one_block_at_a_time`): the
+    modelled trace work exceeds what a trace takes by more than one block's
+    step data, so the bound alone would not see a block held too long."""
     plant = {"toy": toy, "sloped": sloped_plant(), "ydep": ydep_plant()}[name]
     spec = GridSpec(nx=nx, ny=ny)
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 256)
-    padded, work, problem_bytes, before, blocks, tables = (
+    padded, work, problem_bytes, before, blocks, tables, peaks = (
         _record_block_work(monkeypatch))
     tracemalloc.start()
     try:
         sol = solve_backstepping_kernels(plant, spec)
-        peak = _peak(before)
+        peaks.append(_peak(before))
     finally:
         tracemalloc.stop()
     n_tri, r = sol.coords.shape
@@ -1189,12 +1207,12 @@ def test_solve_holds_one_band_of_operators(name, nx, ny, toy, monkeypatch):
     kept = (problem_bytes[0] + _array_bytes(sample_coefficients(plant, spec))
             + sum(b for _, b in tables) + _array_bytes(spec.tri)
             + 8 * n_tri * (r + 1) + _row_of_sources_bytes(spec, r))
-    bound = kept + _block_bytes(padded, work)
+    allowances = _block_allowances(padded, work)
     # every block's step data (60 B a padded segment)
-    assert kept + 60 * sum(padded) > bound
+    assert 60 * sum(padded) > max(allowances)
     if name == "ydep":
-        assert 8 * n_tri * r > _block_bytes(padded, work)
-    assert peak <= bound
+        assert 8 * n_tri * r > min(allowances)
+    assert _blocks_within_allowances(peaks, kept, padded, work)
     assert _traces_within_model(work)
     assert _one_block_at_a_time(blocks)
 
@@ -1205,7 +1223,8 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     below the arrays the solve keeps (its sampled coefficients with their
     travel-time tables, the problem's arrays, the grid's index arrays, the
     march's unknowns, ``C`` among them, with the diagonal rows, and one row
-    of their sources) and one block (:func:`_block_bytes`): the build forms
+    of their sources) and, in each block, that block's own allowance
+    (:func:`_block_allowances`): the build forms
     no ``(n_tri, ny)`` array, each trace peaks within its modelled work,
     and each block's step data take :func:`_step_bytes` and are freed
     before the next block is traced.
@@ -1220,11 +1239,11 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     ny = spec.ny
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 1024)
     monkeypatch.setattr(csvtable, "_CHUNK_LINES", 2048)
-    padded, work, problem_bytes, before, blocks, tables = (
+    padded, work, problem_bytes, before, blocks, tables, peaks = (
         _record_block_work(monkeypatch))
     # the bytes of every plant sampled, read as it is sampled, so that no
     # record keeps a plant alive
-    coeffs, cli_coeffs, solutions, solve_peaks = [], [], [], []
+    coeffs, cli_coeffs, solutions = [], [], []
     monkeypatch.setattr(kernelsolve, "sample_coefficients", _recording(
         kernelsolve.sample_coefficients,
         lambda coeff: coeffs.append(_array_bytes(coeff))))
@@ -1233,7 +1252,7 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
 
     def solve_and_reset_peak(*args, **kwargs):
         sol = solve_backstepping_kernels(*args, **kwargs)
-        solve_peaks.append(_peak(before))
+        peaks.append(_peak(before))
         tracemalloc.reset_peak()
         solutions.append(sol)
         return sol
@@ -1256,7 +1275,7 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     assert chunk < full_size
     kept = (problem_bytes[0] + solve_coeff + sum(b for _, b in tables)
             + grid + 8 * n_tri * (r + 1) + _row_of_sources_bytes(spec, r))
-    assert solve_peaks[0] <= kept + _block_bytes(padded, work)
+    assert _blocks_within_allowances(peaks, kept, padded, work)
     assert _traces_within_model(work)
     assert _one_block_at_a_time(blocks)
     # the command never asks for the whole k, and holds the solution's
@@ -1329,8 +1348,8 @@ def test_transform_factors_the_kernel_in_its_basis(name, factor_rank, rng):
     the transform built on it integrates the full k: against a dense
     running-weight quadrature, no factoring, to rounding.  Its factor has
     the rank of the kernel's coordinates, pinned or, where rounding sets it,
-    counted as :func:`row_basis` counts it.  On the identity basis its
-    factor is that of k itself, bit for bit."""
+    counted as :func:`row_basis` counts it.  On the identity basis the
+    coordinates are k's values, and its factor is theirs, bit for bit."""
     spec = GridSpec(nx=20, ny=16)
     tri = spec.tri
     if name == "evaluator":
@@ -1346,8 +1365,8 @@ def test_transform_factors_the_kernel_in_its_basis(name, factor_rank, rng):
             <= 1e-12 * np.max(np.abs(k)))
 
     op = transform_operator(sol)
+    coords = sol.coords
     if factor_rank is None:
-        coords = sol.coordinates()
         sv = np.linalg.svd(coords, compute_uv=False)
         factor_rank = int(np.count_nonzero(
             sv > sv.max() * max(coords.shape) * np.finfo(float).eps))
@@ -1364,11 +1383,34 @@ def test_transform_factors_the_kernel_in_its_basis(name, factor_rank, rng):
 
     if sol.y_rank == spec.ny:
         assert np.array_equal(basis, np.eye(spec.ny))
-        directions = row_basis([k])
-        rows = tri_to_matrix(spec, weights[:, None] * (k @ directions))
+        # The coordinates hold k's values, but a zero of k on the diagonal
+        # may be -0.0 where they hold 0.0, which moves row_basis's bits.
+        assert np.array_equal(coords, k)
+        directions = row_basis([coords])
+        rows = tri_to_matrix(spec, weights[:, None] * (coords @ directions))
         assert np.array_equal(op.rows, rows.transpose(1, 0, 2))
         assert np.array_equal(op.weighted_basis,
                               directions * spec.y_weights[:, None])
+
+
+@pytest.mark.parametrize("plant", [
+    toy_model(), sloped_plant(), half_x_plant(), full_rank_plant()],
+    ids=["toy", "sloped", "half_x", "full_rank"])
+def test_coords_hold_the_diagonal_rows_coordinates(plant):
+    """On the diagonal nodes the marched ``coords`` are the coordinates of
+    the exact diagonal rows in the solution's basis, each summed one basis
+    column at a time, and on the identity basis (sloped, full_rank) the
+    rows themselves, bit for bit but for the sign of a zero: the transform
+    factors ``coords`` as they stand."""
+    spec = GridSpec(nx=20, ny=16)
+    sol = solve_backstepping_kernels(plant, spec)
+    rows = sol.diagonal_rows
+    if sol.y_rank == spec.ny:
+        want = rows
+    else:
+        want = np.column_stack([(rows * column).sum(axis=1)
+                                for column in sol.basis.T])
+    assert np.array_equal(sol.coords[spec.tri.diagonal_flat()], want)
 
 
 @pytest.mark.parametrize("plant", [
