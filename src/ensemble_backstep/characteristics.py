@@ -22,10 +22,12 @@ falls like ``z``).  A trace reads ``Phi_v`` tabulated on the x-nodes, and
 from ``1/speed`` cell by cell with an adaptive Gauss-Legendre rule
 (:func:`_integrate`).  The tables depend on the sampled plant alone, so
 they are kept with it (``SampledCoefficients.travel_times``): the first
-trace that needs a table builds it, and every later trace of the same
-y-nodes reads it.  Every block of a solve traces the same families, so a
-solve builds ``Phi_v`` once and ``Phi_u`` once, however many blocks it
-traces.
+trace that needs a table builds it, with the keys that bracket targets in
+its rows and, for ``Phi_u``, the summed table ``Phi_v + Phi_u`` that
+crossing launches solve on, and every later trace of the same y-nodes
+reads them, matching its ys to the table's rows by one search.  Every
+block of a solve traces the same families, so a solve builds ``Phi_v``
+once and ``Phi_u`` once, however many blocks it traces.
 
 A crossing curve's launch abscissa ``l`` solves
 ``Phi_v(l) + Phi_u(l) = Phi_v(x) + Phi_u(xi)``, and ``s_end = Phi_v(x) -
@@ -52,18 +54,26 @@ domain stay well-defined.
 A curve is cut into cell segments where either component crosses a grid
 line, at times that are differences of node values of its travel times; an
 x-line and a xi-line crossed within :data:`CORNER_TOL` of each other count
-as one crossing of their grid node.  A cut lies on the line crossed, and
+as one crossing of their grid node.  The cuts of a whole curve's two
+components are merged in time order by a sort; a curve whose x-component
+crosses no line, as every one-cell step of the kernel march, has its ends
+in time order as they are listed (its start, the xi-cuts, its end) and is
+cut without it, to the same bits.  A cut lies on the line crossed, and
 the other component there, like both components at a segment's mid-time,
 is read by the inverse travel time: the cubic Hermite in the travel time
 through the two nodes of the cell, with the node speeds as slopes, so that
 reading a point calls no model function.  The bilinear interpolant of a
 grid field is quadratic along a straight segment, so Simpson's rule on
 every segment integrates it exactly along straight characteristics and to
-fourth order along curved ones.
+fourth order along curved ones.  Within :meth:`Workspace.use`, as in a
+kernel solve, every trace writes its segments into arrays the workspace
+keeps from trace to trace.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +170,57 @@ class TracedBundle:
         return np.bincount(curve, per_segment, minlength=self.offsets.size - 1)
 
 
+class Workspace:
+    """Named arrays kept from block to block of a solve, so that the solve
+    allocates each, and faults its pages in, once, not once a block: each
+    grows to the largest size asked of it and is handed out again, as a
+    view of its first elements.  Within :meth:`use`, every trace writes its
+    segments into the workspace, so the bundle it returns is valid only
+    until the next trace; elsewhere every trace, and every caller of
+    :meth:`current`, gets arrays of its own."""
+
+    _current: contextvars.ContextVar = contextvars.ContextVar("workspace")
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    @classmethod
+    def current(cls) -> Workspace:
+        """The workspace in :meth:`use`, or a new one."""
+        return cls._current.get(None) or cls()
+
+    @contextlib.contextmanager
+    def use(self):
+        """Make this the workspace of every trace and :meth:`current`."""
+        token = self._current.set(self)
+        try:
+            yield self
+        finally:
+            self._current.reset(token)
+
+    def take(self, name: str, shape: tuple[int, ...],
+             dtype=float) -> np.ndarray:
+        """The array ``name`` as an uninitialised view of ``shape``, one or
+        two axes, its contents those the last taker left: the leading part
+        of an array that grows, axis by axis, to the largest shape asked of
+        it, so that every view's rows start where the largest view's do and
+        touch no page that it does not."""
+        array = self._arrays.pop(name, None)
+        if array is None:
+            array = np.empty(shape, dtype)
+        elif any(n > have for n, have in zip(shape, array.shape)):
+            grown = tuple(np.maximum(shape, array.shape))
+            # Freed before the larger one is allocated, not held beside it.
+            del array
+            array = np.empty(grown, dtype)
+        self._arrays[name] = array
+        # Sliced axis by axis: an index tuple built per call left one small
+        # block allocated per call over a solve (sys.getallocatedblocks).
+        if array.ndim == 1:
+            return array[:shape[0]]
+        return array[:shape[0], :shape[1]]
+
+
 def _gauss(rate, a, b, y):
     """The Gauss-Legendre rule for the integral of ``rate(w, y)`` over
     ``[a, b]``, entry by entry."""
@@ -246,6 +307,12 @@ class _TravelTime:
         m1 = span * speeds[:, 1:].ravel()
         self._c2 = 3.0 * rise - 2.0 * self._m0 - m1
         self._c3 = self._m0 + m1 - 2.0 * rise
+        self.keys = _bracket_keys(self.nodes)
+        if ys is not None:
+            # A crossing curve launches where Phi_v + Phi_u reaches its
+            # target: the summed table of every row, with its keys.
+            self.summed = _travel_time(coeff).nodes + self.nodes
+            self.summed_keys = _bracket_keys(self.summed)
 
     def _rate(self, w, y):
         return 1.0 / self.speed(w, y)
@@ -260,9 +327,12 @@ class _TravelTime:
     def at(self, rows, p):
         """Travel time of rows ``rows`` to positions ``p``: the node value
         below each, plus the integral over the rest of its cell, which a
-        position on a node does not have."""
+        position on a node does not have.  The last node's value is the
+        integral over the last cell added to the one below it, so a
+        position there reads it."""
         k = np.clip(np.searchsorted(self.x, p, side="right") - 1,
                     0, self.nx - 1)
+        k += p == self.x[k + 1]
         value = self.nodes.ravel()[rows * (self.nx + 1) + k]
         rest = np.flatnonzero(p != self.x[k])
         y = self._y(rows)
@@ -274,7 +344,7 @@ class _TravelTime:
     def reach(self, rows, phi):
         """Positions at which rows ``rows`` reach the travel times ``phi``:
         :meth:`inverse` in the cell that brackets each."""
-        at = rows * self.nx + _bracket(self.nodes, rows, phi)
+        at = rows * self.nx + _bracket(self.keys, self.nx, rows, phi)
         return self.inverse(at, phi.copy())
 
     def inverse(self, at, phi):
@@ -296,32 +366,54 @@ class _TravelTime:
         return p
 
 
-def _travel_time(coeff: SampledCoefficients, ys=None) -> _TravelTime:
-    """The travel time of ``speed_v`` (``ys`` None) or of ``speed_u`` at
-    the distinct ``ys``, from ``coeff.travel_times``, which keeps the table
-    of ``speed_v`` and the last of ``speed_u``: a table is built on the
-    first trace that needs it and read by every later trace of the same
-    y-nodes, as every block of a solve is."""
-    key = "speed_v" if ys is None else "speed_u"
-    phi = coeff.travel_times.get(key)
-    if phi is None or (ys is not None and not np.array_equal(phi.ys, ys)):
-        phi = coeff.travel_times[key] = _TravelTime(coeff, ys)
+def _travel_time(coeff: SampledCoefficients) -> _TravelTime:
+    """The travel time of ``speed_v``, from ``coeff.travel_times``, which
+    keeps it and the last table of ``speed_u``: a table is built on the
+    first trace that needs it and read by every later trace, as every block
+    of a solve is."""
+    phi = coeff.travel_times.get("speed_v")
+    if phi is None:
+        phi = coeff.travel_times["speed_v"] = _TravelTime(coeff)
     return phi
 
 
-def _bracket(table, rows, target):
-    """The cell k, between node values rising along row ``rows[e]`` of
-    ``table``, with ``table[rows[e], k] <= target[e] < table[rows[e], k+1]``,
-    clipped to the cells."""
-    nx = table.shape[1] - 1
-    # (row, value) keys sort lexicographically as complex numbers, so one
-    # search brackets every target in its own row.  An unresolved node
-    # value (NaN) keys as +inf: a complex NaN would sort after every other
-    # row and mis-bracket their targets.
+def _ensemble_travel_time(coeff: SampledCoefficients, ys):
+    """The travel time of ``speed_u`` at the distinct ``ys``, from
+    ``coeff.travel_times`` if its last table is of those y-nodes, and the
+    row of it each of ``ys`` reads.  The kept table's rows are matched by
+    one search, so the traces of a solve, which all read the same y-nodes,
+    sort none of their ys."""
+    phi = coeff.travel_times.get("speed_u")
+    if phi is not None:
+        rows = np.minimum(np.searchsorted(phi.ys, ys), phi.ys.size - 1)
+        if (np.array_equal(phi.ys[rows], ys)
+                and np.bincount(rows, minlength=phi.ys.size).all()):
+            return phi, rows
+    y_rows, rows = np.unique(ys, return_inverse=True)
+    phi = coeff.travel_times["speed_u"] = _TravelTime(coeff, y_rows)
+    return phi, rows
+
+
+def _bracket_keys(table):
+    """The keys by which :func:`_bracket` searches the node values of
+    ``table``, flat: (row, value) keys sort lexicographically as complex
+    numbers, so one search brackets every target in its own row.  An
+    unresolved node value (NaN) keys as +inf: a complex NaN would sort
+    after every other row and mis-bracket their targets."""
     keys = np.empty(table.shape, dtype=complex)
     keys.real = np.arange(table.shape[0])[:, None]
     keys.imag = np.where(np.isnan(table), np.inf, table)
-    k = np.searchsorted(keys.ravel(), rows + 1j * target, side="right")
+    return keys.ravel()
+
+
+def _bracket(keys, nx, rows, target):
+    """The cell k, between node values rising along row ``rows[e]`` of a
+    table of ``nx`` cells a row, keyed by :func:`_bracket_keys` as
+    ``keys``, with ``table[rows[e], k] <= target[e] < table[rows[e], k+1]``,
+    clipped to the cells."""
+    key = np.empty(target.shape, dtype=complex)
+    key.real, key.imag = rows, target
+    k = np.searchsorted(keys, key, side="right")
     return np.clip(k - 1 - rows * (nx + 1), 0, nx - 1)
 
 
@@ -337,8 +429,9 @@ def _launch(target, rows, phi_v: _TravelTime, phi_u: _TravelTime | None = None):
     finite node values.  Off a smooth speed's O(h^2) secant root Newton's
     error squares at every step, so that takes three.
     """
-    table = phi_v.nodes if phi_u is None else phi_v.nodes + phi_u.nodes
-    k = _bracket(table, rows, target)
+    table, keys = ((phi_v.nodes, phi_v.keys) if phi_u is None
+                   else (phi_u.summed, phi_u.summed_keys))
+    k = _bracket(keys, phi_v.nx, rows, target)
     first = rows * (phi_v.nx + 1)
     at_lo = table.ravel()[first + k]
     at_hi = table.ravel()[first + k + 1]
@@ -403,7 +496,9 @@ class _Component:
     """One component of a family's curves: curve c moves from ``p0[c]`` to
     ``p_end[c]`` along rows ``rows[c]`` of the travel time ``phi``, whose
     value there starts at ``start[c]`` and changes at rate ``sign`` (+1
-    rising, -1 falling)."""
+    rising, -1 falling).  ``first[c]`` is the first grid line it may cross,
+    in its direction of travel, and ``count[c]`` how many lie between the
+    outer lines of its two ends' cells (:meth:`along` finds them)."""
 
     phi: _TravelTime
     sign: int
@@ -411,21 +506,32 @@ class _Component:
     start: np.ndarray
     p0: np.ndarray
     p_end: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def along(cls, phi: _TravelTime, sign: int, rows, start, p0,
+              p_end) -> _Component:
+        """The component, with the lines of every curve found once."""
+        nx = phi.nx
+        lo = np.floor(np.minimum(p0, p_end) * nx)
+        hi = np.ceil(np.maximum(p0, p_end) * nx)
+        lo, hi = (np.clip(v, 0, nx).astype(np.int32) for v in (lo, hi))
+        return cls(phi, sign, rows, start, p0, p_end,
+                   hi if sign < 0 else lo, hi - lo + 1)
 
     def __getitem__(self, curves) -> _Component:
-        return _Component(self.phi, self.sign, self.rows[curves],
-                          self.start[curves], self.p0[curves],
-                          self.p_end[curves])
+        return _Component(self.phi, self.sign, *(
+            v[curves] for v in (self.rows, self.start, self.p0, self.p_end,
+                                self.first, self.count)))
 
-    def lines(self):
-        """The first grid line each curve may cross, in its direction of
-        travel, and how many lie between the outer lines of its two ends'
-        cells."""
+    def cell(self, q):
+        """The cell each curve starts its first segment in: the one that
+        holds the midpoint of its start and ``q``, the first line it
+        crosses or, if it crosses none, its end."""
         nx = self.phi.nx
-        lo = np.floor(np.minimum(self.p0, self.p_end) * nx)
-        hi = np.ceil(np.maximum(self.p0, self.p_end) * nx)
-        lo, hi = (np.clip(v, 0, nx).astype(np.int64) for v in (lo, hi))
-        return (hi if self.sign < 0 else lo), hi - lo + 1
+        return np.clip(np.floor(0.5 * (self.p0 + q) * nx).astype(np.int64),
+                       0, nx - 1)
 
     def crossings(self, s_end):
         """The grid lines each curve crosses farther than
@@ -434,53 +540,105 @@ class _Component:
         the lines' positions, and the cell each curve starts its first
         segment in."""
         nx = self.phi.nx
-        first, count = self.lines()
+        count = self.count
         curve = np.repeat(np.arange(count.size), count)
-        line = first[curve] + self.sign * (
+        line = self.first[curve] + self.sign * (
             np.arange(curve.size) - np.repeat(np.cumsum(count) - count, count))
         t = self.sign * (self.phi.nodes.ravel()[self.rows[curve] * (nx + 1)
                                                 + line] - self.start[curve])
         kept = (t > CORNER_TOL) & (t < s_end[curve] - CORNER_TOL)
         t, line, curve = t[kept], line[kept], curve[kept]
         n = np.bincount(curve, minlength=count.size)
-        # The first segment's cell holds the midpoint of the start and the
-        # first line crossed, or of the two ends if the curve crosses none.
         q = self.p_end.copy()
         crossing = n > 0
         q[crossing] = self.phi.x[line[(np.cumsum(n) - n)[crossing]]]
-        cell = np.clip(np.floor(0.5 * (self.p0 + q) * nx).astype(np.int64),
-                       0, nx - 1)
-        return t, n, self.phi.x[line], cell
+        return t, n, self.phi.x[line], self.cell(q)
+
+    def crosses_none(self, s_end) -> bool:
+        """Whether :meth:`crossings` keeps no line of any curve, decided on
+        the same times line by line, k-th lines of all curves at once, so
+        that the lines are not listed: a one-cell step's x-component
+        crosses at most the lines of its cell, at or beyond its ends."""
+        at = self.rows * (self.phi.nx + 1) + self.first
+        nodes = self.phi.nodes.ravel()
+        for k in range(int(self.count.max(initial=0))):
+            t = self.sign * (nodes[at + self.sign * np.minimum(
+                k, self.count - 1)] - self.start)
+            if np.any((t > CORNER_TOL) & (t < s_end - CORNER_TOL)):
+                return False
+        return True
 
 
-def _cut_curves(z: _Component, w: _Component, s_end, span, out, first):
-    """Cut curves whose x- and xi-components are ``z`` and ``w`` into cell
-    segments up to time ``s_end``, and return each curve's segment count,
-    cumulated.  The S segments are written from column ``first`` on into
-    ``out``: their ``(3, S)`` x and xi points (start, midpoint, end) and
-    their ``(S,)`` Simpson midpoint weights.
+def _in_time_order(z: _Component, s_end, base, w_cuts) -> bool:
+    """Whether the ends of moving curves whose x-component is ``z`` come
+    in time order as listed, without :func:`_cut_merged`'s sort: each
+    curve's start, the cuts ``w_cuts`` of its xi-component and its end.
+    They do where the x-component crosses no line, as on every step of
+    the march, and no two cuts of the xi-component merge at the keys
+    ``base`` of :func:`_cut_merged`."""
+    tw, nw = w_cuts[:2]
+    return z.crosses_none(s_end) and bool(np.all(
+        np.diff(np.repeat(base, nw) + tw) > CORNER_TOL))
 
-    A curve's segments end where one of its components crosses a grid
-    line; an x-line and a xi-line crossed within :data:`CORNER_TOL` of each
-    other are one corner crossing.  Every curve's ends (its start, its cuts
-    and, for a curve that moves, its end point) sort by (curve, time) in
-    one linear pass of a stable sort over four runs sorted already; the
-    keys shift curve c's times by ``c * span``, with ``span`` a power of two
-    above twice the longest end time.  Consecutive ends of one curve
-    bound a segment; the joins between curves are masked out.
-    """
-    m = s_end.size
+
+def _cut_in_order(z: _Component, w: _Component, s_end, w_cuts, out,
+                  first):
+    """:func:`_cut_merged` for curves whose ends come in time order
+    (:func:`_in_time_order`): the x-component stays in the cell it starts
+    in, where its position at each cut of the xi-component is read, and
+    the xi-component moves on by a cell at each of its cuts."""
     nx = z.phi.nx
-    ref = np.flatnonzero(s_end > 0.0)
-    s_ref = s_end[ref]
-    tz, nz, lz, cell_z0 = z[ref].crossings(s_ref)
-    tw, nw, lw, cell_w0 = w[ref].crossings(s_ref)
-    base = ref * span
-    key = np.concatenate([np.arange(m) * span, np.repeat(base, nz) + tz,
-                          np.repeat(base, nw) + tw, base + s_ref])
+    tw, nw, lw, cell_w = w_cuts
+    m, count = s_end.size, nw + 1
+    e_off = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(count + 1, out=e_off[1:])
+    start, end = e_off[:-1], e_off[1:] - 1
+    cuts = np.arange(tw.size) + np.repeat(start + 1 - np.cumsum(nw) + nw, nw)
+    cut_curve = np.repeat(np.arange(m), nw)
+    at_z = z.rows * nx + z.cell(z.p_end)
+    t, x, xi = np.zeros(e_off[-1]), np.empty(e_off[-1]), np.empty(e_off[-1])
+    t[cuts], t[end] = tw, s_end
+    x[start], x[end] = z.p0, z.p_end
+    x[cuts] = z.phi.inverse(at_z[cut_curve], z.start[cut_curve] - tw)
+    xi[start], xi[cuts], xi[end] = w.p0, lw, w.p_end
+    # Segment q of curve c, its k-th, runs from end q + c, in the cell of
+    # the xi-component's table that it enters at its k-th cut.
+    curve = np.repeat(np.arange(m), count)
+    begin = np.arange(curve.size)
+    k = begin - np.repeat(start - np.arange(m), count)
+    begin += curve
+    t_begin = t[begin]
+    _write_segments(out, first, t, begin, [
+        (component, at, component.start[curve] + component.sign * t_begin,
+         position)
+        for component, at, position in (
+            (z, at_z[curve], x),
+            (w, (w.rows * nx + cell_w)[curve] + w.sign * k, xi))])
+    return count
+
+
+def _cut_merged(z: _Component, w: _Component, s_end, base, w_cuts, out,
+                first):
+    """Cut moving curves whose x- and xi-components are ``z`` and ``w``
+    into cell segments up to time ``s_end``, written into ``out`` from
+    column ``first`` on (:func:`_cut_curves`), and return how many each
+    curve has.  ``w_cuts`` are ``w.crossings(s_end)``.
+
+    The ends of every curve (its start, its cuts and its end point) sort
+    by (curve, time) in one linear pass of a stable sort over four runs
+    sorted already; the keys shift curve c's times by ``base[c]``, a
+    multiple of a power of two above twice the longest end time.  An
+    x-line and a xi-line crossed within :data:`CORNER_TOL` of each other
+    are one corner crossing."""
+    nx = z.phi.nx
+    m = s_end.size
+    tz, nz, lz, cell_z = z.crossings(s_end)
+    tw, nw, lw, cell_w = w_cuts
+    key = np.concatenate([base, np.repeat(base, nz) + tz,
+                          np.repeat(base, nw) + tw, base + s_end])
     order = np.argsort(key, kind="stable")
     key = key[order]
-    t = np.concatenate([np.zeros(m), tz, tw, s_ref])[order]
+    t = np.concatenate([np.zeros(m), tz, tw, s_end])[order]
     cut = (order >= m) & (order < m + tz.size + tw.size)
     apart = np.ones(t.size, dtype=bool)
     apart[1:] = (np.diff(key) > CORNER_TOL) | ~(cut[1:] & cut[:-1])
@@ -489,9 +647,9 @@ def _cut_curves(z: _Component, w: _Component, s_end, span, out, first):
     # cuts are a grid node: they keep the earlier time, whichever way the
     # shifted keys rounded, and both lines.
     x = np.concatenate([z.p0, lz, np.full(tw.size, np.nan),
-                        z.p_end[ref]])[order]
+                        z.p_end])[order]
     xi = np.concatenate([w.p0, np.full(tz.size, np.nan), lw,
-                         w.p_end[ref]])[order]
+                         w.p_end])[order]
     merged = np.flatnonzero(~apart)
     t[merged - 1] = np.minimum(t[merged - 1], t[merged])
     x[merged - 1] = np.fmax(x[merged - 1], x[merged])
@@ -499,58 +657,79 @@ def _cut_curves(z: _Component, w: _Component, s_end, span, out, first):
     t, x, xi, cut = t[apart], x[apart], xi[apart], cut[apart]
     # Curve c's ends are t[e_off[c]:e_off[c+1]], its start first.
     e_off = np.append(np.flatnonzero(order[apart] < m), t.size)
-    end_curve = np.repeat(np.arange(m), np.diff(e_off))
+    ends = np.diff(e_off)
+    end_curve = np.repeat(np.arange(m), ends)
     del key, order, apart, merged, tz, tw, lz, lw
-
-    def reading(component, cell0, position):
-        """Each end's cell for ``component``, flat in its travel-time table
-        (its first segment's, moved on by one for every line crossed up to
-        and including the end), and the component's travel time there."""
-        first = component.rows * nx
-        first[ref] += cell0
+    # Segment q of curve c runs from end q + c to the next.
+    begin = np.arange(t.size - m)
+    begin += np.repeat(np.arange(m), ends - 1)
+    readings = []
+    for component, cell0, position in ((z, cell_z, x), (w, cell_w, xi)):
+        # Each end's cell, its first segment's moved on by one for every
+        # line of the component crossed up to and including the end, and
+        # the component's travel time there.
         crossed = np.cumsum(cut & ~np.isnan(position))
-        crossed -= np.repeat(crossed[e_off[:-1]], np.diff(e_off))
-        at = first[end_curve]
+        crossed -= np.repeat(crossed[e_off[:-1]], ends)
+        at = (component.rows * nx + cell0)[end_curve]
+        at += component.sign * crossed
         phi = component.start[end_curve]
-        if component.sign < 0:
-            at -= crossed
-            phi -= t
-        else:
-            at += crossed
-            phi += t
-        return at, phi
+        phi += component.sign * t
+        unread = np.flatnonzero(np.isnan(position))
+        position[unread] = component.phi.inverse(at[unread], phi[unread])
+        readings.append((component, at[begin], phi[begin], position))
+    _write_segments(out, first, t, begin, readings)
+    return ends - 1
 
-    # Segment q runs from end begin[q] to the next: every pair of
-    # consecutive ends but the joins from one curve's end to the next
-    # curve's start.
-    begin = np.delete(np.arange(t.size - 1), e_off[1:-1] - 1)
+
+def _write_segments(out, first, t, begin, readings):
+    """Write the segments that run from the ends ``begin`` to the next, at
+    the times ``t``, into ``out`` from column ``first`` on
+    (:func:`_cut_curves`).  ``readings`` holds, for the x- and then the
+    xi-component, the component, the cell of its travel-time table that
+    each segment lies in and its travel time at each segment's start, and
+    its position at every end; a segment's midpoint is read by the inverse
+    travel time in its cell."""
     length = t[begin + 1] - t[begin]
     written = slice(first, first + begin.size)
     seg_x, seg_xi, weights = out
     np.multiply(2.0 / 3.0, length, out=weights[written])
-    # The other component at a cut, and both at a segment's mid-time, come
-    # from the inverse travel time in the cell the component is in.
     half = 0.5 * length
-    for component, cell0, position, points in ((z, cell_z0, x, seg_x),
-                                                (w, cell_w0, xi, seg_xi)):
-        at, phi = reading(component, cell0, position)
-        mid_phi = phi[begin] + component.sign * half
-        unread = np.flatnonzero(np.isnan(position))
-        position[unread] = component.phi.inverse(at[unread], phi[unread])
+    for (component, at, phi, position), points in zip(readings,
+                                                       (seg_x, seg_xi)):
+        phi += component.sign * half
         np.take(position, begin, out=points[0, written])
-        points[1, written] = component.phi.inverse(at[begin], mid_phi)
+        points[1, written] = component.phi.inverse(at, phi)
         np.take(position, begin + 1, out=points[2, written])
-    return e_off[1:] - np.arange(1, m + 1)
 
 
-def _segment_bounds(z: _Component, w: _Component) -> np.ndarray:
-    """The most cell segments each moving curve whose x- and
-    xi-components are ``z`` and ``w`` is cut into: one, plus a cut at every
-    line of each component's span but its two outer lines, the one at or
-    behind its start and the one at or past its end, which
+def _cut_curves(z: _Component, w: _Component, s_end, base, out, first):
+    """Cut moving curves whose x- and xi-components are ``z`` and ``w``
+    into cell segments up to time ``s_end``, and return how many each
+    curve has.  The S segments are written from column ``first`` on into
+    ``out``: their ``(3, S)`` x and xi points (start, midpoint, end) and
+    their ``(S,)`` Simpson midpoint weights.
+
+    A curve's segments end where one of its components crosses a grid
+    line, and its ends, in time order, bound its segments:
+    :func:`_cut_in_order` takes them as they come where the x-component
+    crosses no line, as on every step of the march, and :func:`_cut_merged`
+    sorts and merges the cuts of both components otherwise, curve c's times
+    shifted by ``base[c]`` in the sort's keys.
+    """
+    w_cuts = w.crossings(s_end)
+    if _in_time_order(z, s_end, base, w_cuts):
+        return _cut_in_order(z, w, s_end, w_cuts, out, first)
+    return _cut_merged(z, w, s_end, base, w_cuts, out, first)
+
+
+def _segment_bounds(z_lines, w_lines) -> np.ndarray:
+    """The most cell segments each moving curve is cut into, whose x- and
+    xi-components have ``z_lines`` and ``w_lines`` lines in their spans
+    (:attr:`_Component.count`): one, plus a cut at every line of each
+    component's span but its two outer lines, the one at or behind its
+    start and the one at or past its end, which
     :meth:`_Component.crossings` never keeps."""
-    return (np.maximum(z.lines()[1] - 2, 0) + np.maximum(w.lines()[1] - 2, 0)
-            + 1)
+    return np.maximum(z_lines - 2, 0) + np.maximum(w_lines - 2, 0) + 1
 
 
 def _read_curves(z: _Component, w: _Component, ref, s_end, launch,
@@ -558,30 +737,40 @@ def _read_curves(z: _Component, w: _Component, ref, s_end, launch,
     """Curves whose x- and xi-components are ``z`` and ``w``, cut into cell
     segments up to their end times ``s_end``, with the launch abscissas
     ``launch`` of those that end at their event; ``ref`` are the curves
-    that move, and ``s_max`` bounds their end times."""
+    that start off their event, and ``s_max`` bounds their end times."""
     m = s_end.size
-    # Cut the curves into segments a block of _CUT_CURVES curves at a time,
-    # into arrays sized by the segments each moving curve can have (lines
-    # crossed too close to an end and merged corners leave their tails
-    # unwritten, and untouched pages cost no memory).
-    bound = int(_segment_bounds(z[ref], w[ref]).sum())
-    seg_x, seg_xi = np.empty((3, bound)), np.empty((3, bound))
-    weights = np.empty(bound)
-    offsets = np.zeros(m + 1, dtype=np.int64)
+    # Cut the curves that move into segments a block of _CUT_CURVES curves
+    # at a time, into arrays of the current workspace, sized by the
+    # segments each curve of ``ref`` can have (lines crossed too close to
+    # an end and merged corners leave their tails unwritten, and untouched
+    # pages cost no memory).
+    bound = int(_segment_bounds(z.count[ref], w.count[ref]).sum())
+    workspace = Workspace.current()
+    seg_x = workspace.take("segment x", (3, bound))
+    seg_xi = workspace.take("segment xi", (3, bound))
+    weights = workspace.take("segment weights", (bound,))
+    # In the merge's keys, each curve's times are shifted by its place in
+    # its block times a power of two above twice the longest end time.
     span = 2.0 ** np.ceil(np.log2(2.0 * s_max))
+    moving = np.flatnonzero(s_end > 0.0)
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    n = 0
     for lo in range(0, m, _CUT_CURVES):
-        block = slice(lo, min(lo + _CUT_CURVES, m))
-        offsets[lo + 1:block.stop + 1] = offsets[lo] + _cut_curves(
-            z[block], w[block], s_end[block], span, (seg_x, seg_xi, weights),
-            offsets[lo])
-    n = offsets[-1]
+        curves = moving[np.searchsorted(moving, lo):
+                        np.searchsorted(moving, lo + _CUT_CURVES)]
+        counts = _cut_curves(z[curves], w[curves], s_end[curves],
+                             (curves - lo) * span, (seg_x, seg_xi, weights),
+                             n)
+        offsets[curves + 1] = counts
+        n += int(counts.sum())
+    np.cumsum(offsets, out=offsets)
     return TracedBundle(offsets, seg_x[:, :n], seg_xi[:, :n], weights[:n],
                         s_end, launch, w.p_end)
 
 
 def _stops(stop, xs, x):
-    """The x-line index each curve from the abscissas ``xs`` stops at, and
-    its position on the x-nodes ``x``.
+    """The x-line index each curve from the abscissas ``xs`` stops at, on
+    the x-nodes ``x``.
 
     Raises :class:`DomainError` unless ``stop`` is one integer, or one per
     curve, in ``0 .. nx``, its line no higher than its curve's point (up to
@@ -602,7 +791,7 @@ def _stops(stop, xs, x):
         c = int(np.argmax(above))
         raise DomainError(f"stop x-line {stop[c]} (x={x[stop[c]]:g}) lies "
                           f"above its point's x={xs[c]:g}")
-    return stop, x[stop]
+    return stop
 
 
 def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys, stop=0
@@ -621,10 +810,9 @@ def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys, stop=0
     module docstring)."""
     xs, xis, ys = _points(xs, xis, ys)
     m = xs.size
-    stop, x_stop = _stops(stop, xs, coeff.spec.x_nodes)
+    stop = _stops(stop, xs, coeff.spec.x_nodes)
     phi_v = _travel_time(coeff)
-    y_rows, rows = np.unique(ys, return_inverse=True)
-    phi_u = _travel_time(coeff, y_rows)
+    phi_u, rows = _ensemble_travel_time(coeff, ys)
     s_max = 2.0 / coeff.crossing_speed_min
     ref = np.flatnonzero(xis - xs < DEGENERATE_TOL)
     start_x, start_xi = np.zeros(m), np.zeros(m)
@@ -638,16 +826,14 @@ def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys, stop=0
         # The launch lies above the stop line exactly when the summed travel
         # times there fall short of the target; an unresolved sum counts as
         # an event, so that the launch solve flags it.
-        on_stop = stop[ref], rows[ref]
-        line = (phi_v.nodes[0, on_stop[0]]
-                + phi_u.nodes[on_stop[1], on_stop[0]]) > target
+        line = phi_u.summed[rows[ref], stop[ref]] > target
         event, at_line = ref[~line], ref[line]
         launch[event], resolved[event] = _launch(target[~line], rows[event],
                                                  phi_v, phi_u)
         s_end[event] = start_x[event] - phi_v.at(0, launch[event])
         z_end[event] = w_end[event] = launch[event]
         s_end[at_line] = start_x[at_line] - phi_v.nodes[0, stop[at_line]]
-        z_end[at_line] = x_stop[at_line]
+        z_end[at_line] = phi_v.x[stop[at_line]]
         w_end[at_line] = phi_u.reach(rows[at_line],
                                      start_xi[at_line] + s_end[at_line])
         launch[at_line] = np.nan
@@ -656,8 +842,11 @@ def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys, stop=0
         raise NonconvergenceError(
             f"{missed} characteristic curve(s) found no cross event before "
             f"s = {s_max:.3g}; the model's speeds are too close to zero")
-    z = _Component(phi_v, -1, np.zeros(m, dtype=np.int64), start_x, xs, z_end)
-    w = _Component(phi_u, 1, rows, start_xi, xis, w_end)
+    # Only what the cut reads stays alive while it runs.
+    del resolved, target, line, event, at_line
+    # Row 0 of the table of speed_v for every curve, as one value.
+    z = _Component.along(phi_v, -1, np.broadcast_to(0, m), start_x, xs, z_end)
+    w = _Component.along(phi_u, 1, rows, start_xi, xis, w_end)
     return _read_curves(z, w, ref, s_end, launch, s_max)
 
 
@@ -673,9 +862,9 @@ def trace_edge_batch(coeff: SampledCoefficients, xs, xis, stop=0
     curves with no resolved end (see the module docstring)."""
     xs, xis, _ = _points(xs, xis)
     m = xs.size
-    stop, x_stop = _stops(stop, xs, coeff.spec.x_nodes)
+    stop = _stops(stop, xs, coeff.spec.x_nodes)
     phi_v = _travel_time(coeff)
-    on_v = np.zeros(m, dtype=np.int64)
+    on_v = np.broadcast_to(0, m)  # row 0 of the table of speed_v
     s_max = 2.0 / coeff.speed_v_min
     ref = np.flatnonzero(-xis < DEGENERATE_TOL)
     start_x, start_xi, s_end = np.zeros(m), np.zeros(m), np.zeros(m)
@@ -693,7 +882,7 @@ def trace_edge_batch(coeff: SampledCoefficients, xs, xis, stop=0
             start_x[event] - s_end[event], on_v[event], phi_v)
         z_end[event] = launch[event]
         s_end[at_line] = s_line[line]
-        z_end[at_line] = x_stop[at_line]
+        z_end[at_line] = phi_v.x[stop[at_line]]
         w_end[at_line] = phi_v.reach(on_v[at_line],
                                      start_xi[at_line] - s_end[at_line])
         launch[at_line] = np.nan
@@ -702,6 +891,8 @@ def trace_edge_batch(coeff: SampledCoefficients, xs, xis, stop=0
         raise NonconvergenceError(
             f"{missed} characteristic curve(s) found no edge event before "
             f"s = {s_max:.3g}; the model's speeds are too close to zero")
-    z = _Component(phi_v, -1, on_v, start_x, xs, z_end)
-    w = _Component(phi_v, -1, on_v, start_xi, xis, w_end)
+    # Only what the cut reads stays alive while it runs.
+    del resolved, s_line, line, event, at_line
+    z = _Component.along(phi_v, -1, on_v, start_x, xs, z_end)
+    w = _Component.along(phi_v, -1, on_v, start_xi, xis, w_end)
     return _read_curves(z, w, ref, s_end, launch, s_max)

@@ -236,6 +236,7 @@ def cmd_kernels(config: RunConfig) -> int:
         "final_delta": sol.final_delta,
         "deltas": sol.deltas,
         "contraction_ratio": sol.contraction_ratio,
+        "march": sol.march,
         "y_rank": sol.y_rank,
         "residuals": {"ensemble_equation": res_ensemble,
                       "scalar_equation": res_scalar},
@@ -496,8 +497,8 @@ def cmd_verify(config: RunConfig) -> int:
 
     all_passed = all(entry["passed"] for entry in checks.values())
     report = {"all_passed": all_passed, "checks": checks,
-              "model": config.model_name, "nx": spec.nx, "ny": spec.ny,
-              "seed": config.seed}
+              "march": kernels.march, "model": config.model_name,
+              "nx": spec.nx, "ny": spec.ny, "seed": config.seed}
     path = os.path.join(config.output_dir, "verify.json")
     _write_json(path, report)
     for name in sorted(checks):

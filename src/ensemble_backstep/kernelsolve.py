@@ -47,9 +47,13 @@ most :data:`_RUN_SEGMENTS` cell segments at a time, two padded source
 stencils, three leveled nodes a segment on the row below and two corners
 a segment on the step's own row, each from its row's first node.  The march
 holds the solution, one block's step data and one row of sources: the
-step data are freed before the next block is traced, and each finished
-row's sources replace those of the row below it, since no step reads a
-source more than one row below its own.  Every gather sums its stencil
+traces' segments and the step data are written into arrays the solve
+keeps from block to block (a :class:`~.characteristics.Workspace`, each
+array sized by the largest block so far, its padding zeroed anew), so a
+solve allocates them once, and each finished row's sources replace those
+of the row below it, since no step reads a source more than one row below
+its own.  The solve records its blocks, steps and segments
+(:attr:`KernelSolution.march`).  Every gather sums its stencil
 in one fixed order, and every projection one basis column at a time, so
 no bit of the kernels depends on the block or run sizes.  A step's
 source reads the corners of its cell on its own row too, so each row is
@@ -90,8 +94,8 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .characteristics import (SIMPSON_POINT_WEIGHTS, trace_crossing_batch,
-                              trace_edge_batch)
+from .characteristics import (SIMPSON_POINT_WEIGHTS, Workspace,
+                              trace_crossing_batch, trace_edge_batch)
 from .errors import (DimensionError, DomainError, NonconvergenceError,
                      NumericError)
 from .grid import (GridSpec, TriangularIndex, corner_weights, row_basis,
@@ -113,17 +117,17 @@ MAX_SWEEPS = 60
 
 #: Steps (crossing and edge curves) a block of rows of :func:`solve_goursat`
 #: may hold: the size of every trace and of the step data the march holds,
-#: one block at a time.  Every block's traces read the travel-time tables
-#: the first one built, so a block costs its curves and a fixed overhead.
-#: With 2**13 ... 2**16 (6, 3, 2 and 1 blocks) the toy at nx=200, ny=120
-#: solved in 0.25, 0.17, 0.16 and 0.17 s, and the plant with
-#: speed_u = 1 + y/2 at nx=100, ny=60 (54, 23, 11 and 5 blocks) in 0.92,
-#: 0.70, 0.65 and 0.94 s, and a process that samples the plant and solves
-#: peaked at 38.2, 40.2, 42.9 and 44.5 MB of RSS and 40.8, 43.5, 48.5 and
-#: 60.8 MB (medians of five runs, 2-core Xeon shared with other jobs, one
-#: sitting, Python 3.11, numpy 2.4): fewer blocks trace less often, larger
-#: ones hold more.
-_BLOCK_CURVES = 2 ** 14
+#: one block at a time, in arrays it keeps from block to block.  Every
+#: block's traces read the travel-time tables the first one built, so a
+#: block costs its curves and a small fixed overhead.  With 2**13, 3 * 2**12,
+#: 2**14 and 2**15 (6, 4, 3 and 2 blocks) the toy at nx=200, ny=120 solved
+#: in 0.19, 0.16, 0.18 and 0.18 s, and the plant with speed_u = 1 + y/2 at
+#: nx=100, ny=60 (54, 30, 23 and 11 blocks) in 0.69, 0.58, 0.59 and 0.55 s,
+#: and a process that samples the plant and solves peaked at 38.1, 38.9,
+#: 40.2 and 42.4 MB of RSS and 42.5, 43.3, 45.0 and 51.3 MB (medians of
+#: five runs, 2-core Xeon shared with other jobs, one sitting, Python 3.11,
+#: numpy 2.4): fewer blocks trace less often, larger ones hold more.
+_BLOCK_CURVES = 3 * 2 ** 12
 
 #: Cell segments whose stencils a block forms at a time
 #: (:func:`_segment_runs`): enough to spread the cost of a run, few enough
@@ -199,6 +203,10 @@ class KernelSolution:
     took, and ``deltas[k]`` the largest sup-norm increment of a row at
     local sweep k + 1, a row that stopped sooner counting its last, so
     that ``deltas[-1]`` is ``final_delta``, the largest last increment.
+    ``march`` holds the sizes of the march that solved the kernels: its
+    ``blocks``, and for each family of steps, ``crossing`` and ``edge``,
+    its ``steps`` and the cell ``segments`` they were cut into (None for
+    kernels not marched).
     """
 
     coords: np.ndarray
@@ -209,6 +217,7 @@ class KernelSolution:
     deltas: tuple[float, ...]
     spec: GridSpec
     basis: np.ndarray
+    march: dict | None = None
 
     @property
     def y_rank(self) -> int:
@@ -278,7 +287,7 @@ def _segment_runs(offsets: np.ndarray, width: int):
 
 
 def _quadrature_matrix(spec: GridSpec, bundle, row: np.ndarray, lanes: int,
-                       lane: np.ndarray) -> _Steps:
+                       lane: np.ndarray, family: str = "") -> _Steps:
     """The steps of ``bundle``, traced from rows ``row`` to the x-lines
     below them, read in ``lanes`` lanes, step s in lane ``lane[s]``: the
     start stencils, and the path integral of the bilinear interpolant of
@@ -287,8 +296,11 @@ def _quadrature_matrix(spec: GridSpec, bundle, row: np.ndarray, lanes: int,
     is exact wherever the segment is straight, and its xi-error leveled to
     its mean over a cell.  The start stencils are formed first, so that
     their step-sized temporaries come before any padded segment data; the
-    source stencils are formed a run of segments at a time, each run
-    written straight into its padded slots of both stencils.
+    source stencils are zeroed, padding included, and formed a run of
+    segments at a time, each run written straight into its padded slots of
+    both stencils.  The steps are views of the arrays of the current
+    :class:`~ensemble_backstep.characteristics.Workspace` named after
+    ``family``.
 
     Along a segment the bilinear interpolant misses the source by about
     ``-h**2 * b * (1 - b) * S_xixi / 2``, ``b`` the local xi-coordinate in
@@ -309,16 +321,23 @@ def _quadrature_matrix(spec: GridSpec, bundle, row: np.ndarray, lanes: int,
         raise DimensionError(
             f"{tri.n_nodes} nodes in {lanes} lanes each need more "
             f"than the 2**31 int32 indices of the march's steps")
+    workspace = Workspace.current()
     row_start = tri.row_start
     below = np.maximum(row - 1, 0)
-    start_nodes, start_weights = _row_stencil(tri, below, bundle.end_xi)
-    start_weights[~np.isnan(bundle.launch)] = 0.0
     offsets = bundle.offsets
     m, width = offsets.size - 1, int(np.diff(offsets).max(initial=0))
-    below_nodes = np.zeros((m * width, 3), dtype=np.int32)
-    below_weights = np.zeros((m * width, 3))
-    row_nodes = np.zeros((m * width, 2), dtype=np.int32)
-    row_weights = np.zeros((m * width, 2))
+    start_nodes, start_weights = _row_stencil(
+        tri, below, bundle.end_xi,
+        (workspace.take(family + "start_nodes", (m, 4), np.int32),
+         workspace.take(family + "start_weights", (m, 4))))
+    start_weights[~np.isnan(bundle.launch)] = 0.0
+    below_nodes = workspace.take(family + "below_nodes", (m * width, 3),
+                                 np.int32)
+    below_weights = workspace.take(family + "below_weights", (m * width, 3))
+    row_nodes = workspace.take(family + "row_nodes", (m * width, 2), np.int32)
+    row_weights = workspace.take(family + "row_weights", (m * width, 2))
+    for padded in (below_nodes, below_weights, row_nodes, row_weights):
+        padded.fill(0)
     for run, curve, slot in _segment_runs(offsets, width):
         xi = bundle.xi[:, run]
         simpson = SIMPSON_POINT_WEIGHTS * bundle.weights[run]
@@ -381,25 +400,35 @@ def _nodes(tri: TriangularIndex, rows: range) -> slice:
                  int(tri.row_start[rows.stop - 1]) + rows.stop)
 
 
-def _row_stencil(tri: TriangularIndex, row: np.ndarray, xi: np.ndarray):
+def _row_stencil(tri: TriangularIndex, row: np.ndarray, xi: np.ndarray,
+                 out):
     """4-point Lagrange stencils in xi along the triangle rows ``row`` at
-    ``xi``: their flat nodes and weights, ``(n, 4)`` each, on the four nodes
-    nearest ``xi`` that the row has.  A row with fewer nodes uses all of
-    them, the other entries weighing 0."""
+    ``xi``: their flat nodes and weights, ``(n, 4)`` each, written into
+    ``out``, int32 nodes and float weights, on the four nodes nearest ``xi``
+    that the row has.  A row with fewer nodes uses all of them, the other
+    entries weighing 0.  The stencils are formed a column at a time, and
+    only a column that some row lacks is masked."""
     count = np.minimum(row + 1, 4)
     t = xi * tri.nx
     first = np.clip(np.floor(t).astype(np.int64) - 1, 0, row + 1 - count)
-    cols = first[:, None] + np.arange(4)
-    used = np.arange(4) < count[:, None]
-    weights = np.ones(cols.shape)
+    every = int(count.min(initial=4))
+    nodes, weights = out
+    weights.fill(1.0)
     for k in range(4):
         for q in range(4):
             if q != k:
-                factor = (t - cols[:, q]) / (k - q)
-                weights[:, k] *= np.where(used[:, q], factor, 1.0)
-    weights[~used] = 0.0
-    nodes = tri.row_start[row][:, None] + np.where(used, cols, first[:, None])
-    return nodes.astype(np.int32), weights
+                factor = (t - (first + q)) / (k - q)
+                if q >= every:
+                    factor = np.where(count > q, factor, 1.0)
+                weights[:, k] *= factor
+    first += tri.row_start[row]
+    for q in range(4):
+        if q < every:
+            nodes[:, q] = first + q
+        else:
+            nodes[:, q] = np.where(count > q, first + q, first)
+            weights[count <= q, q] = 0.0
+    return nodes, weights
 
 
 class _Steps(NamedTuple):
@@ -509,16 +538,16 @@ def _block_steps(problem: GoursatProblem, rows: range):
     families = family_y.size
     row = tri.i_index[nodes]
     stop = np.maximum(row - 1, 0)
-    lane = np.tile(np.arange(families), row.size)
     # Every crossing step of the block, one per (node, family), node-major,
     # in one trace, which solves the launches of the steps that reach the
     # diagonal.
     bundle = trace_crossing_batch(
         coeff, np.repeat(tri.x_coord[nodes], families),
-        np.repeat(tri.xi_coord[nodes], families), family_y[lane],
-        np.repeat(stop, families))
+        np.repeat(tri.xi_coord[nodes], families),
+        np.tile(family_y, row.size), np.repeat(stop, families))
+    lane = np.tile(np.arange(families), row.size)
     cross = _quadrature_matrix(spec, bundle, np.repeat(row, families),
-                               families, lane)
+                               families, lane, "crossing.")
     event = np.flatnonzero(~np.isnan(bundle.launch))
     launch = bundle.launch[event]
     del bundle
@@ -532,7 +561,7 @@ def _block_steps(problem: GoursatProblem, rows: range):
     bundle = trace_edge_batch(coeff, tri.x_coord[nodes], tri.xi_coord[nodes],
                               stop)
     edge = _quadrature_matrix(spec, bundle, row, 1,
-                              np.zeros(row.size, np.int64))
+                              np.zeros(row.size, np.int64), "edge.")
     # An edge event lies between the x-lines i - 1 and i (row 0's on
     # x-line 0), and reads the edge linearly in x between them.
     event = ~np.isnan(bundle.launch)
@@ -611,35 +640,46 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     # deltas[k]: the largest row increment of local sweep k + 1, a row that
     # stopped sooner counting its last; ended: the largest last increment.
     deltas, ended = [], 0.0
-    for rows in _blocks(tri, families):
-        for history in _march_block(problem, rows, tol, C, G, source_c,
-                                    source_g):
-            deltas += [ended] * (len(history) - len(deltas))
-            for k in range(len(deltas)):
-                deltas[k] = max(deltas[k], history[min(k, len(history) - 1)])
-            ended = max(ended, history[-1])
+    blocks = _blocks(tri, families)
+    march = {"blocks": len(blocks),
+             **{family: {"steps": 0, "segments": 0}
+                for family in ("crossing", "edge")}}
+    with Workspace().use():
+        for rows in blocks:
+            for history in _march_block(problem, rows, tol, C, G, source_c,
+                                        source_g, march):
+                deltas += [ended] * (len(history) - len(deltas))
+                for k in range(len(deltas)):
+                    deltas[k] = max(deltas[k],
+                                    history[min(k, len(history) - 1)])
+                ended = max(ended, history[-1])
 
     return KernelSolution(coords=C, diagonal_rows=problem.diagonal_rows,
                           ktilde=G, iterations=len(deltas),
                           final_delta=deltas[-1], deltas=tuple(deltas),
-                          spec=problem.spec, basis=problem.basis)
+                          spec=problem.spec, basis=problem.basis,
+                          march=march)
 
 
 def _march_block(problem: GoursatProblem, rows: range, tol: float,
                  C: np.ndarray, G: np.ndarray, source_c: np.ndarray,
-                 source_g: np.ndarray) -> list[list[float]]:
+                 source_g: np.ndarray, march: dict) -> list[list[float]]:
     """March the rows of one block of :func:`solve_goursat`, writing their
-    unknowns ``C`` and ``G``, and return each row's local sweep increments.
-    ``source_c`` and ``source_g`` hold the sources of the row below the
-    block's first, and each row leaves its own there for the next.  The
-    block's step data live in this call only, so they are freed before the
-    next block is traced."""
+    unknowns ``C`` and ``G``, add its steps and segments to ``march``, and
+    return each row's local sweep increments.  ``source_c`` and
+    ``source_g`` hold the sources of the row below the block's first, and
+    each row leaves its own there for the next.  The block's step data
+    live in this call only, so none of them is alive when the next block
+    is traced."""
     tri = problem.spec.tri
     basis = problem.basis
     r = basis.shape[1]
     families = problem.family_y.size
     cross, diagonal, edge, (edge_below, edge_on_row) = (
         _block_steps(problem, rows))
+    for family, steps in (("crossing", cross), ("edge", edge)):
+        march[family]["steps"] += len(steps.start_nodes)
+        march[family]["segments"] += steps.nnz // 4
     # The ensemble unknown as the crossing steps read it: a row per node,
     # or per node and y-node with a family per y-node.
     width = _lane_width(problem)

@@ -508,10 +508,10 @@ def test_curve_stopped_at_a_line_continues_as_the_whole_curve(make_plant,
         smooth(whole.x, whole.xi))[at_line], rtol=0, atol=tol)
 
 
-def _every_line_bounds(z, w):
+def _every_line_bounds(z_lines, w_lines):
     """The segment bound of a curve counting every line of both
     components' spans, the two outer lines too."""
-    return z.lines()[1] + w.lines()[1] + 1
+    return z_lines + w_lines + 1
 
 
 @pytest.mark.parametrize("make_plant", [
@@ -562,3 +562,53 @@ def test_segment_buffers_hold_every_curve(make_plant, family, monkeypatch):
         assert bound.size == np.count_nonzero(moving)
         assert np.all(counts[moving] <= bound)
         assert bound.sum() < every.sum()
+
+
+@pytest.mark.parametrize("make_plant", [
+    lambda: toy_model(), half_x_plant, sloped_plant, full_rank_plant,
+    ydep_plant], ids=["toy", "half_x", "sloped", "full_rank", "ydep"])
+@pytest.mark.parametrize("family", ["crossing", "edge"])
+def test_one_cell_cuts_equal_the_merge(make_plant, family, monkeypatch):
+    """A trace whose x-components cross no line, as every step of the
+    march does, lists each curve's ends in time order without the keyed
+    sort and merge of whole curves: one-cell steps from every node (to the
+    x-line below its row) and from 400 random triangle points (to the
+    x-line below each), some reaching their event first, trace the same
+    bundles, bit for bit, as through the keyed merge, and none of their
+    cuts goes through the merge."""
+    spec = GridSpec(nx=60, ny=12)
+    tri = spec.tri
+    coeff = sample_coefficients(make_plant(), spec)
+    rng = np.random.default_rng(38)
+    xs = rng.uniform(0.0, 1.0, 400)
+    xis = xs * rng.uniform(0.0, 1.0, 400)
+    below = np.maximum(np.ceil(xs * spec.nx).astype(np.int64) - 1, 0)
+    xs = np.concatenate([tri.x_coord, xs])
+    xis = np.concatenate([tri.xi_coord, xis])
+    ys = rng.uniform(0.0, 1.0, xs.size)
+    stop = np.concatenate([np.maximum(tri.i_index - 1, 0), below])
+    assert xs.size > characteristics._CUT_CURVES
+    in_order = characteristics._in_time_order
+    orders = []
+
+    def recording(*args):
+        orders.append(in_order(*args))
+        return orders[-1]
+
+    def trace():
+        if family == "crossing":
+            return trace_crossing_batch(coeff, xs, xis, ys, stop)
+        return trace_edge_batch(coeff, xs, xis, stop)
+
+    monkeypatch.setattr(characteristics, "_in_time_order", recording)
+    direct = trace()
+    assert len(orders) > 1 and all(orders)
+    monkeypatch.setattr(characteristics, "_in_time_order",
+                        lambda *args: False)
+    merged = trace()
+    event = ~np.isnan(direct.launch)
+    assert 0 < np.count_nonzero(event[direct.s_end > 0.0]) < xs.size
+    for name in ("offsets", "x", "xi", "weights", "s_end", "launch",
+                 "end_xi"):
+        assert np.array_equal(getattr(direct, name), getattr(merged, name),
+                              equal_nan=True), name

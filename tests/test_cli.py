@@ -161,7 +161,7 @@ class TestKernelsCommand:
         payload = json.loads((tmp_path / "kernels.json").read_text())
         assert set(payload) == {"iterations", "final_delta", "deltas",
                                 "contraction_ratio", "residuals",
-                                "analytic_max_rel_error", "y_rank"}
+                                "analytic_max_rel_error", "march", "y_rank"}
         assert isinstance(payload["iterations"], int)
         # one sup-norm increment per sweep, the last being final_delta
         assert len(payload["deltas"]) == payload["iterations"]
@@ -428,6 +428,25 @@ class TestSimulateCommand:
             payload = json.loads((out / "kernels.json").read_text())
             assert payload == {"converged": False, "final_delta": 0.125}
             assert sorted(os.listdir(out)) == ["kernels.json"]
+
+
+@pytest.mark.parametrize("command, report", [
+    (["kernels"], "kernels.json"),
+    (["verify", "--dt", "0.01", "--t-final", "0.5"], "verify.json")],
+    ids=["kernels", "verify"])
+def test_reports_record_the_march(tmp_path, command, report):
+    """``kernels.json`` and ``verify.json`` record the sizes of the march
+    that solved the kernels: on the toy at nx = 20, ny = 8, one block of
+    231 crossing and 231 edge steps, one of each per triangle node.  The
+    toy's unit speeds carry every step that moves, all but the 21 from the
+    diagonal (crossing) or the edge (edge), across one cell in one
+    segment."""
+    assert main(command + ["--nx", "20", "--ny", "8",
+                           "--out", str(tmp_path)]) == 0
+    march = json.loads((tmp_path / report).read_text())["march"]
+    assert march == {"blocks": 1,
+                     "crossing": {"steps": 231, "segments": 210},
+                     "edge": {"steps": 231, "segments": 210}}
 
 
 class TestVerifyCommand:

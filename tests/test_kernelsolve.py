@@ -935,24 +935,53 @@ def test_march_solves_the_discrete_system(name, monkeypatch):
     assert np.max(np.abs(sol.ktilde - ktilde)) <= 1e-12 * np.max(np.abs(ktilde))
 
 
-@pytest.mark.parametrize("name", ["toy", "half_x", "sloped", "full_rank"])
+@pytest.mark.parametrize("name", ["toy", "half_x", "sloped", "full_rank",
+                                  "ydep"])
 def test_runs_and_blocks_change_no_bit(name, toy, monkeypatch):
     """Runs of segments and blocks of rows bound only what the march forms
     and holds at a time: runs of 7 segments, blocks of 64 steps and both
-    solve the same kernels as the defaults, bit for bit, in a y-subspace
-    (the toy, half_x) and on every y-node (one family per y-node, a closure
-    of rank ny)."""
+    solve the same kernels as the defaults, in one block, bit for bit, in a
+    y-subspace (the toy, half_x) and on every y-node (one family per
+    y-node, a closure of rank ny).  The blocks lay out their steps in the
+    arrays the solve keeps from block to block, and every padded slot of
+    every block's steps is node 0 of its lane at weight 0, also where a
+    block's padded steps take less room than the block's before it (the
+    per-y plant of the bench, ydep): no block reads what the one before it
+    left there."""
     plant = {"toy": toy, "half_x": half_x_plant(), "sloped": sloped_plant(),
-             "full_rank": full_rank_plant()}[name]
+             "full_rank": full_rank_plant(), "ydep": ydep_plant()}[name]
     spec = GridSpec(nx=30, ny=8)
+    families = build_backstepping_problem(plant, spec).family_y.size
+    assert len(kernelsolve._blocks(spec.tri, families)) == 1
     default = solve_backstepping_kernels(plant, spec)
+    runs_default = kernelsolve._RUN_SEGMENTS
     monkeypatch.setattr(kernelsolve, "_RUN_SEGMENTS", 7)
     runs = solve_backstepping_kernels(plant, spec)
+    sizes = []
+    layout = kernelsolve._quadrature_matrix
+
+    def padded_with_node_0(spec, bundle, row, lanes, lane, *args):
+        steps = layout(spec, bundle, row, lanes, lane, *args)
+        width = steps.row_nodes.shape[1] // 2
+        sizes.append(steps.row_nodes.size)
+        counts = np.diff(bundle.offsets)[:, None]
+        for nodes, weights, per in ((steps.below_nodes, steps.below_weights,
+                                     3),
+                                    (steps.row_nodes, steps.row_weights, 2)):
+            padding = np.arange(per * width) >= per * counts
+            assert np.all((nodes - lane[:, None])[padding] == 0)
+            assert np.all(weights[padding] == 0.0)
+        return steps
+
+    monkeypatch.setattr(kernelsolve, "_quadrature_matrix", padded_with_node_0)
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 64)
     both = solve_backstepping_kernels(plant, spec)
-    monkeypatch.undo()
-    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 64)
+    monkeypatch.setattr(kernelsolve, "_RUN_SEGMENTS", runs_default)
     blocks = solve_backstepping_kernels(plant, spec)
+    assert len(sizes) == 4 * len(kernelsolve._blocks(spec.tri, families))
+    if name == "ydep":
+        crossing = sizes[::2]
+        assert any(a > b for a, b in zip(crossing, crossing[1:]))
     for other in (runs, both, blocks):
         for attr in ("coords", "ktilde", "deltas"):
             assert np.array_equal(getattr(other, attr),
@@ -1017,11 +1046,12 @@ def _record_block_work(monkeypatch):
     it builds.  A trace resets the traced peak, so the peaks reached before
     each trace are recorded too, and the peak since the last reading is the
     largest of them and the peak read after it (:func:`_peak`).  For every
-    block it records the bytes its step data hold, a view counted by the
-    array it holds, their :func:`_step_bytes`, and how many arrays of the
-    block before it are alive, by weak references, when its steps are
-    traced; and, in ``peaks``, the traced peak of every block but the last
-    as the next one starts, the first's counted from the start of tracing.
+    block it records the bytes of each array of its step data, and of the
+    array each is a view of, their :func:`_step_bytes`, and how many arrays
+    of the block before it are alive, by weak references, when its steps
+    are traced; and, in ``peaks``, the traced peak of every block but the
+    last as the next one starts, the first's counted from the start of
+    tracing.
     The caller appends the last block's as the solve returns.  Each table
     is recorded as its rows and its bytes (:func:`_table_bytes`), so that
     no record keeps it alive."""
@@ -1065,8 +1095,9 @@ def _record_block_work(monkeypatch):
         # every field of both families' steps but their counts nnz
         held = cross[:-1] + edge[:-1]
         refs[:] = [weakref.ref(a) for a in held + (diagonal,) + reads]
-        blocks.append((sum((a if a.base is None else a.base).nbytes
-                           for a in held),
+        blocks.append(([a.nbytes for a in held],
+                       [(a if a.base is None else a.base).nbytes
+                        for a in held],
                        _step_bytes(cross) + _step_bytes(edge), alive))
         return block
 
@@ -1130,10 +1161,17 @@ def _row_of_sources_bytes(spec, r):
 
 def _one_block_at_a_time(blocks):
     """Whether, over more than two blocks, every block's step data took
-    :func:`_step_bytes` as held and were freed before the next block was
-    traced (:func:`_record_block_work`)."""
-    return len(blocks) > 2 and all(nbytes == expected and not alive
-                                   for nbytes, expected, alive in blocks)
+    :func:`_step_bytes`, none of the block before it was alive when its
+    steps were traced, and each of its arrays is a view of one the solve
+    keeps, sized by the largest that array was in this block and the
+    blocks before it (:func:`_record_block_work`): the solve holds one
+    block's step data, the largest's, at a time."""
+    largest = None
+    for views, held, expected, alive in blocks:
+        largest = views if largest is None else np.maximum(largest, views)
+        if sum(views) != expected or alive or held != list(largest):
+            return False
+    return len(blocks) > 2
 
 
 def _traces_within_model(work):
@@ -1184,10 +1222,12 @@ def test_solve_holds_one_band_of_operators(name, nx, ny, toy, monkeypatch):
     block's step data exceeds every block's allowance, and at nx = 120
     the source of the ensemble unknown on the whole triangle alone exceeds
     some block's.  Each trace peaks within its modelled work, each block's
-    step data take :func:`_step_bytes`, int32 nodes, and they are freed
-    before the next block is traced (:func:`_one_block_at_a_time`): the
-    modelled trace work exceeds what a trace takes by more than one block's
-    step data, so the bound alone would not see a block held too long."""
+    step data take :func:`_step_bytes`, int32 nodes, as views of arrays
+    the solve keeps from block to block, sized by the largest block so far,
+    and none of a block's is alive when the next is traced
+    (:func:`_one_block_at_a_time`): the modelled trace work exceeds what a
+    trace takes by more than one block's step data, so the bound alone
+    would not see a block held too long."""
     plant = {"toy": toy, "sloped": sloped_plant(), "ydep": ydep_plant()}[name]
     spec = GridSpec(nx=nx, ny=ny)
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 256)
@@ -1226,8 +1266,9 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     of their sources) and, in each block, that block's own allowance
     (:func:`_block_allowances`): the build forms
     no ``(n_tri, ny)`` array, each trace peaks within its modelled work,
-    and each block's step data take :func:`_step_bytes` and are freed
-    before the next block is traced.
+    and each block's step data take :func:`_step_bytes`, as views of the
+    arrays the solve keeps, and are not alive when the next block is
+    traced.
     After the solve it forms ``k`` a block of rows at a time, in the
     residual, the closed-form error and the CSV writer, so that it peaks
     below what it holds (the residual's sampled coefficients, the solution
