@@ -52,22 +52,24 @@ evaluated at positions clamped to [0, 1] so that tiny overshoots beyond the
 domain stay well-defined.
 
 A curve is cut into cell segments where either component crosses a grid
-line, at times that are differences of node values of its travel times; an
-x-line and a xi-line crossed within :data:`CORNER_TOL` of each other count
-as one crossing of their grid node.  The cuts of a whole curve's two
-components are merged in time order by a sort; a curve whose x-component
-crosses no line, as every one-cell step of the kernel march, has its ends
-in time order as they are listed (its start, the xi-cuts, its end) and is
-cut without it, to the same bits.  A cut lies on the line crossed, and
-the other component there, like both components at a segment's mid-time,
-is read by the inverse travel time: the cubic Hermite in the travel time
-through the two nodes of the cell, with the node speeds as slopes, so that
-reading a point calls no model function.  The bilinear interpolant of a
-grid field is quadratic along a straight segment, so Simpson's rule on
-every segment integrates it exactly along straight characteristics and to
-fourth order along curved ones.  Within :meth:`Workspace.use`, as in a
-kernel solve, every trace writes its segments into arrays the workspace
-keeps from trace to trace.
+line, at times that are differences of node values of its travel times.
+A one-cell step, whose x-component crosses no x-line, as every step of
+the kernel march, has its ends in time order as they are listed (its
+start, its xi-cuts, its end) and is cut as it is.  A curve whose
+x-component crosses x-lines is first split at them into pieces that stay
+in one x-cell each, a chain of one-cell steps cut in the same way, and
+its segments are its pieces' in turn.  A xi-line crossed within
+:data:`CORNER_TOL` of an x-line lies at an end of a piece and is not cut
+again, so the two count as one crossing of their grid node.  A cut lies
+on the line crossed, and the other component there, like both components
+at a segment's mid-time, is read by the inverse travel time: the cubic
+Hermite in the travel time through the two nodes of the cell, with the
+node speeds as slopes, so that reading a point calls no model function.
+The bilinear interpolant of a grid field is quadratic along a straight
+segment, so Simpson's rule on every segment integrates it exactly along
+straight characteristics and to fourth order along curved ones.  Within
+:meth:`Workspace.use`, as in a kernel solve, every trace writes its
+segments into arrays the workspace keeps from trace to trace.
 """
 
 from __future__ import annotations
@@ -106,12 +108,13 @@ REFINE_DEPTH = 12
 #: diagonal points, edge points.
 DEGENERATE_TOL = -1e-14
 
-#: Grid-line crossings of one curve closer in time than this count as one
-#: (a curve through a grid node crosses both of its lines at once), and
-#: crossings this close to either end of the curve are dropped: cut and
-#: event times are exact to rounding, and a genuinely separate pair this
-#: close leaves a piece of curve shorter than this in the neighbouring
-#: cell, whose interpolant is continuous with the one it is integrated with.
+#: Grid-line crossings this close in time to either end of a curve, or of
+#: a piece of it between two x-lines, are dropped, so that a curve through
+#: a grid node, which crosses its x-line and its xi-line at once, is cut
+#: there once, at the x-line that ends a piece: cut and event times are
+#: exact to rounding, and a genuinely separate pair this close leaves a
+#: piece of curve shorter than this in the neighbouring cell, whose
+#: interpolant is continuous with the one it is integrated with.
 CORNER_TOL = 1e-8
 
 #: Curves cut into segments per block by :func:`_read_curves`: enough to
@@ -382,7 +385,8 @@ def _ensemble_travel_time(coeff: SampledCoefficients, ys):
     ``coeff.travel_times`` if its last table is of those y-nodes, and the
     row of it each of ``ys`` reads.  The kept table's rows are matched by
     one search, so the traces of a solve, which all read the same y-nodes,
-    sort none of their ys."""
+    sort none of their ys.  A trace of no points gets a table of no rows,
+    which is not kept."""
     phi = coeff.travel_times.get("speed_u")
     if phi is not None:
         rows = np.minimum(np.searchsorted(phi.ys, ys), phi.ys.size - 1)
@@ -390,7 +394,9 @@ def _ensemble_travel_time(coeff: SampledCoefficients, ys):
                 and np.bincount(rows, minlength=phi.ys.size).all()):
             return phi, rows
     y_rows, rows = np.unique(ys, return_inverse=True)
-    phi = coeff.travel_times["speed_u"] = _TravelTime(coeff, y_rows)
+    phi = _TravelTime(coeff, y_rows)
+    if y_rows.size:
+        coeff.travel_times["speed_u"] = phi
     return phi, rows
 
 
@@ -569,26 +575,21 @@ class _Component:
         return True
 
 
-def _in_time_order(z: _Component, s_end, base, w_cuts) -> bool:
-    """Whether the ends of moving curves whose x-component is ``z`` come
-    in time order as listed, without :func:`_cut_merged`'s sort: each
-    curve's start, the cuts ``w_cuts`` of its xi-component and its end.
-    They do where the x-component crosses no line, as on every step of
-    the march, and no two cuts of the xi-component merge at the keys
-    ``base`` of :func:`_cut_merged`."""
-    tw, nw = w_cuts[:2]
-    return z.crosses_none(s_end) and bool(np.all(
-        np.diff(np.repeat(base, nw) + tw) > CORNER_TOL))
+def _cut_in_order(z: _Component, w: _Component, s_end, out, first):
+    """Cut moving curves whose x- and xi-components are ``z`` and ``w``,
+    and whose x-components stay in one x-cell, into cell segments up to
+    time ``s_end``, and return how many each curve has.  The S segments
+    are written from column ``first`` on into ``out``: their ``(3, S)`` x
+    and xi points (start, midpoint, end) and their ``(S,)`` Simpson
+    midpoint weights.
 
-
-def _cut_in_order(z: _Component, w: _Component, s_end, w_cuts, out,
-                  first):
-    """:func:`_cut_merged` for curves whose ends come in time order
-    (:func:`_in_time_order`): the x-component stays in the cell it starts
-    in, where its position at each cut of the xi-component is read, and
-    the xi-component moves on by a cell at each of its cuts."""
+    A curve's ends come in time order as they are listed: its start, the
+    cuts of its xi-component and its end.  The x-component's position at
+    each cut is read in the cell it stays in, the xi-component moves on by
+    a cell at each of its cuts, and a segment's midpoint is read by the
+    inverse travel time in its cells."""
     nx = z.phi.nx
-    tw, nw, lw, cell_w = w_cuts
+    tw, nw, lw, cell_w = w.crossings(s_end)
     m, count = s_end.size, nw + 1
     e_off = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(count + 1, out=e_off[1:])
@@ -608,118 +609,49 @@ def _cut_in_order(z: _Component, w: _Component, s_end, w_cuts, out,
     k = begin - np.repeat(start - np.arange(m), count)
     begin += curve
     t_begin = t[begin]
-    _write_segments(out, first, t, begin, [
-        (component, at, component.start[curve] + component.sign * t_begin,
-         position)
-        for component, at, position in (
-            (z, at_z[curve], x),
-            (w, (w.rows * nx + cell_w)[curve] + w.sign * k, xi))])
-    return count
-
-
-def _cut_merged(z: _Component, w: _Component, s_end, base, w_cuts, out,
-                first):
-    """Cut moving curves whose x- and xi-components are ``z`` and ``w``
-    into cell segments up to time ``s_end``, written into ``out`` from
-    column ``first`` on (:func:`_cut_curves`), and return how many each
-    curve has.  ``w_cuts`` are ``w.crossings(s_end)``.
-
-    The ends of every curve (its start, its cuts and its end point) sort
-    by (curve, time) in one linear pass of a stable sort over four runs
-    sorted already; the keys shift curve c's times by ``base[c]``, a
-    multiple of a power of two above twice the longest end time.  An
-    x-line and a xi-line crossed within :data:`CORNER_TOL` of each other
-    are one corner crossing."""
-    nx = z.phi.nx
-    m = s_end.size
-    tz, nz, lz, cell_z = z.crossings(s_end)
-    tw, nw, lw, cell_w = w_cuts
-    key = np.concatenate([base, np.repeat(base, nz) + tz,
-                          np.repeat(base, nw) + tw, base + s_end])
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    t = np.concatenate([np.zeros(m), tz, tw, s_end])[order]
-    cut = (order >= m) & (order < m + tz.size + tw.size)
-    apart = np.ones(t.size, dtype=bool)
-    apart[1:] = (np.diff(key) > CORNER_TOL) | ~(cut[1:] & cut[:-1])
-    # The end positions: the start, the end point, and at a cut the line
-    # that was crossed; NaN marks a component still to be read.  Two merged
-    # cuts are a grid node: they keep the earlier time, whichever way the
-    # shifted keys rounded, and both lines.
-    x = np.concatenate([z.p0, lz, np.full(tw.size, np.nan),
-                        z.p_end])[order]
-    xi = np.concatenate([w.p0, np.full(tz.size, np.nan), lw,
-                         w.p_end])[order]
-    merged = np.flatnonzero(~apart)
-    t[merged - 1] = np.minimum(t[merged - 1], t[merged])
-    x[merged - 1] = np.fmax(x[merged - 1], x[merged])
-    xi[merged - 1] = np.fmax(xi[merged - 1], xi[merged])
-    t, x, xi, cut = t[apart], x[apart], xi[apart], cut[apart]
-    # Curve c's ends are t[e_off[c]:e_off[c+1]], its start first.
-    e_off = np.append(np.flatnonzero(order[apart] < m), t.size)
-    ends = np.diff(e_off)
-    end_curve = np.repeat(np.arange(m), ends)
-    del key, order, apart, merged, tz, tw, lz, lw
-    # Segment q of curve c runs from end q + c to the next.
-    begin = np.arange(t.size - m)
-    begin += np.repeat(np.arange(m), ends - 1)
-    readings = []
-    for component, cell0, position in ((z, cell_z, x), (w, cell_w, xi)):
-        # Each end's cell, its first segment's moved on by one for every
-        # line of the component crossed up to and including the end, and
-        # the component's travel time there.
-        crossed = np.cumsum(cut & ~np.isnan(position))
-        crossed -= np.repeat(crossed[e_off[:-1]], ends)
-        at = (component.rows * nx + cell0)[end_curve]
-        at += component.sign * crossed
-        phi = component.start[end_curve]
-        phi += component.sign * t
-        unread = np.flatnonzero(np.isnan(position))
-        position[unread] = component.phi.inverse(at[unread], phi[unread])
-        readings.append((component, at[begin], phi[begin], position))
-    _write_segments(out, first, t, begin, readings)
-    return ends - 1
-
-
-def _write_segments(out, first, t, begin, readings):
-    """Write the segments that run from the ends ``begin`` to the next, at
-    the times ``t``, into ``out`` from column ``first`` on
-    (:func:`_cut_curves`).  ``readings`` holds, for the x- and then the
-    xi-component, the component, the cell of its travel-time table that
-    each segment lies in and its travel time at each segment's start, and
-    its position at every end; a segment's midpoint is read by the inverse
-    travel time in its cell."""
-    length = t[begin + 1] - t[begin]
+    length = t[begin + 1] - t_begin
     written = slice(first, first + begin.size)
     seg_x, seg_xi, weights = out
     np.multiply(2.0 / 3.0, length, out=weights[written])
     half = 0.5 * length
-    for (component, at, phi, position), points in zip(readings,
-                                                       (seg_x, seg_xi)):
+    for component, at, position, points in (
+            (z, at_z[curve], x, seg_x),
+            (w, (w.rows * nx + cell_w)[curve] + w.sign * k, xi, seg_xi)):
+        phi = component.start[curve] + component.sign * t_begin
         phi += component.sign * half
         np.take(position, begin, out=points[0, written])
         points[1, written] = component.phi.inverse(at, phi)
         np.take(position, begin + 1, out=points[2, written])
+    return count
 
 
-def _cut_curves(z: _Component, w: _Component, s_end, base, out, first):
-    """Cut moving curves whose x- and xi-components are ``z`` and ``w``
-    into cell segments up to time ``s_end``, and return how many each
-    curve has.  The S segments are written from column ``first`` on into
-    ``out``: their ``(3, S)`` x and xi points (start, midpoint, end) and
-    their ``(S,)`` Simpson midpoint weights.
+def _one_cell_pieces(z: _Component, w: _Component, s_end):
+    """Split moving curves whose x- and xi-components are ``z`` and ``w``
+    where their x-components cross an x-line, at the times
+    :meth:`_Component.crossings` finds, into pieces that each stay in one
+    x-cell, as a one-cell step does: the pieces' x- and xi-components,
+    their end times, and where each curve's pieces start among them.  A
+    piece after a cut starts there, its x-component on the line crossed
+    and its xi-component where the inverse travel time reads it."""
+    tz, nz, lz, _ = z.crossings(s_end)
+    last = np.cumsum(nz + 1) - 1
+    curve = np.repeat(np.arange(s_end.size), nz + 1)
+    # Curve c's k-th cut ends its piece k and starts its piece k + 1.
+    after = np.arange(tz.size) + np.repeat(np.arange(1, s_end.size + 1), nz)
+    t0, t1 = np.zeros(curve.size), np.empty(curve.size)
+    t0[after] = t1[after - 1] = tz
+    t1[last] = s_end
+    cut_curve = curve[after]
+    xi_cut = w.phi.reach(w.rows[cut_curve], w.start[cut_curve] + w.sign * tz)
 
-    A curve's segments end where one of its components crosses a grid
-    line, and its ends, in time order, bound its segments:
-    :func:`_cut_in_order` takes them as they come where the x-component
-    crosses no line, as on every step of the march, and :func:`_cut_merged`
-    sorts and merges the cuts of both components otherwise, curve c's times
-    shifted by ``base[c]`` in the sort's keys.
-    """
-    w_cuts = w.crossings(s_end)
-    if _in_time_order(z, s_end, base, w_cuts):
-        return _cut_in_order(z, w, s_end, w_cuts, out, first)
-    return _cut_merged(z, w, s_end, base, w_cuts, out, first)
+    def split(component: _Component, at_cut) -> _Component:
+        p0, p_end = component.p0[curve], component.p_end[curve]
+        p0[after] = p_end[after - 1] = at_cut
+        return _Component.along(
+            component.phi, component.sign, component.rows[curve],
+            component.start[curve] + component.sign * t0, p0, p_end)
+
+    return split(z, lz), split(w, xi_cut), t1 - t0, last - nz
 
 
 def _segment_bounds(z_lines, w_lines) -> np.ndarray:
@@ -727,43 +659,48 @@ def _segment_bounds(z_lines, w_lines) -> np.ndarray:
     xi-components have ``z_lines`` and ``w_lines`` lines in their spans
     (:attr:`_Component.count`): one, plus a cut at every line of each
     component's span but its two outer lines, the one at or behind its
-    start and the one at or past its end, which
-    :meth:`_Component.crossings` never keeps."""
+    start and the one at or past its end, which no cut of the curve or of
+    its pieces (:func:`_one_cell_pieces`) keeps."""
     return np.maximum(z_lines - 2, 0) + np.maximum(w_lines - 2, 0) + 1
 
 
-def _read_curves(z: _Component, w: _Component, ref, s_end, launch,
-                 s_max) -> TracedBundle:
+def _read_curves(z: _Component, w: _Component, ref, s_end, launch
+                 ) -> TracedBundle:
     """Curves whose x- and xi-components are ``z`` and ``w``, cut into cell
     segments up to their end times ``s_end``, with the launch abscissas
     ``launch`` of those that end at their event; ``ref`` are the curves
-    that start off their event, and ``s_max`` bounds their end times."""
+    that start off their event.  A block of curves some of whose
+    x-components cross an x-line is cut as the chain of its pieces
+    (:func:`_one_cell_pieces`), a curve's segments those of its pieces in
+    turn; a block of one-cell steps, as every block of the march, is cut
+    as it is."""
     m = s_end.size
     # Cut the curves that move into segments a block of _CUT_CURVES curves
     # at a time, into arrays of the current workspace, sized by the
     # segments each curve of ``ref`` can have (lines crossed too close to
-    # an end and merged corners leave their tails unwritten, and untouched
-    # pages cost no memory).
+    # an end and corners, cut once, leave their tails unwritten, and
+    # untouched pages cost no memory).
     bound = int(_segment_bounds(z.count[ref], w.count[ref]).sum())
     workspace = Workspace.current()
-    seg_x = workspace.take("segment x", (3, bound))
-    seg_xi = workspace.take("segment xi", (3, bound))
-    weights = workspace.take("segment weights", (bound,))
-    # In the merge's keys, each curve's times are shifted by its place in
-    # its block times a power of two above twice the longest end time.
-    span = 2.0 ** np.ceil(np.log2(2.0 * s_max))
+    out = (workspace.take("segment x", (3, bound)),
+           workspace.take("segment xi", (3, bound)),
+           workspace.take("segment weights", (bound,)))
     moving = np.flatnonzero(s_end > 0.0)
     offsets = np.zeros(m + 1, dtype=np.int64)
     n = 0
     for lo in range(0, m, _CUT_CURVES):
         curves = moving[np.searchsorted(moving, lo):
                         np.searchsorted(moving, lo + _CUT_CURVES)]
-        counts = _cut_curves(z[curves], w[curves], s_end[curves],
-                             (curves - lo) * span, (seg_x, seg_xi, weights),
-                             n)
+        z_c, w_c, s_c = z[curves], w[curves], s_end[curves]
+        if z_c.crosses_none(s_c):
+            counts = _cut_in_order(z_c, w_c, s_c, out, n)
+        else:
+            *pieces, first = _one_cell_pieces(z_c, w_c, s_c)
+            counts = np.add.reduceat(_cut_in_order(*pieces, out, n), first)
         offsets[curves + 1] = counts
         n += int(counts.sum())
     np.cumsum(offsets, out=offsets)
+    seg_x, seg_xi, weights = out
     return TracedBundle(offsets, seg_x[:, :n], seg_xi[:, :n], weights[:n],
                         s_end, launch, w.p_end)
 
@@ -847,7 +784,7 @@ def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys, stop=0
     # Row 0 of the table of speed_v for every curve, as one value.
     z = _Component.along(phi_v, -1, np.broadcast_to(0, m), start_x, xs, z_end)
     w = _Component.along(phi_u, 1, rows, start_xi, xis, w_end)
-    return _read_curves(z, w, ref, s_end, launch, s_max)
+    return _read_curves(z, w, ref, s_end, launch)
 
 
 def trace_edge_batch(coeff: SampledCoefficients, xs, xis, stop=0
@@ -895,4 +832,4 @@ def trace_edge_batch(coeff: SampledCoefficients, xs, xis, stop=0
     del resolved, s_line, line, event, at_line
     z = _Component.along(phi_v, -1, on_v, start_x, xs, z_end)
     w = _Component.along(phi_v, -1, on_v, start_xi, xis, w_end)
-    return _read_curves(z, w, ref, s_end, launch, s_max)
+    return _read_curves(z, w, ref, s_end, launch)

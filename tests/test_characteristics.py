@@ -568,47 +568,86 @@ def test_segment_buffers_hold_every_curve(make_plant, family, monkeypatch):
     lambda: toy_model(), half_x_plant, sloped_plant, full_rank_plant,
     ydep_plant], ids=["toy", "half_x", "sloped", "full_rank", "ydep"])
 @pytest.mark.parametrize("family", ["crossing", "edge"])
-def test_one_cell_cuts_equal_the_merge(make_plant, family, monkeypatch):
-    """A trace whose x-components cross no line, as every step of the
-    march does, lists each curve's ends in time order without the keyed
-    sort and merge of whole curves: one-cell steps from every node (to the
-    x-line below its row) and from 400 random triangle points (to the
-    x-line below each), some reaching their event first, trace the same
-    bundles, bit for bit, as through the keyed merge, and none of their
-    cuts goes through the merge."""
+def test_whole_curves_are_chains_of_one_cell_steps(make_plant, family,
+                                                   monkeypatch):
+    """A whole curve is cut as the chain of its one-cell steps: whole
+    curves from 400 random triangle points have, segment by segment, the
+    points and weights of the one-cell steps traced in turn from each
+    point, and then from each step's end, to the next x-line below, as
+    many pieces as steps, and as many segments.  They agree to rounding
+    on straight characteristics, and on curved ones to the error of the
+    cubic Hermite inverse of the travel times that reads each step's end
+    (as in the test above).  No one-cell step is split into pieces: not
+    those of the chains, nor those of the march, from every node to the
+    x-line below its row.  Every trace cuts its curves 64 at a time, in
+    many blocks."""
     spec = GridSpec(nx=60, ny=12)
     tri = spec.tri
     coeff = sample_coefficients(make_plant(), spec)
-    rng = np.random.default_rng(38)
+    rng = np.random.default_rng(39)
     xs = rng.uniform(0.0, 1.0, 400)
     xis = xs * rng.uniform(0.0, 1.0, 400)
-    below = np.maximum(np.ceil(xs * spec.nx).astype(np.int64) - 1, 0)
-    xs = np.concatenate([tri.x_coord, xs])
-    xis = np.concatenate([tri.xi_coord, xis])
-    ys = rng.uniform(0.0, 1.0, xs.size)
-    stop = np.concatenate([np.maximum(tri.i_index - 1, 0), below])
-    assert xs.size > characteristics._CUT_CURVES
-    in_order = characteristics._in_time_order
-    orders = []
+    ys = rng.uniform(0.0, 1.0, 400)
+    tol = 1e-8 if make_plant is half_x_plant else 1e-14
+    split, pieces = characteristics._one_cell_pieces, []
 
-    def recording(*args):
-        orders.append(in_order(*args))
-        return orders[-1]
+    def recording(z, w, s_end):
+        out = split(z, w, s_end)
+        pieces.append(np.diff(out[-1], append=out[2].size))
+        return out
 
-    def trace():
+    monkeypatch.setattr(characteristics, "_one_cell_pieces", recording)
+    monkeypatch.setattr(characteristics, "_CUT_CURVES", 64)
+
+    def trace(x, xi, y, stop=0):
         if family == "crossing":
-            return trace_crossing_batch(coeff, xs, xis, ys, stop)
-        return trace_edge_batch(coeff, xs, xis, stop)
+            return trace_crossing_batch(coeff, x, xi, y, stop)
+        return trace_edge_batch(coeff, x, xi, stop)
 
-    monkeypatch.setattr(characteristics, "_in_time_order", recording)
-    direct = trace()
-    assert len(orders) > 1 and all(orders)
-    monkeypatch.setattr(characteristics, "_in_time_order",
-                        lambda *args: False)
-    merged = trace()
-    event = ~np.isnan(direct.launch)
-    assert 0 < np.count_nonzero(event[direct.s_end > 0.0]) < xs.size
+    trace(tri.x_coord, tri.xi_coord, rng.uniform(0.0, 1.0, tri.n_nodes),
+          np.maximum(tri.i_index - 1, 0))
+    # Each curve's steps, until all are at their event: a curve there is
+    # traced again from its end, where it is degenerate and moves no more.
+    x, xi = xs, xis
+    stop = np.maximum(np.ceil(xs * spec.nx).astype(np.int64) - 1, 0)
+    steps = [trace(x, xi, ys, stop)]
+    while np.isnan(steps[-1].launch).any():
+        going = np.isnan(steps[-1].launch)
+        x = np.where(going, spec.x_nodes[stop], steps[-1].launch)
+        xi = steps[-1].end_xi
+        stop = np.where(going, stop - 1, 0)
+        steps.append(trace(x, xi, ys, stop))
+    assert len(steps) > 2 and not pieces
+    whole = trace(xs, xis, ys)
+    moving = whole.s_end > 0.0
+    moved = sum((step.s_end > 0.0).astype(np.int64) for step in steps)
+    assert np.array_equal(np.concatenate(pieces), moved[moving])
+    assert np.any(moved > 1)
+    curve = np.concatenate([np.repeat(np.arange(xs.size), np.diff(s.offsets))
+                            for s in steps])
+    assert np.array_equal(np.bincount(curve, minlength=xs.size),
+                          np.diff(whole.offsets))
+    order = np.argsort(curve, kind="stable")
+    for name in ("x", "xi", "weights"):
+        chain = np.concatenate([getattr(s, name) for s in steps], axis=-1)
+        assert np.allclose(chain[..., order], getattr(whole, name), rtol=0,
+                           atol=tol), name
+
+
+def test_a_trace_of_no_points_keeps_no_table(rng):
+    """A crossing trace of no points leaves the plant's tables as a fresh
+    plant's: a trace of a few points after it traces the same bundle."""
+    spec = GridSpec(nx=20, ny=6)
+    xs = rng.uniform(0.0, 1.0, 5)
+    xis = xs * rng.uniform(0.0, 1.0, 5)
+    ys = rng.uniform(0.0, 1.0, 5)
+    coeff = sample_coefficients(toy_model(), spec)
+    empty = trace_crossing_batch(coeff, [], [], [])
+    assert empty.offsets.tolist() == [0] and empty.x.shape == (3, 0)
+    after = trace_crossing_batch(coeff, xs, xis, ys)
+    fresh = trace_crossing_batch(sample_coefficients(toy_model(), spec), xs,
+                                 xis, ys)
     for name in ("offsets", "x", "xi", "weights", "s_end", "launch",
                  "end_xi"):
-        assert np.array_equal(getattr(direct, name), getattr(merged, name),
-                              equal_nan=True), name
+        assert np.array_equal(getattr(after, name), getattr(fresh, name)), \
+            name
