@@ -51,6 +51,16 @@ is infinite or unresolved, or longer than twice the slowest crossing
 evaluated at positions clamped to [0, 1] so that tiny overshoots beyond the
 domain stay well-defined.
 
+Every cell's travel time is integrated over the one width ``1/nx``, and
+``Phi`` at the nodes is their running sum.  A curve whose x-component
+stays in one cell reads it in the cell's own coordinates, its time
+counted from the cell's lower node (:meth:`_TravelTime.within`), and a
+one-cell step from a node that stops on the x-line below takes the cell's
+own travel time: so it moves alike, to the bit, from every cell of one
+travel-time profile (:func:`cell_profiles`, one for a constant
+``speed_v``), and :func:`line_ends` tells, before any trace, where its
+xi-component ends.
+
 A curve is cut into cell segments where either component crosses a grid
 line, at times that are differences of node values of its travel times.
 A one-cell step, whose x-component crosses no x-line, as every step of
@@ -224,45 +234,44 @@ class Workspace:
         return array[:shape[0], :shape[1]]
 
 
-def _gauss(rate, a, b, y):
+def _gauss(rate, a, width, y):
     """The Gauss-Legendre rule for the integral of ``rate(w, y)`` over
-    ``[a, b]``, entry by entry."""
-    width = b - a
-    # One call of ``rate`` for the eight nodes, summed in node order.
+    ``[a, a + width]``, entry by entry."""
+    # One call of ``rate`` for the eight nodes, summed in node order by one
+    # running sum: a reduction may pair the terms otherwise.
     values = np.broadcast_to(rate(a + _GAUSS_NODES[:, None] * width, y),
                              _GAUSS_NODES.shape + width.shape)
-    total = np.zeros_like(width)
-    for weight, value in zip(_GAUSS_WEIGHTS, values):
-        total += weight * value
-    return total * width
+    return np.cumsum(_GAUSS_WEIGHTS[:, None] * values, axis=0)[-1] * width
 
 
-def _integrate(rate, a, b, y):
-    """Integral of ``rate(w, y)`` over ``[a[e], b[e]]`` for every entry e
-    (``y`` is one value per entry, or None).
+def _integrate(rate, a, width, y):
+    """Integral of ``rate(w, y)`` over ``[a[e], a[e] + width[e]]`` for every
+    entry e (``y`` is one value per entry, or None).
 
     Where the rule on an interval agrees with the rule on its two halves,
     the halves' sum is taken; elsewhere each half is checked in the same
     way, up to :data:`REFINE_DEPTH` halvings.  An entry with an interval
     still unresolved then, or with an infinite integrand, is NaN.  Every
     operation acts entry by entry, so an entry's value does not depend on
-    the others.
+    the others, nor, given its width, on where its interval starts, unless
+    ``rate`` does.
     """
     total = np.zeros(a.shape)
     entry = np.arange(a.size)
-    whole = _gauss(rate, a, b, y)
+    whole = _gauss(rate, a, width, y)
     for _ in range(REFINE_DEPTH):
-        mid = 0.5 * (a + b)
-        left = _gauss(rate, a, mid, y)
-        right = _gauss(rate, mid, b, y)
+        width = 0.5 * width
+        mid = a + width
+        left = _gauss(rate, a, width, y)
+        right = _gauss(rate, mid, width, y)
         halves = left + right
         done = np.abs(halves - whole) <= DOMAIN_TOL * np.abs(halves)
         total += np.bincount(entry[done], halves[done], minlength=total.size)
         split = ~done
-        a, mid, b, entry = a[split], mid[split], b[split], entry[split]
+        a, mid, width, entry = a[split], mid[split], width[split], entry[split]
         if not entry.size:
             return total
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        a, width = np.concatenate([a, mid]), np.tile(width, 2)
         whole = np.concatenate([left[split], right[split]])
         entry = np.concatenate([entry, entry])
         if y is not None:
@@ -294,22 +303,25 @@ class _TravelTime:
             speeds = self.speed(x[None, :], ys[:, None])
         speeds = np.broadcast_to(np.asarray(speeds, dtype=float),
                                  (n_rows, nx + 1))
-        cells = _integrate(self._rate, np.tile(x[:-1], n_rows),
-                           np.tile(x[1:], n_rows), y_cells)
+        # Every cell is integrated over the one width 1/nx, so that cells
+        # whose speeds agree take equal times to the bit.
+        h = coeff.spec.hx
+        self.cells = _integrate(self._rate, np.tile(x[:-1], n_rows),
+                                np.full(n_rows * nx, h), y_cells
+                                ).reshape(n_rows, nx)
         self.nodes = np.zeros((n_rows, nx + 1))
-        np.cumsum(cells.reshape(n_rows, nx), axis=1, out=self.nodes[:, 1:])
+        np.cumsum(self.cells, axis=1, out=self.nodes[:, 1:])
         # Each cell's Hermite coefficients for :meth:`inverse`, flat over
-        # (row, cell): its slopes are the node speeds times the cell's span
-        # of travel time.
-        span = np.diff(self.nodes, axis=1).ravel()
+        # (row, cell), in the cell's own coordinates: its slopes are the
+        # node speeds times its travel time, and it rises by 1/nx.
+        span = self.cells.ravel()
         self._phi0 = self.nodes[:, :-1].ravel()
         self._per_phi = 1.0 / span
         self._x0 = np.tile(x[:-1], n_rows)
-        rise = np.tile(np.diff(x), n_rows)
         self._m0 = span * speeds[:, :-1].ravel()
         m1 = span * speeds[:, 1:].ravel()
-        self._c2 = 3.0 * rise - 2.0 * self._m0 - m1
-        self._c3 = self._m0 + m1 - 2.0 * rise
+        self._c2 = 3.0 * h - 2.0 * self._m0 - m1
+        self._c3 = self._m0 + m1 - 2.0 * h
         self.keys = _bracket_keys(self.nodes)
         if ys is not None:
             # A crossing curve launches where Phi_v + Phi_u reaches its
@@ -327,36 +339,44 @@ class _TravelTime:
         """``dPhi/dp = 1/speed`` of rows ``rows`` at positions ``p``."""
         return self._rate(p, self._y(rows))
 
+    def within(self, rows, p):
+        """The cell of rows ``rows`` each position ``p`` lies in (the one
+        below it on a node, cell 0 at 0) and the travel time from the
+        cell's lower node to it: the cell's own time on its upper node, 0
+        on its lower one, elsewhere the integral over the part below."""
+        k = np.minimum(np.maximum(np.searchsorted(self.x, p) - 1, 0),
+                       self.nx - 1)
+        value = self.cells.ravel()[rows * self.nx + k]
+        value[p == self.x[k]] = 0.0
+        rest = np.flatnonzero((p != self.x[k]) & (p != self.x[k + 1]))
+        y = self._y(rows)
+        value[rest] = _integrate(
+            self._rate, self.x[k[rest]], p[rest] - self.x[k[rest]],
+            None if y is None else np.broadcast_to(y, p.shape)[rest])
+        return k, value
+
     def at(self, rows, p):
         """Travel time of rows ``rows`` to positions ``p``: the node value
-        below each, plus the integral over the rest of its cell, which a
-        position on a node does not have.  The last node's value is the
-        integral over the last cell added to the one below it, so a
-        position there reads it."""
-        k = np.clip(np.searchsorted(self.x, p, side="right") - 1,
-                    0, self.nx - 1)
-        k += p == self.x[k + 1]
-        value = self.nodes.ravel()[rows * (self.nx + 1) + k]
-        rest = np.flatnonzero(p != self.x[k])
-        y = self._y(rows)
-        value[rest] += _integrate(
-            self._rate, self.x[k[rest]], p[rest],
-            None if y is None else np.broadcast_to(y, p.shape)[rest])
+        below each plus its time within the cell (:meth:`within`), so that
+        a position on a node reads the node's value."""
+        k, value = self.within(rows, p)
+        value += self.nodes.ravel()[rows * (self.nx + 1) + k]
         return value
 
     def reach(self, rows, phi):
         """Positions at which rows ``rows`` reach the travel times ``phi``:
         :meth:`inverse` in the cell that brackets each."""
         at = rows * self.nx + _bracket(self.keys, self.nx, rows, phi)
-        return self.inverse(at, phi.copy())
+        return self.inverse(at, phi - self._phi0[at])
 
     def inverse(self, at, phi):
-        """Positions at which the travel time reaches ``phi`` in the cells
-        ``at`` (flat over (row, cell), ``row * nx + cell``), read by the
-        cubic Hermite in the travel time through each cell's two nodes, with
-        the node speeds (``dp/dPhi``) as slopes.  Overwrites ``phi``."""
+        """Positions at which the travel time past the lower node of the
+        cells ``at`` (flat over (row, cell), ``row * nx + cell``) reaches
+        ``phi``, read by the cubic Hermite in the travel time through each
+        cell's two nodes, with the node speeds (``dp/dPhi``) as slopes, in
+        the cell's own coordinates and then placed at its lower node.
+        Overwrites ``phi``."""
         u = phi
-        u -= self._phi0[at]
         u *= self._per_phi[at]
         # Horner's form, in place: x0 + u*(m0 + u*(c2 + u*c3)).
         p = self._c3[at]
@@ -420,7 +440,7 @@ def _bracket(keys, nx, rows, target):
     key = np.empty(target.shape, dtype=complex)
     key.real, key.imag = rows, target
     k = np.searchsorted(keys, key, side="right")
-    return np.clip(k - 1 - rows * (nx + 1), 0, nx - 1)
+    return np.minimum(np.maximum(k - 1 - rows * (nx + 1), 0), nx - 1)
 
 
 def _launch(target, rows, phi_v: _TravelTime, phi_u: _TravelTime | None = None):
@@ -504,7 +524,11 @@ class _Component:
     value there starts at ``start[c]`` and changes at rate ``sign`` (+1
     rising, -1 falling).  ``first[c]`` is the first grid line it may cross,
     in its direction of travel, and ``count[c]`` how many lie between the
-    outer lines of its two ends' cells (:meth:`along` finds them)."""
+    outer lines of its two ends' cells (:meth:`along` finds them).  An
+    x-component that stays in one cell also has ``within[c]``, its start's
+    travel time past the cell's lower node (:meth:`_TravelTime.within`),
+    so that it is read in the cell's own coordinates: every cell with the
+    same profile places it alike (:func:`cell_profiles`)."""
 
     phi: _TravelTime
     sign: int
@@ -514,36 +538,50 @@ class _Component:
     p_end: np.ndarray
     first: np.ndarray
     count: np.ndarray
+    within: np.ndarray | None = None
 
     @classmethod
     def along(cls, phi: _TravelTime, sign: int, rows, start, p0,
-              p_end) -> _Component:
+              p_end, within=None) -> _Component:
         """The component, with the lines of every curve found once."""
         nx = phi.nx
         lo = np.floor(np.minimum(p0, p_end) * nx)
         hi = np.ceil(np.maximum(p0, p_end) * nx)
         lo, hi = (np.clip(v, 0, nx).astype(np.int32) for v in (lo, hi))
         return cls(phi, sign, rows, start, p0, p_end,
-                   hi if sign < 0 else lo, hi - lo + 1)
+                   hi if sign < 0 else lo, hi - lo + 1, within)
 
     def __getitem__(self, curves) -> _Component:
         return _Component(self.phi, self.sign, *(
-            v[curves] for v in (self.rows, self.start, self.p0, self.p_end,
-                                self.first, self.count)))
+            None if v is None else v[curves]
+            for v in (self.rows, self.start, self.p0, self.p_end,
+                      self.first, self.count, self.within)))
 
     def cell(self, q):
         """The cell each curve starts its first segment in: the one that
         holds the midpoint of its start and ``q``, the first line it
         crosses or, if it crosses none, its end."""
         nx = self.phi.nx
-        return np.clip(np.floor(0.5 * (self.p0 + q) * nx).astype(np.int64),
-                       0, nx - 1)
+        return np.minimum(np.maximum(
+            np.floor(0.5 * (self.p0 + q) * nx).astype(np.int64), 0), nx - 1)
+
+    def position(self, curves, at, t):
+        """Where curves ``curves`` are at times ``t``, read in the cells
+        ``at`` (flat over (row, cell)): from ``within`` when given, which
+        holds the cell's own time, else from ``start`` less the cell's
+        lower node value."""
+        if self.within is None:
+            phi = self.start[curves] + self.sign * t
+            phi -= self.phi._phi0[at]
+        else:
+            phi = self.within[curves] + self.sign * t
+        return self.phi.inverse(at, phi)
 
     def crossings(self, s_end):
         """The grid lines each curve crosses farther than
         :data:`CORNER_TOL` in time from both 0 and ``s_end``, every curve's
         in turn, in time order: their times, how many each curve crosses,
-        the lines' positions, and the cell each curve starts its first
+        the lines' indices, and the cell each curve starts its first
         segment in."""
         nx = self.phi.nx
         count = self.count
@@ -558,7 +596,7 @@ class _Component:
         q = self.p_end.copy()
         crossing = n > 0
         q[crossing] = self.phi.x[line[(np.cumsum(n) - n)[crossing]]]
-        return t, n, self.phi.x[line], self.cell(q)
+        return t, n, line, self.cell(q)
 
     def crosses_none(self, s_end) -> bool:
         """Whether :meth:`crossings` keeps no line of any curve, decided on
@@ -585,9 +623,10 @@ def _cut_in_order(z: _Component, w: _Component, s_end, out, first):
 
     A curve's ends come in time order as they are listed: its start, the
     cuts of its xi-component and its end.  The x-component's position at
-    each cut is read in the cell it stays in, the xi-component moves on by
-    a cell at each of its cuts, and a segment's midpoint is read by the
-    inverse travel time in its cells."""
+    each cut is read in the cell it stays in, in the cell's own
+    coordinates, the xi-component moves on by a cell at each of its cuts,
+    and a segment's midpoint is read by the inverse travel time in its
+    cells."""
     nx = z.phi.nx
     tw, nw, lw, cell_w = w.crossings(s_end)
     m, count = s_end.size, nw + 1
@@ -600,8 +639,8 @@ def _cut_in_order(z: _Component, w: _Component, s_end, out, first):
     t, x, xi = np.zeros(e_off[-1]), np.empty(e_off[-1]), np.empty(e_off[-1])
     t[cuts], t[end] = tw, s_end
     x[start], x[end] = z.p0, z.p_end
-    x[cuts] = z.phi.inverse(at_z[cut_curve], z.start[cut_curve] - tw)
-    xi[start], xi[cuts], xi[end] = w.p0, lw, w.p_end
+    x[cuts] = z.position(cut_curve, at_z[cut_curve], tw)
+    xi[start], xi[cuts], xi[end] = w.p0, w.phi.x[lw], w.p_end
     # Segment q of curve c, its k-th, runs from end q + c, in the cell of
     # the xi-component's table that it enters at its k-th cut.
     curve = np.repeat(np.arange(m), count)
@@ -613,14 +652,13 @@ def _cut_in_order(z: _Component, w: _Component, s_end, out, first):
     written = slice(first, first + begin.size)
     seg_x, seg_xi, weights = out
     np.multiply(2.0 / 3.0, length, out=weights[written])
-    half = 0.5 * length
+    t_mid = 0.5 * length
+    t_mid += t_begin
     for component, at, position, points in (
             (z, at_z[curve], x, seg_x),
             (w, (w.rows * nx + cell_w)[curve] + w.sign * k, xi, seg_xi)):
-        phi = component.start[curve] + component.sign * t_begin
-        phi += component.sign * half
         np.take(position, begin, out=points[0, written])
-        points[1, written] = component.phi.inverse(at, phi)
+        points[1, written] = component.position(curve, at, t_mid)
         np.take(position, begin + 1, out=points[2, written])
     return count
 
@@ -631,8 +669,9 @@ def _one_cell_pieces(z: _Component, w: _Component, s_end):
     :meth:`_Component.crossings` finds, into pieces that each stay in one
     x-cell, as a one-cell step does: the pieces' x- and xi-components,
     their end times, and where each curve's pieces start among them.  A
-    piece after a cut starts there, its x-component on the line crossed
-    and its xi-component where the inverse travel time reads it."""
+    piece after a cut starts there, its x-component on the line crossed,
+    a whole cell's time above the cell it enters, and its xi-component
+    where the inverse travel time reads it."""
     tz, nz, lz, _ = z.crossings(s_end)
     last = np.cumsum(nz + 1) - 1
     curve = np.repeat(np.arange(s_end.size), nz + 1)
@@ -644,14 +683,17 @@ def _one_cell_pieces(z: _Component, w: _Component, s_end):
     cut_curve = curve[after]
     xi_cut = w.phi.reach(w.rows[cut_curve], w.start[cut_curve] + w.sign * tz)
 
-    def split(component: _Component, at_cut) -> _Component:
+    def split(component: _Component, at_cut, within=None) -> _Component:
         p0, p_end = component.p0[curve], component.p_end[curve]
         p0[after] = p_end[after - 1] = at_cut
         return _Component.along(
             component.phi, component.sign, component.rows[curve],
-            component.start[curve] + component.sign * t0, p0, p_end)
+            component.start[curve] + component.sign * t0, p0, p_end, within)
 
-    return split(z, lz), split(w, xi_cut), t1 - t0, last - nz
+    within = z.within[curve]
+    within[after] = z.phi.cells.ravel()[z.rows[cut_curve] * z.phi.nx + lz - 1]
+    return (split(z, z.phi.x[lz], within), split(w, xi_cut), t1 - t0,
+            last - nz)
 
 
 def _segment_bounds(z_lines, w_lines) -> np.ndarray:
@@ -705,6 +747,44 @@ def _read_curves(z: _Component, w: _Component, ref, s_end, launch
                         s_end, launch, w.p_end)
 
 
+def cell_profiles(coeff: SampledCoefficients) -> np.ndarray:
+    """The travel-time profile of ``speed_v`` in every x-cell, as the index
+    of the first cell with the same one: the cells whose Hermite inverse in
+    their own coordinates (:meth:`_TravelTime.inverse`), their travel time
+    and node speeds, agree to the bit.  A one-cell step from a node that
+    stops on the x-line below it moves alike in every cell of one profile
+    (:func:`_start_and_line`), so its segments' times, its xi-component and
+    its x-component past the cell's lower line are the same to the bit:
+    with a constant ``speed_v`` every cell has one profile."""
+    phi = _travel_time(coeff)
+    key = np.column_stack([phi._per_phi, phi._m0, phi._c2, phi._c3])
+    _, first, profile = np.unique(key, axis=0, return_index=True,
+                                  return_inverse=True)
+    return first[profile.ravel()]
+
+
+def line_ends(coeff: SampledCoefficients, cell: int, xis, ys=None
+              ) -> np.ndarray:
+    """Where the xi-components from ``xis`` are when the x-component of
+    their one-cell step, from the x-line ``cell + 1`` to ``cell``, reaches
+    its line: of crossing steps at ``ys``, which may reach the diagonal
+    first, or, without ``ys``, of edge steps, 0 where they reach the edge
+    first.  These are the ends that :func:`trace_crossing_batch` and
+    :func:`trace_edge_batch` give such steps, to the bit, wherever they
+    end on their line."""
+    xis = np.asarray(xis, dtype=float)
+    phi_v = _travel_time(coeff)
+    s_line = phi_v.cells[0, cell]
+    if ys is None:
+        start = phi_v.at(0, xis)
+        ends = np.zeros(xis.shape)
+        line = s_line < start
+        ends[line] = phi_v.reach(0, start[line] - s_line)
+        return ends
+    phi_u, rows = _ensemble_travel_time(coeff, np.asarray(ys, dtype=float))
+    return phi_u.reach(rows, phi_u.at(rows, xis) + s_line)
+
+
 def _stops(stop, xs, x):
     """The x-line index each curve from the abscissas ``xs`` stops at, on
     the x-nodes ``x``.
@@ -731,6 +811,18 @@ def _stops(stop, xs, x):
     return stop
 
 
+def _start_and_line(phi_v: _TravelTime, xs, stop):
+    """The travel times of ``speed_v`` to the abscissas ``xs``, past the
+    lower node of the cell each lies in (:meth:`_TravelTime.within`), and
+    from the x-lines ``stop`` to them.  A curve that stops on the lower
+    line of the cell it starts in takes its time within the cell, so that
+    every cell of one profile gives it alike, to the bit."""
+    k, within = phi_v.within(0, xs)
+    start = phi_v.nodes[0, k] + within
+    return start, within, np.where(stop == k, within,
+                                   start - phi_v.nodes[0, stop])
+
+
 def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys, stop=0
                          ) -> TracedBundle:
     """Trace crossing curves for many triangle points at once, reading
@@ -752,12 +844,13 @@ def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys, stop=0
     phi_u, rows = _ensemble_travel_time(coeff, ys)
     s_max = 2.0 / coeff.crossing_speed_min
     ref = np.flatnonzero(xis - xs < DEGENERATE_TOL)
-    start_x, start_xi = np.zeros(m), np.zeros(m)
+    start_x, start_xi, within = np.zeros(m), np.zeros(m), np.zeros(m)
     s_end, launch = np.zeros(m), xs.copy()
     z_end, w_end = xs.copy(), xs.copy()
     resolved = np.ones(m, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        start_x[ref] = phi_v.at(0, xs[ref])
+        start_x[ref], within[ref], s_line = _start_and_line(
+            phi_v, xs[ref], stop[ref])
         start_xi[ref] = phi_u.at(rows[ref], xis[ref])
         target = start_x[ref] + start_xi[ref]
         # The launch lies above the stop line exactly when the summed travel
@@ -769,7 +862,7 @@ def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys, stop=0
                                                  phi_v, phi_u)
         s_end[event] = start_x[event] - phi_v.at(0, launch[event])
         z_end[event] = w_end[event] = launch[event]
-        s_end[at_line] = start_x[at_line] - phi_v.nodes[0, stop[at_line]]
+        s_end[at_line] = s_line[line]
         z_end[at_line] = phi_v.x[stop[at_line]]
         w_end[at_line] = phi_u.reach(rows[at_line],
                                      start_xi[at_line] + s_end[at_line])
@@ -780,9 +873,10 @@ def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys, stop=0
             f"{missed} characteristic curve(s) found no cross event before "
             f"s = {s_max:.3g}; the model's speeds are too close to zero")
     # Only what the cut reads stays alive while it runs.
-    del resolved, target, line, event, at_line
+    del resolved, target, s_line, line, event, at_line
     # Row 0 of the table of speed_v for every curve, as one value.
-    z = _Component.along(phi_v, -1, np.broadcast_to(0, m), start_x, xs, z_end)
+    z = _Component.along(phi_v, -1, np.broadcast_to(0, m), start_x, xs, z_end,
+                         within)
     w = _Component.along(phi_u, 1, rows, start_xi, xis, w_end)
     return _read_curves(z, w, ref, s_end, launch)
 
@@ -805,12 +899,13 @@ def trace_edge_batch(coeff: SampledCoefficients, xs, xis, stop=0
     s_max = 2.0 / coeff.speed_v_min
     ref = np.flatnonzero(-xis < DEGENERATE_TOL)
     start_x, start_xi, s_end = np.zeros(m), np.zeros(m), np.zeros(m)
-    launch, z_end, w_end = xs.copy(), xs.copy(), np.zeros(m)
+    within, launch = np.zeros(m), xs.copy()
+    z_end, w_end = xs.copy(), np.zeros(m)
     resolved = np.ones(m, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        start_x[ref] = phi_v.at(0, xs[ref])
+        start_x[ref], within[ref], s_line = _start_and_line(
+            phi_v, xs[ref], stop[ref])
         start_xi[ref] = phi_v.at(0, xis[ref])
-        s_line = start_x[ref] - phi_v.nodes[0, stop[ref]]
         # An unresolved travel time counts as an event, which flags it.
         line = s_line < start_xi[ref]
         event, at_line = ref[~line], ref[line]
@@ -820,8 +915,10 @@ def trace_edge_batch(coeff: SampledCoefficients, xs, xis, stop=0
         z_end[event] = launch[event]
         s_end[at_line] = s_line[line]
         z_end[at_line] = phi_v.x[stop[at_line]]
-        w_end[at_line] = phi_v.reach(on_v[at_line],
-                                     start_xi[at_line] - s_end[at_line])
+        # A curve from the diagonal runs along it, its components alike.
+        w_end[at_line] = np.where(
+            xis[at_line] == xs[at_line], z_end[at_line],
+            phi_v.reach(on_v[at_line], start_xi[at_line] - s_end[at_line]))
         launch[at_line] = np.nan
     missed = np.count_nonzero(~(resolved[ref] & (s_end[ref] <= s_max)))
     if missed:
@@ -830,6 +927,7 @@ def trace_edge_batch(coeff: SampledCoefficients, xs, xis, stop=0
             f"s = {s_max:.3g}; the model's speeds are too close to zero")
     # Only what the cut reads stays alive while it runs.
     del resolved, s_line, line, event, at_line
-    z = _Component.along(phi_v, -1, on_v, start_x, xs, z_end)
+    z = _Component.along(phi_v, -1, on_v, start_x, xs, z_end,
+                         within)
     w = _Component.along(phi_v, -1, on_v, start_xi, xis, w_end)
     return _read_curves(z, w, ref, s_end, launch)

@@ -150,6 +150,26 @@ def row_basis(blocks: Iterable[np.ndarray]) -> np.ndarray:
     return vt[:int(np.count_nonzero(sv > cutoff))].T.copy()
 
 
+def factor_blocks(blocks: Callable[[], Iterator[np.ndarray]], whole: bool):
+    """The row basis ``D`` of the blocks that ``blocks()`` yields, one per
+    x-node (:func:`row_basis`), and their stacked
+    loadings on it, ``block @ D``.  Blocks in a proper subspace are small,
+    so the first pass keeps them and each is sampled once; ``whole`` ones,
+    on every y-node, are sampled again, so that their stack is not held
+    beside the loadings."""
+    kept = None if whole else []
+
+    def sampled():
+        for block in blocks():
+            if kept is not None:
+                kept.append(block)
+            yield block
+
+    directions = row_basis(sampled())
+    return directions, np.stack([block @ directions for block in
+                                 (blocks() if kept is None else kept)])
+
+
 def y_subspace(seeds: np.ndarray,
                maps: Callable[[], Iterable[np.ndarray]]) -> np.ndarray:
     """Orthonormal basis of the smallest y-subspace that holds the seeds and

@@ -36,26 +36,39 @@ each segment leveled to its mean over a cell, so that steps which end
 partway across a cell keep the leading error of whole curves.  Each step
 has a few segments, so the work is O(nx^2) segments per family, not the
 O(nx^3) of whole curves.  With unit speeds every step ends on a node, and
-the march solves the system of whole curves summed in another order.  The
-steps are traced a block of rows at a time, at most :data:`_BLOCK_CURVES`
-curves, through the travel times of the two speeds (see
-:mod:`.characteristics`), tabulated by the first block's traces and read
-by every later block's.  Each family's steps are laid out whole, once
-(:func:`_quadrature_matrix`), as the stencils the march gathers on int32
-node indices: a 4-point start stencil on the row below, then, a run of at
-most :data:`_RUN_SEGMENTS` cell segments at a time, two padded source
-stencils, three leveled nodes a segment on the row below and two corners
-a segment on the step's own row, each from its row's first node.  The march
-holds the solution, one block's step data and one row of sources: the
+the march solves the system of whole curves summed in another order.
+Every stencil of a step counts from its row's first node, and a step that
+stops on the x-line below its node moves alike from every row whose
+x-cell has its travel-time profile
+(:func:`~.characteristics.cell_profiles`), so such rows share their steps
+(:class:`_Plan`): the step of a column is traced once per profile, from
+the first row that reads it, and every row of the profile reads it, as a
+prefix of its steps, once it keeps clear of the row's ends; a row traces
+the rest, near the diagonal, itself.  With a constant ``speed_v`` every
+cell has one profile, and a row traces about five columns of crossing
+steps, its last four and one shared; where ``speed_v`` varies in x every
+cell is a profile of its own, and every row traces all its steps.  The
+steps are traced a block of rows at a time,
+at most :data:`_BLOCK_CURVES` curves, through the travel times of the two
+speeds (see :mod:`.characteristics`), tabulated before the first block
+and read by every block's traces.  Each family's traced steps are laid
+out whole, once (:func:`_quadrature_matrix`), as the stencils the march
+gathers on int32 node indices: a 4-point start stencil on the row below,
+then, a run of at most :data:`_RUN_SEGMENTS` cell segments at a time, two
+padded source stencils, three leveled nodes a segment on the row below
+and two corners a segment on the step's own row, each from its row's
+first node.  The march holds the solution, one block's step data, the
+shared steps later rows read (:class:`_Shared`) and one row of sources: the
 traces' segments and the step data are written into arrays the solve
 keeps from block to block (a :class:`~.characteristics.Workspace`, each
 array sized by the largest block so far, its padding zeroed anew), so a
 solve allocates them once, and each finished row's sources replace those
 of the row below it, since no step reads a source more than one row below
-its own.  The solve records its blocks, steps and segments
-(:attr:`KernelSolution.march`).  Every gather sums its stencil
-in one fixed order, and every projection one basis column at a time, so
-no bit of the kernels depends on the block or run sizes.  A step's
+its own.  The solve records its blocks, and the steps it marched and
+traced and their segments (:attr:`KernelSolution.march`).  Every gather
+sums its stencil in one fixed order, and every projection one basis
+column at a time, so no bit of the kernels depends on the block or run
+sizes.  A step's
 source reads the corners of its cell on its own row too, so each row is
 a small fixed point.  Boundary data is evaluated exactly at the off-grid
 launch abscissas, so the diagonal condition holds exactly at nodes and
@@ -95,10 +108,11 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .characteristics import (SIMPSON_POINT_WEIGHTS, Workspace,
-                              trace_crossing_batch, trace_edge_batch)
+                              cell_profiles, line_ends, trace_crossing_batch,
+                              trace_edge_batch)
 from .errors import (DimensionError, DomainError, NonconvergenceError,
                      NumericError)
-from .grid import (GridSpec, TriangularIndex, corner_weights, row_basis,
+from .grid import (GridSpec, TriangularIndex, corner_weights, factor_blocks,
                    y_subspace)
 from .model import PlantModel, SampledCoefficients, sample_coefficients
 
@@ -116,18 +130,21 @@ __all__ = [
 MAX_SWEEPS = 60
 
 #: Steps (crossing and edge curves) a block of rows of :func:`solve_goursat`
-#: may hold: the size of every trace and of the step data the march holds,
-#: one block at a time, in arrays it keeps from block to block.  Every
-#: block's traces read the travel-time tables the first one built, so a
-#: block costs its curves and a small fixed overhead.  With 2**13, 3 * 2**12,
-#: 2**14 and 2**15 (6, 4, 3 and 2 blocks) the toy at nx=200, ny=120 solved
-#: in 0.19, 0.16, 0.18 and 0.18 s, and the plant with speed_u = 1 + y/2 at
-#: nx=100, ny=60 (54, 30, 23 and 11 blocks) in 0.69, 0.58, 0.59 and 0.55 s,
-#: and a process that samples the plant and solves peaked at 38.1, 38.9,
-#: 40.2 and 42.4 MB of RSS and 42.5, 43.3, 45.0 and 51.3 MB (medians of
-#: five runs, 2-core Xeon shared with other jobs, one sitting, Python 3.11,
-#: numpy 2.4): fewer blocks trace less often, larger ones hold more.
-_BLOCK_CURVES = 3 * 2 ** 12
+#: may trace: the size of every trace and of the step data the march holds,
+#: one block at a time, in arrays it keeps from block to block, beside the
+#: shared steps its profiles keep (:class:`_Plan`).  Every block's traces
+#: read the travel-time tables the solve built first, so a block costs its
+#: curves and a small fixed overhead.  With speed_v = 1 a row traces about
+#: five columns of crossing steps and three of edge steps, and its
+#: profile's shared steps serve the rest.
+#: With 2**11, 2**12, 3 * 2**12 and 2**14 the toy at nx=200, ny=120 solved
+#: in one block, in 0.13 s, peaking at 37.9 MB, and the plant with
+#: speed_u = 1 + y/2 at nx=100, ny=60 (17, 8, 3 and 2 blocks) in 0.27,
+#: 0.29, 0.35 and 0.20 s, within the host's noise, and a process that
+#: samples the plant and solves peaked at 40.3, 41.1, 43.5 and 45.4 MB of
+#: RSS (medians of three runs, 2-core Xeon shared with other jobs, one
+#: sitting, Python 3.11, numpy 2.4): larger blocks hold more.
+_BLOCK_CURVES = 2 ** 12
 
 #: Cell segments whose stencils a block forms at a time
 #: (:func:`_segment_runs`): enough to spread the cost of a run, few enough
@@ -205,8 +222,9 @@ class KernelSolution:
     that ``deltas[-1]`` is ``final_delta``, the largest last increment.
     ``march`` holds the sizes of the march that solved the kernels: its
     ``blocks``, and for each family of steps, ``crossing`` and ``edge``,
-    its ``steps`` and the cell ``segments`` they were cut into (None for
-    kernels not marched).
+    the ``steps`` it marched, the cell ``segments`` they were cut into and
+    the steps it ``traced``, each shared step once (None for kernels not
+    marched).
     """
 
     coords: np.ndarray
@@ -378,39 +396,95 @@ def _quadrature_matrix(spec: GridSpec, bundle, row: np.ndarray, lanes: int,
     return steps
 
 
-def _blocks(tri: TriangularIndex, families: int) -> list[range]:
+class _Plan(NamedTuple):
+    """How the rows of a solve come by one family's steps, in ``lanes``
+    lanes (a step per node and lane).  Row i's steps cross the x-cell
+    i - 1, whose travel-time profile is ``profile[i]``
+    (:func:`~ensemble_backstep.characteristics.cell_profiles`; -1 for row
+    0).  Its steps from the columns ``0 .. shared[i] - 1`` are its
+    profile's shared steps, traced once, each from the first row that reads
+    it; it traces the rest itself, near the diagonal, and its profile's
+    shared steps from ``first[i]``, the first no row before it reads, up
+    to ``shared[i]``."""
+
+    lanes: int
+    profile: np.ndarray
+    shared: np.ndarray
+    first: np.ndarray
+
+    def traced(self) -> np.ndarray:
+        """The steps each row traces."""
+        return (np.arange(self.profile.size) + 1 - self.first) * self.lanes
+
+
+def _plans(problem: GoursatProblem) -> dict[str, _Plan]:
+    """The :class:`_Plan` of the crossing and the edge steps of a solve.
+
+    A step from node (i, j) that stops on the x-line i - 1 moves alike,
+    to the bit, from every row of one profile (see
+    :func:`~ensemble_backstep.characteristics.line_ends`), and its layout
+    counts every node from its row's first, so it is one step for all of
+    them wherever it keeps clear of the rows' ends: where its start
+    stencil, its segments' cells and the second differences of their
+    levels lie in the row below, of four nodes or more, and do not reach
+    its last two nodes.  Its xi-component ends, in lane order, below
+    column ``c_j`` (as the start stencil floors it), so row i reads column
+    j shared once every column up to j ends below i - 2: ``c_j <= i - 3``.
+    A step that ends that far below the diagonal reaches its line, not the
+    diagonal, so no shared step carries diagonal data."""
+    spec, coeff, family_y = problem.spec, problem.coeff, problem.family_y
+    nx, x = spec.nx, spec.x_nodes
+    profile = np.concatenate([[-1], cell_profiles(coeff)])
+    plans = {}
+    for family, lanes in (("crossing", family_y.size), ("edge", 1)):
+        shared = np.zeros(nx + 1, dtype=np.int64)
+        first = np.zeros(nx + 1, dtype=np.int64)
+        for cell in np.unique(profile[1:]):
+            on = np.flatnonzero(profile == cell)
+            columns = np.repeat(x[:on[-1]], lanes)
+            if family == "crossing":
+                ends = line_ends(coeff, cell, columns,
+                                 np.tile(family_y, on[-1]))
+            else:
+                ends = line_ends(coeff, cell, columns)
+            below = np.maximum.accumulate(
+                np.floor(ends * nx).reshape(-1, lanes).max(axis=1))
+            reads = np.searchsorted(below, on - 3, side="right")
+            shared[on] = np.where(on >= 4, np.minimum(reads, on), 0)
+            first[on[1:]] = shared[on[:-1]]
+        plans[family] = _Plan(lanes, profile, shared, first)
+    return plans
+
+
+def _blocks(plans: dict[str, _Plan]) -> list[range]:
     """Contiguous runs of triangle rows, as ranges of x-indices, each closed
-    before its steps (a crossing step of every family and an edge step from
-    each node) exceed :data:`_BLOCK_CURVES`; a row above it alone is a
-    block."""
+    before the steps its rows trace, of both families
+    (:meth:`_Plan.traced`), exceed :data:`_BLOCK_CURVES`; a row above it
+    alone is a block."""
+    traced = sum(plan.traced() for plan in plans.values())
     blocks, lo, total = [], 0, 0
-    for i in range(tri.nx + 1):
-        steps = (families + 1) * (i + 1)
+    for i, steps in enumerate(traced.tolist()):
         if total and total + steps > _BLOCK_CURVES:
             blocks.append(range(lo, i))
             lo, total = i, 0
         total += steps
-    blocks.append(range(lo, tri.nx + 1))
+    blocks.append(range(lo, traced.size))
     return blocks
-
-
-def _nodes(tri: TriangularIndex, rows: range) -> slice:
-    """The flat triangle nodes of a run of rows."""
-    return slice(int(tri.row_start[rows.start]),
-                 int(tri.row_start[rows.stop - 1]) + rows.stop)
 
 
 def _row_stencil(tri: TriangularIndex, row: np.ndarray, xi: np.ndarray,
                  out):
     """4-point Lagrange stencils in xi along the triangle rows ``row`` at
-    ``xi``: their flat nodes and weights, ``(n, 4)`` each, written into
-    ``out``, int32 nodes and float weights, on the four nodes nearest ``xi``
-    that the row has.  A row with fewer nodes uses all of them, the other
-    entries weighing 0.  The stencils are formed a column at a time, and
-    only a column that some row lacks is masked."""
+    ``xi``: their nodes, counted from the row's first node, and weights,
+    ``(n, 4)`` each, written into ``out``, int32 nodes and float weights, on
+    the four nodes nearest ``xi`` that the row has.  A row with fewer nodes
+    uses all of them, the other entries weighing 0.  The stencils are
+    formed a column at a time, and only a column that some row lacks is
+    masked."""
     count = np.minimum(row + 1, 4)
     t = xi * tri.nx
-    first = np.clip(np.floor(t).astype(np.int64) - 1, 0, row + 1 - count)
+    first = np.minimum(np.maximum(np.floor(t).astype(np.int64) - 1, 0),
+                       row + 1 - count)
     every = int(count.min(initial=4))
     nodes, weights = out
     weights.fill(1.0)
@@ -421,7 +495,6 @@ def _row_stencil(tri: TriangularIndex, row: np.ndarray, xi: np.ndarray,
                 if q >= every:
                     factor = np.where(count > q, factor, 1.0)
                 weights[:, k] *= factor
-    first += tri.row_start[row]
     for q in range(4):
         if q < every:
             nodes[:, q] = first + q
@@ -432,11 +505,11 @@ def _row_stencil(tri: TriangularIndex, row: np.ndarray, xi: np.ndarray,
 
 
 class _Steps(NamedTuple):
-    """One family of a block's steps, as :func:`_quadrature_matrix` lays
-    them out: each a curve from a node of row i back to the x-line i - 1
-    or to its event, whichever it reaches first, in node order (and family
-    order within a node), reading the unknown and its source in lanes (a
-    row per node, or per node and y-node).
+    """Steps of one family, as :func:`_quadrature_matrix` lays them out:
+    each a curve from a node of row i back to the x-line i - 1 or to its
+    event, whichever it reaches first, in node order (and family order
+    within a node), reading the unknown and its source in lanes (a row per
+    node, or per node and y-node).
 
     A step's value is its start, plus the Simpson integral of the source
     over its cell segments, which lie in the cells between rows i - 1 and
@@ -446,12 +519,13 @@ class _Steps(NamedTuple):
     ``(steps, 3 * width)``, read the one row of sources the march keeps,
     row i - 1's, three consecutive nodes a segment that also level its
     xi-error; ``row_nodes``/``row_weights``, ``(steps, 2 * width)``, read
-    row i's own source, two corners a segment.  Both count from their
-    row's first node, and a stencil below of a short row reaches up to two
+    row i's own source, two corners a segment.  Every stencil counts from
+    its row's first node, so a step reads alike from every row it serves
+    (:class:`_Plan`), and a stencil below of a short row reaches up to two
     nodes past it, at weight 0.  A step's segments come in order, padded
     with node 0 at weight 0 up to the ``width`` segments of the longest
-    step.  The nodes are int32.  ``nnz`` counts the corner entries
-    computed, four a segment.
+    step.  The nodes are int32.  ``nnz`` counts the corner entries of the
+    steps, four a segment.
     """
 
     start_nodes: np.ndarray
@@ -462,14 +536,71 @@ class _Steps(NamedTuple):
     row_weights: np.ndarray
     nnz: int
 
-    def fixed(self, steps: slice, unknown: np.ndarray,
-              source: np.ndarray) -> np.ndarray:
-        """The part of ``steps`` that rows below theirs set: the start read
-        from ``unknown`` and the source's corners below, from ``source``."""
-        return (_gather(unknown, self.start_nodes[steps],
-                        self.start_weights[steps])
-                + _gather(source, self.below_nodes[steps],
-                          self.below_weights[steps]))
+    def rows(self, steps: slice, segments: int) -> _Steps:
+        """The steps ``steps``, as views, which have ``segments``
+        segments."""
+        return _Steps(*(a[steps] for a in self[:-1]), 4 * segments)
+
+    def fixed(self, unknown: np.ndarray, source: np.ndarray) -> np.ndarray:
+        """The part of the steps that the row below theirs sets: the start
+        read from ``unknown`` and the source's corners below, from
+        ``source``, both that row's."""
+        return (_gather(unknown, self.start_nodes, self.start_weights)
+                + _gather(source, self.below_nodes, self.below_weights))
+
+
+class _Shared:
+    """One profile's shared steps of one family (:class:`_Plan`), columns
+    0, 1, ... with their lanes, as :func:`_quadrature_matrix` lays them out
+    (``steps``), with the weights by which edge steps that reach the edge
+    read it from the x-lines i - 1 and i (``reads``, None for crossing
+    steps) and the segments of the first n steps, ``segments[n]``.  A
+    profile whose rows all lie in the block that traces its steps reads
+    them where the block laid them out; any other keeps them in arrays of
+    its own (:meth:`kept`), sized for every step its rows read and as wide
+    as the widest so far, zero past each step, as padding is."""
+
+    def __init__(self, steps: _Steps, reads, counts: np.ndarray,
+                 lane: np.ndarray | None = None):
+        self.steps, self.reads, self.lane = steps, reads, lane
+        self.segments = np.concatenate([[0], np.cumsum(counts)])
+
+    @classmethod
+    def kept(cls, capacity: int, lanes: int, reads: bool) -> _Shared:
+        """No steps yet, with room for ``capacity`` in ``lanes`` lanes."""
+        steps = _Steps(*(np.zeros((capacity, width), dtype)
+                         for width in (4, 0, 0)
+                         for dtype in (np.int32, float)), 0)
+        return cls(steps, np.zeros((capacity, 2)) if reads else None,
+                   np.zeros(0, np.int64),
+                   (np.arange(capacity, dtype=np.int32) % lanes)[:, None])
+
+    def extend(self, steps: _Steps, reads, counts: np.ndarray) -> None:
+        """Add ``steps``, with their ``reads`` and segment ``counts``, past
+        those held, widening the arrays if they are wider; every slot past
+        a step's segments is padding, node 0 of its lane at weight 0."""
+        n, k = self.segments.size - 1, counts.size
+        fields = list(self.steps[:-1])
+        for f, new in enumerate(steps[:-1]):
+            held = fields[f]
+            # The node fields are the even ones.
+            pad = self.lane if f % 2 == 0 else np.zeros((held.shape[0], 1))
+            if new.shape[1] > held.shape[1]:
+                fields[f] = np.empty((held.shape[0], new.shape[1]), held.dtype)
+                fields[f][:] = pad
+                fields[f][:n, :held.shape[1]] = held[:n]
+            fields[f][n:n + k, :new.shape[1]] = new
+            fields[f][n:n + k, new.shape[1]:] = pad[n:n + k]
+        self.steps = _Steps(*fields, 0)
+        if reads is not None:
+            self.reads[n:n + k] = reads
+        self.segments = np.concatenate([self.segments,
+                                        self.segments[-1] + np.cumsum(counts)])
+
+    def prefix(self, n: int):
+        """The first ``n`` steps, as views, and their reads."""
+        return (self.steps.rows(slice(0, n), int(self.segments[n])),
+                None if self.reads is None else self.reads[:n])
 
 
 def _gather(field: np.ndarray, nodes: np.ndarray,
@@ -527,47 +658,97 @@ def _lane_width(problem: GoursatProblem) -> int:
     return problem.basis.shape[1] if problem.family_y.size == 1 else 1
 
 
-def _block_steps(problem: GoursatProblem, rows: range):
-    """Trace the steps of a block of rows: the crossing steps, of every
-    family, with the data those that reach the diagonal carry, in the
-    crossing steps' lanes, and the edge steps, with the weights by which
-    those that reach the edge read it from the x-lines i - 1 and i."""
+def _traced_steps(plan: _Plan, rows: range):
+    """The nodes whose steps a block of rows traces, as their rows and
+    columns: first the new shared steps of its profiles (:class:`_Plan`),
+    a profile's columns in order, each traced from the first row that reads
+    it, then every row's own, in node order; and each profile's run of
+    them, as (profile, its last row, first node, end)."""
+    block = np.arange(rows.start, rows.stop)
+    profiles = plan.profile[block]
+    row, column, runs, n = [], [], [], 0
+    for cell in np.unique(profiles[profiles >= 0]).tolist():
+        on = block[profiles == cell]
+        columns = np.arange(plan.first[on[0]], plan.shared[on[-1]])
+        if columns.size:
+            row.append(on[np.searchsorted(plan.shared[on], columns,
+                                          side="right")])
+            column.append(columns)
+            last = int(np.flatnonzero(plan.profile == cell)[-1])
+            runs.append((cell, last, n, n + columns.size))
+            n += columns.size
+    own = block + 1 - plan.shared[block]
+    row.append(np.repeat(block, own))
+    column.append(np.arange(own.sum()) + np.repeat(
+        plan.shared[block] - np.cumsum(own) + own, own))
+    return np.concatenate(row), np.concatenate(column), runs
+
+
+def _block_steps(problem: GoursatProblem, plans: dict[str, _Plan],
+                 shared: dict[str, dict[int, _Shared]], rows: range):
+    """Trace the steps a block of rows traces (:class:`_Plan`), add the new
+    shared ones to ``shared``, and return the rows' own: the crossing
+    steps, of every family, with the data those that reach the diagonal
+    carry, in the crossing steps' lanes, and the edge steps, with the
+    weights by which those that reach the edge read it from the x-lines
+    i - 1 and i."""
     spec, coeff, family_y = problem.spec, problem.coeff, problem.family_y
-    tri = spec.tri
-    nodes = _nodes(tri, rows)
-    families = family_y.size
-    row = tri.i_index[nodes]
-    stop = np.maximum(row - 1, 0)
-    # Every crossing step of the block, one per (node, family), node-major,
-    # in one trace, which solves the launches of the steps that reach the
-    # diagonal.
-    bundle = trace_crossing_batch(
-        coeff, np.repeat(tri.x_coord[nodes], families),
-        np.repeat(tri.xi_coord[nodes], families),
-        np.tile(family_y, row.size), np.repeat(stop, families))
-    lane = np.tile(np.arange(families), row.size)
-    cross = _quadrature_matrix(spec, bundle, np.repeat(row, families),
-                               families, lane, "crossing.")
-    event = np.flatnonzero(~np.isnan(bundle.launch))
-    launch = bundle.launch[event]
-    del bundle
-    diagonal = np.zeros((row.size * families, _lane_width(problem)))
-    if families == 1:
+    x = spec.x_nodes
+    own = {}
+    for family, plan in plans.items():
+        lanes = plan.lanes
+        row, column, runs = _traced_steps(plan, rows)
+        lane = np.tile(np.arange(lanes), row.size)
+        stop = np.maximum(row - 1, 0)
+        # Every step the block traces of the family in one trace, which
+        # solves the launches of the steps that reach their event.
+        if family == "crossing":
+            bundle = trace_crossing_batch(
+                coeff, np.repeat(x[row], lanes), np.repeat(x[column], lanes),
+                family_y[lane], np.repeat(stop, lanes))
+            reads = None
+        else:
+            bundle = trace_edge_batch(coeff, x[row], x[column], stop)
+            # An edge event lies between the x-lines i - 1 and i (row 0's
+            # on x-line 0), and reads the edge linearly in x between them.
+            event = ~np.isnan(bundle.launch)
+            upper = np.where(event, np.clip(np.nan_to_num(bundle.launch)
+                                            * spec.nx - (row - 1), 0.0, 1.0),
+                             0.0)
+            reads = np.column_stack([np.where(event, 1.0 - upper, 0.0),
+                                     upper])
+        steps = _quadrature_matrix(spec, bundle, np.repeat(row, lanes), lanes,
+                                   lane, family + ".")
+        counts = np.diff(bundle.offsets)
+        for cell, last, lo, hi in runs:
+            part = slice(lo * lanes, hi * lanes)
+            new = (steps.rows(part, int(counts[part].sum())),
+                   None if reads is None else reads[part], counts[part])
+            table = shared[family].get(cell)
+            if table is None and last < rows.stop:
+                shared[family][cell] = _Shared(*new)
+            else:
+                if table is None:
+                    table = shared[family][cell] = _Shared.kept(
+                        int(plan.shared[last]) * lanes, lanes,
+                        reads is not None)
+                table.extend(*new)
+        mine = slice(runs[-1][3] * lanes if runs else 0, None)
+        own[family] = (steps.rows(mine, int(counts[mine].sum())),
+                       None if reads is None else reads[mine],
+                       bundle.launch[mine], lane[mine])
+        del bundle
+    cross, _, launch, lane = own["crossing"]
+    event = np.flatnonzero(~np.isnan(launch))
+    diagonal = np.zeros((launch.size, _lane_width(problem)))
+    if family_y.size == 1:
         diagonal[event] = _diagonal_coords(problem, _diagonal_data(
-            coeff.model, launch[:, None], spec.y_nodes), rows)
+            coeff.model, launch[event, None], spec.y_nodes), rows)
     else:
-        diagonal[event, 0] = _diagonal_data(coeff.model, launch,
+        diagonal[event, 0] = _diagonal_data(coeff.model, launch[event],
                                             family_y[lane[event]])
-    bundle = trace_edge_batch(coeff, tri.x_coord[nodes], tri.xi_coord[nodes],
-                              stop)
-    edge = _quadrature_matrix(spec, bundle, row, 1,
-                              np.zeros(row.size, np.int64), "edge.")
-    # An edge event lies between the x-lines i - 1 and i (row 0's on
-    # x-line 0), and reads the edge linearly in x between them.
-    event = ~np.isnan(bundle.launch)
-    upper = np.where(event, np.clip(np.nan_to_num(bundle.launch) * spec.nx
-                                    - (row - 1), 0.0, 1.0), 0.0)
-    return cross, diagonal, edge, (np.where(event, 1.0 - upper, 0.0), upper)
+    edge, reads, _, _ = own["edge"]
+    return cross, diagonal, edge, (reads[:, 0], reads[:, 1])
 
 
 def _sup_increment(step: np.ndarray, basis: np.ndarray) -> float:
@@ -596,11 +777,15 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     that one cell (Simpson on every cell segment, its xi-error leveled, as
     :func:`_quadrature_matrix` lays it out), a semi-Lagrangian step; a step
     that reaches the diagonal (the edge) first starts from the diagonal
-    (edge) data there instead.  The steps are traced a block of rows at a
-    time (:func:`_blocks`), and each block's rows are marched by
-    :func:`_march_block`, so that one block's step data are held at a time;
-    the sources of the last finished row, which the next row's steps read,
-    are carried from row to row and from block to block.
+    (edge) data there instead.  Rows whose x-cells share a travel-time
+    profile share the steps that keep clear of their ends, each traced
+    once, from the first row that reads it, and read as a prefix of every
+    such row's steps (:func:`_plans`).  The steps a row traces are traced
+    a block of rows at a time (:func:`_blocks`), and each block's rows are
+    marched by :func:`_march_block`, so that one block's step data are
+    held at a time, beside the shared steps later rows read; the sources
+    of the last finished row, which the next row's steps read, are carried
+    from row to row and from block to block.
     The source of a step reads its cell's corners on row i too, so each row
     is a small fixed point: both unknowns on the row are iterated from zero
     until their sup-norm increment (of the ensemble unknown on every y-node,
@@ -640,19 +825,26 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     # deltas[k]: the largest row increment of local sweep k + 1, a row that
     # stopped sooner counting its last; ended: the largest last increment.
     deltas, ended = [], 0.0
-    blocks = _blocks(tri, families)
+    plans = _plans(problem)
+    blocks = _blocks(plans)
     march = {"blocks": len(blocks),
-             **{family: {"steps": 0, "segments": 0}
-                for family in ("crossing", "edge")}}
+             **{family: {"steps": 0, "traced": 0, "segments": 0}
+                for family in plans}}
+    shared = {family: {} for family in plans}
     with Workspace().use():
         for rows in blocks:
-            for history in _march_block(problem, rows, tol, C, G, source_c,
-                                        source_g, march):
+            for history in _march_block(problem, plans, shared, rows, tol, C,
+                                        G, source_c, source_g, march):
                 deltas += [ended] * (len(history) - len(deltas))
                 for k in range(len(deltas)):
                     deltas[k] = max(deltas[k],
                                     history[min(k, len(history) - 1)])
                 ended = max(ended, history[-1])
+            # The shared steps of profiles no later row reads are dropped.
+            for family, plan in plans.items():
+                later = set(plan.profile[rows.stop:].tolist())
+                for cell in set(shared[family]) - later:
+                    del shared[family][cell]
 
     return KernelSolution(coords=C, diagonal_rows=problem.diagonal_rows,
                           ktilde=G, iterations=len(deltas),
@@ -661,47 +853,84 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
                           march=march)
 
 
-def _march_block(problem: GoursatProblem, rows: range, tol: float,
-                 C: np.ndarray, G: np.ndarray, source_c: np.ndarray,
-                 source_g: np.ndarray, march: dict) -> list[list[float]]:
+def _row_parts(plans: dict[str, _Plan], shared: dict[str, dict[int, _Shared]],
+               own: dict, rows: range) -> Iterator[dict]:
+    """Each row's steps in a block whose own steps are ``own``, a family's
+    as (steps, reads) pairs: the shared steps it reads (:class:`_Plan`),
+    if any, then its own, whose slice of the block's is ``"diagonal"``
+    for the crossing steps.  The nodes of every part count from their
+    rows' first, so the parts together are the row's steps in node
+    order."""
+    block = np.arange(rows.start, rows.stop)
+    mine = {}
+    for family, plan in plans.items():
+        # Each row's own steps follow those of the rows before it.
+        mine[family] = np.zeros(block.size + 1, dtype=np.int64)
+        np.cumsum((block + 1 - plan.shared[block]) * plan.lanes,
+                  out=mine[family][1:])
+    for k, i in enumerate(block.tolist()):
+        parts = {}
+        for family, plan in plans.items():
+            on_row = slice(mine[family][k], mine[family][k + 1])
+            steps, reads = own[family]
+            parts[family] = [(steps.rows(on_row, 0),
+                              None if reads is None else reads[on_row])]
+            if plan.shared[i]:
+                parts[family].insert(0, shared[family][plan.profile[i]].prefix(
+                    int(plan.shared[i]) * plan.lanes))
+            if family == "crossing":
+                parts["diagonal"] = on_row
+        yield parts
+
+
+def _march_block(problem: GoursatProblem, plans: dict[str, _Plan],
+                 shared: dict[str, dict[int, _Shared]], rows: range,
+                 tol: float, C: np.ndarray, G: np.ndarray,
+                 source_c: np.ndarray, source_g: np.ndarray,
+                 march: dict) -> list[list[float]]:
     """March the rows of one block of :func:`solve_goursat`, writing their
-    unknowns ``C`` and ``G``, add its steps and segments to ``march``, and
-    return each row's local sweep increments.  ``source_c`` and
-    ``source_g`` hold the sources of the row below the block's first, and
-    each row leaves its own there for the next.  The block's step data
-    live in this call only, so none of them is alive when the next block
-    is traced."""
+    unknowns ``C`` and ``G``, add the steps its rows march and trace, and
+    their segments, to ``march``, and return each row's local sweep
+    increments.  ``source_c`` and ``source_g`` hold the sources of the row
+    below the block's first, and each row leaves its own there for the
+    next.  Each row reads its profile's shared steps (:class:`_Plan`),
+    then its own; the block's own step data live in this call only, so
+    none of them is alive when the next block is traced."""
     tri = problem.spec.tri
     basis = problem.basis
     r = basis.shape[1]
     families = problem.family_y.size
     cross, diagonal, edge, (edge_below, edge_on_row) = (
-        _block_steps(problem, rows))
-    for family, steps in (("crossing", cross), ("edge", edge)):
-        march[family]["steps"] += len(steps.start_nodes)
+        _block_steps(problem, plans, shared, rows))
+    own = {"crossing": (cross, None),
+           "edge": (edge, np.column_stack([edge_below, edge_on_row]))}
+    for family, (steps, _) in own.items():
+        march[family]["traced"] += int(plans[family].traced()[
+            rows.start:rows.stop].sum())
         march[family]["segments"] += steps.nnz // 4
     # The ensemble unknown as the crossing steps read it: a row per node,
     # or per node and y-node with a family per y-node.
     width = _lane_width(problem)
     lanes_C = C.reshape(tri.n_nodes * families, width)
-    first = int(tri.row_start[rows.start])
     histories = []
-    for i in rows:
+    for i, parts in zip(rows, _row_parts(plans, shared, own, rows)):
         nodes = tri.row_slice(i)
         n = i + 1
-        on_edge = slice(nodes.start - first, nodes.stop - first)
-        on_cross = slice(on_edge.start * families, on_edge.stop * families)
-        fixed_C = (diagonal[on_cross]
-                   + cross.fixed(on_cross, lanes_C, source_c)
-                   ).reshape(n, r)
-        below = int(tri.row_start[max(i - 1, 0)])
-        fixed_G = (edge.fixed(on_edge, G, source_g) + edge_below[on_edge]
-                   * float(problem.edge_gain @ C[below]))
-        cross_nodes = cross.row_nodes[on_cross]
-        cross_weights = cross.row_weights[on_cross]
-        edge_nodes = edge.row_nodes[on_edge]
-        edge_weights = edge.row_weights[on_edge]
-        gain = edge_on_row[on_edge]
+        below = tri.row_slice(max(i - 1, 0))
+        for family, plan in plans.items():
+            march[family]["steps"] += n * plan.lanes
+            march[family]["segments"] += sum(
+                steps.nnz for steps, _ in parts[family][:-1]) // 4
+        cross_parts, edge_parts = parts["crossing"], parts["edge"]
+        unknown = lanes_C[below.start * families:below.stop * families]
+        fixed_C = [steps.fixed(unknown, source_c) for steps, _ in cross_parts]
+        fixed_C[-1] = diagonal[parts["diagonal"]] + fixed_C[-1]
+        fixed_C = np.concatenate(fixed_C).reshape(n, r)
+        fixed_G = (np.concatenate([steps.fixed(G[below], source_g)
+                                   for steps, _ in edge_parts])
+                   + np.concatenate([reads[:, 0] for _, reads in edge_parts])
+                   * float(problem.edge_gain @ C[below.start]))
+        gain = np.concatenate([reads[:, 1] for _, reads in edge_parts])
         to_ensemble = problem.scalar_to_ensemble[:n]
         to_scalar = problem.ensemble_to_scalar[:n]
         decay = problem.scalar_decay[:n]
@@ -722,11 +951,10 @@ def _march_block(problem: GoursatProblem, rows: range, tol: float,
                     f"Goursat iteration did not reach tol={tol} in "
                     f"{MAX_SWEEPS} sweeps on row {i}",
                     final_delta=history[-1])
-            c_new = fixed_C + _gather(src_c.reshape(n * families, width),
-                                      cross_nodes, cross_weights
-                                      ).reshape(n, r)
+            c_new = fixed_C + _on_row(src_c.reshape(n * families, width),
+                                      cross_parts).reshape(n, r)
             g_new = (fixed_G + gain * float(problem.edge_gain @ c_new[0])
-                     + _gather(src_g, edge_nodes, edge_weights))
+                     + _on_row(src_g, edge_parts))
             if not (np.all(np.isfinite(c_new))
                     and np.all(np.isfinite(g_new))):
                 raise NumericError("Goursat iterate is no longer finite")
@@ -739,6 +967,13 @@ def _march_block(problem: GoursatProblem, rows: range, tol: float,
         source_g[:n] = src_g
         histories.append(history)
     return histories
+
+
+def _on_row(source: np.ndarray, parts) -> np.ndarray:
+    """The source ``source`` of a row gathered by its steps' corners on it,
+    part by part: its shared steps, then its own."""
+    return np.concatenate([_gather(source, steps.row_nodes, steps.row_weights)
+                           for steps, _ in parts])
 
 
 def _ensemble_maps(coeff: SampledCoefficients) -> Iterator[np.ndarray]:
@@ -762,9 +997,10 @@ def build_backstepping_problem(model: PlantModel,
 
     The subspace is seeded with the exact diagonal data on the diagonal
     nodes and the readout rows.  The exchange part of each ``A_j`` in the
-    basis is sampled one x-node at a time, twice: once for the row basis
-    ``D`` of all of them (:func:`~ensemble_backstep.grid.row_basis`) and
-    once for their ``(r, q)`` loadings ``blocks[j]`` on it.  The speed
+    basis is sampled one x-node at a time for the row basis ``D`` of all
+    of them (:func:`~ensemble_backstep.grid.row_basis`) and their
+    ``(r, q)`` loadings ``blocks[j]`` on it
+    (:func:`~ensemble_backstep.grid.factor_blocks`).  The speed
     derivative stays out of the factored part, so one that varies in y
     cannot raise q.
     """
@@ -797,8 +1033,7 @@ def build_backstepping_problem(model: PlantModel,
             yield a if identity else basis.T @ a @ basis
 
     # A_j = f * speed_u_dx[j] + f @ (blocks[j] @ directions.T) in the basis.
-    directions = row_basis(exchanges())
-    blocks = np.stack([a @ directions for a in exchanges()])
+    directions, blocks = factor_blocks(exchanges, identity)
 
     def apply_ensemble_operator(rows: range, field: np.ndarray) -> np.ndarray:
         # Row i holds the nodes (i, j), j <= i, in order, and the map of

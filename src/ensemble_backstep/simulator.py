@@ -43,7 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError
-from .grid import GridSpec, gregory_weights, row_basis, y_subspace
+from .grid import (GridSpec, factor_blocks, gregory_weights, row_basis,
+                   y_subspace)
 from .kernelsolve import KernelSolution
 # ``sample_coefficients`` is unused here but must stay bound: bench/tracing.py
 # wraps it in this module.
@@ -363,10 +364,12 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
     The exchange is sampled one x-node at a time
     (:meth:`~ensemble_backstep.model.SampledCoefficients.exchange_at`):
     once for each closure pass, which hands :func:`y_subspace` the maps in
-    row form, ``(exchange[i] * w_y).T``, once for the
+    row form, ``(exchange[i] * w_y).T``, and once more for the
     :func:`~ensemble_backstep.grid.row_basis` of its ``r x r`` blocks in
-    the basis, and once for their loadings on that row basis, so no
-    ``(nx + 1, r, r)`` array is formed.
+    the basis and their loadings on that row basis
+    (:func:`~ensemble_backstep.grid.factor_blocks`), which samples the
+    ``ny x ny`` blocks of the identity twice, so that no
+    ``(nx + 1, ny, ny)`` array is formed.
 
     Raises :class:`ConfigurationError` if ``dt`` violates the CFL condition.
     """
@@ -394,11 +397,12 @@ def coordinate_step(coeff: SampledCoefficients, dt: float, u0: np.ndarray,
         for j in range(n):
             yield weighted.T @ (coeff.exchange_at(j) @ weighted)
 
-    directions = row_basis(blocks())
+    directions, loadings = factor_blocks(blocks, basis.shape[1] == ny)
+    exchange = (loadings, directions)
     return CoordinateStep(
         spec=spec, dt=dt, basis=basis, speed_u=speed_u,
         speed_v=coeff.speed_v_grid,
-        exchange=(np.stack([b @ directions for b in blocks()]), directions),
+        exchange=exchange,
         drive=coeff.drive_grid @ weighted,
         readout=coeff.readout_grid @ weighted,
         inflow=coeff.inflow_gain_grid @ weighted,

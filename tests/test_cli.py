@@ -163,6 +163,12 @@ class TestKernelsCommand:
                                 "contraction_ratio", "residuals",
                                 "analytic_max_rel_error", "march", "y_rank"}
         assert isinstance(payload["iterations"], int)
+        # each family's steps marched, steps traced (shared steps once) and
+        # the segments of the steps marched
+        for family in ("crossing", "edge"):
+            sizes = payload["march"][family]
+            assert set(sizes) == {"steps", "traced", "segments"}
+            assert 0 < sizes["traced"] < sizes["steps"]
         # one sup-norm increment per sweep, the last being final_delta
         assert len(payload["deltas"]) == payload["iterations"]
         assert payload["deltas"][-1] == payload["final_delta"]
@@ -437,16 +443,20 @@ class TestSimulateCommand:
 def test_reports_record_the_march(tmp_path, command, report):
     """``kernels.json`` and ``verify.json`` record the sizes of the march
     that solved the kernels: on the toy at nx = 20, ny = 8, one block of
-    231 crossing and 231 edge steps, one of each per triangle node.  The
-    toy's unit speeds carry every step that moves, all but the 21 from the
-    diagonal (crossing) or the edge (edge), across one cell in one
-    segment."""
+    231 crossing and 231 edge steps marched, one of each per triangle node.
+    The toy's unit speeds carry every step that moves, all but the 21 from
+    the diagonal (crossing) or the edge (edge), across one cell in one
+    segment.  Its cells share one profile, so of those steps it traces 95
+    crossing steps (every step of rows 0 to 3, the last four of each row
+    above, and one shared step for each of the columns 0 to 16) and 63 edge
+    steps (rows 0 to 3, the last two of each row above, and columns 0 to
+    18)."""
     assert main(command + ["--nx", "20", "--ny", "8",
                            "--out", str(tmp_path)]) == 0
     march = json.loads((tmp_path / report).read_text())["march"]
     assert march == {"blocks": 1,
-                     "crossing": {"steps": 231, "segments": 210},
-                     "edge": {"steps": 231, "segments": 210}}
+                     "crossing": {"steps": 231, "traced": 95, "segments": 210},
+                     "edge": {"steps": 231, "traced": 63, "segments": 210}}
 
 
 class TestVerifyCommand:

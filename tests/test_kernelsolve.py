@@ -32,6 +32,7 @@ from ensemble_backstep.kernelsolve import (
     solve_goursat,
 )
 from ensemble_backstep.model import (
+    pure_transport_model,
     sample_coefficients,
     toy_analytic_kernels,
     toy_model,
@@ -298,8 +299,8 @@ def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
 
     monkeypatch.setattr(kernelsolve, "trace_crossing_batch", recording_trace)
     spec = GridSpec(nx=25, ny=30)
-    solve_backstepping_kernels(toy, spec)
-    assert len(traced) == len(kernelsolve._blocks(spec.tri, 1))
+    blocks = solve_backstepping_kernels(toy, spec).march["blocks"]
+    assert len(traced) == blocks
     assert all(np.array_equal(ys, spec.y_nodes[:1]) for ys in traced)
 
     for plant in (sloped_plant(), _kinked_plant(toy)):
@@ -308,7 +309,7 @@ def test_curve_sharing_follows_the_sampled_speed(toy, monkeypatch):
             traced.clear()
             spec = GridSpec(nx=nx, ny=30)
             sol = solve_backstepping_kernels(plant, spec)
-            assert len(traced) == len(kernelsolve._blocks(spec.tri, spec.ny))
+            assert len(traced) == sol.march["blocks"]
             assert all(np.array_equal(ys, spec.y_nodes) for ys in traced)
             residual[nx] = kernel_pde_residual(sol, plant)[0]
         # Curves traced at y = 0 only would leave the residual flat under
@@ -628,32 +629,185 @@ def test_steps_refuse_lanes_past_int32():
                                        4283, None)
 
 
+def _nodes(tri, rows):
+    """The flat triangle nodes of a run of rows."""
+    return slice(int(tri.row_start[rows.start]),
+                 int(tri.row_start[rows.stop - 1]) + rows.stop)
+
+
+def _join(parts, lanes):
+    """Steps given in parts, as (steps, reads) pairs, as one
+    ``kernelsolve._Steps`` padded to the widest part, node 0 of its lane at
+    weight 0, and their reads joined (None for crossing steps)."""
+    width = max(steps.row_nodes.shape[1] // 2 for steps, _ in parts)
+    fields = []
+    for f, columns in enumerate((4, 4) + (3 * width,) * 2 + (2 * width,) * 2):
+        field = []
+        for steps, _ in parts:
+            a = steps[f]
+            padded = np.zeros((a.shape[0], columns), a.dtype)
+            padded[:, :a.shape[1]] = a
+            if f % 2 == 0:
+                lane = (np.arange(a.shape[0]) % lanes)[:, None]
+                padded[:, a.shape[1]:] = lane
+            field.append(padded)
+        fields.append(np.concatenate(field))
+    reads = (None if parts[0][1] is None
+             else np.concatenate([reads for _, reads in parts]))
+    return kernelsolve._Steps(*fields, 0), reads
+
+
+def _marched_steps(problem):
+    """Every block's steps as its rows march them, block by block as the
+    solve traces them: each row's shared steps, then its own
+    (:func:`kernelsolve._row_parts`), joined in node order
+    (:func:`_join`), as ``(rows, cross, diagonal, edge, (below,
+    on_row))``, the diagonal data 0 on shared steps."""
+    plans = kernelsolve._plans(problem)
+    shared = {family: {} for family in plans}
+    for rows in kernelsolve._blocks(plans):
+        cross, diagonal, edge, reads = kernelsolve._block_steps(
+            problem, plans, shared, rows)
+        own = {"crossing": (cross, None),
+               "edge": (edge, np.column_stack(reads))}
+        by_row = list(kernelsolve._row_parts(plans, shared, own, rows))
+        cross, _ = _join([part for row in by_row for part in row["crossing"]],
+                         plans["crossing"].lanes)
+        edge, reads = _join([part for row in by_row for part in row["edge"]],
+                            1)
+        diagonal = np.concatenate([
+            part for row in by_row for part in
+            [np.zeros((steps.start_nodes.shape[0], diagonal.shape[1]))
+             for steps, _ in row["crossing"][:-1]]
+            + [diagonal[row["diagonal"]]]])
+        yield rows, cross, diagonal, edge, (reads[:, 0], reads[:, 1])
+        for family, plan in plans.items():
+            later = set(plan.profile[rows.stop:].tolist())
+            for cell in set(shared[family]) - later:
+                del shared[family][cell]
+
+
+def _curved_per_y_plant():
+    """The speed 1 + y/2 with ``speed_v = 1 + x/2``: one crossing family
+    per y-node, every x-cell a travel-time profile of its own."""
+    return dataclasses.replace(
+        sloped_plant(), speed_v=lambda x: 1.0 + 0.5 * np.asarray(x),
+        speed_v_dx=lambda x: 0.5 + 0.0 * np.asarray(x))
+
+
+@pytest.mark.parametrize("name", ["toy", "pure_transport", "sloped",
+                                  "half_x", "curved"])
+def test_shared_steps_are_the_rows_own(name):
+    """Every shared step a row reads (:class:`kernelsolve._Plan`), crossing
+    and edge, is the step traced from that row itself
+    (``trace_crossing_batch`` or ``trace_edge_batch``, laid out by
+    ``_quadrature_matrix``): the same segments, stencil nodes and start
+    weights, to the bit, and corner weights within the rounding of where
+    the x-component lies in its cell, 8 * nx ulps of the largest weight
+    (a position's ulp, scaled by nx into the cell's coordinates).  On the
+    toy, pure transport and speed_u = 1 + y/2, whose speed_v is constant,
+    every row from the fifth on reads shared steps; where speed_v varies in
+    x (half_x; speed_v = 1 + x/2 with one family per y-node), every cell is
+    a profile of its own and no row reads a step another row traced."""
+    plant = {"toy": toy_model(), "pure_transport": pure_transport_model(),
+             "sloped": sloped_plant(), "half_x": half_x_plant(),
+             "curved": _curved_per_y_plant()}[name]
+    spec = GridSpec(nx=24, ny=5)
+    problem = build_backstepping_problem(plant, spec)
+    coeff, x, family_y = problem.coeff, spec.x_nodes, problem.family_y
+    plans = kernelsolve._plans(problem)
+    shared = {family: {} for family in plans}
+    one_profile = name in ("toy", "pure_transport", "sloped")
+    assert np.unique(plans["edge"].profile[1:]).size == (
+        1 if one_profile else spec.nx)
+    read = 0
+    for rows in kernelsolve._blocks(plans):
+        cross, _, edge, reads = kernelsolve._block_steps(
+            problem, plans, shared, rows)
+        own = {"crossing": (cross, None),
+               "edge": (edge, np.column_stack(reads))}
+        for i, parts in zip(rows, kernelsolve._row_parts(plans, shared, own,
+                                                         rows)):
+            for family, plan in plans.items():
+                a, lanes = int(plan.shared[i]), plan.lanes
+                assert len(parts[family]) == 1 + (a > 0)
+                if not one_profile:
+                    # A profile of its own: its shared steps are the row's.
+                    assert plan.first[i] == 0
+                    continue
+                if i >= 5:
+                    assert a > 0
+                if a == 0:
+                    continue
+                got, got_reads = parts[family][0]
+                column = np.repeat(np.arange(a), lanes)
+                lane = np.tile(np.arange(lanes), a)
+                if family == "crossing":
+                    bundle = trace_crossing_batch(
+                        coeff, np.full(a * lanes, x[i]), x[column],
+                        family_y[lane], i - 1)
+                else:
+                    bundle = trace_edge_batch(coeff, np.full(a, x[i]),
+                                              x[column], i - 1)
+                want = kernelsolve._quadrature_matrix(
+                    spec, bundle, np.full(a * lanes, i), lanes, lane)
+                counts = np.diff(bundle.offsets)
+                assert np.array_equal(
+                    np.diff(shared[family][plan.profile[i]].segments[
+                        :a * lanes + 1]), counts)
+                for f, per in enumerate((4, 4, 3, 3, 2, 2)):
+                    used = want[f].shape[1]
+                    assert np.all(got[f][:, used:] == (
+                        lane[:, None] if f % 2 == 0 else 0))
+                    if f % 2 == 0 or f == 1:
+                        assert np.array_equal(got[f][:, :used], want[f])
+                    else:
+                        scale = np.max(np.abs(want[f]))
+                        assert np.max(np.abs(got[f][:, :used] - want[f])) <= (
+                            8 * spec.nx * np.finfo(float).eps * scale)
+                if family == "edge":
+                    event = ~np.isnan(bundle.launch)
+                    upper = np.where(event, np.clip(
+                        np.nan_to_num(bundle.launch) * spec.nx - (i - 1),
+                        0.0, 1.0), 0.0)
+                    assert np.allclose(got_reads[:, 1], upper, rtol=0,
+                                       atol=8 * spec.nx * np.finfo(float).eps)
+                    assert np.array_equal(got_reads.sum(axis=1) == 1.0, event)
+                read += a * lanes
+        for family, plan in plans.items():
+            later = set(plan.profile[rows.stop:].tolist())
+            for cell in set(shared[family]) - later:
+                del shared[family][cell]
+    assert (read > 0) == one_profile
+
+
 def test_steps_read_their_row_and_the_one_below(toy, monkeypatch):
-    """Every step of a block, crossing or edge, reads its start from row
-    i - 1 by a stencil of at most four nodes whose weights sum to 1, or
-    starts at its event, and the source at the corners of cells between
-    rows i - 1 and i; the steps of row i are node-major, a crossing step of
-    every family per node.  The march keeps the sources of one row, with
-    two zero nodes past it: every stencil below reads row i - 1 from its
-    first node, nodes 0 to n(i - 1) + 1 of the n(i - 1) it has, and every
-    entry past the row weighs exactly 0.  The stencils of short rows reach
+    """Every step a row marches, crossing or edge, its profile's shared
+    steps and its own alike (:func:`_marched_steps`), reads its start from
+    row i - 1 by a stencil of at most four nodes whose weights sum to 1,
+    counted from the row's first node, or starts at its event, and the
+    source at the corners of cells between rows i - 1 and i; the steps of
+    row i are node-major, a crossing step of every family per node.  The
+    march keeps the sources of one row, with two zero nodes past it: every
+    stencil below reads row i - 1 from its first node, nodes 0 to
+    n(i - 1) + 1 of the n(i - 1) it has, and every entry past the row
+    weighs exactly 0.  The stencils of short rows reach
     the second node past the row."""
     spec = GridSpec(nx=30, ny=6)
     tri = spec.tri
-    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 256)
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 64)
     reach = []
     for plant in (toy, half_x_plant(), sloped_plant(), full_rank_plant(),
                   ydep_plant()):
         problem = build_backstepping_problem(plant, spec)
         families = problem.family_y.size
-        blocks = kernelsolve._blocks(tri, families)
+        blocks = kernelsolve._blocks(kernelsolve._plans(problem))
         assert len(blocks) >= 3
         assert [rows.start for rows in blocks[1:]] == [
             rows.stop for rows in blocks[:-1]]
-        for rows in blocks:
-            cross, diagonal, edge, (below, on_row) = (
-                kernelsolve._block_steps(problem, rows))
-            row = tri.i_index[kernelsolve._nodes(tri, rows)]
+        for rows, cross, diagonal, edge, (below, on_row) in _marched_steps(
+                problem):
+            row = tri.i_index[_nodes(tri, rows)]
             for steps, lanes, i in ((cross, families,
                                      np.repeat(row, families)),
                                     (edge, 1, row)):
@@ -661,9 +815,11 @@ def test_steps_read_their_row_and_the_one_below(toy, monkeypatch):
                 start = steps.start_weights.sum(axis=1)
                 from_line = start != 0.0
                 assert np.allclose(start[from_line], 1.0, rtol=0, atol=1e-12)
+                assert np.all((steps.start_nodes - lane[:, None]) % lanes == 0)
+                # Row i - 1 has i nodes, counted from its first.
                 line_nodes = (steps.start_nodes - lane[:, None]) // lanes
-                assert np.all(tri.i_index[line_nodes[from_line]]
-                              == (i - 1)[from_line, None])
+                assert np.all((line_nodes[from_line] >= 0)
+                              & (line_nodes[from_line] < i[from_line, None]))
                 assert np.all((steps.below_nodes - lane[:, None]) % lanes == 0)
                 node = (steps.below_nodes - lane[:, None]) // lanes
                 # Row i - 1 has i nodes, row 0 (below itself) one.
@@ -705,9 +861,8 @@ def test_leveled_steps_take_the_mean_cell_error():
     problem = build_backstepping_problem(sloped_plant(), spec)
     families = problem.family_y.size
     source = tri.xi_coord ** 2
-    for rows in kernelsolve._blocks(tri, families):
-        cross, _, edge, _ = kernelsolve._block_steps(problem, rows)
-        nodes = kernelsolve._nodes(tri, rows)
+    for rows, cross, _, edge, _ in _marched_steps(problem):
+        nodes = _nodes(tri, rows)
         for steps, lanes in ((cross, families), (edge, 1)):
             i = np.repeat(tri.i_index[nodes], lanes)
             j = np.repeat(tri.j_index[nodes], lanes)
@@ -733,14 +888,15 @@ def test_leveled_steps_take_the_mean_cell_error():
 @pytest.mark.parametrize("name", ["toy", "sloped"])
 def test_build_traces_nothing(name, monkeypatch):
     """The build reads only the sampled plant: it calls no trace and forms
-    no block.  The solve traces every block's crossing steps, of every
-    family, in one call and its edge steps in another, each step once,
-    the blocks in x order, each curve stopping at the x-line below its
-    node's row."""
+    no block.  The solve traces the crossing steps of every block, of every
+    family, in one call and its edge steps in another, the blocks in x
+    order, each curve stopping at the x-line below its node's row, and
+    each step once: a step its row reads shared (:class:`kernelsolve._Plan`)
+    from the first row of its profile that reads it, any other from its
+    own row."""
     plant = {"toy": toy_model(), "sloped": sloped_plant()}[name]
     spec = GridSpec(nx=20, ny=6)
-    tri = spec.tri
-    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 128)
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 48)
     calls, points = [], {"crossing": [], "edge": []}
     monkeypatch.setattr(kernelsolve, "_blocks", _recording(
         kernelsolve._blocks, lambda _: calls.append("_blocks")))
@@ -760,18 +916,40 @@ def test_build_traces_nothing(name, monkeypatch):
     monkeypatch.setattr(kernelsolve, "trace_edge_batch", recording_edge)
     problem = build_backstepping_problem(plant, spec)
     assert calls == [] and points == {"crossing": [], "edge": []}
-    solve_goursat(problem)
-    blocks = kernelsolve._blocks(tri, problem.family_y.size)
-    assert len(blocks) >= 3
-    assert len(points["crossing"]) == len(points["edge"]) == len(blocks)
+    sol = solve_goursat(problem)
+    blocks = sol.march["blocks"]
+    assert calls == ["_blocks"] and blocks >= 3
+    assert len(points["crossing"]) == len(points["edge"]) == blocks
     families = problem.family_y.size
-    stop = np.maximum(tri.i_index - 1, 0)
-    every_step = np.column_stack([
-        np.repeat(tri.x_coord, families), np.repeat(tri.xi_coord, families),
-        np.tile(problem.family_y, tri.n_nodes), np.repeat(stop, families)])
-    assert np.array_equal(np.concatenate(points["crossing"]), every_step)
-    assert np.array_equal(np.concatenate(points["edge"]), np.column_stack(
-        [tri.x_coord, tri.xi_coord, stop]))
+    plans = kernelsolve._plans(problem)
+    profile = plans["crossing"].profile
+    for family, lanes in (("crossing", families), ("edge", 1)):
+        traced = np.concatenate(points[family])
+        assert traced.shape[0] == sol.march[family]["traced"]
+        # every step stops at the x-line below its node's row, and a
+        # crossing step is traced for every family in turn
+        i = np.rint(traced[:, 0] * spec.nx).astype(int)
+        j = np.rint(traced[:, 1] * spec.nx).astype(int)
+        assert np.array_equal(traced[:, -1], np.maximum(i - 1, 0))
+        if family == "crossing":
+            assert np.array_equal(traced[:, 2].reshape(-1, lanes),
+                                  np.tile(problem.family_y,
+                                          (traced.shape[0] // lanes, 1)))
+        # each step once: a row's own, or the first row of its profile
+        # that reads its column shared
+        steps = set(zip(profile[i[::lanes]].tolist(), j[::lanes].tolist(),
+                        i[::lanes].tolist()))
+        assert len(steps) == traced.shape[0] // lanes
+        shared = plans[family].shared
+        for row in range(spec.nx + 1):
+            for column in range(row + 1):
+                if column < shared[row]:
+                    reader = min(r for r in range(spec.nx + 1)
+                                 if profile[r] == profile[row]
+                                 and shared[r] > column)
+                    assert (profile[row], column, reader) in steps
+                else:
+                    assert (profile[row], column, row) in steps
 
 
 def test_unresolved_plant_raises_numeric_error():
@@ -869,8 +1047,7 @@ def _one_cell_oracle(problem):
     n, r = tri.n_nodes, problem.basis.shape[1]
     families = problem.family_y.size
     width = r if families == 1 else 1
-    blocks = kernelsolve._blocks(tri, families)
-    parts = [kernelsolve._block_steps(problem, rows) for rows in blocks]
+    parts = list(_marched_steps(problem))
     everything = range(spec.nx + 1)
     j = tri.j_index
 
@@ -889,13 +1066,15 @@ def _one_cell_oracle(problem):
         lanes_src = src_c.reshape(n * families, width)
         C_new = np.empty_like(lanes)
         G_new = np.empty(n)
-        for rows, (cross, _, edge, (below, on_row)) in zip(blocks, parts):
-            nodes = kernelsolve._nodes(tri, rows)
+        for rows, cross, _, edge, (below, on_row) in parts:
+            nodes = _nodes(tri, rows)
             row = tri.i_index[nodes]
             first = tri.row_start[np.maximum(row - 1, 0)]
             shift = tri.row_start[np.repeat(row, families)] * families
             C_new[nodes.start * families:nodes.stop * families] = (
-                gather(lanes, cross.start_nodes, cross.start_weights)
+                gather(lanes, cross.start_nodes
+                       + np.repeat(first * families, families)[:, None],
+                       cross.start_weights)
                 + gather(lanes_src, cross.below_nodes
                          + np.repeat(first * families, families)[:, None],
                          cross.below_weights)
@@ -903,7 +1082,8 @@ def _one_cell_oracle(problem):
                          cross.row_weights))
             gain = C @ problem.edge_gain
             G_new[nodes] = (
-                gather(G, edge.start_nodes, edge.start_weights)
+                gather(G, edge.start_nodes + first[:, None],
+                       edge.start_weights)
                 + gather(src_g, edge.below_nodes + first[:, None],
                          edge.below_weights)
                 + gather(src_g, edge.row_nodes + tri.row_start[row][:, None],
@@ -912,7 +1092,7 @@ def _one_cell_oracle(problem):
                 + on_row * gain[tri.row_start[row]])
         return np.concatenate([C_new.ravel(), G_new])
 
-    diagonal = np.concatenate([part[1] for part in parts])
+    diagonal = np.concatenate([part[2] for part in parts])
     return _dense_solve(problem, update, diagonal.reshape(n, r))
 
 
@@ -926,9 +1106,9 @@ def test_march_solves_the_discrete_system(name, monkeypatch):
     plant = {"half_x": half_x_plant(), "sloped": sloped_plant(),
              **_reference_plants()}[name]
     spec = GridSpec(nx=16, ny=6)
-    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 64)
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 16)
     problem = build_backstepping_problem(plant, spec)
-    assert len(kernelsolve._blocks(spec.tri, problem.family_y.size)) >= 4
+    assert len(kernelsolve._blocks(kernelsolve._plans(problem))) >= 4
     sol = solve_goursat(problem)
     k, ktilde = _one_cell_oracle(problem)
     assert np.max(np.abs(sol.k - k)) <= 1e-12 * np.max(np.abs(k))
@@ -951,9 +1131,8 @@ def test_runs_and_blocks_change_no_bit(name, toy, monkeypatch):
     plant = {"toy": toy, "half_x": half_x_plant(), "sloped": sloped_plant(),
              "full_rank": full_rank_plant(), "ydep": ydep_plant()}[name]
     spec = GridSpec(nx=30, ny=8)
-    families = build_backstepping_problem(plant, spec).family_y.size
-    assert len(kernelsolve._blocks(spec.tri, families)) == 1
     default = solve_backstepping_kernels(plant, spec)
+    assert default.march["blocks"] == 1
     runs_default = kernelsolve._RUN_SEGMENTS
     monkeypatch.setattr(kernelsolve, "_RUN_SEGMENTS", 7)
     runs = solve_backstepping_kernels(plant, spec)
@@ -978,7 +1157,8 @@ def test_runs_and_blocks_change_no_bit(name, toy, monkeypatch):
     both = solve_backstepping_kernels(plant, spec)
     monkeypatch.setattr(kernelsolve, "_RUN_SEGMENTS", runs_default)
     blocks = solve_backstepping_kernels(plant, spec)
-    assert len(sizes) == 4 * len(kernelsolve._blocks(spec.tri, families))
+    assert both.march["blocks"] == blocks.march["blocks"] > 1
+    assert len(sizes) == 4 * blocks.march["blocks"]
     if name == "ydep":
         crossing = sizes[::2]
         assert any(a > b for a, b in zip(crossing, crossing[1:]))
@@ -998,11 +1178,11 @@ def test_solve_builds_its_travel_times_once(monkeypatch):
     monkeypatch.setattr(characteristics, "_TravelTime", _recording(
         characteristics._TravelTime, tables.append))
     built = []
-    for block_curves in (2048, 2 ** 20):
+    for block_curves in (256, 2 ** 20):
         monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", block_curves)
         tables.clear()
-        solve_backstepping_kernels(sloped_plant(), spec)
-        built.append((len(kernelsolve._blocks(spec.tri, spec.ny)),
+        sol = solve_backstepping_kernels(sloped_plant(), spec)
+        built.append((sol.march["blocks"],
                       [t.nodes.shape[0] for t in tables]))
     (blocks, many), (one_block, one) = built
     assert blocks >= 4 and one_block == 1
@@ -1046,12 +1226,13 @@ def _record_block_work(monkeypatch):
     it builds.  A trace resets the traced peak, so the peaks reached before
     each trace are recorded too, and the peak since the last reading is the
     largest of them and the peak read after it (:func:`_peak`).  For every
-    block it records the bytes of each array of its step data, and of the
-    array each is a view of, their :func:`_step_bytes`, and how many arrays
-    of the block before it are alive, by weak references, when its steps
-    are traced; and, in ``peaks``, the traced peak of every block but the
-    last as the next one starts, the first's counted from the start of
-    tracing.
+    block it records the bytes of each array of the step data it lays out,
+    and of the array each is a view of, their :func:`_step_bytes`, and how
+    many arrays of the block before it are alive, by weak references, when
+    its steps are traced; in ``kept``, the bytes of the shared steps kept
+    once it has traced its own (:func:`_kept_bytes`); and, in ``peaks``,
+    the traced peak of every block but the last as the next one starts,
+    the first's counted from the start of tracing.
     The caller appends the last block's as the solve returns.  Each table
     is recorded as its rows and its bytes (:func:`_table_bytes`), so that
     no record keeps it alive."""
@@ -1060,9 +1241,17 @@ def _record_block_work(monkeypatch):
     monkeypatch.setattr(characteristics, "_TravelTime", _recording(
         characteristics._TravelTime,
         lambda t: tables.append((t.nodes.shape[0], _table_bytes(t)))))
+    layouts = []
+
+    def laid_out(op):
+        padded.append(op.row_nodes.size // 2)
+        # every field of the steps but their count nnz
+        layouts.append(([a.nbytes for a in op[:-1]],
+                        [(a if a.base is None else a.base).nbytes
+                         for a in op[:-1]], _step_bytes(op)))
+
     monkeypatch.setattr(kernelsolve, "_quadrature_matrix", _recording(
-        kernelsolve._quadrature_matrix,
-        lambda op: padded.append(op.row_nodes.size // 2)))
+        kernelsolve._quadrature_matrix, laid_out))
     monkeypatch.setattr(kernelsolve, "build_backstepping_problem", _recording(
         kernelsolve.build_backstepping_problem,
         lambda problem: problem_bytes.append(_array_bytes(problem))))
@@ -1086,23 +1275,38 @@ def _record_block_work(monkeypatch):
         monkeypatch.setattr(kernelsolve, attr, recording)
     refs = []
 
-    def block_steps(problem, rows, steps=kernelsolve._block_steps):
+    def block_steps(problem, plans, shared, rows,
+                    steps=kernelsolve._block_steps):
         if blocks:
             peaks.append(_peak(before))
             tracemalloc.reset_peak()
         alive = sum(ref() is not None for ref in refs)
-        cross, diagonal, edge, reads = block = steps(problem, rows)
-        # every field of both families' steps but their counts nnz
-        held = cross[:-1] + edge[:-1]
-        refs[:] = [weakref.ref(a) for a in held + (diagonal,) + reads]
-        blocks.append(([a.nbytes for a in held],
-                       [(a if a.base is None else a.base).nbytes
-                        for a in held],
-                       _step_bytes(cross) + _step_bytes(edge), alive))
+        cross, diagonal, edge, reads = block = steps(problem, plans, shared,
+                                                     rows)
+        # every field of both families' own steps but their counts nnz
+        refs[:] = [weakref.ref(a) for a in
+                   cross[:-1] + edge[:-1] + (diagonal,) + reads]
+        (cross_views, cross_held, cross_bytes), (
+            edge_views, edge_held, edge_bytes) = layouts[-2:]
+        blocks.append((cross_views + edge_views, cross_held + edge_held,
+                       cross_bytes + edge_bytes, alive))
+        kept.append(_kept_bytes(shared))
         return block
 
+    kept = []
     monkeypatch.setattr(kernelsolve, "_block_steps", block_steps)
-    return padded, work, problem_bytes, before, blocks, tables, peaks
+    return padded, work, problem_bytes, before, blocks, tables, peaks, kept
+
+
+def _kept_bytes(shared):
+    """The bytes of the shared steps that profiles keep in arrays of their
+    own (:class:`kernelsolve._Shared`), not those read where a block laid
+    them out."""
+    return sum(a.nbytes for tables in shared.values()
+               for table in tables.values()
+               for value in vars(table).values()
+               for a in (value if isinstance(value, tuple) else (value,))
+               if isinstance(a, np.ndarray) and a.base is None)
 
 
 def _table_bytes(table):
@@ -1130,24 +1334,29 @@ def _step_bytes(steps):
     return 60 * padded + 48 * len(steps.start_nodes)
 
 
-def _block_allowances(padded, work):
+def _block_allowances(padded, work, shared):
     """Each block's allowance, in order: the work of its crossing and edge
     traces, as modelled (:func:`_record_block_work`), the travel-time
     tables charged to the trace that builds them; the step data of both,
-    60 B a padded segment (:func:`_step_bytes`); and 56 B a step (its start
-    stencil and its diagonal datum)."""
-    return [cross + edge + 60 * (padded_cross + padded_edge)
-            + 56 * (cross_steps + edge_steps)
-            for (cross, _, cross_steps), (edge, _, edge_steps), padded_cross,
-            padded_edge in zip(work["trace_crossing_batch"],
-                               work["trace_edge_batch"], padded[::2],
-                               padded[1::2])]
+    60 B a padded segment (:func:`_step_bytes`); 56 B a step (its start
+    stencil and its diagonal datum), all of it that of the largest block
+    so far, whose arrays the solve keeps (near the top, where every row
+    traces only its last steps, the blocks shrink); and the shared steps
+    kept (``shared``)."""
+    block = np.maximum.accumulate([
+        cross + edge + 60 * (padded_cross + padded_edge)
+        + 56 * (cross_steps + edge_steps)
+        for (cross, _, cross_steps), (edge, _, edge_steps), padded_cross,
+        padded_edge in zip(work["trace_crossing_batch"],
+                           work["trace_edge_batch"], padded[::2],
+                           padded[1::2])])
+    return [int(b) + kept for b, kept in zip(block, shared)]
 
 
-def _blocks_within_allowances(peaks, kept, padded, work):
+def _blocks_within_allowances(peaks, kept, padded, work, shared):
     """Whether every block peaked, in traced memory, within ``kept`` and
     its own allowance (:func:`_block_allowances`)."""
-    allowances = _block_allowances(padded, work)
+    allowances = _block_allowances(padded, work, shared)
     return len(peaks) == len(allowances) and all(
         peak <= kept + allowance for peak, allowance in zip(peaks, allowances))
 
@@ -1211,17 +1420,18 @@ def test_sampled_plants_do_not_outlive_their_call(name, toy, monkeypatch):
 
 
 @pytest.mark.parametrize("name, nx, ny", [
-    ("toy", 100, 8), ("sloped", 80, 8), ("ydep", 120, 4)],
+    ("toy", 100, 8), ("sloped", 80, 8), ("ydep", 240, 4)],
     ids=["toy", "sloped", "ydep"])
 def test_solve_holds_one_band_of_operators(name, nx, ny, toy, monkeypatch):
-    """With blocks of a few hundred steps every block of a solve peaks, in
-    traced memory, at the arrays kept over the march, which hold no
-    ``(n_tri, ny)`` array on one family and of the sources one row, and its
-    own traces and step data (:func:`_block_allowances`), on one family in
-    a y-subspace (the toy) and on one family per y-node.  Holding every
-    block's step data exceeds every block's allowance, and at nx = 120
-    the source of the ensemble unknown on the whole triangle alone exceeds
-    some block's.  Each trace peaks within its modelled work, each block's
+    """With blocks of a few hundred traced steps every block of a solve
+    peaks, in traced memory, at the arrays kept over the march, which hold
+    no ``(n_tri, ny)`` array on one family and of the sources one row, and
+    its own traces and step data and the shared steps kept
+    (:func:`_block_allowances`), on one family in a y-subspace (the toy)
+    and on one family per y-node.  Holding every step marched, laid out,
+    exceeds every block's allowance, and at nx = 240 the source of the
+    ensemble unknown on the whole triangle alone exceeds some block's.
+    Each trace peaks within its modelled work, each block's
     step data take :func:`_step_bytes`, int32 nodes, as views of arrays
     the solve keeps from block to block, sized by the largest block so far,
     and none of a block's is alive when the next is traced
@@ -1231,7 +1441,7 @@ def test_solve_holds_one_band_of_operators(name, nx, ny, toy, monkeypatch):
     plant = {"toy": toy, "sloped": sloped_plant(), "ydep": ydep_plant()}[name]
     spec = GridSpec(nx=nx, ny=ny)
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 256)
-    padded, work, problem_bytes, before, blocks, tables, peaks = (
+    padded, work, problem_bytes, before, blocks, tables, peaks, shared = (
         _record_block_work(monkeypatch))
     tracemalloc.start()
     try:
@@ -1247,12 +1457,13 @@ def test_solve_holds_one_band_of_operators(name, nx, ny, toy, monkeypatch):
     kept = (problem_bytes[0] + _array_bytes(sample_coefficients(plant, spec))
             + sum(b for _, b in tables) + _array_bytes(spec.tri)
             + 8 * n_tri * (r + 1) + _row_of_sources_bytes(spec, r))
-    allowances = _block_allowances(padded, work)
-    # every block's step data (60 B a padded segment)
-    assert 60 * sum(padded) > max(allowances)
+    allowances = _block_allowances(padded, work, shared)
+    # every step marched, laid out (60 B a segment)
+    assert 60 * (sol.march["crossing"]["segments"]
+                 + sol.march["edge"]["segments"]) > max(allowances)
     if name == "ydep":
         assert 8 * n_tri * r > min(allowances)
-    assert _blocks_within_allowances(peaks, kept, padded, work)
+    assert _blocks_within_allowances(peaks, kept, padded, work, shared)
     assert _traces_within_model(work)
     assert _one_block_at_a_time(blocks)
 
@@ -1278,9 +1489,9 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     ``(n_tri, ny)`` array.  Nothing on the way asks for the whole ``k``."""
     spec = GridSpec(nx=100, ny=60)
     ny = spec.ny
-    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 1024)
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 256)
     monkeypatch.setattr(csvtable, "_CHUNK_LINES", 2048)
-    padded, work, problem_bytes, before, blocks, tables, peaks = (
+    padded, work, problem_bytes, before, blocks, tables, peaks, shared = (
         _record_block_work(monkeypatch))
     # the bytes of every plant sampled, read as it is sampled, so that no
     # record keeps a plant alive
@@ -1316,7 +1527,7 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     assert chunk < full_size
     kept = (problem_bytes[0] + solve_coeff + sum(b for _, b in tables)
             + grid + 8 * n_tri * (r + 1) + _row_of_sources_bytes(spec, r))
-    assert _blocks_within_allowances(peaks, kept, padded, work)
+    assert _blocks_within_allowances(peaks, kept, padded, work, shared)
     assert _traces_within_model(work)
     assert _one_block_at_a_time(blocks)
     # the command never asks for the whole k, and holds the solution's

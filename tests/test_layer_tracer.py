@@ -32,7 +32,7 @@ from ensemble_backstep import kernelsolve
 from ensemble_backstep.grid import GridSpec
 from ensemble_backstep.model import toy_model
 plant = sloped_plant() if sys.argv[1] == "ydep" else toy_model()
-kernelsolve._BLOCK_CURVES = 64
+kernelsolve._BLOCK_CURVES = 32
 tracer = tracing.Tracer()
 tracing.install(tracer)
 # Record the rows and the width of every field the traced sweep callback
@@ -50,14 +50,12 @@ def recording_build(*args, **kwargs):
 kernelsolve.build_backstepping_problem = recording_build
 spec = GridSpec(nx=12, ny=6)
 sol = kernelsolve.solve_backstepping_kernels(plant, spec)
-families = spec.ny if sys.argv[1] == "ydep" else 1
-blocks = kernelsolve._blocks(spec.tri, families)
 counts = collections.Counter(span["name"] for span in tracer.spans)
 def total(name, key):
     return sum(span[key] for span in tracer.spans if span["name"] == name)
 print(json.dumps({"iterations": sol.iterations, "spans": counts,
                   "calls": [[rows.start, rows.stop] for rows, _ in calls],
-                  "blocks": len(blocks),
+                  "blocks": sol.march["blocks"],
                   "widths": sorted({width for _, width in calls}),
                   "points": total("grid.corner_weights", "points"),
                   "samples": total("characteristics.trace", "samples"),
@@ -106,8 +104,8 @@ def _traced_solve(plant):
                                                    for i in range(13)]
     assert 2 * 13 <= len(calls) <= (report["iterations"] + 1) * 13
     assert report["spans"]["kernelsolve.solve"] == 1
-    # every block traces its crossing steps, of every family, in one call
-    # and its edge steps in another, and lays out each once
+    # every block traces the crossing steps it traces, of every family, in
+    # one call and its edge steps in another, and lays out each once
     assert report["spans"]["characteristics.trace"] == 2 * blocks
     assert report["spans"]["kernelsolve.quadrature"] == 2 * blocks
     # the bench's grid.stencil_points counts the three Simpson points of
