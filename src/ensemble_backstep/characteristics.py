@@ -77,15 +77,13 @@ Hermite in the travel time through the two nodes of the cell, with the
 node speeds as slopes, so that reading a point calls no model function.
 The bilinear interpolant of a grid field is quadratic along a straight
 segment, so Simpson's rule on every segment integrates it exactly along
-straight characteristics and to fourth order along curved ones.  Within
-:meth:`Workspace.use`, as in a kernel solve, every trace writes its
-segments into arrays the workspace keeps from trace to trace.
+straight characteristics and to fourth order along curved ones.  Every
+trace cuts all its curves at once, into arrays of its own, allocated
+once their grid-line crossings are counted.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,10 +124,6 @@ DEGENERATE_TOL = -1e-14
 #: piece of curve shorter than this in the neighbouring cell, whose
 #: interpolant is continuous with the one it is integrated with.
 CORNER_TOL = 1e-8
-
-#: Curves cut into segments per block by :func:`_read_curves`: enough to
-#: spread the cost of a block, few enough that its temporaries stay small.
-_CUT_CURVES = 2048
 
 #: Simpson's rule on a segment: the weights of its start, midpoint and end
 #: relative to the midpoint's, as a ``(3, 1)`` column.
@@ -181,57 +175,6 @@ class TracedBundle:
         curve = np.repeat(np.arange(self.offsets.size - 1),
                           np.diff(self.offsets))
         return np.bincount(curve, per_segment, minlength=self.offsets.size - 1)
-
-
-class Workspace:
-    """Named arrays kept from block to block of a solve, so that the solve
-    allocates each, and faults its pages in, once, not once a block: each
-    grows to the largest size asked of it and is handed out again, as a
-    view of its first elements.  Within :meth:`use`, every trace writes its
-    segments into the workspace, so the bundle it returns is valid only
-    until the next trace; elsewhere every trace, and every caller of
-    :meth:`current`, gets arrays of its own."""
-
-    _current: contextvars.ContextVar = contextvars.ContextVar("workspace")
-
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
-
-    @classmethod
-    def current(cls) -> Workspace:
-        """The workspace in :meth:`use`, or a new one."""
-        return cls._current.get(None) or cls()
-
-    @contextlib.contextmanager
-    def use(self):
-        """Make this the workspace of every trace and :meth:`current`."""
-        token = self._current.set(self)
-        try:
-            yield self
-        finally:
-            self._current.reset(token)
-
-    def take(self, name: str, shape: tuple[int, ...],
-             dtype=float) -> np.ndarray:
-        """The array ``name`` as an uninitialised view of ``shape``, one or
-        two axes, its contents those the last taker left: the leading part
-        of an array that grows, axis by axis, to the largest shape asked of
-        it, so that every view's rows start where the largest view's do and
-        touch no page that it does not."""
-        array = self._arrays.pop(name, None)
-        if array is None:
-            array = np.empty(shape, dtype)
-        elif any(n > have for n, have in zip(shape, array.shape)):
-            grown = tuple(np.maximum(shape, array.shape))
-            # Freed before the larger one is allocated, not held beside it.
-            del array
-            array = np.empty(grown, dtype)
-        self._arrays[name] = array
-        # Sliced axis by axis: an index tuple built per call left one small
-        # block allocated per call over a solve (sys.getallocatedblocks).
-        if array.ndim == 1:
-            return array[:shape[0]]
-        return array[:shape[0], :shape[1]]
 
 
 def _gauss(rate, a, width, y):
@@ -613,13 +556,12 @@ class _Component:
         return True
 
 
-def _cut_in_order(z: _Component, w: _Component, s_end, out, first):
+def _cut_in_order(z: _Component, w: _Component, s_end):
     """Cut moving curves whose x- and xi-components are ``z`` and ``w``,
     and whose x-components stay in one x-cell, into cell segments up to
-    time ``s_end``, and return how many each curve has.  The S segments
-    are written from column ``first`` on into ``out``: their ``(3, S)`` x
-    and xi points (start, midpoint, end) and their ``(S,)`` Simpson
-    midpoint weights.
+    time ``s_end``, and return how many each curve has and the S
+    segments: their ``(3, S)`` x and xi points (start, midpoint, end) and
+    their ``(S,)`` Simpson midpoint weights.
 
     A curve's ends come in time order as they are listed: its start, the
     cuts of its xi-component and its end.  The x-component's position at
@@ -649,18 +591,17 @@ def _cut_in_order(z: _Component, w: _Component, s_end, out, first):
     begin += curve
     t_begin = t[begin]
     length = t[begin + 1] - t_begin
-    written = slice(first, first + begin.size)
-    seg_x, seg_xi, weights = out
-    np.multiply(2.0 / 3.0, length, out=weights[written])
+    weights = (2.0 / 3.0) * length
     t_mid = 0.5 * length
     t_mid += t_begin
+    seg_x, seg_xi = np.empty((3, begin.size)), np.empty((3, begin.size))
     for component, at, position, points in (
             (z, at_z[curve], x, seg_x),
             (w, (w.rows * nx + cell_w)[curve] + w.sign * k, xi, seg_xi)):
-        np.take(position, begin, out=points[0, written])
-        points[1, written] = component.position(curve, at, t_mid)
-        np.take(position, begin + 1, out=points[2, written])
-    return count
+        np.take(position, begin, out=points[0])
+        points[1] = component.position(curve, at, t_mid)
+        np.take(position, begin + 1, out=points[2])
+    return count, seg_x, seg_xi, weights
 
 
 def _one_cell_pieces(z: _Component, w: _Component, s_end):
@@ -696,55 +637,27 @@ def _one_cell_pieces(z: _Component, w: _Component, s_end):
             last - nz)
 
 
-def _segment_bounds(z_lines, w_lines) -> np.ndarray:
-    """The most cell segments each moving curve is cut into, whose x- and
-    xi-components have ``z_lines`` and ``w_lines`` lines in their spans
-    (:attr:`_Component.count`): one, plus a cut at every line of each
-    component's span but its two outer lines, the one at or behind its
-    start and the one at or past its end, which no cut of the curve or of
-    its pieces (:func:`_one_cell_pieces`) keeps."""
-    return np.maximum(z_lines - 2, 0) + np.maximum(w_lines - 2, 0) + 1
-
-
-def _read_curves(z: _Component, w: _Component, ref, s_end, launch
+def _read_curves(z: _Component, w: _Component, s_end, launch
                  ) -> TracedBundle:
     """Curves whose x- and xi-components are ``z`` and ``w``, cut into cell
     segments up to their end times ``s_end``, with the launch abscissas
-    ``launch`` of those that end at their event; ``ref`` are the curves
-    that start off their event.  A block of curves some of whose
-    x-components cross an x-line is cut as the chain of its pieces
+    ``launch`` of those that end at their event.  Curves some of whose
+    x-components cross an x-line are cut as the chains of their pieces
     (:func:`_one_cell_pieces`), a curve's segments those of its pieces in
-    turn; a block of one-cell steps, as every block of the march, is cut
-    as it is."""
-    m = s_end.size
-    # Cut the curves that move into segments a block of _CUT_CURVES curves
-    # at a time, into arrays of the current workspace, sized by the
-    # segments each curve of ``ref`` can have (lines crossed too close to
-    # an end and corners, cut once, leave their tails unwritten, and
-    # untouched pages cost no memory).
-    bound = int(_segment_bounds(z.count[ref], w.count[ref]).sum())
-    workspace = Workspace.current()
-    out = (workspace.take("segment x", (3, bound)),
-           workspace.take("segment xi", (3, bound)),
-           workspace.take("segment weights", (bound,)))
+    turn; one-cell steps, as every step of the march, are cut as they
+    are."""
     moving = np.flatnonzero(s_end > 0.0)
-    offsets = np.zeros(m + 1, dtype=np.int64)
-    n = 0
-    for lo in range(0, m, _CUT_CURVES):
-        curves = moving[np.searchsorted(moving, lo):
-                        np.searchsorted(moving, lo + _CUT_CURVES)]
-        z_c, w_c, s_c = z[curves], w[curves], s_end[curves]
-        if z_c.crosses_none(s_c):
-            counts = _cut_in_order(z_c, w_c, s_c, out, n)
-        else:
-            *pieces, first = _one_cell_pieces(z_c, w_c, s_c)
-            counts = np.add.reduceat(_cut_in_order(*pieces, out, n), first)
-        offsets[curves + 1] = counts
-        n += int(counts.sum())
+    z_m, w_m, s_m = z[moving], w[moving], s_end[moving]
+    if z_m.crosses_none(s_m):
+        counts, x, xi, weights = _cut_in_order(z_m, w_m, s_m)
+    else:
+        *pieces, first = _one_cell_pieces(z_m, w_m, s_m)
+        counts, x, xi, weights = _cut_in_order(*pieces)
+        counts = np.add.reduceat(counts, first)
+    offsets = np.zeros(s_end.size + 1, dtype=np.int64)
+    offsets[moving + 1] = counts
     np.cumsum(offsets, out=offsets)
-    seg_x, seg_xi, weights = out
-    return TracedBundle(offsets, seg_x[:, :n], seg_xi[:, :n], weights[:n],
-                        s_end, launch, w.p_end)
+    return TracedBundle(offsets, x, xi, weights, s_end, launch, w.p_end)
 
 
 def cell_profiles(coeff: SampledCoefficients) -> np.ndarray:
@@ -878,7 +791,7 @@ def trace_crossing_batch(coeff: SampledCoefficients, xs, xis, ys, stop=0
     z = _Component.along(phi_v, -1, np.broadcast_to(0, m), start_x, xs, z_end,
                          within)
     w = _Component.along(phi_u, 1, rows, start_xi, xis, w_end)
-    return _read_curves(z, w, ref, s_end, launch)
+    return _read_curves(z, w, s_end, launch)
 
 
 def trace_edge_batch(coeff: SampledCoefficients, xs, xis, stop=0
@@ -930,4 +843,4 @@ def trace_edge_batch(coeff: SampledCoefficients, xs, xis, stop=0
     z = _Component.along(phi_v, -1, on_v, start_x, xs, z_end,
                          within)
     w = _Component.along(phi_v, -1, on_v, start_xi, xis, w_end)
-    return _read_curves(z, w, ref, s_end, launch)
+    return _read_curves(z, w, s_end, launch)

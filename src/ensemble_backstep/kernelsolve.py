@@ -48,27 +48,24 @@ the rest, near the diagonal, itself.  With a constant ``speed_v`` every
 cell has one profile, and a row traces about five columns of crossing
 steps, its last four and one shared; where ``speed_v`` varies in x every
 cell is a profile of its own, and every row traces all its steps.  The
-steps are traced a block of rows at a time,
-at most :data:`_BLOCK_CURVES` curves, through the travel times of the two
-speeds (see :mod:`.characteristics`), tabulated before the first block
-and read by every block's traces.  Each family's traced steps are laid
-out whole, once (:func:`_quadrature_matrix`), as the stencils the march
-gathers on int32 node indices: a 4-point start stencil on the row below,
-then, a run of at most :data:`_RUN_SEGMENTS` cell segments at a time, two
-padded source stencils, three leveled nodes a segment on the row below
-and two corners a segment on the step's own row, each from its row's
-first node.  The march holds the solution, one block's step data, the
-shared steps later rows read (:class:`_Shared`) and one row of sources: the
-traces' segments and the step data are written into arrays the solve
-keeps from block to block (a :class:`~.characteristics.Workspace`, each
-array sized by the largest block so far, its padding zeroed anew), so a
-solve allocates them once, and each finished row's sources replace those
-of the row below it, since no step reads a source more than one row below
-its own.  The solve records its blocks, and the steps it marched and
-traced and their segments (:attr:`KernelSolution.march`).  Every gather
-sums its stencil in one fixed order, and every projection one basis
-column at a time, so no bit of the kernels depends on the block or run
-sizes.  A step's
+steps are traced a block of rows at a time, at most :data:`_BLOCK_CURVES`
+curves, the march's one bound on what it holds, through the travel times
+of the two speeds (see :mod:`.characteristics`), tabulated before the
+first block and read by every block's traces.  Each family's traced steps
+are laid out whole, in one pass (:func:`_quadrature_matrix`), as the
+stencils the march gathers on int32 node indices: a 4-point start stencil
+on the row below, then two padded source stencils, three leveled nodes a
+segment on the row below and two corners a segment on the step's own row,
+each from its row's first node.  The march holds the solution, one
+block's step data, the shared steps later rows read (:class:`_Shared`)
+and one row of sources: each block allocates its traces' segments and its
+step data, which are freed before the next block is traced, and each
+finished row's sources replace those of the row below it, since no step
+reads a source more than one row below its own.  The solve records its
+blocks, and the steps it marched and traced and their segments
+(:attr:`KernelSolution.march`).  Every gather sums its stencil in one
+fixed order, and every projection one basis column at a time, so no bit
+of the kernels depends on the block size.  A step's
 source reads the corners of its cell on its own row too, so each row is
 a small fixed point.  Boundary data is evaluated exactly at the off-grid
 launch abscissas, so the diagonal condition holds exactly at nodes and
@@ -107,9 +104,8 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .characteristics import (SIMPSON_POINT_WEIGHTS, Workspace,
-                              cell_profiles, line_ends, trace_crossing_batch,
-                              trace_edge_batch)
+from .characteristics import (cell_profiles, line_ends,
+                              trace_crossing_batch, trace_edge_batch)
 from .errors import (DimensionError, DomainError, NonconvergenceError,
                      NumericError)
 from .grid import (GridSpec, TriangularIndex, corner_weights, factor_blocks,
@@ -131,29 +127,20 @@ MAX_SWEEPS = 60
 
 #: Steps (crossing and edge curves) a block of rows of :func:`solve_goursat`
 #: may trace: the size of every trace and of the step data the march holds,
-#: one block at a time, in arrays it keeps from block to block, beside the
-#: shared steps its profiles keep (:class:`_Plan`).  Every block's traces
+#: one block at a time, each block's allocated for it, beside the shared
+#: steps its profiles keep (:class:`_Plan`).  Every block's traces
 #: read the travel-time tables the solve built first, so a block costs its
 #: curves and a small fixed overhead.  With speed_v = 1 a row traces about
 #: five columns of crossing steps and three of edge steps, and its
 #: profile's shared steps serve the rest.
 #: With 2**11, 2**12, 3 * 2**12 and 2**14 the toy at nx=200, ny=120 solved
-#: in one block, in 0.13 s, peaking at 37.9 MB, and the plant with
-#: speed_u = 1 + y/2 at nx=100, ny=60 (17, 8, 3 and 2 blocks) in 0.27,
-#: 0.29, 0.35 and 0.20 s, within the host's noise, and a process that
-#: samples the plant and solves peaked at 40.3, 41.1, 43.5 and 45.4 MB of
+#: in one block, in 0.14 s, peaking at 37.7 MB, and the plant with
+#: speed_u = 1 + y/2 at nx=100, ny=60 (17, 8, 3 and 2 blocks) in 0.23,
+#: 0.22, 0.20 and 0.22 s, within the host's noise, and a process that
+#: samples the plant and solves peaked at 40.4, 40.6, 44.4 and 46.1 MB of
 #: RSS (medians of three runs, 2-core Xeon shared with other jobs, one
 #: sitting, Python 3.11, numpy 2.4): larger blocks hold more.
 _BLOCK_CURVES = 2 ** 12
-
-#: Cell segments whose stencils a block forms at a time
-#: (:func:`_segment_runs`): enough to spread the cost of a run, few enough
-#: that its temporaries stay small beside the block's padded step data.  A
-#: solve of the plant with speed_u = 1 + y/2 at nx=100, ny=60, sampled
-#: beforehand, peaked at 26.1, 27.2 and 28.8 MB of traced memory with runs
-#: of 2**10, 2**12 and 2**13 segments, and at 40.3 MB with each block
-#: formed whole.
-_RUN_SEGMENTS = 4096
 
 #: The part of a block's diagonal data, relative to the sup of the diagonal
 #: rows, that may lie outside the y-subspace seeded with those rows.
@@ -286,26 +273,8 @@ class KernelSolution:
         return k
 
 
-def _segment_runs(offsets: np.ndarray, width: int):
-    """The cell segments of curves with the segment offsets ``offsets``, in
-    runs of at most :data:`_RUN_SEGMENTS`: each run as its slice of the
-    segments, their curves, and their slots in the curves' padded
-    ``(curves * width)`` layout, segment q of curve c in slot
-    ``c * width + q - offsets[c]``."""
-    total = int(offsets[-1])
-    for lo in range(0, total, _RUN_SEGMENTS):
-        hi = min(lo + _RUN_SEGMENTS, total)
-        # The curves that own segments lo to hi - 1, and how many each.
-        first, last = np.searchsorted(offsets, [lo, hi - 1], side="right") - 1
-        owned = np.diff(np.clip(offsets[first:last + 2], lo, hi))
-        curves = np.arange(first, last + 1)
-        curve = np.repeat(curves, owned)
-        yield slice(lo, hi), curve, np.arange(lo, hi) + np.repeat(
-            curves * width - offsets[first:last + 1], owned)
-
-
 def _quadrature_matrix(spec: GridSpec, bundle, row: np.ndarray, lanes: int,
-                       lane: np.ndarray, family: str = "") -> _Steps:
+                       lane: np.ndarray) -> _Steps:
     """The steps of ``bundle``, traced from rows ``row`` to the x-lines
     below them, read in ``lanes`` lanes, step s in lane ``lane[s]``: the
     start stencils, and the path integral of the bilinear interpolant of
@@ -314,11 +283,10 @@ def _quadrature_matrix(spec: GridSpec, bundle, row: np.ndarray, lanes: int,
     is exact wherever the segment is straight, and its xi-error leveled to
     its mean over a cell.  The start stencils are formed first, so that
     their step-sized temporaries come before any padded segment data; the
-    source stencils are zeroed, padding included, and formed a run of
-    segments at a time, each run written straight into its padded slots of
-    both stencils.  The steps are views of the arrays of the current
-    :class:`~ensemble_backstep.characteristics.Workspace` named after
-    ``family``.
+    source stencils are allocated zero, padding included, and every
+    segment is written into its padded slot of both in one pass.  The
+    steps own their arrays: the march holds one block's, allocated for
+    that block and freed before the next is traced.
 
     Along a segment the bilinear interpolant misses the source by about
     ``-h**2 * b * (1 - b) * S_xixi / 2``, ``b`` the local xi-coordinate in
@@ -339,54 +307,50 @@ def _quadrature_matrix(spec: GridSpec, bundle, row: np.ndarray, lanes: int,
         raise DimensionError(
             f"{tri.n_nodes} nodes in {lanes} lanes each need more "
             f"than the 2**31 int32 indices of the march's steps")
-    workspace = Workspace.current()
     row_start = tri.row_start
     below = np.maximum(row - 1, 0)
     offsets = bundle.offsets
-    m, width = offsets.size - 1, int(np.diff(offsets).max(initial=0))
-    start_nodes, start_weights = _row_stencil(
-        tri, below, bundle.end_xi,
-        (workspace.take(family + "start_nodes", (m, 4), np.int32),
-         workspace.take(family + "start_weights", (m, 4))))
+    counts = np.diff(offsets)
+    m, width = counts.size, int(counts.max(initial=0))
+    start_nodes, start_weights = _row_stencil(tri, below, bundle.end_xi)
     start_weights[~np.isnan(bundle.launch)] = 0.0
-    below_nodes = workspace.take(family + "below_nodes", (m * width, 3),
-                                 np.int32)
-    below_weights = workspace.take(family + "below_weights", (m * width, 3))
-    row_nodes = workspace.take(family + "row_nodes", (m * width, 2), np.int32)
-    row_weights = workspace.take(family + "row_weights", (m * width, 2))
-    for padded in (below_nodes, below_weights, row_nodes, row_weights):
-        padded.fill(0)
-    for run, curve, slot in _segment_runs(offsets, width):
-        xi = bundle.xi[:, run]
-        simpson = SIMPSON_POINT_WEIGHTS * bundle.weights[run]
-        # Corners (i - 1, j), (i, j), (i - 1, j + 1), (i, j + 1): the even
-        # ones lie on row i - 1, the odd ones on row i.
-        corners, weights = corner_weights(spec.nx, bundle.x[:, run], xi,
-                                          simpson)
-        # The segment's level, from the xi-column j of its midpoint.
-        on = below[curve]
-        j = np.floor(xi[1] * spec.nx).astype(np.int64)
-        b = xi * spec.nx - j
-        b *= 1.0 - b
-        b -= 1.0 / 6.0
-        level = -0.5 * (simpson * b).sum(axis=0)
-        # Cells on the diagonal (j = i - 1) interpolate linearly, and a row
-        # of two nodes has no second difference.
-        level[(j >= on) | (on < 2)] = 0.0
-        # Row i - 1: the stencil j - 1, j, j + 1, or 0, 1, 2 on the edge
-        # column, the level's second difference plus the two corners.
-        lower = corners[:, 0] - row_start[on]
-        w_lower, w_upper = weights[:, 0], weights[:, 2]
-        edge = lower == 0
-        below_nodes[slot] = (lower - 1 + edge)[:, None] + np.arange(3)
-        out = level[:, None] * np.array([1.0, -2.0, 1.0])
-        out[:, 0] += np.where(edge, w_lower, 0.0)
-        out[:, 1] += np.where(edge, w_upper, w_lower)
-        out[:, 2] += np.where(edge, 0.0, w_upper)
-        below_weights[slot] = out
-        # Row i: the two corners, as indices into the row.
-        row_nodes[slot] = corners[:, 1::2] - row_start[row[curve], None]
-        row_weights[slot] = weights[:, 1::2]
+    below_nodes = np.zeros((m * width, 3), np.int32)
+    below_weights = np.zeros((m * width, 3))
+    row_nodes = np.zeros((m * width, 2), np.int32)
+    row_weights = np.zeros((m * width, 2))
+    # Segment q of curve c, in slot c * width + q - offsets[c].
+    curve = np.repeat(np.arange(m), counts)
+    slot = np.arange(curve.size) + np.repeat(
+        np.arange(m) * width - offsets[:-1], counts)
+    xi = bundle.xi
+    simpson = bundle.simpson_weights()
+    # Corners (i - 1, j), (i, j), (i - 1, j + 1), (i, j + 1): the even ones
+    # lie on row i - 1, the odd ones on row i.
+    corners, weights = corner_weights(spec.nx, bundle.x, xi, simpson)
+    # The segment's level, from the xi-column j of its midpoint.
+    on = below[curve]
+    j = np.floor(xi[1] * spec.nx).astype(np.int64)
+    b = xi * spec.nx - j
+    b *= 1.0 - b
+    b -= 1.0 / 6.0
+    level = -0.5 * (simpson * b).sum(axis=0)
+    # Cells on the diagonal (j = i - 1) interpolate linearly, and a row of
+    # two nodes has no second difference.
+    level[(j >= on) | (on < 2)] = 0.0
+    # Row i - 1: the stencil j - 1, j, j + 1, or 0, 1, 2 on the edge column,
+    # the level's second difference plus the two corners.
+    lower = corners[:, 0] - row_start[on]
+    w_lower, w_upper = weights[:, 0], weights[:, 2]
+    edge = lower == 0
+    below_nodes[slot] = (lower - 1 + edge)[:, None] + np.arange(3)
+    out = level[:, None] * np.array([1.0, -2.0, 1.0])
+    out[:, 0] += np.where(edge, w_lower, 0.0)
+    out[:, 1] += np.where(edge, w_upper, w_lower)
+    out[:, 2] += np.where(edge, 0.0, w_upper)
+    below_weights[slot] = out
+    # Row i: the two corners, as indices into the row.
+    row_nodes[slot] = corners[:, 1::2] - row_start[row[curve], None]
+    row_weights[slot] = weights[:, 1::2]
     steps = _Steps(start_nodes, start_weights, below_nodes.reshape(m, -1),
                    below_weights.reshape(m, -1), row_nodes.reshape(m, -1),
                    row_weights.reshape(m, -1), 4 * int(offsets[-1]))
@@ -441,6 +405,9 @@ def _plans(problem: GoursatProblem) -> dict[str, _Plan]:
         first = np.zeros(nx + 1, dtype=np.int64)
         for cell in np.unique(profile[1:]):
             on = np.flatnonzero(profile == cell)
+            # A profile of one row shares nothing: it traces all its steps.
+            if on.size == 1:
+                continue
             columns = np.repeat(x[:on[-1]], lanes)
             if family == "crossing":
                 ends = line_ends(coeff, cell, columns,
@@ -472,12 +439,11 @@ def _blocks(plans: dict[str, _Plan]) -> list[range]:
     return blocks
 
 
-def _row_stencil(tri: TriangularIndex, row: np.ndarray, xi: np.ndarray,
-                 out):
+def _row_stencil(tri: TriangularIndex, row: np.ndarray, xi: np.ndarray):
     """4-point Lagrange stencils in xi along the triangle rows ``row`` at
     ``xi``: their nodes, counted from the row's first node, and weights,
-    ``(n, 4)`` each, written into ``out``, int32 nodes and float weights, on
-    the four nodes nearest ``xi`` that the row has.  A row with fewer nodes
+    ``(n, 4)`` each, int32 nodes and float weights, on the four nodes
+    nearest ``xi`` that the row has.  A row with fewer nodes
     uses all of them, the other entries weighing 0.  The stencils are
     formed a column at a time, and only a column that some row lacks is
     masked."""
@@ -486,8 +452,8 @@ def _row_stencil(tri: TriangularIndex, row: np.ndarray, xi: np.ndarray,
     first = np.minimum(np.maximum(np.floor(t).astype(np.int64) - 1, 0),
                        row + 1 - count)
     every = int(count.min(initial=4))
-    nodes, weights = out
-    weights.fill(1.0)
+    nodes = np.empty((row.size, 4), np.int32)
+    weights = np.ones((row.size, 4))
     for k in range(4):
         for q in range(4):
             if q != k:
@@ -718,7 +684,7 @@ def _block_steps(problem: GoursatProblem, plans: dict[str, _Plan],
             reads = np.column_stack([np.where(event, 1.0 - upper, 0.0),
                                      upper])
         steps = _quadrature_matrix(spec, bundle, np.repeat(row, lanes), lanes,
-                                   lane, family + ".")
+                                   lane)
         counts = np.diff(bundle.offsets)
         for cell, last, lo, hi in runs:
             part = slice(lo * lanes, hi * lanes)
@@ -831,20 +797,18 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
              **{family: {"steps": 0, "traced": 0, "segments": 0}
                 for family in plans}}
     shared = {family: {} for family in plans}
-    with Workspace().use():
-        for rows in blocks:
-            for history in _march_block(problem, plans, shared, rows, tol, C,
-                                        G, source_c, source_g, march):
-                deltas += [ended] * (len(history) - len(deltas))
-                for k in range(len(deltas)):
-                    deltas[k] = max(deltas[k],
-                                    history[min(k, len(history) - 1)])
-                ended = max(ended, history[-1])
-            # The shared steps of profiles no later row reads are dropped.
-            for family, plan in plans.items():
-                later = set(plan.profile[rows.stop:].tolist())
-                for cell in set(shared[family]) - later:
-                    del shared[family][cell]
+    for rows in blocks:
+        for history in _march_block(problem, plans, shared, rows, tol, C, G,
+                                    source_c, source_g, march):
+            deltas += [ended] * (len(history) - len(deltas))
+            for k in range(len(deltas)):
+                deltas[k] = max(deltas[k], history[min(k, len(history) - 1)])
+            ended = max(ended, history[-1])
+        # The shared steps of profiles no later row reads are dropped.
+        for family, plan in plans.items():
+            later = set(plan.profile[rows.stop:].tolist())
+            for cell in set(shared[family]) - later:
+                del shared[family][cell]
 
     return KernelSolution(coords=C, diagonal_rows=problem.diagonal_rows,
                           ktilde=G, iterations=len(deltas),

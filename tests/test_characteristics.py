@@ -508,60 +508,51 @@ def test_curve_stopped_at_a_line_continues_as_the_whole_curve(make_plant,
         smooth(whole.x, whole.xi))[at_line], rtol=0, atol=tol)
 
 
-def _every_line_bounds(z_lines, w_lines):
-    """The segment bound of a curve counting every line of both
-    components' spans, the two outer lines too."""
-    return z_lines + w_lines + 1
+def _inner_lines(a, b, nx):
+    """The grid lines strictly inside the cells that a span from ``a`` to
+    ``b`` touches, of ``nx`` cells: all of them but the outer two."""
+    lo = np.floor(np.minimum(a, b) * nx)
+    hi = np.ceil(np.maximum(a, b) * nx)
+    return np.maximum(hi - lo - 1, 0)
 
 
 @pytest.mark.parametrize("make_plant", [
     lambda: toy_model(), half_x_plant, sloped_plant, full_rank_plant,
     ydep_plant], ids=["toy", "half_x", "sloped", "full_rank", "ydep"])
 @pytest.mark.parametrize("family", ["crossing", "edge"])
-def test_segment_buffers_hold_every_curve(make_plant, family, monkeypatch):
-    """A trace sizes its segment buffers by the lines each curve's
-    components can cross, their spans but the two outer lines, plus one
-    segment per moving curve: whole curves and one-cell steps (to the
-    x-line below each point) from 400 random triangle points trace the
-    same bundles, bit for bit, as with buffers for every line of the
-    spans, no curve has more segments than its bound, and the buffers
-    are smaller."""
+def test_segment_buffers_hold_every_curve(make_plant, family):
+    """A trace's segment arrays hold its curves' segments and nothing more:
+    for whole curves and one-cell steps (to the x-line below each point)
+    from 400 random triangle points, 20 diagonal and 20 edge points, the
+    arrays are exactly ``offsets[-1]`` segments wide, a curve that starts
+    at its event owns none, and a moving curve has at most one segment
+    plus one a grid line strictly inside the cells each component's span
+    touches: the outer lines, at or behind its start and at or past its
+    end, are never cut."""
     spec = GridSpec(nx=60, ny=12)
     coeff = sample_coefficients(make_plant(), spec)
     rng = np.random.default_rng(36)
-    xs = rng.uniform(0.0, 1.0, 400)
-    xis = xs * rng.uniform(0.0, 1.0, 400)
-    ys = rng.uniform(0.0, 1.0, 400)
+    xs = rng.uniform(0.0, 1.0, 440)
+    xis = xs * np.concatenate([rng.uniform(0.0, 1.0, 400), np.ones(20),
+                               np.zeros(20)])
+    ys = rng.uniform(0.0, 1.0, 440)
     below = np.maximum(np.ceil(xs * spec.nx).astype(np.int64) - 1, 0)
-    rules, bounds = (characteristics._segment_bounds, _every_line_bounds), []
-
-    def recording(rule):
-        def bound(z, w):
-            out = rule(z, w)
-            bounds.append(out)
-            return out
-        return bound
-
     for stop in (0, below):
-        traced = []
-        for rule in rules:
-            monkeypatch.setattr(characteristics, "_segment_bounds",
-                                recording(rule))
-            if family == "crossing":
-                traced.append(trace_crossing_batch(coeff, xs, xis, ys, stop))
-            else:
-                traced.append(trace_edge_batch(coeff, xs, xis, stop))
-        (bundle, reference), (bound, every) = traced, bounds[-2:]
-        for name in ("offsets", "x", "xi", "weights", "s_end", "launch",
-                     "end_xi"):
-            assert np.array_equal(getattr(bundle, name),
-                                  getattr(reference, name), equal_nan=True)
+        if family == "crossing":
+            bundle = trace_crossing_batch(coeff, xs, xis, ys, stop)
+        else:
+            bundle = trace_edge_batch(coeff, xs, xis, stop)
+        n = bundle.offsets[-1]
+        assert bundle.x.shape == bundle.xi.shape == (3, n)
+        assert bundle.weights.shape == (n,)
         counts = np.diff(bundle.offsets)
         moving = bundle.s_end > 0.0
-        assert np.all(counts[~moving] == 0)
-        assert bound.size == np.count_nonzero(moving)
+        assert 0 < np.count_nonzero(~moving) and np.all(counts[~moving] == 0)
+        end_x = bundle.x[2, bundle.offsets[1:][moving] - 1]
+        bound = (_inner_lines(xs[moving], end_x, spec.nx)
+                 + _inner_lines(xis[moving], bundle.end_xi[moving], spec.nx)
+                 + 1)
         assert np.all(counts[moving] <= bound)
-        assert bound.sum() < every.sum()
 
 
 @pytest.mark.parametrize("make_plant", [
@@ -579,8 +570,7 @@ def test_whole_curves_are_chains_of_one_cell_steps(make_plant, family,
     cubic Hermite inverse of the travel times that reads each step's end
     (as in the test above).  No one-cell step is split into pieces: not
     those of the chains, nor those of the march, from every node to the
-    x-line below its row.  Every trace cuts its curves 64 at a time, in
-    many blocks."""
+    x-line below its row."""
     spec = GridSpec(nx=60, ny=12)
     tri = spec.tri
     coeff = sample_coefficients(make_plant(), spec)
@@ -597,7 +587,6 @@ def test_whole_curves_are_chains_of_one_cell_steps(make_plant, family,
         return out
 
     monkeypatch.setattr(characteristics, "_one_cell_pieces", recording)
-    monkeypatch.setattr(characteristics, "_CUT_CURVES", 64)
 
     def trace(x, xi, y, stop=0):
         if family == "crossing":

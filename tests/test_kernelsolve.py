@@ -1118,29 +1118,24 @@ def test_march_solves_the_discrete_system(name, monkeypatch):
 @pytest.mark.parametrize("name", ["toy", "half_x", "sloped", "full_rank",
                                   "ydep"])
 def test_runs_and_blocks_change_no_bit(name, toy, monkeypatch):
-    """Runs of segments and blocks of rows bound only what the march forms
-    and holds at a time: runs of 7 segments, blocks of 64 steps and both
-    solve the same kernels as the defaults, in one block, bit for bit, in a
-    y-subspace (the toy, half_x) and on every y-node (one family per
-    y-node, a closure of rank ny).  The blocks lay out their steps in the
-    arrays the solve keeps from block to block, and every padded slot of
-    every block's steps is node 0 of its lane at weight 0, also where a
-    block's padded steps take less room than the block's before it (the
-    per-y plant of the bench, ydep): no block reads what the one before it
-    left there."""
+    """Blocks of rows bound only what the march forms and holds at a time:
+    blocks of 64 steps solve the same kernels as the default, in one block,
+    bit for bit, in a y-subspace (the toy, half_x) and on every y-node (one
+    family per y-node, a closure of rank ny), with the same counts of steps
+    marched, traced and cut into segments.  Every padded slot of every
+    block's steps is node 0 of its lane at weight 0, also where a block's
+    padded steps take less room than the block's before it (the per-y
+    plant of the bench, ydep)."""
     plant = {"toy": toy, "half_x": half_x_plant(), "sloped": sloped_plant(),
              "full_rank": full_rank_plant(), "ydep": ydep_plant()}[name]
     spec = GridSpec(nx=30, ny=8)
     default = solve_backstepping_kernels(plant, spec)
     assert default.march["blocks"] == 1
-    runs_default = kernelsolve._RUN_SEGMENTS
-    monkeypatch.setattr(kernelsolve, "_RUN_SEGMENTS", 7)
-    runs = solve_backstepping_kernels(plant, spec)
     sizes = []
     layout = kernelsolve._quadrature_matrix
 
-    def padded_with_node_0(spec, bundle, row, lanes, lane, *args):
-        steps = layout(spec, bundle, row, lanes, lane, *args)
+    def padded_with_node_0(spec, bundle, row, lanes, lane):
+        steps = layout(spec, bundle, row, lanes, lane)
         width = steps.row_nodes.shape[1] // 2
         sizes.append(steps.row_nodes.size)
         counts = np.diff(bundle.offsets)[:, None]
@@ -1154,18 +1149,62 @@ def test_runs_and_blocks_change_no_bit(name, toy, monkeypatch):
 
     monkeypatch.setattr(kernelsolve, "_quadrature_matrix", padded_with_node_0)
     monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 64)
-    both = solve_backstepping_kernels(plant, spec)
-    monkeypatch.setattr(kernelsolve, "_RUN_SEGMENTS", runs_default)
     blocks = solve_backstepping_kernels(plant, spec)
-    assert both.march["blocks"] == blocks.march["blocks"] > 1
-    assert len(sizes) == 4 * blocks.march["blocks"]
+    assert blocks.march["blocks"] > 1
+    assert len(sizes) == 2 * blocks.march["blocks"]
     if name == "ydep":
         crossing = sizes[::2]
         assert any(a > b for a, b in zip(crossing, crossing[1:]))
-    for other in (runs, both, blocks):
-        for attr in ("coords", "ktilde", "deltas"):
-            assert np.array_equal(getattr(other, attr),
-                                  getattr(default, attr))
+    for attr in ("coords", "ktilde", "deltas"):
+        assert np.array_equal(getattr(blocks, attr), getattr(default, attr))
+    for family in ("crossing", "edge"):
+        assert blocks.march[family] == default.march[family]
+
+
+@pytest.mark.parametrize("name", ["toy", "ydep"])
+def test_every_block_owns_its_steps_and_traces(name, toy, monkeypatch):
+    """Each block's traces and step data are arrays of its own: with
+    blocks of 64 steps, three or more, every bundle a trace returns and
+    every family's steps laid out still equal, after the solve, the copies
+    taken as they were returned, so no later block wrote over them, on one
+    family (the toy) and on one family per y-node."""
+    plant = {"toy": toy, "ydep": ydep_plant()}[name]
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 64)
+    returned = []
+
+    def copied(out):
+        fields = tuple(out) if isinstance(out, tuple) else tuple(
+            vars(out).values())
+        returned.append((fields, [np.array(a) for a in fields]))
+
+    for attr in ("trace_crossing_batch", "trace_edge_batch",
+                 "_quadrature_matrix"):
+        monkeypatch.setattr(kernelsolve, attr, _recording(
+            getattr(kernelsolve, attr), copied))
+    sol = solve_backstepping_kernels(plant, GridSpec(nx=30, ny=8))
+    assert sol.march["blocks"] >= 3
+    assert len(returned) == 4 * sol.march["blocks"]
+    for fields, copies in returned:
+        for a, b in zip(fields, copies):
+            assert np.array_equal(a, b, equal_nan=b.dtype.kind == "f")
+
+
+@pytest.mark.parametrize("name, calls", [("half_x", 0), ("sloped", 2)])
+def test_profiles_of_one_row_read_no_line_ends(name, calls, monkeypatch):
+    """A travel-time profile of one row shares no step: its row traces them
+    all either way, so the plan reads no line ends for it.  On half_x,
+    where every x-cell is a profile of its own, the solve reads none; with
+    speed_v = 1 and a family per y-node, where every row has one profile,
+    it reads them once for each family, crossing and edge."""
+    plant = {"half_x": half_x_plant(), "sloped": sloped_plant()}[name]
+    ends = []
+    monkeypatch.setattr(kernelsolve, "line_ends", _recording(
+        kernelsolve.line_ends, ends.append))
+    sol = solve_backstepping_kernels(plant, GridSpec(nx=30, ny=6))
+    assert len(ends) == calls
+    if not calls:
+        for family in ("crossing", "edge"):
+            assert sol.march[family]["traced"] == sol.march[family]["steps"]
 
 
 def test_solve_builds_its_travel_times_once(monkeypatch):
@@ -1227,9 +1266,9 @@ def _record_block_work(monkeypatch):
     each trace are recorded too, and the peak since the last reading is the
     largest of them and the peak read after it (:func:`_peak`).  For every
     block it records the bytes of each array of the step data it lays out,
-    and of the array each is a view of, their :func:`_step_bytes`, and how
-    many arrays of the block before it are alive, by weak references, when
-    its steps are traced; in ``kept``, the bytes of the shared steps kept
+    their :func:`_step_bytes`, and how many arrays of the block before it,
+    or arrays they are views of, are alive, by weak references, when its
+    steps are traced; in ``kept``, the bytes of the shared steps kept
     once it has traced its own (:func:`_kept_bytes`); and, in ``peaks``,
     the traced peak of every block but the last as the next one starts,
     the first's counted from the start of tracing.
@@ -1246,9 +1285,7 @@ def _record_block_work(monkeypatch):
     def laid_out(op):
         padded.append(op.row_nodes.size // 2)
         # every field of the steps but their count nnz
-        layouts.append(([a.nbytes for a in op[:-1]],
-                        [(a if a.base is None else a.base).nbytes
-                         for a in op[:-1]], _step_bytes(op)))
+        layouts.append((sum(a.nbytes for a in op[:-1]), _step_bytes(op)))
 
     monkeypatch.setattr(kernelsolve, "_quadrature_matrix", _recording(
         kernelsolve._quadrature_matrix, laid_out))
@@ -1283,13 +1320,14 @@ def _record_block_work(monkeypatch):
         alive = sum(ref() is not None for ref in refs)
         cross, diagonal, edge, reads = block = steps(problem, plans, shared,
                                                      rows)
-        # every field of both families' own steps but their counts nnz
-        refs[:] = [weakref.ref(a) for a in
-                   cross[:-1] + edge[:-1] + (diagonal,) + reads]
-        (cross_views, cross_held, cross_bytes), (
-            edge_views, edge_held, edge_bytes) = layouts[-2:]
-        blocks.append((cross_views + edge_views, cross_held + edge_held,
-                       cross_bytes + edge_bytes, alive))
+        # every field of both families' own steps but their counts nnz,
+        # and the arrays they are views of
+        refs[:] = [weakref.ref(b) for a in
+                   cross[:-1] + edge[:-1] + (diagonal,) + reads
+                   for b in (a, a.base) if b is not None]
+        (cross_views, cross_bytes), (edge_views, edge_bytes) = layouts[-2:]
+        blocks.append((cross_views + edge_views, cross_bytes + edge_bytes,
+                       alive))
         kept.append(_kept_bytes(shared))
         return block
 
@@ -1334,29 +1372,27 @@ def _step_bytes(steps):
     return 60 * padded + 48 * len(steps.start_nodes)
 
 
-def _block_allowances(padded, work, shared):
+def _block_allowances(padded, work, shared, row_work):
     """Each block's allowance, in order: the work of its crossing and edge
     traces, as modelled (:func:`_record_block_work`), the travel-time
     tables charged to the trace that builds them; the step data of both,
     60 B a padded segment (:func:`_step_bytes`); 56 B a step (its start
-    stencil and its diagonal datum), all of it that of the largest block
-    so far, whose arrays the solve keeps (near the top, where every row
-    traces only its last steps, the blocks shrink); and the shared steps
-    kept (``shared``)."""
-    block = np.maximum.accumulate([
-        cross + edge + 60 * (padded_cross + padded_edge)
-        + 56 * (cross_steps + edge_steps)
-        for (cross, _, cross_steps), (edge, _, edge_steps), padded_cross,
-        padded_edge in zip(work["trace_crossing_batch"],
-                           work["trace_edge_batch"], padded[::2],
-                           padded[1::2])])
-    return [int(b) + kept for b, kept in zip(block, shared)]
+    stencil and its diagonal datum), all of it the block's own, which
+    allocates its arrays and frees them before the next block; the shared
+    steps kept (``shared``); and the work of marching one of its rows
+    (``row_work``, :func:`_row_work_bytes`)."""
+    return [cross + edge + 60 * (padded_cross + padded_edge)
+            + 56 * (cross_steps + edge_steps) + kept + row_work
+            for (cross, _, cross_steps), (edge, _, edge_steps), padded_cross,
+            padded_edge, kept in zip(work["trace_crossing_batch"],
+                                     work["trace_edge_batch"], padded[::2],
+                                     padded[1::2], shared)]
 
 
-def _blocks_within_allowances(peaks, kept, padded, work, shared):
+def _blocks_within_allowances(peaks, kept, padded, work, shared, row_work):
     """Whether every block peaked, in traced memory, within ``kept`` and
     its own allowance (:func:`_block_allowances`)."""
-    allowances = _block_allowances(padded, work, shared)
+    allowances = _block_allowances(padded, work, shared, row_work)
     return len(peaks) == len(allowances) and all(
         peak <= kept + allowance for peak, allowance in zip(peaks, allowances))
 
@@ -1368,19 +1404,22 @@ def _row_of_sources_bytes(spec, r):
     return 8 * (spec.nx + 3) * (r + 1)
 
 
+def _row_work_bytes(spec, r):
+    """The work of marching one row, as modelled: 24 rows of sources
+    (:func:`_row_of_sources_bytes`) for its iterates, their sources and
+    increments, and the gathers of its steps.  The toy at nx = 100 takes
+    up to 17 (28 kB), plants with a family per y-node, at nx = 80 and
+    240, up to 9."""
+    return 24 * _row_of_sources_bytes(spec, r)
+
+
 def _one_block_at_a_time(blocks):
     """Whether, over more than two blocks, every block's step data took
-    :func:`_step_bytes`, none of the block before it was alive when its
-    steps were traced, and each of its arrays is a view of one the solve
-    keeps, sized by the largest that array was in this block and the
-    blocks before it (:func:`_record_block_work`): the solve holds one
-    block's step data, the largest's, at a time."""
-    largest = None
-    for views, held, expected, alive in blocks:
-        largest = views if largest is None else np.maximum(largest, views)
-        if sum(views) != expected or alive or held != list(largest):
-            return False
-    return len(blocks) > 2
+    :func:`_step_bytes` and none of the block before it was alive when its
+    steps were traced (:func:`_record_block_work`): the solve holds one
+    block's step data at a time."""
+    return len(blocks) > 2 and all(
+        views == expected and not alive for views, expected, alive in blocks)
 
 
 def _traces_within_model(work):
@@ -1426,15 +1465,15 @@ def test_solve_holds_one_band_of_operators(name, nx, ny, toy, monkeypatch):
     """With blocks of a few hundred traced steps every block of a solve
     peaks, in traced memory, at the arrays kept over the march, which hold
     no ``(n_tri, ny)`` array on one family and of the sources one row, and
-    its own traces and step data and the shared steps kept
-    (:func:`_block_allowances`), on one family in a y-subspace (the toy)
-    and on one family per y-node.  Holding every step marched, laid out,
-    exceeds every block's allowance, and at nx = 240 the source of the
-    ensemble unknown on the whole triangle alone exceeds some block's.
-    Each trace peaks within its modelled work, each block's
-    step data take :func:`_step_bytes`, int32 nodes, as views of arrays
-    the solve keeps from block to block, sized by the largest block so far,
-    and none of a block's is alive when the next is traced
+    its own traces and step data, the shared steps kept and the work of
+    marching a row (:func:`_block_allowances`), on one family in a
+    y-subspace (the toy) and on one family per y-node.  Holding every step
+    marched, laid out, exceeds every block's allowance, and at nx = 240 the
+    source of the ensemble unknown on the whole triangle alone exceeds some
+    block's.
+    Each trace peaks within its modelled work, each block's step data take
+    :func:`_step_bytes`, int32 nodes, and none of a block's, nor an array
+    they are views of, is alive when the next is traced
     (:func:`_one_block_at_a_time`): the modelled trace work exceeds what a
     trace takes by more than one block's step data, so the bound alone
     would not see a block held too long."""
@@ -1457,13 +1496,15 @@ def test_solve_holds_one_band_of_operators(name, nx, ny, toy, monkeypatch):
     kept = (problem_bytes[0] + _array_bytes(sample_coefficients(plant, spec))
             + sum(b for _, b in tables) + _array_bytes(spec.tri)
             + 8 * n_tri * (r + 1) + _row_of_sources_bytes(spec, r))
-    allowances = _block_allowances(padded, work, shared)
+    row_work = _row_work_bytes(spec, r)
+    allowances = _block_allowances(padded, work, shared, row_work)
     # every step marched, laid out (60 B a segment)
     assert 60 * (sol.march["crossing"]["segments"]
                  + sol.march["edge"]["segments"]) > max(allowances)
     if name == "ydep":
         assert 8 * n_tri * r > min(allowances)
-    assert _blocks_within_allowances(peaks, kept, padded, work, shared)
+    assert _blocks_within_allowances(peaks, kept, padded, work, shared,
+                                     row_work)
     assert _traces_within_model(work)
     assert _one_block_at_a_time(blocks)
 
@@ -1477,9 +1518,8 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     of their sources) and, in each block, that block's own allowance
     (:func:`_block_allowances`): the build forms
     no ``(n_tri, ny)`` array, each trace peaks within its modelled work,
-    and each block's step data take :func:`_step_bytes`, as views of the
-    arrays the solve keeps, and are not alive when the next block is
-    traced.
+    and each block's step data take :func:`_step_bytes` and are not alive
+    when the next block is traced.
     After the solve it forms ``k`` a block of rows at a time, in the
     residual, the closed-form error and the CSV writer, so that it peaks
     below what it holds (the residual's sampled coefficients, the solution
@@ -1527,7 +1567,8 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     assert chunk < full_size
     kept = (problem_bytes[0] + solve_coeff + sum(b for _, b in tables)
             + grid + 8 * n_tri * (r + 1) + _row_of_sources_bytes(spec, r))
-    assert _blocks_within_allowances(peaks, kept, padded, work, shared)
+    assert _blocks_within_allowances(peaks, kept, padded, work, shared,
+                                     _row_work_bytes(spec, r))
     assert _traces_within_model(work)
     assert _one_block_at_a_time(blocks)
     # the command never asks for the whole k, and holds the solution's
