@@ -511,8 +511,8 @@ class _Steps(NamedTuple):
         """The part of the steps that the row below theirs sets: the start
         read from ``unknown`` and the source's corners below, from
         ``source``, both that row's."""
-        return (_gather(unknown, self.start_nodes, self.start_weights)
-                + _gather(source, self.below_nodes, self.below_weights))
+        return (_gather(unknown, self.start_nodes.T, self.start_weights.T)
+                + _gather(source, self.below_nodes.T, self.below_weights.T))
 
 
 class _Shared:
@@ -571,15 +571,36 @@ class _Shared:
 
 def _gather(field: np.ndarray, nodes: np.ndarray,
             weights: np.ndarray) -> np.ndarray:
-    """``sum_k weights[s, k] * field[nodes[s, k]]`` for every step s, summed
-    over k in order, so that no bit of a step's value depends on the steps
-    gathered with it or on their padded width: padding adds an exact 0."""
-    if field.ndim > 1:
-        weights = weights[..., None]
-    out = np.zeros((nodes.shape[0],) + field.shape[1:])
-    for k in range(nodes.shape[1]):
-        out += field[nodes[:, k]] * weights[:, k]
+    """``sum_k weights[k, s] * field[nodes[k, s]]`` for every step s, the
+    stencils held stencil-major, ``(K, m)``, and ``field`` of any trailing
+    shape: every term taken at once and weighted in place, then summed over
+    k in order from an exact +0.0, so that no bit of a step's value depends
+    on the steps gathered with it or on their padded width: padding adds an
+    exact 0, and terms that are all -0.0 sum to +0.0."""
+    terms = np.take(field, nodes, axis=0)
+    terms *= weights.reshape(weights.shape + (1,) * (field.ndim - 1))
+    out = np.zeros(terms.shape[1:])
+    for term in terms:
+        out += term
     return out
+
+
+def _join_on_row(parts) -> tuple[np.ndarray, np.ndarray]:
+    """The stencils on row i of a row's steps, part by part (its shared
+    steps, then its own), joined stencil-major: ``(K, m)`` intp nodes and
+    weights for the m steps of the parts, K the widest part's, padded with
+    node 0 at weight 0."""
+    m = sum(steps.row_nodes.shape[0] for steps, _ in parts)
+    width = max(steps.row_nodes.shape[1] for steps, _ in parts)
+    nodes = np.zeros((width, m), np.intp)
+    weights = np.zeros((width, m))
+    at = 0
+    for steps, _ in parts:
+        n, k = steps.row_nodes.shape
+        nodes[:k, at:at + n] = steps.row_nodes.T
+        weights[:k, at:at + n] = steps.row_weights.T
+        at += n
+    return nodes, weights
 
 
 def _diagonal_data(model: PlantModel, at: np.ndarray,
@@ -895,6 +916,8 @@ def _march_block(problem: GoursatProblem, plans: dict[str, _Plan],
                    + np.concatenate([reads[:, 0] for _, reads in edge_parts])
                    * float(problem.edge_gain @ C[below.start]))
         gain = np.concatenate([reads[:, 1] for _, reads in edge_parts])
+        on_row_c = _join_on_row(cross_parts)
+        on_row_g = _join_on_row(edge_parts)
         to_ensemble = problem.scalar_to_ensemble[:n]
         to_scalar = problem.ensemble_to_scalar[:n]
         decay = problem.scalar_decay[:n]
@@ -915,10 +938,10 @@ def _march_block(problem: GoursatProblem, plans: dict[str, _Plan],
                     f"Goursat iteration did not reach tol={tol} in "
                     f"{MAX_SWEEPS} sweeps on row {i}",
                     final_delta=history[-1])
-            c_new = fixed_C + _on_row(src_c.reshape(n * families, width),
-                                      cross_parts).reshape(n, r)
+            c_new = fixed_C + _gather(src_c.reshape(n * families, width),
+                                      *on_row_c).reshape(n, r)
             g_new = (fixed_G + gain * float(problem.edge_gain @ c_new[0])
-                     + _on_row(src_g, edge_parts))
+                     + _gather(src_g, *on_row_g))
             if not (np.all(np.isfinite(c_new))
                     and np.all(np.isfinite(g_new))):
                 raise NumericError("Goursat iterate is no longer finite")
@@ -931,13 +954,6 @@ def _march_block(problem: GoursatProblem, plans: dict[str, _Plan],
         source_g[:n] = src_g
         histories.append(history)
     return histories
-
-
-def _on_row(source: np.ndarray, parts) -> np.ndarray:
-    """The source ``source`` of a row gathered by its steps' corners on it,
-    part by part: its shared steps, then its own."""
-    return np.concatenate([_gather(source, steps.row_nodes, steps.row_weights)
-                           for steps, _ in parts])
 
 
 def _ensemble_maps(coeff: SampledCoefficients) -> Iterator[np.ndarray]:

@@ -781,6 +781,89 @@ def test_shared_steps_are_the_rows_own(name):
     assert (read > 0) == one_profile
 
 
+def _gather_by_columns(field, nodes, weights):
+    """A gather of step-major ``(m, K)`` stencils one column at a time: a
+    fancy index, a product and a sum for each of the K columns, from
+    +0.0."""
+    if field.ndim > 1:
+        weights = weights[..., None]
+    out = np.zeros((nodes.shape[0],) + field.shape[1:])
+    for k in range(nodes.shape[1]):
+        out += field[nodes[:, k]] * weights[:, k]
+    return out
+
+
+@pytest.mark.parametrize("trailing", [(), (1,), (3,)])
+@pytest.mark.parametrize("width", [0, 1, 6])
+def test_gather_sums_each_stencil_in_order(trailing, width, rng):
+    """One gather of a whole stencil, held stencil-major, gives the bits of
+    a sum one stencil column at a time, the signs of zeros included, on an
+    ``(N,)`` field, ``(N, 1)`` lanes and ``(N, 3)`` coordinates: negative
+    values with zero-weight padding (node 0 at weight 0, as the march pads,
+    each such term -0.0), steps whose every term is -0.0, which sum to
+    +0.0, and a stencil of no columns, which gathers +0.0."""
+    size, m = 11, 40
+    field = -rng.uniform(0.5, 1.0, (size,) + trailing)
+    field[3] = -0.0
+    nodes = rng.integers(0, size, (m, width)).astype(np.int32)
+    weights = rng.standard_normal((m, width))
+    padding = np.arange(width) >= rng.integers(0, width + 1, m)[:, None]
+    nodes[padding] = 0
+    weights[padding] = 0.0
+    # The first five steps read node 3, -0.0, at weights of one sign.
+    nodes[:5] = 3
+    weights[:5] = np.abs(weights[:5])
+    got = kernelsolve._gather(field, nodes.T.astype(np.intp), weights.T)
+    want = _gather_by_columns(field, nodes, weights)
+    assert got.shape == (m,) + trailing
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.all(got[:5] == 0.0) and not np.any(np.signbit(got[:5]))
+    if width == 0:
+        assert not np.any(got) and not np.any(np.signbit(got))
+
+
+@pytest.mark.parametrize("name", ["toy", "ydep"])
+def test_joined_row_stencils_give_their_parts_bits(name, rng):
+    """Every row's stencils on its own row, joined across its parts (its
+    profile's shared steps, then its own) into one padded stencil-major
+    intp pair per family (``_join_on_row``), gather from a negative source
+    the bits of the parts gathered one by one, a column at a time: in a
+    y-subspace (the toy, whose crossing source is ``(n, r)``) and on lanes
+    (one family per y-node, ``(n * ny, 1)``), on rows of one part and
+    rows of two."""
+    plant = {"toy": toy_model(), "ydep": ydep_plant()}[name]
+    problem = build_backstepping_problem(plant, GridSpec(nx=24, ny=5))
+    plans = kernelsolve._plans(problem)
+    shared = {family: {} for family in plans}
+    width = kernelsolve._lane_width(problem)
+    parts_seen = set()
+    for rows in kernelsolve._blocks(plans):
+        cross, _, edge, reads = kernelsolve._block_steps(
+            problem, plans, shared, rows)
+        own = {"crossing": (cross, None),
+               "edge": (edge, np.column_stack(reads))}
+        for i, parts in zip(rows, kernelsolve._row_parts(plans, shared, own,
+                                                         rows)):
+            for family, plan in plans.items():
+                lanes = (i + 1) * plan.lanes
+                field = -rng.uniform(0.5, 1.0, (lanes, width)
+                                     if family == "crossing" else lanes)
+                nodes, weights = kernelsolve._join_on_row(parts[family])
+                assert nodes.dtype == np.intp
+                assert nodes.shape == weights.shape
+                assert nodes.shape[1] == lanes
+                got = kernelsolve._gather(field, nodes, weights)
+                want = np.concatenate([
+                    _gather_by_columns(field, steps.row_nodes,
+                                       steps.row_weights)
+                    for steps, _ in parts[family]])
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+                parts_seen.add(len(parts[family]))
+    assert parts_seen == {1, 2}
+
+
 def test_steps_read_their_row_and_the_one_below(toy, monkeypatch):
     """Every step a row marches, crossing or edge, its profile's shared
     steps and its own alike (:func:`_marched_steps`), reads its start from
