@@ -62,16 +62,26 @@ and one row of sources: each block allocates its traces' segments and its
 step data, which are freed before the next block is traced, and each
 finished row's sources replace those of the row below it, since no step
 reads a source more than one row below its own.  The solve records its
-blocks, and the steps it marched and traced and their segments
-(:attr:`KernelSolution.march`).  Every gather sums its stencil in one
-fixed order, and every projection one basis column at a time, so no bit
-of the kernels depends on the block size.  A step's
-source reads the corners of its cell on its own row too, so each row is
-a small fixed point.  Boundary data is evaluated exactly at the off-grid
-launch abscissas, so the diagonal condition holds exactly at nodes and
-the edge condition holds to the fixed-point tolerance.  A plant
-whose sampled ensemble speed does not vary in y has one family of crossing
-curves, traced at the first y-node, and any other one per y-node.
+blocks, the local sweeps of its rows, and the steps it marched and traced
+and their segments (:attr:`KernelSolution.march`).  A step's source reads
+the corners of its cell on its own row too, so each row is a small fixed
+point.  Before its first sweep a row joins its steps' stencils on the row,
+its profile's shared steps then its own, into one stencil-major pair per
+family, so a sweep gathers each family's sources in one take
+(:func:`_gather`).  Every gather sums its stencil in one fixed order, and
+every projection one basis column at a time, so no bit of the kernels
+depends on the block size.  A row's sweeps start from the two rows below
+it, extrapolated linearly in x (:func:`_start`): the predictor of a
+predictor-corrector scheme (Hairer, Norsett & Wanner, *Solving Ordinary
+Differential Equations I*, Springer 1993, section III.1), so a row's first
+increment is the error of that prediction, not the size of the kernel.
+The toy at nx=200, ny=120 takes 604 sweeps in all and at most 4 a row,
+against 1202 and 6 from a zero start.  Boundary data is evaluated exactly
+at the off-grid launch abscissas, so the diagonal condition holds exactly
+at nodes and the edge condition holds to the fixed-point tolerance.  A
+plant whose sampled ensemble speed does not vary in y has one family of
+crossing curves, traced at the first y-node, and any other one per
+y-node.
 
 With one family the steps act on x and xi only, so y moves only through
 the exchange and the speed derivative, and the sweeps run in the smallest
@@ -134,11 +144,11 @@ MAX_SWEEPS = 60
 #: five columns of crossing steps and three of edge steps, and its
 #: profile's shared steps serve the rest.
 #: With 2**11, 2**12, 3 * 2**12 and 2**14 the toy at nx=200, ny=120 solved
-#: in one block, in 0.14 s, peaking at 37.7 MB, and the plant with
-#: speed_u = 1 + y/2 at nx=100, ny=60 (17, 8, 3 and 2 blocks) in 0.23,
-#: 0.22, 0.20 and 0.22 s, within the host's noise, and a process that
-#: samples the plant and solves peaked at 40.4, 40.6, 44.4 and 46.1 MB of
-#: RSS (medians of three runs, 2-core Xeon shared with other jobs, one
+#: in one block, in 0.11 s, peaking at 37.4 MB, and the plant with
+#: speed_u = 1 + y/2 at nx=100, ny=60 (17, 8, 3 and 2 blocks) in 0.19,
+#: 0.17, 0.16 and 0.15 s, within the host's noise, and a process that
+#: samples the plant and solves peaked at 40.6, 40.9, 44.8 and 46.2 MB of
+#: RSS (medians of five runs, 2-core Xeon shared with other jobs, one
 #: sitting, Python 3.11, numpy 2.4): larger blocks hold more.
 _BLOCK_CURVES = 2 ** 12
 
@@ -208,7 +218,8 @@ class KernelSolution:
     local sweep k + 1, a row that stopped sooner counting its last, so
     that ``deltas[-1]`` is ``final_delta``, the largest last increment.
     ``march`` holds the sizes of the march that solved the kernels: its
-    ``blocks``, and for each family of steps, ``crossing`` and ``edge``,
+    ``blocks``, the local ``sweeps`` of all its rows, and for each family
+    of steps, ``crossing`` and ``edge``,
     the ``steps`` it marched, the cell ``segments`` they were cut into and
     the steps it ``traced``, each shared step once (None for kernels not
     marched).
@@ -490,8 +501,12 @@ class _Steps(NamedTuple):
     (:class:`_Plan`), and a stencil below of a short row reaches up to two
     nodes past it, at weight 0.  A step's segments come in order, padded
     with node 0 at weight 0 up to the ``width`` segments of the longest
-    step.  The nodes are int32.  ``nnz`` counts the corner entries of the
-    steps, four a segment.
+    step.  The steps are held step-major, ``(steps, K)``, and their nodes
+    are int32, so that a block's steps and the shared ones take half the
+    room of intp nodes; a gather reads them stencil-major, ``(K, steps)``
+    (:func:`_gather`), and a row's steps on the row are joined into one
+    intp stencil while that row is marched (:func:`_join_on_row`).
+    ``nnz`` counts the corner entries of the steps, four a segment.
     """
 
     start_nodes: np.ndarray
@@ -774,15 +789,18 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     of the last finished row, which the next row's steps read, are carried
     from row to row and from block to block.
     The source of a step reads its cell's corners on row i too, so each row
-    is a small fixed point: both unknowns on the row are iterated from zero
-    until their sup-norm increment (of the ensemble unknown on every y-node,
-    not of its coordinates) falls below ``tol``.
+    is a small fixed point: both unknowns on the row are iterated from the
+    rows below it, extrapolated linearly in x (:func:`_start`), until their
+    sup-norm increment (of the ensemble unknown on every y-node, not of its
+    coordinates) falls below ``tol``; a row's steps on the row are joined
+    into one stencil per family before its first sweep.
     Each local sweep computes the ensemble update from the previous
     iterates, then the scalar update using the fresh ensemble values in the
     edge condition and the previous iterates in the path integral.
     ``iterations`` is the most local sweeps any row took, and ``deltas[k]``
     the largest row increment of local sweep k + 1, a row that stopped
-    sooner counting its last.  The solution keeps the marched coordinates
+    sooner counting its last, and ``march["sweeps"]`` the local sweeps of
+    all rows.  The solution keeps the marched coordinates
     and the problem's exact diagonal rows: no ``(n_tri, ny)`` array is
     formed.
 
@@ -814,7 +832,7 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     deltas, ended = [], 0.0
     plans = _plans(problem)
     blocks = _blocks(plans)
-    march = {"blocks": len(blocks),
+    march = {"blocks": len(blocks), "sweeps": 0,
              **{family: {"steps": 0, "traced": 0, "segments": 0}
                 for family in plans}}
     shared = {family: {} for family in plans}
@@ -825,6 +843,7 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
             for k in range(len(deltas)):
                 deltas[k] = max(deltas[k], history[min(k, len(history) - 1)])
             ended = max(ended, history[-1])
+            march["sweeps"] += len(history)
         # The shared steps of profiles no later row reads are dropped.
         for family, plan in plans.items():
             later = set(plan.profile[rows.stop:].tolist())
@@ -922,8 +941,8 @@ def _march_block(problem: GoursatProblem, plans: dict[str, _Plan],
         to_scalar = problem.ensemble_to_scalar[:n]
         decay = problem.scalar_decay[:n]
 
-        c = np.zeros((n, r))
-        g = np.zeros(n)
+        c = _start(C, tri, i)
+        g = _start(G, tri, i)
         history: list[float] = []
         # The sources are formed at the top of every sweep, so that those
         # of the converged iterate are at hand for the rows above.
@@ -948,12 +967,33 @@ def _march_block(problem: GoursatProblem, plans: dict[str, _Plan],
             history.append(max(_sup_increment(c_new - c, basis),
                                float(np.max(np.abs(g_new - g)))))
             c, g = c_new, g_new
+        # The joined stencils live while their row is marched.
+        del on_row_c, on_row_g
         C[nodes] = c
         G[nodes] = g
         source_c[:n * families] = src_c.reshape(n * families, width)
         source_g[:n] = src_g
         histories.append(history)
     return histories
+
+
+def _start(field: np.ndarray, tri: TriangularIndex, i: int) -> np.ndarray:
+    """Where row i's local sweeps start the unknown ``field`` (``C`` or
+    ``G``, solved on the rows below i), the predictor of a
+    predictor-corrector march: zero on row 0; on rows 1 and 2 row i - 1,
+    its last node repeated; above them ``2 * row(i - 1) - row(i - 2)`` on
+    the nodes the two rows share, extrapolated linearly along the row to
+    its last two nodes."""
+    if i == 0:
+        return np.zeros((1,) + field.shape[1:])
+    last = field[tri.row_slice(i - 1)]
+    if i < 3:
+        return np.concatenate([last, last[-1:]])
+    start = np.empty((i + 1,) + field.shape[1:])
+    np.subtract(2.0 * last[:-1], field[tri.row_slice(i - 2)], out=start[:-2])
+    for j in (i - 1, i):
+        start[j] = 2.0 * start[j - 1] - start[j - 2]
+    return start
 
 
 def _ensemble_maps(coeff: SampledCoefficients) -> Iterator[np.ndarray]:

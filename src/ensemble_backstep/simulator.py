@@ -586,7 +586,7 @@ def lyapunov_recipe(coeff: SampledCoefficients, kernels: KernelSolution,
     wy = spec.y_weights
     m_linv = 1.0 / coeff.speed_u_min
     m_theta = float(np.sqrt(max(
-        np.einsum("yh,yh,y,h->", exchange, exchange, wy, wy)
+        float(wy @ (exchange * exchange) @ wy)
         for exchange in map(coeff.exchange_at, range(spec.nx + 1)))))
     drive_norm = np.sqrt((coeff.drive_grid ** 2) @ wy)
     m_drive = float(drive_norm.max())

@@ -169,6 +169,11 @@ class TestKernelsCommand:
             sizes = payload["march"][family]
             assert set(sizes) == {"steps", "traced", "segments"}
             assert 0 < sizes["traced"] < sizes["steps"]
+        # the local sweeps of all 25 rows, each at most the most a row took
+        assert set(payload["march"]) == {"blocks", "sweeps", "crossing",
+                                         "edge"}
+        assert (payload["iterations"] < payload["march"]["sweeps"]
+                <= 25 * payload["iterations"])
         # one sup-norm increment per sweep, the last being final_delta
         assert len(payload["deltas"]) == payload["iterations"]
         assert payload["deltas"][-1] == payload["final_delta"]
@@ -450,11 +455,12 @@ def test_reports_record_the_march(tmp_path, command, report):
     crossing steps (every step of rows 0 to 3, the last four of each row
     above, and one shared step for each of the columns 0 to 16) and 63 edge
     steps (rows 0 to 3, the last two of each row above, and columns 0 to
-    18)."""
+    18).  Each row starts its local sweeps from the rows below it, and the
+    21 rows take 145 sweeps in all."""
     assert main(command + ["--nx", "20", "--ny", "8",
                            "--out", str(tmp_path)]) == 0
     march = json.loads((tmp_path / report).read_text())["march"]
-    assert march == {"blocks": 1,
+    assert march == {"blocks": 1, "sweeps": 145,
                      "crossing": {"steps": 231, "traced": 95, "segments": 210},
                      "edge": {"steps": 231, "traced": 63, "segments": 210}}
 
