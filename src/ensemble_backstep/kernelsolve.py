@@ -967,7 +967,8 @@ def _march_block(problem: GoursatProblem, plans: dict[str, _Plan],
             history.append(max(_sup_increment(c_new - c, basis),
                                float(np.max(np.abs(g_new - g)))))
             c, g = c_new, g_new
-        # The joined stencils live while their row is marched.
+        # Freed before the next row joins its own: one row's intp stencils
+        # are held at a time.
         del on_row_c, on_row_g
         C[nodes] = c
         G[nodes] = g
