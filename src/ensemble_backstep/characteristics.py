@@ -660,17 +660,24 @@ def _read_curves(z: _Component, w: _Component, s_end, launch
     return TracedBundle(offsets, x, xi, weights, s_end, launch, w.p_end)
 
 
-def cell_profiles(coeff: SampledCoefficients) -> np.ndarray:
-    """The travel-time profile of ``speed_v`` in every x-cell, as the index
-    of the first cell with the same one: the cells whose Hermite inverse in
+def cell_profiles(coeff: SampledCoefficients, ys=None) -> np.ndarray:
+    """The travel-time profile of ``speed_v`` in every x-cell, or, with
+    ``ys``, of ``speed_u`` in every lane at ``ys`` at once, as the index of
+    the first cell with the same one: the cells whose Hermite inverse in
     their own coordinates (:meth:`_TravelTime.inverse`), their travel time
-    and node speeds, agree to the bit.  A one-cell step from a node that
-    stops on the x-line below it moves alike in every cell of one profile
-    (:func:`_start_and_line`), so its segments' times, its xi-component and
-    its x-component past the cell's lower line are the same to the bit:
-    with a constant ``speed_v`` every cell has one profile."""
-    phi = _travel_time(coeff)
-    key = np.column_stack([phi._per_phi, phi._m0, phi._c2, phi._c3])
+    and node speeds, agree to the bit, in every lane.  A one-cell step from
+    a node that stops on the x-line below it moves alike in every cell of
+    one profile of ``speed_v`` (:func:`_start_and_line`), so its segments'
+    times, its xi-component and its x-component past the cell's lower line
+    are the same to the bit: with a constant ``speed_v`` every cell has one
+    profile.  A step whose xi-component moves through cells of the same
+    profiles, as a crossing step through those of ``speed_u`` at its lane's
+    y, moves alike there too, to rounding: with a ``speed_u`` that does
+    not vary in x every cell has one profile."""
+    phi = (_travel_time(coeff) if ys is None
+           else _ensemble_travel_time(coeff, np.asarray(ys, dtype=float))[0])
+    key = np.concatenate([a.reshape(-1, phi.nx).T for a in (
+        phi._per_phi, phi._m0, phi._c2, phi._c3)], axis=1)
     _, first, profile = np.unique(key, axis=0, return_index=True,
                                   return_inverse=True)
     return first[profile.ravel()]

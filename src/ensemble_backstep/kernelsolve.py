@@ -43,10 +43,17 @@ x-cell has its travel-time profile
 (:func:`~.characteristics.cell_profiles`), so such rows share their steps
 (:class:`_Plan`): the step of a column is traced once per profile, from
 the first row that reads it, and every row of the profile reads it, as a
-prefix of its steps, once it keeps clear of the row's ends; a row traces
-the rest, near the diagonal, itself.  With a constant ``speed_v`` every
-cell has one profile, and a row traces about five columns of crossing
-steps, its last four and one shared; where ``speed_v`` varies in x every
+prefix of its steps, once it keeps clear of the row's ends.  The rest, near
+the diagonal, move alike along the diagonal, to rounding, from every such
+row whose xi-cells they move through have the same profiles too, and they
+read alike counted from the row's last node: a row traces them once, and
+every later row of the same profiles reads them, as a suffix of its steps,
+their nodes moved on by as many as it has more, and the data those that
+reach the diagonal carry at its own launches (the traced row's counted
+from its x-node).  With ``speed_v = 1`` and a ``speed_u`` that does not
+vary in x, rows 0 to 4 trace their steps near the diagonal and every row
+above reads row 4's, so a row from the fifth on traces one column of
+crossing steps, its next shared one; where ``speed_v`` varies in x every
 cell is a profile of its own, and every row traces all its steps.  The
 steps are traced a block of rows at a time, at most :data:`_BLOCK_CURVES`
 curves, the march's one bound on what it holds, through the travel times
@@ -57,17 +64,19 @@ stencils the march gathers on int32 node indices: a 4-point start stencil
 on the row below, then two padded source stencils, three leveled nodes a
 segment on the row below and two corners a segment on the step's own row,
 each from its row's first node.  The march holds the solution, one
-block's step data, the shared steps later rows read (:class:`_Shared`)
-and one row of sources: each block allocates its traces' segments and its
-step data, which are freed before the next block is traced, and each
+block's step data, the shared steps and the steps near the diagonal later
+rows read (:class:`_Shared`) and one row of sources: each block allocates
+its traces' segments and its step data, which are freed before the next
+block is traced, and each
 finished row's sources replace those of the row below it, since no step
 reads a source more than one row below its own.  The solve records its
 blocks, the local sweeps of its rows, and the steps it marched and traced
 and their segments (:attr:`KernelSolution.march`).  A step's source reads
 the corners of its cell on its own row too, so each row is a small fixed
 point.  Before its first sweep a row joins its steps' stencils on the row,
-its profile's shared steps then its own, into one stencil-major pair per
-family, so a sweep gathers each family's sources in one take
+its profile's shared steps then its steps near the diagonal, into one
+stencil-major pair per family, so a sweep gathers each family's sources in
+one take
 (:func:`_gather`).  Every gather sums its stencil in one fixed order, and
 every projection one basis column at a time, so no bit of the kernels
 depends on the block size.  A row's sweeps start from the two rows below
@@ -138,18 +147,20 @@ MAX_SWEEPS = 60
 #: Steps (crossing and edge curves) a block of rows of :func:`solve_goursat`
 #: may trace: the size of every trace and of the step data the march holds,
 #: one block at a time, each block's allocated for it, beside the shared
-#: steps its profiles keep (:class:`_Plan`).  Every block's traces
-#: read the travel-time tables the solve built first, so a block costs its
-#: curves and a small fixed overhead.  With speed_v = 1 a row traces about
-#: five columns of crossing steps and three of edge steps, and its
-#: profile's shared steps serve the rest.
+#: steps and the steps near the diagonal later rows read (:class:`_Plan`).
+#: Every block's traces read the travel-time tables the solve built first,
+#: so a block costs its curves and a small fixed overhead.  With
+#: speed_v = 1 and a speed_u that does not vary in x a row from the fifth
+#: on traces one column of crossing steps and one of edge steps, and the
+#: shared steps and row 4's steps near the diagonal serve the rest.
 #: With 2**11, 2**12, 3 * 2**12 and 2**14 the toy at nx=200, ny=120 solved
-#: in one block, in 0.11 s, peaking at 37.4 MB, and the plant with
-#: speed_u = 1 + y/2 at nx=100, ny=60 (17, 8, 3 and 2 blocks) in 0.19,
-#: 0.17, 0.16 and 0.15 s, within the host's noise, and a process that
-#: samples the plant and solves peaked at 40.6, 40.9, 44.8 and 46.2 MB of
-#: RSS (medians of five runs, 2-core Xeon shared with other jobs, one
-#: sitting, Python 3.11, numpy 2.4): larger blocks hold more.
+#: in one block, peaking at 37.9 MB, and the plant with speed_u = 1 + y/2
+#: at nx=100, ny=60 in 4, 2, 1 and 1 blocks, a process that samples the
+#: plant and solves peaking at 40.4, 40.6, 40.5 and 40.5 MB of RSS, in
+#: 0.11-0.16 s and 0.12-0.21 s, within the host's noise (medians of five
+#: runs, 2-core Xeon shared with other jobs, one sitting, Python 3.11,
+#: numpy 2.4): the bound matters where rows share fewer steps, as where
+#: speed_v varies in x.
 _BLOCK_CURVES = 2 ** 12
 
 #: The part of a block's diagonal data, relative to the sup of the diagonal
@@ -378,18 +389,24 @@ class _Plan(NamedTuple):
     (:func:`~ensemble_backstep.characteristics.cell_profiles`; -1 for row
     0).  Its steps from the columns ``0 .. shared[i] - 1`` are its
     profile's shared steps, traced once, each from the first row that reads
-    it; it traces the rest itself, near the diagonal, and its profile's
-    shared steps from ``first[i]``, the first no row before it reads, up
-    to ``shared[i]``."""
+    it; it traces its profile's shared steps from ``first[i]``, the first
+    no row before it reads, up to ``shared[i]``.  Its steps from the
+    columns ``shared[i] .. i``, near the diagonal, are the last of the
+    steps near the diagonal that row ``source[i]`` traces: row i traces
+    them itself where ``source[i]`` is i, and reads them, moved along the
+    diagonal, where it is a row before it."""
 
     lanes: int
     profile: np.ndarray
     shared: np.ndarray
     first: np.ndarray
+    source: np.ndarray
 
     def traced(self) -> np.ndarray:
         """The steps each row traces."""
-        return (np.arange(self.profile.size) + 1 - self.first) * self.lanes
+        row = np.arange(self.profile.size)
+        return (self.shared - self.first + np.where(
+            self.source == row, row + 1 - self.shared, 0)) * self.lanes
 
 
 def _plans(problem: GoursatProblem) -> dict[str, _Plan]:
@@ -406,32 +423,84 @@ def _plans(problem: GoursatProblem) -> dict[str, _Plan]:
     column ``c_j`` (as the start stencil floors it), so row i reads column
     j shared once every column up to j ends below i - 2: ``c_j <= i - 3``.
     A step that ends that far below the diagonal reaches its line, not the
-    diagonal, so no shared step carries diagonal data."""
+    diagonal, so no shared step carries diagonal data.
+
+    A step near the diagonal moves alike, to rounding, from every row of
+    one profile whose xi-cells it moves through have the same profiles
+    (of ``speed_u`` in every lane for a crossing step, of ``speed_v`` for
+    an edge step), and its layout is the same counted from the row's last
+    node wherever the row below has four nodes or more and the step keeps
+    above the first xi-cell, so that no stencil is cut short at column 0
+    and no edge step reaches the edge (:func:`_diagonal_sources`)."""
     spec, coeff, family_y = problem.spec, problem.coeff, problem.family_y
     nx, x = spec.nx, spec.x_nodes
     profile = np.concatenate([[-1], cell_profiles(coeff)])
+    # The profiles of the xi-cells each family's steps move through.
+    moves = {"crossing": cell_profiles(coeff, family_y), "edge": profile[1:]}
     plans = {}
     for family, lanes in (("crossing", family_y.size), ("edge", 1)):
         shared = np.zeros(nx + 1, dtype=np.int64)
         first = np.zeros(nx + 1, dtype=np.int64)
+        source = np.arange(nx + 1)
         for cell in np.unique(profile[1:]):
             on = np.flatnonzero(profile == cell)
             # A profile of one row shares nothing: it traces all its steps.
             if on.size == 1:
                 continue
-            columns = np.repeat(x[:on[-1]], lanes)
+            columns = np.repeat(x[:on[-1] + 1], lanes)
             if family == "crossing":
                 ends = line_ends(coeff, cell, columns,
-                                 np.tile(family_y, on[-1]))
+                                 np.tile(family_y, on[-1] + 1))
             else:
                 ends = line_ends(coeff, cell, columns)
+            ends = ends.reshape(-1, lanes)
             below = np.maximum.accumulate(
-                np.floor(ends * nx).reshape(-1, lanes).max(axis=1))
+                np.floor(ends[:-1] * nx).max(axis=1))
             reads = np.searchsorted(below, on - 3, side="right")
             shared[on] = np.where(on >= 4, np.minimum(reads, on), 0)
             first[on[1:]] = shared[on[:-1]]
-        plans[family] = _Plan(lanes, profile, shared, first)
+            # The lowest xi-cell the step of each column moves through: a
+            # crossing step's xi-component rises from its column, an edge
+            # step's falls to its end.
+            low = (np.arange(on[-1] + 1) if family == "crossing" else
+                   np.floor(ends.min(axis=1) * nx).astype(np.int64))
+            source[on] = _diagonal_sources(on, shared[on], low,
+                                           moves[family])
+        plans[family] = _Plan(lanes, profile, shared, first, source)
     return plans
+
+
+def _diagonal_sources(rows: np.ndarray, shared: np.ndarray, low: np.ndarray,
+                      moves: np.ndarray) -> np.ndarray:
+    """The row each of ``rows``, the rows of one profile, reads its steps
+    near the diagonal from (:class:`_Plan`), those from its columns
+    ``shared`` on.  The steps from the last t columns of a row i move
+    through the xi-cells ``low[i + 1 - t]`` to i - 1 and are keyed by t
+    and the profiles ``moves`` of those cells.  A row of four nodes or
+    more reads them from the first row that traced its key, matched on
+    the cells that row's steps moved through (its own may reach one cell
+    lower where a step ends on a node), and traces its own otherwise,
+    which serve later rows wherever they keep above the first xi-cell."""
+    source = rows.copy()
+    traced: dict[tuple, int] = {}
+    # The numbers of cells below the diagonal that keys of t columns span.
+    spans: dict[int, set] = {}
+    for k, (i, a) in enumerate(zip(rows.tolist(), shared.tolist())):
+        if i < 4:
+            continue
+        t = i + 1 - a
+        keys = ((t, tuple(moves[i - span:i].tolist()))
+                for span in spans.get(t, ()))
+        found = [traced[key] for key in keys if key in traced]
+        if found:
+            source[k] = min(found)
+            continue
+        for column in range(a, i + 1):
+            if low[column] >= 1:
+                cells = tuple(moves[low[column]:i].tolist())
+                traced.setdefault((i + 1 - column, cells), i)
+                spans.setdefault(i + 1 - column, set()).add(len(cells))
+    return source
 
 
 def _blocks(plans: dict[str, _Plan]) -> list[range]:
@@ -498,10 +567,12 @@ class _Steps(NamedTuple):
     xi-error; ``row_nodes``/``row_weights``, ``(steps, 2 * width)``, read
     row i's own source, two corners a segment.  Every stencil counts from
     its row's first node, so a step reads alike from every row it serves
-    (:class:`_Plan`), and a stencil below of a short row reaches up to two
-    nodes past it, at weight 0.  A step's segments come in order, padded
-    with node 0 at weight 0 up to the ``width`` segments of the longest
-    step.  The steps are held step-major, ``(steps, K)``, and their nodes
+    (:class:`_Plan`), moved on by as many nodes as that row has more where
+    it is read along the diagonal (:meth:`shifted`), and a stencil below of
+    a short row reaches up to two nodes past it, at weight 0.  A step's
+    segments come in order, padded with node 0 at weight 0 up to the
+    ``width`` segments of the longest step.  The steps are held
+    step-major, ``(steps, K)``, and their nodes
     are int32, so that a block's steps and the shared ones take half the
     room of intp nodes; a gather reads them stencil-major, ``(K, steps)``
     (:func:`_gather`), and a row's steps on the row are joined into one
@@ -522,6 +593,16 @@ class _Steps(NamedTuple):
         segments."""
         return _Steps(*(a[steps] for a in self[:-1]), 4 * segments)
 
+    def shifted(self, by: int) -> _Steps:
+        """The steps read from a row ``by`` lanes past the first node of
+        the row they were laid out from, as steps moved along the diagonal
+        are: their nodes ``by`` on, their padding too."""
+        if not by:
+            return self
+        return _Steps(self.start_nodes + by, self.start_weights,
+                      self.below_nodes + by, self.below_weights,
+                      self.row_nodes + by, self.row_weights, self.nnz)
+
     def fixed(self, unknown: np.ndarray, source: np.ndarray) -> np.ndarray:
         """The part of the steps that the row below theirs sets: the start
         read from ``unknown`` and the source's corners below, from
@@ -531,19 +612,25 @@ class _Steps(NamedTuple):
 
 
 class _Shared:
-    """One profile's shared steps of one family (:class:`_Plan`), columns
-    0, 1, ... with their lanes, as :func:`_quadrature_matrix` lays them out
-    (``steps``), with the weights by which edge steps that reach the edge
-    read it from the x-lines i - 1 and i (``reads``, None for crossing
-    steps) and the segments of the first n steps, ``segments[n]``.  A
-    profile whose rows all lie in the block that traces its steps reads
-    them where the block laid them out; any other keeps them in arrays of
-    its own (:meth:`kept`), sized for every step its rows read and as wide
-    as the widest so far, zero past each step, as padding is."""
+    """Steps of one family that rows read (:class:`_Plan`), as
+    :func:`_quadrature_matrix` lays them out (``steps``), with the weights
+    by which edge steps that reach the edge read it from the x-lines i - 1
+    and i (``reads``, None for crossing steps) and the segments of the
+    first n steps, ``segments[n]``: a profile's shared steps, columns 0, 1,
+    ... with their lanes, read as a prefix (:meth:`prefix`), or one row's
+    steps near the diagonal, read as a suffix (:meth:`suffix`), with their
+    crossing steps' launches counted from the row's x-node (``launch``,
+    NaN for a step that reaches its line).  Steps whose rows all lie in the
+    block that traces them are read where the block laid them out; a
+    profile's others are kept in arrays of its own (:meth:`kept`), sized
+    for every step its rows read and as wide as the widest so far, zero
+    past each step, as padding is, and a row's in copies."""
 
     def __init__(self, steps: _Steps, reads, counts: np.ndarray,
-                 lane: np.ndarray | None = None):
+                 lane: np.ndarray | None = None,
+                 launch: np.ndarray | None = None):
         self.steps, self.reads, self.lane = steps, reads, lane
+        self.launch = launch
         self.segments = np.concatenate([[0], np.cumsum(counts)])
 
     @classmethod
@@ -583,6 +670,17 @@ class _Shared:
         return (self.steps.rows(slice(0, n), int(self.segments[n])),
                 None if self.reads is None else self.reads[:n])
 
+    def suffix(self, n: int, by: int):
+        """The last ``n`` steps, read from a row ``by`` lanes past the first
+        node of the row that traced them (:meth:`_Steps.shifted`), and
+        their reads."""
+        held = self.segments.size - 1
+        part = slice(held - n, held)
+        steps = self.steps.rows(part, int(self.segments[-1]
+                                          - self.segments[held - n]))
+        return (steps.shifted(by),
+                None if self.reads is None else self.reads[part])
+
 
 def _gather(field: np.ndarray, nodes: np.ndarray,
             weights: np.ndarray) -> np.ndarray:
@@ -602,7 +700,8 @@ def _gather(field: np.ndarray, nodes: np.ndarray,
 
 def _join_on_row(parts) -> tuple[np.ndarray, np.ndarray]:
     """The stencils on row i of a row's steps, part by part (its shared
-    steps, then its own), joined stencil-major: ``(K, m)`` intp nodes and
+    steps, then its steps near the diagonal), joined stencil-major:
+    ``(K, m)`` intp nodes and
     weights for the m steps of the parts, K the widest part's, padded with
     node 0 at weight 0."""
     m = sum(steps.row_nodes.shape[0] for steps, _ in parts)
@@ -664,8 +763,9 @@ def _traced_steps(plan: _Plan, rows: range):
     """The nodes whose steps a block of rows traces, as their rows and
     columns: first the new shared steps of its profiles (:class:`_Plan`),
     a profile's columns in order, each traced from the first row that reads
-    it, then every row's own, in node order; and each profile's run of
-    them, as (profile, its last row, first node, end)."""
+    it, then the steps near the diagonal of every row that traces its own,
+    in node order; each profile's run of them, as (profile, its last row,
+    first node, end), and each such row's, as (row, first node, end)."""
     block = np.arange(rows.start, rows.stop)
     profiles = plan.profile[block]
     row, column, runs, n = [], [], [], 0
@@ -679,27 +779,33 @@ def _traced_steps(plan: _Plan, rows: range):
             last = int(np.flatnonzero(plan.profile == cell)[-1])
             runs.append((cell, last, n, n + columns.size))
             n += columns.size
-    own = block + 1 - plan.shared[block]
-    row.append(np.repeat(block, own))
-    column.append(np.arange(own.sum()) + np.repeat(
-        plan.shared[block] - np.cumsum(own) + own, own))
-    return np.concatenate(row), np.concatenate(column), runs
+    tracing = block[plan.source[block] == block]
+    count = tracing + 1 - plan.shared[tracing]
+    row.append(np.repeat(tracing, count))
+    column.append(np.arange(count.sum()) + np.repeat(
+        plan.shared[tracing] - np.cumsum(count) + count, count))
+    ends = n + np.cumsum(count)
+    tails = list(zip(tracing.tolist(), (ends - count).tolist(), ends.tolist()))
+    return np.concatenate(row), np.concatenate(column), runs, tails
 
 
 def _block_steps(problem: GoursatProblem, plans: dict[str, _Plan],
-                 shared: dict[str, dict[int, _Shared]], rows: range):
+                 shared: dict[str, dict[int, _Shared]],
+                 near: dict[str, dict[int, _Shared]], rows: range):
     """Trace the steps a block of rows traces (:class:`_Plan`), add the new
-    shared ones to ``shared``, and return the rows' own: the crossing
-    steps, of every family, with the data those that reach the diagonal
-    carry, in the crossing steps' lanes, and the edge steps, with the
-    weights by which those that reach the edge read it from the x-lines
-    i - 1 and i."""
+    shared ones to ``shared`` and the steps near the diagonal of every row
+    that traces its own to ``near``, by row, and return the data that each
+    row's crossing steps near the diagonal carry from the diagonal, in
+    their lanes, the block's rows in turn: a step that reaches the
+    diagonal carries it at the row's own launch, its x-node plus the
+    launch of the traced step counted from the traced row's, all of the
+    block's evaluated in one call.  The steps near the diagonal of a row
+    that a later block reads are copied out of the block's."""
     spec, coeff, family_y = problem.spec, problem.coeff, problem.family_y
     x = spec.x_nodes
-    own = {}
     for family, plan in plans.items():
         lanes = plan.lanes
-        row, column, runs = _traced_steps(plan, rows)
+        row, column, runs, tails = _traced_steps(plan, rows)
         lane = np.tile(np.arange(lanes), row.size)
         stop = np.maximum(row - 1, 0)
         # Every step the block traces of the family in one trace, which
@@ -722,35 +828,56 @@ def _block_steps(problem: GoursatProblem, plans: dict[str, _Plan],
         steps = _quadrature_matrix(spec, bundle, np.repeat(row, lanes), lanes,
                                    lane)
         counts = np.diff(bundle.offsets)
+
+        def part(lo: int, hi: int, copy: bool):
+            # The steps of the nodes lo to hi, with their reads and counts,
+            # as views, or copies.
+            on = slice(lo * lanes, hi * lanes)
+            new = steps.rows(on, int(counts[on].sum()))
+            held = None if reads is None else reads[on]
+            if copy:
+                new = _Steps(*(np.array(a) for a in new[:-1]), new.nnz)
+                held = None if held is None else np.array(held)
+            return new, held, counts[on]
+
         for cell, last, lo, hi in runs:
-            part = slice(lo * lanes, hi * lanes)
-            new = (steps.rows(part, int(counts[part].sum())),
-                   None if reads is None else reads[part], counts[part])
             table = shared[family].get(cell)
             if table is None and last < rows.stop:
-                shared[family][cell] = _Shared(*new)
+                shared[family][cell] = _Shared(*part(lo, hi, False))
             else:
                 if table is None:
                     table = shared[family][cell] = _Shared.kept(
                         int(plan.shared[last]) * lanes, lanes,
                         reads is not None)
-                table.extend(*new)
-        mine = slice(runs[-1][3] * lanes if runs else 0, None)
-        own[family] = (steps.rows(mine, int(counts[mine].sum())),
-                       None if reads is None else reads[mine],
-                       bundle.launch[mine], lane[mine])
+                table.extend(*part(lo, hi, False))
+        # The last row that reads each row's steps near the diagonal.
+        reader = np.zeros(plan.source.size, dtype=np.int64)
+        np.maximum.at(reader, plan.source, np.arange(plan.source.size))
+        for i, lo, hi in tails:
+            near[family][i] = _Shared(
+                *part(lo, hi, reader[i] >= rows.stop), launch=(
+                    bundle.launch[lo * lanes:hi * lanes] - x[i]
+                    if family == "crossing" else None))
         del bundle
-    cross, _, launch, lane = own["crossing"]
-    event = np.flatnonzero(~np.isnan(launch))
-    diagonal = np.zeros((launch.size, _lane_width(problem)))
+    # The block's steps that reach the diagonal, as rows' steps near the
+    # diagonal in turn, and their launches.
+    plan, event, launch, steps = plans["crossing"], [], [], 0
+    for i in rows:
+        n = (i + 1 - int(plan.shared[i])) * plan.lanes
+        offset = near["crossing"][plan.source[i]].launch[-n:]
+        at = np.flatnonzero(~np.isnan(offset))
+        event.append(steps + at)
+        launch.append(x[i] + offset[at])
+        steps += n
+    event, launch = np.concatenate(event), np.concatenate(launch)
+    diagonal = np.zeros((steps, _lane_width(problem)))
     if family_y.size == 1:
         diagonal[event] = _diagonal_coords(problem, _diagonal_data(
-            coeff.model, launch[event, None], spec.y_nodes), rows)
+            coeff.model, launch[:, None], spec.y_nodes), rows)
     else:
-        diagonal[event, 0] = _diagonal_data(coeff.model, launch[event],
-                                            family_y[lane[event]])
-    edge, reads, _, _ = own["edge"]
-    return cross, diagonal, edge, (reads[:, 0], reads[:, 1])
+        diagonal[event, 0] = _diagonal_data(coeff.model, launch,
+                                            family_y[event % plan.lanes])
+    return diagonal
 
 
 def _sup_increment(step: np.ndarray, basis: np.ndarray) -> float:
@@ -782,7 +909,10 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
     (edge) data there instead.  Rows whose x-cells share a travel-time
     profile share the steps that keep clear of their ends, each traced
     once, from the first row that reads it, and read as a prefix of every
-    such row's steps (:func:`_plans`).  The steps a row traces are traced
+    such row's steps, and rows whose xi-cells near the diagonal share
+    their profiles too share their steps near the diagonal, traced by the
+    first such row and read, moved along the diagonal, as a suffix
+    (:func:`_plans`).  The steps a row traces are traced
     a block of rows at a time (:func:`_blocks`), and each block's rows are
     marched by :func:`_march_block`, so that one block's step data are
     held at a time, beside the shared steps later rows read; the sources
@@ -836,19 +966,16 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
              **{family: {"steps": 0, "traced": 0, "segments": 0}
                 for family in plans}}
     shared = {family: {} for family in plans}
+    near = {family: {} for family in plans}
     for rows in blocks:
-        for history in _march_block(problem, plans, shared, rows, tol, C, G,
-                                    source_c, source_g, march):
+        for history in _march_block(problem, plans, shared, near, rows, tol,
+                                    C, G, source_c, source_g, march):
             deltas += [ended] * (len(history) - len(deltas))
             for k in range(len(deltas)):
                 deltas[k] = max(deltas[k], history[min(k, len(history) - 1)])
             ended = max(ended, history[-1])
             march["sweeps"] += len(history)
-        # The shared steps of profiles no later row reads are dropped.
-        for family, plan in plans.items():
-            later = set(plan.profile[rows.stop:].tolist())
-            for cell in set(shared[family]) - later:
-                del shared[family][cell]
+        _drop_unread(plans, shared, near, rows)
 
     return KernelSolution(coords=C, diagonal_rows=problem.diagonal_rows,
                           ktilde=G, iterations=len(deltas),
@@ -858,37 +985,48 @@ def solve_goursat(problem: GoursatProblem, tol: float = 1e-10) -> KernelSolution
 
 
 def _row_parts(plans: dict[str, _Plan], shared: dict[str, dict[int, _Shared]],
-               own: dict, rows: range) -> Iterator[dict]:
-    """Each row's steps in a block whose own steps are ``own``, a family's
-    as (steps, reads) pairs: the shared steps it reads (:class:`_Plan`),
-    if any, then its own, whose slice of the block's is ``"diagonal"``
-    for the crossing steps.  The nodes of every part count from their
+               near: dict[str, dict[int, _Shared]], diagonal: np.ndarray,
+               rows: range) -> Iterator[dict]:
+    """Each row's steps in a block, a family's as (steps, reads) pairs: the
+    shared steps it reads (:class:`_Plan`), if any, then its steps near the
+    diagonal, the last of those its source row traced, their nodes moved
+    along the diagonal from that row's to its own; and ``"diagonal"``, the
+    row's slice of the block's ``diagonal`` data
+    (:func:`_block_steps`).  The nodes of every part count from their
     rows' first, so the parts together are the row's steps in node
     order."""
-    block = np.arange(rows.start, rows.stop)
-    mine = {}
-    for family, plan in plans.items():
-        # Each row's own steps follow those of the rows before it.
-        mine[family] = np.zeros(block.size + 1, dtype=np.int64)
-        np.cumsum((block + 1 - plan.shared[block]) * plan.lanes,
-                  out=mine[family][1:])
-    for k, i in enumerate(block.tolist()):
+    at = 0
+    for i in rows:
         parts = {}
         for family, plan in plans.items():
-            on_row = slice(mine[family][k], mine[family][k + 1])
-            steps, reads = own[family]
-            parts[family] = [(steps.rows(on_row, 0),
-                              None if reads is None else reads[on_row])]
+            lanes, source = plan.lanes, int(plan.source[i])
+            n = (i + 1 - int(plan.shared[i])) * lanes
+            parts[family] = [near[family][source].suffix(
+                n, (i - source) * lanes)]
             if plan.shared[i]:
                 parts[family].insert(0, shared[family][plan.profile[i]].prefix(
-                    int(plan.shared[i]) * plan.lanes))
+                    int(plan.shared[i]) * lanes))
             if family == "crossing":
-                parts["diagonal"] = on_row
+                parts["diagonal"] = diagonal[at:at + n]
+                at += n
         yield parts
 
 
+def _drop_unread(plans: dict[str, _Plan],
+                 shared: dict[str, dict[int, _Shared]],
+                 near: dict[str, dict[int, _Shared]], rows: range) -> None:
+    """Drop the shared steps and the steps near the diagonal that no row
+    past ``rows`` reads."""
+    for family, plan in plans.items():
+        for tables, by in ((shared, plan.profile), (near, plan.source)):
+            later = set(by[rows.stop:].tolist())
+            for key in set(tables[family]) - later:
+                del tables[family][key]
+
+
 def _march_block(problem: GoursatProblem, plans: dict[str, _Plan],
-                 shared: dict[str, dict[int, _Shared]], rows: range,
+                 shared: dict[str, dict[int, _Shared]],
+                 near: dict[str, dict[int, _Shared]], rows: range,
                  tol: float, C: np.ndarray, G: np.ndarray,
                  source_c: np.ndarray, source_g: np.ndarray,
                  march: dict) -> list[list[float]]:
@@ -898,37 +1036,35 @@ def _march_block(problem: GoursatProblem, plans: dict[str, _Plan],
     increments.  ``source_c`` and ``source_g`` hold the sources of the row
     below the block's first, and each row leaves its own there for the
     next.  Each row reads its profile's shared steps (:class:`_Plan`),
-    then its own; the block's own step data live in this call only, so
-    none of them is alive when the next block is traced."""
+    then its steps near the diagonal; the block's step data live in this
+    call only, but for the copies later blocks read, so none of them is
+    alive when the next block is traced."""
     tri = problem.spec.tri
     basis = problem.basis
     r = basis.shape[1]
     families = problem.family_y.size
-    cross, diagonal, edge, (edge_below, edge_on_row) = (
-        _block_steps(problem, plans, shared, rows))
-    own = {"crossing": (cross, None),
-           "edge": (edge, np.column_stack([edge_below, edge_on_row]))}
-    for family, (steps, _) in own.items():
-        march[family]["traced"] += int(plans[family].traced()[
+    diagonal = _block_steps(problem, plans, shared, near, rows)
+    for family, plan in plans.items():
+        march[family]["traced"] += int(plan.traced()[
             rows.start:rows.stop].sum())
-        march[family]["segments"] += steps.nnz // 4
     # The ensemble unknown as the crossing steps read it: a row per node,
     # or per node and y-node with a family per y-node.
     width = _lane_width(problem)
     lanes_C = C.reshape(tri.n_nodes * families, width)
     histories = []
-    for i, parts in zip(rows, _row_parts(plans, shared, own, rows)):
+    for i, parts in zip(rows, _row_parts(plans, shared, near, diagonal,
+                                         rows)):
         nodes = tri.row_slice(i)
         n = i + 1
         below = tri.row_slice(max(i - 1, 0))
         for family, plan in plans.items():
             march[family]["steps"] += n * plan.lanes
             march[family]["segments"] += sum(
-                steps.nnz for steps, _ in parts[family][:-1]) // 4
+                steps.nnz for steps, _ in parts[family]) // 4
         cross_parts, edge_parts = parts["crossing"], parts["edge"]
         unknown = lanes_C[below.start * families:below.stop * families]
         fixed_C = [steps.fixed(unknown, source_c) for steps, _ in cross_parts]
-        fixed_C[-1] = diagonal[parts["diagonal"]] + fixed_C[-1]
+        fixed_C[-1] = parts["diagonal"] + fixed_C[-1]
         fixed_C = np.concatenate(fixed_C).reshape(n, r)
         fixed_G = (np.concatenate([steps.fixed(G[below], source_g)
                                    for steps, _ in edge_parts])

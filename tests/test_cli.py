@@ -451,18 +451,19 @@ def test_reports_record_the_march(tmp_path, command, report):
     231 crossing and 231 edge steps marched, one of each per triangle node.
     The toy's unit speeds carry every step that moves, all but the 21 from
     the diagonal (crossing) or the edge (edge), across one cell in one
-    segment.  Its cells share one profile, so of those steps it traces 95
-    crossing steps (every step of rows 0 to 3, the last four of each row
-    above, and one shared step for each of the columns 0 to 16) and 63 edge
-    steps (rows 0 to 3, the last two of each row above, and columns 0 to
-    18).  Each row starts its local sweeps from the rows below it, and the
-    21 rows take 145 sweeps in all."""
+    segment.  Its cells share one profile, and its xi-cells too, so of
+    those steps it traces 31 crossing steps (every step of rows 0 to 3, the
+    last four of row 4, which every row above reads moved along the
+    diagonal, and one shared step for each of the columns 0 to 16) and 31
+    edge steps (rows 0 to 3, the last two of row 4, and columns 0 to 18).
+    Each row starts its local sweeps from the rows below it, and the 21
+    rows take 145 sweeps in all."""
     assert main(command + ["--nx", "20", "--ny", "8",
                            "--out", str(tmp_path)]) == 0
     march = json.loads((tmp_path / report).read_text())["march"]
     assert march == {"blocks": 1, "sweeps": 145,
-                     "crossing": {"steps": 231, "traced": 95, "segments": 210},
-                     "edge": {"steps": 231, "traced": 63, "segments": 210}}
+                     "crossing": {"steps": 231, "traced": 31, "segments": 210},
+                     "edge": {"steps": 231, "traced": 31, "segments": 210}}
 
 
 class TestVerifyCommand:

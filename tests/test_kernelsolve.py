@@ -662,18 +662,17 @@ def _join(parts, lanes):
 
 def _marched_steps(problem):
     """Every block's steps as its rows march them, block by block as the
-    solve traces them: each row's shared steps, then its own
-    (:func:`kernelsolve._row_parts`), joined in node order
+    solve traces them: each row's shared steps, then its steps near the
+    diagonal (:func:`kernelsolve._row_parts`), joined in node order
     (:func:`_join`), as ``(rows, cross, diagonal, edge, (below,
     on_row))``, the diagonal data 0 on shared steps."""
     plans = kernelsolve._plans(problem)
     shared = {family: {} for family in plans}
+    near = {family: {} for family in plans}
     for rows in kernelsolve._blocks(plans):
-        cross, diagonal, edge, reads = kernelsolve._block_steps(
-            problem, plans, shared, rows)
-        own = {"crossing": (cross, None),
-               "edge": (edge, np.column_stack(reads))}
-        by_row = list(kernelsolve._row_parts(plans, shared, own, rows))
+        diagonal = kernelsolve._block_steps(problem, plans, shared, near, rows)
+        by_row = list(kernelsolve._row_parts(plans, shared, near, diagonal,
+                                             rows))
         cross, _ = _join([part for row in by_row for part in row["crossing"]],
                          plans["crossing"].lanes)
         edge, reads = _join([part for row in by_row for part in row["edge"]],
@@ -682,12 +681,9 @@ def _marched_steps(problem):
             part for row in by_row for part in
             [np.zeros((steps.start_nodes.shape[0], diagonal.shape[1]))
              for steps, _ in row["crossing"][:-1]]
-            + [diagonal[row["diagonal"]]]])
+            + [row["diagonal"]]])
         yield rows, cross, diagonal, edge, (reads[:, 0], reads[:, 1])
-        for family, plan in plans.items():
-            later = set(plan.profile[rows.stop:].tolist())
-            for cell in set(shared[family]) - later:
-                del shared[family][cell]
+        kernelsolve._drop_unread(plans, shared, near, rows)
 
 
 def _curved_per_y_plant():
@@ -698,90 +694,200 @@ def _curved_per_y_plant():
         speed_v_dx=lambda x: 0.5 + 0.0 * np.asarray(x))
 
 
+def _u_x_plant():
+    """The toy with ``speed_u = 1 + x/2`` and ``speed_v = 1``: one profile
+    of x-cells, and every xi-cell a ``speed_u`` profile of its own."""
+    return dataclasses.replace(
+        toy_model(),
+        speed_u=lambda x, y: 1.0 + 0.5 * np.asarray(x) + 0.0 * np.asarray(y),
+        speed_u_dx=lambda x, y: 0.5 + 0.0 * (np.asarray(x) + np.asarray(y)))
+
+
+def _own_steps(problem, family, i, columns):
+    """The steps of ``family`` from the nodes of row i at ``columns``, with
+    their lanes, traced from row i itself (``trace_crossing_batch`` or
+    ``trace_edge_batch``) and laid out (``_quadrature_matrix``), and their
+    bundle."""
+    spec, coeff, family_y = problem.spec, problem.coeff, problem.family_y
+    x = spec.x_nodes
+    lanes = family_y.size if family == "crossing" else 1
+    column = np.repeat(columns, lanes)
+    lane = np.tile(np.arange(lanes), columns.size)
+    if family == "crossing":
+        bundle = trace_crossing_batch(coeff, np.full(column.size, x[i]),
+                                      x[column], family_y[lane], max(i - 1, 0))
+    else:
+        bundle = trace_edge_batch(coeff, np.full(column.size, x[i]),
+                                  x[column], max(i - 1, 0))
+    return bundle, kernelsolve._quadrature_matrix(
+        spec, bundle, np.full(column.size, i), lanes, lane)
+
+
+def _assert_steps_agree(got, want, counts, pad, tol, start_tol):
+    """``got`` holds the steps ``want``, of ``counts`` segments, to the
+    bit in their segments' stencil nodes and their start nodes, padded
+    past them with the nodes ``pad`` at weight 0; their start weights
+    within ``start_tol`` and their corner weights within ``tol`` of the
+    largest weight."""
+    for f, per in enumerate((4, 4, 3, 3, 2, 2)):
+        width = got[f].shape[1]
+        used = (np.arange(width) < per * counts[:, None] if f > 1
+                else np.ones((counts.size, width), bool))
+        if f % 2 == 0:
+            want_f = np.zeros(got[f].shape, want[f].dtype)
+            want_f[:, :want[f].shape[1]] = want[f]
+            assert np.array_equal(got[f], np.where(used, want_f, pad[:, None]))
+            continue
+        assert np.all(got[f][~used] == 0.0)
+        bound = start_tol if f == 1 else tol
+        scale = np.max(np.abs(want[f]), initial=0.0)
+        assert np.max(np.abs(got[f][:, :want[f].shape[1]] - want[f]),
+                      initial=0.0) <= bound * scale
+
+
 @pytest.mark.parametrize("name", ["toy", "pure_transport", "sloped",
-                                  "half_x", "curved"])
+                                  "half_x", "curved", "u_x", "ydep"])
 def test_shared_steps_are_the_rows_own(name):
     """Every shared step a row reads (:class:`kernelsolve._Plan`), crossing
-    and edge, is the step traced from that row itself
-    (``trace_crossing_batch`` or ``trace_edge_batch``, laid out by
-    ``_quadrature_matrix``): the same segments, stencil nodes and start
-    weights, to the bit, and corner weights within the rounding of where
-    the x-component lies in its cell, 8 * nx ulps of the largest weight
-    (a position's ulp, scaled by nx into the cell's coordinates).  On the
-    toy, pure transport and speed_u = 1 + y/2, whose speed_v is constant,
-    every row from the fifth on reads shared steps; where speed_v varies in
-    x (half_x; speed_v = 1 + x/2 with one family per y-node), every cell is
-    a profile of its own and no row reads a step another row traced."""
+    and edge, is the step traced from that row itself (:func:`_own_steps`):
+    the same segments, stencil nodes and start weights, to the bit, and
+    corner weights within the rounding of where the x-component lies in its
+    cell, 8 * nx ulps of the largest weight (a position's ulp, scaled by nx
+    into the cell's coordinates).  So is every step it reads near the
+    diagonal, moved along the diagonal from the row that traced it, to
+    rounding: the same segments and stencil nodes, its start and corner
+    weights within 8 * nx ulps, and the data it carries from the diagonal
+    that of its own launch, to 8 * nx ulps of the sup of the diagonal
+    rows.  A step that ends on the corner (x_{i-1}, x_{i-1}), where the
+    diagonal data and the row below's last node agree, may end at the
+    diagonal in one row's own trace and on the line in another's, as the
+    crossing step from (i, i - 2) at y = 0 does in rows 50 and 90 of the
+    per-y plant at nx=100, ny=60: every row reads the one decision of the
+    row that traced it, carrying the diagonal data at its own launch, the
+    corner, or reading the row below's last node alone.
+    On the toy, pure transport, speed_u = 1 + y/2 (at nx=24 and at
+    nx=100, ny=60, the bench's plant) and speed_u = 1 + x/2, whose speed_v
+    is constant, every row from the fifth on reads shared steps, and,
+    where its steps near the diagonal move through xi-cells of one
+    profile, all but the crossing steps of speed_u = 1 + x/2, reads them
+    moved; where speed_v varies in x (half_x; speed_v = 1 + x/2 with one
+    family per y-node), every cell is a profile of its own and no row
+    reads a step another row traced."""
     plant = {"toy": toy_model(), "pure_transport": pure_transport_model(),
              "sloped": sloped_plant(), "half_x": half_x_plant(),
-             "curved": _curved_per_y_plant()}[name]
-    spec = GridSpec(nx=24, ny=5)
+             "curved": _curved_per_y_plant(), "u_x": _u_x_plant(),
+             "ydep": ydep_plant()}[name]
+    spec = GridSpec(nx=100, ny=60) if name == "ydep" else GridSpec(nx=24, ny=5)
     problem = build_backstepping_problem(plant, spec)
-    coeff, x, family_y = problem.coeff, spec.x_nodes, problem.family_y
+    x, model = spec.x_nodes, problem.coeff.model
+    both = {"crossing", "edge"}
+    moves = {"toy": both, "pure_transport": both, "sloped": both,
+             "ydep": both, "u_x": {"edge"}}.get(name, set())
     plans = kernelsolve._plans(problem)
     shared = {family: {} for family in plans}
-    one_profile = name in ("toy", "pure_transport", "sloped")
+    near = {family: {} for family in plans}
+    one_profile = name not in ("half_x", "curved")
     assert np.unique(plans["edge"].profile[1:]).size == (
         1 if one_profile else spec.nx)
-    read = 0
+    tol = 8 * spec.nx * np.finfo(float).eps
+    scale = np.max(np.abs(problem.diagonal_rows))
+    read, moved, ties = 0, 0, 0
     for rows in kernelsolve._blocks(plans):
-        cross, _, edge, reads = kernelsolve._block_steps(
-            problem, plans, shared, rows)
-        own = {"crossing": (cross, None),
-               "edge": (edge, np.column_stack(reads))}
-        for i, parts in zip(rows, kernelsolve._row_parts(plans, shared, own,
-                                                         rows)):
+        diagonal = kernelsolve._block_steps(problem, plans, shared, near, rows)
+        for i, parts in zip(rows, kernelsolve._row_parts(plans, shared, near,
+                                                         diagonal, rows)):
             for family, plan in plans.items():
                 a, lanes = int(plan.shared[i]), plan.lanes
+                source = int(plan.source[i])
                 assert len(parts[family]) == 1 + (a > 0)
                 if not one_profile:
-                    # A profile of its own: its shared steps are the row's.
+                    # a profile of its own: its shared steps are the row's
                     assert plan.first[i] == 0
-                    continue
                 if i >= 5:
-                    assert a > 0
+                    assert (a > 0) == one_profile
+                    assert (source < i) == (family in moves)
+                    # one row traces them for all that read them
+                    assert source in (i, plan.source[5])
+                # near the diagonal: columns a to i
+                bundle, want = _own_steps(problem, family, i,
+                                          np.arange(a, i + 1))
+                got, got_reads = parts[family][-1]
+                table = near[family][source]
+                n = (i + 1 - a) * lanes
+                counts = np.diff(bundle.offsets)
+                assert np.array_equal(np.diff(table.segments[-n - 1:]), counts)
+                lane = np.arange(n) % lanes
+                # the moved steps that reach the diagonal, where their own
+                # would reach the line or the reverse (an edge step that
+                # reaches the edge is never moved)
+                launch = (x[i] + table.launch[-n:] if family == "crossing"
+                          else bundle.launch)
+                event = ~np.isnan(launch)
+                tie = event != ~np.isnan(bundle.launch)
+                _assert_steps_agree(got.rows(~tie, 0), want.rows(~tie, 0),
+                                    counts[~tie], (i - source) * lanes
+                                    + lane[~tie], tol, tol)
+                if family == "edge":
+                    _assert_edge_reads(got_reads, bundle, spec, i)
+                else:
+                    assert got_reads is None
+                if tie.any():
+                    ties += int(np.count_nonzero(tie))
+                    assert np.allclose(bundle.end_xi[tie], x[i - 1], rtol=0,
+                                       atol=tol)
+                    assert np.allclose(launch[tie & event], x[i - 1], rtol=0,
+                                       atol=tol)
+                    line = tie & ~event
+                    on_last = got.start_nodes[line] // lanes == i - 1
+                    assert np.all(np.abs(got.start_weights[line] - on_last)
+                                  <= tol)
+                if family == "crossing":
+                    # the data of a step that reaches the diagonal, at its
+                    # own launch (the corner if it ends there)
+                    at = np.where(tie, x[i - 1], bundle.launch)[event]
+                    if problem.family_y.size == 1:
+                        data = kernelsolve._diagonal_coords(
+                            problem, kernelsolve._diagonal_data(
+                                model, at[:, None], spec.y_nodes), rows)
+                    else:
+                        data = kernelsolve._diagonal_data(
+                            model, at, problem.family_y[lane[event]])[:, None]
+                    assert np.all(parts["diagonal"][~event] == 0.0)
+                    assert np.max(np.abs(parts["diagonal"][event] - data),
+                                  initial=0.0) <= tol * scale
+                moved += (i - source) * n
                 if a == 0:
                     continue
+                # the shared steps: columns 0 to a - 1
                 got, got_reads = parts[family][0]
-                column = np.repeat(np.arange(a), lanes)
-                lane = np.tile(np.arange(lanes), a)
-                if family == "crossing":
-                    bundle = trace_crossing_batch(
-                        coeff, np.full(a * lanes, x[i]), x[column],
-                        family_y[lane], i - 1)
-                else:
-                    bundle = trace_edge_batch(coeff, np.full(a, x[i]),
-                                              x[column], i - 1)
-                want = kernelsolve._quadrature_matrix(
-                    spec, bundle, np.full(a * lanes, i), lanes, lane)
+                bundle, want = _own_steps(problem, family, i, np.arange(a))
                 counts = np.diff(bundle.offsets)
                 assert np.array_equal(
                     np.diff(shared[family][plan.profile[i]].segments[
                         :a * lanes + 1]), counts)
-                for f, per in enumerate((4, 4, 3, 3, 2, 2)):
-                    used = want[f].shape[1]
-                    assert np.all(got[f][:, used:] == (
-                        lane[:, None] if f % 2 == 0 else 0))
-                    if f % 2 == 0 or f == 1:
-                        assert np.array_equal(got[f][:, :used], want[f])
-                    else:
-                        scale = np.max(np.abs(want[f]))
-                        assert np.max(np.abs(got[f][:, :used] - want[f])) <= (
-                            8 * spec.nx * np.finfo(float).eps * scale)
+                _assert_steps_agree(got, want, counts,
+                                    np.arange(a * lanes) % lanes, tol, 0.0)
                 if family == "edge":
-                    event = ~np.isnan(bundle.launch)
-                    upper = np.where(event, np.clip(
-                        np.nan_to_num(bundle.launch) * spec.nx - (i - 1),
-                        0.0, 1.0), 0.0)
-                    assert np.allclose(got_reads[:, 1], upper, rtol=0,
-                                       atol=8 * spec.nx * np.finfo(float).eps)
-                    assert np.array_equal(got_reads.sum(axis=1) == 1.0, event)
+                    _assert_edge_reads(got_reads, bundle, spec, i)
                 read += a * lanes
-        for family, plan in plans.items():
-            later = set(plan.profile[rows.stop:].tolist())
-            for cell in set(shared[family]) - later:
-                del shared[family][cell]
+        kernelsolve._drop_unread(plans, shared, near, rows)
     assert (read > 0) == one_profile
+    assert (moved > 0) == bool(moves)
+    assert (ties > 0) == (name == "ydep")
+
+
+def _assert_edge_reads(reads, bundle, spec, i):
+    """``reads`` are the weights by which the edge steps of ``bundle``,
+    from row i, that reach the edge read it from the x-lines i - 1 and i,
+    within 8 * nx ulps, summing to 1 exactly where a step reaches the edge
+    and 0 elsewhere."""
+    event = ~np.isnan(bundle.launch)
+    upper = np.where(event, np.clip(np.nan_to_num(bundle.launch) * spec.nx
+                                    - (i - 1), 0.0, 1.0), 0.0)
+    assert np.allclose(reads[:, 1], upper, rtol=0,
+                       atol=8 * spec.nx * np.finfo(float).eps)
+    assert np.array_equal(reads.sum(axis=1) == 1.0, event)
+    assert np.all(reads[~event] == 0.0)
 
 
 def _gather_by_columns(field, nodes, weights):
@@ -829,7 +935,9 @@ def test_gather_sums_each_stencil_in_order(trailing, width, rng):
 @pytest.mark.parametrize("name", ["toy", "ydep"])
 def test_joined_row_stencils_give_their_parts_bits(name, rng):
     """Every row's stencils on its own row, joined across its parts (its
-    profile's shared steps, then its own) into one padded stencil-major
+    profile's shared steps, then its steps near the diagonal, moved from
+    the row that traced them where it reads them) into one padded
+    stencil-major
     intp pair per family (``_join_on_row``), gather from a negative source
     the bits of the parts gathered one by one, a column at a time: in a
     y-subspace (the toy, whose crossing source is ``(n, r)``) and on lanes
@@ -839,15 +947,13 @@ def test_joined_row_stencils_give_their_parts_bits(name, rng):
     problem = build_backstepping_problem(plant, GridSpec(nx=24, ny=5))
     plans = kernelsolve._plans(problem)
     shared = {family: {} for family in plans}
+    near = {family: {} for family in plans}
     width = kernelsolve._lane_width(problem)
     parts_seen = set()
     for rows in kernelsolve._blocks(plans):
-        cross, _, edge, reads = kernelsolve._block_steps(
-            problem, plans, shared, rows)
-        own = {"crossing": (cross, None),
-               "edge": (edge, np.column_stack(reads))}
-        for i, parts in zip(rows, kernelsolve._row_parts(plans, shared, own,
-                                                         rows)):
+        diagonal = kernelsolve._block_steps(problem, plans, shared, near, rows)
+        for i, parts in zip(rows, kernelsolve._row_parts(plans, shared, near,
+                                                         diagonal, rows)):
             for family, plan in plans.items():
                 lanes = (i + 1) * plan.lanes
                 field = -rng.uniform(0.5, 1.0, (lanes, width)
@@ -864,12 +970,14 @@ def test_joined_row_stencils_give_their_parts_bits(name, rng):
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
                 parts_seen.add(len(parts[family]))
+        kernelsolve._drop_unread(plans, shared, near, rows)
     assert parts_seen == {1, 2}
 
 
 def test_steps_read_their_row_and_the_one_below(toy, monkeypatch):
     """Every step a row marches, crossing or edge, its profile's shared
-    steps and its own alike (:func:`_marched_steps`), reads its start from
+    steps and its steps near the diagonal alike (:func:`_marched_steps`),
+    moved along the diagonal or not, reads its start from
     row i - 1 by a stencil of at most four nodes whose weights sum to 1,
     counted from the row's first node, or starts at its event, and the
     source at the corners of cells between rows i - 1 and i; the steps of
@@ -881,7 +989,7 @@ def test_steps_read_their_row_and_the_one_below(toy, monkeypatch):
     the second node past the row."""
     spec = GridSpec(nx=30, ny=6)
     tri = spec.tri
-    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 64)
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 24)
     reach = []
     for plant in (toy, half_x_plant(), sloped_plant(), full_rank_plant(),
                   ydep_plant()):
@@ -978,11 +1086,13 @@ def test_build_traces_nothing(name, monkeypatch):
     family, in one call and its edge steps in another, the blocks in x
     order, each curve stopping at the x-line below its node's row, and
     each step once: a step its row reads shared (:class:`kernelsolve._Plan`)
-    from the first row of its profile that reads it, any other from its
-    own row."""
+    from the first row of its profile that reads it, a step near the
+    diagonal from the row whose steps it reads, moved along the diagonal
+    (its ``source``), the first of its profile and key that traced them,
+    row 4 from row 5 on."""
     plant = {"toy": toy_model(), "sloped": sloped_plant()}[name]
     spec = GridSpec(nx=20, ny=6)
-    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 48)
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 16)
     calls, points = [], {"crossing": [], "edge": []}
     monkeypatch.setattr(kernelsolve, "_blocks", _recording(
         kernelsolve._blocks, lambda _: calls.append("_blocks")))
@@ -1021,12 +1131,15 @@ def test_build_traces_nothing(name, monkeypatch):
             assert np.array_equal(traced[:, 2].reshape(-1, lanes),
                                   np.tile(problem.family_y,
                                           (traced.shape[0] // lanes, 1)))
-        # each step once: a row's own, or the first row of its profile
-        # that reads its column shared
+        # each step once: the first row of its profile that reads its
+        # column shared, or the row whose steps near the diagonal its row
+        # reads, moved by as many columns as rows
         steps = set(zip(profile[i[::lanes]].tolist(), j[::lanes].tolist(),
                         i[::lanes].tolist()))
         assert len(steps) == traced.shape[0] // lanes
-        shared = plans[family].shared
+        shared, source = plans[family].shared, plans[family].source
+        assert np.array_equal(source[:5], np.arange(5))
+        assert np.all(source[5:] == 4)
         for row in range(spec.nx + 1):
             for column in range(row + 1):
                 if column < shared[row]:
@@ -1035,7 +1148,8 @@ def test_build_traces_nothing(name, monkeypatch):
                                  and shared[r] > column)
                     assert (profile[row], column, reader) in steps
                 else:
-                    assert (profile[row], column, row) in steps
+                    assert (profile[row], column - row + source[row],
+                            source[row]) in steps
 
 
 def test_unresolved_plant_raises_numeric_error():
@@ -1283,12 +1397,12 @@ def test_march_counts_every_rows_sweeps(name, toy, monkeypatch):
 @pytest.mark.parametrize("name", ["toy", "ydep"])
 def test_every_block_owns_its_steps_and_traces(name, toy, monkeypatch):
     """Each block's traces and step data are arrays of its own: with
-    blocks of 64 steps, three or more, every bundle a trace returns and
+    blocks of 24 steps, three or more, every bundle a trace returns and
     every family's steps laid out still equal, after the solve, the copies
     taken as they were returned, so no later block wrote over them, on one
     family (the toy) and on one family per y-node."""
     plant = {"toy": toy, "ydep": ydep_plant()}[name]
-    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 64)
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 24)
     returned = []
 
     def copied(out):
@@ -1336,7 +1450,7 @@ def test_solve_builds_its_travel_times_once(monkeypatch):
     monkeypatch.setattr(characteristics, "_TravelTime", _recording(
         characteristics._TravelTime, tables.append))
     built = []
-    for block_curves in (256, 2 ** 20):
+    for block_curves in (64, 2 ** 20):
         monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", block_curves)
         tables.clear()
         sol = solve_backstepping_kernels(sloped_plant(), spec)
@@ -1380,16 +1494,22 @@ def _record_block_work(monkeypatch):
     curves, for its brackets in them and its fixed costs; and 512 B a cell
     of each row it builds: the sampled plant keeps the tables, so the
     first trace of a solve builds every row, and later traces none), the
-    peak of traced memory it reaches above its entry, and its curves; the
+    peak of traced memory it reaches above its entry, and its curves; for
+    every block's evaluation of the diagonal data its rows' steps near the
+    diagonal carry, in ``work["_diagonal_data"]``, its work bytes as
+    modelled (40 B a value, for its data on its y-nodes and the plant's
+    temporaries, and 1 kB), its peak and its values; the
     travel-time tables built; and the bytes of the arrays of every problem
-    it builds.  A trace resets the traced peak, so the peaks reached before
-    each trace are recorded too, and the peak since the last reading is the
-    largest of them and the peak read after it (:func:`_peak`).  For every
+    it builds.  A trace, or an evaluation, resets the traced peak, so the
+    peaks reached before each are recorded too, and the peak since the
+    last reading is the largest of them and the peak read after it
+    (:func:`_peak`).  For every
     block it records the bytes of each array of the step data it lays out,
-    their :func:`_step_bytes`, and how many arrays of the block before it,
-    or arrays they are views of, are alive, by weak references, when its
-    steps are traced; in ``kept``, the bytes of the shared steps kept
-    once it has traced its own (:func:`_kept_bytes`); and, in ``peaks``,
+    their :func:`_step_bytes`, and how many of the arrays the block before
+    it laid out, and its diagonal data, are alive, by weak references, when
+    its steps are traced; in ``kept``, the bytes of the steps kept for
+    later rows once it has traced its own (:func:`_kept_bytes`); and, in
+    ``peaks``,
     the traced peak of every block but the last as the next one starts,
     the first's counted from the start of tracing.
     The caller appends the last block's as the solve returns.  Each table
@@ -1405,7 +1525,8 @@ def _record_block_work(monkeypatch):
     def laid_out(op):
         padded.append(op.row_nodes.size // 2)
         # every field of the steps but their count nnz
-        layouts.append((sum(a.nbytes for a in op[:-1]), _step_bytes(op)))
+        layouts.append((sum(a.nbytes for a in op[:-1]), _step_bytes(op),
+                        [weakref.ref(a) for a in op[:-1]]))
 
     monkeypatch.setattr(kernelsolve, "_quadrature_matrix", _recording(
         kernelsolve._quadrature_matrix, laid_out))
@@ -1430,37 +1551,52 @@ def _record_block_work(monkeypatch):
             return bundle
 
         monkeypatch.setattr(kernelsolve, attr, recording)
+    marching = []
+
+    def diagonal_data(model, at, y, data=kernelsolve._diagonal_data):
+        if not marching:
+            return data(model, at, y)
+        entry, peak = tracemalloc.get_traced_memory()
+        before.append(peak)
+        tracemalloc.reset_peak()
+        out = data(model, at, y)
+        work.setdefault("_diagonal_data", []).append((
+            40 * out.size + 1024, tracemalloc.get_traced_memory()[1] - entry,
+            out.size))
+        return out
+
+    monkeypatch.setattr(kernelsolve, "_diagonal_data", diagonal_data)
     refs = []
 
-    def block_steps(problem, plans, shared, rows,
+    def block_steps(problem, plans, shared, near, rows,
                     steps=kernelsolve._block_steps):
         if blocks:
             peaks.append(_peak(before))
             tracemalloc.reset_peak()
         alive = sum(ref() is not None for ref in refs)
-        cross, diagonal, edge, reads = block = steps(problem, plans, shared,
-                                                     rows)
-        # every field of both families' own steps but their counts nnz,
-        # and the arrays they are views of
-        refs[:] = [weakref.ref(b) for a in
-                   cross[:-1] + edge[:-1] + (diagonal,) + reads
-                   for b in (a, a.base) if b is not None]
-        (cross_views, cross_bytes), (edge_views, edge_bytes) = layouts[-2:]
+        marching.append(rows)
+        diagonal = steps(problem, plans, shared, near, rows)
+        (cross_views, cross_bytes, cross_refs), (
+            edge_views, edge_bytes, edge_refs) = layouts[-2:]
+        # every field of both families' steps as the block laid them out
+        # but their counts nnz, and its diagonal data
+        refs[:] = cross_refs + edge_refs + [weakref.ref(diagonal)]
         blocks.append((cross_views + edge_views, cross_bytes + edge_bytes,
                        alive))
-        kept.append(_kept_bytes(shared))
-        return block
+        kept.append(_kept_bytes(shared, near))
+        return diagonal
 
     kept = []
     monkeypatch.setattr(kernelsolve, "_block_steps", block_steps)
     return padded, work, problem_bytes, before, blocks, tables, peaks, kept
 
 
-def _kept_bytes(shared):
-    """The bytes of the shared steps that profiles keep in arrays of their
-    own (:class:`kernelsolve._Shared`), not those read where a block laid
-    them out."""
-    return sum(a.nbytes for tables in shared.values()
+def _kept_bytes(*kept):
+    """The bytes of the steps that profiles and rows keep for later rows in
+    arrays of their own (:class:`kernelsolve._Shared`), the shared ones and
+    those near the diagonal, not those read where a block laid them
+    out."""
+    return sum(a.nbytes for held in kept for tables in held.values()
                for table in tables.values()
                for value in vars(table).values()
                for a in (value if isinstance(value, tuple) else (value,))
@@ -1498,15 +1634,16 @@ def _block_allowances(padded, work, shared, row_work):
     tables charged to the trace that builds them; the step data of both,
     60 B a padded segment (:func:`_step_bytes`); 56 B a step (its start
     stencil and its diagonal datum), all of it the block's own, which
-    allocates its arrays and frees them before the next block; the shared
-    steps kept (``shared``); and the work of marching one of its rows
-    (``row_work``, :func:`_row_work_bytes`)."""
+    allocates its arrays and frees them before the next block; the work of
+    evaluating the diagonal data its rows' steps near the diagonal carry,
+    as modelled; the steps kept for later rows (``shared``); and the work
+    of marching one of its rows (``row_work``, :func:`_row_work_bytes`)."""
     return [cross + edge + 60 * (padded_cross + padded_edge)
-            + 56 * (cross_steps + edge_steps) + kept + row_work
-            for (cross, _, cross_steps), (edge, _, edge_steps), padded_cross,
-            padded_edge, kept in zip(work["trace_crossing_batch"],
-                                     work["trace_edge_batch"], padded[::2],
-                                     padded[1::2], shared)]
+            + 56 * (cross_steps + edge_steps) + diagonal + kept + row_work
+            for (cross, _, cross_steps), (edge, _, edge_steps),
+            (diagonal, _, _), padded_cross, padded_edge, kept in zip(
+                work["trace_crossing_batch"], work["trace_edge_batch"],
+                work["_diagonal_data"], padded[::2], padded[1::2], shared)]
 
 
 def _blocks_within_allowances(peaks, kept, padded, work, shared, row_work):
@@ -1543,7 +1680,8 @@ def _one_block_at_a_time(blocks):
 
 
 def _traces_within_model(work):
-    """Whether every trace peaked within its modelled work bytes."""
+    """Whether every trace, and every evaluation of a block's diagonal
+    data, peaked within its modelled work bytes."""
     return all(peak <= model for sizes in work.values()
                for model, peak, _ in sizes)
 
@@ -1578,11 +1716,13 @@ def test_sampled_plants_do_not_outlive_their_call(name, toy, monkeypatch):
     assert len(plants) == 2 and plants[1]() is None
 
 
-@pytest.mark.parametrize("name, nx, ny", [
-    ("toy", 100, 8), ("sloped", 80, 8), ("ydep", 240, 4)],
+@pytest.mark.parametrize("name, nx, ny, block_curves", [
+    ("toy", 100, 8, 64), ("sloped", 80, 8, 256), ("ydep", 240, 4, 256)],
     ids=["toy", "sloped", "ydep"])
-def test_solve_holds_one_band_of_operators(name, nx, ny, toy, monkeypatch):
-    """With blocks of a few hundred traced steps every block of a solve
+def test_solve_holds_one_band_of_operators(name, nx, ny, block_curves, toy,
+                                           monkeypatch):
+    """With blocks of a few hundred traced steps (64 on the toy, whose rows
+    from the fifth on trace two steps each) every block of a solve
     peaks, in traced memory, at the arrays kept over the march, which hold
     no ``(n_tri, ny)`` array on one family and of the sources one row, and
     its own traces and step data, the shared steps kept and the work of
@@ -1599,7 +1739,7 @@ def test_solve_holds_one_band_of_operators(name, nx, ny, toy, monkeypatch):
     would not see a block held too long."""
     plant = {"toy": toy, "sloped": sloped_plant(), "ydep": ydep_plant()}[name]
     spec = GridSpec(nx=nx, ny=ny)
-    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 256)
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", block_curves)
     padded, work, problem_bytes, before, blocks, tables, peaks, shared = (
         _record_block_work(monkeypatch))
     tracemalloc.start()
@@ -1649,7 +1789,7 @@ def test_kernels_command_forms_no_full_size_kernel(tmp_path, monkeypatch):
     ``(n_tri, ny)`` array.  Nothing on the way asks for the whole ``k``."""
     spec = GridSpec(nx=100, ny=60)
     ny = spec.ny
-    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 256)
+    monkeypatch.setattr(kernelsolve, "_BLOCK_CURVES", 64)
     monkeypatch.setattr(csvtable, "_CHUNK_LINES", 2048)
     padded, work, problem_bytes, before, blocks, tables, peaks, shared = (
         _record_block_work(monkeypatch))

@@ -32,7 +32,7 @@ from ensemble_backstep import kernelsolve
 from ensemble_backstep.grid import GridSpec
 from ensemble_backstep.model import toy_model
 plant = sloped_plant() if sys.argv[1] == "ydep" else toy_model()
-kernelsolve._BLOCK_CURVES = 32
+kernelsolve._BLOCK_CURVES = 16
 tracer = tracing.Tracer()
 tracing.install(tracer)
 # Record the rows and the width of every field the traced sweep callback
